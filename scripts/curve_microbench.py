@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Time the curve layer on its own and print the result as one JSON object.
+
+Rows: fixed-base multiply (k * G), variable-base multiply (k * P for a point
+P other than G), `ecdsa_verify`, and the checked 5-share point open that
+mal-shamir signing does for R (`open_point_shares`, SHAMIR_CHECKED, n=5, t=2).
+Each row is the median over ROUNDS rounds of the per-call mean of CALLS
+calls, in milliseconds, after one warm-up call (which also builds any lazily
+built table).  Standard library only; it imports drpki from the
+`src/` directory next to this script, so a copy of the script placed in
+another checkout times that checkout.
+
+    python3 scripts/curve_microbench.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from drpki.algebra import (  # noqa: E402
+    GENERATOR,
+    FieldElement,
+    KeyPair,
+    ecdsa_sign,
+    ecdsa_verify,
+    scalar_mul,
+)
+from drpki.sharing import PointShare, SchemeId, deal, open_point_shares  # noqa: E402
+
+N, T = 5, 2
+ROUNDS = 7
+CALLS = 50
+SEED = 1
+
+
+def _time_row(fn, inputs) -> dict:
+    fn(inputs[0])  # warm-up: builds lazy tables, fills caches
+    per_call = []
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        for item in inputs:
+            fn(item)
+        per_call.append((time.perf_counter() - start) * 1000.0 / len(inputs))
+    quartiles = statistics.quantiles(per_call, n=4) if len(per_call) > 1 else per_call * 3
+    return {
+        "median_ms": round(statistics.median(per_call), 4),
+        "q1_ms": round(quartiles[0], 4),
+        "q3_ms": round(quartiles[2], 4),
+        "calls_per_round": len(inputs),
+        "rounds": ROUNDS,
+    }
+
+
+def run() -> dict:
+    rng = random.Random(SEED)
+    scalars = [FieldElement.random_nonzero(rng) for _ in range(CALLS)]
+    base = scalar_mul(FieldElement.random_nonzero(rng), GENERATOR)
+
+    pairs = [KeyPair.generate(rng) for _ in range(CALLS)]
+    signed = []
+    for pair in pairs:
+        msg = rng.randbytes(48)
+        signed.append((pair.pk, msg, ecdsa_sign(pair.sk, msg, rng=rng)))
+
+    point_opens = []
+    for _ in range(CALLS):
+        shares = deal(SchemeId.SHAMIR_CHECKED, FieldElement.random(rng), N, T, rng=rng)
+        point_opens.append([
+            PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares
+        ])
+
+    rows = {
+        "g_mul": _time_row(lambda k: scalar_mul(k, GENERATOR), scalars),
+        "var_mul": _time_row(lambda k: scalar_mul(k, base), scalars),
+        "ecdsa_verify": _time_row(lambda item: ecdsa_verify(*item), signed),
+        "checked_point_open_5": _time_row(
+            lambda shares: open_point_shares(shares, N, T), point_opens),
+    }
+    return {
+        "rows": rows,
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "host": {
+            "machine": platform.machine(),
+            "system": platform.system(),
+            "release": platform.release(),
+            "cpus": os.cpu_count(),
+        },
+        "seed": SEED,
+    }
+
+
+if __name__ == "__main__":
+    print(json.dumps(run(), indent=2, sort_keys=True))

@@ -185,7 +185,9 @@ def field_inv(a: FieldElement) -> FieldElement:
 # --- Curve arithmetic ------------------------------------------------------
 #
 # Internals run on Jacobian-coordinate int tuples; (0, 1, 0) is the identity.
-# Only the public GroupPoint API touches the operation counter.
+# Precomputed table points are affine (x, y) pairs that enter through the
+# mixed addition.  Only the public GroupPoint API touches the operation
+# counter.
 
 
 def _jac_add(p, q):
@@ -215,30 +217,62 @@ def _jac_add(p, q):
     return (x3, y3, z3)
 
 
-def _jac_double(p):
-    if p[2] == 0 or p[1] == 0:
-        return (0, 1, 0)
+def _jac_madd(p, q):
+    """p + q for Jacobian p and affine non-identity q (EFD madd-2007-bl)."""
+    x1, y1, z1 = p
+    if z1 == 0:
+        return (q[0], q[1], 1)
     m = FIELD_PRIME
-    xx = p[0] * p[0] % m
-    yy = p[1] * p[1] % m
-    yyyy = yy * yy % m
-    zz = p[2] * p[2] % m
-    s = 2 * ((p[0] + yy) * (p[0] + yy) - xx - yyyy) % m
-    w = (3 * xx + CURVE_A * zz % m * zz) % m
-    x3 = (w * w - 2 * s) % m
-    y3 = (w * (s - x3) - 8 * yyyy) % m
-    z3 = ((p[1] + p[2]) * (p[1] + p[2]) - yy - zz) % m
+    z1z1 = z1 * z1 % m
+    h = (q[0] * z1z1 - x1) % m
+    r = 2 * (q[1] * z1 % m * z1z1 - y1) % m
+    if h == 0:
+        if r == 0:
+            return _jac_double(p)
+        return (0, 1, 0)
+    hh = h * h % m
+    i = 4 * hh
+    j = h * i % m
+    v = x1 * i % m
+    x3 = (r * r - j - 2 * v) % m
+    y3 = (r * (v - x3) - 2 * y1 * j) % m
+    z3 = ((z1 + h) * (z1 + h) - z1z1 - hh) % m
     return (x3, y3, z3)
 
 
-def _jac_mul(k: int, p):
-    r = (0, 1, 0)
-    while k > 0:
-        if k & 1:
-            r = _jac_add(r, p)
-        p = _jac_double(p)
-        k >>= 1
-    return r
+def _jac_double(p):
+    """2p by EFD dbl-2001-b, which holds because CURVE_A = -3."""
+    x1, y1, z1 = p
+    if z1 == 0 or y1 == 0:
+        return (0, 1, 0)
+    m = FIELD_PRIME
+    delta = z1 * z1 % m
+    gamma = y1 * y1 % m
+    beta = x1 * gamma % m
+    alpha = 3 * (x1 - delta) * (x1 + delta) % m
+    x3 = (alpha * alpha - 8 * beta) % m
+    z3 = ((y1 + z1) * (y1 + z1) - gamma - delta) % m
+    y3 = (alpha * (4 * beta - x3) - 8 * gamma * gamma) % m
+    return (x3, y3, z3)
+
+
+def _batch_to_affine(points):
+    """Affine (x, y) of non-identity Jacobian points, sharing one inversion."""
+    m = FIELD_PRIME
+    prefix = []
+    acc = 1
+    for p in points:
+        prefix.append(acc)
+        acc = acc * p[2] % m
+    inv = pow(acc, -1, m)
+    out = [None] * len(points)
+    for idx in range(len(points) - 1, -1, -1):
+        x, y, z = points[idx]
+        zinv = inv * prefix[idx] % m
+        inv = inv * z % m
+        zinv2 = zinv * zinv % m
+        out[idx] = (x * zinv2 % m, y * zinv2 % m * zinv % m)
+    return out
 
 
 def _to_affine(p) -> "GroupPoint":
@@ -316,21 +350,99 @@ class GroupPoint:
 
 GENERATOR = GroupPoint(GEN_X, GEN_Y)
 
-# Fixed-base acceleration: 2^i * G for i in 0..255, built on first use.
-_GEN_LADDER: list = []
-_GEN_LADDER_LOCK = threading.Lock()
+# Fixed-base comb for G: row i holds affine d * 16^i * G for d = 1..15, so
+# k * G is one mixed addition per nonzero 4-bit digit of k and no doubling.
+# Built on first use: 64 rows of 15 points.
+_G_COMB: list = []
+_G_COMB_LOCK = threading.Lock()
 
 
-def _gen_ladder():
-    global _GEN_LADDER
-    if not _GEN_LADDER:
-        with _GEN_LADDER_LOCK:
-            if not _GEN_LADDER:
-                ladder = [(GEN_X, GEN_Y, 1)]
-                for _ in range(255):
-                    ladder.append(_jac_double(ladder[-1]))
-                _GEN_LADDER = ladder
-    return _GEN_LADDER
+def _g_comb():
+    global _G_COMB
+    if not _G_COMB:
+        with _G_COMB_LOCK:
+            if not _G_COMB:
+                rows = []
+                base = (GEN_X, GEN_Y)
+                for _ in range(64):
+                    multiples = [(base[0], base[1], 1)]
+                    for _ in range(15):
+                        multiples.append(_jac_madd(multiples[-1], base))
+                    affine = _batch_to_affine(multiples[1:])  # 2..16 * base
+                    rows.append([base] + affine[:14])
+                    base = affine[14]
+                _G_COMB = rows
+    return _G_COMB
+
+
+def _g_mul(k: int):
+    acc = (0, 1, 0)
+    for row in _g_comb():
+        if not k:
+            break
+        digit = k & 15
+        if digit:
+            acc = _jac_madd(acc, row[digit - 1])
+        k >>= 4
+    return acc
+
+
+def _wnaf(k: int) -> list:
+    """Width-5 signed digits of k, least significant first: each digit is 0 or
+    odd in [-15, 15], and any nonzero digit is followed by at least four zeros."""
+    digits = []
+    while k:
+        if k & 1:
+            digit = k & 31
+            if digit >= 16:
+                digit -= 32
+            k -= digit
+        else:
+            digit = 0
+        digits.append(digit)
+        k >>= 1
+    return digits
+
+
+def _var_mul(k: int, x: int, y: int):
+    """k * (x, y) for 0 < k < CURVE_ORDER and an affine non-identity point.
+
+    (CURVE_ORDER - k) * P = -(k * P), so a scalar in the upper half of the
+    range is replaced by its complement and the result negated: a small
+    negative scalar, such as a Lagrange coefficient of -3, becomes a short one.
+    """
+    m = FIELD_PRIME
+    negate = k > CURVE_ORDER // 2
+    if negate:
+        k = CURVE_ORDER - k
+    acc = (0, 1, 0)
+    # Below 2^16 the per-call table of odd multiples (7 additions and an
+    # inversion) costs more than it saves; the small Lagrange weights of the
+    # checked point open take this path.
+    if k < 1 << 16:
+        for bit in bin(k)[2:]:
+            acc = _jac_double(acc)
+            if bit == "1":
+                acc = _jac_madd(acc, (x, y))
+    else:
+        p = (x, y, 1)
+        two_p = _jac_double(p)
+        odd = [p]
+        for _ in range(7):
+            odd.append(_jac_add(odd[-1], two_p))
+        # table[d] = d * P for odd d in 1..15; a negative digit d indexes
+        # table[32 + d] through Python's negative indexing, holding -|d| * P.
+        table = [None] * 32
+        for d, (tx, ty) in zip(range(1, 16, 2), [(x, y)] + _batch_to_affine(odd[1:])):
+            table[d] = (tx, ty)
+            table[-d] = (tx, m - ty)
+        for digit in reversed(_wnaf(k)):
+            acc = _jac_double(acc)
+            if digit:
+                acc = _jac_madd(acc, table[digit])
+    if negate:
+        acc = (acc[0], -acc[1] % m, acc[2])
+    return acc
 
 
 def scalar_mul(k: FieldElement, point: GroupPoint) -> GroupPoint:
@@ -340,16 +452,8 @@ def scalar_mul(k: FieldElement, point: GroupPoint) -> GroupPoint:
     if kv == 0 or point.is_identity():
         return GroupPoint.identity()
     if point.x == GEN_X and point.y == GEN_Y:
-        ladder = _gen_ladder()
-        acc = (0, 1, 0)
-        i = 0
-        while kv:
-            if kv & 1:
-                acc = _jac_add(acc, ladder[i])
-            kv >>= 1
-            i += 1
-        return _to_affine(acc)
-    return _to_affine(_jac_mul(kv, point._jac()))
+        return _to_affine(_g_mul(kv))
+    return _to_affine(_var_mul(kv, point.x, point.y))
 
 
 def point_add(p: GroupPoint, q: GroupPoint) -> GroupPoint:

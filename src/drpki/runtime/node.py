@@ -938,36 +938,31 @@ class LocalCluster:
 def verify_audit_completeness(cluster: LocalCluster) -> bool:
     """Replay audit logs: every published object digest must be covered, at a
     quorum of parties, by an ok consent verdict over that exact object or by
-    a completed intervention ticket."""
+    a completed intervention ticket.  Each node's log is parsed once."""
     quorum = cluster.config.quorum
     published: set[str] = set()
+    coverage: dict[str, int] = {}
     for node in cluster.nodes.values():
         for obj in node.objects.values():
             published.add(obj.digest.hex())
-    for digest in published:
-        covered = 0
-        for node in cluster.nodes.values():
-            events = [json.loads(line) for line in node.audit_lines()]
-            batches = [
-                e for e in events if e["event"] == "published" and digest in e["digests"]
-            ]
-            ok_here = False
-            for batch in batches:
-                if batch.get("ticket"):
-                    ok_here |= any(
-                        e["event"] == "ticket_completed"
-                        and e["ticket"] == batch["ticket"]
-                        for e in events
-                    )
-                else:
-                    ok_here |= any(
-                        e["event"] == "consent_verdict"
-                        and e["verdict"] == "ok"
-                        and digest in e.get("objects", ())
-                        for e in events
-                    )
-            if ok_here:
-                covered += 1
-        if covered < quorum:
-            return False
-    return True
+        events = [json.loads(line) for line in node.audit_lines()]
+        consented: set[str] = set()
+        completed: set[str] = set()
+        for e in events:
+            if e["event"] == "consent_verdict" and e["verdict"] == "ok":
+                consented.update(e.get("objects", ()))
+            elif e["event"] == "ticket_completed":
+                completed.add(e["ticket"])
+        covered_here: set[str] = set()
+        for e in events:
+            if e["event"] != "published":
+                continue
+            ticket = e.get("ticket")
+            if ticket:
+                if ticket in completed:
+                    covered_here.update(e["digests"])
+            else:
+                covered_here.update(d for d in e["digests"] if d in consented)
+        for digest in covered_here:
+            coverage[digest] = coverage.get(digest, 0) + 1
+    return all(coverage.get(digest, 0) >= quorum for digest in published)

@@ -107,6 +107,31 @@ def test_scalar_mul_matches_naive_double_and_add():
         assert (got.x, got.y) == _naive_scalar_mul(k.value, (base.x, base.y))
 
 
+EDGE_SCALARS = [
+    1, 2, 15, 16, 17,
+    2**16 - 1, 2**16, 2**16 + 1,                        # short-scalar path edge
+    (CURVE_ORDER - 1) // 2, (CURVE_ORDER + 1) // 2,     # negation step edge
+    CURVE_ORDER - 1, CURVE_ORDER - 3, CURVE_ORDER - 8,  # small negative weights
+    15 * 16**63, 16**63,                                # top comb window
+]
+OTHER_BASE = scalar_mul(FieldElement(0xBEEF), GENERATOR)
+
+
+@pytest.mark.parametrize("base", [GENERATOR, OTHER_BASE], ids=["G", "other"])
+@pytest.mark.parametrize("k", EDGE_SCALARS, ids=hex)
+def test_scalar_mul_edge_scalars_match_oracle(base, k):
+    got = scalar_mul(FieldElement(k), base)
+    assert (got.x, got.y) == _naive_scalar_mul(k, (base.x, base.y))
+
+
+@pytest.mark.parametrize("base", [GENERATOR, OTHER_BASE], ids=["G", "other"])
+def test_scalar_mul_counts_one_op_per_call(base):
+    OP_COUNTER.reset()
+    scalar_mul(FieldElement(CURVE_ORDER - 3), base)
+    assert OP_COUNTER.scalar_muls == 1
+    assert OP_COUNTER.point_adds == 0
+
+
 def test_scalar_mul_distributes_over_addition():
     p = scalar_mul(FieldElement(0x1234), GENERATOR)
     for _ in range(100):

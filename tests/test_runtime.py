@@ -290,6 +290,45 @@ def test_flag_policy_requires_quorum_approvals():
     cluster.close()
 
 
+def _drop_audit_events(node, event):
+    node._audit_lines[:] = [l for l in node._audit_lines if json.loads(l)["event"] != event]
+
+
+def test_audit_replay_rejects_ticket_never_completed():
+    cluster = make_cluster(policy=ConsentPolicy(flag_on_failed_consent=True))
+    _issue_fixture(cluster)
+    crl = CrlRecord("memberA", 1500000001, (1,))
+    ticket = cluster.handle_sign_request(
+        SignRequest("memberA", Action.REVOKE, [crl], None)
+    ).ticket_id
+    for party in (1, 2, 5):
+        cluster.approve_ticket(ticket, party)
+    assert cluster.complete_ticket(ticket).status == "published"
+    assert verify_audit_completeness(cluster)
+    for node in cluster.nodes.values():
+        _drop_audit_events(node, "ticket_completed")
+    assert not verify_audit_completeness(cluster)
+    cluster.close()
+
+
+def test_audit_replay_rejects_consent_below_quorum():
+    cluster = make_cluster()
+    _, member_keys, roa = _issue_fixture(cluster)
+    token = sign_consent(member_keys.sk, "memberA", Action.ISSUE, [roa],
+                         expiry=int(time.time()) + 600, rng=rng)
+    cluster.submit_consent(token)
+    outcome = cluster.handle_sign_request(SignRequest("memberA", Action.ISSUE, [roa], token))
+    assert outcome.status == "published"
+    parties = sorted(cluster.nodes)
+    quorum = cluster.config.quorum
+    for party in parties[quorum:]:
+        _drop_audit_events(cluster.nodes[party], "consent_verdict")
+    assert verify_audit_completeness(cluster)  # exactly a quorum still holds
+    _drop_audit_events(cluster.nodes[parties[quorum - 1]], "consent_verdict")
+    assert not verify_audit_completeness(cluster)
+    cluster.close()
+
+
 def test_issue_never_flag_eligible():
     cluster = make_cluster(policy=ConsentPolicy(flag_on_failed_consent=True))
     _, _, roa = _issue_fixture(cluster)

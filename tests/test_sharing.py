@@ -244,13 +244,29 @@ def test_point_share_checked_detects_perturbation():
     point_shares = [
         PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares
     ]
-    bad = PointShare(
-        point_shares[4].scheme,
-        point_shares[4].owner,
-        point_shares[4].value + GENERATOR,
-    )
-    with pytest.raises(ProtocolAbort, match="corrupted share detected"):
-        open_point_shares(point_shares[:4] + [bad], N, T)
+    # Positions 1-3 feed the interpolation, 4-5 are the redundant checks.
+    for victim in range(N):
+        bad = PointShare(
+            point_shares[victim].scheme,
+            point_shares[victim].owner,
+            point_shares[victim].value + GENERATOR,
+        )
+        tampered = point_shares[:victim] + [bad] + point_shares[victim + 1:]
+        with pytest.raises(ProtocolAbort, match="corrupted share detected"):
+            open_point_shares(tampered, N, T)
+
+
+@pytest.mark.parametrize("live", [(1, 2, 4, 5), (1, 3, 5)])
+def test_point_share_checked_opens_from_non_consecutive_parties(live):
+    # Lagrange weights over these sets are full-width fractions mod the
+    # order, not the small integers of the parties {1, 2, 3}.
+    secret = FieldElement.random(rng)
+    shares, _ = _deal(SchemeId.SHAMIR_CHECKED, secret)
+    point_shares = [
+        PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR))
+        for s in shares if s.owner in live
+    ]
+    assert open_point_shares(point_shares, N, T) == scalar_mul(secret, GENERATOR)
 
 
 # --- MAC check ----------------------------------------------------------------
