@@ -170,18 +170,6 @@ class FieldElement:
         return cls(1, modulus)
 
 
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inv()
-
-
 # --- Curve arithmetic ------------------------------------------------------
 #
 # Internals run on Jacobian-coordinate int tuples; (0, 1, 0) is the identity.
@@ -454,10 +442,6 @@ def scalar_mul(k: FieldElement, point: GroupPoint) -> GroupPoint:
     if point.x == GEN_X and point.y == GEN_Y:
         return _to_affine(_g_mul(kv))
     return _to_affine(_var_mul(kv, point.x, point.y))
-
-
-def point_add(p: GroupPoint, q: GroupPoint) -> GroupPoint:
-    return p + q
 
 
 def hash_to_scalar(message: bytes) -> FieldElement:

@@ -170,23 +170,15 @@ class TrustedDealer(TripleSource):
         self._lock = threading.Lock()
         self._triple_queues: dict[int, list[Triple]] = {i: [] for i in self.owners}
         self._mask_queues: dict[int, list[InputMask]] = {i: [] for i in self.owners}
-        self._rigged: list[list[Triple]] = []
-
-    def rig_next_triple(self, triples: list[Triple]) -> None:
-        """Test hook: force the next generated triple set (e.g. a c = 0 triple)."""
-        self._rigged.append(triples)
 
     def view_for(self, party: int) -> "DealerPartyView":
         return DealerPartyView(self, party)
 
     def _refill_triples(self, scheme: SchemeId) -> None:
-        if self._rigged:
-            batch = [self._rigged.pop(0)]
-        else:
-            batch = dealer_generate(
-                scheme, 1, self.n, self.t, self._rng, self._mac_keys, self.epoch,
-                owners=self.owners,
-            )
+        batch = dealer_generate(
+            scheme, 1, self.n, self.t, self._rng, self._mac_keys, self.epoch,
+            owners=self.owners,
+        )
         for per_party in batch:
             for i, rec in enumerate(per_party):
                 self._triple_queues[self.owners[i]].append(rec)

@@ -10,7 +10,7 @@ from .transport import (
     decode_frame,
     encode_frame,
 )
-from .session import PartySession, SessionAbort, run_round
+from .session import PartySession, SessionAbort
 from .node import (
     ConsentPolicy,
     CrashError,
@@ -34,7 +34,6 @@ __all__ = [
     "encode_frame",
     "PartySession",
     "SessionAbort",
-    "run_round",
     "ConsentPolicy",
     "CrashError",
     "CrashPoint",

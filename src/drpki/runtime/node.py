@@ -2,9 +2,13 @@
 
 A PartyNode owns one RIR's durable state: tuple store, key-share records,
 member consent registry, published-object store, CRL state, intervention
-tickets, and an append-only audit log.  The LocalCluster wires five nodes
-over the in-process transport and drives the protocol phases, one thread
-per party per session.
+tickets, and an append-only audit log.  It is also the one phase driver:
+`open_session` builds the party's session for a phase, and `run` executes
+one op (keygen, preprocess-independent, preprocess-dependent, sign) over
+it, with the per-node keygen checks and the keygen audit entry.  Both
+transports use it: the LocalCluster runs five nodes over the in-process
+hub, one thread per party per phase, and `drpki serve` runs one node over
+TCP.  Session ids are sha256(epoch | phase | counter) on both.
 
 The signing workflow follows the consent-gated shape: the member's consent
 token reaches every node out of band; the initiating node distributes the
@@ -69,6 +73,22 @@ from .transport import (
 
 class CrashError(Exception):
     """Injected failure for restart testing; names the crash point."""
+
+
+# the phase each op of `PartyNode.run` runs in
+OP_PHASES = {
+    "keygen": PHASE_KEYGEN,
+    "preprocess-independent": PHASE_PREPROCESS_INDEPENDENT,
+    "preprocess-dependent": PHASE_PREPROCESS_DEPENDENT,
+    "sign": PHASE_ONLINE,
+}
+
+
+def session_id_for(epoch: bytes, phase: int, counter: int) -> bytes:
+    """The id every party derives for the counter-th session of an epoch."""
+    return hashlib.sha256(
+        epoch + bytes([phase]) + counter.to_bytes(8, "big")
+    ).digest()[:16]
 
 
 def _derive_seed(seed: int, label: str) -> int:
@@ -175,6 +195,8 @@ class PartyNode:
         self.rng: Optional[random.Random] = None
         self.triple_source = None
         self.fault_plan: Optional[FaultPlan] = None
+        # secret-share / public-open split of this node's latest keygen
+        self.keygen_timings: dict[str, float] = {}
         self._lock = threading.Lock()
         if self.dir is not None:
             self._load()
@@ -318,6 +340,51 @@ class PartyNode:
             mac_key=self.mac_key,
             rng=self.rng,
         )
+
+    # -- protocol phases -------------------------------------------------------
+
+    def open_session(self, session_id: bytes, phase: int, participants: Sequence[int],
+                     endpoint, timeout: float) -> PartySession:
+        return PartySession(
+            party_id=self.party_id,
+            participants=participants,
+            session_id=session_id,
+            phase=phase,
+            endpoint=endpoint,
+            scheme=self.config.scheme,
+            t=self.config.t,
+            timeout=timeout,
+            mac_key=self.mac_key,
+            rng=self.rng,
+            fault_plan=self.fault_plan,
+        )
+
+    def run(self, op: dict, session: PartySession):
+        """Run this party's side of one phase op over an open session.
+
+        `op` is the JSON dict of serve's control frames.  Returns the phase
+        result: the key record, the new tuples, or the SignResult.
+        """
+        name = op["op"]
+        if name == "keygen":
+            member_id = op["member"]
+            if len(member_id.encode()) > 16:
+                raise TecdsaError(f"member id longer than 16 bytes: {member_id!r}")
+            if member_id in self.key_records:
+                raise TecdsaError(f"member {member_id!r} already has a live key")
+            self.keygen_timings = {}
+            record = keygen(self.env(), session, member_id, timings=self.keygen_timings)
+            self.store_key_record(record)
+            self.audit("keygen", member=member_id, pk=record.pk.to_bytes().hex())
+            return record
+        if name == "preprocess-independent":
+            return preprocess_independent(self.env(), session, op["count"])
+        if name == "preprocess-dependent":
+            return preprocess_dependent(self.env(), session, op["member"], op["count"])
+        if name == "sign":
+            return sign_online(self.env(), session, op["member"],
+                               bytes.fromhex(op["message"]))
+        raise TecdsaError(f"unknown op {name!r}")
 
     # -- publication -----------------------------------------------------------
 
@@ -501,9 +568,7 @@ class LocalCluster:
         with self._session_lock:
             self._session_counter += 1
             counter = self._session_counter
-        return hashlib.sha256(
-            self.epoch + bytes([phase]) + counter.to_bytes(8, "big")
-        ).digest()[:16]
+        return session_id_for(self.epoch, phase, counter)
 
     def _require_liveness(self) -> None:
         cfg = self.config
@@ -518,24 +583,14 @@ class LocalCluster:
         """Execute fn(node, session) on every live party, one thread per party."""
         self._require_liveness()
         session_id = self._next_session_id(phase)
+        timeout = timeout if timeout is not None else self.timeout
         results: dict[int, object] = {}
         errors: dict[int, BaseException] = {}
 
         def runner(party: int) -> None:
             node = self.nodes[party]
-            session = PartySession(
-                party_id=party,
-                participants=self.participants,
-                session_id=session_id,
-                phase=phase,
-                endpoint=self.hub.endpoint(party),
-                scheme=self.config.scheme,
-                t=self.config.t,
-                timeout=timeout if timeout is not None else self.timeout,
-                mac_key=node.mac_key,
-                rng=node.rng,
-                fault_plan=node.fault_plan,
-            )
+            session = node.open_session(session_id, phase, self.participants,
+                                        self.hub.endpoint(party), timeout)
             try:
                 results[party] = fn(node, session)
             except BaseException as exc:  # collected and re-raised below
@@ -557,6 +612,10 @@ class LocalCluster:
             raise root
         return results
 
+    def _run_op(self, op: dict) -> dict:
+        """Run one `PartyNode.run` op on every live party, in the op's phase."""
+        return self._run_phase(OP_PHASES[op["op"]], lambda node, s: node.run(op, s))
+
     @staticmethod
     def _root_error(errors: dict[int, BaseException]) -> BaseException:
         ranked = sorted(
@@ -574,18 +633,7 @@ class LocalCluster:
     # -- protocol phases ------------------------------------------------------------
 
     def keygen(self, member_id: str) -> GroupPoint:
-        if len(member_id.encode()) > 16:
-            raise TecdsaError(f"member id longer than 16 bytes: {member_id!r}")
-        if any(member_id in n.key_records for n in self.nodes.values()):
-            raise TecdsaError(f"member {member_id!r} already has a live key")
-
-        def fn(node: PartyNode, session: PartySession) -> KeyShareRecord:
-            record = keygen(node.env(), session, member_id)
-            node.store_key_record(record)
-            node.audit("keygen", member=member_id, pk=record.pk.to_bytes().hex())
-            return record
-
-        results = self._run_phase(PHASE_KEYGEN, fn)
+        results = self._run_op({"op": "keygen", "member": member_id})
         pks = {r.pk.to_bytes() for r in results.values()}
         if len(pks) != 1:
             raise ProtocolAbort("public key disagreement")
@@ -594,36 +642,23 @@ class LocalCluster:
 
     def keygen_timed(self, member_id: str) -> dict:
         """Key generation reporting the slowest party's phase-split timings."""
-        per_party: dict[int, dict] = {p: {} for p in self.participants}
-
-        def fn(node: PartyNode, session: PartySession) -> KeyShareRecord:
-            record = keygen(node.env(), session, member_id,
-                            timings=per_party[node.party_id])
-            node.store_key_record(record)
-            node.audit("keygen", member=member_id, pk=record.pk.to_bytes().hex())
-            return record
-
-        self._run_phase(PHASE_KEYGEN, fn)
+        self.keygen(member_id)
         return {
-            "secret_ms": max(t["secret_ms"] for t in per_party.values()),
-            "public_ms": max(t["public_ms"] for t in per_party.values()),
+            split: max(n.keygen_timings[split] for n in self.nodes.values())
+            for split in ("secret_ms", "public_ms")
         }
 
     def preprocess_independent(self, count: int) -> int:
         with self._preprocess_lock:
-            def fn(node: PartyNode, session: PartySession):
-                return preprocess_independent(node.env(), session, count)
-
-            results = self._run_phase(PHASE_PREPROCESS_INDEPENDENT, fn)
+            results = self._run_op({"op": "preprocess-independent", "count": count})
         self._maybe_crash("after_preprocess_independent")
         return len(next(iter(results.values())))
 
     def preprocess_dependent(self, member_id: str, count: int) -> int:
         with self._preprocess_lock:
-            def fn(node: PartyNode, session: PartySession):
-                return preprocess_dependent(node.env(), session, member_id, count)
-
-            results = self._run_phase(PHASE_PREPROCESS_DEPENDENT, fn)
+            results = self._run_op(
+                {"op": "preprocess-dependent", "member": member_id, "count": count}
+            )
         self._maybe_crash("after_preprocess_dependent")
         return len(next(iter(results.values())))
 
@@ -634,10 +669,9 @@ class LocalCluster:
             if not self.config.test_mode:
                 raise TecdsaError("epoch tainted by test-mode reconstruction")
 
-        def fn(node: PartyNode, session: PartySession):
-            return sign_online(node.env(), session, member_id, message)
-
-        results = self._run_phase(PHASE_ONLINE, fn)
+        results = self._run_op(
+            {"op": "sign", "member": member_id, "message": message.hex()}
+        )
         sigs = {r.signature.to_bytes() for r in results.values()}
         if len(sigs) != 1:
             raise ProtocolAbort("signature disagreement")

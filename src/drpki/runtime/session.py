@@ -13,7 +13,6 @@ tests.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -275,18 +274,3 @@ class PartySession:
             self.abort(str(exc))
         self.mac_accumulator.clear()
 
-
-def run_round(session: PartySession, round_inputs: dict[int, bytes]) -> dict[int, bytes]:
-    """Module-level alias for one synchronous communication round."""
-    return session.run_round(round_inputs)
-
-
-def encode_field_batch(values: Sequence[FieldElement]) -> bytes:
-    return struct.pack(">I", len(values)) + b"".join(v.to_bytes() for v in values)
-
-
-def decode_field_batch(blob: bytes) -> list[FieldElement]:
-    (count,) = struct.unpack(">I", blob[:4])
-    return [
-        FieldElement.from_bytes(blob[4 + 32 * i:4 + 32 * (i + 1)]) for i in range(count)
-    ]

@@ -179,29 +179,23 @@ class InProcessHub:
         key = pair_key(self._pair_keys, sender, receiver)
         frame = encode_frame(msg, key)
         self.counters.add(sender, msg.phase, len(frame))
-        decoded = decode_frame(frame[LENGTH_PREFIX_BYTES:], key)
-        if decoded is None:
+        self.deliver(sender, receiver, frame)
+
+    def deliver(self, sender: int, receiver: int, frame: bytes) -> None:
+        """Receive one encoded frame on the sender->receiver link.
+
+        As in TcpNodeTransport's reader, a frame that fails authentication
+        or names another sender is dropped and counted.
+        """
+        key = pair_key(self._pair_keys, sender, receiver)
+        msg = decode_frame(frame[LENGTH_PREFIX_BYTES:], key)
+        if msg is None or msg.sender != sender:
             with self._lock:
                 self.dropped_frames += 1
             return
         delay = self.latency_ms.get((sender, receiver), 0.0) / 1000.0
         deliver_at = time.monotonic() + delay
-        self._box(receiver, msg.session_id).queue.put((deliver_at, decoded))
-
-    def corrupt_and_send(self, sender: int, receiver: int, msg: SessionMessage,
-                         flip_byte: int = 0) -> None:
-        """Test hook: deliver a frame with one payload bit flipped post-MAC."""
-        key = pair_key(self._pair_keys, sender, receiver)
-        frame = bytearray(encode_frame(msg, key))
-        idx = LENGTH_PREFIX_BYTES + 26 + flip_byte
-        frame[idx] ^= 0x01
-        self.counters.add(sender, msg.phase, len(frame))
-        decoded = decode_frame(bytes(frame[LENGTH_PREFIX_BYTES:]), key)
-        if decoded is None:
-            with self._lock:
-                self.dropped_frames += 1
-            return
-        self._box(receiver, msg.session_id).queue.put((time.monotonic(), decoded))
+        self._box(receiver, msg.session_id).queue.put((deliver_at, msg))
 
     def recv(self, receiver: int, session_id: bytes,
              timeout: float) -> Optional[SessionMessage]:

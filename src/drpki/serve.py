@@ -2,9 +2,13 @@
 
 The in-process cluster is the primary simulation surface; `drpki serve` runs
 the cryptographic phases (key generation, preprocessing, online signing)
-between real processes over sockets instead.  Preprocessing material comes
-from dealer files written ahead of time by `drpki deal`, matching the
-trusted-dealer model.
+between real processes over sockets instead.  Each process is one PartyNode
+on one TcpNodeTransport, driven by the same `open_session` and `run` calls
+as the in-process cluster, so keygen is checked and audited the same way.
+Preprocessing material comes from dealer files written ahead of time by
+`drpki deal`, matching the trusted-dealer model; every deal draws a fresh
+epoch, which the node takes from its file, and serve refuses to start
+without that file or without the config's pair_secret.
 
 One party runs with --script and initiates each operation by broadcasting a
 control frame; the others follow.  Script lines:
@@ -18,52 +22,25 @@ control frame; the others follow.  Script lines:
 
 from __future__ import annotations
 
-import hashlib
 import json
+import secrets
 import sys
 from pathlib import Path
 
 from .algebra import FieldElement, ecdsa_verify
+from .cli import SCHEME_NAMES, load_config
 from .preprocessing import FileReplay, TrustedDealer, write_replay_file
 from .sharing import MacKeyShare, SchemeId, generate_mac_keys
-from .tecdsa import (
-    ProtocolConfig,
-    keygen,
-    preprocess_dependent,
-    preprocess_independent,
-    sign_online,
-)
-from .runtime.node import PartyNode
-from .runtime.session import PartySession
+from .tecdsa import ProtocolConfig
+from .runtime.node import OP_PHASES, PartyNode, session_id_for
 from .runtime.transport import (
     PHASE_CONTROL,
-    PHASE_KEYGEN,
-    PHASE_ONLINE,
-    PHASE_PREPROCESS_DEPENDENT,
-    PHASE_PREPROCESS_INDEPENDENT,
     SessionMessage,
     TcpNodeTransport,
     derive_pair_keys,
 )
 
 CONTROL_SID = bytes(16)
-TCP_EPOCH = bytes(16)
-
-_OP_PHASE = {
-    "keygen": PHASE_KEYGEN,
-    "preprocess-independent": PHASE_PREPROCESS_INDEPENDENT,
-    "preprocess-dependent": PHASE_PREPROCESS_DEPENDENT,
-    "sign": PHASE_ONLINE,
-}
-
-
-def _load_ini(config_path: str):
-    import configparser
-
-    cfg = configparser.ConfigParser()
-    if not cfg.read(config_path):
-        raise SystemExit(f"error: config file not found: {config_path}")
-    return cfg
 
 
 def _addresses(cfg) -> dict[int, tuple[str, int]]:
@@ -75,30 +52,22 @@ def _addresses(cfg) -> dict[int, tuple[str, int]]:
     return out
 
 
-def _pair_secret(cfg) -> bytes:
-    raw = cfg["cluster"].get("pair_secret")
-    if raw:
-        return bytes.fromhex(raw)
-    seed = cfg["cluster"].get("seed", "0")
-    return hashlib.sha256(f"drpki-pair:{seed}".encode()).digest()
-
-
 def _scheme(cfg) -> SchemeId:
-    from .cli import SCHEME_NAMES
-
     return SCHEME_NAMES[cfg["cluster"].get("scheme", "shamir")]
 
 
 def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int:
-    """Write per-party dealer output: triples, input masks, MAC key shares."""
-    cfg = _load_ini(config_path)
+    """Write per-party dealer output under a fresh epoch: triples, input masks,
+    MAC key shares."""
+    cfg = load_config(config_path)
     scheme = _scheme(cfg)
     proto = ProtocolConfig.for_scheme(scheme)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    epoch = secrets.token_bytes(16)
     mac_keys = generate_mac_keys(proto.n) if scheme.has_mac else None
-    dealer = TrustedDealer(proto.n, proto.t, None, mac_keys, TCP_EPOCH)
+    dealer = TrustedDealer(proto.n, proto.t, None, mac_keys, epoch)
     triples = {p: [] for p in range(1, proto.n + 1)}
     for _ in range(count):
         for p in range(1, proto.n + 1):
@@ -111,7 +80,7 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
     for p in range(1, proto.n + 1):
         write_replay_file(
             str(out / f"party{p}.triples"), p, scheme, proto.n, proto.t,
-            TCP_EPOCH, triples[p], mask_records[p],
+            epoch, triples[p], mask_records[p],
         )
         if mac_keys is not None:
             (out / f"party{p}.mac").write_text(f"{mac_keys[p - 1].alpha_i.value:064x}\n")
@@ -120,78 +89,43 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
     return 0
 
 
-class _TcpParty:
-    """Shared machinery for the initiating and responding serve roles."""
-
-    def __init__(self, cfg, party: int) -> None:
-        self.cfg = cfg
-        self.party = party
-        self.scheme = _scheme(cfg)
-        self.proto = ProtocolConfig.for_scheme(
-            self.scheme,
-            precompute_r=cfg["cluster"].getboolean("precompute_r", False),
+def _open_node(cfg, party: int) -> PartyNode:
+    """This party's node, on the epoch and preprocessing of its dealer file."""
+    section = cfg["cluster"]
+    proto = ProtocolConfig.for_scheme(
+        _scheme(cfg), precompute_r=section.getboolean("precompute_r", False),
+    )
+    data_dir = section.get("data_dir")
+    dealer_dir = Path(section.get("triple_dir", "") or (data_dir or "."))
+    replay = dealer_dir / f"party{party}.triples"
+    if not replay.exists():
+        raise SystemExit(f"error: no dealer file {replay}; run `drpki deal` first")
+    source = FileReplay(str(replay))
+    node_dir = str(Path(data_dir) / f"party{party}") if data_dir else None
+    node = PartyNode(party, proto, node_dir, source.epoch)
+    node.triple_source = source
+    mac_file = dealer_dir / f"party{party}.mac"
+    if mac_file.exists():
+        node.mac_key = MacKeyShare(
+            party, FieldElement(int(mac_file.read_text().strip(), 16))
         )
-        addresses = _addresses(cfg)
-        self.participants = sorted(addresses)
-        keys = derive_pair_keys(_pair_secret(cfg), self.proto.n)
-        self.transport = TcpNodeTransport(party, addresses, keys,
-                                          connect_timeout=30.0)
-        data_dir = cfg["cluster"].get("data_dir")
-        node_dir = str(Path(data_dir) / f"party{party}") if data_dir else None
-        self.node = PartyNode(party, self.proto, node_dir, TCP_EPOCH)
-        triple_dir = cfg["cluster"].get("triple_dir", "")
-        replay = Path(triple_dir or (data_dir or ".")) / f"party{party}.triples"
-        if replay.exists():
-            source = FileReplay(str(replay))
-            self.node.triple_source = source
-            self.node.epoch = source.epoch
-        mac_file = Path(triple_dir or (data_dir or ".")) / f"party{party}.mac"
-        if mac_file.exists():
-            self.node.mac_key = MacKeyShare(
-                party, FieldElement(int(mac_file.read_text().strip(), 16))
-            )
-        self.timeout = cfg["cluster"].getfloat("timeout", 60.0)
-        self.op_counter = 0
+    return node
 
-    def session_for(self, op: dict) -> PartySession:
-        self.op_counter += 1
-        sid = hashlib.sha256(
-            json.dumps(op, sort_keys=True).encode() + self.op_counter.to_bytes(4, "big")
-        ).digest()[:16]
-        return PartySession(
-            self.party, self.participants, sid, _OP_PHASE[op["op"]],
-            self.transport, self.scheme, self.proto.t,
-            timeout=self.timeout, mac_key=self.node.mac_key, rng=self.node.rng,
-        )
 
-    def execute(self, op: dict) -> None:
-        name = op["op"]
-        env = self.node.env()
-        session = self.session_for(op)
-        if name == "keygen":
-            record = keygen(env, session, op["member"])
-            self.node.store_key_record(record)
-            print(f"[party {self.party}] keygen {op['member']}: "
-                  f"pk {record.pk.to_bytes().hex()}")
-        elif name == "preprocess-independent":
-            made = preprocess_independent(env, session, op["count"])
-            print(f"[party {self.party}] +{len(made)} initial tuples")
-        elif name == "preprocess-dependent":
-            made = preprocess_dependent(env, session, op["member"], op["count"])
-            print(f"[party {self.party}] +{len(made)} final tuples for {op['member']}")
-        elif name == "sign":
-            message = bytes.fromhex(op["message"])
-            result = sign_online(env, session, op["member"], message)
-            pk = self.node.key_records[op["member"]].pk
-            ok = ecdsa_verify(pk, message, result.signature)
-            print(f"[party {self.party}] signature "
-                  f"{result.signature.to_bytes().hex()} (verifies: {ok})")
-        else:
-            raise ValueError(f"unknown op {name!r}")
-
-    def close(self) -> None:
-        self.node.close()
-        self.transport.close()
+def _report(node: PartyNode, op: dict, result) -> None:
+    name = op["op"]
+    if name == "keygen":
+        print(f"[party {node.party_id}] keygen {op['member']}: "
+              f"pk {result.pk.to_bytes().hex()}")
+    elif name == "preprocess-independent":
+        print(f"[party {node.party_id}] +{len(result)} initial tuples")
+    elif name == "preprocess-dependent":
+        print(f"[party {node.party_id}] +{len(result)} final tuples for {op['member']}")
+    else:
+        pk = node.key_records[op["member"]].pk
+        ok = ecdsa_verify(pk, bytes.fromhex(op["message"]), result.signature)
+        print(f"[party {node.party_id}] signature "
+              f"{result.signature.to_bytes().hex()} (verifies: {ok})")
 
 
 def _parse_script_line(line: str) -> dict | None:
@@ -213,30 +147,48 @@ def _parse_script_line(line: str) -> dict | None:
 
 
 def serve_node(config_path: str, party: int, script: str | None) -> int:
-    cfg = _load_ini(config_path)
-    tcp = _TcpParty(cfg, party)
+    cfg = load_config(config_path)
+    pair_secret = cfg["cluster"].get("pair_secret")
+    if not pair_secret:
+        raise SystemExit("error: the config has no pair_secret; serve refuses "
+                         "to run channels without a shared secret")
+    node = _open_node(cfg, party)
+    addresses = _addresses(cfg)
+    participants = sorted(addresses)
+    timeout = cfg["cluster"].getfloat("timeout", 60.0)
+    transport = None
+    sessions = 0
+
+    def execute(op: dict) -> None:
+        nonlocal sessions
+        sessions += 1
+        phase = OP_PHASES[op["op"]]
+        session = node.open_session(session_id_for(node.epoch, phase, sessions),
+                                    phase, participants, transport, timeout)
+        _report(node, op, node.run(op, session))
+
     try:
+        keys = derive_pair_keys(bytes.fromhex(pair_secret), node.config.n)
+        transport = TcpNodeTransport(party, addresses, keys, connect_timeout=30.0)
         if script:
             ops = [
                 parsed
                 for line in Path(script).read_text().splitlines()
                 if (parsed := _parse_script_line(line)) is not None
             ]
-            round_no = 0
-            for op in ops:
-                round_no += 1
+            for round_no, op in enumerate(ops, start=1):
                 frame = SessionMessage(CONTROL_SID, PHASE_CONTROL, round_no,
                                        party, json.dumps(op, sort_keys=True).encode())
-                for peer in tcp.participants:
+                for peer in participants:
                     if peer != party:
-                        tcp.transport.send(peer, frame)
+                        transport.send(peer, frame)
                 if op["op"] == "shutdown":
                     break
-                tcp.execute(op)
+                execute(op)
             return 0
         # responder loop: follow the initiator's control frames
         while True:
-            msg = tcp.transport.recv(CONTROL_SID, timeout=tcp.timeout * 10)
+            msg = transport.recv(CONTROL_SID, timeout=timeout * 10)
             if msg is None:
                 print(f"[party {party}] idle timeout, exiting", file=sys.stderr)
                 return 1
@@ -244,6 +196,8 @@ def serve_node(config_path: str, party: int, script: str | None) -> int:
             if op["op"] == "shutdown":
                 print(f"[party {party}] shutdown")
                 return 0
-            tcp.execute(op)
+            execute(op)
     finally:
-        tcp.close()
+        node.close()
+        if transport is not None:
+            transport.close()

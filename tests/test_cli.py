@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from drpki.cli import main
+from drpki.cli import load_config, main
+from drpki.preprocessing import FileReplay
 
 FIXTURE = Path(__file__).parent / "data" / "churn_90d"
 
@@ -209,3 +210,37 @@ def test_serve_multiprocess_pipeline(tmp_path):
         assert line and "verifies: True" in line[0]
         signatures.add(line[0].split("signature ")[1].split()[0])
     assert len(signatures) == 1  # all five processes assembled the same bytes
+    data_dir = Path(load_config(config)["cluster"]["data_dir"])
+    for p in range(1, 6):
+        audit = (data_dir / f"party{p}" / "audit.jsonl").read_text().splitlines()
+        keygens = [e for e in map(json.loads, audit) if e["event"] == "keygen"]
+        assert [e["member"] for e in keygens] == ["tcp-member"]
+
+
+def test_deal_draws_a_fresh_epoch_each_run(workspace):
+    config = str(workspace / "drpki.ini")
+    epochs = set()
+    for run in ("a", "b"):
+        out = workspace / f"dealer-{run}"
+        assert run_cli("deal", "--config", config, "--count", "1", "--masks", "0",
+                       "--out", str(out)) == 0
+        epochs.add(FileReplay(str(out / "party1.triples")).epoch)
+        assert FileReplay(str(out / "party5.triples")).epoch in epochs
+    assert len(epochs) == 2
+
+
+def test_serve_refuses_config_without_pair_secret(workspace):
+    config_path = workspace / "drpki.ini"
+    assert run_cli("deal", "--config", str(config_path), "--count", "1",
+                   "--out", str(workspace / "data" / "dealer")) == 0
+    cfg = load_config(str(config_path))
+    cfg.remove_option("cluster", "pair_secret")
+    with open(config_path, "w") as out:
+        cfg.write(out)
+    with pytest.raises(SystemExit, match="pair_secret"):
+        run_cli("serve", "--config", str(config_path), "--party", "1")
+
+
+def test_serve_refuses_to_start_without_dealer_file(workspace):
+    with pytest.raises(SystemExit, match="no dealer file"):
+        run_cli("serve", "--config", str(workspace / "drpki.ini"), "--party", "1")

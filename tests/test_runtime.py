@@ -16,6 +16,7 @@ from drpki.runtime import (
     ConsentPolicy,
     InProcessHub,
     LocalCluster,
+    PartyNode,
     PartySession,
     SessionAbort,
     SignRequest,
@@ -32,7 +33,7 @@ from drpki.runtime.transport import (
     pair_key,
 )
 from drpki.sharing import SchemeId
-from drpki.tecdsa import PhaseEnv, ProtocolConfig, TupleStore, keygen, preprocess_dependent, preprocess_independent, sign_online
+from drpki.tecdsa import PhaseEnv, ProtocolConfig, TecdsaError, TupleStore, keygen, preprocess_dependent, preprocess_independent, sign_online
 
 rng = random.Random(0xD21_05)
 
@@ -63,11 +64,28 @@ def test_frame_rejects_flipped_bit_and_wrong_key():
     assert decode_frame(good[4:], pair_key(keys, 1, 3)) is None
 
 
+def _flipped_frame(keys, sender, receiver, msg):
+    """An encoded frame with one payload bit flipped after the MAC."""
+    frame = bytearray(encode_frame(msg, pair_key(keys, sender, receiver)))
+    frame[4 + 26] ^= 0x01
+    return bytes(frame)
+
+
 def test_hub_drops_corrupted_frames():
     keys = derive_pair_keys(b"k", 5)
     hub = InProcessHub(keys)
     msg = SessionMessage(b"T" * 16, PHASE_CONTROL, 1, 1, b"hello")
-    hub.corrupt_and_send(1, 2, msg)
+    hub.deliver(1, 2, _flipped_frame(keys, 1, 2, msg))
+    assert hub.dropped_frames == 1
+    assert hub.recv(2, b"T" * 16, timeout=0.05) is None
+
+
+def test_hub_drops_frame_naming_another_sender():
+    keys = derive_pair_keys(b"k", 5)
+    hub = InProcessHub(keys)
+    # authentic on the 1-2 link, but the frame claims party 3 sent it
+    msg = SessionMessage(b"T" * 16, PHASE_CONTROL, 1, 3, b"hello")
+    hub.deliver(1, 2, encode_frame(msg, pair_key(keys, 1, 2)))
     assert hub.dropped_frames == 1
     assert hub.recv(2, b"T" * 16, timeout=0.05) is None
 
@@ -390,7 +408,8 @@ def test_flipped_payload_bit_ends_in_timeout_abort():
     sid = b"A" * 16
     session = PartySession(1, [1, 2, 3], sid, PHASE_CONTROL, hub.endpoint(1),
                            SchemeId.SHAMIR, t=1, timeout=0.3)
-    hub.corrupt_and_send(2, 1, SessionMessage(sid, PHASE_CONTROL, 1, 2, b"forged"))
+    forged = SessionMessage(sid, PHASE_CONTROL, 1, 2, b"forged")
+    hub.deliver(2, 1, _flipped_frame(keys, 2, 1, forged))
     hub.send(3, 1, SessionMessage(sid, PHASE_CONTROL, 1, 3, b"honest"))
     with pytest.raises(SessionAbort, match="party unavailable"):
         session.run_round({2: b"", 3: b""})
@@ -488,3 +507,31 @@ def test_keygen_timed_reports_phase_split():
     assert timing["secret_ms"] > 0
     assert timing["public_ms"] > 0
     cluster.close()
+
+
+def test_keygen_timed_refuses_member_with_live_key():
+    cluster = make_cluster()
+    pk = cluster.keygen("m")
+    with pytest.raises(TecdsaError, match="already has a live key"):
+        cluster.keygen_timed("m")
+    assert all(node.key_records["m"].pk == pk for node in cluster.nodes.values())
+    cluster.close()
+
+
+def test_keygen_timed_refuses_long_member_id():
+    cluster = make_cluster()
+    with pytest.raises(TecdsaError, match="longer than 16 bytes"):
+        cluster.keygen_timed("x" * 20)
+    assert all(not node.key_records for node in cluster.nodes.values())
+    cluster.close()
+
+
+def test_party_node_run_rejects_unknown_op():
+    config = ProtocolConfig.for_scheme(SchemeId.SHAMIR)
+    node = PartyNode(1, config, None, bytes(16))
+    hub = InProcessHub(derive_pair_keys(b"op", config.n))
+    session = node.open_session(b"U" * 16, PHASE_CONTROL, range(1, 6),
+                                hub.endpoint(1), timeout=0.1)
+    with pytest.raises(TecdsaError, match="unknown op 'reshare'"):
+        node.run({"op": "reshare"}, session)
+    node.close()

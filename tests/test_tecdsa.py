@@ -5,7 +5,7 @@ import random
 import pytest
 
 from drpki.algebra import FieldElement, GENERATOR, ecdsa_sign, ecdsa_verify, scalar_mul
-from drpki.preprocessing import Triple, TupleReuseError, dealer_generate
+from drpki.preprocessing import Triple, TripleSource, TupleReuseError
 from drpki.runtime import LocalCluster, SessionAbort
 from drpki.sharing import PointShare, ProtocolAbort, SchemeId, open_point_shares, open_shares
 from drpki.tecdsa import (
@@ -127,14 +127,6 @@ def test_batch_produces_distinct_unconsumed_tuples():
     cluster.close()
 
 
-def _zero_c_triples(cluster):
-    scheme = cluster.config.scheme
-    return dealer_generate(
-        scheme, 1, cluster.n_live, cluster.config.t,
-        random.Random(0), None, cluster.epoch, owners=cluster.participants,
-    )[0]
-
-
 def _rig_zero_triple(cluster):
     # a triple whose c opens to zero: a = 0, so c = 0
     scheme = cluster.config.scheme
@@ -156,10 +148,32 @@ def _rig_zero_triple(cluster):
     ]
 
 
+class _RiggedSource(TripleSource):
+    """Hands out queued triples before falling back to the dealer's."""
+
+    def __init__(self, inner: TripleSource, queued: list[Triple]) -> None:
+        self.inner = inner
+        self.queued = queued
+
+    def next_triple(self, scheme):
+        return self.queued.pop(0) if self.queued else self.inner.next_triple(scheme)
+
+    def next_input_mask(self, scheme, input_owner):
+        return self.inner.next_input_mask(scheme, input_owner)
+
+
+def _rig_next_triples(cluster, triple_sets):
+    """Make every party's next triples the given per-party record sets."""
+    for i, party in enumerate(cluster.participants):
+        node = cluster.nodes[party]
+        node.triple_source = _RiggedSource(node.triple_source,
+                                           [records[i] for records in triple_sets])
+
+
 def test_zero_product_triple_discarded_and_replaced():
     cluster = make_cluster(SchemeId.SHAMIR)
     rigged = _rig_zero_triple(cluster)
-    cluster.dealer.rig_next_triple(rigged)
+    _rig_next_triples(cluster, [rigged])
     made = cluster.preprocess_independent(1)
     assert made == 1
     assert cluster.initial_stock() == 1
@@ -170,8 +184,7 @@ def test_zero_product_triple_discarded_and_replaced():
 
 def test_persistent_zero_products_exhaust_retry_budget():
     cluster = make_cluster(SchemeId.SHAMIR)
-    for _ in range(3):
-        cluster.dealer.rig_next_triple(_rig_zero_triple(cluster))
+    _rig_next_triples(cluster, [_rig_zero_triple(cluster) for _ in range(3)])
     with pytest.raises(TecdsaError, match="degenerate preprocessing triples"):
         cluster.preprocess_independent(1)
     cluster.close()
