@@ -369,14 +369,3 @@ def beaver_combine(
     acc = share_add(share_add(triple.c, term_b), term_a)
     return share_scale_add(acc, FieldElement.one(d.modulus), d * e, mac_key)
 
-
-def beaver_mul(x: Share, y: Share, triple: Triple, session,
-               mac_key: Optional[MacKeyShare] = None) -> Share:
-    """One Beaver multiplication over a live session.
-
-    `session` must expose open_field_batch(shares) -> values; open failures
-    propagate as aborts.
-    """
-    d_share, e_share = beaver_diffs(x, y, triple)
-    d, e = session.open_field_batch([d_share, e_share])
-    return beaver_combine(triple, d, e, mac_key)

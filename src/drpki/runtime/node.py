@@ -515,7 +515,9 @@ class LocalCluster:
         for party in self.participants:
             self.nodes[party].triple_source = self.dealer.view_for(party)
 
-        self._session_counter = 0
+        # each boot counts sessions in its own 2^32 block, so a reopened
+        # data_dir never reissues an earlier boot's session ids
+        self._session_counter = boots << 32
         self._session_lock = threading.Lock()
         self._member_locks: dict[str, threading.Lock] = {}
         self._member_locks_guard = threading.Lock()

@@ -13,16 +13,19 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import secrets
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from ..algebra import FieldElement, GroupPoint
+from ..algebra import GENERATOR, AlgebraError, FieldElement, GroupPoint
 from ..sharing import (
     MacCheckAccumulator,
     MacKeyShare,
+    PointShare,
     ProtocolAbort,
     SchemeId,
     Share,
+    SharingError,
     mac_check_evaluate,
     mac_commit,
     open_point_shares,
@@ -55,6 +58,11 @@ class FaultPlan:
             return True
         self.opens_until_fault -= 1
         return False
+
+
+def _encode_point_share(share: PointShare) -> bytes:
+    enc = share.value.to_bytes()
+    return bytes([len(enc)]) + enc
 
 
 class PartySession:
@@ -150,15 +158,60 @@ class PartySession:
 
     # --- opens ----------------------------------------------------------
 
-    def _apply_fault_field(self, share: Share) -> Share:
-        if self.fault_plan is None or not self.fault_plan.take():
-            return share
+    def _faulted(self, items: list, corrupt) -> list:
+        """Apply the fault plan: `corrupt` the item at which it fires."""
+        if self.fault_plan is None:
+            return items
+        return [corrupt(x) if self.fault_plan.take() else x for x in items]
+
+    def _open_round(self, mine: list, encode, decode, reconstruct) -> list:
+        """One broadcast round opening a batch of shared values.
+
+        Every peer's payload must decode, through `decode(peer, blob, count)`,
+        to exactly one share per value, or the session aborts; so does a
+        failed reconstruction check.
+        """
+        replies = self.broadcast(b"".join(encode(s) for s in mine))
+        per_party = {self.party_id: mine}
+        for peer, blob in replies.items():
+            try:
+                per_party[peer] = decode(peer, blob, len(mine))
+            except (SharingError, AlgebraError, ValueError, IndexError):
+                self.abort("malformed open payload")
+        opened = []
+        for i in range(len(mine)):
+            column = [per_party[p][i] for p in self.participants]
+            try:
+                opened.append(reconstruct(column, self.n_live, self.t))
+            except ProtocolAbort as exc:
+                self.abort(str(exc))
+        return opened
+
+    def _decode_field(self, peer: int, blob: bytes, count: int) -> list[Share]:
+        width = 66 if self.scheme.has_mac else 34
+        if len(blob) != width * count:
+            raise SharingError("open payload length")
+        shares = [Share.from_bytes(blob[i * width:(i + 1) * width]) for i in range(count)]
+        if any(s.owner != peer or s.scheme is not self.scheme for s in shares):
+            raise SharingError("share names another owner or scheme")
+        return shares
+
+    def _decode_points(self, peer: int, blob: bytes, count: int) -> list[PointShare]:
+        out, off = [], 0
+        for _ in range(count):
+            ln = blob[off]
+            point = GroupPoint.from_bytes(blob[off + 1:off + 1 + ln])
+            out.append(PointShare(self.scheme, peer, point))
+            off += 1 + ln
+        if off != len(blob):
+            raise SharingError("open payload length")
+        return out
+
+    def _corrupt_share(self, share: Share) -> Share:
         one = FieldElement.one(share.value.modulus)
         if self.fault_plan.kind == "mac" and share.mac is not None:
-            return Share(share.scheme, share.owner, share.value,
-                         share.mac + one, share.eval_point)
-        return Share(share.scheme, share.owner, share.value + one,
-                     share.mac, share.eval_point)
+            return replace(share, mac=share.mac + one)
+        return replace(share, value=share.value + one)
 
     def open_field_batch(self, shares: Sequence[Share]) -> list[FieldElement]:
         """One broadcast round opening many values; MAC checks are deferred.
@@ -166,33 +219,12 @@ class PartySession:
         For the checked Shamir scheme each reconstruction verifies polynomial
         consistency and aborts the session on a corrupted share.
         """
-        sent_shares = [self._apply_fault_field(s) for s in shares]
-        width = 66 if self.scheme.has_mac else 34
-        payload = b"".join(s.to_bytes() for s in sent_shares)
-        replies = self.broadcast(payload)
-
-        per_party: dict[int, list[Share]] = {self.party_id: list(sent_shares)}
-        for peer, blob in replies.items():
-            if len(blob) != width * len(shares):
-                self.abort("malformed open payload")
-            try:
-                per_party[peer] = [
-                    Share.from_bytes(blob[i * width:(i + 1) * width])
-                    for i in range(len(shares))
-                ]
-            except Exception:
-                self.abort("malformed open payload")
-        values = []
-        for i, original in enumerate(shares):
-            column = [per_party[p][i] for p in self.participants]
-            try:
-                value = open_shares(column, self.n_live, self.t)
-            except ProtocolAbort as exc:
-                self.abort(str(exc))
-            values.append(value)
-            if self.scheme.has_mac:
-                # authenticate with my true MAC share; a 'mac' fault corrupts it
-                self.mac_accumulator.record(value, sent_shares[i].mac)
+        sent = self._faulted(list(shares), self._corrupt_share)
+        values = self._open_round(sent, Share.to_bytes, self._decode_field, open_shares)
+        if self.scheme.has_mac:
+            # authenticate with my true MAC share; a 'mac' fault corrupts it
+            for value, share in zip(values, sent):
+                self.mac_accumulator.record(value, share.mac)
         return values
 
     def open_field(self, share: Share) -> FieldElement:
@@ -200,41 +232,10 @@ class PartySession:
 
     def open_point_batch(self, points: Sequence[GroupPoint]) -> list[GroupPoint]:
         """Open shares of curve points (one broadcast round, batched)."""
-        from ..algebra import GENERATOR
-        from ..sharing import PointShare
-
-        sent = list(points)
-        if self.fault_plan is not None:
-            for i, p in enumerate(sent):
-                if self.fault_plan.take():
-                    sent[i] = p + GENERATOR
-        blobs = []
-        for p in sent:
-            enc = p.to_bytes()
-            blobs.append(bytes([len(enc)]) + enc)
-        replies = self.broadcast(b"".join(blobs))
-
-        per_party: dict[int, list[GroupPoint]] = {self.party_id: sent}
-        for peer, blob in replies.items():
-            out, off = [], 0
-            try:
-                for _ in range(len(points)):
-                    ln = blob[off]
-                    out.append(GroupPoint.from_bytes(blob[off + 1:off + 1 + ln]))
-                    off += 1 + ln
-            except Exception:
-                self.abort("malformed point open payload")
-            per_party[peer] = out
-        opened = []
-        for i in range(len(points)):
-            column = [
-                PointShare(self.scheme, p, per_party[p][i]) for p in self.participants
-            ]
-            try:
-                opened.append(open_point_shares(column, self.n_live, self.t))
-            except ProtocolAbort as exc:
-                self.abort(str(exc))
-        return opened
+        sent = self._faulted(list(points), lambda p: p + GENERATOR)
+        mine = [PointShare(self.scheme, self.party_id, p) for p in sent]
+        return self._open_round(mine, _encode_point_share, self._decode_points,
+                                open_point_shares)
 
     def open_point(self, point: GroupPoint) -> GroupPoint:
         return self.open_point_batch([point])[0]
@@ -254,8 +255,6 @@ class PartySession:
         if self.rng is not None:
             opening = self.rng.getrandbits(256).to_bytes(32, "big")
         else:
-            import secrets
-
             opening = secrets.token_bytes(32)
         my_commit = mac_commit(sigma, opening)
         commit_replies = self.broadcast(my_commit)

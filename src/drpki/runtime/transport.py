@@ -140,10 +140,6 @@ class ByteCounters:
         with self._lock:
             return dict(self._sent)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._sent = {}
-
 
 class _Mailbox:
     """Inbound frames for one (receiver, session) pair, in delivery order."""
@@ -262,23 +258,22 @@ class TcpNodeTransport:
 
         accept_from = [p for p in addresses if p < party]
         dial_to = [p for p in addresses if p > party]
-        threads = []
-        result_err: list[Exception] = []
+        deadline = time.monotonic() + connect_timeout
+        errors: list[Exception] = []
 
         def do_accept() -> None:
             try:
                 for _ in accept_from:
+                    self._listener.settimeout(max(0.0, deadline - time.monotonic()))
                     conn, _addr = self._listener.accept()
-                    hello = conn.recv(1)
-                    peer = hello[0]
-                    self._register(peer, conn)
+                    conn.settimeout(max(0.0, deadline - time.monotonic()))
+                    self._register(conn.recv(1)[0], conn)
             except Exception as exc:  # surfaced after join
-                result_err.append(exc)
+                errors.append(exc)
 
         def do_dial() -> None:
             try:
                 for peer in dial_to:
-                    deadline = time.monotonic() + connect_timeout
                     while True:
                         try:
                             s = socket.create_connection(self.addresses[peer], timeout=1.0)
@@ -290,23 +285,25 @@ class TcpNodeTransport:
                     s.sendall(bytes([party]))
                     self._register(peer, s)
             except Exception as exc:
-                result_err.append(exc)
+                errors.append(exc)
 
-        ta = threading.Thread(target=do_accept, daemon=True)
-        td = threading.Thread(target=do_dial, daemon=True)
-        ta.start()
-        td.start()
-        threads.extend([ta, td])
+        threads = [threading.Thread(target=f, daemon=True) for f in (do_accept, do_dial)]
+        for t in threads:
+            t.start()
         for t in threads:
             t.join(connect_timeout + 5)
-        if result_err:
-            raise TransportError(f"party {party} mesh setup failed: {result_err[0]}")
+        missing = sorted(set(addresses) - {party} - set(self._conns))
+        if errors or missing:
+            self.close()
+            cause = errors[0] if errors else f"no connection to {missing}"
+            raise TransportError(f"party {party} mesh setup failed: {cause}")
 
         for peer, conn in self._conns.items():
             reader = threading.Thread(target=self._read_loop, args=(peer, conn), daemon=True)
             reader.start()
 
     def _register(self, peer: int, conn: socket.socket) -> None:
+        conn.settimeout(None)  # the reader blocks until a frame or close
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._conns[peer] = conn
         self._send_locks[peer] = threading.Lock()

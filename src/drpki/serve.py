@@ -8,7 +8,9 @@ as the in-process cluster, so keygen is checked and audited the same way.
 Preprocessing material comes from dealer files written ahead of time by
 `drpki deal`, matching the trusted-dealer model; every deal draws a fresh
 epoch, which the node takes from its file, and serve refuses to start
-without that file or without the config's pair_secret.
+without that file or without the config's pair_secret.  A dealer file is
+single-use: the first start leaves a `partyK.started` marker next to it,
+and serve refuses to start again until a new deal replaces the file.
 
 One party runs with --script and initiates each operation by broadcasting a
 control frame; the others follow.  Script lines:
@@ -23,6 +25,7 @@ control frame; the others follow.  Script lines:
 from __future__ import annotations
 
 import json
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -78,6 +81,7 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
         for p in range(1, proto.n + 1):
             mask_records[p].append(dealer.next_mask_for(p, scheme, owner))
     for p in range(1, proto.n + 1):
+        (out / f"party{p}.started").unlink(missing_ok=True)
         write_replay_file(
             str(out / f"party{p}.triples"), p, scheme, proto.n, proto.t,
             epoch, triples[p], mask_records[p],
@@ -101,6 +105,14 @@ def _open_node(cfg, party: int) -> PartyNode:
     if not replay.exists():
         raise SystemExit(f"error: no dealer file {replay}; run `drpki deal` first")
     source = FileReplay(str(replay))
+    # FileReplay reads from the top of the file on every start, and session
+    # ids restart with the process: a second start would reuse both
+    marker = dealer_dir / f"party{party}.started"
+    try:
+        os.close(os.open(marker, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        raise SystemExit(f"error: party {party} already started from {replay}; "
+                         "run `drpki deal` for a fresh dealer file") from None
     node_dir = str(Path(data_dir) / f"party{party}") if data_dir else None
     node = PartyNode(party, proto, node_dir, source.epoch)
     node.triple_source = source

@@ -62,10 +62,6 @@ class SchemeId(Enum):
     def requires_all_parties(self) -> bool:
         return not self.is_shamir
 
-    @property
-    def is_checked(self) -> bool:
-        return self in (SchemeId.ADDITIVE_MAC, SchemeId.SHAMIR_CHECKED)
-
 
 @dataclass(frozen=True)
 class MacKeyShare:
@@ -233,25 +229,19 @@ def share_scale_add(
     return Share(x.scheme, x.owner, value, mac, x.eval_point)
 
 
-def lagrange_coeffs_at_zero(eval_points: Sequence[FieldElement]) -> list[FieldElement]:
-    """Weights w_i with sum_i w_i * f(x_i) = f(0) for degree < len(points)."""
+def lagrange_coeffs_at(eval_points: Sequence[FieldElement],
+                      x: FieldElement | int) -> list[FieldElement]:
+    """Weights w_i with sum_i w_i * f(x_i) = f(x) for degree < len(points).
+
+    `x` is a field element or a plain integer such as 0 or a party index.
+    """
+    modulus = eval_points[0].modulus
+    if not isinstance(x, FieldElement):
+        x = FieldElement(x, modulus)
     coeffs = []
     for i, xi in enumerate(eval_points):
-        num = FieldElement.one(xi.modulus)
-        den = FieldElement.one(xi.modulus)
-        for j, xj in enumerate(eval_points):
-            if i != j:
-                num = num * xj
-                den = den * (xj - xi)
-        coeffs.append(num * den.inv())
-    return coeffs
-
-
-def _lagrange_coeffs_at(eval_points: Sequence[FieldElement], x: FieldElement) -> list[FieldElement]:
-    coeffs = []
-    for i, xi in enumerate(eval_points):
-        num = FieldElement.one(xi.modulus)
-        den = FieldElement.one(xi.modulus)
+        num = FieldElement.one(modulus)
+        den = FieldElement.one(modulus)
         for j, xj in enumerate(eval_points):
             if i != j:
                 num = num * (x - xj)
@@ -260,98 +250,68 @@ def _lagrange_coeffs_at(eval_points: Sequence[FieldElement], x: FieldElement) ->
     return coeffs
 
 
-def _check_distinct_owners(shares: Sequence[Share]) -> None:
-    owners = [s.owner for s in shares]
-    if len(set(owners)) != len(owners):
-        raise SharingError("duplicate share owners")
+def _reconstruct(shares, n: int, t: int, identity, modulus: int, weigh):
+    """The one open rule, over a group with `identity`, `+` and a public-scalar
+    action `weigh(c, v)`: field elements under multiplication, curve points
+    under scalar multiplication.
 
-
-def open_shares(shares: Sequence[Share], n: int, t: int) -> FieldElement:
-    """Reconstruct the secret from a qualified set of shares.
-
-    SHAMIR_CHECKED verifies that every supplied share lies on the degree-<=t
-    polynomial interpolated from the first t+1 (error detection, not
-    correction) and aborts on inconsistency.  ADDITIVE_MAC reconstruction is
-    plain summation here; authentication is deferred to the batched MAC
-    check.
+    Additive schemes sum all n shares.  Shamir schemes interpolate at 0 from
+    the t+1 lowest-indexed shares; SHAMIR_CHECKED also interpolates every
+    further share's value from those t+1 (error detection, not correction)
+    and aborts on a mismatch.
     """
     if not shares:
         raise SharingError("no shares")
     scheme = shares[0].scheme
     if any(s.scheme is not scheme for s in shares):
         raise SharingError("scheme mismatch")
-    _check_distinct_owners(shares)
+    if len({s.owner for s in shares}) != len(shares):
+        raise SharingError("duplicate share owners")
 
     if not scheme.is_shamir:
         if len(shares) != n:
             raise SharingError(f"additive open needs all {n} shares, got {len(shares)}")
-        total = FieldElement.zero(shares[0].value.modulus)
+        total = identity
         for s in shares:
             total = total + s.value
         return total
 
     if len(shares) < t + 1:
         raise SharingError(f"Shamir open needs at least {t + 1} shares, got {len(shares)}")
-    ordered = sorted(shares, key=lambda s: s.eval_point.value)
+    ordered = sorted(shares, key=lambda s: s.owner)
     base, rest = ordered[: t + 1], ordered[t + 1:]
-    xs = [s.eval_point for s in base]
-    coeffs = lagrange_coeffs_at_zero(xs)
-    secret = FieldElement.zero(xs[0].modulus)
-    for c, s in zip(coeffs, base):
-        secret = secret + c * s.value
+    xs = [FieldElement(s.owner, modulus) for s in base]
 
+    def interpolate(x):
+        acc = identity
+        for c, s in zip(lagrange_coeffs_at(xs, x), base):
+            acc = acc + weigh(c, s.value)
+        return acc
+
+    secret = interpolate(0)
     if scheme is SchemeId.SHAMIR_CHECKED:
         for extra in rest:
-            at = _lagrange_coeffs_at(xs, extra.eval_point)
-            expect = FieldElement.zero(xs[0].modulus)
-            for c, s in zip(at, base):
-                expect = expect + c * s.value
-            if expect != extra.value:
+            if interpolate(extra.owner) != extra.value:
                 raise ProtocolAbort("corrupted share detected")
     return secret
 
 
-def open_point_shares(shares: Sequence[PointShare], n: int, t: int) -> GroupPoint:
-    """Reconstruct a shared point under the scheme's combination rule.
+def open_shares(shares: Sequence[Share], n: int, t: int) -> FieldElement:
+    """Reconstruct the secret from a qualified set of shares.
 
-    Mirrors open_shares with the scalar combination lifted into the group;
-    SHAMIR_CHECKED verifies redundant point shares against the interpolated
-    point polynomial and aborts on mismatch.
+    SHAMIR_CHECKED aborts on an inconsistent share.  ADDITIVE_MAC
+    reconstruction is plain summation here; authentication is deferred to the
+    batched MAC check.
     """
-    if not shares:
-        raise SharingError("no shares")
-    scheme = shares[0].scheme
-    owners = [s.owner for s in shares]
-    if len(set(owners)) != len(owners):
-        raise SharingError("duplicate share owners")
+    modulus = shares[0].value.modulus if shares else CURVE_ORDER
+    return _reconstruct(shares, n, t, FieldElement.zero(modulus), modulus,
+                        FieldElement.__mul__)
 
-    if not scheme.is_shamir:
-        if len(shares) != n:
-            raise SharingError(f"additive point open needs all {n} shares, got {len(shares)}")
-        acc = GroupPoint.identity()
-        for s in shares:
-            acc = acc + s.value
-        return acc
 
-    if len(shares) < t + 1:
-        raise SharingError(f"Shamir point open needs at least {t + 1} shares")
-    ordered = sorted(shares, key=lambda s: s.owner)
-    base, rest = ordered[: t + 1], ordered[t + 1:]
-    xs = [FieldElement(s.owner) for s in base]
-    coeffs = lagrange_coeffs_at_zero(xs)
-    acc = GroupPoint.identity()
-    for c, s in zip(coeffs, base):
-        acc = acc + scalar_mul(c, s.value)
-
-    if scheme is SchemeId.SHAMIR_CHECKED:
-        for extra in rest:
-            at = _lagrange_coeffs_at(xs, FieldElement(extra.owner))
-            expect = GroupPoint.identity()
-            for c, s in zip(at, base):
-                expect = expect + scalar_mul(c, s.value)
-            if expect != extra.value:
-                raise ProtocolAbort("corrupted share detected")
-    return acc
+def open_point_shares(shares: Sequence[PointShare], n: int, t: int) -> GroupPoint:
+    """Reconstruct a shared point: open_shares with the weights lifted into
+    the group by scalar multiplication."""
+    return _reconstruct(shares, n, t, GroupPoint.identity(), CURVE_ORDER, scalar_mul)
 
 
 # --- Deferred SPDZ MAC check -------------------------------------------------

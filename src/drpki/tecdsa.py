@@ -265,16 +265,8 @@ class TupleStore:
             off += 1
             rpt = _unpad_point(body[off:off + _POINT_PAD]) if has_r else None
             self._final[tid] = FinalTuple(tid, epoch, member, kpoint, kinv, skk, rpt)
-        journal = self._dir / "tuples.journal"
-        if journal.exists():
-            data = journal.read_bytes()
-            off = 5
-            while off + 21 <= len(data):
-                body, crc = data[off:off + 17], data[off + 17:off + 21]
-                if _crc(body) != crc:
-                    break
-                self._consumed.add((body[0], body[1:17]))
-                off += 21
+        for body in self._read_records(self._dir / "tuples.journal", 21):
+            self._consumed.add((body[0], body[1:17]))
         for kind, tid in self._consumed:
             pool = self._initial if kind == _KIND_INITIAL else self._final
             if tid in pool:

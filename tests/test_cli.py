@@ -244,3 +244,38 @@ def test_serve_refuses_config_without_pair_secret(workspace):
 def test_serve_refuses_to_start_without_dealer_file(workspace):
     with pytest.raises(SystemExit, match="no dealer file"):
         run_cli("serve", "--config", str(workspace / "drpki.ini"), "--party", "1")
+
+
+class _NoMesh:
+    """Stands in for the socket mesh of a serve whose script only shuts down."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def send(self, receiver, msg):
+        pass
+
+    def close(self):
+        pass
+
+
+def test_serve_refuses_second_start_from_one_dealer_file(workspace, monkeypatch):
+    monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoMesh)
+    config = str(workspace / "drpki.ini")
+    script = workspace / "script.txt"
+    script.write_text("shutdown\n")
+
+    def deal():
+        return run_cli("deal", "--config", config, "--count", "1",
+                       "--out", str(workspace / "data" / "dealer"))
+
+    def serve():
+        return run_cli("serve", "--config", config, "--party", "1",
+                       "--script", str(script))
+
+    assert deal() == 0
+    assert serve() == 0
+    with pytest.raises(SystemExit, match="already started"):
+        serve()
+    assert deal() == 0  # a fresh epoch lifts the refusal
+    assert serve() == 0

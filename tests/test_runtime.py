@@ -1,7 +1,9 @@
 """Transport, session, and node-workflow tests."""
 
+import dataclasses
 import json
 import random
+import socket
 import threading
 import time
 
@@ -26,7 +28,9 @@ from drpki.runtime import (
 from drpki.runtime.transport import (
     PHASE_CONTROL,
     PHASE_KEYGEN,
+    PHASE_PREPROCESS_INDEPENDENT,
     SessionMessage,
+    TransportError,
     decode_frame,
     derive_pair_keys,
     encode_frame,
@@ -165,8 +169,6 @@ def test_replayed_round_message_dropped():
 # --- TCP transport -----------------------------------------------------------------
 
 def _free_ports(n):
-    import socket
-
     socks, ports = [], []
     for _ in range(n):
         s = socket.socket()
@@ -236,6 +238,47 @@ def test_full_pipeline_over_tcp_sockets():
     sigs = {res.signature.to_bytes() for _, res in results.values()}
     assert len(sigs) == 1
     assert ecdsa_verify(pk, b"tcp message", results[1][1].signature)
+
+
+@pytest.mark.parametrize("party", [1, 2], ids=["dialer", "acceptor"])
+def test_tcp_mesh_setup_fails_closed_when_a_peer_never_starts(party):
+    # the other party of a two-party mesh never starts: `party` must give up
+    # within its connect timeout and release its listening port
+    ports = _free_ports(2)
+    addresses = {1: ("127.0.0.1", ports[0]), 2: ("127.0.0.1", ports[1])}
+    started = time.perf_counter()
+    with pytest.raises(TransportError, match="mesh setup failed"):
+        TcpNodeTransport(party, addresses, derive_pair_keys(b"mesh", 2),
+                         connect_timeout=0.5)
+    assert time.perf_counter() - started < 4.0
+    probe = socket.socket()
+    probe.bind(addresses[party])
+    probe.close()
+
+
+def test_tcp_dialed_connection_delivers_after_idle_time():
+    # party 1 dials party 2 with a 1 s connect timeout; its reader must not
+    # keep that timeout and give up on a link idle for longer
+    ports = _free_ports(2)
+    addresses = {1: ("127.0.0.1", ports[0]), 2: ("127.0.0.1", ports[1])}
+    keys = derive_pair_keys(b"idle", 2)
+    transports = {}
+
+    def build(party):
+        transports[party] = TcpNodeTransport(party, addresses, keys, connect_timeout=5.0)
+
+    builders = [threading.Thread(target=build, args=(p,)) for p in addresses]
+    for th in builders:
+        th.start()
+    for th in builders:
+        th.join(10.0)
+    assert set(transports) == {1, 2}
+    time.sleep(1.5)
+    msg = SessionMessage(b"I" * 16, PHASE_CONTROL, 1, 2, b"late")
+    transports[2].send(1, msg)
+    assert transports[1].recv(b"I" * 16, timeout=2.0) == msg
+    for tr in transports.values():
+        tr.close()
 
 
 # --- consent-gated workflow ----------------------------------------------------------
@@ -416,6 +459,40 @@ def test_flipped_payload_bit_ends_in_timeout_abort():
     assert hub.dropped_frames == 1
 
 
+def _rewrite_frames(cluster, sender, phase, round_, rewrite):
+    """Make `sender` send rewrite(payload) in one round of one phase."""
+    send = cluster.hub.send
+
+    def hostile(s, receiver, msg):
+        if s == sender and msg.phase == phase and msg.round == round_:
+            msg = dataclasses.replace(msg, payload=rewrite(msg.payload))
+        send(s, receiver, msg)
+
+    cluster.hub.send = hostile
+
+
+@pytest.mark.parametrize("offset,byte", [(1, 3), (0, SchemeId.SHAMIR.value)],
+                         ids=["owner", "scheme"])
+def test_field_open_share_naming_another_owner_or_scheme_aborts(offset, byte):
+    # round 1 of preprocess_independent opens c; party 2's first share
+    # claims to be party 3's, or to be an unchecked Shamir share
+    cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
+    _rewrite_frames(cluster, 2, PHASE_PREPROCESS_INDEPENDENT, 1,
+                    lambda p: p[:offset] + bytes([byte]) + p[offset + 1:])
+    with pytest.raises(SessionAbort, match="malformed open payload"):
+        cluster.preprocess_independent(2)
+    cluster.close()
+
+
+def test_point_open_payload_with_trailing_bytes_aborts():
+    # round 2 of Shamir keygen opens pk
+    cluster = make_cluster()
+    _rewrite_frames(cluster, 2, PHASE_KEYGEN, 2, lambda p: p + b"\x00")
+    with pytest.raises(SessionAbort, match="malformed open payload"):
+        cluster.keygen("m")
+    cluster.close()
+
+
 def test_sign_request_completes_with_three_live_parties():
     cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.SHAMIR), seed=66,
                            participants=[1, 3, 5])
@@ -482,6 +559,27 @@ def test_concurrent_signing_and_replenishment_complete():
     assert not errors
     assert len(results) == 9
     cluster.close()
+
+
+def test_reopened_durable_cluster_never_reissues_session_ids(tmp_path):
+    def boot():
+        cluster = make_cluster(data_dir=str(tmp_path))
+        ids = set()
+        send = cluster.hub.send
+
+        def record(sender, receiver, msg):
+            ids.add(msg.session_id)
+            send(sender, receiver, msg)
+
+        cluster.hub.send = record
+        cluster.run_echo_round(b"a")
+        cluster.run_echo_round(b"b")
+        cluster.close()
+        return ids
+
+    first, second = boot(), boot()
+    assert len(first) == len(second) == 2
+    assert not first & second
 
 
 # --- determinism ------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from drpki.sharing import (
     SharingError,
     deal,
     generate_mac_keys,
-    lagrange_coeffs_at_zero,
+    lagrange_coeffs_at,
     mac_check_evaluate,
     mac_commit,
     open_shares,
@@ -70,7 +70,7 @@ def test_lagrange_weights_for_points_1_2_3():
     # Solving the 3x3 Vandermonde system for eval points {1,2,3} at 0 by hand
     # gives weights {3, -3, 1}.
     xs = [FieldElement(1), FieldElement(2), FieldElement(3)]
-    weights = lagrange_coeffs_at_zero(xs)
+    weights = lagrange_coeffs_at(xs, 0)
     assert weights[0] == FieldElement(3)
     assert weights[1] == FieldElement(CURVE_ORDER - 3)
     assert weights[2] == FieldElement(1)
@@ -145,16 +145,44 @@ def test_invalid_parameters_rejected():
         deal(SchemeId.ADDITIVE, FieldElement(1), n=1, rng=rng)
 
 
-def test_additive_open_requires_all_shares():
+def _open(kind, shares):
+    """Open field shares as they are, or their images under x -> x*G."""
+    if kind == "field":
+        return open_shares(shares, N, T)
+    points = [PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares]
+    return open_point_shares(points, N, T)
+
+
+OPEN_KINDS = ["field", "point"]
+
+
+@pytest.mark.parametrize("kind", OPEN_KINDS)
+def test_additive_open_requires_all_shares(kind):
     shares, _ = _deal(SchemeId.ADDITIVE, FieldElement(8))
-    with pytest.raises(SharingError):
-        open_shares(shares[:4], N, T)
+    with pytest.raises(SharingError, match="needs all 5"):
+        _open(kind, shares[:4])
 
 
-def test_shamir_open_requires_threshold():
+@pytest.mark.parametrize("kind", OPEN_KINDS)
+def test_shamir_open_requires_threshold(kind):
     shares, _ = _deal(SchemeId.SHAMIR, FieldElement(8))
-    with pytest.raises(SharingError):
-        open_shares(shares[:2], N, T)
+    with pytest.raises(SharingError, match="needs at least 3"):
+        _open(kind, shares[:2])
+
+
+@pytest.mark.parametrize("kind", OPEN_KINDS)
+def test_open_rejects_duplicate_owners(kind):
+    shares, _ = _deal(SchemeId.SHAMIR_CHECKED, FieldElement(8))
+    with pytest.raises(SharingError, match="duplicate share owners"):
+        _open(kind, shares[:4] + [shares[0]])
+
+
+@pytest.mark.parametrize("kind", OPEN_KINDS)
+def test_open_rejects_mixed_schemes(kind):
+    additive, _ = _deal(SchemeId.ADDITIVE, FieldElement(8))
+    shamir, _ = _deal(SchemeId.SHAMIR, FieldElement(8))
+    with pytest.raises(SharingError, match="scheme mismatch"):
+        _open(kind, additive[:4] + [shamir[4]])
 
 
 def test_shamir_checked_detects_single_perturbation():
