@@ -363,7 +363,8 @@ class PartyNode:
         """Run this party's side of one phase op over an open session.
 
         `op` is the JSON dict of serve's control frames.  Returns the phase
-        result: the key record, the new tuples, or the SignResult.
+        result: the key record, the new tuples, or one SignResult per
+        message of the `sign` op's "messages" list, in order.
         """
         name = op["op"]
         if name == "keygen":
@@ -383,7 +384,7 @@ class PartyNode:
             return preprocess_dependent(self.env(), session, op["member"], op["count"])
         if name == "sign":
             return sign_online(self.env(), session, op["member"],
-                               bytes.fromhex(op["message"]))
+                               [bytes.fromhex(m) for m in op["messages"]])
         raise TecdsaError(f"unknown op {name!r}")
 
     # -- publication -----------------------------------------------------------
@@ -664,23 +665,30 @@ class LocalCluster:
         self._maybe_crash("after_preprocess_dependent")
         return len(next(iter(results.values())))
 
-    def run_signing(self, member_id: str, message: bytes,
+    def run_signing(self, member_id: str, message: bytes | Sequence[bytes],
                     return_all: bool = False):
-        """The pure cryptographic online phase (consent checks live upstream)."""
+        """The pure cryptographic online phase (consent checks live upstream).
+
+        `message` is one message, which returns its SignResult, or a list of
+        messages, all signed in one session, which returns their SignResults
+        in order.  With return_all, every party's result, keyed by party.
+        """
         if self.epoch in next(iter(self.nodes.values())).tainted_epochs:
             if not self.config.test_mode:
                 raise TecdsaError("epoch tainted by test-mode reconstruction")
 
+        single = isinstance(message, bytes)
+        messages = [message] if single else list(message)
         results = self._run_op(
-            {"op": "sign", "member": member_id, "message": message.hex()}
+            {"op": "sign", "member": member_id, "messages": [m.hex() for m in messages]}
         )
-        sigs = {r.signature.to_bytes() for r in results.values()}
+        sigs = {tuple(r.signature.to_bytes() for r in batch) for batch in results.values()}
         if len(sigs) != 1:
             raise ProtocolAbort("signature disagreement")
         self._maybe_crash("after_sign")
-        if return_all:
-            return results
-        return results[self.participants[0]]
+        if single:
+            results = {party: batch[0] for party, batch in results.items()}
+        return results if return_all else results[self.participants[0]]
 
     # -- stock management --------------------------------------------------------
 
@@ -838,27 +846,27 @@ class LocalCluster:
     def _sign_and_publish(self, member_id: str, payload_blobs: list[bytes],
                           records: list[PayloadRecord],
                           ticket_id: Optional[str]) -> SignOutcome:
-        objects: list[SignedObject] = []
-        sign_results: list[SignResult] = []
         pk = self.nodes[self.participants[0]].key_records[member_id].pk
-        for idx, (blob, record) in enumerate(zip(payload_blobs, records)):
-            if self.final_stock(member_id) < 1:
-                if not self.policy.auto_replenish:
-                    raise StockDepletedError(
-                        f"final tuples for member {member_id!r} depleted"
-                    )
-                self.replenish(member_id)
-            try:
-                result = self.run_signing(member_id, blob)
-            except ProtocolAbort as exc:
-                for node in self.nodes.values():
-                    node.audit("sign_aborted", member=member_id, reason=str(exc))
-                return SignOutcome("aborted", reason=str(exc))
-            sign_results.append(result)
-            kind = _KIND_FOR_RECORD[type(record).__name__]
-            objects.append(SignedObject(kind, blob, result.signature, pk))
-            if idx + 1 < len(payload_blobs):
-                self._maybe_crash("between_transfer_signatures")
+        need = len(payload_blobs)
+        if self.final_stock(member_id) < need:
+            if not self.policy.auto_replenish:
+                raise StockDepletedError(
+                    f"final tuples for member {member_id!r} depleted"
+                )
+            # the refill must cover the whole batch, however small the policy's sizes
+            self.replenish(member_id, max(self.policy.low_watermark, need),
+                           max(self.policy.batch_size, need))
+        try:
+            sign_results = self.run_signing(member_id, payload_blobs)
+        except ProtocolAbort as exc:
+            for node in self.nodes.values():
+                node.audit("sign_aborted", member=member_id, reason=str(exc))
+            return SignOutcome("aborted", reason=str(exc))
+        objects = [
+            SignedObject(_KIND_FOR_RECORD[type(record).__name__], blob,
+                         result.signature, pk)
+            for blob, record, result in zip(payload_blobs, records, sign_results)
+        ]
         self._maybe_crash("before_publish")
         for node in self.nodes.values():
             node.publish_batch(objects, ticket_id=ticket_id)

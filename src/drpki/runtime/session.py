@@ -227,9 +227,6 @@ class PartySession:
                 self.mac_accumulator.record(value, share.mac)
         return values
 
-    def open_field(self, share: Share) -> FieldElement:
-        return self.open_field_batch([share])[0]
-
     def open_point_batch(self, points: Sequence[GroupPoint]) -> list[GroupPoint]:
         """Open shares of curve points (one broadcast round, batched)."""
         sent = self._faulted(list(points), lambda p: p + GENERATOR)

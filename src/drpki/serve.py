@@ -18,7 +18,7 @@ control frame; the others follow.  Script lines:
     keygen MEMBER
     preprocess-independent N
     preprocess-dependent MEMBER N
-    sign MEMBER HEX-MESSAGE
+    sign MEMBER HEX-MESSAGE [HEX-MESSAGE ...]   (one session signs them all)
     shutdown
 """
 
@@ -135,9 +135,10 @@ def _report(node: PartyNode, op: dict, result) -> None:
         print(f"[party {node.party_id}] +{len(result)} final tuples for {op['member']}")
     else:
         pk = node.key_records[op["member"]].pk
-        ok = ecdsa_verify(pk, bytes.fromhex(op["message"]), result.signature)
-        print(f"[party {node.party_id}] signature "
-              f"{result.signature.to_bytes().hex()} (verifies: {ok})")
+        for message, res in zip(op["messages"], result):
+            ok = ecdsa_verify(pk, bytes.fromhex(message), res.signature)
+            print(f"[party {node.party_id}] signature "
+                  f"{res.signature.to_bytes().hex()} (verifies: {ok})")
 
 
 def _parse_script_line(line: str) -> dict | None:
@@ -153,8 +154,8 @@ def _parse_script_line(line: str) -> dict | None:
         return {"op": "preprocess-independent", "count": int(parts[1])}
     if name == "preprocess-dependent":
         return {"op": "preprocess-dependent", "member": parts[1], "count": int(parts[2])}
-    if name == "sign":
-        return {"op": "sign", "member": parts[1], "message": parts[2]}
+    if name == "sign" and len(parts) > 2:
+        return {"op": "sign", "member": parts[1], "messages": parts[2:]}
     raise SystemExit(f"error: bad script line: {line!r}")
 
 

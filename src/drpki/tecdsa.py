@@ -6,7 +6,7 @@ session:
   1. keygen                  per-member signing key shares and the public key
   2. preprocess_independent  initial tuples (share of k*G, share of 1/k)
   3. preprocess_dependent    final tuples binding a member: share of sk/k
-  4. sign_online             field-only assembly of the signature share
+  4. sign_online             field-only assembly of a request's signatures
 
 Instance-key material is strictly single-use: stores mark tuples consumed
 durably before any protocol message references them, so a crash and restart
@@ -416,8 +416,9 @@ class SignResult:
     signature: Signature
     tuple_id: bytes
     r_point: GroupPoint
-    point_ops_online: int       # curve ops from online entry to s reconstructed
-    point_ops_share_step: int   # curve ops between R available and s-open start
+    # curve ops of this party's whole signing session, shared by its batch
+    point_ops_online: int       # from online entry to the s values reconstructed
+    point_ops_share_step: int   # between the R values available and the s open
 
 
 # --- phase 1: key generation ----------------------------------------------------
@@ -601,57 +602,80 @@ def _agree_on_tuples(session, my_ids: Sequence[bytes], count: int,
 
 # --- phase 4: online signing ------------------------------------------------------
 
-def sign_online(env: PhaseEnv, session, member_id: str, message: bytes) -> SignResult:
-    """Assemble one signature from a final tuple; field operations only.
+# ids offered beyond the batch size: one message offers 16, so the batch still
+# finds its tuples after a crash left up to 15 of them consumed at one party
+_SPARE_OFFER = 15
 
-    The share step computes [s] = H(M) * [1/k] + r_x * [sk/k] locally, then s
-    is opened (with the deferred MAC check for the authenticated scheme).
-    Every party verifies the assembled signature against the member's public
-    key before accepting it; a failure aborts rather than emitting bad bytes.
+
+def sign_online(env: PhaseEnv, session, member_id: str,
+                messages: Sequence[bytes]) -> list[SignResult]:
+    """Sign every message of one request in one session; field operations only.
+
+    One round agrees on a final tuple per message, and every chosen tuple is
+    journaled before any message references it.  One round then opens every
+    R not opened during preprocessing, one opens every s, and the
+    authenticated scheme runs one MAC check over them all.  The share step
+    computes [s] = H(M) * [1/k] + r_x * [sk/k] locally.  Every party verifies
+    each assembled signature against the member's public key before
+    returning any; a failure aborts rather than emitting bad bytes.  A
+    degenerate instance key (R the identity, r_x = 0 or s = 0) sends only
+    its message into the next pass, within DEGENERATE_RETRY_BUDGET passes.
     """
-    cfg = env.config
     record = env.key_records.get(member_id)
     if record is None:
         raise TecdsaError(f"no key shares for member {member_id!r}")
-    h = hash_to_scalar(message)
+    hashes = [hash_to_scalar(m) for m in messages]
+    zero = FieldElement.zero()
+    results: list[Optional[SignResult]] = [None] * len(messages)
+    pending = list(range(len(messages)))
 
     ops_entry = OP_COUNTER.total()
     for _ in range(DEGENERATE_RETRY_BUDGET):
-        chosen = _agree_on_tuples(
-            session, env.tuple_store.available_final_ids(member_id, env.epoch),
-            1, f"final tuples for member {member_id!r} depleted",
-        )
-        tup = env.tuple_store.checkout_final_by_id(chosen[0], member_id, env.epoch)
-        if tup.r_point is not None:
-            r_point = tup.r_point
-        else:
-            r_point = session.open_point(tup.k_point_share)
-        if r_point.is_identity():
-            continue
-        r_x = FieldElement(r_point.x)
-        if r_x.is_zero():
-            continue
+        offer = env.tuple_store.available_final_ids(
+            member_id, env.epoch, limit=_SPARE_OFFER + len(pending))
+        chosen = _agree_on_tuples(session, offer, len(pending),
+                                  f"final tuples for member {member_id!r} depleted")
+        tuples = [env.tuple_store.checkout_final_by_id(tid, member_id, env.epoch)
+                  for tid in chosen]
+        unopened = [t.k_point_share for t in tuples if t.r_point is None]
+        opened = iter(session.open_point_batch(unopened) if unopened else ())
+        r_points = [t.r_point if t.r_point is not None else next(opened) for t in tuples]
 
         ops_r_done = OP_COUNTER.total()
-        s_share = share_add(
-            share_scale_add(tup.k_inv_share, h, FieldElement.zero(), env.mac_key),
-            share_scale_add(tup.sk_over_k_share, r_x, FieldElement.zero(), env.mac_key),
-        )
+        retry, signing = [], []
+        for i, tup, r_point in zip(pending, tuples, r_points):
+            r_x = None if r_point.is_identity() else FieldElement(r_point.x)
+            if r_x is None or r_x.is_zero():
+                retry.append(i)
+            else:
+                signing.append((i, tup, r_point, r_x))
+        s_shares = [
+            share_add(
+                share_scale_add(tup.k_inv_share, hashes[i], zero, env.mac_key),
+                share_scale_add(tup.sk_over_k_share, r_x, zero, env.mac_key),
+            )
+            for i, tup, _, r_x in signing
+        ]
         ops_before_open = OP_COUNTER.total()
-        s = session.open_field(s_share)
+        s_values = session.open_field_batch(s_shares) if s_shares else []
         session.run_mac_check()
         ops_s_done = OP_COUNTER.total()
-        if s.is_zero():
-            continue
 
-        signature = Signature(r_x, s)
-        if not ecdsa_verify(record.pk, message, signature):
-            session.abort("signature invalid")
-        return SignResult(
-            signature=signature,
-            tuple_id=tup.tuple_id,
-            r_point=r_point,
-            point_ops_online=ops_s_done - ops_entry,
-            point_ops_share_step=ops_before_open - ops_r_done,
-        )
+        for (i, tup, r_point, r_x), s in zip(signing, s_values):
+            if s.is_zero():
+                retry.append(i)
+                continue
+            signature = Signature(r_x, s)
+            if not ecdsa_verify(record.pk, messages[i], signature):
+                session.abort("signature invalid")
+            results[i] = SignResult(
+                signature=signature,
+                tuple_id=tup.tuple_id,
+                r_point=r_point,
+                point_ops_online=ops_s_done - ops_entry,
+                point_ops_share_step=ops_before_open - ops_r_done,
+            )
+        pending = sorted(retry)
+        if not pending:
+            return results
     raise TecdsaError("degenerate instance keys persist across retry budget")

@@ -258,7 +258,7 @@ def test_criterion_06_consent_gating_and_transfer_atomicity():
 
     # transfer atomicity under 100 randomly injected aborts
     injector = random.Random(606)
-    points = ["before_consent", "after_consent", "between_transfer_signatures",
+    points = ["before_consent", "after_consent", "after_sign",
               "before_publish", "after_publish", None]
     for run in range(100):
         workdir = tempfile.mkdtemp(prefix="drpki-transfer-")

@@ -179,9 +179,9 @@ def test_serve_multiprocess_pipeline(tmp_path):
     script = tmp_path / "script.txt"
     script.write_text(
         "keygen tcp-member\n"
-        "preprocess-independent 1\n"
-        "preprocess-dependent tcp-member 1\n"
-        "sign tcp-member " + b"over tcp".hex() + "\n"
+        "preprocess-independent 2\n"
+        "preprocess-dependent tcp-member 2\n"
+        "sign tcp-member " + b"over tcp".hex() + " " + b"again".hex() + "\n"
         "shutdown\n"
     )
     responders = [
@@ -206,9 +206,9 @@ def test_serve_multiprocess_pipeline(tmp_path):
     assert initiator.returncode == 0, initiator.stderr
     signatures = set()
     for out in outputs:
-        line = [l for l in out.splitlines() if "signature" in l]
-        assert line and "verifies: True" in line[0]
-        signatures.add(line[0].split("signature ")[1].split()[0])
+        lines = [l for l in out.splitlines() if "signature" in l]
+        assert len(lines) == 2 and all("verifies: True" in l for l in lines)
+        signatures.add(tuple(l.split("signature ")[1].split()[0] for l in lines))
     assert len(signatures) == 1  # all five processes assembled the same bytes
     data_dir = Path(load_config(config)["cluster"]["data_dir"])
     for p in range(1, 6):

@@ -12,7 +12,7 @@ import pytest
 from drpki.algebra import KeyPair, ecdsa_verify
 from drpki.bench import WAN_RTT_MS, critical_path_rtt, one_way_delays
 from drpki.preprocessing import TrustedDealer
-from drpki.rpki import Action, CrlRecord, IpPrefix, RoaRecord, sign_consent
+from drpki.rpki import Action, CrlRecord, IpPrefix, RoaRecord, plan_transfer, sign_consent
 from drpki.runtime import (
     FRAME_OVERHEAD,
     ConsentPolicy,
@@ -25,6 +25,7 @@ from drpki.runtime import (
     TcpNodeTransport,
     verify_audit_completeness,
 )
+from drpki.runtime.session import FaultPlan
 from drpki.runtime.transport import (
     PHASE_CONTROL,
     PHASE_KEYGEN,
@@ -37,7 +38,7 @@ from drpki.runtime.transport import (
     pair_key,
 )
 from drpki.sharing import SchemeId
-from drpki.tecdsa import PhaseEnv, ProtocolConfig, TecdsaError, TupleStore, keygen, preprocess_dependent, preprocess_independent, sign_online
+from drpki.tecdsa import PhaseEnv, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore, keygen, preprocess_dependent, preprocess_independent, sign_online
 
 rng = random.Random(0xD21_05)
 
@@ -211,6 +212,7 @@ def test_full_pipeline_over_tcp_sockets():
         for p in addresses
     }
     results = {}
+    messages = [b"tcp message", b"second tcp message"]
 
     def run_party(p):
         def session(phase, sid):
@@ -218,11 +220,11 @@ def test_full_pipeline_over_tcp_sockets():
                                 scheme, t, timeout=10.0, rng=envs[p].rng)
 
         record = keygen(envs[p], session(PHASE_KEYGEN, b"kg" + bytes(14)), "m")
-        preprocess_independent(envs[p], session(2, b"pi" + bytes(14)), 1)
-        preprocess_dependent(envs[p], session(3, b"pd" + bytes(14)), "m", 1)
+        preprocess_independent(envs[p], session(2, b"pi" + bytes(14)), 2)
+        preprocess_dependent(envs[p], session(3, b"pd" + bytes(14)), "m", 2)
         results[p] = (
             record.pk,
-            sign_online(envs[p], session(4, b"on" + bytes(14)), "m", b"tcp message"),
+            sign_online(envs[p], session(4, b"on" + bytes(14)), "m", messages),
         )
 
     workers = [threading.Thread(target=run_party, args=(p,)) for p in addresses]
@@ -235,9 +237,10 @@ def test_full_pipeline_over_tcp_sockets():
 
     assert len(results) == n
     pk = results[1][0]
-    sigs = {res.signature.to_bytes() for _, res in results.values()}
+    sigs = {tuple(r.signature.to_bytes() for r in batch) for _, batch in results.values()}
     assert len(sigs) == 1
-    assert ecdsa_verify(pk, b"tcp message", results[1][1].signature)
+    for message, res in zip(messages, results[1][1], strict=True):
+        assert ecdsa_verify(pk, message, res.signature)
 
 
 @pytest.mark.parametrize("party", [1, 2], ids=["dialer", "acceptor"])
@@ -521,6 +524,116 @@ def test_sign_request_triggers_replenishment_when_depleted():
         SignRequest("memberA", Action.ISSUE, [roa], token)
     )
     assert outcome.status == "published"
+    cluster.close()
+
+
+def _transfer_request(cluster, member_keys, roa):
+    plan = plan_transfer(roa, "memberB", 64513, new_serial=roa.serial + 1,
+                         new_ee_pk=roa.ee_pk, rng=rng)
+    payloads = [plan.crl_delta, plan.new_roa]
+    token = sign_consent(member_keys.sk, roa.member_id, Action.TRANSFER, payloads,
+                         expiry=int(time.time()) + 600, rng=rng)
+    cluster.submit_consent(token)
+    return SignRequest(roa.member_id, Action.TRANSFER, payloads, token, plan.transfer_id)
+
+
+def _final_stocks(cluster, member):
+    return {p: n.tuple_store.final_stock(member, cluster.epoch)
+            for p, n in cluster.nodes.items()}
+
+
+@pytest.mark.parametrize("policy", [
+    ConsentPolicy(auto_replenish=False),
+    ConsentPolicy(low_watermark=1, batch_size=1),
+], ids=["refused", "replenished"])
+def test_transfer_stock_check_covers_both_payloads(policy):
+    # one final tuple left: the transfer must not spend it on its CRL and
+    # then stop short of the ROA; a refill must cover both payloads even
+    # when the policy's watermark and batch are smaller than the request
+    cluster = make_cluster(policy=policy)
+    _, member_keys, roa = _issue_fixture(cluster)
+    while cluster.final_stock("memberA") > 1:
+        cluster.run_signing("memberA", b"drain")
+    request = _transfer_request(cluster, member_keys, roa)
+    if not policy.auto_replenish:
+        with pytest.raises(StockDepletedError, match="depleted"):
+            cluster.handle_sign_request(request)
+        assert set(_final_stocks(cluster, "memberA").values()) == {1}
+        assert all(not node.objects for node in cluster.nodes.values())
+    else:
+        outcome = cluster.handle_sign_request(request)
+        assert outcome.status == "published"
+        assert len(outcome.objects) == 2 and all(o.verify() for o in outcome.objects)
+    cluster.close()
+
+
+@pytest.mark.parametrize("scheme, transfer, rounds", [
+    (SchemeId.ADDITIVE_MAC, True, 7),
+    (SchemeId.SHAMIR_CHECKED, False, 5),
+], ids=["mascot-transfer", "mal-shamir-issue"])
+def test_sign_request_round_count(monkeypatch, scheme, transfer, rounds):
+    # control: message + votes; signing: tuple ids, R open, s open, and two
+    # MAC-check rounds under mascot, once for the whole request
+    cluster = make_cluster(scheme)
+    _, member_keys, roa = _issue_fixture(cluster)
+    if transfer:
+        request = _transfer_request(cluster, member_keys, roa)
+    else:
+        token = sign_consent(member_keys.sk, "memberA", Action.ISSUE, [roa],
+                             expiry=int(time.time()) + 600, rng=rng)
+        cluster.submit_consent(token)
+        request = SignRequest("memberA", Action.ISSUE, [roa], token)
+    counts = {}
+    run_round = PartySession.run_round
+
+    def counting(self, payloads):
+        counts[self.party_id] = counts.get(self.party_id, 0) + 1
+        return run_round(self, payloads)
+
+    monkeypatch.setattr(PartySession, "run_round", counting)
+    outcome = cluster.handle_sign_request(request)
+    assert outcome.status == "published"
+    assert len(outcome.objects) == len(request.payloads)
+    assert counts == {p: rounds for p in cluster.participants}
+    cluster.close()
+
+
+def test_batch_signs_from_common_ids_when_one_store_is_ahead():
+    # party 2 already journaled the lowest final id (a crash after its
+    # checkout): the batch must agree on ids every party still holds
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    pk = cluster.keygen("m")
+    cluster.preprocess_independent(4)
+    cluster.preprocess_dependent("m", 4)
+    store2 = cluster.nodes[2].tuple_store
+    lowest = store2.available_final_ids("m", cluster.epoch)[0]
+    store2.checkout_final_by_id(lowest, "m", cluster.epoch)
+    before = {p: n.tuple_store.consumed_ids() for p, n in cluster.nodes.items()}
+    messages = [b"first", b"second"]
+    results = cluster.run_signing("m", messages)
+    for message, res in zip(messages, results, strict=True):
+        assert ecdsa_verify(pk, message, res.signature)
+    used = {(1, res.tuple_id) for res in results}
+    assert len(used) == 2 and (1, lowest) not in used
+    for p, node in cluster.nodes.items():
+        assert node.tuple_store.consumed_ids() - before[p] == used
+    cluster.close()
+
+
+def test_fault_on_second_s_share_aborts_whole_transfer():
+    # opens in order: R of both payloads, then s of the CRL, then s of the
+    # ROA; a corrupted ROA s share fails the batch's one MAC check
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    _, member_keys, roa = _issue_fixture(cluster)
+    request = _transfer_request(cluster, member_keys, roa)
+    stocks = _final_stocks(cluster, "memberA")
+    cluster.set_fault(3, FaultPlan(opens_until_fault=3))
+    outcome = cluster.handle_sign_request(request)
+    assert outcome.status == "aborted"
+    assert "MAC check failed" in outcome.reason
+    assert cluster.nodes[3].fault_plan.triggered
+    assert all(not node.objects for node in cluster.nodes.values())
+    assert _final_stocks(cluster, "memberA") == {p: s - 2 for p, s in stocks.items()}
     cluster.close()
 
 

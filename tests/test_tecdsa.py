@@ -273,6 +273,54 @@ def test_oracle_equivalence_seeded():
     cluster.close()
 
 
+def test_batch_signatures_match_oracle_with_distinct_nonces():
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC, test_mode=True)
+    cluster.keygen("m")
+    cluster.preprocess_independent(3)
+    cluster.preprocess_dependent("m", 3)
+    messages = [b"batch %d" % i for i in range(3)]
+    results = cluster.run_signing("m", messages)
+    assert len(results) == 3
+    sk = cluster.test_reconstruct_sk("m")
+    nonces = [cluster.test_reconstruct_k(res.tuple_id) for res in results]
+    assert len({k.value for k in nonces}) == 3
+    for message, res, k in zip(messages, results, nonces):
+        assert ecdsa_sign(sk, message, k) == res.signature
+    cluster.close()
+
+
+def test_degenerate_r_retries_only_its_message(monkeypatch):
+    # the first R open of the session yields the identity for the second
+    # message: only that message takes a fresh tuple in a second pass
+    from drpki.algebra import GroupPoint
+    from drpki.runtime.session import PartySession
+
+    cluster = make_cluster(SchemeId.SHAMIR)
+    pk = cluster.keygen("m")
+    cluster.preprocess_independent(3)
+    cluster.preprocess_dependent("m", 3)
+    ids = cluster.nodes[1].tuple_store.available_final_ids("m", cluster.epoch)
+    open_points = PartySession.open_point_batch
+    calls = {}
+
+    def first_r_degenerate(self, points):
+        opened = open_points(self, points)
+        calls[self.party_id] = calls.get(self.party_id, 0) + 1
+        if calls[self.party_id] == 1:
+            opened[1] = GroupPoint.identity()
+        return opened
+
+    monkeypatch.setattr(PartySession, "open_point_batch", first_r_degenerate)
+    messages = [b"kept", b"retried"]
+    results = cluster.run_signing("m", messages)
+    for message, res in zip(messages, results, strict=True):
+        assert ecdsa_verify(pk, message, res.signature)
+    assert [res.tuple_id for res in results] == [ids[0], ids[2]]
+    assert calls == {p: 2 for p in cluster.participants}
+    assert cluster.final_stock("m") == 0
+    cluster.close()
+
+
 def test_signing_depletes_then_errors():
     cluster = make_cluster(SchemeId.ADDITIVE)
     cluster.keygen("m")
