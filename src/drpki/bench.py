@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .runtime import LocalCluster
-from .sharing import ProtocolAbort, SchemeId
+from .sharing import SCHEME_NAMES, ProtocolAbort, SchemeId
 from .tecdsa import ProtocolConfig
 
 # Inter-region round-trip latencies in milliseconds, measured between the
@@ -61,13 +61,7 @@ CSV_FIELDS = [
     "status",
 ]
 
-SCHEME_LABELS = {
-    SchemeId.ADDITIVE: "semi",
-    SchemeId.ADDITIVE_MAC: "mascot",
-    SchemeId.SHAMIR: "shamir",
-    SchemeId.SHAMIR_CHECKED: "mal-shamir",
-}
-LABEL_TO_SCHEME = {v: k for k, v in SCHEME_LABELS.items()}
+SCHEME_LABELS = {scheme: name for name, scheme in SCHEME_NAMES.items()}
 
 
 def one_way_delays(rtt_ms: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:

@@ -39,15 +39,8 @@ from .rpki import (
     sign_consent,
 )
 from .runtime import ConsentPolicy, LocalCluster, SignRequest
-from .sharing import SchemeId
+from .sharing import SCHEME_NAMES, SchemeId
 from .tecdsa import ProtocolConfig
-
-SCHEME_NAMES = {
-    "shamir": SchemeId.SHAMIR,
-    "mal-shamir": SchemeId.SHAMIR_CHECKED,
-    "semi": SchemeId.ADDITIVE,
-    "mascot": SchemeId.ADDITIVE_MAC,
-}
 
 
 def _fail(message: str) -> NoReturn:
@@ -114,12 +107,12 @@ def cluster_from_config(cfg: configparser.ConfigParser, test_mode: bool = False)
         test_mode=test_mode or config_test_mode,
         precompute_r=section.getboolean("precompute_r", False),
     )
-    policy_sec = cfg["policy"] if cfg.has_section("policy") else {}
     policy = ConsentPolicy(
-        flag_on_failed_consent=_getbool(policy_sec, "flag_on_failed_consent", False),
-        low_watermark=int(policy_sec.get("low_watermark", 100)),
-        batch_size=int(policy_sec.get("batch_size", 1000)),
-        auto_replenish=_getbool(policy_sec, "auto_replenish", True),
+        flag_on_failed_consent=cfg.getboolean("policy", "flag_on_failed_consent",
+                                              fallback=False),
+        low_watermark=cfg.getint("policy", "low_watermark", fallback=100),
+        batch_size=cfg.getint("policy", "batch_size", fallback=1000),
+        auto_replenish=cfg.getboolean("policy", "auto_replenish", fallback=True),
     )
     latency = None
     if cfg.has_section("latency") and cfg["latency"].get("matrix"):
@@ -133,13 +126,6 @@ def cluster_from_config(cfg: configparser.ConfigParser, test_mode: bool = False)
         policy=policy,
         timeout=section.getfloat("timeout", 10.0),
     )
-
-
-def _getbool(section, key, default):
-    raw = section.get(key)
-    if raw is None:
-        return default
-    return str(raw).lower() in ("1", "true", "yes", "on")
 
 
 # --- object construction from JSON descriptions ------------------------------------

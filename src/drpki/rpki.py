@@ -392,6 +392,17 @@ def verify_consent(
         return ConsentVerdict.INVALID
     if token.action is not action:
         return ConsentVerdict.INVALID
+    for record in payloads:
+        # a member consents for its own records only; a transfer's new ROA
+        # names the transfer's target
+        if isinstance(record, CrlRecord):
+            owner = record.issuer_id
+        elif action is Action.TRANSFER and isinstance(record, RoaRecord):
+            continue
+        else:
+            owner = record.member_id
+        if owner != token.member_id:
+            return ConsentVerdict.INVALID
     if token.object_digest != consent_digest(payloads):
         return ConsentVerdict.INVALID
     if now >= token.expiry:

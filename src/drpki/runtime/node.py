@@ -4,18 +4,19 @@ A PartyNode owns one RIR's durable state: tuple store, key-share records,
 member consent registry, published-object store, CRL state, intervention
 tickets, and an append-only audit log.  It is also the one phase driver:
 `open_session` builds the party's session for a phase, and `run` executes
-one op (keygen, preprocess-independent, preprocess-dependent, sign) over
-it, with the per-node keygen checks and the keygen audit entry.  Both
-transports use it: the LocalCluster runs five nodes over the in-process
-hub, one thread per party per phase, and `drpki serve` runs one node over
-TCP.  Session ids are sha256(epoch | phase | counter) on both.
+one op (keygen, preprocess-independent, preprocess-dependent, sign,
+request) over it.  Both transports use it: the LocalCluster runs five nodes
+over the in-process hub, one thread per party per op, and `drpki serve`
+runs one node over TCP.  Session ids are sha256(epoch | phase | counter) on
+both.  An op whose MAC check fails retires the node's own epoch.
 
-The signing workflow follows the consent-gated shape: the member's consent
-token reaches every node out of band; the initiating node distributes the
-message; every node independently verifies consent and content before the
-cryptographic phase runs.  A failed check aborts by default, or raises an
-intervention ticket under the flag policy, completing only after a quorum
-of recorded manual approvals.
+The `request` op is the one consent-gated signing path, in one session: the
+initiating node distributes the payloads; every node checks content and
+consent itself, audits its verdict and votes; on a quorum of ok votes every
+node signs in the same session and publishes.  A failed vote burns one
+final tuple and aborts, or under the flag policy opens an intervention
+ticket.  Completing a ticket is the same op: each node votes ok only if its
+own copy is approved, not completed, and holds the same payloads.
 """
 
 from __future__ import annotations
@@ -24,23 +25,24 @@ import hashlib
 import json
 import random
 import secrets
+import struct
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from ..algebra import GroupPoint
+from ..algebra import AlgebraError, GroupPoint
 from ..preprocessing import TrustedDealer
 from ..rpki import (
     Action,
     ConsentToken,
-    ConsentVerdict,
     CrlRecord,
     PayloadKind,
     PayloadRecord,
     SignedObject,
     TrustAnchorLocator,
+    ValidationError,
     decode_canonical,
     encode_canonical,
     verify_consent,
@@ -81,6 +83,7 @@ OP_PHASES = {
     "preprocess-independent": PHASE_PREPROCESS_INDEPENDENT,
     "preprocess-dependent": PHASE_PREPROCESS_DEPENDENT,
     "sign": PHASE_ONLINE,
+    "request": PHASE_ONLINE,
 }
 
 
@@ -99,14 +102,16 @@ def _derive_seed(seed: int, label: str) -> int:
 
 @dataclass
 class CrashPoint:
-    """Fires a CrashError the first time the named pipeline step is reached."""
+    """Fires a CrashError whenever the named pipeline step is reached.
+
+    Every node that reaches an in-op step fires, so the in-process cluster
+    crashes as a whole.
+    """
 
     at: str
-    fired: bool = False
 
     def __call__(self, point: str) -> None:
-        if not self.fired and point == self.at:
-            self.fired = True
+        if point == self.at:
             raise CrashError(point)
 
 
@@ -120,7 +125,6 @@ class ConsentPolicy:
 
     flag_on_failed_consent: bool = False
     flag_eligible: tuple[Action, ...] = (Action.REVOKE, Action.TRANSFER)
-    consume_tuple_on_failed_consent: bool = True
     low_watermark: int = 100
     batch_size: int = 1000
     auto_replenish: bool = True
@@ -158,11 +162,16 @@ class SignOutcome:
     sign_results: list[SignResult] = dc_field(default_factory=list)
 
 
-_KIND_FOR_RECORD = {
-    "RoaRecord": PayloadKind.ROA,
-    "CrlRecord": PayloadKind.CRL,
-    "EeCertRecord": PayloadKind.CERT,
-}
+def _split_payloads(raw: bytes) -> list[bytes]:
+    """Undo the initiator's length-prefixed framing of a request's payloads."""
+    blobs, off = [], 0
+    while off < len(raw):
+        end = off + 4 + int.from_bytes(raw[off:off + 4], "big")
+        if end > len(raw):
+            raise ValidationError("truncated request payload")
+        blobs.append(raw[off + 4:end])
+        off = end
+    return blobs
 
 
 class PartyNode:
@@ -170,9 +179,11 @@ class PartyNode:
 
     def __init__(self, party_id: int, config: ProtocolConfig,
                  data_dir: Optional[str], epoch: bytes,
-                 clock: Callable[[], float] = time.time) -> None:
+                 clock: Callable[[], float] = time.time,
+                 policy: Optional[ConsentPolicy] = None) -> None:
         self.party_id = party_id
         self.config = config
+        self.policy = policy or ConsentPolicy()
         self.epoch = epoch
         self.clock = clock
         self.dir = Path(data_dir) if data_dir is not None else None
@@ -330,6 +341,8 @@ class PartyNode:
     def env(self) -> PhaseEnv:
         if self.epoch in self.retired_epochs:
             raise TecdsaError("epoch retired after a failed authentication check")
+        if self.epoch in self.tainted_epochs and not self.config.test_mode:
+            raise TecdsaError("epoch tainted by test-mode reconstruction")
         return PhaseEnv(
             party_id=self.party_id,
             config=self.config,
@@ -359,13 +372,30 @@ class PartyNode:
             fault_plan=self.fault_plan,
         )
 
-    def run(self, op: dict, session: PartySession):
+    def run(self, op: dict, session: PartySession,
+            crash: Callable[[str], None] = lambda point: None):
         """Run this party's side of one phase op over an open session.
 
         `op` is the JSON dict of serve's control frames.  Returns the phase
-        result: the key record, the new tuples, or one SignResult per
-        message of the `sign` op's "messages" list, in order.
+        result: the key record, the new tuples, one SignResult per message
+        of the `sign` op's "messages" list, in order, or the `request` op's
+        SignOutcome.  `crash(point)` is called at each crash point of the
+        `request` op.  A failed MAC check retires this node's epoch; a
+        `request` op that aborts returns an aborted outcome.
         """
+        try:
+            return self._run(op, session, crash)
+        except ProtocolAbort as exc:
+            if "MAC check failed" in str(exc):
+                self.retired_epochs.add(self.epoch)
+                self._save_state()
+                self.audit("epoch_retired", epoch=self.epoch.hex())
+            if op["op"] != "request":
+                raise
+            self.audit("sign_aborted", member=op["member"], reason=str(exc))
+            return SignOutcome("aborted", reason=str(exc))
+
+    def _run(self, op: dict, session: PartySession, crash: Callable[[str], None]):
         name = op["op"]
         if name == "keygen":
             member_id = op["member"]
@@ -385,7 +415,93 @@ class PartyNode:
         if name == "sign":
             return sign_online(self.env(), session, op["member"],
                                [bytes.fromhex(m) for m in op["messages"]])
+        if name == "request":
+            return self._request(op, session, crash)
         raise TecdsaError(f"unknown op {name!r}")
+
+    def _request(self, op: dict, session: PartySession,
+                 crash: Callable[[str], None]) -> SignOutcome:
+        member_id, action = op["member"], Action[op["action"]]
+        initiator, ticket_id = op["initiator"], op.get("ticket")
+        # round 1: the initiator distributes the payloads
+        mine = b"".join(
+            len(b).to_bytes(4, "big") + b for b in map(bytes.fromhex, op["payloads"])
+        ) if self.party_id == initiator else b""
+        raw = session.broadcast(mine).get(initiator, mine)
+        try:
+            blobs = _split_payloads(raw)
+            records = [decode_canonical(b) for b in blobs]
+        except (ValidationError, AlgebraError, ValueError, IndexError, struct.error):
+            session.abort("malformed request payload")
+        digest = hashlib.sha256(b"".join(blobs)).hexdigest()
+
+        # round 2: every party checks the request itself, audits, and votes
+        if ticket_id is None:
+            verdict = verify_consent(self.consent_inbox.get(member_id), action,
+                                     records, self.member_registry, self.clock()).value
+            self.audit(
+                "consent_verdict", member=member_id, action=action.name, digest=digest,
+                objects=[hashlib.sha256(encode_canonical(r)).hexdigest() for r in records],
+                verdict=verdict,
+            )
+        else:
+            ticket = self.tickets.get(ticket_id)
+            approved = (ticket is not None and ticket.approved and not ticket.completed
+                        and ticket.payload_blobs == blobs)
+            verdict = "ok" if approved else "unapproved"
+            self.audit("ticket_verdict", ticket=ticket_id, verdict=verdict)
+        votes = session.broadcast(verdict.encode())
+        votes[self.party_id] = verdict.encode()
+
+        if sum(v == b"ok" for v in votes.values()) < self.config.quorum:
+            try:
+                self.tuple_store.checkout_final(member_id, self.epoch)
+            except StockDepletedError:
+                pass
+            reason = ("ticket-unapproved" if ticket_id is not None
+                      else "consent-missing" if votes[initiator] == b"missing"
+                      else "consent-invalid")
+            if (ticket_id is None and self.policy.flag_on_failed_consent
+                    and action in self.policy.flag_eligible):
+                ticket_id = hashlib.sha256(
+                    digest.encode() + member_id.encode()
+                ).hexdigest()[:16]
+                ticket = InterventionTicket(ticket_id, member_id, action, reason,
+                                            self.clock(), blobs)
+                self.tickets[ticket_id] = ticket
+                self._persist_ticket(ticket)
+                self.audit("ticket_created", ticket=ticket_id, reason=reason)
+                return SignOutcome("flagged", ticket_id=ticket_id, reason=reason)
+            self.audit("sign_aborted", member=member_id, digest=digest, reason=reason)
+            return SignOutcome("aborted", reason=reason)
+
+        crash("after_consent")
+        sign_results = sign_online(self.env(), session, member_id, blobs)
+        crash("after_sign")
+        pk = self.key_records[member_id].pk
+        objects = [SignedObject(PayloadKind(blob[0]), blob, result.signature, pk)
+                   for blob, result in zip(blobs, sign_results)]
+        crash("before_publish")
+        self.publish_batch(objects, ticket_id=ticket_id)
+        crash("after_publish")
+        if ticket_id is None:
+            self.consent_inbox.pop(member_id, None)
+        else:
+            ticket.completed = True
+            self._persist_ticket(ticket)
+            self.audit("ticket_completed", ticket=ticket_id)
+        return SignOutcome("published", objects=objects,
+                           ticket_id=ticket_id, sign_results=sign_results)
+
+    def approve_ticket(self, ticket_id: str) -> None:
+        """Record this party's manual approval of a flagged request."""
+        ticket = self.tickets.get(ticket_id)
+        if ticket is None:
+            raise TecdsaError(f"unknown ticket {ticket_id}")
+        if not ticket.approved:
+            ticket.approved = True
+            self._persist_ticket(ticket)
+            self.audit("ticket_approved", ticket=ticket_id)
 
     # -- publication -----------------------------------------------------------
 
@@ -487,7 +603,7 @@ class LocalCluster:
         self.nodes: dict[int, PartyNode] = {}
         for party in self.participants:
             node_dir = str(self.data_dir / f"party{party}") if self.data_dir else None
-            node = PartyNode(party, config, node_dir, self.epoch, clock)
+            node = PartyNode(party, config, node_dir, self.epoch, clock, self.policy)
             node.rng = random.Random(_derive_seed(seed, f"party{party}")) if seeded else None
             self.nodes[party] = node
 
@@ -609,15 +725,14 @@ class LocalCluster:
             th.join()
 
         if errors:
-            root = self._root_error(errors)
-            if isinstance(root, ProtocolAbort) and "MAC check failed" in str(root):
-                self.retire_epoch()
-            raise root
+            raise self._root_error(errors)
         return results
 
     def _run_op(self, op: dict) -> dict:
-        """Run one `PartyNode.run` op on every live party, in the op's phase."""
-        return self._run_phase(OP_PHASES[op["op"]], lambda node, s: node.run(op, s))
+        """Run one `PartyNode.run` op on every live party, in the op's phase;
+        every node calls `crash_hook` at the op's crash points."""
+        return self._run_phase(OP_PHASES[op["op"]],
+                               lambda node, s: node.run(op, s, self._maybe_crash))
 
     @staticmethod
     def _root_error(errors: dict[int, BaseException]) -> BaseException:
@@ -626,12 +741,6 @@ class LocalCluster:
             key=lambda e: (isinstance(e, SessionAbort) and str(e).startswith("peer "),),
         )
         return ranked[0]
-
-    def retire_epoch(self) -> None:
-        for node in self.nodes.values():
-            node.retired_epochs.add(self.epoch)
-            node._save_state()
-            node.audit("epoch_retired", epoch=self.epoch.hex())
 
     # -- protocol phases ------------------------------------------------------------
 
@@ -673,10 +782,6 @@ class LocalCluster:
         messages, all signed in one session, which returns their SignResults
         in order.  With return_all, every party's result, keyed by party.
         """
-        if self.epoch in next(iter(self.nodes.values())).tainted_epochs:
-            if not self.config.test_mode:
-                raise TecdsaError("epoch tainted by test-mode reconstruction")
-
         single = isinstance(message, bytes)
         messages = [message] if single else list(message)
         results = self._run_op(
@@ -748,143 +853,41 @@ class LocalCluster:
             node.register_member(member_id, consent_pk)
 
     def handle_sign_request(self, request: SignRequest) -> SignOutcome:
-        with self._member_lock(request.member_id):
-            return self._handle_sign_request_locked(request)
-
-    def _handle_sign_request_locked(self, request: SignRequest) -> SignOutcome:
         if not request.payloads:
             return SignOutcome("aborted", reason="empty request")
         if request.member_id not in self.nodes[self.participants[0]].key_records:
             return SignOutcome("aborted", reason="no signing key for member")
-        self._maybe_crash("before_consent")
-        initiator = self.participants[self._initiator_counter % self.n_live]
-        self._initiator_counter += 1
-        payload_blobs = [encode_canonical(rec) for rec in request.payloads]
-        digest = hashlib.sha256(b"".join(payload_blobs)).hexdigest()
+        with self._member_lock(request.member_id):
+            self._maybe_crash("before_consent")
+            blobs = [encode_canonical(rec) for rec in request.payloads]
+            return self._request(request.member_id, request.action, blobs)
 
-        def control_fn(node: PartyNode, session: PartySession):
-            # step 3: the initiator distributes the message to be signed
-            blob = b"".join(
-                len(b).to_bytes(4, "big") + b for b in payload_blobs
-            ) if session.party_id == initiator else b""
-            replies = session.broadcast(blob)
-            raw = blob if session.party_id == initiator else replies[initiator]
-            records, off = [], 0
-            while off < len(raw):
-                ln = int.from_bytes(raw[off:off + 4], "big")
-                records.append(decode_canonical(raw[off + 4:off + 4 + ln]))
-                off += 4 + ln
-            # step 4: every party checks content and consent independently
-            token = node.consent_inbox.get(request.member_id)
-            verdict = verify_consent(
-                token, request.action, records, node.member_registry, node.clock()
-            )
-            node.audit(
-                "consent_verdict",
-                member=request.member_id,
-                action=request.action.name,
-                digest=digest,
-                objects=[
-                    hashlib.sha256(encode_canonical(r)).hexdigest() for r in records
-                ],
-                verdict=verdict.value,
-            )
-            votes = session.broadcast(verdict.value.encode())
-            ok_votes = sum(1 for v in votes.values() if v == b"ok")
-            if verdict is ConsentVerdict.OK:
-                ok_votes += 1
-            return verdict, ok_votes
-
-        try:
-            control = self._run_phase(PHASE_CONTROL, control_fn)
-        except ProtocolAbort as exc:
-            return SignOutcome("aborted", reason=str(exc))
-
-        my_verdict, ok_votes = control[initiator]
-        quorum = self.config.quorum
-        if ok_votes < quorum:
-            reason = (
-                "consent-missing"
-                if my_verdict is ConsentVerdict.MISSING
-                else "consent-invalid"
-            )
-            if self.policy.consume_tuple_on_failed_consent:
-                for node in self.nodes.values():
-                    try:
-                        node.tuple_store.checkout_final(request.member_id, self.epoch)
-                    except StockDepletedError:
-                        pass
-            if (
-                self.policy.flag_on_failed_consent
-                and request.action in self.policy.flag_eligible
-            ):
-                ticket_id = hashlib.sha256(
-                    digest.encode() + request.member_id.encode()
-                ).hexdigest()[:16]
-                for node in self.nodes.values():
-                    ticket = InterventionTicket(
-                        ticket_id, request.member_id, request.action, reason,
-                        node.clock(), list(payload_blobs),
-                    )
-                    node.tickets[ticket_id] = ticket
-                    node._persist_ticket(ticket)
-                    node.audit("ticket_created", ticket=ticket_id, reason=reason)
-                return SignOutcome("flagged", ticket_id=ticket_id, reason=reason)
-            for node in self.nodes.values():
-                node.audit("sign_aborted", member=request.member_id,
-                           digest=digest, reason=reason)
-            return SignOutcome("aborted", reason=reason)
-
-        self._maybe_crash("after_consent")
-        outcome = self._sign_and_publish(request.member_id, payload_blobs,
-                                         request.payloads, ticket_id=None)
-        if outcome.status == "published":
-            for node in self.nodes.values():
-                node.consent_inbox.pop(request.member_id, None)
-        return outcome
-
-    def _sign_and_publish(self, member_id: str, payload_blobs: list[bytes],
-                          records: list[PayloadRecord],
-                          ticket_id: Optional[str]) -> SignOutcome:
-        pk = self.nodes[self.participants[0]].key_records[member_id].pk
-        need = len(payload_blobs)
+    def _request(self, member_id: str, action: Action, blobs: list[bytes],
+                 ticket_id: Optional[str] = None) -> SignOutcome:
+        """Run the `request` op; every party's outcome must agree."""
+        need = len(blobs)
         if self.final_stock(member_id) < need:
             if not self.policy.auto_replenish:
-                raise StockDepletedError(
-                    f"final tuples for member {member_id!r} depleted"
-                )
+                raise StockDepletedError(f"final tuples for member {member_id!r} depleted")
             # the refill must cover the whole batch, however small the policy's sizes
             self.replenish(member_id, max(self.policy.low_watermark, need),
                            max(self.policy.batch_size, need))
-        try:
-            sign_results = self.run_signing(member_id, payload_blobs)
-        except ProtocolAbort as exc:
-            for node in self.nodes.values():
-                node.audit("sign_aborted", member=member_id, reason=str(exc))
-            return SignOutcome("aborted", reason=str(exc))
-        objects = [
-            SignedObject(_KIND_FOR_RECORD[type(record).__name__], blob,
-                         result.signature, pk)
-            for blob, record, result in zip(payload_blobs, records, sign_results)
-        ]
-        self._maybe_crash("before_publish")
-        for node in self.nodes.values():
-            node.publish_batch(objects, ticket_id=ticket_id)
-        self._maybe_crash("after_publish")
-        return SignOutcome("published", objects=objects,
-                           ticket_id=ticket_id, sign_results=sign_results)
+        initiator = self.participants[self._initiator_counter % self.n_live]
+        self._initiator_counter += 1
+        outcomes = self._run_op({
+            "op": "request", "member": member_id, "action": action.name,
+            "payloads": [b.hex() for b in blobs], "initiator": initiator,
+            "ticket": ticket_id,
+        })
+        if len({(o.status, o.ticket_id, tuple(obj.to_bytes() for obj in o.objects))
+                for o in outcomes.values()}) != 1:
+            raise ProtocolAbort("outcome disagreement")
+        return outcomes[initiator]
 
     # -- intervention tickets ----------------------------------------------------
 
     def approve_ticket(self, ticket_id: str, party: int) -> int:
-        node = self.nodes[party]
-        ticket = node.tickets.get(ticket_id)
-        if ticket is None:
-            raise TecdsaError(f"unknown ticket {ticket_id}")
-        if not ticket.approved:
-            ticket.approved = True
-            node._persist_ticket(ticket)
-            node.audit("ticket_approved", ticket=ticket_id)
+        self.nodes[party].approve_ticket(ticket_id)
         return self.ticket_approvals(ticket_id)
 
     def ticket_approvals(self, ticket_id: str) -> int:
@@ -909,18 +912,9 @@ class LocalCluster:
         )
         if sample.completed:
             raise TecdsaError(f"ticket {ticket_id} already completed")
-        records = [decode_canonical(b) for b in sample.payload_blobs]
         with self._member_lock(sample.member_id):
-            outcome = self._sign_and_publish(
-                sample.member_id, sample.payload_blobs, records, ticket_id=ticket_id
-            )
-        if outcome.status == "published":
-            for node in self.nodes.values():
-                if ticket_id in node.tickets:
-                    node.tickets[ticket_id].completed = True
-                    node._persist_ticket(node.tickets[ticket_id])
-                    node.audit("ticket_completed", ticket=ticket_id)
-        return outcome
+            return self._request(sample.member_id, sample.action,
+                                 sample.payload_blobs, ticket_id)
 
     # -- test-mode reconstruction ---------------------------------------------------
 

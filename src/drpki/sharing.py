@@ -63,6 +63,15 @@ class SchemeId(Enum):
         return not self.is_shamir
 
 
+# the scheme names used by configs, command-line flags and benchmark rows
+SCHEME_NAMES = {
+    "semi": SchemeId.ADDITIVE,
+    "mascot": SchemeId.ADDITIVE_MAC,
+    "shamir": SchemeId.SHAMIR,
+    "mal-shamir": SchemeId.SHAMIR_CHECKED,
+}
+
+
 @dataclass(frozen=True)
 class MacKeyShare:
     """One party's additive share alpha_i of the global MAC key alpha.

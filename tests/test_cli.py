@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from drpki.cli import load_config, main
+from drpki.cli import cluster_from_config, load_config, main
 from drpki.preprocessing import FileReplay
 
 FIXTURE = Path(__file__).parent / "data" / "churn_90d"
@@ -81,6 +81,15 @@ def test_test_mode_env_var_refuses_production_config(workspace, monkeypatch):
     )
     assert run_cli("keygen", "--config", str(config_path),
                    "--member", "memberX") == 0
+
+
+def test_malformed_policy_boolean_is_rejected(workspace):
+    config_path = workspace / "drpki.ini"
+    config_path.write_text(
+        config_path.read_text().replace("auto_replenish = true", "auto_replenish = maybe")
+    )
+    with pytest.raises(ValueError, match="Not a boolean"):
+        cluster_from_config(load_config(str(config_path)))
 
 
 def test_sign_without_consent_aborts(workspace, capsys):

@@ -205,6 +205,27 @@ def test_transfer_consent_must_cover_both_objects():
     )
 
 
+def test_consent_covers_only_the_consenting_members_records():
+    member, registry, roa = _consent_setup()
+    foreign_crl = CrlRecord("memberB", roa.not_before, (7,))
+    foreign_roa = RoaRecord(roa.serial, "memberB", roa.asn, roa.prefixes,
+                            roa.not_before, roa.not_after, EE_PK)
+    foreign_cert = EeCertRecord(roa.serial, "memberB", EE_PK, 1, 2)
+    for action, records in [(Action.REVOKE, [foreign_crl]),
+                            (Action.ISSUE, [foreign_roa]),
+                            (Action.ISSUE, [foreign_cert]),
+                            (Action.TRANSFER, [foreign_crl, foreign_roa])]:
+        token = sign_consent(member.sk, "memberA", action, records,
+                             expiry=10**10, rng=rng)
+        assert verify_consent(token, action, records, registry, now=0) is ConsentVerdict.INVALID
+    # a transfer's new ROA names the target; its CRL must be the member's own
+    own_crl = CrlRecord("memberA", roa.not_before, (roa.serial,))
+    token = sign_consent(member.sk, "memberA", Action.TRANSFER, [own_crl, foreign_roa],
+                         expiry=10**10, rng=rng)
+    assert (verify_consent(token, Action.TRANSFER, [own_crl, foreign_roa], registry, now=0)
+            is ConsentVerdict.OK)
+
+
 def test_consent_digest_is_order_sensitive_pair_hash():
     _, _, roa = _consent_setup()
     crl = CrlRecord("memberA", 1, (roa.serial,))

@@ -16,6 +16,8 @@ from drpki.rpki import Action, CrlRecord, IpPrefix, RoaRecord, plan_transfer, si
 from drpki.runtime import (
     FRAME_OVERHEAD,
     ConsentPolicy,
+    CrashError,
+    CrashPoint,
     InProcessHub,
     LocalCluster,
     PartyNode,
@@ -29,6 +31,7 @@ from drpki.runtime.session import FaultPlan
 from drpki.runtime.transport import (
     PHASE_CONTROL,
     PHASE_KEYGEN,
+    PHASE_ONLINE,
     PHASE_PREPROCESS_INDEPENDENT,
     SessionMessage,
     TransportError,
@@ -434,6 +437,69 @@ def test_tampered_consent_token_rejected():
     cluster.close()
 
 
+def test_consent_cannot_cover_another_members_records():
+    # memberA's valid consent for a CRL issued under memberB's name
+    cluster = make_cluster()
+    _, member_keys, _ = _issue_fixture(cluster)
+    crl = CrlRecord("memberB", 1500000001, (7,))
+    token = sign_consent(member_keys.sk, "memberA", Action.REVOKE, [crl],
+                         expiry=int(time.time()) + 600, rng=rng)
+    cluster.submit_consent(token)
+    outcome = cluster.handle_sign_request(
+        SignRequest("memberA", Action.REVOKE, [crl], token)
+    )
+    assert outcome.status == "aborted"
+    assert outcome.reason == "consent-invalid"
+    assert all(not node.crl_state and not node.objects for node in cluster.nodes.values())
+    cluster.close()
+
+
+def _issue_request(cluster, member_keys, roa):
+    token = sign_consent(member_keys.sk, roa.member_id, Action.ISSUE, [roa],
+                         expiry=int(time.time()) + 600, rng=rng)
+    cluster.submit_consent(token)
+    return SignRequest(roa.member_id, Action.ISSUE, [roa], token)
+
+
+@pytest.mark.parametrize("point", ["after_consent", "after_sign",
+                                   "before_publish", "after_publish"])
+def test_in_op_crash_point_raises_promptly(point):
+    # every node raises at the crash point, so none waits out the timeout
+    cluster = make_cluster(timeout=30)
+    _, member_keys, roa = _issue_fixture(cluster)
+    request = _issue_request(cluster, member_keys, roa)
+    cluster.crash_hook = CrashPoint(point)
+    started = time.perf_counter()
+    with pytest.raises(CrashError, match=point):
+        cluster.handle_sign_request(request)
+    assert time.perf_counter() - started < 5.0
+    published = {"roa-1.obj" in node.objects for node in cluster.nodes.values()}
+    assert published == {point == "after_publish"}
+    cluster.close()
+
+
+def test_ticket_request_op_needs_quorum_of_node_approvals():
+    # the cluster's approval count is bypassed: the nodes' own votes refuse
+    cluster = make_cluster(policy=ConsentPolicy(flag_on_failed_consent=True))
+    _issue_fixture(cluster)
+    crl = CrlRecord("memberA", 1500000001, (1,))
+    ticket = cluster.handle_sign_request(
+        SignRequest("memberA", Action.REVOKE, [crl], None)
+    ).ticket_id
+    for party in (1, 2):
+        cluster.approve_ticket(ticket, party)
+    blobs = cluster.nodes[1].tickets[ticket].payload_blobs
+    outcomes = cluster._run_op({
+        "op": "request", "member": "memberA", "action": "REVOKE",
+        "payloads": [b.hex() for b in blobs], "initiator": 1, "ticket": ticket,
+    })
+    assert {o.status for o in outcomes.values()} == {"aborted"}
+    for node in cluster.nodes.values():
+        assert not node.objects and not node.crl_state
+        assert not node.tickets[ticket].completed
+    cluster.close()
+
+
 # --- replenishment --------------------------------------------------------------------
 
 def test_replenish_restores_watermark():
@@ -493,6 +559,21 @@ def test_point_open_payload_with_trailing_bytes_aborts():
     _rewrite_frames(cluster, 2, PHASE_KEYGEN, 2, lambda p: p + b"\x00")
     with pytest.raises(SessionAbort, match="malformed open payload"):
         cluster.keygen("m")
+    cluster.close()
+
+
+def test_truncated_request_payload_aborts_promptly():
+    # the initiator's round-1 payload loses its last 7 bytes
+    cluster = make_cluster()
+    _, member_keys, roa = _issue_fixture(cluster)
+    request = _issue_request(cluster, member_keys, roa)
+    _rewrite_frames(cluster, 1, PHASE_ONLINE, 1, lambda p: p[:-7])
+    started = time.perf_counter()
+    outcome = cluster.handle_sign_request(request)
+    assert time.perf_counter() - started < 5.0
+    assert outcome.status == "aborted"
+    assert "malformed request payload" in outcome.reason
+    assert all(not node.objects for node in cluster.nodes.values())
     cluster.close()
 
 
@@ -572,7 +653,7 @@ def test_transfer_stock_check_covers_both_payloads(policy):
     (SchemeId.SHAMIR_CHECKED, False, 5),
 ], ids=["mascot-transfer", "mal-shamir-issue"])
 def test_sign_request_round_count(monkeypatch, scheme, transfer, rounds):
-    # control: message + votes; signing: tuple ids, R open, s open, and two
+    # one session: payloads, votes, tuple ids, R open, s open, and two
     # MAC-check rounds under mascot, once for the whole request
     cluster = make_cluster(scheme)
     _, member_keys, roa = _issue_fixture(cluster)
@@ -584,10 +665,12 @@ def test_sign_request_round_count(monkeypatch, scheme, transfer, rounds):
         cluster.submit_consent(token)
         request = SignRequest("memberA", Action.ISSUE, [roa], token)
     counts = {}
+    sessions = {}
     run_round = PartySession.run_round
 
     def counting(self, payloads):
         counts[self.party_id] = counts.get(self.party_id, 0) + 1
+        sessions.setdefault(self.party_id, set()).add(self.session_id)
         return run_round(self, payloads)
 
     monkeypatch.setattr(PartySession, "run_round", counting)
@@ -595,6 +678,7 @@ def test_sign_request_round_count(monkeypatch, scheme, transfer, rounds):
     assert outcome.status == "published"
     assert len(outcome.objects) == len(request.payloads)
     assert counts == {p: rounds for p in cluster.participants}
+    assert all(len(sessions[p]) == 1 for p in cluster.participants)
     cluster.close()
 
 
@@ -634,6 +718,7 @@ def test_fault_on_second_s_share_aborts_whole_transfer():
     assert cluster.nodes[3].fault_plan.triggered
     assert all(not node.objects for node in cluster.nodes.values())
     assert _final_stocks(cluster, "memberA") == {p: s - 2 for p, s in stocks.items()}
+    assert all(cluster.epoch in node.retired_epochs for node in cluster.nodes.values())
     cluster.close()
 
 
