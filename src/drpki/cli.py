@@ -57,7 +57,6 @@ def write_default_config(path: Path, scheme: str, data_dir: str,
     cfg = configparser.ConfigParser()
     cfg["cluster"] = {
         "scheme": scheme,
-        "n": "5",
         "data_dir": data_dir,
         "test_mode": "false",
         "precompute_r": str(precompute_r).lower(),
@@ -93,20 +92,27 @@ def load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 
-def cluster_from_config(cfg: configparser.ConfigParser, test_mode: bool = False) -> LocalCluster:
+def protocol_config(cfg: configparser.ConfigParser) -> ProtocolConfig:
+    """The protocol parameters of a config's [cluster] section, for every
+    command that starts nodes or deals for them."""
     section = cfg["cluster"]
     scheme = SCHEME_NAMES.get(section.get("scheme", "shamir"))
     if scheme is None:
         _fail(f"unknown scheme {section.get('scheme')!r}")
-    config_test_mode = section.getboolean("test_mode", False)
-    if os.environ.get("DRPKI_TEST_MODE") == "1" and not config_test_mode:
+    test_mode = section.getboolean("test_mode", False)
+    if os.environ.get("DRPKI_TEST_MODE") == "1" and not test_mode:
         _fail("DRPKI_TEST_MODE=1 refuses to start with a production config "
               "(set test_mode = true in the config to allow reconstruction oracles)")
-    proto = ProtocolConfig.for_scheme(
+    return ProtocolConfig.for_scheme(
         scheme,
-        test_mode=test_mode or config_test_mode,
+        test_mode=test_mode,
         precompute_r=section.getboolean("precompute_r", False),
     )
+
+
+def cluster_from_config(cfg: configparser.ConfigParser) -> LocalCluster:
+    section = cfg["cluster"]
+    proto = protocol_config(cfg)
     policy = ConsentPolicy(
         flag_on_failed_consent=cfg.getboolean("policy", "flag_on_failed_consent",
                                               fallback=False),
@@ -214,10 +220,7 @@ def cmd_sign(args) -> int:
         if args.member in records:
             member_pk = records[args.member].pk
         record = record_from_json(args.infile, ee_pk=member_pk)
-        token = None
-        if args.consent:
-            token = consent_token_from_file(args.consent)
-            cluster.submit_consent(token)
+        token = consent_token_from_file(args.consent) if args.consent else None
         request = SignRequest(args.member, Action[args.action], [record], token)
         outcome = cluster.handle_sign_request(request)
         if outcome.status == "published":

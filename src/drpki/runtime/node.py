@@ -23,16 +23,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import secrets
 import struct
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from ..algebra import AlgebraError, GroupPoint
+from ..algebra import AlgebraError, FieldElement, GroupPoint
 from ..preprocessing import TrustedDealer
 from ..rpki import (
     Action,
@@ -146,6 +148,8 @@ class InterventionTicket:
 
 @dataclass
 class SignRequest:
+    """A member's request; `consent`, when set, reaches every node with it."""
+
     member_id: str
     action: Action
     payloads: list[PayloadRecord]
@@ -162,6 +166,34 @@ class SignOutcome:
     sign_results: list[SignResult] = dc_field(default_factory=list)
 
 
+def _write_file(path: Path, data: str | bytes) -> None:
+    """Replace a whole file through a temp file beside it, so a crash leaves
+    the old or the new content.  The temp name is unique per writing thread
+    and matches no name a load reads."""
+    tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
+    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+    os.replace(tmp, path)
+
+
+def _append_line(path: Path, record: dict) -> None:
+    """Append one record to a JSON-lines file."""
+    with open(path, "a") as out:
+        out.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The whole lines of a line-oriented file.  A final line without its
+    newline is an append torn by a crash: it is cut off the file, so the next
+    append starts a line of its own."""
+    if not path.exists():
+        return []
+    data = path.read_bytes()
+    whole = data.rfind(b"\n") + 1
+    if whole < len(data):
+        os.truncate(path, whole)
+    return data[:whole].decode().splitlines()
+
+
 def _split_payloads(raw: bytes) -> list[bytes]:
     """Undo the initiator's length-prefixed framing of a request's payloads."""
     blobs, off = [], 0
@@ -175,10 +207,15 @@ def _split_payloads(raw: bytes) -> list[bytes]:
 
 
 class PartyNode:
-    """One RIR node: stores, registries, audit log, and durable state."""
+    """One RIR node: stores, registries, audit log, and durable state.
+
+    All state lives under `data_dir`, written through `_write_file` and
+    `_append_line`, and is read back on construction; the CRL state is
+    rebuilt from the published CRL objects.
+    """
 
     def __init__(self, party_id: int, config: ProtocolConfig,
-                 data_dir: Optional[str], epoch: bytes,
+                 data_dir: str, epoch: bytes,
                  clock: Callable[[], float] = time.time,
                  policy: Optional[ConsentPolicy] = None) -> None:
         self.party_id = party_id
@@ -186,12 +223,10 @@ class PartyNode:
         self.policy = policy or ConsentPolicy()
         self.epoch = epoch
         self.clock = clock
-        self.dir = Path(data_dir) if data_dir is not None else None
-        if self.dir is not None:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            (self.dir / "objects").mkdir(exist_ok=True)
+        self.dir = Path(data_dir)
+        (self.dir / "objects").mkdir(parents=True, exist_ok=True)
 
-        self.tuple_store = TupleStore(str(self.dir) if self.dir else None, party_id)
+        self.tuple_store = TupleStore(str(self.dir), party_id)
         self.key_records: dict[str, KeyShareRecord] = {}
         self.mac_key: Optional[MacKeyShare] = None
         self.member_registry: dict[str, GroupPoint] = {}
@@ -202,84 +237,66 @@ class PartyNode:
         self.retired_epochs: set[bytes] = set()
         self.tainted_epochs: set[bytes] = set()
         self.audit_seq = 0
-        self._audit_lines: list[str] = []
         self.rng: Optional[random.Random] = None
         self.triple_source = None
         self.fault_plan: Optional[FaultPlan] = None
         # secret-share / public-open split of this node's latest keygen
         self.keygen_timings: dict[str, float] = {}
         self._lock = threading.Lock()
-        if self.dir is not None:
-            self._load()
+        self._load()
 
     # -- persistence --------------------------------------------------------
 
-    def _state_path(self) -> Path:
-        return self.dir / "state.json"
-
     def _load(self) -> None:
-        state = self._state_path()
+        state = self.dir / "state.json"
         if state.exists():
             blob = json.loads(state.read_text())
             self.retired_epochs = {bytes.fromhex(e) for e in blob.get("retired", [])}
             self.tainted_epochs = {bytes.fromhex(e) for e in blob.get("tainted", [])}
             if blob.get("mac_alpha"):
-                from ..algebra import FieldElement
-
                 self.mac_key = MacKeyShare(
                     self.party_id, FieldElement(int(blob["mac_alpha"], 16))
                 )
-        keys = self.dir / "keys.jsonl"
-        if keys.exists():
-            for line in keys.read_text().splitlines():
-                rec = json.loads(line)
-                self.key_records[rec["member"]] = KeyShareRecord(
-                    rec["member"],
-                    Share.from_bytes(bytes.fromhex(rec["share"])),
-                    GroupPoint.from_bytes(bytes.fromhex(rec["pk"])),
-                    bytes.fromhex(rec["epoch"]),
-                )
+        for rec in map(json.loads, _read_lines(self.dir / "keys.jsonl")):
+            self.key_records[rec["member"]] = KeyShareRecord(
+                rec["member"],
+                Share.from_bytes(bytes.fromhex(rec["share"])),
+                GroupPoint.from_bytes(bytes.fromhex(rec["pk"])),
+                bytes.fromhex(rec["epoch"]),
+            )
         members = self.dir / "members.json"
         if members.exists():
             for mid, pk_hex in json.loads(members.read_text()).items():
                 self.member_registry[mid] = GroupPoint.from_bytes(bytes.fromhex(pk_hex))
-        crl = self.dir / "crl.json"
-        if crl.exists():
-            self.crl_state = {
-                k: tuple(v) for k, v in json.loads(crl.read_text()).items()
-            }
-        tickets = self.dir / "tickets.jsonl"
-        if tickets.exists():
-            for line in tickets.read_text().splitlines():
-                rec = json.loads(line)
-                ticket = InterventionTicket(
-                    rec["ticket_id"], rec["member"], Action[rec["action"]],
-                    rec["reason"], rec["created_at"],
-                    [bytes.fromhex(b) for b in rec["payloads"]],
-                    rec["approved"], rec["completed"],
-                )
-                self.tickets[ticket.ticket_id] = ticket
-        objects_dir = self.dir / "objects"
-        for path in sorted(objects_dir.glob("*.obj")):
-            self.objects[path.name] = SignedObject.from_bytes(path.read_bytes())
-        audit = self.dir / "audit.jsonl"
-        if audit.exists():
-            self.audit_seq = len(audit.read_text().splitlines())
+        for rec in map(json.loads, _read_lines(self.dir / "tickets.jsonl")):
+            ticket = InterventionTicket(
+                rec["ticket_id"], rec["member"], Action[rec["action"]],
+                rec["reason"], rec["created_at"],
+                [bytes.fromhex(b) for b in rec["payloads"]],
+                rec["approved"], rec["completed"],
+            )
+            self.tickets[ticket.ticket_id] = ticket
+        # the manifest is a batch's commit point: an object file it does not
+        # list belongs to a batch cut off before its manifest was replaced
+        for name, _ in map(str.split, _read_lines(self.dir / "objects" / "manifest.txt")):
+            self.objects[name] = SignedObject.from_bytes((self.dir / "objects" / name).read_bytes())
+            self._merge_crl(self.objects[name].record())
+        legacy = self.dir / "crl.json"  # revocations kept by older versions; never written
+        if legacy.exists():
+            for issuer, serials in json.loads(legacy.read_text()).items():
+                self._merge_crl(CrlRecord(issuer, 0, tuple(serials)))
+        self.audit_seq = len(_read_lines(self.dir / "audit.jsonl"))
 
     def _save_state(self) -> None:
-        if self.dir is None:
-            return
         blob = {
             "retired": [e.hex() for e in sorted(self.retired_epochs)],
             "tainted": [e.hex() for e in sorted(self.tainted_epochs)],
             "mac_alpha": f"{self.mac_key.alpha_i.value:x}" if self.mac_key else None,
         }
-        self._state_path().write_text(json.dumps(blob))
+        _write_file(self.dir / "state.json", json.dumps(blob))
 
     def _persist_ticket(self, ticket: InterventionTicket) -> None:
-        if self.dir is None:
-            return
-        rec = {
+        _append_line(self.dir / "tickets.jsonl", {
             "ticket_id": ticket.ticket_id,
             "member": ticket.member_id,
             "action": ticket.action.name,
@@ -288,55 +305,39 @@ class PartyNode:
             "payloads": [b.hex() for b in ticket.payload_blobs],
             "approved": ticket.approved,
             "completed": ticket.completed,
-        }
-        with open(self.dir / "tickets.jsonl", "a") as out:
-            out.write(json.dumps(rec, sort_keys=True) + "\n")
+        })
 
     def audit(self, event: str, **fields) -> None:
         """Append one audit entry; logical sequence numbers keep logs replayable."""
         with self._lock:
             self.audit_seq += 1
-            entry = {"seq": self.audit_seq, "event": event}
-            entry.update(fields)
-            line = json.dumps(entry, sort_keys=True)
-            if self.dir is not None:
-                with open(self.dir / "audit.jsonl", "a") as out:
-                    out.write(line + "\n")
-                    out.flush()
-            else:
-                self._audit_lines.append(line)
+            _append_line(self.dir / "audit.jsonl",
+                         {"seq": self.audit_seq, "event": event, **fields})
 
     def audit_lines(self) -> list[str]:
-        if self.dir is not None:
-            path = self.dir / "audit.jsonl"
-            return path.read_text().splitlines() if path.exists() else []
-        return list(self._audit_lines)
+        with self._lock:
+            return _read_lines(self.dir / "audit.jsonl")
 
     # -- registries ----------------------------------------------------------
 
     def register_member(self, member_id: str, consent_pk: GroupPoint) -> None:
         self.member_registry[member_id] = consent_pk
-        if self.dir is not None:
-            (self.dir / "members.json").write_text(
-                json.dumps({m: pk.to_bytes().hex()
-                            for m, pk in self.member_registry.items()},
-                           sort_keys=True)
-            )
+        _write_file(self.dir / "members.json",
+                    json.dumps({m: pk.to_bytes().hex()
+                                for m, pk in self.member_registry.items()},
+                               sort_keys=True))
 
     def submit_consent(self, token: ConsentToken) -> None:
         self.consent_inbox[token.member_id] = token
 
     def store_key_record(self, record: KeyShareRecord) -> None:
         self.key_records[record.member_id] = record
-        if self.dir is not None:
-            rec = {
-                "member": record.member_id,
-                "share": record.sk_share.to_bytes().hex(),
-                "pk": record.pk.to_bytes().hex(),
-                "epoch": record.epoch.hex(),
-            }
-            with open(self.dir / "keys.jsonl", "a") as out:
-                out.write(json.dumps(rec, sort_keys=True) + "\n")
+        _append_line(self.dir / "keys.jsonl", {
+            "member": record.member_id,
+            "share": record.sk_share.to_bytes().hex(),
+            "pk": record.pk.to_bytes().hex(),
+            "epoch": record.epoch.hex(),
+        })
 
     def env(self) -> PhaseEnv:
         if self.epoch in self.retired_epochs:
@@ -508,38 +509,39 @@ class PartyNode:
     def object_filename(self, obj: SignedObject) -> str:
         record = obj.record()
         if isinstance(record, CrlRecord):
-            return f"crl-{record.issuer_id}-{record.this_update}.obj"
+            # two CRLs of one issuer may share this_update; the digest keeps both
+            return f"crl-{record.issuer_id}-{record.this_update}-{obj.digest.hex()[:16]}.obj"
         return f"{obj.payload_kind.name.lower()}-{record.serial}.obj"
 
     def publish_batch(self, objects: Sequence[SignedObject],
                       ticket_id: Optional[str] = None) -> None:
-        """Atomically publish a batch: all files, CRL merge, manifest, one audit entry."""
-        names = []
-        for obj in objects:
-            name = self.object_filename(obj)
-            names.append(name)
-            self.objects[name] = obj
-            record = obj.record()
-            if isinstance(record, CrlRecord):
-                merged = sorted(set(self.crl_state.get(record.issuer_id, ()))
-                                | set(record.revoked_serials))
-                self.crl_state[record.issuer_id] = tuple(merged)
-        if self.dir is not None:
-            for name, obj in zip(names, objects):
-                (self.dir / "objects" / name).write_bytes(obj.to_bytes())
-            (self.dir / "crl.json").write_text(
-                json.dumps({k: list(v) for k, v in sorted(self.crl_state.items())})
-            )
-            manifest = "".join(
-                f"{name} {self.objects[name].digest.hex()}\n"
-                for name in sorted(self.objects)
-            )
-            (self.dir / "objects" / "manifest.txt").write_text(manifest)
+        """Atomically publish a batch: all files, then the manifest that commits
+        them, then the CRL merge and one audit entry.
+
+        The node lock orders concurrent batches, so every manifest lists every
+        object published before it."""
+        with self._lock:
+            batch = {self.object_filename(obj): obj for obj in objects}
+            for name, obj in batch.items():
+                _write_file(self.dir / "objects" / name, obj.to_bytes())
+            listed = {**self.objects, **batch}
+            _write_file(self.dir / "objects" / "manifest.txt", "".join(
+                f"{name} {listed[name].digest.hex()}\n" for name in sorted(listed)
+            ))
+            self.objects.update(batch)
+            for obj in objects:
+                self._merge_crl(obj.record())
         self.audit(
             "published",
             digests=[obj.digest.hex() for obj in objects],
             ticket=ticket_id,
         )
+
+    def _merge_crl(self, record) -> None:
+        """Fold a CRL's serials into its issuer's revoked set; other records are ignored."""
+        if isinstance(record, CrlRecord):
+            merged = set(self.crl_state.get(record.issuer_id, ())) | set(record.revoked_serials)
+            self.crl_state[record.issuer_id] = tuple(sorted(merged))
 
     def revoked_serials(self) -> set[int]:
         out: set[int] = set()
@@ -562,6 +564,10 @@ class PartyNode:
 class LocalCluster:
     """Five RIR nodes over the in-process transport, driven phase by phase.
 
+    Node K keeps its state under `data_dir/partyK`, and cluster.json holds the
+    pair secret, epoch and boot count.  Without a data_dir the cluster uses a
+    throwaway directory, removed when the cluster object is garbage-collected.
+
     With a seed, every sampling source is derived deterministically, so two
     runs of the same scenario produce byte-identical audit logs and signed
     objects (zero-latency transport assumed).
@@ -582,10 +588,11 @@ class LocalCluster:
         self.policy = policy or ConsentPolicy()
         self.timeout = timeout
         self.clock = clock
-        self.data_dir = Path(data_dir) if data_dir is not None else None
-        self.participants = sorted(participants) if participants else list(
-            range(1, config.n + 1)
-        )
+        if data_dir is None:
+            self._throwaway_dir = tempfile.TemporaryDirectory(prefix="drpki-")
+            data_dir = self._throwaway_dir.name
+        self.data_dir = Path(data_dir)
+        self.participants = sorted(participants) if participants else list(range(1, config.n + 1))
         self.n_live = len(self.participants)
 
         pair_secret, epoch, boots = self._load_or_create_cluster_state(seed)
@@ -602,8 +609,8 @@ class LocalCluster:
 
         self.nodes: dict[int, PartyNode] = {}
         for party in self.participants:
-            node_dir = str(self.data_dir / f"party{party}") if self.data_dir else None
-            node = PartyNode(party, config, node_dir, self.epoch, clock, self.policy)
+            node = PartyNode(party, config, str(self.data_dir / f"party{party}"),
+                             self.epoch, clock, self.policy)
             node.rng = random.Random(_derive_seed(seed, f"party{party}")) if seeded else None
             self.nodes[party] = node
 
@@ -612,11 +619,7 @@ class LocalCluster:
         mac_keys = None
         if config.scheme.has_mac:
             mac_rng = random.Random(_derive_seed(seed, "mac")) if seeded else None
-            fresh = {
-                mk.owner: mk
-                for mk in generate_mac_keys(config.n, mac_rng)
-                if mk.owner in self.participants
-            }
+            fresh = {mk.owner: mk for mk in generate_mac_keys(config.n, mac_rng)}
             mac_keys = []
             for party in self.participants:
                 node = self.nodes[party]
@@ -645,39 +648,25 @@ class LocalCluster:
     # -- setup helpers ----------------------------------------------------------
 
     def _load_or_create_cluster_state(self, seed) -> tuple[bytes, bytes, int]:
-        if self.data_dir is not None:
-            self.data_dir.mkdir(parents=True, exist_ok=True)
-            state = self.data_dir / "cluster.json"
-            if state.exists():
-                blob = json.loads(state.read_text())
-                boots = blob.get("boots", 1) + 1
-                blob["boots"] = boots
-                state.write_text(json.dumps(blob))
-                return (
-                    bytes.fromhex(blob["pair_secret"]),
-                    bytes.fromhex(blob["epoch"]),
-                    boots,
-                )
-        if seed is not None:
-            setup_rng = random.Random(_derive_seed(seed, "setup"))
-            pair_secret = setup_rng.getrandbits(256).to_bytes(32, "big")
-            epoch = setup_rng.getrandbits(128).to_bytes(16, "big")
+        self.data_dir.mkdir(parents=True, exist_ok=True)
+        state = self.data_dir / "cluster.json"
+        if state.exists():
+            blob = json.loads(state.read_text())
         else:
-            pair_secret = secrets.token_bytes(32)
-            epoch = secrets.token_bytes(16)
-        if self.data_dir is not None:
-            (self.data_dir / "cluster.json").write_text(
-                json.dumps(
-                    {"pair_secret": pair_secret.hex(), "epoch": epoch.hex(), "boots": 1}
-                )
-            )
-        return pair_secret, epoch, 1
+            if seed is not None:
+                setup_rng = random.Random(_derive_seed(seed, "setup"))
+                pair_secret = setup_rng.getrandbits(256).to_bytes(32, "big")
+                epoch = setup_rng.getrandbits(128).to_bytes(16, "big")
+            else:
+                pair_secret, epoch = secrets.token_bytes(32), secrets.token_bytes(16)
+            blob = {"pair_secret": pair_secret.hex(), "epoch": epoch.hex(), "boots": 0}
+        blob["boots"] = blob.get("boots", 1) + 1
+        _write_file(state, json.dumps(blob))
+        return bytes.fromhex(blob["pair_secret"]), bytes.fromhex(blob["epoch"]), blob["boots"]
 
     def _member_lock(self, member_id: str) -> threading.Lock:
         with self._member_locks_guard:
-            if member_id not in self._member_locks:
-                self._member_locks[member_id] = threading.Lock()
-            return self._member_locks[member_id]
+            return self._member_locks.setdefault(member_id, threading.Lock())
 
     def _maybe_crash(self, point: str) -> None:
         if self.crash_hook is not None:
@@ -858,6 +847,8 @@ class LocalCluster:
         if request.member_id not in self.nodes[self.participants[0]].key_records:
             return SignOutcome("aborted", reason="no signing key for member")
         with self._member_lock(request.member_id):
+            if request.consent is not None:
+                self.submit_consent(request.consent)
             self._maybe_crash("before_consent")
             blobs = [encode_canonical(rec) for rec in request.payloads]
             return self._request(request.member_id, request.action, blobs)

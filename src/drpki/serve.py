@@ -8,9 +8,10 @@ as the in-process cluster, so keygen is checked and audited the same way.
 Preprocessing material comes from dealer files written ahead of time by
 `drpki deal`, matching the trusted-dealer model; every deal draws a fresh
 epoch, which the node takes from its file, and serve refuses to start
-without that file or without the config's pair_secret.  A dealer file is
-single-use: the first start leaves a `partyK.started` marker next to it,
-and serve refuses to start again until a new deal replaces the file.
+without that file or without the config's pair_secret or data_dir.  A
+dealer file is single-use: the first start leaves a `partyK.started`
+marker next to it, and serve refuses to start again until a new deal
+replaces the file.
 
 One party runs with --script and initiates each operation by broadcasting a
 control frame; the others follow.  Script lines:
@@ -31,10 +32,9 @@ import sys
 from pathlib import Path
 
 from .algebra import FieldElement, ecdsa_verify
-from .cli import SCHEME_NAMES, load_config
+from .cli import load_config, protocol_config
 from .preprocessing import FileReplay, TrustedDealer, write_replay_file
-from .sharing import MacKeyShare, SchemeId, generate_mac_keys
-from .tecdsa import ProtocolConfig
+from .sharing import MacKeyShare, generate_mac_keys
 from .runtime.node import OP_PHASES, PartyNode, session_id_for
 from .runtime.transport import (
     PHASE_CONTROL,
@@ -55,16 +55,11 @@ def _addresses(cfg) -> dict[int, tuple[str, int]]:
     return out
 
 
-def _scheme(cfg) -> SchemeId:
-    return SCHEME_NAMES[cfg["cluster"].get("scheme", "shamir")]
-
-
 def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int:
     """Write per-party dealer output under a fresh epoch: triples, input masks,
     MAC key shares."""
-    cfg = load_config(config_path)
-    scheme = _scheme(cfg)
-    proto = ProtocolConfig.for_scheme(scheme)
+    proto = protocol_config(load_config(config_path))
+    scheme = proto.scheme
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -96,11 +91,9 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
 def _open_node(cfg, party: int) -> PartyNode:
     """This party's node, on the epoch and preprocessing of its dealer file."""
     section = cfg["cluster"]
-    proto = ProtocolConfig.for_scheme(
-        _scheme(cfg), precompute_r=section.getboolean("precompute_r", False),
-    )
-    data_dir = section.get("data_dir")
-    dealer_dir = Path(section.get("triple_dir", "") or (data_dir or "."))
+    proto = protocol_config(cfg)
+    data_dir = section["data_dir"]
+    dealer_dir = Path(section.get("triple_dir", "") or data_dir)
     replay = dealer_dir / f"party{party}.triples"
     if not replay.exists():
         raise SystemExit(f"error: no dealer file {replay}; run `drpki deal` first")
@@ -113,8 +106,7 @@ def _open_node(cfg, party: int) -> PartyNode:
     except FileExistsError:
         raise SystemExit(f"error: party {party} already started from {replay}; "
                          "run `drpki deal` for a fresh dealer file") from None
-    node_dir = str(Path(data_dir) / f"party{party}") if data_dir else None
-    node = PartyNode(party, proto, node_dir, source.epoch)
+    node = PartyNode(party, proto, str(Path(data_dir) / f"party{party}"), source.epoch)
     node.triple_source = source
     mac_file = dealer_dir / f"party{party}.mac"
     if mac_file.exists():
@@ -165,6 +157,9 @@ def serve_node(config_path: str, party: int, script: str | None) -> int:
     if not pair_secret:
         raise SystemExit("error: the config has no pair_secret; serve refuses "
                          "to run channels without a shared secret")
+    if not cfg["cluster"].get("data_dir"):
+        raise SystemExit("error: the config has no data_dir; serve keeps the "
+                         "node's state on disk and refuses to run without one")
     node = _open_node(cfg, party)
     addresses = _addresses(cfg)
     participants = sorted(addresses)

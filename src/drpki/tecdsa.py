@@ -15,6 +15,7 @@ can never reuse a nonce.
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 import time
@@ -196,47 +197,51 @@ def _crc(body: bytes) -> bytes:
 
 
 class TupleStore:
-    """One party's tuple inventory, optionally persisted under a directory.
+    """One party's tuple inventory, persisted under a directory.
 
-    With directory=None the store is memory-only (benchmarks, throwaway
-    tests); otherwise every added tuple and every consumption is durable.
+    Every added tuple and every consumption is appended to its file before
+    the call returns; the per-tuple `consumed` flags mirror the journal.
+    After close() the store still answers reads, but adds and checkouts raise.
     """
 
-    def __init__(self, directory: Optional[str], party: int) -> None:
+    def __init__(self, directory: str, party: int) -> None:
         self._lock = threading.Lock()
         self.party = party
         self._initial: dict[bytes, InitialTuple] = {}
         self._final: dict[bytes, FinalTuple] = {}
-        self._consumed: set[tuple[int, bytes]] = set()
-        self._dir = Path(directory) if directory is not None else None
-        self._files = {}
-        if self._dir is not None:
-            self._dir.mkdir(parents=True, exist_ok=True)
-            self._load()
-            self._files["initial"] = open(self._dir / "tuples_initial.dat", "ab")
-            self._files["final"] = open(self._dir / "tuples_final.dat", "ab")
-            self._files["journal"] = open(self._dir / "tuples.journal", "ab")
-            for name, handle in self._files.items():
-                if handle.tell() == 0:
-                    magic = _JOURNAL_MAGIC if name == "journal" else _STORE_MAGIC
-                    handle.write(magic + bytes([self.party]))
-                    handle.flush()
+        self._dir = Path(directory)
+        self._dir.mkdir(parents=True, exist_ok=True)
+        self._load()
+        self._files = {
+            "initial": open(self._dir / "tuples_initial.dat", "ab"),
+            "final": open(self._dir / "tuples_final.dat", "ab"),
+            "journal": open(self._dir / "tuples.journal", "ab"),
+        }
+        for name, handle in self._files.items():
+            if handle.tell() == 0:
+                magic = _JOURNAL_MAGIC if name == "journal" else _STORE_MAGIC
+                handle.write(magic + bytes([self.party]))
+                handle.flush()
 
     # -- persistence ------------------------------------------------------
 
-    def _read_records(self, path: Path, width: int):
+    def _read_records(self, path: Path, width: int) -> list[bytes]:
+        """The CRC-valid records of one file.  A torn tail is cut off the
+        file, so later appends start on a record boundary."""
         if not path.exists():
-            return
+            return []
         data = path.read_bytes()
-        if len(data) < 5:
-            return
-        off = 5  # magic + party byte
+        records, off = [], 5  # magic + party byte
         while off + width <= len(data):
             body, crc = data[off:off + width - 4], data[off + width - 4:off + width]
             if _crc(body) != crc:
-                break  # torn tail write; everything after is discarded
-            yield body
+                break
+            records.append(body)
             off += width
+        end = off if off <= len(data) else 0  # a torn header goes too
+        if end < len(data):
+            os.truncate(path, end)
+        return records
 
     def _load(self) -> None:
         init_width = 16 + 16 + _POINT_PAD + _SHARE_PAD + 4
@@ -266,16 +271,13 @@ class TupleStore:
             rpt = _unpad_point(body[off:off + _POINT_PAD]) if has_r else None
             self._final[tid] = FinalTuple(tid, epoch, member, kpoint, kinv, skk, rpt)
         for body in self._read_records(self._dir / "tuples.journal", 21):
-            self._consumed.add((body[0], body[1:17]))
-        for kind, tid in self._consumed:
-            pool = self._initial if kind == _KIND_INITIAL else self._final
-            if tid in pool:
-                pool[tid].consumed = True
+            pool = self._initial if body[0] == _KIND_INITIAL else self._final
+            tup = pool.get(body[1:17])
+            if tup is not None:
+                tup.consumed = True
 
     def _append(self, name: str, body: bytes) -> None:
-        handle = self._files.get(name)
-        if handle is None:
-            return
+        handle = self._files[name]
         handle.write(body + _crc(body))
         handle.flush()
 
@@ -307,7 +309,6 @@ class TupleStore:
             )
 
     def _journal_consume(self, kind: int, tuple_id: bytes) -> None:
-        self._consumed.add((kind, tuple_id))
         self._append("journal", bytes([kind]) + tuple_id)
 
     def checkout_initial(self, epoch: bytes) -> InitialTuple:
@@ -383,7 +384,8 @@ class TupleStore:
 
     def consumed_ids(self) -> set[tuple[int, bytes]]:
         with self._lock:
-            return set(self._consumed)
+            return ({(_KIND_INITIAL, t.tuple_id) for t in self._initial.values() if t.consumed}
+                    | {(_KIND_FINAL, t.tuple_id) for t in self._final.values() if t.consumed})
 
     def initial_record(self, tuple_id: bytes) -> Optional[InitialTuple]:
         with self._lock:
@@ -392,7 +394,6 @@ class TupleStore:
     def close(self) -> None:
         for handle in self._files.values():
             handle.close()
-        self._files = {}
 
 
 # --- per-party phase environment ----------------------------------------------

@@ -250,6 +250,31 @@ def test_serve_refuses_config_without_pair_secret(workspace):
         run_cli("serve", "--config", str(config_path), "--party", "1")
 
 
+def test_serve_refuses_config_without_data_dir(workspace, monkeypatch):
+    monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoMesh)
+    config_path = workspace / "drpki.ini"
+    assert run_cli("deal", "--config", str(config_path), "--count", "1",
+                   "--out", str(workspace / "data" / "dealer")) == 0
+    cfg = load_config(str(config_path))
+    cfg.remove_option("cluster", "data_dir")
+    with open(config_path, "w") as out:
+        cfg.write(out)
+    with pytest.raises(SystemExit, match="data_dir"):
+        run_cli("serve", "--config", str(config_path), "--party", "1")
+
+
+def test_deal_rejects_unknown_scheme(workspace, capsys):
+    config_path = workspace / "drpki.ini"
+    cfg = load_config(str(config_path))
+    cfg["cluster"]["scheme"] = "bogus"
+    with open(config_path, "w") as out:
+        cfg.write(out)
+    with pytest.raises(SystemExit):
+        run_cli("deal", "--config", str(config_path), "--count", "1",
+                "--out", str(workspace / "dealer"))
+    assert "error: unknown scheme 'bogus'" in capsys.readouterr().err
+
+
 def test_serve_refuses_to_start_without_dealer_file(workspace):
     with pytest.raises(SystemExit, match="no dealer file"):
         run_cli("serve", "--config", str(workspace / "drpki.ini"), "--party", "1")

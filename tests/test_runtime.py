@@ -2,17 +2,22 @@
 
 import dataclasses
 import json
+import os
 import random
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
-from drpki.algebra import KeyPair, ecdsa_verify
+from drpki.algebra import KeyPair, ecdsa_sign, ecdsa_verify
 from drpki.bench import WAN_RTT_MS, critical_path_rtt, one_way_delays
 from drpki.preprocessing import TrustedDealer
-from drpki.rpki import Action, CrlRecord, IpPrefix, RoaRecord, plan_transfer, sign_consent
+from drpki.rpki import (
+    Action, CrlRecord, IpPrefix, PayloadKind, RoaRecord, SignedObject, encode_canonical,
+    plan_transfer, sign_consent,
+)
 from drpki.runtime import (
     FRAME_OVERHEAD,
     ConsentPolicy,
@@ -184,7 +189,7 @@ def _free_ports(n):
     return ports
 
 
-def test_full_pipeline_over_tcp_sockets():
+def test_full_pipeline_over_tcp_sockets(tmp_path):
     n, t = 5, 2
     scheme = SchemeId.SHAMIR
     config = ProtocolConfig.for_scheme(scheme)
@@ -208,7 +213,7 @@ def test_full_pipeline_over_tcp_sockets():
     envs = {
         p: PhaseEnv(
             party_id=p, config=config, epoch=epoch,
-            tuple_store=TupleStore(None, p),
+            tuple_store=TupleStore(str(tmp_path / f"party{p}"), p),
             triple_source=dealer.view_for(p),
             rng=random.Random(40 + p),
         )
@@ -318,6 +323,19 @@ def test_issue_with_consent_publishes_at_all_parties():
     cluster.close()
 
 
+def test_request_carries_its_own_consent():
+    cluster = make_cluster()
+    _, member_keys, roa = _issue_fixture(cluster)
+    token = sign_consent(member_keys.sk, "memberA", Action.ISSUE, [roa],
+                         expiry=int(time.time()) + 600, rng=rng)
+    outcome = cluster.handle_sign_request(
+        SignRequest("memberA", Action.ISSUE, [roa], token)
+    )
+    assert outcome.status == "published", outcome.reason
+    assert verify_audit_completeness(cluster)
+    cluster.close()
+
+
 def test_revoke_without_consent_aborts_by_default():
     cluster = make_cluster()
     _, _, roa = _issue_fixture(cluster)
@@ -358,7 +376,8 @@ def test_flag_policy_requires_quorum_approvals():
 
 
 def _drop_audit_events(node, event):
-    node._audit_lines[:] = [l for l in node._audit_lines if json.loads(l)["event"] != event]
+    kept = [l for l in node.audit_lines() if json.loads(l)["event"] != event]
+    (node.dir / "audit.jsonl").write_text("".join(l + "\n" for l in kept))
 
 
 def test_audit_replay_rejects_ticket_never_completed():
@@ -780,6 +799,185 @@ def test_reopened_durable_cluster_never_reissues_session_ids(tmp_path):
     assert not first & second
 
 
+def test_concurrent_batches_all_reach_the_manifest(tmp_path):
+    node = PartyNode(1, ProtocolConfig.for_scheme(SchemeId.SHAMIR), str(tmp_path), bytes(16))
+    signer = KeyPair.generate(rng)
+    signature = ecdsa_sign(signer.sk, b"any", rng=rng)
+
+    def batch(serial):
+        blob = encode_canonical(RoaRecord(
+            serial=serial, member_id="m", asn=64512,
+            prefixes=(IpPrefix.parse("192.0.2.0/24", 24),),
+            not_before=1500000000, not_after=1600000000, ee_pk=signer.pk))
+        return [SignedObject(PayloadKind(blob[0]), blob, signature, signer.pk)]
+
+    stale = []
+
+    def publisher(first):
+        for serial in range(first, first + 40):
+            node.publish_batch(batch(serial))
+            if f"roa-{serial}.obj" not in manifest.read_text():
+                stale.append(serial)
+
+    manifest = tmp_path / "objects" / "manifest.txt"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=publisher, args=(100 * k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not stale  # each publish returned with its object in the manifest
+    listed = [line.split()[0] for line in manifest.read_text().splitlines()]
+    assert sorted(listed) == sorted(node.objects)
+    assert len(node.objects) == 320
+    assert not list((tmp_path / "objects").glob("*.tmp"))
+    node.close()
+
+
+def test_torn_key_record_tail_is_cut_on_reopen(tmp_path):
+    cluster = make_cluster(data_dir=str(tmp_path))
+    pk = cluster.keygen("m")
+    cluster.preprocess_independent(2)
+    cluster.preprocess_dependent("m", 2)
+    cluster.close()
+    keys = tmp_path / "party1" / "keys.jsonl"
+    with open(keys, "a") as out:
+        out.write('{"epoch": "00", "member": "to')  # a crash mid-append
+    cluster = make_cluster(data_dir=str(tmp_path))
+    assert cluster.nodes[1].key_records["m"].pk == pk
+    assert keys.read_text().endswith("}\n")
+    assert ecdsa_verify(pk, b"after", cluster.run_signing("m", b"after").signature)
+    cluster.close()
+
+
+def test_torn_audit_tail_is_cut_on_reopen(tmp_path):
+    cluster = make_cluster(data_dir=str(tmp_path))
+    _, member_keys, roa = _issue_fixture(cluster)
+    cluster.close()
+    audit = tmp_path / "party1" / "audit.jsonl"
+    before = len(audit.read_text().splitlines())
+    with open(audit, "a") as out:
+        out.write('{"event": "consent_ver')  # a crash mid-append
+    cluster = make_cluster(data_dir=str(tmp_path))
+    token = sign_consent(member_keys.sk, "memberA", Action.ISSUE, [roa],
+                         expiry=int(time.time()) + 600, rng=rng)
+    cluster.submit_consent(token)
+    outcome = cluster.handle_sign_request(
+        SignRequest("memberA", Action.ISSUE, [roa], token)
+    )
+    assert outcome.status == "published"
+    entries = [json.loads(line) for line in cluster.nodes[1].audit_lines()]
+    assert len(entries) > before
+    assert [e["seq"] for e in entries] == list(range(1, len(entries) + 1))
+    assert verify_audit_completeness(cluster)
+    cluster.close()
+
+
+def test_reopened_cluster_rebuilds_revocations_from_crl_objects(tmp_path):
+    cluster = make_cluster(data_dir=str(tmp_path))
+    _, member_keys, _ = _issue_fixture(cluster)
+    for this_update, serials in ((1500000001, (1, 3)), (1500000002, (5,))):
+        crl = CrlRecord("memberA", this_update, serials)
+        token = sign_consent(member_keys.sk, "memberA", Action.REVOKE, [crl],
+                             expiry=int(time.time()) + 600, rng=rng)
+        cluster.submit_consent(token)
+        outcome = cluster.handle_sign_request(
+            SignRequest("memberA", Action.REVOKE, [crl], token)
+        )
+        assert outcome.status == "published"
+    revoked = {p: n.revoked_serials() for p, n in cluster.nodes.items()}
+    assert revoked[1] == {1, 3, 5}
+    cluster.close()
+    reopened = make_cluster(data_dir=str(tmp_path))
+    assert {p: n.revoked_serials() for p, n in reopened.nodes.items()} == revoked
+    assert not list(tmp_path.glob("party*/crl.json"))
+    reopened.close()
+
+
+def test_crls_sharing_this_update_both_survive_reopen(tmp_path):
+    cluster = make_cluster(data_dir=str(tmp_path))
+    _, member_keys, _ = _issue_fixture(cluster)
+    for serials in ((1,), (2,)):
+        crl = CrlRecord("memberA", 1500000001, serials)
+        token = sign_consent(member_keys.sk, "memberA", Action.REVOKE, [crl],
+                             expiry=int(time.time()) + 600, rng=rng)
+        outcome = cluster.handle_sign_request(
+            SignRequest("memberA", Action.REVOKE, [crl], token)
+        )
+        assert outcome.status == "published"
+    assert cluster.nodes[1].revoked_serials() == {1, 2}
+    cluster.close()
+    reopened = make_cluster(data_dir=str(tmp_path))
+    for node in reopened.nodes.values():
+        assert node.revoked_serials() == {1, 2}
+        assert sum(name.startswith("crl-") for name in node.objects) == 2
+    reopened.close()
+
+
+def test_revocations_in_an_older_crl_file_are_kept(tmp_path):
+    make_cluster(data_dir=str(tmp_path)).close()
+    (tmp_path / "party2" / "crl.json").write_text(json.dumps({"memberA": [4, 9]}))
+    reopened = make_cluster(data_dir=str(tmp_path))
+    assert reopened.nodes[2].revoked_serials() == {4, 9}
+    reopened.close()
+
+
+def test_transfer_cut_before_its_manifest_leaves_old_roa_valid(tmp_path, monkeypatch):
+    cluster = make_cluster(data_dir=str(tmp_path))
+    _, member_keys, roa = _issue_fixture(cluster)
+    token = sign_consent(member_keys.sk, "memberA", Action.ISSUE, [roa],
+                         expiry=int(time.time()) + 600, rng=rng)
+    assert cluster.handle_sign_request(
+        SignRequest("memberA", Action.ISSUE, [roa], token)).status == "published"
+    request = _transfer_request(cluster, member_keys, roa)
+    real_replace = os.replace
+
+    def killed_at_new_roa(src, dst):
+        if str(dst).endswith("roa-2.obj"):
+            raise CrashError("killed before the replacement ROA")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", killed_at_new_roa)
+    with pytest.raises(CrashError, match="replacement ROA"):
+        cluster.handle_sign_request(request)
+    monkeypatch.undo()
+    cluster.close()
+    # the CRL delta reached every node's disk, but no manifest lists it
+    assert all(list((tmp_path / f"party{p}" / "objects").glob("crl-*.obj"))
+               for p in range(1, 6))
+    reopened = make_cluster(data_dir=str(tmp_path))
+    for node in reopened.nodes.values():
+        assert set(node.objects) == {"roa-1.obj"}
+        assert node.revoked_serials() == set()
+    reopened.close()
+
+
+def test_failed_registry_write_keeps_previous_registry(tmp_path, monkeypatch):
+    cluster = make_cluster(data_dir=str(tmp_path))
+    first = KeyPair.generate(rng).pk
+    cluster.register_member("memberA", first)
+
+    def killed(src, dst):
+        raise CrashError("killed before rename")
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(CrashError):
+        cluster.register_member("memberB", KeyPair.generate(rng).pk)
+    monkeypatch.undo()
+    cluster.close()
+    # the torn write is a leftover temp file, which the reopen ignores
+    assert list((tmp_path / "party1").glob("members.json.*.tmp"))
+    reopened = make_cluster(data_dir=str(tmp_path))
+    for node in reopened.nodes.values():
+        assert node.member_registry == {"memberA": first}
+    reopened.close()
+
+
 # --- determinism ------------------------------------------------------------------------
 
 def test_fixed_seed_runs_are_byte_identical():
@@ -822,9 +1020,9 @@ def test_keygen_timed_refuses_long_member_id():
     cluster.close()
 
 
-def test_party_node_run_rejects_unknown_op():
+def test_party_node_run_rejects_unknown_op(tmp_path):
     config = ProtocolConfig.for_scheme(SchemeId.SHAMIR)
-    node = PartyNode(1, config, None, bytes(16))
+    node = PartyNode(1, config, str(tmp_path), bytes(16))
     hub = InProcessHub(derive_pair_keys(b"op", config.n))
     session = node.open_session(b"U" * 16, PHASE_CONTROL, range(1, 6),
                                 hub.endpoint(1), timeout=0.1)

@@ -431,7 +431,7 @@ def test_tuple_store_roundtrip_and_journal(tmp_path):
 
 def test_tuple_store_rejects_duplicates_and_reports_depletion(tmp_path):
     epoch = bytes(16)
-    store = TupleStore(None, party=2)
+    store = TupleStore(str(tmp_path), party=2)
     tup = InitialTuple(b"\x01" * 16, epoch, _sample_point(), _sample_share(owner=2))
     store.add_initial(tup)
     with pytest.raises(TupleReuseError):
@@ -456,3 +456,24 @@ def test_tuple_store_tolerates_torn_tail_write(tmp_path):
     assert revived.initial_stock(epoch) == 1
     assert revived.initial_record(b"\x01" * 16) is not None
     revived.close()
+
+
+def test_tuple_store_journal_appends_after_a_torn_tail_survive_reopen(tmp_path):
+    epoch = bytes(16)
+    store = TupleStore(str(tmp_path), party=1)
+    for i in range(3):
+        store.add_initial(InitialTuple(bytes([i]) * 16, epoch, _sample_point(),
+                                       _sample_share()))
+    store.checkout_initial_by_id(b"\x00" * 16, epoch)
+    store.close()
+    journal = tmp_path / "tuples.journal"
+    journal.write_bytes(journal.read_bytes() + b"\x00\x01\x01")  # torn append
+    revived = TupleStore(str(tmp_path), party=1)
+    assert revived.initial_stock(epoch) == 2
+    revived.checkout_initial_by_id(b"\x01" * 16, epoch)
+    revived.close()
+    # the consumption journaled after the torn tail survives another restart
+    third = TupleStore(str(tmp_path), party=1)
+    assert third.initial_stock(epoch) == 1
+    assert third.consumed_ids() == {(0, b"\x00" * 16), (0, b"\x01" * 16)}
+    third.close()
