@@ -10,13 +10,18 @@ over the in-process hub, one thread per party per op, and `drpki serve`
 runs one node over TCP.  Session ids are sha256(epoch | phase | counter) on
 both.  An op whose MAC check fails retires the node's own epoch.
 
-The `request` op is the one consent-gated signing path, in one session: the
-initiating node distributes the payloads; every node checks content and
-consent itself, audits its verdict and votes; on a quorum of ok votes every
-node signs in the same session and publishes.  A failed vote burns one
-final tuple and aborts, or under the flag policy opens an intervention
-ticket.  Completing a ticket is the same op: each node votes ok only if its
-own copy is approved, not completed, and holds the same payloads.
+The `request` op is the one consent-gated signing path, in one session, and
+its consent step rides on the rounds of `sign_online`.  Round 1 carries the
+initiator's payloads beside every node's final-tuple offer, and each node
+journals one agreed tuple per payload received.  Every node checks content
+and consent itself, audits its verdict, and votes in round 2 beside its R
+shares.  Only on a quorum of ok votes does a node reconstruct R and send its
+s shares in round 3 (then `mascot` runs its two-round MAC check), and it
+publishes.  So a `mascot` transfer takes 5 rounds and a one-payload
+`mal-shamir` request 3.  A failed vote burns the tuples agreed in round 1
+and aborts, or under the flag policy opens an intervention ticket.
+Completing a ticket is the same op: each node votes ok only if its own copy
+is approved, not completed, and holds the same payloads.
 """
 
 from __future__ import annotations
@@ -206,6 +211,64 @@ def _split_payloads(raw: bytes) -> list[bytes]:
     return blobs
 
 
+class _Refused(Exception):
+    """A request's votes hold no quorum of ok."""
+
+
+class _RequestGate:
+    """The consent step of one node's `request` op, riding on signing.
+
+    In round 1 the initiator's payloads go out beside the tuple offers; this
+    node checks content and consent itself (or its own ticket copy), audits
+    its verdict, and votes in round 2 beside its R shares.  Without a quorum
+    of ok votes `tally` raises `_Refused` before any R is reconstructed.
+    """
+
+    def __init__(self, node: "PartyNode", op: dict, session: PartySession,
+                 crash: Callable[[str], None]) -> None:
+        self.node, self.op, self.session, self.crash = node, op, session, crash
+        self.ticket_id = op.get("ticket")
+        self.count = len(op["payloads"])
+        self.lead = b"".join(
+            len(b).to_bytes(4, "big") + b for b in map(bytes.fromhex, op["payloads"])
+        ) if node.party_id == op["initiator"] else b""
+        self.blobs: list[bytes] = []
+        self.digest = ""
+        self.votes: dict[int, bytes] = {}
+
+    def read(self, leads: dict[int, bytes]) -> tuple[list[bytes], bytes]:
+        node, member_id = self.node, self.op["member"]
+        try:
+            self.blobs = _split_payloads(leads.get(self.op["initiator"], b""))
+            records = [decode_canonical(b) for b in self.blobs]
+        except (ValidationError, AlgebraError, ValueError, IndexError, struct.error):
+            self.session.abort("malformed request payload")
+        self.digest = hashlib.sha256(b"".join(self.blobs)).hexdigest()
+        if self.ticket_id is None:
+            action = Action[self.op["action"]]
+            verdict = verify_consent(node.consent_inbox.get(member_id), action,
+                                     records, node.member_registry, node.clock()).value
+            node.audit(
+                "consent_verdict", member=member_id, action=action.name,
+                digest=self.digest,
+                objects=[hashlib.sha256(encode_canonical(r)).hexdigest() for r in records],
+                verdict=verdict,
+            )
+        else:
+            ticket = node.tickets.get(self.ticket_id)
+            approved = (ticket is not None and ticket.approved and not ticket.completed
+                        and ticket.payload_blobs == self.blobs)
+            verdict = "ok" if approved else "unapproved"
+            node.audit("ticket_verdict", ticket=self.ticket_id, verdict=verdict)
+        return self.blobs, verdict.encode()
+
+    def tally(self, votes: dict[int, bytes]) -> None:
+        self.votes = votes
+        if sum(v == b"ok" for v in votes.values()) < self.node.config.quorum:
+            raise _Refused()
+        self.crash("after_consent")
+
+
 class PartyNode:
     """One RIR node: stores, registries, audit log, and durable state.
 
@@ -264,10 +327,13 @@ class PartyNode:
                 GroupPoint.from_bytes(bytes.fromhex(rec["pk"])),
                 bytes.fromhex(rec["epoch"]),
             )
-        members = self.dir / "members.json"
-        if members.exists():
-            for mid, pk_hex in json.loads(members.read_text()).items():
-                self.member_registry[mid] = GroupPoint.from_bytes(bytes.fromhex(pk_hex))
+        # a whole-file registry left by an older version, then the appended one
+        whole = self.dir / "members.json"
+        members = json.loads(whole.read_text()) if whole.exists() else {}
+        for rec in map(json.loads, _read_lines(self.dir / "members.jsonl")):
+            members[rec["member"]] = rec["pk"]  # a later line wins
+        for mid, pk_hex in members.items():
+            self.member_registry[mid] = GroupPoint.from_bytes(bytes.fromhex(pk_hex))
         for rec in map(json.loads, _read_lines(self.dir / "tickets.jsonl")):
             ticket = InterventionTicket(
                 rec["ticket_id"], rec["member"], Action[rec["action"]],
@@ -322,10 +388,8 @@ class PartyNode:
 
     def register_member(self, member_id: str, consent_pk: GroupPoint) -> None:
         self.member_registry[member_id] = consent_pk
-        _write_file(self.dir / "members.json",
-                    json.dumps({m: pk.to_bytes().hex()
-                                for m, pk in self.member_registry.items()},
-                               sort_keys=True))
+        _append_line(self.dir / "members.jsonl",
+                     {"member": member_id, "pk": consent_pk.to_bytes().hex()})
 
     def submit_consent(self, token: ConsentToken) -> None:
         self.consent_inbox[token.member_id] = token
@@ -424,70 +488,39 @@ class PartyNode:
                  crash: Callable[[str], None]) -> SignOutcome:
         member_id, action = op["member"], Action[op["action"]]
         initiator, ticket_id = op["initiator"], op.get("ticket")
-        # round 1: the initiator distributes the payloads
-        mine = b"".join(
-            len(b).to_bytes(4, "big") + b for b in map(bytes.fromhex, op["payloads"])
-        ) if self.party_id == initiator else b""
-        raw = session.broadcast(mine).get(initiator, mine)
+        gate = _RequestGate(self, op, session, crash)
         try:
-            blobs = _split_payloads(raw)
-            records = [decode_canonical(b) for b in blobs]
-        except (ValidationError, AlgebraError, ValueError, IndexError, struct.error):
-            session.abort("malformed request payload")
-        digest = hashlib.sha256(b"".join(blobs)).hexdigest()
-
-        # round 2: every party checks the request itself, audits, and votes
-        if ticket_id is None:
-            verdict = verify_consent(self.consent_inbox.get(member_id), action,
-                                     records, self.member_registry, self.clock()).value
-            self.audit(
-                "consent_verdict", member=member_id, action=action.name, digest=digest,
-                objects=[hashlib.sha256(encode_canonical(r)).hexdigest() for r in records],
-                verdict=verdict,
-            )
-        else:
-            ticket = self.tickets.get(ticket_id)
-            approved = (ticket is not None and ticket.approved and not ticket.completed
-                        and ticket.payload_blobs == blobs)
-            verdict = "ok" if approved else "unapproved"
-            self.audit("ticket_verdict", ticket=ticket_id, verdict=verdict)
-        votes = session.broadcast(verdict.encode())
-        votes[self.party_id] = verdict.encode()
-
-        if sum(v == b"ok" for v in votes.values()) < self.config.quorum:
-            try:
-                self.tuple_store.checkout_final(member_id, self.epoch)
-            except StockDepletedError:
-                pass
+            sign_results = sign_online(self.env(), session, member_id, gate=gate)
+        except _Refused:
+            # the agreed tuples are journaled already: the refusal burns them
             reason = ("ticket-unapproved" if ticket_id is not None
-                      else "consent-missing" if votes[initiator] == b"missing"
+                      else "consent-missing" if gate.votes.get(initiator) == b"missing"
                       else "consent-invalid")
             if (ticket_id is None and self.policy.flag_on_failed_consent
                     and action in self.policy.flag_eligible):
                 ticket_id = hashlib.sha256(
-                    digest.encode() + member_id.encode()
+                    gate.digest.encode() + member_id.encode()
                 ).hexdigest()[:16]
                 ticket = InterventionTicket(ticket_id, member_id, action, reason,
-                                            self.clock(), blobs)
+                                            self.clock(), gate.blobs)
                 self.tickets[ticket_id] = ticket
                 self._persist_ticket(ticket)
                 self.audit("ticket_created", ticket=ticket_id, reason=reason)
                 return SignOutcome("flagged", ticket_id=ticket_id, reason=reason)
-            self.audit("sign_aborted", member=member_id, digest=digest, reason=reason)
+            self.audit("sign_aborted", member=member_id, digest=gate.digest, reason=reason)
             return SignOutcome("aborted", reason=reason)
 
-        crash("after_consent")
-        sign_results = sign_online(self.env(), session, member_id, blobs)
         crash("after_sign")
         pk = self.key_records[member_id].pk
         objects = [SignedObject(PayloadKind(blob[0]), blob, result.signature, pk)
-                   for blob, result in zip(blobs, sign_results)]
+                   for blob, result in zip(gate.blobs, sign_results)]
         crash("before_publish")
         self.publish_batch(objects, ticket_id=ticket_id)
         crash("after_publish")
         if ticket_id is None:
             self.consent_inbox.pop(member_id, None)
         else:
+            ticket = self.tickets[ticket_id]
             ticket.completed = True
             self._persist_ticket(ticket)
             self.audit("ticket_completed", ticket=ticket_id)

@@ -164,14 +164,27 @@ class PartySession:
             return items
         return [corrupt(x) if self.fault_plan.take() else x for x in items]
 
-    def _open_round(self, mine: list, encode, decode, reconstruct) -> list:
+    def _open_round(self, mine: list, encode, decode, reconstruct,
+                    note: Optional[bytes] = None, read_notes=None) -> list:
         """One broadcast round opening a batch of shared values.
 
         Every peer's payload must decode, through `decode(peer, blob, count)`,
         to exactly one share per value, or the session aborts; so does a
-        failed reconstruction check.
+        failed reconstruction check.  A `note` of at most 255 bytes rides
+        ahead of the shares, and every party's note, this party's included,
+        goes to `read_notes` before any share is decoded.
         """
-        replies = self.broadcast(b"".join(encode(s) for s in mine))
+        payload = b"".join(encode(s) for s in mine)
+        if note is not None:
+            payload = bytes([len(note)]) + note + payload
+        replies = self.broadcast(payload)
+        if note is not None:
+            notes = {self.party_id: note}
+            for peer, blob in replies.items():
+                if not blob or len(blob) < 1 + blob[0]:
+                    self.abort("malformed open payload")
+                notes[peer], replies[peer] = blob[1:1 + blob[0]], blob[1 + blob[0]:]
+            read_notes(notes)
         per_party = {self.party_id: mine}
         for peer, blob in replies.items():
             try:
@@ -227,12 +240,18 @@ class PartySession:
                 self.mac_accumulator.record(value, share.mac)
         return values
 
-    def open_point_batch(self, points: Sequence[GroupPoint]) -> list[GroupPoint]:
-        """Open shares of curve points (one broadcast round, batched)."""
+    def open_point_batch(self, points: Sequence[GroupPoint], note: Optional[bytes] = None,
+                         read_notes=None) -> list[GroupPoint]:
+        """Open shares of curve points (one broadcast round, batched).
+
+        A `note` and its reader ride on the round as in `_open_round`; an
+        exception `read_notes` raises ends the open before any point is
+        decoded or reconstructed.
+        """
         sent = self._faulted(list(points), lambda p: p + GENERATOR)
         mine = [PointShare(self.scheme, self.party_id, p) for p in sent]
         return self._open_round(mine, _encode_point_share, self._decode_points,
-                                open_point_shares)
+                                open_point_shares, note, read_notes)
 
     def open_point(self, point: GroupPoint) -> GroupPoint:
         return self.open_point_batch([point])[0]

@@ -23,7 +23,7 @@ import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Protocol, Sequence
 
 from .algebra import (
     GENERATOR,
@@ -548,10 +548,9 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
 
     # Agree on which unconsumed initial tuples this run binds, so stores left
     # asymmetric by a crash can never pair up different instance keys.
-    chosen = _agree_on_tuples(
-        session, env.tuple_store.available_initial_ids(env.epoch, limit=count + 16),
-        count, "initial preprocessing tuples depleted",
-    )
+    common, _ = _offer_round(
+        session, env.tuple_store.available_initial_ids(env.epoch, limit=count + 16))
+    chosen = _take(common, count, "initial preprocessing tuples depleted")
     initials = [env.tuple_store.checkout_initial_by_id(tid, env.epoch) for tid in chosen]
     triples = [env.triple_source.next_triple(cfg.scheme) for _ in range(count)]
 
@@ -586,19 +585,37 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
     return finals
 
 
-def _agree_on_tuples(session, my_ids: Sequence[bytes], count: int,
-                     depleted_message: str) -> list[bytes]:
-    """One round agreeing on `count` tuple ids every participant still holds."""
-    payload = b"".join(my_ids)
-    replies = session.broadcast(payload)
-    common = set(my_ids)
-    for blob in replies.values():
+def _offer_round(session, my_ids: Sequence[bytes],
+                 lead: Optional[bytes] = None) -> tuple[list[bytes], dict[int, bytes]]:
+    """One broadcast round of tuple-id offers.
+
+    Returns the ids every participant offered, sorted, and every party's
+    `lead` (this party's included).  Without a lead a frame is the bare ids;
+    with one it is a 4-byte id count, the ids and then the lead, so a frame
+    cut short loses its lead before any id.
+    """
+    mine = b"".join(my_ids)
+    if lead is not None:
+        mine = len(my_ids).to_bytes(4, "big") + mine + lead
+    replies = session.broadcast(mine)
+    common, leads = set(my_ids), {session.party_id: lead}
+    for peer, blob in replies.items():
+        if lead is not None:
+            end = 4 + 16 * int.from_bytes(blob[:4], "big")
+            if len(blob) < end:
+                session.abort("malformed tuple id payload")
+            blob, leads[peer] = blob[4:end], blob[end:]
         if len(blob) % 16:
             session.abort("malformed tuple id payload")
         common &= {blob[i * 16:(i + 1) * 16] for i in range(len(blob) // 16)}
+    return sorted(common), leads
+
+
+def _take(common: list[bytes], count: int, depleted_message: str) -> list[bytes]:
+    """The first `count` agreed ids; too few is a depleted stock."""
     if len(common) < count:
         raise StockDepletedError(depleted_message)
-    return sorted(common)[:count]
+    return common[:count]
 
 
 # --- phase 4: online signing ------------------------------------------------------
@@ -608,8 +625,27 @@ def _agree_on_tuples(session, my_ids: Sequence[bytes], count: int,
 _SPARE_OFFER = 15
 
 
+class SigningGate(Protocol):
+    """A consent step that rides on the first two rounds of `sign_online`.
+
+    `count` sizes this party's first tuple offer, and `lead` goes out after
+    that offer in round 1.  `read(leads)` takes every party's round-1 lead and
+    returns the messages to sign and this party's vote, which goes out with
+    its R shares in round 2.  `tally(votes)` takes every party's vote before
+    any R is reconstructed, and raises to stop the signing there.
+    """
+
+    count: int
+    lead: bytes
+
+    def read(self, leads: dict[int, bytes]) -> tuple[list[bytes], bytes]: ...
+
+    def tally(self, votes: dict[int, bytes]) -> None: ...
+
+
 def sign_online(env: PhaseEnv, session, member_id: str,
-                messages: Sequence[bytes]) -> list[SignResult]:
+                messages: Sequence[bytes] = (),
+                gate: Optional[SigningGate] = None) -> list[SignResult]:
     """Sign every message of one request in one session; field operations only.
 
     One round agrees on a final tuple per message, and every chosen tuple is
@@ -621,10 +657,23 @@ def sign_online(env: PhaseEnv, session, member_id: str,
     returning any; a failure aborts rather than emitting bad bytes.  A
     degenerate instance key (R the identity, r_x = 0 or s = 0) sends only
     its message into the next pass, within DEGENERATE_RETRY_BUDGET passes.
+
+    With a `gate`, the messages come from its round-1 leads instead, and its
+    votes ride on the first R round, which then runs even when every R was
+    precomputed.  A consent step thus adds no round of its own, and a
+    refused request has journaled its tuples and sent no s share.
     """
     record = env.key_records.get(member_id)
     if record is None:
         raise TecdsaError(f"no key shares for member {member_id!r}")
+    depleted = f"final tuples for member {member_id!r} depleted"
+    store = env.tuple_store
+    vote = None
+    if gate is not None:
+        offer = store.available_final_ids(member_id, env.epoch,
+                                          limit=_SPARE_OFFER + gate.count)
+        common, leads = _offer_round(session, offer, gate.lead)
+        messages, vote = gate.read(leads)
     hashes = [hash_to_scalar(m) for m in messages]
     zero = FieldElement.zero()
     results: list[Optional[SignResult]] = [None] * len(messages)
@@ -632,14 +681,19 @@ def sign_online(env: PhaseEnv, session, member_id: str,
 
     ops_entry = OP_COUNTER.total()
     for _ in range(DEGENERATE_RETRY_BUDGET):
-        offer = env.tuple_store.available_final_ids(
-            member_id, env.epoch, limit=_SPARE_OFFER + len(pending))
-        chosen = _agree_on_tuples(session, offer, len(pending),
-                                  f"final tuples for member {member_id!r} depleted")
-        tuples = [env.tuple_store.checkout_final_by_id(tid, member_id, env.epoch)
-                  for tid in chosen]
+        if vote is None:
+            offer = store.available_final_ids(member_id, env.epoch,
+                                              limit=_SPARE_OFFER + len(pending))
+            common, _ = _offer_round(session, offer)
+        tuples = [store.checkout_final_by_id(tid, member_id, env.epoch)
+                  for tid in _take(common, len(pending), depleted)]
         unopened = [t.k_point_share for t in tuples if t.r_point is None]
-        opened = iter(session.open_point_batch(unopened) if unopened else ())
+        if vote is not None:
+            opened = session.open_point_batch(unopened, vote, gate.tally)
+            vote = None
+        else:
+            opened = session.open_point_batch(unopened) if unopened else []
+        opened = iter(opened)
         r_points = [t.r_point if t.r_point is not None else next(opened) for t in tuples]
 
         ops_r_done = OP_COUNTER.total()

@@ -32,6 +32,7 @@ from drpki.runtime import (
     TcpNodeTransport,
     verify_audit_completeness,
 )
+from drpki.runtime import node as node_module
 from drpki.runtime.session import FaultPlan
 from drpki.runtime.transport import (
     PHASE_CONTROL,
@@ -596,6 +597,26 @@ def test_truncated_request_payload_aborts_promptly():
     cluster.close()
 
 
+@pytest.mark.parametrize("round_, rewrite, reason", [
+    (1, lambda p: p[:3], "malformed tuple id payload"),
+    (2, lambda p: b"\xff" + p[1:], "malformed open payload"),
+], ids=["offer-count", "vote-length"])
+def test_request_frame_with_a_bad_length_field_aborts_promptly(round_, rewrite, reason):
+    # party 2's round-1 frame loses the end of its 4-byte id count, or its
+    # round-2 vote claims 255 bytes
+    cluster = make_cluster()
+    _, member_keys, roa = _issue_fixture(cluster)
+    request = _issue_request(cluster, member_keys, roa)
+    _rewrite_frames(cluster, 2, PHASE_ONLINE, round_, rewrite)
+    started = time.perf_counter()
+    outcome = cluster.handle_sign_request(request)
+    assert time.perf_counter() - started < 5.0
+    assert outcome.status == "aborted"
+    assert reason in outcome.reason
+    assert all(not node.objects for node in cluster.nodes.values())
+    cluster.close()
+
+
 def test_sign_request_completes_with_three_live_parties():
     cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.SHAMIR), seed=66,
                            participants=[1, 3, 5])
@@ -667,22 +688,26 @@ def test_transfer_stock_check_covers_both_payloads(policy):
     cluster.close()
 
 
-@pytest.mark.parametrize("scheme, transfer, rounds", [
-    (SchemeId.ADDITIVE_MAC, True, 7),
-    (SchemeId.SHAMIR_CHECKED, False, 5),
-], ids=["mascot-transfer", "mal-shamir-issue"])
-def test_sign_request_round_count(monkeypatch, scheme, transfer, rounds):
-    # one session: payloads, votes, tuple ids, R open, s open, and two
-    # MAC-check rounds under mascot, once for the whole request
-    cluster = make_cluster(scheme)
+@pytest.mark.parametrize("scheme, op, precompute_r, rounds", [
+    (SchemeId.ADDITIVE_MAC, "transfer", False, 5),
+    (SchemeId.SHAMIR_CHECKED, "issue", False, 3),
+    (SchemeId.ADDITIVE_MAC, "transfer", True, 5),
+    (SchemeId.ADDITIVE_MAC, "sign", False, 5),
+    (SchemeId.SHAMIR_CHECKED, "sign", True, 2),
+], ids=["mascot-transfer", "mal-shamir-issue", "mascot-transfer-precompute-r",
+        "mascot-sign", "mal-shamir-sign-precompute-r"])
+def test_sign_request_round_count(monkeypatch, scheme, op, precompute_r, rounds):
+    # a request is one session: payloads and tuple ids, votes and R shares
+    # (votes alone when R was precomputed), s shares, and two MAC-check
+    # rounds under mascot, once for the whole request; a plain sign op keeps
+    # its rounds: tuple ids, R (none when precomputed), s and the MAC check
+    cluster = LocalCluster(ProtocolConfig.for_scheme(scheme, precompute_r=precompute_r),
+                           seed=55)
     _, member_keys, roa = _issue_fixture(cluster)
-    if transfer:
+    if op == "transfer":
         request = _transfer_request(cluster, member_keys, roa)
-    else:
-        token = sign_consent(member_keys.sk, "memberA", Action.ISSUE, [roa],
-                             expiry=int(time.time()) + 600, rng=rng)
-        cluster.submit_consent(token)
-        request = SignRequest("memberA", Action.ISSUE, [roa], token)
+    elif op == "issue":
+        request = _issue_request(cluster, member_keys, roa)
     counts = {}
     sessions = {}
     run_round = PartySession.run_round
@@ -693,11 +718,70 @@ def test_sign_request_round_count(monkeypatch, scheme, transfer, rounds):
         return run_round(self, payloads)
 
     monkeypatch.setattr(PartySession, "run_round", counting)
-    outcome = cluster.handle_sign_request(request)
-    assert outcome.status == "published"
-    assert len(outcome.objects) == len(request.payloads)
+    if op == "sign":
+        assert len(cluster.run_signing("memberA", [b"one", b"two"])) == 2
+    else:
+        outcome = cluster.handle_sign_request(request)
+        assert outcome.status == "published"
+        assert len(outcome.objects) == len(request.payloads)
     assert counts == {p: rounds for p in cluster.participants}
     assert all(len(sessions[p]) == 1 for p in cluster.participants)
+    cluster.close()
+
+
+def test_refused_transfer_burns_its_tuples_before_any_s_share(monkeypatch):
+    # a token signed by a key the registry does not hold: the votes fail in
+    # round 2, so no party sends an s share, and each has burned the two
+    # tuples agreed in round 1
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    _, member_keys, roa = _issue_fixture(cluster)
+    request = _transfer_request(cluster, KeyPair.generate(rng), roa)
+    stocks = _final_stocks(cluster, "memberA")
+    counts = {}
+    run_round = PartySession.run_round
+
+    def counting(self, payloads):
+        counts[self.party_id] = counts.get(self.party_id, 0) + 1
+        return run_round(self, payloads)
+
+    monkeypatch.setattr(PartySession, "run_round", counting)
+    outcome = cluster.handle_sign_request(request)
+    assert outcome.status == "aborted"
+    assert outcome.reason == "consent-invalid"
+    assert counts == {p: 2 for p in cluster.participants}
+    assert _final_stocks(cluster, "memberA") == {p: s - 2 for p, s in stocks.items()}
+    assert all(not node.objects for node in cluster.nodes.values())
+    assert verify_audit_completeness(cluster)
+    cluster.close()
+
+
+@pytest.mark.parametrize("op", ["request", "sign"])
+@pytest.mark.parametrize("scheme", [SchemeId.ADDITIVE_MAC, SchemeId.SHAMIR_CHECKED],
+                         ids=["mascot", "mal-shamir"])
+def test_agreed_tuples_are_journaled_before_round_two(monkeypatch, scheme, op):
+    # what each party had journaled when it sent round 2 of the signing session
+    cluster = make_cluster(scheme)
+    _, member_keys, roa = _issue_fixture(cluster)
+    request = _transfer_request(cluster, member_keys, roa)
+    journaled = {}
+    run_round = PartySession.run_round
+
+    def checking(self, payloads):
+        if self.phase == PHASE_ONLINE and self.round == 1:
+            journaled[self.party_id] = cluster.nodes[self.party_id].tuple_store.consumed_ids()
+        return run_round(self, payloads)
+
+    monkeypatch.setattr(PartySession, "run_round", checking)
+    if op == "request":
+        outcome = cluster.handle_sign_request(request)
+        assert outcome.status == "published"
+        results = outcome.sign_results
+    else:
+        results = cluster.run_signing("memberA", [b"one", b"two"])
+    agreed = {(1, res.tuple_id) for res in results}
+    assert len(agreed) == 2
+    assert set(journaled) == set(cluster.participants)
+    assert all(agreed <= ids for ids in journaled.values())
     cluster.close()
 
 
@@ -962,19 +1046,49 @@ def test_failed_registry_write_keeps_previous_registry(tmp_path, monkeypatch):
     first = KeyPair.generate(rng).pk
     cluster.register_member("memberA", first)
 
-    def killed(src, dst):
-        raise CrashError("killed before rename")
+    class Torn:
+        # a file whose write is killed halfway through its line
+        def __init__(self, handle):
+            self.handle = handle
 
-    monkeypatch.setattr(os, "replace", killed)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.handle.write(data[:len(data) // 2])
+            raise CrashError("killed mid-append")
+
+    monkeypatch.setattr(node_module, "open",
+                        lambda path, mode="r": Torn(open(path, mode)), raising=False)
     with pytest.raises(CrashError):
         cluster.register_member("memberB", KeyPair.generate(rng).pk)
     monkeypatch.undo()
     cluster.close()
-    # the torn write is a leftover temp file, which the reopen ignores
-    assert list((tmp_path / "party1").glob("members.json.*.tmp"))
+    # the torn write is a final line without its newline, which the reopen cuts
+    registry = tmp_path / "party1" / "members.jsonl"
+    assert not registry.read_text().endswith("\n")
     reopened = make_cluster(data_dir=str(tmp_path))
     for node in reopened.nodes.values():
         assert node.member_registry == {"memberA": first}
+    assert registry.read_text().count("\n") == 1 and registry.read_text().endswith("\n")
+    reopened.close()
+
+
+def test_registry_written_whole_by_an_older_version_is_read(tmp_path):
+    cluster = make_cluster(data_dir=str(tmp_path))
+    old, new = KeyPair.generate(rng).pk, KeyPair.generate(rng).pk
+    cluster.close()
+    (tmp_path / "party1" / "members.json").write_text(json.dumps(
+        {"memberA": old.to_bytes().hex(), "memberB": old.to_bytes().hex()}))
+    cluster = make_cluster(data_dir=str(tmp_path))
+    cluster.register_member("memberB", new)
+    cluster.close()
+    reopened = make_cluster(data_dir=str(tmp_path))
+    # an appended line wins over the older whole file
+    assert reopened.nodes[1].member_registry == {"memberA": old, "memberB": new}
     reopened.close()
 
 
