@@ -335,7 +335,7 @@ def cmd_intervene(args) -> int:
             return 0
         if args.intervene_cmd == "approve":
             count = cluster.approve_ticket(args.ticket, args.party)
-            needed = cluster.config.t + 1
+            needed = cluster.config.quorum
             print(f"ticket {args.ticket}: {count}/{needed} approvals")
             if count >= needed and args.complete:
                 outcome = cluster.complete_ticket(args.ticket)

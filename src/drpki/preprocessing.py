@@ -242,8 +242,7 @@ def _read_share_body(buf: BinaryIO, scheme: SchemeId, owner: int) -> Share:
     value = FieldElement.from_bytes(buf.read(32))
     mac_raw = buf.read(32)
     mac = FieldElement.from_bytes(mac_raw) if scheme.has_mac else None
-    eval_point = FieldElement(owner) if scheme.is_shamir else None
-    return Share(scheme, owner, value, mac, eval_point)
+    return Share(scheme, owner, value, mac)
 
 
 def write_replay_file(

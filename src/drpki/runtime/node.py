@@ -8,7 +8,8 @@ one op (keygen, preprocess-independent, preprocess-dependent, sign,
 request) over it.  Both transports use it: the LocalCluster runs five nodes
 over the in-process hub, one thread per party per op, and `drpki serve`
 runs one node over TCP.  Session ids are sha256(epoch | phase | counter) on
-both.  An op whose MAC check fails retires the node's own epoch.
+both.  An op whose MAC check fails at this node retires the node's own
+epoch; a peer's abort frame, whatever its text, never does.
 
 The `request` op is the one consent-gated signing path, in one session, and
 its consent step rides on the rounds of `sign_online`.  Round 1 carries the
@@ -445,13 +446,14 @@ class PartyNode:
         result: the key record, the new tuples, one SignResult per message
         of the `sign` op's "messages" list, in order, or the `request` op's
         SignOutcome.  `crash(point)` is called at each crash point of the
-        `request` op.  A failed MAC check retires this node's epoch; a
-        `request` op that aborts returns an aborted outcome.
+        `request` op.  Only this node's own failed MAC check retires its
+        epoch, never a peer's abort; a `request` op that aborts returns an
+        aborted outcome.
         """
         try:
             return self._run(op, session, crash)
         except ProtocolAbort as exc:
-            if "MAC check failed" in str(exc):
+            if session.mac_failed:
                 self.retired_epochs.add(self.epoch)
                 self._save_state()
                 self.audit("epoch_retired", epoch=self.epoch.hex())
@@ -712,10 +714,7 @@ class LocalCluster:
         return session_id_for(self.epoch, phase, counter)
 
     def _require_liveness(self) -> None:
-        cfg = self.config
-        if cfg.scheme.requires_all_parties and self.n_live < cfg.n:
-            raise SessionAbort("party unavailable")
-        if self.n_live < cfg.quorum:
+        if self.n_live < self.config.quorum:
             raise SessionAbort("party unavailable")
 
     # -- phase runner -------------------------------------------------------------
@@ -924,10 +923,9 @@ class LocalCluster:
     def complete_ticket(self, ticket_id: str) -> SignOutcome:
         """Finish a flagged request once a quorum of approvals is recorded."""
         approvals = self.ticket_approvals(ticket_id)
-        needed = self.config.t + 1
-        if approvals < needed:
+        if approvals < self.config.quorum:
             raise TecdsaError(
-                f"ticket {ticket_id} has {approvals} approvals, needs {needed}"
+                f"ticket {ticket_id} has {approvals} approvals, needs {self.config.quorum}"
             )
         sample = next(
             node.tickets[ticket_id]

@@ -93,6 +93,8 @@ class PartySession:
         self.fault_plan = fault_plan
         self.round = 0
         self.dropped = 0
+        # set when this party's own MAC check fails; a peer's abort never sets it
+        self.mac_failed = False
         self.mac_accumulator = MacCheckAccumulator(session_id)
         self._buffered: dict[tuple[int, int], bytes] = {}
         self._high_water: dict[int, int] = {}
@@ -201,7 +203,7 @@ class PartySession:
         return opened
 
     def _decode_field(self, peer: int, blob: bytes, count: int) -> list[Share]:
-        width = 66 if self.scheme.has_mac else 34
+        width = self.scheme.share_bytes
         if len(blob) != width * count:
             raise SharingError("open payload length")
         shares = [Share.from_bytes(blob[i * width:(i + 1) * width]) for i in range(count)]
@@ -262,6 +264,7 @@ class PartySession:
         """Commit/reveal check over every value opened since the last check.
 
         Must run before any opened value is released to callers of the phase.
+        A failed check sets `mac_failed` before the session aborts.
         """
         if not self.scheme.has_mac:
             return
@@ -286,6 +289,7 @@ class PartySession:
         try:
             mac_check_evaluate(commitments, reveals)
         except ProtocolAbort as exc:
+            self.mac_failed = str(exc) == "MAC check failed"
             self.abort(str(exc))
         self.mac_accumulator.clear()
 

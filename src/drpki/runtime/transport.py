@@ -141,13 +141,6 @@ class ByteCounters:
             return dict(self._sent)
 
 
-class _Mailbox:
-    """Inbound frames for one (receiver, session) pair, in delivery order."""
-
-    def __init__(self) -> None:
-        self.queue: "queue.Queue[tuple[float, SessionMessage]]" = queue.Queue()
-
-
 class InProcessHub:
     """In-memory point-to-point network between the parties of one cluster.
 
@@ -159,16 +152,17 @@ class InProcessHub:
     def __init__(self, pair_keys: dict, latency_ms: Optional[dict] = None) -> None:
         self._pair_keys = pair_keys
         self.latency_ms = latency_ms or {}
-        self._boxes: dict[tuple[int, bytes], _Mailbox] = {}
+        # per (receiver, session): (deliver_at, message) in delivery order
+        self._boxes: dict[tuple[int, bytes], queue.Queue] = {}
         self._lock = threading.Lock()
         self.counters = ByteCounters()
         self.dropped_frames = 0
 
-    def _box(self, receiver: int, session_id: bytes) -> _Mailbox:
+    def _box(self, receiver: int, session_id: bytes) -> queue.Queue:
         with self._lock:
             key = (receiver, session_id)
             if key not in self._boxes:
-                self._boxes[key] = _Mailbox()
+                self._boxes[key] = queue.Queue()
             return self._boxes[key]
 
     def send(self, sender: int, receiver: int, msg: SessionMessage) -> None:
@@ -191,7 +185,7 @@ class InProcessHub:
             return
         delay = self.latency_ms.get((sender, receiver), 0.0) / 1000.0
         deliver_at = time.monotonic() + delay
-        self._box(receiver, msg.session_id).queue.put((deliver_at, msg))
+        self._box(receiver, msg.session_id).put((deliver_at, msg))
 
     def recv(self, receiver: int, session_id: bytes,
              timeout: float) -> Optional[SessionMessage]:
@@ -199,7 +193,7 @@ class InProcessHub:
         deadline = time.monotonic() + timeout
         try:
             remaining = max(0.0, deadline - time.monotonic())
-            deliver_at, msg = box.queue.get(timeout=remaining)
+            deliver_at, msg = box.get(timeout=remaining)
         except queue.Empty:
             return None
         now = time.monotonic()

@@ -59,8 +59,9 @@ class SchemeId(Enum):
         return self is SchemeId.ADDITIVE_MAC
 
     @property
-    def requires_all_parties(self) -> bool:
-        return not self.is_shamir
+    def share_bytes(self) -> int:
+        """Width of a share's encoding: scheme, owner, value, and the MAC."""
+        return 66 if self.has_mac else 34
 
 
 # the scheme names used by configs, command-line flags and benchmark rows
@@ -88,21 +89,18 @@ class MacKeyShare:
 class Share:
     """One party's piece of a shared field element.
 
-    mac is present iff scheme is ADDITIVE_MAC; eval_point is present iff the
-    scheme is a Shamir variant and always equals the owner's party index.
+    mac is present iff scheme is ADDITIVE_MAC.  A Shamir share's evaluation
+    point is its owner's party index.
     """
 
     scheme: SchemeId
     owner: int
     value: FieldElement
     mac: Optional[FieldElement] = None
-    eval_point: Optional[FieldElement] = None
 
     def __post_init__(self) -> None:
         if self.scheme.has_mac and self.mac is None:
             raise SharingError("MAC scheme share without MAC")
-        if self.scheme.is_shamir and self.eval_point is None:
-            raise SharingError("Shamir share without evaluation point")
 
     def to_bytes(self) -> bytes:
         out = bytes([self.scheme.value, self.owner]) + self.value.to_bytes()
@@ -112,20 +110,14 @@ class Share:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Share":
-        if len(data) < 34:
+        if len(data) < 2:
             raise SharingError("share encoding too short")
         scheme = SchemeId(data[0])
-        owner = data[1]
-        value = FieldElement.from_bytes(data[2:34])
-        mac = None
-        if scheme.has_mac:
-            if len(data) != 66:
-                raise SharingError("MAC share encoding must be 66 bytes")
-            mac = FieldElement.from_bytes(data[34:66])
-        elif len(data) != 34:
-            raise SharingError("share encoding has trailing bytes")
-        eval_point = FieldElement(owner, value.modulus) if scheme.is_shamir else None
-        return cls(scheme, owner, value, mac, eval_point)
+        if len(data) != scheme.share_bytes:
+            raise SharingError(f"{scheme.name} share encoding must be "
+                               f"{scheme.share_bytes} bytes")
+        mac = FieldElement.from_bytes(data[34:]) if scheme.has_mac else None
+        return cls(scheme, data[1], FieldElement.from_bytes(data[2:34]), mac)
 
 
 @dataclass(frozen=True)
@@ -191,11 +183,8 @@ def deal(
 
     if scheme.is_shamir:
         coeffs = [secret] + [FieldElement.random(rng, secret.modulus) for _ in range(t)]
-        return [
-            Share(scheme, i, _poly_eval(coeffs, FieldElement(i, secret.modulus)),
-                  eval_point=FieldElement(i, secret.modulus))
-            for i in owners
-        ]
+        return [Share(scheme, i, _poly_eval(coeffs, FieldElement(i, secret.modulus)))
+                for i in owners]
 
     values = _additive_split(secret, n, rng)
     if scheme.has_mac:
@@ -208,7 +197,7 @@ def share_add(x: Share, y: Share) -> Share:
     if x.scheme is not y.scheme or x.owner != y.owner:
         raise SharingError("scheme mismatch")
     mac = x.mac + y.mac if x.mac is not None else None
-    return Share(x.scheme, x.owner, x.value + y.value, mac, x.eval_point)
+    return Share(x.scheme, x.owner, x.value + y.value, mac)
 
 
 def share_scale_add(
@@ -235,7 +224,7 @@ def share_scale_add(
             if mac_key is None:
                 raise SharingError("MAC key share required for authenticated constant addition")
             mac = mac + mac_key.alpha_i * public_d
-    return Share(x.scheme, x.owner, value, mac, x.eval_point)
+    return Share(x.scheme, x.owner, value, mac)
 
 
 def lagrange_coeffs_at(eval_points: Sequence[FieldElement],

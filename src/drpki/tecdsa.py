@@ -67,51 +67,52 @@ class Majority(Enum):
     DISHONEST = "dishonest"
 
 
-_SCHEME_TABLE = {
-    (Adversary.HONEST_BUT_CURIOUS, Majority.HONEST): SchemeId.SHAMIR,
-    (Adversary.MALICIOUS, Majority.HONEST): SchemeId.SHAMIR_CHECKED,
-    (Adversary.HONEST_BUT_CURIOUS, Majority.DISHONEST): SchemeId.ADDITIVE,
-    (Adversary.MALICIOUS, Majority.DISHONEST): SchemeId.ADDITIVE_MAC,
+# the (adversary, majority) model each scheme instantiates
+_SCHEME_MODELS = {
+    SchemeId.SHAMIR: (Adversary.HONEST_BUT_CURIOUS, Majority.HONEST),
+    SchemeId.SHAMIR_CHECKED: (Adversary.MALICIOUS, Majority.HONEST),
+    SchemeId.ADDITIVE: (Adversary.HONEST_BUT_CURIOUS, Majority.DISHONEST),
+    SchemeId.ADDITIVE_MAC: (Adversary.MALICIOUS, Majority.DISHONEST),
 }
-_SCHEME_TO_MODEL = {v: k for k, v in _SCHEME_TABLE.items()}
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Scheme selection plus the (adversary, majority) model it instantiates."""
+    """The scheme, the number of parties and two switches.
+
+    The scheme alone fixes its (adversary, majority) model, the threshold t
+    and the quorum of live parties a phase needs: t = (n-1)/2 under an honest
+    majority and n-1 under a dishonest one, and quorum = t + 1, which is all
+    n parties for the additive schemes.
+    """
 
     scheme: SchemeId
     n: int = 5
-    t: int = 2
-    security: Adversary = Adversary.HONEST_BUT_CURIOUS
-    majority: Majority = Majority.HONEST
     test_mode: bool = False
     precompute_r: bool = False
-
-    def __post_init__(self) -> None:
-        expected = _SCHEME_TABLE[(self.security, self.majority)]
-        if expected is not self.scheme:
-            raise TecdsaError(
-                f"({self.security.value}, {self.majority.value}) maps to "
-                f"{expected.name}, not {self.scheme.name}"
-            )
-        if self.majority is Majority.HONEST:
-            if self.t > (self.n - 1) // 2:
-                raise TecdsaError("honest majority requires t <= (n-1)/2")
-        elif self.t != self.n - 1:
-            raise TecdsaError("dishonest majority uses t = n-1")
 
     @classmethod
     def for_scheme(cls, scheme: SchemeId, n: int = 5, *, test_mode: bool = False,
                    precompute_r: bool = False) -> "ProtocolConfig":
-        security, majority = _SCHEME_TO_MODEL[scheme]
-        t = (n - 1) // 2 if majority is Majority.HONEST else n - 1
-        return cls(scheme, n, t, security, majority, test_mode, precompute_r)
+        return cls(scheme, n, test_mode, precompute_r)
+
+    @property
+    def security(self) -> Adversary:
+        return _SCHEME_MODELS[self.scheme][0]
+
+    @property
+    def majority(self) -> Majority:
+        return _SCHEME_MODELS[self.scheme][1]
+
+    @property
+    def t(self) -> int:
+        """The most parties that may collude without learning a secret."""
+        return (self.n - 1) // 2 if self.majority is Majority.HONEST else self.n - 1
 
     @property
     def quorum(self) -> int:
         """Parties that must be live for the protocol to complete."""
-        return self.t + 1 if self.majority is Majority.HONEST else self.n
+        return self.t + 1
 
 
 @dataclass
@@ -158,7 +159,7 @@ _JOURNAL_MAGIC = b"DTJ1"
 _KIND_INITIAL = 0
 _KIND_FINAL = 1
 
-_SHARE_PAD = 66
+_SHARE_PAD = max(scheme.share_bytes for scheme in SchemeId)
 _POINT_PAD = 65
 _MEMBER_PAD = 16
 
@@ -169,9 +170,7 @@ def _pad_share(share: Share) -> bytes:
 
 
 def _unpad_share(blob: bytes) -> Share:
-    scheme = SchemeId(blob[0])
-    width = 66 if scheme.has_mac else 34
-    return Share.from_bytes(blob[:width])
+    return Share.from_bytes(blob[:SchemeId(blob[0]).share_bytes])
 
 
 def _pad_point(point: GroupPoint) -> bytes:
@@ -200,8 +199,11 @@ class TupleStore:
     """One party's tuple inventory, persisted under a directory.
 
     Every added tuple and every consumption is appended to its file before
-    the call returns; the per-tuple `consumed` flags mirror the journal.
-    After close() the store still answers reads, but adds and checkouts raise.
+    the call returns; the per-tuple `consumed` flags mirror the journal.  A
+    tuple is offered, counted and checked out while it is unconsumed, of the
+    asked epoch and, if final, bound to the asked member: `_live` is that
+    rule for every method.  After close() the store still answers reads, but
+    adds and checkouts raise.
     """
 
     def __init__(self, directory: str, party: int) -> None:
@@ -282,105 +284,92 @@ class TupleStore:
         handle.flush()
 
     # -- inventory ---------------------------------------------------------
+    #
+    # The add, checkout, offer and stock methods each call one private helper
+    # and never each other, so a tracer wrapping them counts each call once.
+    # A pool is chosen by member: None for the initial tuples, else the final
+    # tuples bound to that member.
+
+    def _pool(self, member_id: Optional[str]) -> dict:
+        return self._initial if member_id is None else self._final
+
+    def _live(self, member_id: Optional[str], epoch: bytes, among=None):
+        """The one availability rule: the tuples `among` (default: the whole
+        pool) that are unconsumed, of `epoch`, and bound to `member_id`."""
+        if among is None:
+            among = self._pool(member_id).values()
+        return (t for t in among if not t.consumed and t.epoch == epoch
+                and (member_id is None or t.member_id == member_id))
+
+    def _add(self, name: str, tup, body: bytes) -> None:
+        pool = self._initial if name == "initial" else self._final
+        with self._lock:
+            if tup.tuple_id in pool:
+                raise TupleReuseError(f"duplicate {name} tuple id")
+            pool[tup.tuple_id] = tup
+            self._append(name, body)
+
+    def _checkout(self, member_id: Optional[str], epoch: bytes,
+                  tuple_id: Optional[bytes] = None):
+        """Journal and return the tuple `tuple_id`, or the first live one."""
+        pool = self._pool(member_id)
+        with self._lock:
+            among = None if tuple_id is None else [pool[tuple_id]] if tuple_id in pool else []
+            for tup in self._live(member_id, epoch, among):
+                tup.consumed = True
+                kind = _KIND_INITIAL if member_id is None else _KIND_FINAL
+                self._append("journal", bytes([kind]) + tup.tuple_id)
+                return tup
+        raise StockDepletedError("initial preprocessing tuples depleted" if member_id is None
+                                 else f"final tuples for member {member_id!r} depleted")
+
+    def _ids(self, member_id: Optional[str], epoch: bytes, limit: int) -> list[bytes]:
+        with self._lock:
+            return sorted(t.tuple_id for t in self._live(member_id, epoch))[:limit]
+
+    def _count(self, member_id: Optional[str], epoch: bytes) -> int:
+        with self._lock:
+            return sum(1 for _ in self._live(member_id, epoch))
 
     def add_initial(self, tup: InitialTuple) -> None:
-        with self._lock:
-            if tup.tuple_id in self._initial:
-                raise TupleReuseError("duplicate initial tuple id")
-            self._initial[tup.tuple_id] = tup
-            self._append(
-                "initial",
-                tup.tuple_id + tup.epoch + _pad_point(tup.k_point_share)
-                + _pad_share(tup.k_inv_share),
-            )
+        self._add("initial", tup, tup.tuple_id + tup.epoch + _pad_point(tup.k_point_share)
+                  + _pad_share(tup.k_inv_share))
 
     def add_final(self, tup: FinalTuple) -> None:
-        with self._lock:
-            if tup.tuple_id in self._final:
-                raise TupleReuseError("duplicate final tuple id")
-            self._final[tup.tuple_id] = tup
-            has_r = tup.r_point is not None
-            self._append(
-                "final",
-                tup.tuple_id + tup.epoch + _pad_member(tup.member_id)
-                + _pad_point(tup.k_point_share) + _pad_share(tup.k_inv_share)
-                + _pad_share(tup.sk_over_k_share) + bytes([1 if has_r else 0])
-                + (_pad_point(tup.r_point) if has_r else b"\x00" * _POINT_PAD),
-            )
-
-    def _journal_consume(self, kind: int, tuple_id: bytes) -> None:
-        self._append("journal", bytes([kind]) + tuple_id)
+        has_r = tup.r_point is not None
+        self._add(
+            "final", tup,
+            tup.tuple_id + tup.epoch + _pad_member(tup.member_id)
+            + _pad_point(tup.k_point_share) + _pad_share(tup.k_inv_share)
+            + _pad_share(tup.sk_over_k_share) + bytes([1 if has_r else 0])
+            + (_pad_point(tup.r_point) if has_r else b"\x00" * _POINT_PAD),
+        )
 
     def checkout_initial(self, epoch: bytes) -> InitialTuple:
-        with self._lock:
-            for tup in self._initial.values():
-                if not tup.consumed and tup.epoch == epoch:
-                    tup.consumed = True
-                    self._journal_consume(_KIND_INITIAL, tup.tuple_id)
-                    return tup
-        raise StockDepletedError("initial preprocessing tuples depleted")
+        return self._checkout(None, epoch)
 
     def checkout_final(self, member_id: str, epoch: bytes) -> FinalTuple:
-        with self._lock:
-            for tup in self._final.values():
-                if not tup.consumed and tup.member_id == member_id and tup.epoch == epoch:
-                    tup.consumed = True
-                    self._journal_consume(_KIND_FINAL, tup.tuple_id)
-                    return tup
-        raise StockDepletedError(f"final tuples for member {member_id!r} depleted")
+        return self._checkout(member_id, epoch)
 
     def checkout_initial_by_id(self, tuple_id: bytes, epoch: bytes) -> InitialTuple:
-        with self._lock:
-            tup = self._initial.get(tuple_id)
-            if tup is None or tup.consumed or tup.epoch != epoch:
-                raise StockDepletedError("initial preprocessing tuples depleted")
-            tup.consumed = True
-            self._journal_consume(_KIND_INITIAL, tup.tuple_id)
-            return tup
+        return self._checkout(None, epoch, tuple_id)
 
     def checkout_final_by_id(self, tuple_id: bytes, member_id: str,
                              epoch: bytes) -> FinalTuple:
-        with self._lock:
-            tup = self._final.get(tuple_id)
-            if (tup is None or tup.consumed or tup.member_id != member_id
-                    or tup.epoch != epoch):
-                raise StockDepletedError(f"final tuples for member {member_id!r} depleted")
-            tup.consumed = True
-            self._journal_consume(_KIND_FINAL, tup.tuple_id)
-            return tup
+        return self._checkout(member_id, epoch, tuple_id)
 
     def available_initial_ids(self, epoch: bytes, limit: int = 64) -> list[bytes]:
-        with self._lock:
-            out = [
-                t.tuple_id
-                for t in self._initial.values()
-                if not t.consumed and t.epoch == epoch
-            ]
-            return sorted(out)[:limit]
+        return self._ids(None, epoch, limit)
 
     def available_final_ids(self, member_id: str, epoch: bytes,
                             limit: int = 16) -> list[bytes]:
-        with self._lock:
-            out = [
-                t.tuple_id
-                for t in self._final.values()
-                if not t.consumed and t.member_id == member_id and t.epoch == epoch
-            ]
-            return sorted(out)[:limit]
+        return self._ids(member_id, epoch, limit)
 
     def initial_stock(self, epoch: bytes) -> int:
-        with self._lock:
-            return sum(
-                1 for t in self._initial.values() if not t.consumed and t.epoch == epoch
-            )
+        return self._count(None, epoch)
 
     def final_stock(self, member_id: str, epoch: bytes) -> int:
-        with self._lock:
-            return sum(
-                1
-                for t in self._final.values()
-                if not t.consumed and t.member_id == member_id and t.epoch == epoch
-            )
+        return self._count(member_id, epoch)
 
     def consumed_ids(self) -> set[tuple[int, bytes]]:
         with self._lock:
@@ -416,7 +405,6 @@ class PhaseEnv:
 class SignResult:
     signature: Signature
     tuple_id: bytes
-    r_point: GroupPoint
     # curve ops of this party's whole signing session, shared by its batch
     point_ops_online: int       # from online entry to the s values reconstructed
     point_ops_share_step: int   # between the R values available and the s open
@@ -548,9 +536,9 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
 
     # Agree on which unconsumed initial tuples this run binds, so stores left
     # asymmetric by a crash can never pair up different instance keys.
-    common, _ = _offer_round(
-        session, env.tuple_store.available_initial_ids(env.epoch, limit=count + 16))
-    chosen = _take(common, count, "initial preprocessing tuples depleted")
+    offer = env.tuple_store.available_initial_ids(env.epoch, limit=count + _SPARE_OFFER)
+    common, _ = _offer_round(session, offer)
+    chosen = _take(session, offer, common, count, "initial preprocessing tuples depleted")
     initials = [env.tuple_store.checkout_initial_by_id(tid, env.epoch) for tid in chosen]
     triples = [env.triple_source.next_triple(cfg.scheme) for _ in range(count)]
 
@@ -585,6 +573,11 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
     return finals
 
 
+# ids offered beyond the batch size, so a batch still finds its tuples after a
+# crash left up to this many of them consumed at one party
+_SPARE_OFFER = 15
+
+
 def _offer_round(session, my_ids: Sequence[bytes],
                  lead: Optional[bytes] = None) -> tuple[list[bytes], dict[int, bytes]]:
     """One broadcast round of tuple-id offers.
@@ -611,19 +604,19 @@ def _offer_round(session, my_ids: Sequence[bytes],
     return sorted(common), leads
 
 
-def _take(common: list[bytes], count: int, depleted_message: str) -> list[bytes]:
-    """The first `count` agreed ids; too few is a depleted stock."""
-    if len(common) < count:
+def _take(session, offer: Sequence[bytes], common: list[bytes], count: int,
+          depleted_message: str) -> list[bytes]:
+    """The first `count` agreed ids.  Too few in this party's own `offer` is
+    a depleted stock; too few agreed when its own offer had enough means a
+    peer offered short, and aborts the session."""
+    if len(offer) < count:
         raise StockDepletedError(depleted_message)
+    if len(common) < count:
+        session.abort("short tuple id offer")
     return common[:count]
 
 
 # --- phase 4: online signing ------------------------------------------------------
-
-# ids offered beyond the batch size: one message offers 16, so the batch still
-# finds its tuples after a crash left up to 15 of them consumed at one party
-_SPARE_OFFER = 15
-
 
 class SigningGate(Protocol):
     """A consent step that rides on the first two rounds of `sign_online`.
@@ -686,7 +679,7 @@ def sign_online(env: PhaseEnv, session, member_id: str,
                                               limit=_SPARE_OFFER + len(pending))
             common, _ = _offer_round(session, offer)
         tuples = [store.checkout_final_by_id(tid, member_id, env.epoch)
-                  for tid in _take(common, len(pending), depleted)]
+                  for tid in _take(session, offer, common, len(pending), depleted)]
         unopened = [t.k_point_share for t in tuples if t.r_point is None]
         if vote is not None:
             opened = session.open_point_batch(unopened, vote, gate.tally)
@@ -703,20 +696,20 @@ def sign_online(env: PhaseEnv, session, member_id: str,
             if r_x is None or r_x.is_zero():
                 retry.append(i)
             else:
-                signing.append((i, tup, r_point, r_x))
+                signing.append((i, tup, r_x))
         s_shares = [
             share_add(
                 share_scale_add(tup.k_inv_share, hashes[i], zero, env.mac_key),
                 share_scale_add(tup.sk_over_k_share, r_x, zero, env.mac_key),
             )
-            for i, tup, _, r_x in signing
+            for i, tup, r_x in signing
         ]
         ops_before_open = OP_COUNTER.total()
         s_values = session.open_field_batch(s_shares) if s_shares else []
         session.run_mac_check()
         ops_s_done = OP_COUNTER.total()
 
-        for (i, tup, r_point, r_x), s in zip(signing, s_values):
+        for (i, tup, r_x), s in zip(signing, s_values):
             if s.is_zero():
                 retry.append(i)
                 continue
@@ -726,7 +719,6 @@ def sign_online(env: PhaseEnv, session, member_id: str,
             results[i] = SignResult(
                 signature=signature,
                 tuple_id=tup.tuple_id,
-                r_point=r_point,
                 point_ops_online=ops_s_done - ops_entry,
                 point_ops_share_step=ops_before_open - ops_r_done,
             )

@@ -825,6 +825,67 @@ def test_fault_on_second_s_share_aborts_whole_transfer():
     cluster.close()
 
 
+@pytest.mark.parametrize("scheme", [SchemeId.ADDITIVE_MAC, SchemeId.SHAMIR_CHECKED],
+                         ids=["mascot", "mal-shamir"])
+def test_peer_abort_naming_a_failed_mac_check_retires_no_epoch(monkeypatch, scheme):
+    # party 2 aborts round 1 of a request with the text of a failed MAC
+    # check; only a node's own failed check may retire its epoch
+    cluster = make_cluster(scheme)
+    _, member_keys, roa = _issue_fixture(cluster)
+    run_round = PartySession.run_round
+    fired = []
+
+    def hostile(self, payloads):
+        if self.party_id == 2 and self.phase == PHASE_ONLINE and not fired:
+            fired.append(self.session_id)
+            self.abort("MAC check failed")
+        return run_round(self, payloads)
+
+    monkeypatch.setattr(PartySession, "run_round", hostile)
+    outcome = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+    assert outcome.status == "aborted" and "MAC check failed" in outcome.reason
+    assert all(cluster.epoch not in node.retired_epochs for node in cluster.nodes.values())
+    outcome = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+    assert outcome.status == "published"
+    cluster.close()
+
+
+def test_short_peer_offer_aborts_sign_promptly():
+    # party 2's round-1 tuple offer arrives empty while every store holds
+    # three tuples: a peer fault, not a depleted stock
+    cluster = make_cluster(timeout=30)
+    cluster.keygen("m")
+    cluster.preprocess_independent(3)
+    cluster.preprocess_dependent("m", 3)
+    _rewrite_frames(cluster, 2, PHASE_ONLINE, 1, lambda p: b"")
+    started = time.perf_counter()
+    with pytest.raises(SessionAbort, match="short tuple id offer"):
+        cluster.run_signing("m", b"msg")
+    assert time.perf_counter() - started < 5.0
+    stocks = _final_stocks(cluster, "m")
+    assert all(stocks[p] == 3 for p in cluster.participants if p != 2)
+    cluster.close()
+
+
+def test_short_peer_offer_aborts_request():
+    # party 2, not the initiator, sends a well-formed round-1 frame of zero ids
+    cluster = make_cluster(SchemeId.SHAMIR_CHECKED, timeout=30)
+    _, member_keys, roa = _issue_fixture(cluster)
+    request = _issue_request(cluster, member_keys, roa)
+    stocks = _final_stocks(cluster, "memberA")
+    _rewrite_frames(cluster, 2, PHASE_ONLINE, 1,
+                    lambda p: bytes(4) + p[4 + 16 * int.from_bytes(p[:4], "big"):])
+    started = time.perf_counter()
+    outcome = cluster.handle_sign_request(request)
+    assert time.perf_counter() - started < 5.0
+    assert outcome.status == "aborted"
+    assert all(not node.objects for node in cluster.nodes.values())
+    after = _final_stocks(cluster, "memberA")
+    assert all(after[p] == stocks[p] for p in cluster.participants if p != 2)
+    assert verify_audit_completeness(cluster)
+    cluster.close()
+
+
 def test_concurrent_signing_and_replenishment_complete():
     cluster = make_cluster(policy=ConsentPolicy(low_watermark=2, batch_size=4))
     members = ["m1", "m2", "m3"]

@@ -191,7 +191,6 @@ def test_shamir_checked_detects_single_perturbation():
         shares[3].scheme,
         shares[3].owner,
         shares[3].value + FieldElement.one(),
-        eval_point=shares[3].eval_point,
     )
     tampered = shares[:3] + [bad] + shares[4:]
     with pytest.raises(ProtocolAbort, match="corrupted share detected"):
@@ -205,7 +204,7 @@ def test_threshold_secrecy_two_shares_fit_any_secret():
     s1, s2 = shares[1], shares[4]
     for _ in range(10):
         candidate = FieldElement.random(rng)
-        xs = [FieldElement.zero(), s1.eval_point, s2.eval_point]
+        xs = [FieldElement.zero(), FieldElement(s1.owner), FieldElement(s2.owner)]
         ys = [candidate, s1.value, s2.value]
         # interpolate the quadratic and re-evaluate at all three points
         for x_target, y_target in zip(xs, ys):
@@ -232,7 +231,6 @@ def test_tamper_detection_randomized_trials():
             shares[victim].scheme,
             shares[victim].owner,
             shares[victim].value + delta,
-            eval_point=shares[victim].eval_point,
         )
         tampered = shares[:victim] + [bad] + shares[victim + 1:]
         with pytest.raises(ProtocolAbort):

@@ -41,18 +41,8 @@ def test_config_table_mapping():
     assert ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC).security is Adversary.MALICIOUS
     assert ProtocolConfig.for_scheme(SchemeId.SHAMIR).t == 2
     assert ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC).t == 4
-
-
-def test_config_rejects_mismatched_model():
-    with pytest.raises(TecdsaError):
-        ProtocolConfig(SchemeId.SHAMIR, security=Adversary.MALICIOUS,
-                       majority=Majority.HONEST)
-    with pytest.raises(TecdsaError):
-        ProtocolConfig(SchemeId.SHAMIR, t=3)  # t > (n-1)/2
-    with pytest.raises(TecdsaError):
-        ProtocolConfig(SchemeId.ADDITIVE, t=2,
-                       security=Adversary.HONEST_BUT_CURIOUS,
-                       majority=Majority.DISHONEST)
+    assert ProtocolConfig.for_scheme(SchemeId.SHAMIR_CHECKED).quorum == 3
+    assert ProtocolConfig.for_scheme(SchemeId.ADDITIVE).quorum == 5
 
 
 # --- key generation ----------------------------------------------------------
@@ -390,9 +380,8 @@ def test_mac_check_failure_retires_epoch():
 # --- tuple store -------------------------------------------------------------------
 
 def _sample_share(scheme=SchemeId.SHAMIR, owner=1):
-    ep = FieldElement(owner) if scheme.is_shamir else None
     return __import__("drpki.sharing", fromlist=["Share"]).Share(
-        scheme, owner, FieldElement(12345), None, ep
+        scheme, owner, FieldElement(12345)
     )
 
 

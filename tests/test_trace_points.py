@@ -1,0 +1,80 @@
+"""The names perfbench's tracer wraps stay in place and count once.
+
+perfbench/spans.py wraps drpki functions and methods by name from outside
+the package, so deleting or renaming one of them, or a wrapped store method
+that calls another wrapped one, breaks the traced benchmark run.  These tests
+load that module as it is and catch both in the fast suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from drpki.algebra import GENERATOR, FieldElement, scalar_mul
+from drpki.sharing import SchemeId, Share
+from drpki.tecdsa import FinalTuple, InitialTuple, TupleStore
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+# the TupleStore methods perfbench/spans.py wraps
+STORE_NAMES = (
+    "add_initial", "add_final",
+    "checkout_initial", "checkout_final", "checkout_initial_by_id", "checkout_final_by_id",
+    "available_initial_ids", "available_final_ids", "initial_stock", "final_stock",
+)
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_tracer_wraps_exists():
+    spans = _load_spans()
+    original = TupleStore.checkout_final_by_id
+    tracer = spans.Tracer()
+    try:
+        spans.install_drpki(tracer)
+        assert TupleStore.checkout_final_by_id is not original
+    finally:
+        tracer.uninstall()
+    assert TupleStore.checkout_final_by_id is original
+
+
+def test_each_wrapped_store_method_counts_one_call(tmp_path, monkeypatch):
+    epoch = bytes(16)
+    share = Share(SchemeId.SHAMIR, 1, FieldElement(5))
+    point = scalar_mul(FieldElement(7), GENERATOR)
+
+    def initial(i):
+        return InitialTuple(bytes([i]) * 16, epoch, point, share)
+
+    def final(i):
+        return FinalTuple(bytes([i]) * 16, epoch, "m", point, share, share)
+
+    store = TupleStore(str(tmp_path), party=1)
+    for i in (1, 2):
+        store.add_initial(initial(i))
+        store.add_final(final(i))
+
+    calls = dict.fromkeys(STORE_NAMES, 0)
+    for name in STORE_NAMES:
+        def counted(*args, _name=name, _method=getattr(TupleStore, name), **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(TupleStore, name, counted)
+
+    store.add_initial(initial(3))
+    store.add_final(final(3))
+    assert store.checkout_initial(epoch).tuple_id == bytes([1]) * 16
+    assert store.checkout_final("m", epoch).tuple_id == bytes([1]) * 16
+    assert store.checkout_initial_by_id(bytes([3]) * 16, epoch).tuple_id == bytes([3]) * 16
+    assert store.checkout_final_by_id(bytes([3]) * 16, "m", epoch).tuple_id == bytes([3]) * 16
+    assert store.available_initial_ids(epoch) == [bytes([2]) * 16]
+    assert store.available_final_ids("m", epoch) == [bytes([2]) * 16]
+    assert store.initial_stock(epoch) == 1
+    assert store.final_stock("m", epoch) == 1
+    store.close()
+    assert calls == dict.fromkeys(STORE_NAMES, 1)
