@@ -2,8 +2,11 @@
 """Time the curve layer on its own and print the result as one JSON object.
 
 Rows: fixed-base multiply (k * G), variable-base multiply (k * P for a point
-P other than G), `ecdsa_verify`, and the checked 5-share point open that
-mal-shamir signing does for R (`open_point_shares`, SHAMIR_CHECKED, n=5, t=2).
+P other than G), `ecdsa_verify`, `ecdsa_verify` against the known R that
+online signing holds (`r_point=`), the checked 5-share point open that
+mal-shamir signing does for R (`open_point_shares`, SHAMIR_CHECKED, n=5, t=2),
+and a 3-term `lincomb` with the full-width Lagrange weights of the
+non-consecutive live set {1, 2, 4}.
 Each row is the median over ROUNDS rounds of the per-call mean of CALLS
 calls, in milliseconds, after one warm-up call (which also builds any lazily
 built table).  Standard library only; it imports drpki from the
@@ -32,9 +35,16 @@ from drpki.algebra import (  # noqa: E402
     KeyPair,
     ecdsa_sign,
     ecdsa_verify,
+    lincomb,
     scalar_mul,
 )
-from drpki.sharing import PointShare, SchemeId, deal, open_point_shares  # noqa: E402
+from drpki.sharing import (  # noqa: E402
+    PointShare,
+    SchemeId,
+    deal,
+    lagrange_coeffs_at,
+    open_point_shares,
+)
 
 N, T = 5, 2
 ROUNDS = 7
@@ -66,10 +76,20 @@ def run() -> dict:
     base = scalar_mul(FieldElement.random_nonzero(rng), GENERATOR)
 
     pairs = [KeyPair.generate(rng) for _ in range(CALLS)]
-    signed = []
+    signed, signed_r = [], []
     for pair in pairs:
         msg = rng.randbytes(48)
-        signed.append((pair.pk, msg, ecdsa_sign(pair.sk, msg, rng=rng)))
+        k = FieldElement.random_nonzero(rng)
+        sig = ecdsa_sign(pair.sk, msg, k)
+        signed.append((pair.pk, msg, sig))
+        signed_r.append((pair.pk, msg, sig, scalar_mul(k, GENERATOR)))
+
+    weights = lagrange_coeffs_at([FieldElement(x) for x in (1, 2, 4)], 0)
+    combinations = [
+        list(zip(weights, (scalar_mul(FieldElement.random_nonzero(rng), GENERATOR)
+                           for _ in weights)))
+        for _ in range(CALLS)
+    ]
 
     point_opens = []
     for _ in range(CALLS):
@@ -82,8 +102,11 @@ def run() -> dict:
         "g_mul": _time_row(lambda k: scalar_mul(k, GENERATOR), scalars),
         "var_mul": _time_row(lambda k: scalar_mul(k, base), scalars),
         "ecdsa_verify": _time_row(lambda item: ecdsa_verify(*item), signed),
+        "ecdsa_verify_known_r": _time_row(
+            lambda item: ecdsa_verify(*item[:3], r_point=item[3]), signed_r),
         "checked_point_open_5": _time_row(
             lambda shares: open_point_shares(shares, N, T), point_opens),
+        "lagrange_3_full_width": _time_row(lincomb, combinations),
     }
     return {
         "rows": rows,
@@ -99,5 +122,9 @@ def run() -> dict:
     }
 
 
-if __name__ == "__main__":
+def main() -> None:
     print(json.dumps(run(), indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

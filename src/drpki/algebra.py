@@ -375,73 +375,133 @@ def _g_mul(k: int):
     return acc
 
 
-def _wnaf(k: int) -> list:
-    """Width-5 signed digits of k, least significant first: each digit is 0 or
-    odd in [-15, 15], and any nonzero digit is followed by at least four zeros."""
+def _wnaf(k: int, width: int) -> list:
+    """The nonzero signed digits of k >= 0 as (position, digit) pairs, least
+    significant first: each digit is odd with absolute value below
+    2^(width-1), and the next nonzero digit sits at least `width` positions
+    higher."""
     digits = []
+    window, half = 1 << width, 1 << (width - 1)
+    pos = 0
     while k:
-        if k & 1:
-            digit = k & 31
-            if digit >= 16:
-                digit -= 32
-            k -= digit
-        else:
-            digit = 0
-        digits.append(digit)
-        k >>= 1
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        digit = k & (window - 1)
+        if digit >= half:
+            digit -= window
+        digits.append((pos, digit))
+        k = (k - digit) >> width
+        pos += width
     return digits
 
 
-def _var_mul(k: int, x: int, y: int):
-    """k * (x, y) for 0 < k < CURVE_ORDER and an affine non-identity point.
+def _signed_table(odd, width: int) -> list:
+    """Lookup table for width-`width` digits from the affine odd multiples
+    P, 3P, 5P, ...: table[d] = d * P, and a negative digit d indexes
+    table[2^width + d] through Python's negative indexing, holding -|d| * P."""
+    table = [None] * (1 << width)
+    for d, (x, y) in zip(range(1, 1 << width, 2), odd):
+        table[d] = (x, y)
+        table[-d] = (x, FIELD_PRIME - y)
+    return table
 
-    (CURVE_ORDER - k) * P = -(k * P), so a scalar in the upper half of the
-    range is replaced by its complement and the result negated: a small
-    negative scalar, such as a Lagrange coefficient of -3, becomes a short one.
+
+def _odd_multiples(x: int, y: int, count: int) -> list:
+    """Jacobian P, 3P, ..., (2 * count - 1) * P for an affine non-identity P."""
+    p = (x, y, 1)
+    two_p = _jac_double(p)
+    odd = [p]
+    for _ in range(count - 1):
+        odd.append(_jac_add(odd[-1], two_p))
+    return odd
+
+
+# Width-8 odd-multiple tables of G and of 2^128 * G.  A combination splits
+# its G scalar at bit 128 across the two, so G adds no doublings beyond those
+# of half-length scalars.  Built on first use: 2 x 64 affine points.
+_G_HALVES: list = []
+_G_HALVES_LOCK = threading.Lock()
+_HALF_BITS = 128
+_G_WIDTH = 8
+_VAR_WIDTH = 5  # per-call tables: P, 3P, ..., 15P
+
+
+def _g_halves():
+    global _G_HALVES
+    if not _G_HALVES:
+        with _G_HALVES_LOCK:
+            if not _G_HALVES:
+                count = 1 << (_G_WIDTH - 2)
+                upper = _batch_to_affine([_g_mul(1 << _HALF_BITS)])[0]
+                odd = _batch_to_affine(_odd_multiples(GEN_X, GEN_Y, count)
+                                       + _odd_multiples(*upper, count))
+                _G_HALVES = [_signed_table(odd[:count], _G_WIDTH),
+                             _signed_table(odd[count:], _G_WIDTH)]
+    return _G_HALVES
+
+
+def _combine(terms):
+    """Sum of k * P over (k, P) terms with 0 <= k < CURVE_ORDER, as a Jacobian
+    point, counting one scalar_mul per nonzero term.
+
+    Straus interleaving: every term's signed digits share one run of
+    doublings into one accumulator, and only mixed additions of affine table
+    points enter it.  A weight above n/2 is replaced by n - k with the digits
+    negated, so a small negative weight such as a Lagrange coefficient of -3
+    stays short.  A weight below 2^16 adds the point itself; G uses the static
+    tables; any other point gets a width-5 table of odd multiples, and all of
+    a call's tables share one inversion.
     """
-    m = FIELD_PRIME
-    negate = k > CURVE_ORDER // 2
-    if negate:
-        k = CURVE_ORDER - k
+    plan = []  # (sign, digits, table)
+    full = []  # (sign, digits, point) still waiting for a table
+    for k, point in terms:
+        if k == 0 or point.is_identity():
+            continue
+        OP_COUNTER.bump_mul()
+        sign = 1
+        if k > CURVE_ORDER // 2:
+            k, sign = CURVE_ORDER - k, -1
+        if point.x == GEN_X and point.y == GEN_Y:
+            low, high = _g_halves()
+            plan.append((sign, _wnaf(k & ((1 << _HALF_BITS) - 1), _G_WIDTH), low))
+            plan.append((sign, _wnaf(k >> _HALF_BITS, _G_WIDTH), high))
+        elif k < 1 << 16:
+            # a table of odd multiples costs more than it saves here
+            plan.append((sign, _wnaf(k, 2), _signed_table([(point.x, point.y)], 2)))
+        else:
+            full.append((sign, _wnaf(k, _VAR_WIDTH), point))
+    count = 1 << (_VAR_WIDTH - 2)
+    odd = _batch_to_affine([q for _, _, p in full for q in _odd_multiples(p.x, p.y, count)])
+    for i, (sign, digits, _) in enumerate(full):
+        plan.append((sign, digits, _signed_table(odd[count * i:count * (i + 1)], _VAR_WIDTH)))
+    length = max((digits[-1][0] + 1 for _, digits, _ in plan if digits), default=0)
+    rows = [[] for _ in range(length)]
+    for sign, digits, table in plan:
+        for pos, digit in digits:
+            rows[pos].append(table[sign * digit])
     acc = (0, 1, 0)
-    # Below 2^16 the per-call table of odd multiples (7 additions and an
-    # inversion) costs more than it saves; the small Lagrange weights of the
-    # checked point open take this path.
-    if k < 1 << 16:
-        for bit in bin(k)[2:]:
-            acc = _jac_double(acc)
-            if bit == "1":
-                acc = _jac_madd(acc, (x, y))
-    else:
-        p = (x, y, 1)
-        two_p = _jac_double(p)
-        odd = [p]
-        for _ in range(7):
-            odd.append(_jac_add(odd[-1], two_p))
-        # table[d] = d * P for odd d in 1..15; a negative digit d indexes
-        # table[32 + d] through Python's negative indexing, holding -|d| * P.
-        table = [None] * 32
-        for d, (tx, ty) in zip(range(1, 16, 2), [(x, y)] + _batch_to_affine(odd[1:])):
-            table[d] = (tx, ty)
-            table[-d] = (tx, m - ty)
-        for digit in reversed(_wnaf(k)):
-            acc = _jac_double(acc)
-            if digit:
-                acc = _jac_madd(acc, table[digit])
-    if negate:
-        acc = (acc[0], -acc[1] % m, acc[2])
+    for row in reversed(rows):
+        acc = _jac_double(acc)
+        for q in row:
+            acc = _jac_madd(acc, q)
     return acc
 
 
+def lincomb(pairs) -> GroupPoint:
+    """Sum of k * P over (FieldElement k, GroupPoint P) pairs, in one
+    accumulator with one inversion at the end."""
+    return _to_affine(_combine([(k.value % CURVE_ORDER, p) for k, p in pairs]))
+
+
 def scalar_mul(k: FieldElement, point: GroupPoint) -> GroupPoint:
-    """k * P.  scalar_mul(0, P) is the identity."""
-    OP_COUNTER.bump_mul()
+    """k * P.  scalar_mul(0, P) is the identity.  Counts one scalar_mul."""
     kv = k.value % CURVE_ORDER
-    if kv == 0 or point.is_identity():
-        return GroupPoint.identity()
-    if point.x == GEN_X and point.y == GEN_Y:
-        return _to_affine(_g_mul(kv))
-    return _to_affine(_var_mul(kv, point.x, point.y))
+    is_generator = point.x == GEN_X and point.y == GEN_Y
+    if kv and not point.is_identity() and not is_generator:
+        return lincomb([(k, point)])
+    OP_COUNTER.bump_mul()
+    return _to_affine(_g_mul(kv)) if is_generator else GroupPoint.identity()
 
 
 def hash_to_scalar(message: bytes) -> FieldElement:
@@ -509,14 +569,46 @@ def ecdsa_sign(sk: FieldElement, message: bytes, k: Optional[FieldElement] = Non
         return Signature(r_x, s)
 
 
-def ecdsa_verify(pk: GroupPoint, message: bytes, sig: Signature) -> bool:
+def _half_gcd(u: int) -> tuple[int, int]:
+    """(v, w) with v * u = w (mod CURVE_ORDER), |v| and w both below 2^128:
+    the extended Euclidean algorithm on (CURVE_ORDER, u), stopped halfway."""
+    r0, r1, t0, t1 = CURVE_ORDER, u, 0, 1
+    while r1 >> _HALF_BITS:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return t1, r1
+
+
+def ecdsa_verify(pk: GroupPoint, message: bytes, sig: Signature,
+                 r_point: Optional[GroupPoint] = None) -> bool:
+    """Check sig on message under pk: R = u1 * G + u2 * Q has x = r (mod n).
+
+    A signer that holds R (the opened nonce point) passes it as `r_point`,
+    and the check becomes the exact R = u1 * G + u2 * Q, tested as
+    (v * u1) * G + w * Q - v * R = O for half-length v, w with
+    v * u2 = w (mod n) (Antipa et al., SAC 2005).  That halves the
+    doublings.  It is slightly stricter: it rejects the negated s, whose
+    point is -R, which the plain check accepts.
+    """
     if pk.is_identity():
         raise AlgebraError("identity public key")
     if sig.r_x.is_zero() or sig.s.is_zero():
         return False
-    h = hash_to_scalar(message)
-    s_inv = sig.s.inv()
-    candidate = scalar_mul(s_inv * h, GENERATOR) + scalar_mul(s_inv * sig.r_x, pk)
-    if candidate.is_identity():
+    n, r = CURVE_ORDER, sig.r_x.value
+    s_inv = pow(sig.s.value, -1, n)
+    u1 = hash_to_scalar(message).value * s_inv % n
+    u2 = r * s_inv % n
+    if r_point is not None:
+        if r_point.is_identity() or r_point.x % n != r:
+            return False
+        v, w = _half_gcd(u2)
+        return _combine([(v * u1 % n, GENERATOR), (w, pk), (-v % n, r_point)])[2] == 0
+    # compare x = X / Z^2 with r, or with r + n when that is still a field
+    # element, without inverting Z
+    x, _, z = _combine([(u1, GENERATOR), (u2, pk)])
+    if z == 0:
         return False
-    return FieldElement(candidate.x) == sig.r_x
+    zz = z * z % FIELD_PRIME
+    return x == r * zz % FIELD_PRIME or (r + n < FIELD_PRIME
+                                         and x == (r + n) * zz % FIELD_PRIME)

@@ -36,6 +36,7 @@ from .rpki import (
     IpPrefix,
     RoaRecord,
     Signature,
+    ValidationError,
     sign_consent,
 )
 from .runtime import ConsentPolicy, LocalCluster, SignRequest
@@ -276,6 +277,8 @@ def cmd_member(args) -> int:
             cluster.register_member(args.member,
                                     GroupPoint.from_bytes(bytes.fromhex(blob["pk"])))
             print(f"registered consent key for {args.member} at all parties")
+        except ValidationError as exc:
+            _fail(str(exc))
         finally:
             cluster.close()
         return 0

@@ -388,7 +388,7 @@ def verify_consent(
     if token is None:
         return ConsentVerdict.MISSING
     member_pk = member_registry.get(token.member_id)
-    if member_pk is None:
+    if member_pk is None or member_pk.is_identity():
         return ConsentVerdict.INVALID
     if token.action is not action:
         return ConsentVerdict.INVALID

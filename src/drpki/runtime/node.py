@@ -181,10 +181,11 @@ def _write_file(path: Path, data: str | bytes) -> None:
     os.replace(tmp, path)
 
 
-def _append_line(path: Path, record: dict) -> None:
-    """Append one record to a JSON-lines file."""
+def _append_line(path: Path, record: dict | str) -> None:
+    """Append one line to a line-oriented file: a record as JSON, or text."""
+    line = record if isinstance(record, str) else json.dumps(record, sort_keys=True)
     with open(path, "a") as out:
-        out.write(json.dumps(record, sort_keys=True) + "\n")
+        out.write(line + "\n")
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -343,9 +344,13 @@ class PartyNode:
                 rec["approved"], rec["completed"],
             )
             self.tickets[ticket.ticket_id] = ticket
-        # the manifest is a batch's commit point: an object file it does not
-        # list belongs to a batch cut off before its manifest was replaced
-        for name, _ in map(str.split, _read_lines(self.dir / "objects" / "manifest.txt")):
+        # a manifest line, "name digest" pairs, is a batch's commit point: an
+        # object file no whole line lists belongs to a batch cut off before
+        # its line was appended
+        listed = dict.fromkeys(
+            name for line in _read_lines(self.dir / "objects" / "manifest.txt")
+            for name in line.split()[::2])
+        for name in listed:
             self.objects[name] = SignedObject.from_bytes((self.dir / "objects" / name).read_bytes())
             self._merge_crl(self.objects[name].record())
         legacy = self.dir / "crl.json"  # revocations kept by older versions; never written
@@ -388,6 +393,8 @@ class PartyNode:
     # -- registries ----------------------------------------------------------
 
     def register_member(self, member_id: str, consent_pk: GroupPoint) -> None:
+        if consent_pk.is_identity():
+            raise ValidationError("a consent key must not be the identity point")
         self.member_registry[member_id] = consent_pk
         _append_line(self.dir / "members.jsonl",
                      {"member": member_id, "pk": consent_pk.to_bytes().hex()})
@@ -550,19 +557,19 @@ class PartyNode:
 
     def publish_batch(self, objects: Sequence[SignedObject],
                       ticket_id: Optional[str] = None) -> None:
-        """Atomically publish a batch: all files, then the manifest that commits
-        them, then the CRL merge and one audit entry.
+        """Atomically publish a batch: all files, then the manifest line that
+        commits them, then the CRL merge and one audit entry.
 
-        The node lock orders concurrent batches, so every manifest lists every
-        object published before it."""
+        The batch's line lists its `name digest` pairs and is appended, so a
+        publish costs the same however many objects the node holds; a torn
+        line is cut off on load, taking the whole batch with it.  The node
+        lock orders concurrent batches."""
         with self._lock:
             batch = {self.object_filename(obj): obj for obj in objects}
             for name, obj in batch.items():
                 _write_file(self.dir / "objects" / name, obj.to_bytes())
-            listed = {**self.objects, **batch}
-            _write_file(self.dir / "objects" / "manifest.txt", "".join(
-                f"{name} {listed[name].digest.hex()}\n" for name in sorted(listed)
-            ))
+            _append_line(self.dir / "objects" / "manifest.txt", " ".join(
+                f"{name} {obj.digest.hex()}" for name, obj in batch.items()))
             self.objects.update(batch)
             for obj in objects:
                 self._merge_crl(obj.record())

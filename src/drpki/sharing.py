@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .algebra import (
+from .algebra import (  # noqa: F401 - perfbench/spans.py wraps sharing.scalar_mul by name
     CURVE_ORDER,
     FieldElement,
     GroupPoint,
+    lincomb,
     scalar_mul,
 )
 
@@ -234,29 +235,29 @@ def lagrange_coeffs_at(eval_points: Sequence[FieldElement],
     `x` is a field element or a plain integer such as 0 or a party index.
     """
     modulus = eval_points[0].modulus
-    if not isinstance(x, FieldElement):
-        x = FieldElement(x, modulus)
+    x = x.value if isinstance(x, FieldElement) else x
+    xs = [p.value for p in eval_points]
     coeffs = []
-    for i, xi in enumerate(eval_points):
-        num = FieldElement.one(modulus)
-        den = FieldElement.one(modulus)
-        for j, xj in enumerate(eval_points):
+    for i, xi in enumerate(xs):
+        num = den = 1
+        for j, xj in enumerate(xs):
             if i != j:
-                num = num * (x - xj)
-                den = den * (xi - xj)
-        coeffs.append(num * den.inv())
+                num = num * (x - xj) % modulus
+                den = den * (xi - xj) % modulus
+        coeffs.append(FieldElement(num, modulus) * FieldElement(den, modulus).inv())
     return coeffs
 
 
-def _reconstruct(shares, n: int, t: int, identity, modulus: int, weigh):
-    """The one open rule, over a group with `identity`, `+` and a public-scalar
-    action `weigh(c, v)`: field elements under multiplication, curve points
-    under scalar multiplication.
+def _reconstruct(shares, n: int, t: int, zero, modulus: int, combine):
+    """The one open rule, over a group with neutral element `zero` and a
+    public-weight combination `combine([(c, v), ...])` = sum of c * v: field
+    elements under multiplication, curve points under `lincomb`.
 
     Additive schemes sum all n shares.  Shamir schemes interpolate at 0 from
-    the t+1 lowest-indexed shares; SHAMIR_CHECKED also interpolates every
-    further share's value from those t+1 (error detection, not correction)
-    and aborts on a mismatch.
+    the t+1 lowest-indexed shares; SHAMIR_CHECKED also checks every further
+    share against those t+1 (error detection, not correction): its
+    interpolated value minus the share must come out as `zero`, and a
+    mismatch aborts.
     """
     if not shares:
         raise SharingError("no shares")
@@ -269,29 +270,29 @@ def _reconstruct(shares, n: int, t: int, identity, modulus: int, weigh):
     if not scheme.is_shamir:
         if len(shares) != n:
             raise SharingError(f"additive open needs all {n} shares, got {len(shares)}")
-        total = identity
-        for s in shares:
-            total = total + s.value
-        return total
+        one = FieldElement.one(modulus)
+        return combine([(one, s.value) for s in shares])
 
     if len(shares) < t + 1:
         raise SharingError(f"Shamir open needs at least {t + 1} shares, got {len(shares)}")
     ordered = sorted(shares, key=lambda s: s.owner)
     base, rest = ordered[: t + 1], ordered[t + 1:]
     xs = [FieldElement(s.owner, modulus) for s in base]
+    values = [s.value for s in base]
 
-    def interpolate(x):
-        acc = identity
-        for c, s in zip(lagrange_coeffs_at(xs, x), base):
-            acc = acc + weigh(c, s.value)
-        return acc
-
-    secret = interpolate(0)
+    secret = combine(list(zip(lagrange_coeffs_at(xs, 0), values)))
     if scheme is SchemeId.SHAMIR_CHECKED:
+        minus_one = -FieldElement.one(modulus)
         for extra in rest:
-            if interpolate(extra.owner) != extra.value:
+            weights = lagrange_coeffs_at(xs, extra.owner)
+            if combine(list(zip(weights, values)) + [(minus_one, extra.value)]) != zero:
                 raise ProtocolAbort("corrupted share detected")
     return secret
+
+
+def _field_combine(pairs) -> FieldElement:
+    modulus = pairs[0][1].modulus
+    return FieldElement(sum(c.value * v.value for c, v in pairs), modulus)
 
 
 def open_shares(shares: Sequence[Share], n: int, t: int) -> FieldElement:
@@ -302,14 +303,14 @@ def open_shares(shares: Sequence[Share], n: int, t: int) -> FieldElement:
     batched MAC check.
     """
     modulus = shares[0].value.modulus if shares else CURVE_ORDER
-    return _reconstruct(shares, n, t, FieldElement.zero(modulus), modulus,
-                        FieldElement.__mul__)
+    return _reconstruct(shares, n, t, FieldElement.zero(modulus), modulus, _field_combine)
 
 
 def open_point_shares(shares: Sequence[PointShare], n: int, t: int) -> GroupPoint:
-    """Reconstruct a shared point: open_shares with the weights lifted into
-    the group by scalar multiplication."""
-    return _reconstruct(shares, n, t, GroupPoint.identity(), CURVE_ORDER, scalar_mul)
+    """Reconstruct a shared point: open_shares with each weighted sum taken as
+    one multi-scalar combination, so a check that comes out as the identity
+    costs no inversion."""
+    return _reconstruct(shares, n, t, GroupPoint.identity(), CURVE_ORDER, lincomb)
 
 
 # --- Deferred SPDZ MAC check -------------------------------------------------

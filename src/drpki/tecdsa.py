@@ -646,10 +646,11 @@ def sign_online(env: PhaseEnv, session, member_id: str,
     R not opened during preprocessing, one opens every s, and the
     authenticated scheme runs one MAC check over them all.  The share step
     computes [s] = H(M) * [1/k] + r_x * [sk/k] locally.  Every party verifies
-    each assembled signature against the member's public key before
-    returning any; a failure aborts rather than emitting bad bytes.  A
-    degenerate instance key (R the identity, r_x = 0 or s = 0) sends only
-    its message into the next pass, within DEGENERATE_RETRY_BUDGET passes.
+    each assembled signature against the member's public key and the R it
+    holds before returning any; a failure aborts rather than emitting bad
+    bytes.  A degenerate instance key (R the identity, r_x = 0 or s = 0)
+    sends only its message into the next pass, within
+    DEGENERATE_RETRY_BUDGET passes.
 
     With a `gate`, the messages come from its round-1 leads instead, and its
     votes ride on the first R round, which then runs even when every R was
@@ -696,25 +697,25 @@ def sign_online(env: PhaseEnv, session, member_id: str,
             if r_x is None or r_x.is_zero():
                 retry.append(i)
             else:
-                signing.append((i, tup, r_x))
+                signing.append((i, tup, r_point, r_x))
         s_shares = [
             share_add(
                 share_scale_add(tup.k_inv_share, hashes[i], zero, env.mac_key),
                 share_scale_add(tup.sk_over_k_share, r_x, zero, env.mac_key),
             )
-            for i, tup, r_x in signing
+            for i, tup, _, r_x in signing
         ]
         ops_before_open = OP_COUNTER.total()
         s_values = session.open_field_batch(s_shares) if s_shares else []
         session.run_mac_check()
         ops_s_done = OP_COUNTER.total()
 
-        for (i, tup, r_x), s in zip(signing, s_values):
+        for (i, tup, r_point, r_x), s in zip(signing, s_values):
             if s.is_zero():
                 retry.append(i)
                 continue
             signature = Signature(r_x, s)
-            if not ecdsa_verify(record.pk, messages[i], signature):
+            if not ecdsa_verify(record.pk, messages[i], signature, r_point=r_point):
                 session.abort("signature invalid")
             results[i] = SignResult(
                 signature=signature,

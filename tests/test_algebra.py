@@ -19,6 +19,7 @@ from drpki.algebra import (
     ecdsa_sign,
     ecdsa_verify,
     hash_to_scalar,
+    lincomb,
     scalar_mul,
 )
 
@@ -210,6 +211,120 @@ def test_verify_rejects_wrong_message():
     sk = FieldElement.random_nonzero(rng)
     sig = ecdsa_sign(sk, b"payload", FieldElement.random_nonzero(rng))
     assert not ecdsa_verify(scalar_mul(sk, GENERATOR), b"other payload", sig)
+
+
+@pytest.mark.parametrize("message,k,r,s", RFC6979_VECTORS)
+def test_known_r_verify_accepts_rfc6979_vectors(message, k, r, s):
+    pk = scalar_mul(FieldElement(RFC6979_SK), GENERATOR)
+    r_point = scalar_mul(FieldElement(k), GENERATOR)
+    assert ecdsa_verify(pk, message, Signature(FieldElement(r), FieldElement(s)),
+                        r_point=r_point)
+
+
+@pytest.mark.parametrize("message,k,r,s", RFC6979_VECTORS)
+def test_known_r_verify_rejects_any_other_r(message, k, r, s):
+    pk = scalar_mul(FieldElement(RFC6979_SK), GENERATOR)
+    sig = Signature(FieldElement(r), FieldElement(s))
+    r_point = scalar_mul(FieldElement(k), GENERATOR)
+    negated = GroupPoint(r_point.x, FIELD_PRIME - r_point.y)  # same x, so x = r
+    unrelated = scalar_mul(FieldElement(k + 1), GENERATOR)
+    assert FieldElement(unrelated.x) != sig.r_x
+    for wrong in (negated, unrelated, GroupPoint.identity()):
+        assert not ecdsa_verify(pk, message, sig, r_point=wrong)
+
+
+def test_known_r_verify_rejects_the_negated_s_that_plain_verify_accepts():
+    sk, k = FieldElement.random_nonzero(rng), FieldElement.random_nonzero(rng)
+    pk, r_point = scalar_mul(sk, GENERATOR), scalar_mul(k, GENERATOR)
+    sig = ecdsa_sign(sk, b"payload", k)
+    flipped = Signature(sig.r_x, -sig.s)  # its point is -R
+    assert ecdsa_verify(pk, b"payload", flipped)
+    assert not ecdsa_verify(pk, b"payload", flipped, r_point=r_point)
+    assert ecdsa_verify(pk, b"payload", flipped,
+                        r_point=GroupPoint(r_point.x, FIELD_PRIME - r_point.y))
+
+
+def test_known_r_verify_agrees_with_plain_verify_on_random_signatures():
+    for _ in range(20):
+        sk, k = FieldElement.random_nonzero(rng), FieldElement.random_nonzero(rng)
+        pk, r_point = scalar_mul(sk, GENERATOR), scalar_mul(k, GENERATOR)
+        msg = rng.randbytes(32)
+        sig = ecdsa_sign(sk, msg, k)
+        assert ecdsa_verify(pk, msg, sig, r_point=r_point)
+        assert not ecdsa_verify(pk, msg + b"!", sig, r_point=r_point)
+        assert not ecdsa_verify(scalar_mul(sk + FieldElement.one(), GENERATOR), msg, sig,
+                                r_point=r_point)
+
+
+# --- multi-scalar combinations, against the affine oracle -------------------------
+
+def _oracle_lincomb(pairs):
+    acc = None
+    for k, point in pairs:
+        if not point.is_identity():
+            acc = _affine_add(acc, _naive_scalar_mul(k.value, (point.x, point.y)))
+    return GroupPoint.identity() if acc is None else GroupPoint(*acc)
+
+
+def _neg(point):
+    return GroupPoint(point.x, FIELD_PRIME - point.y)
+
+
+P1 = scalar_mul(FieldElement(0xC0FFEE), GENERATOR)
+P2 = scalar_mul(FieldElement(0xFACADE), GENERATOR)
+COMB_SCALARS = [0, 1, 2**16 - 1, 2**16 + 1, CURVE_ORDER // 2 - 1, CURVE_ORDER // 2 + 1,
+                CURVE_ORDER - 1]
+
+
+@pytest.mark.parametrize("k", COMB_SCALARS, ids=hex)
+def test_lincomb_edge_scalars_match_oracle(k):
+    for pairs in (
+        [(FieldElement(k), P1)],
+        [(FieldElement(k), GENERATOR), (FieldElement(k), P1)],
+        [(FieldElement(k), P1), (FieldElement(CURVE_ORDER - 3), P2),
+         (FieldElement.random(rng), GENERATOR)],
+    ):
+        assert lincomb(pairs) == _oracle_lincomb(pairs)
+
+
+def test_lincomb_random_terms_match_oracle():
+    points = [GENERATOR, P1, P2, scalar_mul(FieldElement.random_nonzero(rng), GENERATOR)]
+    for size in range(1, 6):
+        pairs = [(FieldElement.random(rng), rng.choice(points)) for _ in range(size)]
+        assert lincomb(pairs) == _oracle_lincomb(pairs)
+
+
+def test_lincomb_identity_and_repeated_terms():
+    k = FieldElement.random_nonzero(rng)
+    ident = GroupPoint.identity()
+    assert lincomb([]).is_identity()
+    assert lincomb([(k, ident)]).is_identity()
+    assert lincomb([(k, ident), (k, P1)]) == scalar_mul(k, P1)
+    # repeated points, including G, must hit the doubling case of the addition
+    assert lincomb([(k, P1), (k, P1)]) == scalar_mul(k + k, P1)
+    assert lincomb([(k, GENERATOR), (k, GENERATOR)]) == scalar_mul(k + k, GENERATOR)
+    assert lincomb([(FieldElement(1), P1)] * 3) == scalar_mul(FieldElement(3), P1)
+    assert lincomb([(k, P1), (FieldElement(5), GENERATOR), (k, P1)]) == _oracle_lincomb(
+        [(k + k, P1), (FieldElement(5), GENERATOR)])
+
+
+def test_lincomb_cancelling_terms_give_the_identity():
+    k = FieldElement.random_nonzero(rng)
+    assert lincomb([(k, P1), (k, _neg(P1))]).is_identity()
+    assert lincomb([(k, P1), (-k, P1)]).is_identity()
+    assert lincomb([(k, GENERATOR), (k, _neg(GENERATOR))]).is_identity()
+    assert lincomb([(FieldElement(3), P2), (FieldElement(CURVE_ORDER - 3), P2)]).is_identity()
+    # a partial cancellation leaves the rest
+    assert lincomb([(k, P1), (k, _neg(P1)), (FieldElement(7), P2)]) == scalar_mul(
+        FieldElement(7), P2)
+
+
+def test_lincomb_counts_one_scalar_mul_per_nonzero_term():
+    OP_COUNTER.reset()
+    lincomb([(FieldElement(3), P1), (FieldElement.zero(), P2),
+             (FieldElement(5), GroupPoint.identity()), (FieldElement(9), GENERATOR)])
+    assert OP_COUNTER.scalar_muls == 2
+    assert OP_COUNTER.point_adds == 0
 
 
 def test_sign_without_explicit_nonce_samples_internally():

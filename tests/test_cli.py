@@ -69,6 +69,17 @@ def test_keygen_preprocess_sign_workflow(workspace, capsys):
     assert (workspace / "data" / "party3" / "objects" / "roa-7.obj").exists()
 
 
+def test_member_register_refuses_identity_key(workspace, capsys):
+    config = str(workspace / "drpki.ini")
+    key_file = workspace / "identity.key"
+    key_file.write_text(json.dumps({"sk": "00" * 32, "pk": "00"}))
+    with pytest.raises(SystemExit):
+        run_cli("member", "register", "--config", config,
+                "--member", "memberX", "--key", str(key_file))
+    assert "identity" in capsys.readouterr().err
+    assert not list((workspace / "data").glob("party*/members.jsonl"))
+
+
 def test_test_mode_env_var_refuses_production_config(workspace, monkeypatch):
     monkeypatch.setenv("DRPKI_TEST_MODE", "1")
     with pytest.raises(SystemExit):

@@ -11,12 +11,12 @@ import time
 
 import pytest
 
-from drpki.algebra import KeyPair, ecdsa_sign, ecdsa_verify
+from drpki.algebra import GroupPoint, KeyPair, ecdsa_sign, ecdsa_verify
 from drpki.bench import WAN_RTT_MS, critical_path_rtt, one_way_delays
 from drpki.preprocessing import TrustedDealer
 from drpki.rpki import (
-    Action, CrlRecord, IpPrefix, PayloadKind, RoaRecord, SignedObject, encode_canonical,
-    plan_transfer, sign_consent,
+    Action, CrlRecord, IpPrefix, PayloadKind, RoaRecord, SignedObject, ValidationError,
+    encode_canonical, plan_transfer, sign_consent,
 )
 from drpki.runtime import (
     FRAME_OVERHEAD,
@@ -944,23 +944,26 @@ def test_reopened_durable_cluster_never_reissues_session_ids(tmp_path):
     assert not first & second
 
 
+_SIGNER = KeyPair.generate(rng)
+_ANY_SIGNATURE = ecdsa_sign(_SIGNER.sk, b"any", rng=rng)
+
+
+def _roa_object(serial):
+    """A ROA object with a placeholder signature, for publish-path tests."""
+    blob = encode_canonical(RoaRecord(
+        serial=serial, member_id="m", asn=64512,
+        prefixes=(IpPrefix.parse("192.0.2.0/24", 24),),
+        not_before=1500000000, not_after=1600000000, ee_pk=_SIGNER.pk))
+    return SignedObject(PayloadKind(blob[0]), blob, _ANY_SIGNATURE, _SIGNER.pk)
+
+
 def test_concurrent_batches_all_reach_the_manifest(tmp_path):
     node = PartyNode(1, ProtocolConfig.for_scheme(SchemeId.SHAMIR), str(tmp_path), bytes(16))
-    signer = KeyPair.generate(rng)
-    signature = ecdsa_sign(signer.sk, b"any", rng=rng)
-
-    def batch(serial):
-        blob = encode_canonical(RoaRecord(
-            serial=serial, member_id="m", asn=64512,
-            prefixes=(IpPrefix.parse("192.0.2.0/24", 24),),
-            not_before=1500000000, not_after=1600000000, ee_pk=signer.pk))
-        return [SignedObject(PayloadKind(blob[0]), blob, signature, signer.pk)]
-
     stale = []
 
     def publisher(first):
         for serial in range(first, first + 40):
-            node.publish_batch(batch(serial))
+            node.publish_batch([_roa_object(serial)])
             if f"roa-{serial}.obj" not in manifest.read_text():
                 stale.append(serial)
 
@@ -982,6 +985,66 @@ def test_concurrent_batches_all_reach_the_manifest(tmp_path):
     assert len(node.objects) == 320
     assert not list((tmp_path / "objects").glob("*.tmp"))
     node.close()
+
+
+def test_torn_two_object_manifest_line_publishes_neither_object(tmp_path):
+    config = ProtocolConfig.for_scheme(SchemeId.SHAMIR)
+    node = PartyNode(1, config, str(tmp_path), bytes(16))
+    first, second, third = (_roa_object(serial) for serial in (1, 2, 3))
+    node.publish_batch([first])
+    node.publish_batch([second, third])
+    node.close()
+    manifest = tmp_path / "objects" / "manifest.txt"
+    one_object_line = f"roa-1.obj {first.digest.hex()}\n"
+    assert manifest.read_text() == one_object_line + (
+        f"roa-2.obj {second.digest.hex()} roa-3.obj {third.digest.hex()}\n")
+    # a crash tears the second batch's line in its middle
+    manifest.write_bytes(manifest.read_bytes()[:len(one_object_line) + 50])
+    reopened = PartyNode(1, config, str(tmp_path), bytes(16))
+    assert set(reopened.objects) == {"roa-1.obj"}
+    assert manifest.read_text() == one_object_line  # the torn tail is cut off
+    reopened.publish_batch([third])  # the next batch starts a line of its own
+    reopened.close()
+    again = PartyNode(1, config, str(tmp_path), bytes(16))
+    assert set(again.objects) == {"roa-1.obj", "roa-3.obj"}
+    again.close()
+
+
+def test_republished_object_is_listed_once_and_loads(tmp_path):
+    config = ProtocolConfig.for_scheme(SchemeId.SHAMIR)
+    node = PartyNode(1, config, str(tmp_path), bytes(16))
+    node.publish_batch([_roa_object(1)])
+    node.publish_batch([_roa_object(1), _roa_object(2)])
+    node.close()
+    reopened = PartyNode(1, config, str(tmp_path), bytes(16))
+    assert sorted(reopened.objects) == ["roa-1.obj", "roa-2.obj"]
+    reopened.close()
+
+
+def test_identity_consent_key_is_refused_at_registration(tmp_path):
+    cluster = make_cluster(data_dir=str(tmp_path))
+    with pytest.raises(ValidationError, match="identity"):
+        cluster.register_member("memberA", GroupPoint.identity())
+    assert not any(node.member_registry for node in cluster.nodes.values())
+    cluster.close()
+
+
+def test_request_under_identity_consent_key_aborts_as_invalid(tmp_path):
+    cluster = make_cluster(data_dir=str(tmp_path))
+    _, member_keys, roa = _issue_fixture(cluster)
+    cluster.close()
+    # a registry line from before registration refused the identity
+    for party in range(1, 6):
+        with open(tmp_path / f"party{party}" / "members.jsonl", "a") as out:
+            out.write(json.dumps({"member": "memberA", "pk": "00"}) + "\n")
+    reopened = make_cluster(data_dir=str(tmp_path))
+    token = sign_consent(member_keys.sk, "memberA", Action.ISSUE, [roa],
+                         expiry=int(time.time()) + 600, rng=rng)
+    outcome = reopened.handle_sign_request(SignRequest("memberA", Action.ISSUE, [roa], token))
+    assert (outcome.status, outcome.reason) == ("aborted", "consent-invalid")
+    assert not any(node.objects for node in reopened.nodes.values())
+    assert verify_audit_completeness(reopened)
+    reopened.close()
 
 
 def test_torn_key_record_tail_is_cut_on_reopen(tmp_path):

@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from drpki.algebra import CURVE_ORDER, FieldElement, GENERATOR, scalar_mul
+from drpki.algebra import (
+    CURVE_ORDER,
+    FIELD_PRIME,
+    GENERATOR,
+    FieldElement,
+    GroupPoint,
+    scalar_mul,
+)
 from drpki.sharing import (
     MacCheckAccumulator,
     MacKeyShare,
@@ -293,6 +300,56 @@ def test_point_share_checked_opens_from_non_consecutive_parties(live):
         for s in shares if s.owner in live
     ]
     assert open_point_shares(point_shares, N, T) == scalar_mul(secret, GENERATOR)
+
+
+def _points(shares):
+    return [PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares]
+
+
+@pytest.mark.parametrize("zero_at", [1, 3, 4, 5])
+def test_point_share_checked_opens_with_an_identity_share(zero_at):
+    # f(x) = (x - zero_at)(a x + b) has degree T and gives party zero_at the
+    # share 0, whose point is the identity: in the interpolation set (1, 3)
+    # or among the checked extras (4, 5)
+    a, b = FieldElement.random(rng), FieldElement.random_nonzero(rng)
+    scheme = SchemeId.SHAMIR_CHECKED
+
+    def f(x):
+        x = FieldElement(x)
+        return (x - FieldElement(zero_at)) * (a * x + b)
+
+    shares = [Share(scheme, i, f(i)) for i in range(1, N + 1)]
+    point_shares = _points(shares)
+    assert point_shares[zero_at - 1].value.is_identity()
+    assert open_point_shares(point_shares, N, T) == scalar_mul(f(0), GENERATOR)
+    # and a share replaced by the identity is caught like any other change
+    victim = zero_at % N  # a party whose share is not the identity
+    tampered = list(point_shares)
+    tampered[victim] = PointShare(scheme, victim + 1, GroupPoint.identity())
+    with pytest.raises(ProtocolAbort, match="corrupted share detected"):
+        open_point_shares(tampered, N, T)
+
+
+@pytest.mark.parametrize("live", [(1, 2, 3, 4, 5), (1, 2, 4, 5), (2, 3, 5, 1)])
+def test_point_share_checked_detects_negated_or_doubled_share_at_each_position(live):
+    shares, _ = _deal(SchemeId.SHAMIR_CHECKED, FieldElement.random(rng))
+    point_shares = [p for p in _points(shares) if p.owner in live]
+    for victim, share in enumerate(point_shares):
+        pt = share.value
+        for bad in (GroupPoint(pt.x, FIELD_PRIME - pt.y), pt + pt):
+            tampered = list(point_shares)
+            tampered[victim] = PointShare(share.scheme, share.owner, bad)
+            with pytest.raises(ProtocolAbort, match="corrupted share detected"):
+                open_point_shares(tampered, N, T)
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.ADDITIVE, SchemeId.ADDITIVE_MAC])
+def test_additive_point_open_sums_identity_and_cancelling_shares(scheme):
+    p = scalar_mul(FieldElement.random_nonzero(rng), GENERATOR)
+    minus_p = GroupPoint(p.x, FIELD_PRIME - p.y)
+    values = [p, GroupPoint.identity(), minus_p, GENERATOR, GENERATOR]
+    shares = [PointShare(scheme, i + 1, v) for i, v in enumerate(values)]
+    assert open_point_shares(shares, N, T) == scalar_mul(FieldElement(2), GENERATOR)
 
 
 # --- MAC check ----------------------------------------------------------------
