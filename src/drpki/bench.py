@@ -136,14 +136,6 @@ def _make_cluster(scheme: SchemeId, setting: str, seed: Optional[int],
     return LocalCluster(cfg, seed=seed, latency_ms=latency, timeout=timeout)
 
 
-def count_bytes(cluster: LocalCluster, phase_label: Optional[str] = None) -> dict[int, int]:
-    """Exact sent-byte totals per party, whole frames, optionally one phase."""
-    return {
-        party: cluster.hub.counters.sent_by(party, phase_label)
-        for party in cluster.participants
-    }
-
-
 def _mean_bytes_per_party(cluster: LocalCluster, phase_label: str,
                           before: dict) -> float:
     after = cluster.hub.counters.snapshot()

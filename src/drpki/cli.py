@@ -51,6 +51,16 @@ def _fail(message: str) -> NoReturn:
 
 # --- config ---------------------------------------------------------------------
 
+# the [policy] keys, each a ConsentPolicy field, and how to read its value;
+# an absent key takes the field's default
+POLICY_KEYS = {
+    "flag_on_failed_consent": configparser.ConfigParser.getboolean,
+    "low_watermark": configparser.ConfigParser.getint,
+    "batch_size": configparser.ConfigParser.getint,
+    "auto_replenish": configparser.ConfigParser.getboolean,
+}
+
+
 def write_default_config(path: Path, scheme: str, data_dir: str,
                          seed: int | None, flag_policy: bool,
                          precompute_r: bool, latency: str | None,
@@ -69,14 +79,8 @@ def write_default_config(path: Path, scheme: str, data_dir: str,
     }
     if seed is not None:
         cfg["cluster"]["seed"] = str(seed)
-    cfg["policy"] = {
-        "flag_on_failed_consent": str(flag_policy).lower(),
-        # replenishment: the 1000-tuple batch matches the benchmark
-        # amortization unit; drop both for snappier interactive demos
-        "low_watermark": "100",
-        "batch_size": "1000",
-        "auto_replenish": "true",
-    }
+    policy = ConsentPolicy(flag_on_failed_consent=flag_policy)
+    cfg["policy"] = {key: str(getattr(policy, key)).lower() for key in POLICY_KEYS}
     cfg["addresses"] = {
         f"party{i}": f"127.0.0.1:{port_base + i}" for i in range(1, 6)
     }
@@ -114,13 +118,9 @@ def protocol_config(cfg: configparser.ConfigParser) -> ProtocolConfig:
 def cluster_from_config(cfg: configparser.ConfigParser) -> LocalCluster:
     section = cfg["cluster"]
     proto = protocol_config(cfg)
-    policy = ConsentPolicy(
-        flag_on_failed_consent=cfg.getboolean("policy", "flag_on_failed_consent",
-                                              fallback=False),
-        low_watermark=cfg.getint("policy", "low_watermark", fallback=100),
-        batch_size=cfg.getint("policy", "batch_size", fallback=1000),
-        auto_replenish=cfg.getboolean("policy", "auto_replenish", fallback=True),
-    )
+    default = ConsentPolicy()
+    policy = ConsentPolicy(**{key: read(cfg, "policy", key, fallback=getattr(default, key))
+                              for key, read in POLICY_KEYS.items()})
     latency = None
     if cfg.has_section("latency") and cfg["latency"].get("matrix"):
         latency = one_way_delays(load_latency_matrix(cfg["latency"]["matrix"]))

@@ -13,8 +13,6 @@ from .transport import (
 from .session import PartySession, SessionAbort
 from .node import (
     ConsentPolicy,
-    CrashError,
-    CrashPoint,
     InterventionTicket,
     LocalCluster,
     PartyNode,
@@ -35,8 +33,6 @@ __all__ = [
     "PartySession",
     "SessionAbort",
     "ConsentPolicy",
-    "CrashError",
-    "CrashPoint",
     "InterventionTicket",
     "LocalCluster",
     "PartyNode",

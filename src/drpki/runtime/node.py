@@ -9,7 +9,8 @@ request) over it.  Both transports use it: the LocalCluster runs five nodes
 over the in-process hub, one thread per party per op, and `drpki serve`
 runs one node over TCP.  Session ids are sha256(epoch | phase | counter) on
 both.  An op whose MAC check fails at this node retires the node's own
-epoch; a peer's abort frame, whatever its text, never does.
+epoch; a peer's abort frame, whatever its text, never does, and a `request`
+op on a retired epoch returns an aborted outcome before it sends anything.
 
 The `request` op is the one consent-gated signing path, in one session, and
 its consent step rides on the rounds of `sign_online`.  Round 1 carries the
@@ -69,9 +70,8 @@ from ..tecdsa import (
     preprocess_independent,
     sign_online,
 )
-from .session import FaultPlan, PartySession, SessionAbort
+from .session import PartySession, SessionAbort
 from .transport import (
-    PHASE_CONTROL,
     PHASE_KEYGEN,
     PHASE_ONLINE,
     PHASE_PREPROCESS_DEPENDENT,
@@ -79,10 +79,6 @@ from .transport import (
     InProcessHub,
     derive_pair_keys,
 )
-
-
-class CrashError(Exception):
-    """Injected failure for restart testing; names the crash point."""
 
 
 # the phase each op of `PartyNode.run` runs in
@@ -106,21 +102,6 @@ def _derive_seed(seed: int, label: str) -> int:
     """Stable sub-seed derivation (process-independent, unlike hash())."""
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass
-class CrashPoint:
-    """Fires a CrashError whenever the named pipeline step is reached.
-
-    Every node that reaches an in-op step fires, so the in-process cluster
-    crashes as a whole.
-    """
-
-    at: str
-
-    def __call__(self, point: str) -> None:
-        if point == self.at:
-            raise CrashError(point)
 
 
 @dataclass
@@ -226,9 +207,8 @@ class _RequestGate:
     of ok votes `tally` raises `_Refused` before any R is reconstructed.
     """
 
-    def __init__(self, node: "PartyNode", op: dict, session: PartySession,
-                 crash: Callable[[str], None]) -> None:
-        self.node, self.op, self.session, self.crash = node, op, session, crash
+    def __init__(self, node: "PartyNode", op: dict, session: PartySession) -> None:
+        self.node, self.op, self.session = node, op, session
         self.ticket_id = op.get("ticket")
         self.count = len(op["payloads"])
         self.lead = b"".join(
@@ -268,7 +248,6 @@ class _RequestGate:
         self.votes = votes
         if sum(v == b"ok" for v in votes.values()) < self.node.config.quorum:
             raise _Refused()
-        self.crash("after_consent")
 
 
 class PartyNode:
@@ -304,7 +283,6 @@ class PartyNode:
         self.audit_seq = 0
         self.rng: Optional[random.Random] = None
         self.triple_source = None
-        self.fault_plan: Optional[FaultPlan] = None
         # secret-share / public-open split of this node's latest keygen
         self.keygen_timings: dict[str, float] = {}
         self._lock = threading.Lock()
@@ -442,23 +420,21 @@ class PartyNode:
             timeout=timeout,
             mac_key=self.mac_key,
             rng=self.rng,
-            fault_plan=self.fault_plan,
         )
 
-    def run(self, op: dict, session: PartySession,
-            crash: Callable[[str], None] = lambda point: None):
+    def run(self, op: dict, session: PartySession):
         """Run this party's side of one phase op over an open session.
 
         `op` is the JSON dict of serve's control frames.  Returns the phase
         result: the key record, the new tuples, one SignResult per message
         of the `sign` op's "messages" list, in order, or the `request` op's
-        SignOutcome.  `crash(point)` is called at each crash point of the
-        `request` op.  Only this node's own failed MAC check retires its
-        epoch, never a peer's abort; a `request` op that aborts returns an
+        SignOutcome.  Only this node's own failed MAC check retires its
+        epoch, never a peer's abort; a `request` op that aborts, or that this
+        node refuses because its epoch is retired or tainted, returns an
         aborted outcome.
         """
         try:
-            return self._run(op, session, crash)
+            return self._run(op, session)
         except ProtocolAbort as exc:
             if session.mac_failed:
                 self.retired_epochs.add(self.epoch)
@@ -469,7 +445,7 @@ class PartyNode:
             self.audit("sign_aborted", member=op["member"], reason=str(exc))
             return SignOutcome("aborted", reason=str(exc))
 
-    def _run(self, op: dict, session: PartySession, crash: Callable[[str], None]):
+    def _run(self, op: dict, session: PartySession):
         name = op["op"]
         if name == "keygen":
             member_id = op["member"]
@@ -490,16 +466,21 @@ class PartyNode:
             return sign_online(self.env(), session, op["member"],
                                [bytes.fromhex(m) for m in op["messages"]])
         if name == "request":
-            return self._request(op, session, crash)
+            return self._request(op, session)
         raise TecdsaError(f"unknown op {name!r}")
 
-    def _request(self, op: dict, session: PartySession,
-                 crash: Callable[[str], None]) -> SignOutcome:
+    def _request(self, op: dict, session: PartySession) -> SignOutcome:
         member_id, action = op["member"], Action[op["action"]]
         initiator, ticket_id = op["initiator"], op.get("ticket")
-        gate = _RequestGate(self, op, session, crash)
         try:
-            sign_results = sign_online(self.env(), session, member_id, gate=gate)
+            env = self.env()
+        except TecdsaError as exc:
+            # refused before round 1: nothing is sent and no tuple is taken
+            self.audit("sign_aborted", member=member_id, reason=str(exc))
+            return SignOutcome("aborted", reason=str(exc))
+        gate = _RequestGate(self, op, session)
+        try:
+            sign_results = sign_online(env, session, member_id, gate=gate)
         except _Refused:
             # the agreed tuples are journaled already: the refusal burns them
             reason = ("ticket-unapproved" if ticket_id is not None
@@ -519,13 +500,10 @@ class PartyNode:
             self.audit("sign_aborted", member=member_id, digest=gate.digest, reason=reason)
             return SignOutcome("aborted", reason=reason)
 
-        crash("after_sign")
         pk = self.key_records[member_id].pk
         objects = [SignedObject(PayloadKind(blob[0]), blob, result.signature, pk)
                    for blob, result in zip(gate.blobs, sign_results)]
-        crash("before_publish")
         self.publish_batch(objects, ticket_id=ticket_id)
-        crash("after_publish")
         if ticket_id is None:
             self.consent_inbox.pop(member_id, None)
         else:
@@ -685,7 +663,6 @@ class LocalCluster:
         self._member_locks_guard = threading.Lock()
         self._preprocess_lock = threading.Lock()
         self._initiator_counter = 0
-        self.crash_hook: Optional[Callable[[str], None]] = None
 
     # -- setup helpers ----------------------------------------------------------
 
@@ -710,10 +687,6 @@ class LocalCluster:
         with self._member_locks_guard:
             return self._member_locks.setdefault(member_id, threading.Lock())
 
-    def _maybe_crash(self, point: str) -> None:
-        if self.crash_hook is not None:
-            self.crash_hook(point)
-
     def _next_session_id(self, phase: int) -> bytes:
         with self._session_lock:
             self._session_counter += 1
@@ -727,7 +700,8 @@ class LocalCluster:
     # -- phase runner -------------------------------------------------------------
 
     def _run_phase(self, phase: int, fn, timeout: Optional[float] = None):
-        """Execute fn(node, session) on every live party, one thread per party."""
+        """Execute fn(node, session) on every live party, one thread per party,
+        then drop the session's mailboxes: no frame of it is sent after that."""
         self._require_liveness()
         session_id = self._next_session_id(phase)
         timeout = timeout if timeout is not None else self.timeout
@@ -751,16 +725,15 @@ class LocalCluster:
             th.start()
         for th in threads:
             th.join()
+        self.hub.drop(session_id)
 
         if errors:
             raise self._root_error(errors)
         return results
 
     def _run_op(self, op: dict) -> dict:
-        """Run one `PartyNode.run` op on every live party, in the op's phase;
-        every node calls `crash_hook` at the op's crash points."""
-        return self._run_phase(OP_PHASES[op["op"]],
-                               lambda node, s: node.run(op, s, self._maybe_crash))
+        """Run one `PartyNode.run` op on every live party, in the op's phase."""
+        return self._run_phase(OP_PHASES[op["op"]], lambda node, s: node.run(op, s))
 
     @staticmethod
     def _root_error(errors: dict[int, BaseException]) -> BaseException:
@@ -777,7 +750,6 @@ class LocalCluster:
         pks = {r.pk.to_bytes() for r in results.values()}
         if len(pks) != 1:
             raise ProtocolAbort("public key disagreement")
-        self._maybe_crash("after_keygen")
         return next(iter(results.values())).pk
 
     def keygen_timed(self, member_id: str) -> dict:
@@ -791,7 +763,6 @@ class LocalCluster:
     def preprocess_independent(self, count: int) -> int:
         with self._preprocess_lock:
             results = self._run_op({"op": "preprocess-independent", "count": count})
-        self._maybe_crash("after_preprocess_independent")
         return len(next(iter(results.values())))
 
     def preprocess_dependent(self, member_id: str, count: int) -> int:
@@ -799,7 +770,6 @@ class LocalCluster:
             results = self._run_op(
                 {"op": "preprocess-dependent", "member": member_id, "count": count}
             )
-        self._maybe_crash("after_preprocess_dependent")
         return len(next(iter(results.values())))
 
     def run_signing(self, member_id: str, message: bytes | Sequence[bytes],
@@ -818,7 +788,6 @@ class LocalCluster:
         sigs = {tuple(r.signature.to_bytes() for r in batch) for batch in results.values()}
         if len(sigs) != 1:
             raise ProtocolAbort("signature disagreement")
-        self._maybe_crash("after_sign")
         if single:
             results = {party: batch[0] for party, batch in results.items()}
         return results if return_all else results[self.participants[0]]
@@ -888,7 +857,6 @@ class LocalCluster:
         with self._member_lock(request.member_id):
             if request.consent is not None:
                 self.submit_consent(request.consent)
-            self._maybe_crash("before_consent")
             blobs = [encode_canonical(rec) for rec in request.payloads]
             return self._request(request.member_id, request.action, blobs)
 
@@ -976,26 +944,6 @@ class LocalCluster:
         return open_shares(shares, self.n_live, self.config.t).inv()
 
     # -- misc -----------------------------------------------------------------------
-
-    def run_echo_round(self, payload: bytes, mute: Sequence[int] = (),
-                       timeout: Optional[float] = None,
-                       echo_back: bool = False) -> dict:
-        """One broadcast round (optionally followed by an echo), for tests/bench."""
-        mute_set = set(mute)
-
-        def fn(node: PartyNode, session: PartySession):
-            if node.party_id in mute_set:
-                time.sleep((timeout if timeout is not None else self.timeout) + 0.5)
-                return {}
-            got = session.broadcast(payload)
-            if echo_back:
-                got = session.broadcast(b"".join(got[p] for p in sorted(got)))
-            return got
-
-        return self._run_phase(PHASE_CONTROL, fn, timeout=timeout)
-
-    def set_fault(self, party: int, plan: Optional[FaultPlan]) -> None:
-        self.nodes[party].fault_plan = plan
 
     def close(self) -> None:
         for node in self.nodes.values():

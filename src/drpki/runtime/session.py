@@ -7,17 +7,15 @@ party aborts the session for everyone).
 
 The session layer also implements the shared-value open primitives used by
 every protocol phase, including the deferred MAC accounting for the
-authenticated scheme and a fault-injection hook used by the abort-soundness
-tests.
+authenticated scheme.
 """
 
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from ..algebra import GENERATOR, AlgebraError, FieldElement, GroupPoint
+from ..algebra import AlgebraError, FieldElement, GroupPoint
 from ..sharing import (
     MacCheckAccumulator,
     MacKeyShare,
@@ -38,28 +36,6 @@ class SessionAbort(ProtocolAbort):
     """The session terminated without output (timeout, abort frame, failed check)."""
 
 
-@dataclass
-class FaultPlan:
-    """Test adversary: perturb this party's broadcast at the k-th opened value.
-
-    kind 'value' adds 1 to the broadcast share (or G to a point share);
-    kind 'mac' corrupts the MAC share fed into the deferred check instead.
-    """
-
-    opens_until_fault: int
-    kind: str = "value"
-    triggered: bool = False
-
-    def take(self) -> bool:
-        if self.triggered:
-            return False
-        if self.opens_until_fault == 0:
-            self.triggered = True
-            return True
-        self.opens_until_fault -= 1
-        return False
-
-
 def _encode_point_share(share: PointShare) -> bytes:
     enc = share.value.to_bytes()
     return bytes([len(enc)]) + enc
@@ -78,7 +54,6 @@ class PartySession:
         timeout: float = 10.0,
         mac_key: Optional[MacKeyShare] = None,
         rng=None,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.party_id = party_id
         self.participants = sorted(participants)
@@ -90,7 +65,6 @@ class PartySession:
         self.timeout = timeout
         self.mac_key = mac_key
         self.rng = rng
-        self.fault_plan = fault_plan
         self.round = 0
         self.dropped = 0
         # set when this party's own MAC check fails; a peer's abort never sets it
@@ -160,12 +134,6 @@ class PartySession:
 
     # --- opens ----------------------------------------------------------
 
-    def _faulted(self, items: list, corrupt) -> list:
-        """Apply the fault plan: `corrupt` the item at which it fires."""
-        if self.fault_plan is None:
-            return items
-        return [corrupt(x) if self.fault_plan.take() else x for x in items]
-
     def _open_round(self, mine: list, encode, decode, reconstruct,
                     note: Optional[bytes] = None, read_notes=None) -> list:
         """One broadcast round opening a batch of shared values.
@@ -222,23 +190,15 @@ class PartySession:
             raise SharingError("open payload length")
         return out
 
-    def _corrupt_share(self, share: Share) -> Share:
-        one = FieldElement.one(share.value.modulus)
-        if self.fault_plan.kind == "mac" and share.mac is not None:
-            return replace(share, mac=share.mac + one)
-        return replace(share, value=share.value + one)
-
     def open_field_batch(self, shares: Sequence[Share]) -> list[FieldElement]:
         """One broadcast round opening many values; MAC checks are deferred.
 
         For the checked Shamir scheme each reconstruction verifies polynomial
         consistency and aborts the session on a corrupted share.
         """
-        sent = self._faulted(list(shares), self._corrupt_share)
-        values = self._open_round(sent, Share.to_bytes, self._decode_field, open_shares)
+        values = self._open_round(shares, Share.to_bytes, self._decode_field, open_shares)
         if self.scheme.has_mac:
-            # authenticate with my true MAC share; a 'mac' fault corrupts it
-            for value, share in zip(values, sent):
+            for value, share in zip(values, shares):
                 self.mac_accumulator.record(value, share.mac)
         return values
 
@@ -250,8 +210,7 @@ class PartySession:
         exception `read_notes` raises ends the open before any point is
         decoded or reconstructed.
         """
-        sent = self._faulted(list(points), lambda p: p + GENERATOR)
-        mine = [PointShare(self.scheme, self.party_id, p) for p in sent]
+        mine = [PointShare(self.scheme, self.party_id, p) for p in points]
         return self._open_round(mine, _encode_point_share, self._decode_points,
                                 open_point_shares, note, read_notes)
 

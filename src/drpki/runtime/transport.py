@@ -128,14 +128,6 @@ class ByteCounters:
             key = (party, label)
             self._sent[key] = self._sent.get(key, 0) + nbytes
 
-    def sent_by(self, party: int, phase_label: Optional[str] = None) -> int:
-        with self._lock:
-            return sum(
-                v
-                for (p, label), v in self._sent.items()
-                if p == party and (phase_label is None or label == phase_label)
-            )
-
     def snapshot(self) -> dict[tuple[int, str], int]:
         with self._lock:
             return dict(self._sent)
@@ -200,6 +192,12 @@ class InProcessHub:
         if deliver_at > now:
             time.sleep(deliver_at - now)
         return msg
+
+    def drop(self, session_id: bytes) -> None:
+        """Forget every mailbox of a session that has ended."""
+        with self._lock:
+            for key in [key for key in self._boxes if key[1] == session_id]:
+                del self._boxes[key]
 
     def endpoint(self, party: int) -> "HubEndpoint":
         return HubEndpoint(self, party)
@@ -346,6 +344,11 @@ class TcpNodeTransport:
             return self._box(session_id).get(timeout=timeout)
         except queue.Empty:
             return None
+
+    def drop(self, session_id: bytes) -> None:
+        """Forget the mailbox of a session that has ended."""
+        with self._boxes_lock:
+            self._boxes.pop(session_id, None)
 
     def close(self) -> None:
         self._closing = True

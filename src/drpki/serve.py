@@ -171,9 +171,12 @@ def serve_node(config_path: str, party: int, script: str | None) -> int:
         nonlocal sessions
         sessions += 1
         phase = OP_PHASES[op["op"]]
-        session = node.open_session(session_id_for(node.epoch, phase, sessions),
-                                    phase, participants, transport, timeout)
-        _report(node, op, node.run(op, session))
+        session_id = session_id_for(node.epoch, phase, sessions)
+        session = node.open_session(session_id, phase, participants, transport, timeout)
+        try:
+            _report(node, op, node.run(op, session))
+        finally:
+            transport.drop(session_id)
 
     try:
         keys = derive_pair_keys(bytes.fromhex(pair_secret), node.config.n)

@@ -1,0 +1,92 @@
+"""Crash points, share faults and bare rounds for tests, patched in at
+function boundaries the runtime already has, for one `with` block only."""
+
+from contextlib import contextmanager
+from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
+
+from drpki.algebra import GENERATOR, FieldElement
+from drpki.runtime import node as node_module
+from drpki.runtime.node import LocalCluster, PartyNode, _RequestGate
+from drpki.runtime.session import PartySession
+from drpki.runtime.transport import PHASE_CONTROL
+
+
+class CrashError(Exception):
+    """An injected crash; the message names its crash point."""
+
+
+# point -> (owner, function, strikes after it returns rather than on entry);
+# an in-op point strikes in every node's thread, so no node waits out a timeout
+CRASH_POINTS = {
+    "after_keygen": (LocalCluster, "keygen", True),
+    "after_preprocess_independent": (LocalCluster, "preprocess_independent", True),
+    "after_preprocess_dependent": (LocalCluster, "preprocess_dependent", True),
+    "after_sign": (node_module, "sign_online", True),  # `sign` and `request` ops
+    "before_consent": (LocalCluster, "_request", False),
+    "after_consent": (_RequestGate, "tally", True),
+    "before_publish": (PartyNode, "publish_batch", False),
+    "after_publish": (PartyNode, "publish_batch", True),
+}
+
+
+@contextmanager
+def crash_at(point):
+    """Raise `CrashError(point)` whenever the named step is reached."""
+    owner, name, after = CRASH_POINTS[point]
+    original = getattr(owner, name)
+
+    def crash(*args, **kwargs):
+        if after:
+            original(*args, **kwargs)
+        raise CrashError(point)
+
+    with mock.patch.object(owner, name, crash):
+        yield
+
+
+@contextmanager
+def inject_fault(party, opens_until_fault, kind="value"):
+    """Make `party` broadcast a corrupted share of the opens_until_fault-th
+    value it opens (from 0, field and point opens together): value + 1, MAC + 1
+    (kind 'mac', MAC'd shares only; its own MAC check uses it too) or point
+    + G.  Yields the plan; `plan.triggered` tells whether the fault fired."""
+    plan = SimpleNamespace(left=opens_until_fault, triggered=False)
+    open_field, open_points = PartySession.open_field_batch, PartySession.open_point_batch
+
+    def faulted(session, items, corrupt):
+        items = list(items)
+        if session.party_id == party and not plan.triggered:
+            if plan.left < len(items):
+                items[plan.left] = corrupt(items[plan.left])
+                plan.triggered = True
+            plan.left -= len(items)
+        return items
+
+    def corrupt_share(share):
+        one = FieldElement.one(share.value.modulus)
+        if kind == "mac" and share.mac is not None:
+            return replace(share, mac=share.mac + one)
+        return replace(share, value=share.value + one)
+
+    with mock.patch.multiple(
+            PartySession,
+            open_field_batch=lambda s, shares: open_field(s, faulted(s, shares, corrupt_share)),
+            open_point_batch=lambda s, points, *rest: open_points(
+                s, faulted(s, points, lambda p: p + GENERATOR), *rest)):
+        yield plan
+
+
+def echo_round(cluster, payload, mute=(), timeout=None, echo_back=False):
+    """One broadcast round on every live party, optionally followed by an
+    echo of what each received; a muted party sends nothing."""
+    def fn(node, session):
+        if node.party_id in mute:
+            return {}
+        got = session.broadcast(payload)
+        if echo_back:
+            got = session.broadcast(b"".join(got[p] for p in sorted(got)))
+        return got
+
+    return cluster._run_phase(PHASE_CONTROL, fn, timeout=timeout)

@@ -9,6 +9,7 @@ import random
 import shutil
 import tempfile
 import time
+from contextlib import nullcontext, suppress
 from datetime import date
 from pathlib import Path
 
@@ -25,18 +26,11 @@ from drpki.rpki import (
     plan_transfer,
     sign_consent,
 )
-from drpki.runtime import (
-    ConsentPolicy,
-    CrashError,
-    CrashPoint,
-    LocalCluster,
-    SessionAbort,
-    SignRequest,
-)
-from drpki.runtime.session import FaultPlan
+from drpki.runtime import ConsentPolicy, LocalCluster, SessionAbort, SignRequest
 from drpki.algebra import KeyPair
 from drpki.sharing import ProtocolAbort, SchemeId
 from drpki.tecdsa import ProtocolConfig
+from faults import CrashError, crash_at, inject_fault
 
 ALL_SCHEMES = list(SchemeId)
 MALICIOUS_SCHEMES = [SchemeId.SHAMIR_CHECKED, SchemeId.ADDITIVE_MAC]
@@ -104,14 +98,14 @@ def test_criterion_03_abort_soundness():
             pk = cluster.keygen("m")
             victim = rng.choice(cluster.participants)
             kind = rng.choice(["value", "mac"]) if scheme.has_mac else "value"
-            cluster.set_fault(victim, FaultPlan(rng.randrange(5), kind))
             try:
-                cluster.preprocess_independent(1)
-                cluster.preprocess_dependent("m", 1)
-                result = cluster.run_signing("m", b"trial %d" % trial)
+                with inject_fault(victim, rng.randrange(5), kind) as plan:
+                    cluster.preprocess_independent(1)
+                    cluster.preprocess_dependent("m", 1)
+                    result = cluster.run_signing("m", b"trial %d" % trial)
                 if ecdsa_verify(pk, b"trial %d" % trial, result.signature):
                     # the fault must actually have fired for this to count
-                    assert not cluster.nodes[victim].fault_plan.triggered
+                    assert not plan.triggered
                     aborts += 1  # plan never fired: re-count as a clean run
                 else:
                     forgeries += 1
@@ -153,11 +147,8 @@ def test_criterion_04_tuple_non_reuse_across_crashes():
                     seen_r.add(res.signature.r_x.value)
 
             cluster = LocalCluster(cfg, data_dir=workdir, seed=4000)
-            cluster.crash_hook = CrashPoint(point)
-            try:
+            with suppress(CrashError), crash_at(point):
                 run_script(cluster)
-            except CrashError:
-                pass
             cluster.close()
 
             cluster = LocalCluster(cfg, data_dir=workdir, seed=4000)
@@ -270,13 +261,12 @@ def test_criterion_06_consent_gating_and_transfer_atomicity():
                              expiry=1_600_000_600, rng=random.Random(run))
         cluster.submit_consent(token)
         point = injector.choice(points)
-        if point is not None:
-            cluster.crash_hook = CrashPoint(point)
         request = SignRequest("memberA", Action.TRANSFER, payloads, token,
                               plan.transfer_id)
         crashed = False
         try:
-            cluster.handle_sign_request(request)
+            with crash_at(point) if point else nullcontext():
+                cluster.handle_sign_request(request)
         except CrashError:
             crashed = True
         cluster.close()

@@ -68,9 +68,9 @@ def test_online_bytes_independent_of_message_content():
         cluster.preprocess_dependent("m", 1)
         before = cluster.hub.counters.snapshot()
         cluster.run_signing("m", tag)
+        after = cluster.hub.counters.snapshot()
         totals = {
-            p: cluster.hub.counters.sent_by(p, "online")
-            - before.get((p, "online"), 0)
+            p: after[(p, "online")] - before.get((p, "online"), 0)
             for p in cluster.participants
         }
         cluster.close()
@@ -113,15 +113,16 @@ def test_parallel_online_mode_reports_throughput():
 
 
 def test_count_bytes_reports_exact_totals():
-    from drpki.bench import count_bytes
     from drpki.runtime import FRAME_OVERHEAD, LocalCluster
     from drpki.tecdsa import ProtocolConfig
+    from faults import echo_round
 
     cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.SHAMIR), seed=9)
-    cluster.run_echo_round(b"x" * 10)
-    totals = count_bytes(cluster, "control")
+    echo_round(cluster, b"x" * 10)
+    sent = cluster.hub.counters.snapshot()
+    totals = {p: sent[(p, "control")] for p in cluster.participants}
     assert totals == {p: 4 * (FRAME_OVERHEAD + 10) for p in cluster.participants}
-    assert count_bytes(cluster)[1] >= totals[1]
+    assert sum(v for (p, _), v in sent.items() if p == 1) >= totals[1]
     cluster.close()
 
 

@@ -21,8 +21,6 @@ from drpki.rpki import (
 from drpki.runtime import (
     FRAME_OVERHEAD,
     ConsentPolicy,
-    CrashError,
-    CrashPoint,
     InProcessHub,
     LocalCluster,
     PartyNode,
@@ -33,7 +31,6 @@ from drpki.runtime import (
     verify_audit_completeness,
 )
 from drpki.runtime import node as node_module
-from drpki.runtime.session import FaultPlan
 from drpki.runtime.transport import (
     PHASE_CONTROL,
     PHASE_KEYGEN,
@@ -48,6 +45,7 @@ from drpki.runtime.transport import (
 )
 from drpki.sharing import SchemeId
 from drpki.tecdsa import PhaseEnv, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore, keygen, preprocess_dependent, preprocess_independent, sign_online
+from faults import CrashError, crash_at, echo_round, inject_fault
 
 rng = random.Random(0xD21_05)
 
@@ -108,7 +106,7 @@ def test_hub_drops_frame_naming_another_sender():
 
 def test_echo_round_all_parties_hold_all_payloads():
     cluster = make_cluster()
-    results = cluster.run_echo_round(b"ping")
+    results = echo_round(cluster, b"ping")
     for party, got in results.items():
         peers = set(cluster.participants) - {party}
         assert set(got) == peers
@@ -120,28 +118,39 @@ def test_silent_party_aborts_all_live_parties():
     cluster = make_cluster()
     started = time.perf_counter()
     with pytest.raises(SessionAbort, match="party unavailable"):
-        cluster.run_echo_round(b"x", mute=[3], timeout=0.3)
+        echo_round(cluster, b"x", mute=[3], timeout=0.3)
     assert time.perf_counter() - started < 3.0
+    assert cluster.hub._boxes == {}  # the aborted session left no mailbox
     cluster.close()
 
 
 def test_wan_round_trip_meets_critical_path():
     cluster = make_cluster(latency_ms=one_way_delays(WAN_RTT_MS), timeout=30.0)
     started = time.perf_counter()
-    cluster.run_echo_round(b"y", echo_back=True)
+    echo_round(cluster, b"y", echo_back=True)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     assert elapsed_ms >= critical_path_rtt(WAN_RTT_MS)  # 308.7 on Sao Paolo-Sydney
     cluster.close()
 
 
+def test_finished_sessions_leave_no_mailbox():
+    # every party's mailbox of a session is dropped once the session ends
+    cluster = make_cluster()
+    cluster.keygen("m")
+    cluster.preprocess_independent(20)
+    cluster.preprocess_dependent("m", 20)
+    for i in range(20):
+        cluster.run_signing("m", b"message %d" % i)
+    assert cluster.hub._boxes == {}
+    cluster.close()
+
+
 def test_echo_round_byte_accounting_matches_frame_format():
     cluster = make_cluster()
-    before = {p: cluster.hub.counters.sent_by(p, "control")
-              for p in cluster.participants}
-    cluster.run_echo_round(b"z" * 32)
+    echo_round(cluster, b"z" * 32)
+    sent = cluster.hub.counters.snapshot()
     for p in cluster.participants:
-        sent = cluster.hub.counters.sent_by(p, "control") - before[p]
-        assert sent == 4 * (FRAME_OVERHEAD + 32)
+        assert sent[(p, "control")] == 4 * (FRAME_OVERHEAD + 32)
     cluster.close()
 
 
@@ -488,9 +497,8 @@ def test_in_op_crash_point_raises_promptly(point):
     cluster = make_cluster(timeout=30)
     _, member_keys, roa = _issue_fixture(cluster)
     request = _issue_request(cluster, member_keys, roa)
-    cluster.crash_hook = CrashPoint(point)
     started = time.perf_counter()
-    with pytest.raises(CrashError, match=point):
+    with pytest.raises(CrashError, match=point), crash_at(point):
         cluster.handle_sign_request(request)
     assert time.perf_counter() - started < 5.0
     published = {"roa-1.obj" in node.objects for node in cluster.nodes.values()}
@@ -809,19 +817,29 @@ def test_batch_signs_from_common_ids_when_one_store_is_ahead():
 
 def test_fault_on_second_s_share_aborts_whole_transfer():
     # opens in order: R of both payloads, then s of the CRL, then s of the
-    # ROA; a corrupted ROA s share fails the batch's one MAC check
+    # ROA; a corrupted ROA s share fails the batch's one MAC check and retires
+    # the epoch, which refuses the next request before its first round
     cluster = make_cluster(SchemeId.ADDITIVE_MAC)
     _, member_keys, roa = _issue_fixture(cluster)
     request = _transfer_request(cluster, member_keys, roa)
     stocks = _final_stocks(cluster, "memberA")
-    cluster.set_fault(3, FaultPlan(opens_until_fault=3))
-    outcome = cluster.handle_sign_request(request)
+    with inject_fault(3, opens_until_fault=3) as plan:
+        outcome = cluster.handle_sign_request(request)
     assert outcome.status == "aborted"
     assert "MAC check failed" in outcome.reason
-    assert cluster.nodes[3].fault_plan.triggered
+    assert plan.triggered
     assert all(not node.objects for node in cluster.nodes.values())
     assert _final_stocks(cluster, "memberA") == {p: s - 2 for p, s in stocks.items()}
     assert all(cluster.epoch in node.retired_epochs for node in cluster.nodes.values())
+    sent = cluster.hub.counters.snapshot()
+    refused = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+    assert refused.status == "aborted"
+    assert refused.reason == "epoch retired after a failed authentication check"
+    assert _final_stocks(cluster, "memberA") == {p: s - 2 for p, s in stocks.items()}
+    assert cluster.hub.counters.snapshot() == sent
+    for node in cluster.nodes.values():
+        entry = json.loads(node.audit_lines()[-1])
+        assert (entry["event"], entry["reason"]) == ("sign_aborted", refused.reason)
     cluster.close()
 
 
@@ -934,8 +952,8 @@ def test_reopened_durable_cluster_never_reissues_session_ids(tmp_path):
             send(sender, receiver, msg)
 
         cluster.hub.send = record
-        cluster.run_echo_round(b"a")
-        cluster.run_echo_round(b"b")
+        echo_round(cluster, b"a")
+        echo_round(cluster, b"b")
         cluster.close()
         return ids
 

@@ -18,6 +18,7 @@ from drpki.tecdsa import (
     TecdsaError,
     TupleStore,
 )
+from faults import inject_fault
 
 
 ALL_SCHEMES = list(SchemeId)
@@ -339,8 +340,6 @@ def test_reconstruction_requires_test_mode_and_taints():
 def test_abort_leaves_keys_and_stock_intact():
     # a bottom outcome must not mutate pk or key shares; the consumed tuple is
     # the only state change (single-use by design)
-    from drpki.runtime.session import FaultPlan
-
     cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
     pk = cluster.keygen("m")
     cluster.preprocess_independent(2)
@@ -349,29 +348,23 @@ def test_abort_leaves_keys_and_stock_intact():
         p: cluster.nodes[p].key_records["m"].sk_share.to_bytes()
         for p in cluster.participants
     }
-    cluster.set_fault(2, FaultPlan(opens_until_fault=0))
-    with pytest.raises(ProtocolAbort):
+    with pytest.raises(ProtocolAbort), inject_fault(2, opens_until_fault=0):
         cluster.run_signing("m", b"doomed")
     for p in cluster.participants:
         record = cluster.nodes[p].key_records["m"]
         assert record.pk == pk
         assert record.sk_share.to_bytes() == before_records[p]
-    cluster.set_fault(2, None)
     result = cluster.run_signing("m", b"retry")  # remaining stock still works
     assert ecdsa_verify(pk, b"retry", result.signature)
     cluster.close()
 
 
 def test_mac_check_failure_retires_epoch():
-    from drpki.runtime.session import FaultPlan
-
     cluster = make_cluster(SchemeId.ADDITIVE_MAC)
     cluster.keygen("m")
-    cluster.set_fault(3, FaultPlan(opens_until_fault=0))
-    with pytest.raises(ProtocolAbort):
+    with pytest.raises(ProtocolAbort), inject_fault(3, opens_until_fault=0):
         cluster.preprocess_independent(1)
     assert cluster.epoch in cluster.nodes[1].retired_epochs
-    cluster.set_fault(3, None)
     with pytest.raises(TecdsaError, match="epoch retired"):
         cluster.preprocess_independent(1)
     cluster.close()
