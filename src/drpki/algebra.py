@@ -36,50 +36,6 @@ class AlgebraError(Exception):
     """Raised on invalid field/curve inputs (zero inverse, off-curve point...)."""
 
 
-class OpCounter:
-    """Per-thread tally of public curve operations (point adds, scalar mults).
-
-    Used to assert that specific protocol windows perform no elliptic-curve
-    work at all (the online signing step must be field-only).  Counts are
-    thread-local: each protocol party runs on its own thread, so a party's
-    window never picks up a concurrent peer's operations.
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def _cell(self) -> dict:
-        cell = getattr(self._local, "counts", None)
-        if cell is None:
-            cell = {"point_add": 0, "scalar_mul": 0}
-            self._local.counts = cell
-        return cell
-
-    def bump_add(self) -> None:
-        self._cell()["point_add"] += 1
-
-    def bump_mul(self) -> None:
-        self._cell()["scalar_mul"] += 1
-
-    @property
-    def point_adds(self) -> int:
-        return self._cell()["point_add"]
-
-    @property
-    def scalar_muls(self) -> int:
-        return self._cell()["scalar_mul"]
-
-    def total(self) -> int:
-        cell = self._cell()
-        return cell["point_add"] + cell["scalar_mul"]
-
-    def reset(self) -> None:
-        self._local.counts = {"point_add": 0, "scalar_mul": 0}
-
-
-OP_COUNTER = OpCounter()
-
-
 class FieldElement:
     """An element of Z_p in canonical reduced form.
 
@@ -301,7 +257,6 @@ class GroupPoint:
         return self.x is None
 
     def __add__(self, other: "GroupPoint") -> "GroupPoint":
-        OP_COUNTER.bump_add()
         return _to_affine(_jac_add(self._jac(), other._jac()))
 
     def __eq__(self, other: object) -> bool:
@@ -443,7 +398,7 @@ def _g_halves():
 
 def _combine(terms):
     """Sum of k * P over (k, P) terms with 0 <= k < CURVE_ORDER, as a Jacobian
-    point, counting one scalar_mul per nonzero term.
+    point.
 
     Straus interleaving: every term's signed digits share one run of
     doublings into one accumulator, and only mixed additions of affine table
@@ -458,7 +413,6 @@ def _combine(terms):
     for k, point in terms:
         if k == 0 or point.is_identity():
             continue
-        OP_COUNTER.bump_mul()
         sign = 1
         if k > CURVE_ORDER // 2:
             k, sign = CURVE_ORDER - k, -1
@@ -495,13 +449,10 @@ def lincomb(pairs) -> GroupPoint:
 
 
 def scalar_mul(k: FieldElement, point: GroupPoint) -> GroupPoint:
-    """k * P.  scalar_mul(0, P) is the identity.  Counts one scalar_mul."""
-    kv = k.value % CURVE_ORDER
-    is_generator = point.x == GEN_X and point.y == GEN_Y
-    if kv and not point.is_identity() and not is_generator:
-        return lincomb([(k, point)])
-    OP_COUNTER.bump_mul()
-    return _to_affine(_g_mul(kv)) if is_generator else GroupPoint.identity()
+    """k * P.  scalar_mul(0, P) is the identity."""
+    if point.x == GEN_X and point.y == GEN_Y:
+        return _to_affine(_g_mul(k.value % CURVE_ORDER))
+    return lincomb([(k, point)])
 
 
 def hash_to_scalar(message: bytes) -> FieldElement:

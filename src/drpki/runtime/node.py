@@ -389,11 +389,18 @@ class PartyNode:
             "epoch": record.epoch.hex(),
         })
 
-    def env(self) -> PhaseEnv:
+    def refusal(self) -> Optional[str]:
+        """Why this node refuses every phase op on its epoch, or None."""
         if self.epoch in self.retired_epochs:
-            raise TecdsaError("epoch retired after a failed authentication check")
+            return "epoch retired after a failed authentication check"
         if self.epoch in self.tainted_epochs and not self.config.test_mode:
-            raise TecdsaError("epoch tainted by test-mode reconstruction")
+            return "epoch tainted by test-mode reconstruction"
+        return None
+
+    def env(self) -> PhaseEnv:
+        reason = self.refusal()
+        if reason is not None:
+            raise TecdsaError(reason)
         return PhaseEnv(
             party_id=self.party_id,
             config=self.config,
@@ -864,7 +871,9 @@ class LocalCluster:
                  ticket_id: Optional[str] = None) -> SignOutcome:
         """Run the `request` op; every party's outcome must agree."""
         need = len(blobs)
-        if self.final_stock(member_id) < need:
+        # a node that refuses its epoch refuses the op itself, and cannot refill
+        refused = any(n.refusal() for n in self.nodes.values())
+        if self.final_stock(member_id) < need and not refused:
             if not self.policy.auto_replenish:
                 raise StockDepletedError(f"final tuples for member {member_id!r} depleted")
             # the refill must cover the whole batch, however small the policy's sizes

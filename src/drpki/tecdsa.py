@@ -27,7 +27,6 @@ from typing import Optional, Protocol, Sequence
 
 from .algebra import (
     GENERATOR,
-    OP_COUNTER,
     FieldElement,
     GroupPoint,
     Signature,
@@ -45,8 +44,6 @@ from .sharing import (
     share_add,
     share_scale_add,
 )
-
-DEGENERATE_RETRY_BUDGET = 3
 
 
 class TecdsaError(Exception):
@@ -405,9 +402,6 @@ class PhaseEnv:
 class SignResult:
     signature: Signature
     tuple_id: bytes
-    # curve ops of this party's whole signing session, shared by its batch
-    point_ops_online: int       # from online entry to the s values reconstructed
-    point_ops_share_step: int   # between the R values available and the s open
 
 
 # --- phase 1: key generation ----------------------------------------------------
@@ -486,36 +480,27 @@ def preprocess_independent(env: PhaseEnv, session, count: int) -> list[InitialTu
     """Produce `count` initial tuples from fresh triples.
 
     Per triple (a, b, c): open c, set [1/k] := [a] and the k*G share to
-    (b_i * 1/c) * G, so k = 1/a.  Opened c = 0 discards the triple; after
-    three batch attempts still short, error out (a zero product is a ~2/p
-    event, so repetition indicates a rigged or broken dealer).
+    (b_i * 1/c) * G, so k = 1/a.  An opened c = 0, a ~2/p event and so the
+    sign of a rigged or broken dealer, aborts the session before any tuple
+    of the batch is stored; the batch's triples stay consumed.
     """
-    cfg = env.config
-    produced: list[InitialTuple] = []
-    attempts = 0
-    while len(produced) < count:
-        attempts += 1
-        if attempts > DEGENERATE_RETRY_BUDGET:
-            raise TecdsaError("degenerate preprocessing triples (c = 0) persist")
-        need = count - len(produced)
-        triples = [env.triple_source.next_triple(cfg.scheme) for _ in range(need)]
-        for tr in triples:
-            tr.mark_consumed()
-        opened_c = session.open_field_batch([tr.c for tr in triples])
-        session.run_mac_check()  # authenticate the c opens before using them
-        for tr, c in zip(triples, opened_c):
-            if c.is_zero():
-                continue
-            c_inv = c.inv()
-            point_share = scalar_mul(tr.b.value * c_inv, GENERATOR)
-            tup = InitialTuple(
-                tuple_id=tr.triple_id,
-                epoch=env.epoch,
-                k_point_share=point_share,
-                k_inv_share=tr.a,
-            )
-            env.tuple_store.add_initial(tup)
-            produced.append(tup)
+    triples = [env.triple_source.next_triple(env.config.scheme) for _ in range(count)]
+    for tr in triples:
+        tr.mark_consumed()
+    opened_c = session.open_field_batch([tr.c for tr in triples])
+    session.run_mac_check()  # authenticate the c opens before using them
+    if any(c.is_zero() for c in opened_c):
+        session.abort("degenerate preprocessing triple (c = 0)")
+    produced = []
+    for tr, c in zip(triples, opened_c):
+        tup = InitialTuple(
+            tuple_id=tr.triple_id,
+            epoch=env.epoch,
+            k_point_share=scalar_mul(tr.b.value * c.inv(), GENERATOR),
+            k_inv_share=tr.a,
+        )
+        env.tuple_store.add_initial(tup)
+        produced.append(tup)
     return produced
 
 
@@ -527,7 +512,8 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
 
     Each initial tuple is consumed (durably) before its Beaver messages are
     sent; one fresh triple is spent per final tuple.  With precompute_r the
-    R point is opened here so the online phase stays free of curve work.
+    R point is opened here so the online phase stays free of curve work, and
+    a degenerate R aborts the session before any final tuple is stored.
     """
     cfg = env.config
     record = env.key_records.get(member_id)
@@ -560,13 +546,9 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
 
     if cfg.precompute_r:
         r_points = session.open_point_batch([f.k_point_share for f in finals])
-        kept = []
         for f, r in zip(finals, r_points):
-            if r.is_identity() or FieldElement(r.x).is_zero():
-                continue  # unusable instance key; already consumed, just drop
+            _r_x(session, r)
             f.r_point = r
-            kept.append(f)
-        finals = kept
 
     for f in finals:
         env.tuple_store.add_final(f)
@@ -602,6 +584,14 @@ def _offer_round(session, my_ids: Sequence[bytes],
             session.abort("malformed tuple id payload")
         common &= {blob[i * 16:(i + 1) * 16] for i in range(len(blob) // 16)}
     return sorted(common), leads
+
+
+def _r_x(session, r_point: GroupPoint) -> FieldElement:
+    """The r_x of an opened instance key R; R the identity or r_x = 0 aborts."""
+    r_x = None if r_point.is_identity() else FieldElement(r_point.x)
+    if r_x is None or r_x.is_zero():
+        session.abort("degenerate instance key")
+    return r_x
 
 
 def _take(session, offer: Sequence[bytes], common: list[bytes], count: int,
@@ -648,82 +638,54 @@ def sign_online(env: PhaseEnv, session, member_id: str,
     computes [s] = H(M) * [1/k] + r_x * [sk/k] locally.  Every party verifies
     each assembled signature against the member's public key and the R it
     holds before returning any; a failure aborts rather than emitting bad
-    bytes.  A degenerate instance key (R the identity, r_x = 0 or s = 0)
-    sends only its message into the next pass, within
-    DEGENERATE_RETRY_BUDGET passes.
+    bytes.  So does a degenerate instance key (R the identity, r_x = 0 or
+    s = 0): the request ends there, and its tuples stay consumed.
 
     With a `gate`, the messages come from its round-1 leads instead, and its
-    votes ride on the first R round, which then runs even when every R was
+    votes ride on the R round, which then runs even when every R was
     precomputed.  A consent step thus adds no round of its own, and a
     refused request has journaled its tuples and sent no s share.
     """
     record = env.key_records.get(member_id)
     if record is None:
         raise TecdsaError(f"no key shares for member {member_id!r}")
-    depleted = f"final tuples for member {member_id!r} depleted"
     store = env.tuple_store
+    count = len(messages) if gate is None else gate.count
+    offer = store.available_final_ids(member_id, env.epoch, limit=_SPARE_OFFER + count)
+    common, leads = _offer_round(session, offer, None if gate is None else gate.lead)
     vote = None
     if gate is not None:
-        offer = store.available_final_ids(member_id, env.epoch,
-                                          limit=_SPARE_OFFER + gate.count)
-        common, leads = _offer_round(session, offer, gate.lead)
         messages, vote = gate.read(leads)
-    hashes = [hash_to_scalar(m) for m in messages]
+    tuples = [store.checkout_final_by_id(tid, member_id, env.epoch)
+              for tid in _take(session, offer, common, len(messages),
+                               f"final tuples for member {member_id!r} depleted")]
+
+    unopened = [t.k_point_share for t in tuples if t.r_point is None]
+    opened = iter(())
+    if gate is not None:
+        opened = iter(session.open_point_batch(unopened, vote, gate.tally))
+    elif unopened:
+        opened = iter(session.open_point_batch(unopened))
+    r_points = [t.r_point if t.r_point is not None else next(opened) for t in tuples]
+    r_xs = [_r_x(session, r) for r in r_points]
+
     zero = FieldElement.zero()
-    results: list[Optional[SignResult]] = [None] * len(messages)
-    pending = list(range(len(messages)))
+    s_shares = [
+        share_add(
+            share_scale_add(tup.k_inv_share, hash_to_scalar(m), zero, env.mac_key),
+            share_scale_add(tup.sk_over_k_share, r_x, zero, env.mac_key),
+        )
+        for tup, m, r_x in zip(tuples, messages, r_xs)
+    ]
+    s_values = session.open_field_batch(s_shares)
+    session.run_mac_check()
 
-    ops_entry = OP_COUNTER.total()
-    for _ in range(DEGENERATE_RETRY_BUDGET):
-        if vote is None:
-            offer = store.available_final_ids(member_id, env.epoch,
-                                              limit=_SPARE_OFFER + len(pending))
-            common, _ = _offer_round(session, offer)
-        tuples = [store.checkout_final_by_id(tid, member_id, env.epoch)
-                  for tid in _take(session, offer, common, len(pending), depleted)]
-        unopened = [t.k_point_share for t in tuples if t.r_point is None]
-        if vote is not None:
-            opened = session.open_point_batch(unopened, vote, gate.tally)
-            vote = None
-        else:
-            opened = session.open_point_batch(unopened) if unopened else []
-        opened = iter(opened)
-        r_points = [t.r_point if t.r_point is not None else next(opened) for t in tuples]
-
-        ops_r_done = OP_COUNTER.total()
-        retry, signing = [], []
-        for i, tup, r_point in zip(pending, tuples, r_points):
-            r_x = None if r_point.is_identity() else FieldElement(r_point.x)
-            if r_x is None or r_x.is_zero():
-                retry.append(i)
-            else:
-                signing.append((i, tup, r_point, r_x))
-        s_shares = [
-            share_add(
-                share_scale_add(tup.k_inv_share, hashes[i], zero, env.mac_key),
-                share_scale_add(tup.sk_over_k_share, r_x, zero, env.mac_key),
-            )
-            for i, tup, _, r_x in signing
-        ]
-        ops_before_open = OP_COUNTER.total()
-        s_values = session.open_field_batch(s_shares) if s_shares else []
-        session.run_mac_check()
-        ops_s_done = OP_COUNTER.total()
-
-        for (i, tup, r_point, r_x), s in zip(signing, s_values):
-            if s.is_zero():
-                retry.append(i)
-                continue
-            signature = Signature(r_x, s)
-            if not ecdsa_verify(record.pk, messages[i], signature, r_point=r_point):
-                session.abort("signature invalid")
-            results[i] = SignResult(
-                signature=signature,
-                tuple_id=tup.tuple_id,
-                point_ops_online=ops_s_done - ops_entry,
-                point_ops_share_step=ops_before_open - ops_r_done,
-            )
-        pending = sorted(retry)
-        if not pending:
-            return results
-    raise TecdsaError("degenerate instance keys persist across retry budget")
+    results = []
+    for tup, m, r_point, r_x, s in zip(tuples, messages, r_points, r_xs, s_values):
+        if s.is_zero():
+            session.abort("degenerate instance key (s = 0)")
+        signature = Signature(r_x, s)
+        if not ecdsa_verify(record.pk, m, signature, r_point=r_point):
+            session.abort("signature invalid")
+        results.append(SignResult(signature, tup.tuple_id))
+    return results

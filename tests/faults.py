@@ -1,12 +1,15 @@
-"""Crash points, share faults and bare rounds for tests, patched in at
-function boundaries the runtime already has, for one `with` block only."""
+"""Crash points, share faults, bare rounds and a curve-work probe for tests,
+patched in at function boundaries the code already has, for one `with` block
+only."""
 
+import threading
 from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
-from drpki.algebra import GENERATOR, FieldElement
+from drpki import algebra, tecdsa
+from drpki.algebra import GENERATOR, FieldElement, GroupPoint
 from drpki.runtime import node as node_module
 from drpki.runtime.node import LocalCluster, PartyNode, _RequestGate
 from drpki.runtime.session import PartySession
@@ -90,3 +93,32 @@ def echo_round(cluster, payload, mute=(), timeout=None, echo_back=False):
         return got
 
     return cluster._run_phase(PHASE_CONTROL, fn, timeout=timeout)
+
+
+@contextmanager
+def count_curve_ops():
+    """Record the curve operations made in any thread inside the block: each
+    outermost call of `algebra._combine` (every multi-scalar combination and
+    every k * P for P other than G), `algebra._g_mul` (k * G) and
+    `GroupPoint.__add__`.  Calls made inside `tecdsa.ecdsa_verify` are not
+    recorded.  Yields the list of recorded function names."""
+    ops = []
+    depth = threading.local()
+
+    def nested(original, name=None):
+        def wrapper(*args, **kwargs):
+            level = getattr(depth, "level", 0)
+            if name is not None and level == 0:
+                ops.append(name)
+            depth.level = level + 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth.level = level
+        return wrapper
+
+    with mock.patch.object(algebra, "_combine", nested(algebra._combine, "_combine")), \
+            mock.patch.object(algebra, "_g_mul", nested(algebra._g_mul, "_g_mul")), \
+            mock.patch.object(GroupPoint, "__add__", nested(GroupPoint.__add__, "__add__")), \
+            mock.patch.object(tecdsa, "ecdsa_verify", nested(tecdsa.ecdsa_verify)):
+        yield ops

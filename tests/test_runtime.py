@@ -304,10 +304,10 @@ def test_tcp_dialed_connection_delivers_after_idle_time():
 
 # --- consent-gated workflow ----------------------------------------------------------
 
-def _issue_fixture(cluster, member="memberA", serial=1):
+def _issue_fixture(cluster, member="memberA", serial=1, stock=4):
     pk = cluster.keygen(member)
-    cluster.preprocess_independent(4)
-    cluster.preprocess_dependent(member, 4)
+    cluster.preprocess_independent(stock)
+    cluster.preprocess_dependent(member, stock)
     member_keys = KeyPair.generate(rng)
     cluster.register_member(member, member_keys.pk)
     roa = RoaRecord(serial=serial, member_id=member, asn=64512,
@@ -840,6 +840,72 @@ def test_fault_on_second_s_share_aborts_whole_transfer():
     for node in cluster.nodes.values():
         entry = json.loads(node.audit_lines()[-1])
         assert (entry["event"], entry["reason"]) == ("sign_aborted", refused.reason)
+    cluster.close()
+
+
+def test_request_on_a_retired_epoch_with_no_stock_left_aborts():
+    # the first request spends the member's one final tuple and fails its MAC
+    # check; the second finds no stock, and must not try to refill on the
+    # retired epoch but return every node's refusal
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC, seed=5)
+    _, member_keys, roa = _issue_fixture(cluster, stock=1)
+    with inject_fault(3, opens_until_fault=1) as plan:
+        first = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+    assert plan.triggered
+    assert first.status == "aborted" and "MAC check failed" in first.reason
+    assert cluster.final_stock("memberA") == 0
+    second = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+    assert second.status == "aborted"
+    assert second.reason == "epoch retired after a failed authentication check"
+    assert _final_stocks(cluster, "memberA") == {p: 0 for p in cluster.participants}
+    for node in cluster.nodes.values():
+        entry = json.loads(node.audit_lines()[-1])
+        assert (entry["event"], entry["reason"]) == ("sign_aborted", second.reason)
+    cluster.close()
+
+
+def test_request_on_a_tainted_epoch_with_no_stock_left_aborts(tmp_path):
+    # a test-mode reconstruction taints the epoch; reopened without test
+    # mode, a request with no final tuple must not try to refill on it
+    config = ProtocolConfig.for_scheme(SchemeId.SHAMIR, test_mode=True)
+    cluster = LocalCluster(config, data_dir=str(tmp_path), seed=9)
+    _, member_keys, roa = _issue_fixture(cluster, stock=0)
+    cluster.test_reconstruct_sk("memberA")
+    cluster.close()
+    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.SHAMIR),
+                           data_dir=str(tmp_path), seed=9)
+    outcome = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+    assert outcome.status == "aborted"
+    assert outcome.reason == "epoch tainted by test-mode reconstruction"
+    assert cluster.initial_stock() == 0
+    cluster.close()
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.SHAMIR_CHECKED, SchemeId.ADDITIVE_MAC],
+                         ids=["mal-shamir", "mascot"])
+def test_degenerate_r_aborts_the_request(monkeypatch, scheme):
+    # every R opens as the identity (a ~2^-256 event per key): the request
+    # ends in an abort with its agreed tuples burned, and publishes nothing
+    cluster = make_cluster(scheme)
+    _, member_keys, roa = _issue_fixture(cluster)
+    request = _issue_request(cluster, member_keys, roa)
+    stocks = _final_stocks(cluster, "memberA")
+    open_points = PartySession.open_point_batch
+
+    def identities(self, points, note=None, read_notes=None):
+        return [GroupPoint.identity() for _ in open_points(self, points, note, read_notes)]
+
+    monkeypatch.setattr(PartySession, "open_point_batch", identities)
+    outcome = cluster.handle_sign_request(request)
+    assert outcome.status == "aborted"
+    assert "degenerate instance key" in outcome.reason
+    need = len(request.payloads)
+    assert _final_stocks(cluster, "memberA") == {p: s - need for p, s in stocks.items()}
+    assert all(not node.objects for node in cluster.nodes.values())
+    for node in cluster.nodes.values():
+        entry = json.loads(node.audit_lines()[-1])
+        assert (entry["event"], entry["reason"]) == ("sign_aborted", outcome.reason)
+    assert verify_audit_completeness(cluster)
     cluster.close()
 
 

@@ -162,22 +162,30 @@ def _rig_next_triples(cluster, triple_sets):
 
 
 def test_zero_product_triple_discarded_and_replaced():
+    # a zero product aborts its batch and stores nothing; a refill's retry
+    # then restocks without it
     cluster = make_cluster(SchemeId.SHAMIR)
-    rigged = _rig_zero_triple(cluster)
-    _rig_next_triples(cluster, [rigged])
-    made = cluster.preprocess_independent(1)
-    assert made == 1
+    rigged = [_rig_zero_triple(cluster), _rig_zero_triple(cluster)]
+    _rig_next_triples(cluster, rigged[:1])
+    with pytest.raises(SessionAbort, match="degenerate preprocessing triple"):
+        cluster.preprocess_independent(1)
+    assert cluster.initial_stock() == 0
+    _rig_next_triples(cluster, rigged[1:])
+    made = cluster.replenish(low_watermark=1, batch_size=1)
+    assert made == {"initial": 1, "final": 0}
     assert cluster.initial_stock() == 1
     store = cluster.nodes[1].tuple_store
-    assert store.initial_record(rigged[0].triple_id) is None
+    for triple in rigged:
+        assert store.initial_record(triple[0].triple_id) is None
     cluster.close()
 
 
 def test_persistent_zero_products_exhaust_retry_budget():
     cluster = make_cluster(SchemeId.SHAMIR)
     _rig_next_triples(cluster, [_rig_zero_triple(cluster) for _ in range(3)])
-    with pytest.raises(TecdsaError, match="degenerate preprocessing triples"):
-        cluster.preprocess_independent(1)
+    with pytest.raises(TecdsaError, match="replenishment failed after 3 attempts"):
+        cluster.replenish(low_watermark=1, batch_size=1)
+    assert cluster.initial_stock() == 0
     cluster.close()
 
 
@@ -247,7 +255,6 @@ def test_signatures_verify_and_nonces_never_repeat(scheme):
         assert ecdsa_verify(pk, message, result.signature)
         assert result.signature.r_x.value not in seen_r
         seen_r.add(result.signature.r_x.value)
-        assert result.point_ops_share_step == 0
     cluster.close()
 
 
@@ -280,35 +287,33 @@ def test_batch_signatures_match_oracle_with_distinct_nonces():
     cluster.close()
 
 
-def test_degenerate_r_retries_only_its_message(monkeypatch):
-    # the first R open of the session yields the identity for the second
-    # message: only that message takes a fresh tuple in a second pass
+def test_degenerate_r_aborts_and_journals_every_tuple(monkeypatch):
+    # the R open yields the identity for the second message: the whole
+    # session aborts, and the tuples of both messages stay consumed
     from drpki.algebra import GroupPoint
     from drpki.runtime.session import PartySession
 
     cluster = make_cluster(SchemeId.SHAMIR)
-    pk = cluster.keygen("m")
+    cluster.keygen("m")
     cluster.preprocess_independent(3)
     cluster.preprocess_dependent("m", 3)
     ids = cluster.nodes[1].tuple_store.available_final_ids("m", cluster.epoch)
     open_points = PartySession.open_point_batch
     calls = {}
 
-    def first_r_degenerate(self, points):
-        opened = open_points(self, points)
+    def second_r_degenerate(self, points, *rest):
+        opened = open_points(self, points, *rest)
         calls[self.party_id] = calls.get(self.party_id, 0) + 1
-        if calls[self.party_id] == 1:
-            opened[1] = GroupPoint.identity()
+        opened[1] = GroupPoint.identity()
         return opened
 
-    monkeypatch.setattr(PartySession, "open_point_batch", first_r_degenerate)
-    messages = [b"kept", b"retried"]
-    results = cluster.run_signing("m", messages)
-    for message, res in zip(messages, results, strict=True):
-        assert ecdsa_verify(pk, message, res.signature)
-    assert [res.tuple_id for res in results] == [ids[0], ids[2]]
-    assert calls == {p: 2 for p in cluster.participants}
-    assert cluster.final_stock("m") == 0
+    monkeypatch.setattr(PartySession, "open_point_batch", second_r_degenerate)
+    with pytest.raises(SessionAbort, match="degenerate instance key"):
+        cluster.run_signing("m", [b"kept", b"degenerate"])
+    assert calls == {p: 1 for p in cluster.participants}
+    for node in cluster.nodes.values():
+        assert node.tuple_store.available_final_ids("m", cluster.epoch) == ids[2:]
+    assert cluster.final_stock("m") == 1
     cluster.close()
 
 
