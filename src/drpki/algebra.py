@@ -293,11 +293,16 @@ class GroupPoint:
 
 GENERATOR = GroupPoint(GEN_X, GEN_Y)
 
-# Fixed-base comb for G: row i holds affine d * 16^i * G for d = 1..15, so
-# k * G is one mixed addition per nonzero 4-bit digit of k and no doubling.
-# Built on first use: 64 rows of 15 points.
+# Fixed-base comb for G with signed 8-bit digits: row i holds affine
+# d * 256^i * G for d = 1..128.  A digit d above 128 becomes d - 256 with a
+# carry into the next digit, and -P enters the addition as (x, p - y), so
+# k * G is one mixed addition per nonzero digit of k and no doubling.  Built
+# on first use: 33 rows of 128 points (the 33rd takes the last carry), about
+# 0.7 MB.
 _G_COMB: list = []
 _G_COMB_LOCK = threading.Lock()
+_COMB_ROWS = 33
+_COMB_HALF = 128
 
 
 def _g_comb():
@@ -307,13 +312,14 @@ def _g_comb():
             if not _G_COMB:
                 rows = []
                 base = (GEN_X, GEN_Y)
-                for _ in range(64):
+                for _ in range(_COMB_ROWS):
                     multiples = [(base[0], base[1], 1)]
-                    for _ in range(15):
+                    for _ in range(_COMB_HALF - 1):
                         multiples.append(_jac_madd(multiples[-1], base))
-                    affine = _batch_to_affine(multiples[1:])  # 2..16 * base
-                    rows.append([base] + affine[:14])
-                    base = affine[14]
+                    multiples.append(_jac_double(multiples[-1]))  # 256 * base
+                    affine = _batch_to_affine(multiples[1:])  # 2..128, 256 * base
+                    rows.append([base] + affine[:-1])
+                    base = affine[-1]
                 _G_COMB = rows
     return _G_COMB
 
@@ -323,10 +329,14 @@ def _g_mul(k: int):
     for row in _g_comb():
         if not k:
             break
-        digit = k & 15
-        if digit:
+        digit = k & 255
+        k >>= 8
+        if digit > _COMB_HALF:
+            x, y = row[255 - digit]  # (256 - digit) * 256^i * G, negated
+            acc = _jac_madd(acc, (x, FIELD_PRIME - y))
+            k += 1
+        elif digit:
             acc = _jac_madd(acc, row[digit - 1])
-        k >>= 4
     return acc
 
 

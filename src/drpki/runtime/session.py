@@ -190,13 +190,18 @@ class PartySession:
             raise SharingError("open payload length")
         return out
 
-    def open_field_batch(self, shares: Sequence[Share]) -> list[FieldElement]:
+    def open_field_batch(self, shares: Sequence[Share], note: Optional[bytes] = None,
+                         read_notes=None) -> list[FieldElement]:
         """One broadcast round opening many values; MAC checks are deferred.
 
         For the checked Shamir scheme each reconstruction verifies polynomial
-        consistency and aborts the session on a corrupted share.
+        consistency and aborts the session on a corrupted share.  A `note`
+        and its reader ride on the round as in `_open_round`; an exception
+        `read_notes` raises ends the open before any share is decoded, and
+        nothing of it enters the MAC accumulator.
         """
-        values = self._open_round(shares, Share.to_bytes, self._decode_field, open_shares)
+        values = self._open_round(shares, Share.to_bytes, self._decode_field, open_shares,
+                                  note, read_notes)
         if self.scheme.has_mac:
             for value, share in zip(values, shares):
                 self.mac_accumulator.record(value, share.mac)

@@ -15,11 +15,13 @@ can never reuse a nonce.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import threading
 import time
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -510,29 +512,73 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
                          count: int) -> list[FinalTuple]:
     """Bind `count` initial tuples to a member: [sk/k] = beaver([sk], [1/k]).
 
-    Each initial tuple is consumed (durably) before its Beaver messages are
-    sent; one fresh triple is spent per final tuple.  With precompute_r the
-    R point is opened here so the online phase stays free of curve work, and
-    a degenerate R aborts the session before any final tuple is stored.
+    Round 1 speculates that every store's lowest `count` live initial ids
+    agree.  Every party draws `count` triples, journals those ids and sends
+    their Beaver diffs with a tag of them (`_id_tag`), so an honest batch
+    agrees on its tuples without a round of its own.  A party short of
+    stock sends its tag alone and raises StockDepletedError, and a peer's
+    short tag aborts the session before any share is decoded.  Differing
+    tags, as a crash that left the stores asymmetric causes, send every
+    party to one `_offer_round`: each journals every party's speculative
+    ids, which realigns the stores, and the batch binds the first `count`
+    ids every party still offers, with fresh triples.  Nothing of the
+    speculative round is reconstructed or MAC-accounted then.
+
+    Every initial tuple is journaled before its Beaver messages are sent,
+    and one triple is spent per final tuple and round.  With precompute_r
+    the R point is opened here so the online phase stays free of curve
+    work, and a degenerate R aborts the session before any final tuple is
+    stored.
     """
     cfg = env.config
     record = env.key_records.get(member_id)
     if record is None:
         raise TecdsaError(f"no key shares for member {member_id!r}")
+    store = env.tuple_store
+    depleted = "initial preprocessing tuples depleted"
 
-    # Agree on which unconsumed initial tuples this run binds, so stores left
-    # asymmetric by a crash can never pair up different instance keys.
-    offer = env.tuple_store.available_initial_ids(env.epoch, limit=count + _SPARE_OFFER)
-    common, _ = _offer_round(session, offer)
-    chosen = _take(session, offer, common, count, "initial preprocessing tuples depleted")
-    initials = [env.tuple_store.checkout_initial_by_id(tid, env.epoch) for tid in chosen]
-    triples = [env.triple_source.next_triple(cfg.scheme) for _ in range(count)]
+    def bind(ids: Sequence[bytes]) -> tuple[list[InitialTuple], list[Triple], list[Share]]:
+        """Journal `ids`, draw `count` triples, and the Beaver diff shares."""
+        initials = [store.checkout_initial_by_id(tid, env.epoch) for tid in ids]
+        triples = [env.triple_source.next_triple(cfg.scheme) for _ in range(count)]
+        diff_shares: list[Share] = []
+        for init, tr in zip(initials, triples):
+            diff_shares.extend(beaver_diffs(record.sk_share, init.k_inv_share, tr))
+        return initials, triples, diff_shares
 
-    diff_shares: list[Share] = []
-    for init, tr in zip(initials, triples):
-        d, e = beaver_diffs(record.sk_share, init.k_inv_share, tr)
-        diff_shares.extend([d, e])
-    opened = session.open_field_batch(diff_shares)
+    speculative = store.available_initial_ids(env.epoch, limit=count)
+    short = len(speculative) < count
+    mine = _id_tag(speculative)
+
+    def read_tags(tags: dict[int, bytes]) -> None:
+        if short:
+            raise StockDepletedError(depleted)
+        if any(len(tag) != len(mine) for tag in tags.values()):
+            session.abort("malformed tuple id payload")
+        if any(int.from_bytes(tag[:4], "big") < count for tag in tags.values()):
+            session.abort("short tuple id offer")
+        if any(tag != mine for tag in tags.values()):
+            raise _TagMismatch
+
+    # a short party draws its triples too, so every dealer queue stays in step
+    initials, triples, diff_shares = bind([] if short else speculative)
+    try:
+        opened = session.open_field_batch(diff_shares, mine, read_tags)
+    except _TagMismatch:
+        offer = store.available_initial_ids(env.epoch, limit=count + _SPARE_OFFER)
+        common, leads = _offer_round(session, offer, b"".join(speculative))
+        burned = set()
+        for lead in leads.values():
+            if len(lead) != 16 * count:
+                session.abort("malformed tuple id payload")
+            burned.update(lead[i:i + 16] for i in range(0, len(lead), 16))
+        for tid in sorted(burned):
+            with suppress(StockDepletedError):  # consumed here already, or never held
+                store.checkout_initial_by_id(tid, env.epoch)
+        chosen = _take(session, [t for t in offer if t not in burned],
+                       [t for t in common if t not in burned], count, depleted)
+        initials, triples, diff_shares = bind(chosen)
+        opened = session.open_field_batch(diff_shares)
     session.run_mac_check()
 
     finals = []
@@ -555,14 +601,25 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
     return finals
 
 
-# ids offered beyond the batch size, so a batch still finds its tuples after a
-# crash left up to this many of them consumed at one party
+class _TagMismatch(Exception):
+    """The parties' speculative tuple ids differ; phase 3 falls back."""
+
+
+def _id_tag(ids: Sequence[bytes]) -> bytes:
+    """A 4-byte id count and the SHA-256 of the ids: 36 bytes."""
+    return len(ids).to_bytes(4, "big") + hashlib.sha256(b"".join(ids)).digest()
+
+
+# ids offered beyond the batch size in an offer round: the online phase finds
+# its tuples after a crash left up to this many of them consumed at one
+# party, and phase 3's fallback finds its batch beside the ids it burned
 _SPARE_OFFER = 15
 
 
 def _offer_round(session, my_ids: Sequence[bytes],
                  lead: Optional[bytes] = None) -> tuple[list[bytes], dict[int, bytes]]:
-    """One broadcast round of tuple-id offers.
+    """One broadcast round of tuple-id offers: round 1 of the online phase,
+    and phase 3's fallback round when the parties' speculative ids differ.
 
     Returns the ids every participant offered, sorted, and every party's
     `lead` (this party's included).  Without a lead a frame is the bare ids;

@@ -75,7 +75,8 @@ def inject_fault(party, opens_until_fault, kind="value"):
 
     with mock.patch.multiple(
             PartySession,
-            open_field_batch=lambda s, shares: open_field(s, faulted(s, shares, corrupt_share)),
+            open_field_batch=lambda s, shares, *rest: open_field(
+                s, faulted(s, shares, corrupt_share), *rest),
             open_point_batch=lambda s, points, *rest: open_points(
                 s, faulted(s, points, lambda p: p + GENERATOR), *rest)):
         yield plan

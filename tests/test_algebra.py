@@ -109,8 +109,12 @@ EDGE_SCALARS = [
     1, 2, 15, 16, 17,
     2**16 - 1, 2**16, 2**16 + 1,                        # short-scalar path edge
     (CURVE_ORDER - 1) // 2, (CURVE_ORDER + 1) // 2,     # negation step edge
-    CURVE_ORDER - 1, CURVE_ORDER - 3, CURVE_ORDER - 8,  # small negative weights
+    CURVE_ORDER - 1, CURVE_ORDER - 3, CURVE_ORDER - 8,  # small negative weights; n - 1
+                                                        # is also the largest comb scalar
     15 * 16**63, 16**63,                                # top comb window
+    0x80, 0x81, 0x80 * 256**16, 0x81 * 256**16,         # signed-digit edge, rows 0 and 16
+    2**248 - 1,                                         # carries ripple through every row
+    0xFF * 256**31,                                     # carry into the 33rd row
 ]
 OTHER_BASE = scalar_mul(FieldElement(0xBEEF), GENERATOR)
 

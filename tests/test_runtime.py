@@ -35,6 +35,7 @@ from drpki.runtime.transport import (
     PHASE_CONTROL,
     PHASE_KEYGEN,
     PHASE_ONLINE,
+    PHASE_PREPROCESS_DEPENDENT,
     PHASE_PREPROCESS_INDEPENDENT,
     SessionMessage,
     TransportError,
@@ -43,7 +44,7 @@ from drpki.runtime.transport import (
     encode_frame,
     pair_key,
 )
-from drpki.sharing import SchemeId
+from drpki.sharing import SchemeId, open_shares
 from drpki.tecdsa import PhaseEnv, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore, keygen, preprocess_dependent, preprocess_independent, sign_online
 from faults import CrashError, crash_at, echo_round, inject_fault
 
@@ -967,6 +968,144 @@ def test_short_peer_offer_aborts_request():
     after = _final_stocks(cluster, "memberA")
     assert all(after[p] == stocks[p] for p in cluster.participants if p != 2)
     assert verify_audit_completeness(cluster)
+    cluster.close()
+
+
+# --- phase 3: speculative tuple agreement ---------------------------------------------
+
+def _count_dependent_rounds(monkeypatch):
+    """Count each party's phase-3 rounds from here on."""
+    counts = {}
+    run_round = PartySession.run_round
+
+    def counting(self, payloads):
+        if self.phase == PHASE_PREPROCESS_DEPENDENT:
+            counts[self.party_id] = counts.get(self.party_id, 0) + 1
+        return run_round(self, payloads)
+
+    monkeypatch.setattr(PartySession, "run_round", counting)
+    return counts
+
+
+def _journal_records(node):
+    """Every record of a node's consumed-tuple journal, in file order."""
+    data = (node.dir / "tuples.journal").read_bytes()[5:]
+    return [data[i:i + 17] for i in range(0, len(data) - len(data) % 21, 21)]
+
+
+@pytest.mark.parametrize("precompute_r", [False, True], ids=["plain", "precompute-r"])
+@pytest.mark.parametrize("scheme, rounds", [
+    (SchemeId.ADDITIVE_MAC, 3),
+    (SchemeId.SHAMIR_CHECKED, 1),
+    (SchemeId.SHAMIR, 1),
+    (SchemeId.ADDITIVE, 1),
+], ids=["mascot", "mal-shamir", "shamir", "semi"])
+def test_dependent_preprocessing_round_count(monkeypatch, scheme, rounds, precompute_r):
+    # tuple ids ride on the Beaver round as a tag: one round for the diffs,
+    # two MAC-check rounds under mascot, and one R open with precompute_r
+    cluster = LocalCluster(ProtocolConfig.for_scheme(scheme, precompute_r=precompute_r),
+                           seed=57)
+    cluster.keygen("m")
+    cluster.preprocess_independent(3)
+    counts = _count_dependent_rounds(monkeypatch)
+    assert cluster.preprocess_dependent("m", 3) == 3
+    assert counts == {p: rounds + precompute_r for p in cluster.participants}
+    cluster.close()
+
+
+def test_agreed_initial_tuples_are_journaled_before_round_one(monkeypatch):
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    cluster.keygen("m")
+    cluster.preprocess_independent(4)
+    journaled = {}
+    run_round = PartySession.run_round
+
+    def checking(self, payloads):
+        if self.phase == PHASE_PREPROCESS_DEPENDENT and self.round == 0:
+            journaled[self.party_id] = cluster.nodes[self.party_id].tuple_store.consumed_ids()
+        return run_round(self, payloads)
+
+    monkeypatch.setattr(PartySession, "run_round", checking)
+    cluster.preprocess_dependent("m", 3)
+    agreed = {(0, tid) for tid in
+              cluster.nodes[1].tuple_store.available_final_ids("m", cluster.epoch)}
+    assert len(agreed) == 3
+    assert set(journaled) == set(cluster.participants)
+    assert all(ids == agreed for ids in journaled.values())
+    cluster.close()
+
+
+def test_asymmetric_initial_stores_bind_through_the_fallback(monkeypatch):
+    # party 2 already journaled the lowest initial id (a crash after its
+    # checkout): the tags differ, every party burns every speculative id,
+    # and the batch binds ids all stores still hold with fresh triples
+    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC, test_mode=True),
+                           seed=55)
+    cluster.keygen("m")
+    cluster.preprocess_independent(8)
+    store2 = cluster.nodes[2].tuple_store
+    ids = store2.available_initial_ids(cluster.epoch)
+    store2.checkout_initial_by_id(ids[0], cluster.epoch)
+    counts = _count_dependent_rounds(monkeypatch)
+    results = cluster._run_op({"op": "preprocess-dependent", "member": "m", "count": 3})
+    # the failed round, the offer round, the fresh Beaver round and the MAC check
+    assert counts == {p: 5 for p in cluster.participants}
+    bound = [f.tuple_id for f in results[1]]
+    assert bound == ids[4:7]  # ids[0..3] were some party's speculative ids
+    for node in cluster.nodes.values():
+        assert node.tuple_store.available_initial_ids(cluster.epoch) == ids[7:]
+        records = _journal_records(node)
+        assert len(records) == len(set(records)) == 7
+    counts.clear()
+    assert cluster.preprocess_dependent("m", 1) == 1
+    assert counts == {p: 3 for p in cluster.participants}  # the stores agree again
+    sk = cluster.test_reconstruct_sk("m")
+    for i, tid in enumerate(bound):
+        sk_over_k = open_shares([results[p][i].sk_over_k_share for p in cluster.participants],
+                                cluster.n_live, cluster.config.t)
+        assert sk_over_k * cluster.test_reconstruct_k(tid) == sk
+    cluster.close()
+
+
+def test_short_party_aborts_the_batch_promptly_and_keeps_the_dealer_in_step():
+    # party 2 holds one live initial tuple where the others hold three
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC, timeout=30)
+    pk = cluster.keygen("m")
+    cluster.preprocess_independent(3)
+    store2 = cluster.nodes[2].tuple_store
+    for tid in store2.available_initial_ids(cluster.epoch)[:2]:
+        store2.checkout_initial_by_id(tid, cluster.epoch)
+    started = time.perf_counter()
+    with pytest.raises((StockDepletedError, SessionAbort)):
+        cluster.preprocess_dependent("m", 2)
+    assert time.perf_counter() - started < 5.0
+    assert cluster.final_stock("m") == 0
+    cluster.preprocess_independent(2)
+    assert cluster.preprocess_dependent("m", 2) == 2
+    results = cluster.run_signing("m", [b"one", b"two"])
+    for message, res in zip([b"one", b"two"], results, strict=True):
+        assert ecdsa_verify(pk, message, res.signature)
+    cluster.close()
+
+
+def test_flipped_tag_bit_falls_back_and_retires_no_epoch(monkeypatch):
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    pk = cluster.keygen("m")
+    cluster.preprocess_independent(8)
+    open_field = PartySession.open_field_batch
+
+    def flipping(self, shares, note=None, read_notes=None):
+        if self.party_id == 2 and note is not None:
+            note = note[:-1] + bytes([note[-1] ^ 0x01])
+        return open_field(self, shares, note, read_notes)
+
+    monkeypatch.setattr(PartySession, "open_field_batch", flipping)
+    counts = _count_dependent_rounds(monkeypatch)
+    assert cluster.preprocess_dependent("m", 2) == 2
+    assert counts == {p: 5 for p in cluster.participants}
+    assert all(cluster.epoch not in node.retired_epochs for node in cluster.nodes.values())
+    result = cluster.run_signing("m", b"after the fallback")
+    assert ecdsa_verify(pk, b"after the fallback", result.signature)
     cluster.close()
 
 
