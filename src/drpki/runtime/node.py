@@ -815,7 +815,12 @@ class LocalCluster:
     def replenish(self, member_id: Optional[str] = None,
                   low_watermark: Optional[int] = None,
                   batch_size: Optional[int] = None) -> dict:
-        """Refill preprocessing stock below the low watermark, with backoff."""
+        """Refill preprocessing stock below the low watermark, with backoff.
+
+        Phase 2 sends no frame, so only phase 3 is retried.  An aborted
+        phase-3 batch has burned its initial tuples, so initial stock is
+        topped up to a batch before every attempt.
+        """
         watermark = low_watermark if low_watermark is not None else self.policy.low_watermark
         batch = batch_size if batch_size is not None else self.policy.batch_size
         made = {"initial": 0, "final": 0}
@@ -825,15 +830,19 @@ class LocalCluster:
         need_final = sum(
             batch for m in members if self.final_stock(m) < watermark
         )
-        if self.initial_stock() < watermark + need_final:
-            made["initial"] = self._retry_phase(
-                lambda: self.preprocess_independent(watermark + need_final)
-            )
+
+        def top_up(need: int) -> None:
+            if self.initial_stock() < need:
+                made["initial"] += self.preprocess_independent(need)
+
+        def bind(m: str) -> int:
+            top_up(batch)
+            return self.preprocess_dependent(m, batch)
+
+        top_up(watermark + need_final)
         for m in members:
             if self.final_stock(m) < watermark:
-                made["final"] += self._retry_phase(
-                    lambda m=m: self.preprocess_dependent(m, batch)
-                )
+                made["final"] += self._retry_phase(lambda m=m: bind(m))
         return made
 
     def _retry_phase(self, fn, attempts: int = 3):

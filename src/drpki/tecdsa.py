@@ -4,8 +4,9 @@ Phases, each executed by every participating party over a synchronous
 session:
 
   1. keygen                  per-member signing key shares and the public key
-  2. preprocess_independent  initial tuples (share of k*G, share of 1/k)
-  3. preprocess_dependent    final tuples binding a member: share of sk/k
+  2. preprocess_independent  initial tuples from local triples: [1/k], b_i, [c]
+  3. preprocess_dependent    final tuples binding a member: opens and checks c
+                             with the Beaver diffs, then shares of k*G and sk/k
   4. sign_online             field-only assembly of a request's signatures
 
 Instance-key material is strictly single-use: stores mark tuples consumed
@@ -124,12 +125,16 @@ class KeyShareRecord:
 
 @dataclass
 class InitialTuple:
-    """Member-independent material: one instance key's (share of k*G, [1/k])."""
+    """Member-independent material for one instance key, from a triple
+    (a, b, c = a*b): [1/k] = [a] with its MAC, this party's bare share b_i
+    and [c] with its MAC, so k = 1/a.  Phase 3 opens c and checks it before
+    it computes this party's share of k*G, (b_i / c) * G."""
 
     tuple_id: bytes
     epoch: bytes
-    k_point_share: GroupPoint
     k_inv_share: Share
+    b_share: FieldElement
+    c_share: Share
     consumed: bool = False
 
 
@@ -152,9 +157,16 @@ class FinalTuple:
 # Append-only record files plus a consumed-id journal, all CRC-protected.
 # A checkout appends to the journal and flushes to disk *before* returning,
 # so no protocol message can reference a tuple that a restart would resurrect.
+#
+# An initial record is id, epoch, [1/k], b_i (32 bytes) and [c]; a final
+# record is id, epoch, member, k*G share, [1/k], [sk/k], an R flag and R.
+# Each ends in its CRC.  Initial files of the earlier record, which held a
+# k*G share instead of b_i and [c], carry the final file's magic.
 
 _STORE_MAGIC = b"DTS1"
+_INITIAL_MAGIC = b"DTI2"
 _JOURNAL_MAGIC = b"DTJ1"
+_MAGICS = {"initial": _INITIAL_MAGIC, "final": _STORE_MAGIC, "journal": _JOURNAL_MAGIC}
 _KIND_INITIAL = 0
 _KIND_FINAL = 1
 
@@ -203,6 +215,10 @@ class TupleStore:
     asked epoch and, if final, bound to the asked member: `_live` is that
     rule for every method.  After close() the store still answers reads, but
     adds and checkouts raise.
+
+    An initial file of the earlier record is moved aside on open, to
+    tuples_initial.v1.dat, neither cut nor parsed: its tuples are never
+    offered, and the next refill restocks.
     """
 
     def __init__(self, directory: str, party: int) -> None:
@@ -220,8 +236,7 @@ class TupleStore:
         }
         for name, handle in self._files.items():
             if handle.tell() == 0:
-                magic = _JOURNAL_MAGIC if name == "journal" else _STORE_MAGIC
-                handle.write(magic + bytes([self.party]))
+                handle.write(_MAGICS[name] + bytes([self.party]))
                 handle.flush()
 
     # -- persistence ------------------------------------------------------
@@ -245,13 +260,20 @@ class TupleStore:
         return records
 
     def _load(self) -> None:
-        init_width = 16 + 16 + _POINT_PAD + _SHARE_PAD + 4
-        for body in self._read_records(self._dir / "tuples_initial.dat", init_width):
+        initial = self._dir / "tuples_initial.dat"
+        if initial.exists():
+            with open(initial, "rb") as handle:
+                earlier = handle.read(len(_STORE_MAGIC)) == _STORE_MAGIC
+            if earlier:
+                os.replace(initial, initial.with_name("tuples_initial.v1.dat"))
+        init_width = 16 + 16 + _SHARE_PAD + 32 + _SHARE_PAD + 4
+        for body in self._read_records(initial, init_width):
             tup = InitialTuple(
                 tuple_id=body[:16],
                 epoch=body[16:32],
-                k_point_share=_unpad_point(body[32:32 + _POINT_PAD]),
-                k_inv_share=_unpad_share(body[32 + _POINT_PAD:]),
+                k_inv_share=_unpad_share(body[32:32 + _SHARE_PAD]),
+                b_share=FieldElement.from_bytes(body[32 + _SHARE_PAD:64 + _SHARE_PAD]),
+                c_share=_unpad_share(body[64 + _SHARE_PAD:]),
             )
             self._initial[tup.tuple_id] = tup
         fin_width = 16 + 16 + _MEMBER_PAD + _POINT_PAD + 2 * _SHARE_PAD + 1 + _POINT_PAD + 4
@@ -331,8 +353,8 @@ class TupleStore:
             return sum(1 for _ in self._live(member_id, epoch))
 
     def add_initial(self, tup: InitialTuple) -> None:
-        self._add("initial", tup, tup.tuple_id + tup.epoch + _pad_point(tup.k_point_share)
-                  + _pad_share(tup.k_inv_share))
+        self._add("initial", tup, tup.tuple_id + tup.epoch + _pad_share(tup.k_inv_share)
+                  + tup.b_share.to_bytes() + _pad_share(tup.c_share))
 
     def add_final(self, tup: FinalTuple) -> None:
         has_r = tup.r_point is not None
@@ -479,28 +501,17 @@ def keygen(env: PhaseEnv, session, member_id: str,
 # --- phase 2: member-independent preprocessing -----------------------------------
 
 def preprocess_independent(env: PhaseEnv, session, count: int) -> list[InitialTuple]:
-    """Produce `count` initial tuples from fresh triples.
+    """Store `count` initial tuples from fresh triples; no frame is sent.
 
-    Per triple (a, b, c): open c, set [1/k] := [a] and the k*G share to
-    (b_i * 1/c) * G, so k = 1/a.  An opened c = 0, a ~2/p event and so the
-    sign of a rigged or broken dealer, aborts the session before any tuple
-    of the batch is stored; the batch's triples stay consumed.
+    Per triple (a, b, c): [1/k] := [a], so k = 1/a, beside the bare share
+    b_i and [c].  Phase 3 opens c with its Beaver diffs, MAC-checks it and
+    aborts on c = 0 before it computes any share (b_i / c) * G of k*G.
     """
     triples = [env.triple_source.next_triple(env.config.scheme) for _ in range(count)]
+    produced = []
     for tr in triples:
         tr.mark_consumed()
-    opened_c = session.open_field_batch([tr.c for tr in triples])
-    session.run_mac_check()  # authenticate the c opens before using them
-    if any(c.is_zero() for c in opened_c):
-        session.abort("degenerate preprocessing triple (c = 0)")
-    produced = []
-    for tr, c in zip(triples, opened_c):
-        tup = InitialTuple(
-            tuple_id=tr.triple_id,
-            epoch=env.epoch,
-            k_point_share=scalar_mul(tr.b.value * c.inv(), GENERATOR),
-            k_inv_share=tr.a,
-        )
+        tup = InitialTuple(tr.triple_id, env.epoch, tr.a, tr.b.value, tr.c)
         env.tuple_store.add_initial(tup)
         produced.append(tup)
     return produced
@@ -514,21 +525,23 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
 
     Round 1 speculates that every store's lowest `count` live initial ids
     agree.  Every party draws `count` triples, journals those ids and sends
-    their Beaver diffs with a tag of them (`_id_tag`), so an honest batch
-    agrees on its tuples without a round of its own.  A party short of
-    stock sends its tag alone and raises StockDepletedError, and a peer's
-    short tag aborts the session before any share is decoded.  Differing
-    tags, as a crash that left the stores asymmetric causes, send every
-    party to one `_offer_round`: each journals every party's speculative
-    ids, which realigns the stores, and the batch binds the first `count`
-    ids every party still offers, with fresh triples.  Nothing of the
-    speculative round is reconstructed or MAC-accounted then.
+    each tuple's c share and Beaver diffs with a tag of the ids (`_id_tag`),
+    so an honest batch agrees on its tuples without a round of its own.  A
+    party short of stock sends its tag alone and raises StockDepletedError,
+    and a peer's short tag aborts the session before any share is decoded.
+    Differing tags, as a crash that left the stores asymmetric causes, send
+    every party to one `_offer_round`: each journals every party's
+    speculative ids, which realigns the stores, and the batch binds the
+    first `count` ids every party still offers, with fresh triples.
+    Nothing of the speculative round is reconstructed or MAC-accounted then.
 
     Every initial tuple is journaled before its Beaver messages are sent,
-    and one triple is spent per final tuple and round.  With precompute_r
-    the R point is opened here so the online phase stays free of curve
-    work, and a degenerate R aborts the session before any final tuple is
-    stored.
+    and one triple is spent per final tuple and round.  The MAC check
+    covers every opened c, and an opened c = 0, a ~2/p event and so the
+    sign of a rigged or broken dealer, aborts the session; only then is
+    each share (b_i / c) * G of k*G computed.  With precompute_r the R
+    point is opened here so the online phase stays free of curve work, and
+    a degenerate R aborts the session before any final tuple is stored.
     """
     cfg = env.config
     record = env.key_records.get(member_id)
@@ -538,13 +551,15 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
     depleted = "initial preprocessing tuples depleted"
 
     def bind(ids: Sequence[bytes]) -> tuple[list[InitialTuple], list[Triple], list[Share]]:
-        """Journal `ids`, draw `count` triples, and the Beaver diff shares."""
+        """Journal `ids`, draw `count` triples, and the shares to open: per
+        tuple its c share, then its two Beaver diff shares."""
         initials = [store.checkout_initial_by_id(tid, env.epoch) for tid in ids]
         triples = [env.triple_source.next_triple(cfg.scheme) for _ in range(count)]
-        diff_shares: list[Share] = []
+        shares: list[Share] = []
         for init, tr in zip(initials, triples):
-            diff_shares.extend(beaver_diffs(record.sk_share, init.k_inv_share, tr))
-        return initials, triples, diff_shares
+            shares.append(init.c_share)
+            shares.extend(beaver_diffs(record.sk_share, init.k_inv_share, tr))
+        return initials, triples, shares
 
     speculative = store.available_initial_ids(env.epoch, limit=count)
     short = len(speculative) < count
@@ -561,9 +576,9 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
             raise _TagMismatch
 
     # a short party draws its triples too, so every dealer queue stays in step
-    initials, triples, diff_shares = bind([] if short else speculative)
+    initials, triples, shares = bind([] if short else speculative)
     try:
-        opened = session.open_field_batch(diff_shares, mine, read_tags)
+        opened = session.open_field_batch(shares, mine, read_tags)
     except _TagMismatch:
         offer = store.available_initial_ids(env.epoch, limit=count + _SPARE_OFFER)
         common, leads = _offer_round(session, offer, b"".join(speculative))
@@ -577,17 +592,19 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
                 store.checkout_initial_by_id(tid, env.epoch)
         chosen = _take(session, [t for t in offer if t not in burned],
                        [t for t in common if t not in burned], count, depleted)
-        initials, triples, diff_shares = bind(chosen)
-        opened = session.open_field_batch(diff_shares)
-    session.run_mac_check()
+        initials, triples, shares = bind(chosen)
+        opened = session.open_field_batch(shares)
+    session.run_mac_check()  # authenticate every c, d and e before using them
+    if any(c.is_zero() for c in opened[0::3]):
+        session.abort("degenerate preprocessing triple (c = 0)")
 
     finals = []
-    for idx, (init, tr) in enumerate(zip(initials, triples)):
-        d, e = opened[2 * idx], opened[2 * idx + 1]
-        sk_over_k = beaver_combine(tr, d, e, env.mac_key)
+    for init, tr, c, d, e in zip(initials, triples, opened[0::3], opened[1::3],
+                                 opened[2::3]):
         finals.append(
             FinalTuple(init.tuple_id, env.epoch, member_id,
-                       init.k_point_share, init.k_inv_share, sk_over_k)
+                       scalar_mul(init.b_share * c.inv(), GENERATOR),
+                       init.k_inv_share, beaver_combine(tr, d, e, env.mac_key))
         )
 
     if cfg.precompute_r:

@@ -1,6 +1,6 @@
-"""Crash points, share faults, bare rounds and a curve-work probe for tests,
-patched in at function boundaries the code already has, for one `with` block
-only."""
+"""Crash points, share faults, bare rounds and probes of rounds and curve work
+for tests, patched in at function boundaries the code already has, for one
+`with` block only."""
 
 import threading
 from contextlib import contextmanager
@@ -94,6 +94,22 @@ def echo_round(cluster, payload, mute=(), timeout=None, echo_back=False):
         return got
 
     return cluster._run_phase(PHASE_CONTROL, fn, timeout=timeout)
+
+
+@contextmanager
+def count_rounds(phase):
+    """Count each party's rounds in sessions of `phase` inside the block.
+    Yields the dict party -> rounds; a party that ran none is absent."""
+    counts = {}
+    run_round = PartySession.run_round
+
+    def counting(session, payloads):
+        if session.phase == phase:
+            counts[session.party_id] = counts.get(session.party_id, 0) + 1
+        return run_round(session, payloads)
+
+    with mock.patch.object(PartySession, "run_round", counting):
+        yield counts
 
 
 @contextmanager

@@ -46,7 +46,7 @@ from drpki.runtime.transport import (
 )
 from drpki.sharing import SchemeId, open_shares
 from drpki.tecdsa import PhaseEnv, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore, keygen, preprocess_dependent, preprocess_independent, sign_online
-from faults import CrashError, crash_at, echo_round, inject_fault
+from faults import CrashError, count_curve_ops, count_rounds, crash_at, echo_round, inject_fault
 
 rng = random.Random(0xD21_05)
 
@@ -572,13 +572,18 @@ def _rewrite_frames(cluster, sender, phase, round_, rewrite):
 @pytest.mark.parametrize("offset,byte", [(1, 3), (0, SchemeId.SHAMIR.value)],
                          ids=["owner", "scheme"])
 def test_field_open_share_naming_another_owner_or_scheme_aborts(offset, byte):
-    # round 1 of preprocess_independent opens c; party 2's first share
-    # claims to be party 3's, or to be an unchecked Shamir share
+    # round 1 of preprocess_dependent opens c and the Beaver diffs after a
+    # 37-byte tag note; party 2's first share claims to be party 3's, or to
+    # be an unchecked Shamir share
     cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
-    _rewrite_frames(cluster, 2, PHASE_PREPROCESS_INDEPENDENT, 1,
-                    lambda p: p[:offset] + bytes([byte]) + p[offset + 1:])
+    cluster.keygen("m")
+    cluster.preprocess_independent(2)
+    at = 37 + offset
+    _rewrite_frames(cluster, 2, PHASE_PREPROCESS_DEPENDENT, 1,
+                    lambda p: p[:at] + bytes([byte]) + p[at + 1:])
     with pytest.raises(SessionAbort, match="malformed open payload"):
-        cluster.preprocess_independent(2)
+        cluster.preprocess_dependent("m", 2)
+    assert cluster.final_stock("m") == 0
     cluster.close()
 
 
@@ -973,20 +978,6 @@ def test_short_peer_offer_aborts_request():
 
 # --- phase 3: speculative tuple agreement ---------------------------------------------
 
-def _count_dependent_rounds(monkeypatch):
-    """Count each party's phase-3 rounds from here on."""
-    counts = {}
-    run_round = PartySession.run_round
-
-    def counting(self, payloads):
-        if self.phase == PHASE_PREPROCESS_DEPENDENT:
-            counts[self.party_id] = counts.get(self.party_id, 0) + 1
-        return run_round(self, payloads)
-
-    monkeypatch.setattr(PartySession, "run_round", counting)
-    return counts
-
-
 def _journal_records(node):
     """Every record of a node's consumed-tuple journal, in file order."""
     data = (node.dir / "tuples.journal").read_bytes()[5:]
@@ -1000,16 +991,48 @@ def _journal_records(node):
     (SchemeId.SHAMIR, 1),
     (SchemeId.ADDITIVE, 1),
 ], ids=["mascot", "mal-shamir", "shamir", "semi"])
-def test_dependent_preprocessing_round_count(monkeypatch, scheme, rounds, precompute_r):
-    # tuple ids ride on the Beaver round as a tag: one round for the diffs,
-    # two MAC-check rounds under mascot, and one R open with precompute_r
+def test_dependent_preprocessing_round_count(scheme, rounds, precompute_r):
+    # tuple ids ride on the Beaver round as a tag, and each c with its diffs:
+    # one round for the opens, two MAC-check rounds under mascot, and one R
+    # open with precompute_r
     cluster = LocalCluster(ProtocolConfig.for_scheme(scheme, precompute_r=precompute_r),
                            seed=57)
     cluster.keygen("m")
     cluster.preprocess_independent(3)
-    counts = _count_dependent_rounds(monkeypatch)
-    assert cluster.preprocess_dependent("m", 3) == 3
+    with count_rounds(PHASE_PREPROCESS_DEPENDENT) as counts:
+        assert cluster.preprocess_dependent("m", 3) == 3
     assert counts == {p: rounds + precompute_r for p in cluster.participants}
+    cluster.close()
+
+
+@pytest.mark.parametrize("scheme, rounds", [
+    (SchemeId.ADDITIVE_MAC, 3),
+    (SchemeId.SHAMIR_CHECKED, 1),
+    (SchemeId.SHAMIR, 1),
+    (SchemeId.ADDITIVE, 1),
+], ids=["mascot", "mal-shamir", "shamir", "semi"])
+def test_restock_round_count(scheme, rounds):
+    # phase 2 runs no round; phase 3 opens c with the Beaver diffs
+    cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=58)
+    cluster.keygen("m")
+    with count_rounds(PHASE_PREPROCESS_INDEPENDENT) as independent, \
+            count_rounds(PHASE_PREPROCESS_DEPENDENT) as dependent:
+        assert cluster.replenish("m", low_watermark=1, batch_size=3) == {
+            "initial": 4, "final": 3}
+    assert independent == {}
+    assert dependent == {p: rounds for p in cluster.participants}
+    cluster.close()
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.name)
+def test_independent_preprocessing_is_local(scheme):
+    cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=59)
+    before = cluster.hub.counters.snapshot()
+    with count_curve_ops() as ops:
+        assert cluster.preprocess_independent(4) == 4
+    assert cluster.hub.counters.snapshot() == before
+    assert ops == []
+    assert cluster.initial_stock() == 4
     cluster.close()
 
 
@@ -1035,7 +1058,7 @@ def test_agreed_initial_tuples_are_journaled_before_round_one(monkeypatch):
     cluster.close()
 
 
-def test_asymmetric_initial_stores_bind_through_the_fallback(monkeypatch):
+def test_asymmetric_initial_stores_bind_through_the_fallback():
     # party 2 already journaled the lowest initial id (a crash after its
     # checkout): the tags differ, every party burns every speculative id,
     # and the batch binds ids all stores still hold with fresh triples
@@ -1046,8 +1069,8 @@ def test_asymmetric_initial_stores_bind_through_the_fallback(monkeypatch):
     store2 = cluster.nodes[2].tuple_store
     ids = store2.available_initial_ids(cluster.epoch)
     store2.checkout_initial_by_id(ids[0], cluster.epoch)
-    counts = _count_dependent_rounds(monkeypatch)
-    results = cluster._run_op({"op": "preprocess-dependent", "member": "m", "count": 3})
+    with count_rounds(PHASE_PREPROCESS_DEPENDENT) as counts:
+        results = cluster._run_op({"op": "preprocess-dependent", "member": "m", "count": 3})
     # the failed round, the offer round, the fresh Beaver round and the MAC check
     assert counts == {p: 5 for p in cluster.participants}
     bound = [f.tuple_id for f in results[1]]
@@ -1056,8 +1079,8 @@ def test_asymmetric_initial_stores_bind_through_the_fallback(monkeypatch):
         assert node.tuple_store.available_initial_ids(cluster.epoch) == ids[7:]
         records = _journal_records(node)
         assert len(records) == len(set(records)) == 7
-    counts.clear()
-    assert cluster.preprocess_dependent("m", 1) == 1
+    with count_rounds(PHASE_PREPROCESS_DEPENDENT) as counts:
+        assert cluster.preprocess_dependent("m", 1) == 1
     assert counts == {p: 3 for p in cluster.participants}  # the stores agree again
     sk = cluster.test_reconstruct_sk("m")
     for i, tid in enumerate(bound):
@@ -1100,8 +1123,8 @@ def test_flipped_tag_bit_falls_back_and_retires_no_epoch(monkeypatch):
         return open_field(self, shares, note, read_notes)
 
     monkeypatch.setattr(PartySession, "open_field_batch", flipping)
-    counts = _count_dependent_rounds(monkeypatch)
-    assert cluster.preprocess_dependent("m", 2) == 2
+    with count_rounds(PHASE_PREPROCESS_DEPENDENT) as counts:
+        assert cluster.preprocess_dependent("m", 2) == 2
     assert counts == {p: 5 for p in cluster.participants}
     assert all(cluster.epoch not in node.retired_epochs for node in cluster.nodes.values())
     result = cluster.run_signing("m", b"after the fallback")

@@ -1,13 +1,15 @@
 """Protocol-phase and tuple-store tests."""
 
 import random
+import struct
+import zlib
 
 import pytest
 
 from drpki.algebra import FieldElement, GENERATOR, ecdsa_sign, ecdsa_verify, scalar_mul
 from drpki.preprocessing import Triple, TripleSource, TupleReuseError
 from drpki.runtime import LocalCluster, SessionAbort
-from drpki.sharing import PointShare, ProtocolAbort, SchemeId, open_point_shares, open_shares
+from drpki.sharing import PointShare, ProtocolAbort, SchemeId, Share, open_point_shares, open_shares
 from drpki.tecdsa import (
     Adversary,
     FinalTuple,
@@ -18,7 +20,7 @@ from drpki.tecdsa import (
     TecdsaError,
     TupleStore,
 )
-from faults import inject_fault
+from faults import count_curve_ops, inject_fault
 
 
 ALL_SCHEMES = list(SchemeId)
@@ -91,17 +93,16 @@ def test_keygen_liveness_shamir_vs_additive():
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_initial_tuples_satisfy_instance_key_relation(scheme):
+    # an initial tuple's b_i and [c] give k*G: phase 3 computes the shares
+    # (b_i / c) * G once c is opened, and stores them in the final tuples
     cluster = make_cluster(scheme, test_mode=True)
+    cluster.keygen("m")
     cluster.preprocess_independent(3)
+    results = cluster._run_op({"op": "preprocess-dependent", "member": "m", "count": 3})
     node_ids = cluster.participants
-    store0 = cluster.nodes[node_ids[0]].tuple_store
-    for tid in store0.available_initial_ids(cluster.epoch):
-        k = cluster.test_reconstruct_k(tid)
-        point_shares = [
-            PointShare(scheme, p,
-                       cluster.nodes[p].tuple_store.initial_record(tid).k_point_share)
-            for p in node_ids
-        ]
+    for i, final in enumerate(results[node_ids[0]]):
+        k = cluster.test_reconstruct_k(final.tuple_id)
+        point_shares = [PointShare(scheme, p, results[p][i].k_point_share) for p in node_ids]
         k_point = open_point_shares(point_shares, cluster.n_live, cluster.config.t)
         assert k_point == scalar_mul(k, GENERATOR)
     cluster.close()
@@ -118,12 +119,13 @@ def test_batch_produces_distinct_unconsumed_tuples():
     cluster.close()
 
 
-def _rig_zero_triple(cluster):
-    # a triple whose c opens to zero: a = 0, so c = 0
+def _rig_zero_triple(cluster, index=0):
+    # a triple whose c opens to zero: a = 0, so c = 0; its id, 15 zero bytes
+    # and `index`, sorts ahead of the dealer's, so phase 3 binds it first
     scheme = cluster.config.scheme
     from drpki.sharing import deal
 
-    rng = random.Random(0)
+    rng = random.Random(index)
     zero = FieldElement.zero()
     b = FieldElement.random(rng)
     a_shares = deal(scheme, zero, cluster.n_live, cluster.config.t, rng,
@@ -132,7 +134,7 @@ def _rig_zero_triple(cluster):
                     owners=cluster.participants)
     c_shares = deal(scheme, zero, cluster.n_live, cluster.config.t, rng,
                     owners=cluster.participants)
-    tid = rng.getrandbits(128).to_bytes(16, "big")
+    tid = bytes(15) + bytes([index])
     return [
         Triple(tid, cluster.epoch, a_shares[i], b_shares[i], c_shares[i])
         for i in range(cluster.n_live)
@@ -161,31 +163,54 @@ def _rig_next_triples(cluster, triple_sets):
                                            [records[i] for records in triple_sets])
 
 
+def _final_ids(cluster, member_id):
+    return {tid for node in cluster.nodes.values()
+            for tid in node.tuple_store.available_final_ids(member_id, cluster.epoch,
+                                                            limit=1000)}
+
+
 def test_zero_product_triple_discarded_and_replaced():
-    # a zero product aborts its batch and stores nothing; a refill's retry
-    # then restocks without it
+    # phase 2 stores a zero-product triple's tuple unopened; phase 3 opens
+    # c = 0, aborts and stores nothing; a refill's retry restocks without it
     cluster = make_cluster(SchemeId.SHAMIR)
-    rigged = [_rig_zero_triple(cluster), _rig_zero_triple(cluster)]
-    _rig_next_triples(cluster, rigged[:1])
-    with pytest.raises(SessionAbort, match="degenerate preprocessing triple"):
-        cluster.preprocess_independent(1)
-    assert cluster.initial_stock() == 0
-    _rig_next_triples(cluster, rigged[1:])
-    made = cluster.replenish(low_watermark=1, batch_size=1)
-    assert made == {"initial": 1, "final": 0}
-    assert cluster.initial_stock() == 1
-    store = cluster.nodes[1].tuple_store
-    for triple in rigged:
-        assert store.initial_record(triple[0].triple_id) is None
+    cluster.keygen("m")
+    rigged = _rig_zero_triple(cluster)
+    _rig_next_triples(cluster, [rigged])
+    cluster.preprocess_independent(1)
+    with pytest.raises(SessionAbort, match=r"degenerate preprocessing triple \(c = 0\)"):
+        cluster.preprocess_dependent("m", 1)
+    assert cluster.final_stock("m") == 0 and cluster.initial_stock() == 0
+    made = cluster.replenish("m", low_watermark=1, batch_size=1)
+    assert made == {"initial": 2, "final": 1}
+    assert cluster.final_stock("m") == 1
+    assert rigged[0].triple_id not in _final_ids(cluster, "m")
+    for node in cluster.nodes.values():
+        assert node.tuple_store.initial_record(rigged[0].triple_id).consumed
+    cluster.close()
+
+
+def test_refill_rebinds_after_a_degenerate_batch():
+    # a watermark below the batch sizes the initial stock for one batch; the
+    # rigged batch burns its ids, and the retry tops initial stock up first
+    cluster = make_cluster(SchemeId.SHAMIR)
+    cluster.keygen("m")
+    rigged = _rig_zero_triple(cluster)
+    _rig_next_triples(cluster, [rigged])
+    made = cluster.replenish("m", low_watermark=1, batch_size=3)
+    assert made == {"initial": 4 + 3, "final": 3}
+    assert cluster.final_stock("m") == 3
+    assert rigged[0].triple_id not in _final_ids(cluster, "m")
     cluster.close()
 
 
 def test_persistent_zero_products_exhaust_retry_budget():
+    # every triple has c = 0, the Beaver triples too (a = 0 is still a triple)
     cluster = make_cluster(SchemeId.SHAMIR)
-    _rig_next_triples(cluster, [_rig_zero_triple(cluster) for _ in range(3)])
+    cluster.keygen("m")
+    _rig_next_triples(cluster, [_rig_zero_triple(cluster, i) for i in range(12)])
     with pytest.raises(TecdsaError, match="replenishment failed after 3 attempts"):
-        cluster.replenish(low_watermark=1, batch_size=1)
-    assert cluster.initial_stock() == 0
+        cluster.replenish("m", low_watermark=1, batch_size=1)
+    assert cluster.final_stock("m") == 0
     cluster.close()
 
 
@@ -365,13 +390,31 @@ def test_abort_leaves_keys_and_stock_intact():
 
 
 def test_mac_check_failure_retires_epoch():
+    # the first value phase 3 opens after c is the Beaver diff d
     cluster = make_cluster(SchemeId.ADDITIVE_MAC)
     cluster.keygen("m")
-    with pytest.raises(ProtocolAbort), inject_fault(3, opens_until_fault=0):
-        cluster.preprocess_independent(1)
+    cluster.preprocess_independent(1)
+    with pytest.raises(ProtocolAbort), inject_fault(3, opens_until_fault=1):
+        cluster.preprocess_dependent("m", 1)
     assert cluster.epoch in cluster.nodes[1].retired_epochs
     with pytest.raises(TecdsaError, match="epoch retired"):
         cluster.preprocess_independent(1)
+    cluster.close()
+
+
+def test_corrupt_c_share_aborts_before_any_k_point_share():
+    # party 3's c share of the first tuple is off by one in phase-3 round 1
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    cluster.keygen("m")
+    cluster.preprocess_independent(2)
+    with pytest.raises(ProtocolAbort, match="MAC check failed"), \
+            inject_fault(3, opens_until_fault=0) as plan, count_curve_ops() as ops:
+        cluster.preprocess_dependent("m", 2)
+    assert plan.triggered
+    assert ops == []  # no (b_i / c) * G from an unchecked c
+    assert all(cluster.epoch in node.retired_epochs for node in cluster.nodes.values())
+    assert all(node.tuple_store.final_stock("m", cluster.epoch) == 0
+               for node in cluster.nodes.values())
     cluster.close()
 
 
@@ -391,8 +434,8 @@ def test_tuple_store_roundtrip_and_journal(tmp_path):
     epoch = bytes(16)
     store = TupleStore(str(tmp_path), party=1)
     for i in range(3):
-        store.add_initial(InitialTuple(bytes([i]) * 16, epoch, _sample_point(),
-                                       _sample_share()))
+        store.add_initial(InitialTuple(bytes([i]) * 16, epoch, _sample_share(),
+                                       FieldElement(5), _sample_share()))
     store.add_final(FinalTuple(b"\xaa" * 16, epoch, "alice", _sample_point(),
                                _sample_share(), _sample_share(),
                                r_point=_sample_point()))
@@ -419,7 +462,8 @@ def test_tuple_store_roundtrip_and_journal(tmp_path):
 def test_tuple_store_rejects_duplicates_and_reports_depletion(tmp_path):
     epoch = bytes(16)
     store = TupleStore(str(tmp_path), party=2)
-    tup = InitialTuple(b"\x01" * 16, epoch, _sample_point(), _sample_share(owner=2))
+    tup = InitialTuple(b"\x01" * 16, epoch, _sample_share(owner=2), FieldElement(5),
+                       _sample_share(owner=2))
     store.add_initial(tup)
     with pytest.raises(TupleReuseError):
         store.add_initial(tup)
@@ -433,8 +477,10 @@ def test_tuple_store_rejects_duplicates_and_reports_depletion(tmp_path):
 def test_tuple_store_tolerates_torn_tail_write(tmp_path):
     epoch = bytes(16)
     store = TupleStore(str(tmp_path), party=1)
-    store.add_initial(InitialTuple(b"\x01" * 16, epoch, _sample_point(), _sample_share()))
-    store.add_initial(InitialTuple(b"\x02" * 16, epoch, _sample_point(), _sample_share()))
+    store.add_initial(InitialTuple(b"\x01" * 16, epoch, _sample_share(), FieldElement(5),
+                                       _sample_share()))
+    store.add_initial(InitialTuple(b"\x02" * 16, epoch, _sample_share(), FieldElement(5),
+                                       _sample_share()))
     store.close()
     path = tmp_path / "tuples_initial.dat"
     data = path.read_bytes()
@@ -449,8 +495,8 @@ def test_tuple_store_journal_appends_after_a_torn_tail_survive_reopen(tmp_path):
     epoch = bytes(16)
     store = TupleStore(str(tmp_path), party=1)
     for i in range(3):
-        store.add_initial(InitialTuple(bytes([i]) * 16, epoch, _sample_point(),
-                                       _sample_share()))
+        store.add_initial(InitialTuple(bytes([i]) * 16, epoch, _sample_share(),
+                                       FieldElement(5), _sample_share()))
     store.checkout_initial_by_id(b"\x00" * 16, epoch)
     store.close()
     journal = tmp_path / "tuples.journal"
@@ -464,3 +510,41 @@ def test_tuple_store_journal_appends_after_a_torn_tail_survive_reopen(tmp_path):
     assert third.initial_stock(epoch) == 1
     assert third.consumed_ids() == {(0, b"\x00" * 16), (0, b"\x01" * 16)}
     third.close()
+
+
+def test_initial_file_of_the_earlier_record_is_moved_aside(tmp_path):
+    # a store written before initial tuples held b_i and [c]: its initial file
+    # carries the final file's magic and 16 + 16 + 65 + 66 + 4-byte records
+    cfg = ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC)
+    cluster = LocalCluster(cfg, data_dir=str(tmp_path), seed=61)
+    pk = cluster.keygen("m")
+    cluster.preprocess_independent(3)
+    cluster.preprocess_dependent("m", 2)
+    cluster.run_signing("m", b"before")
+    journals = {p: node.tuple_store.consumed_ids() for p, node in cluster.nodes.items()}
+    epoch = cluster.epoch
+    cluster.close()
+
+    old_files = {}
+    for party in cluster.participants:
+        share = Share(SchemeId.ADDITIVE_MAC, party, FieldElement(9), FieldElement(10))
+        body = (b"\x77" * 16 + epoch + _sample_point().to_bytes()
+                + share.to_bytes() + bytes(66 - len(share.to_bytes())))
+        record = body + struct.pack(">I", zlib.crc32(body))
+        old_files[party] = b"DTS1" + bytes([party]) + record + record[:9]  # and a torn tail
+        (tmp_path / f"party{party}" / "tuples_initial.dat").write_bytes(old_files[party])
+
+    cluster = LocalCluster(cfg, data_dir=str(tmp_path), seed=61)
+    assert cluster.initial_stock() == 0
+    assert cluster.final_stock("m") == 1
+    for party, node in cluster.nodes.items():
+        moved = tmp_path / f"party{party}" / "tuples_initial.v1.dat"
+        assert moved.read_bytes() == old_files[party]
+        assert (tmp_path / f"party{party}" / "tuples_initial.dat").read_bytes()[:4] == b"DTI2"
+        final_ids = {(kind, tid) for kind, tid in journals[party] if kind == 1}
+        assert node.tuple_store.consumed_ids() == final_ids
+    assert ecdsa_verify(pk, b"after", cluster.run_signing("m", b"after").signature)
+    cluster.preprocess_independent(2)
+    assert cluster.preprocess_dependent("m", 2) == 2
+    assert ecdsa_verify(pk, b"next", cluster.run_signing("m", b"next").signature)
+    cluster.close()
