@@ -130,8 +130,7 @@ class FieldElement:
 #
 # Internals run on Jacobian-coordinate int tuples; (0, 1, 0) is the identity.
 # Precomputed table points are affine (x, y) pairs that enter through the
-# mixed addition.  Only the public GroupPoint API touches the operation
-# counter.
+# mixed addition.
 
 
 def _jac_add(p, q):

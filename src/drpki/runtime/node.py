@@ -13,17 +13,18 @@ epoch; a peer's abort frame, whatever its text, never does, and a `request`
 op on a retired epoch returns an aborted outcome before it sends anything.
 
 The `request` op is the one consent-gated signing path, in one session, and
-its consent step rides on the rounds of `sign_online`.  Round 1 carries the
-initiator's payloads beside every node's final-tuple offer, and each node
-journals one agreed tuple per payload received.  Every node checks content
-and consent itself, audits its verdict, and votes in round 2 beside its R
-shares.  Only on a quorum of ok votes does a node reconstruct R and send its
-s shares in round 3 (then `mascot` runs its two-round MAC check), and it
-publishes.  So a `mascot` transfer takes 5 rounds and a one-payload
-`mal-shamir` request 3.  A failed vote burns the tuples agreed in round 1
-and aborts, or under the flag policy opens an intervention ticket.
-Completing a ticket is the same op: each node votes ok only if its own copy
-is approved, not completed, and holds the same payloads.
+its consent step rides on the rounds of `sign_online`.  Round 1 carries
+every node's 20-byte tag of its lowest live final-tuple ids and, behind it,
+the initiator's payloads; once the tags agree each node journals those ids,
+one per payload.  Every node checks content and consent itself, audits its
+verdict, and votes in round 2 beside its R shares.  Only on a quorum of ok
+votes does a node reconstruct R and send its s shares in round 3 (then
+`mascot` runs its two-round MAC check), and it publishes.  So a `mascot`
+transfer takes 5 rounds and a one-payload `mal-shamir` request 3.  A failed
+vote burns the tuples agreed in round 1 and aborts, or under the flag
+policy opens an intervention ticket.  Completing a ticket is the same op:
+each node votes ok only if its own copy is approved, not completed, and
+holds the same payloads.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ class _Refused(Exception):
 class _RequestGate:
     """The consent step of one node's `request` op, riding on signing.
 
-    In round 1 the initiator's payloads go out beside the tuple offers; this
+    In round 1 the initiator's payloads go out behind the tuple tags; this
     node checks content and consent itself (or its own ticket copy), audits
     its verdict, and votes in round 2 beside its R shares.  Without a quorum
     of ok votes `tally` raises `_Refused` before any R is reconstructed.
@@ -222,6 +223,8 @@ class _RequestGate:
         node, member_id = self.node, self.op["member"]
         try:
             self.blobs = _split_payloads(leads.get(self.op["initiator"], b""))
+            if len(self.blobs) != self.count:
+                raise ValidationError("request payload count")
             records = [decode_canonical(b) for b in self.blobs]
         except (ValidationError, AlgebraError, ValueError, IndexError, struct.error):
             self.session.abort("malformed request payload")
@@ -456,8 +459,6 @@ class PartyNode:
         name = op["op"]
         if name == "keygen":
             member_id = op["member"]
-            if len(member_id.encode()) > 16:
-                raise TecdsaError(f"member id longer than 16 bytes: {member_id!r}")
             if member_id in self.key_records:
                 raise TecdsaError(f"member {member_id!r} already has a live key")
             self.keygen_timings = {}
@@ -593,7 +594,7 @@ class LocalCluster:
 
     Node K keeps its state under `data_dir/partyK`, and cluster.json holds the
     pair secret, epoch and boot count.  Without a data_dir the cluster uses a
-    throwaway directory, removed when the cluster object is garbage-collected.
+    throwaway directory, removed by `close()`.
 
     With a seed, every sampling source is derived deterministically, so two
     runs of the same scenario produce byte-identical audit logs and signed
@@ -615,10 +616,9 @@ class LocalCluster:
         self.policy = policy or ConsentPolicy()
         self.timeout = timeout
         self.clock = clock
-        if data_dir is None:
-            self._throwaway_dir = tempfile.TemporaryDirectory(prefix="drpki-")
-            data_dir = self._throwaway_dir.name
-        self.data_dir = Path(data_dir)
+        self._throwaway_dir = (tempfile.TemporaryDirectory(prefix="drpki-")
+                               if data_dir is None else None)
+        self.data_dir = Path(data_dir if data_dir is not None else self._throwaway_dir.name)
         self.participants = sorted(participants) if participants else list(range(1, config.n + 1))
         self.n_live = len(self.participants)
 
@@ -817,8 +817,9 @@ class LocalCluster:
                   batch_size: Optional[int] = None) -> dict:
         """Refill preprocessing stock below the low watermark, with backoff.
 
-        Phase 2 sends no frame, so only phase 3 is retried.  An aborted
-        phase-3 batch has burned its initial tuples, so initial stock is
+        Phase 2 sends no frame, so only phase 3 is retried, when it aborts
+        or runs short of initial tuples.  An aborted phase-3 batch has burned
+        its initial tuples, and so may a realign round, so initial stock is
         topped up to a batch before every attempt.
         """
         watermark = low_watermark if low_watermark is not None else self.policy.low_watermark
@@ -850,7 +851,7 @@ class LocalCluster:
         for i in range(attempts):
             try:
                 return fn()
-            except ProtocolAbort as exc:
+            except (ProtocolAbort, StockDepletedError) as exc:
                 last = exc
                 time.sleep(0.01 * (2 ** i))
         raise TecdsaError(f"replenishment failed after {attempts} attempts: {last}")
@@ -966,6 +967,8 @@ class LocalCluster:
     def close(self) -> None:
         for node in self.nodes.values():
             node.close()
+        if self._throwaway_dir is not None:
+            self._throwaway_dir.cleanup()
 
 
 def verify_audit_completeness(cluster: LocalCluster) -> bool:

@@ -22,7 +22,6 @@ import struct
 import threading
 import time
 import zlib
-from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -37,7 +36,7 @@ from .algebra import (
     hash_to_scalar,
     scalar_mul,
 )
-from .preprocessing import Triple, TupleReuseError, beaver_diffs, beaver_combine
+from .preprocessing import TupleReuseError, beaver_diffs, beaver_combine
 from .sharing import (
     MacKeyShare,
     ProtocolAbort,
@@ -439,6 +438,7 @@ def keygen(env: PhaseEnv, session, member_id: str,
     contribution is bound to MAC shares via a dealer input mask.  `timings`,
     when given, receives the secret-share and public-open millisecond splits.
     """
+    _pad_member(member_id)  # refuse an id no final-tuple record can hold, before any round
     cfg = env.config
     scheme = cfg.scheme
     participants = session.participants
@@ -523,17 +523,12 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
                          count: int) -> list[FinalTuple]:
     """Bind `count` initial tuples to a member: [sk/k] = beaver([sk], [1/k]).
 
-    Round 1 speculates that every store's lowest `count` live initial ids
-    agree.  Every party draws `count` triples, journals those ids and sends
-    each tuple's c share and Beaver diffs with a tag of the ids (`_id_tag`),
-    so an honest batch agrees on its tuples without a round of its own.  A
-    party short of stock sends its tag alone and raises StockDepletedError,
-    and a peer's short tag aborts the session before any share is decoded.
-    Differing tags, as a crash that left the stores asymmetric causes, send
-    every party to one `_offer_round`: each journals every party's
-    speculative ids, which realigns the stores, and the batch binds the
-    first `count` ids every party still offers, with fresh triples.
-    Nothing of the speculative round is reconstructed or MAC-accounted then.
+    Tuple agreement (`_agree`) rides on the Beaver round: every party
+    journals its lowest `count` live initial ids and sends each tuple's c
+    share and Beaver diffs behind their tag, so an honest batch agrees
+    without a round of its own.  Differing tags end that open before any
+    share is decoded or MAC-accounted; after the realign the Beaver round
+    runs once more, with fresh ids and fresh triples.
 
     Every initial tuple is journaled before its Beaver messages are sent,
     and one triple is spent per final tuple and round.  The MAC check
@@ -548,52 +543,24 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
     if record is None:
         raise TecdsaError(f"no key shares for member {member_id!r}")
     store = env.tuple_store
-    depleted = "initial preprocessing tuples depleted"
 
-    def bind(ids: Sequence[bytes]) -> tuple[list[InitialTuple], list[Triple], list[Share]]:
-        """Journal `ids`, draw `count` triples, and the shares to open: per
-        tuple its c share, then its two Beaver diff shares."""
-        initials = [store.checkout_initial_by_id(tid, env.epoch) for tid in ids]
+    def bind(ids: list[bytes], tag: bytes, check):
+        """Journal `ids` and open, behind the tag, each tuple's c share and
+        Beaver diffs.  A short party journals and opens nothing, but draws
+        its `count` triples too, so every dealer queue stays in step."""
+        initials = [store.checkout_initial_by_id(tid, env.epoch)
+                    for tid in ids] if len(ids) == count else []
         triples = [env.triple_source.next_triple(cfg.scheme) for _ in range(count)]
         shares: list[Share] = []
         for init, tr in zip(initials, triples):
             shares.append(init.c_share)
             shares.extend(beaver_diffs(record.sk_share, init.k_inv_share, tr))
-        return initials, triples, shares
+        return initials, triples, session.open_field_batch(shares, tag, check)
 
-    speculative = store.available_initial_ids(env.epoch, limit=count)
-    short = len(speculative) < count
-    mine = _id_tag(speculative)
-
-    def read_tags(tags: dict[int, bytes]) -> None:
-        if short:
-            raise StockDepletedError(depleted)
-        if any(len(tag) != len(mine) for tag in tags.values()):
-            session.abort("malformed tuple id payload")
-        if any(int.from_bytes(tag[:4], "big") < count for tag in tags.values()):
-            session.abort("short tuple id offer")
-        if any(tag != mine for tag in tags.values()):
-            raise _TagMismatch
-
-    # a short party draws its triples too, so every dealer queue stays in step
-    initials, triples, shares = bind([] if short else speculative)
-    try:
-        opened = session.open_field_batch(shares, mine, read_tags)
-    except _TagMismatch:
-        offer = store.available_initial_ids(env.epoch, limit=count + _SPARE_OFFER)
-        common, leads = _offer_round(session, offer, b"".join(speculative))
-        burned = set()
-        for lead in leads.values():
-            if len(lead) != 16 * count:
-                session.abort("malformed tuple id payload")
-            burned.update(lead[i:i + 16] for i in range(0, len(lead), 16))
-        for tid in sorted(burned):
-            with suppress(StockDepletedError):  # consumed here already, or never held
-                store.checkout_initial_by_id(tid, env.epoch)
-        chosen = _take(session, [t for t in offer if t not in burned],
-                       [t for t in common if t not in burned], count, depleted)
-        initials, triples, shares = bind(chosen)
-        opened = session.open_field_batch(shares)
+    initials, triples, opened = _agree(
+        session, count, "initial preprocessing tuples depleted",
+        lambda limit: store.available_initial_ids(env.epoch, limit=limit),
+        lambda tid: store.checkout_initial_by_id(tid, env.epoch), bind)
     session.run_mac_check()  # authenticate every c, d and e before using them
     if any(c.is_zero() for c in opened[0::3]):
         session.abort("degenerate preprocessing triple (c = 0)")
@@ -618,46 +585,75 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
     return finals
 
 
-class _TagMismatch(Exception):
-    """The parties' speculative tuple ids differ; phase 3 falls back."""
+# --- tuple agreement --------------------------------------------------------------
+#
+# Phase 3 and online signing agree on tuples by one rule: each party sends a
+# tag of its lowest `count` live ids in the phase's first round.  Differing
+# tags, as a crash that left the stores asymmetric causes, run one realign
+# round and then the first round once more; a second mismatch aborts.
 
-
-def _id_tag(ids: Sequence[bytes]) -> bytes:
-    """A 4-byte id count and the SHA-256 of the ids: 36 bytes."""
-    return len(ids).to_bytes(4, "big") + hashlib.sha256(b"".join(ids)).digest()
-
-
-# ids offered beyond the batch size in an offer round: the online phase finds
-# its tuples after a crash left up to this many of them consumed at one
-# party, and phase 3's fallback finds its batch beside the ids it burned
+# ids a realign list carries beyond the batch: stores up to this many ids
+# apart realign in one call
 _SPARE_OFFER = 15
 
 
-def _offer_round(session, my_ids: Sequence[bytes],
-                 lead: Optional[bytes] = None) -> tuple[list[bytes], dict[int, bytes]]:
-    """One broadcast round of tuple-id offers: round 1 of the online phase,
-    and phase 3's fallback round when the parties' speculative ids differ.
+class _TagMismatch(Exception):
+    """The parties' lowest live ids differ."""
 
-    Returns the ids every participant offered, sorted, and every party's
-    `lead` (this party's included).  Without a lead a frame is the bare ids;
-    with one it is a 4-byte id count, the ids and then the lead, so a frame
-    cut short loses its lead before any id.
+
+def _id_tag(ids: Sequence[bytes]) -> bytes:
+    """A 4-byte id count and the ids' SHA-256 cut to 16 bytes: one id's size."""
+    return len(ids).to_bytes(4, "big") + hashlib.sha256(b"".join(ids)).digest()[:16]
+
+
+def _agree(session, count: int, depleted_message: str, live_ids, burn, first_round):
+    """Agree on `count` tuples; returns the result of the agreeing first round.
+
+    `live_ids(limit)` lists this party's lowest live ids and `burn(tid)`
+    journals one.  `first_round(ids, tag, check)` sends `tag` and passes
+    every party's tag, its own included, to `check` before it uses the rest
+    of the round; a wrong length or a peer's short count aborts there.
     """
-    mine = b"".join(my_ids)
-    if lead is not None:
-        mine = len(my_ids).to_bytes(4, "big") + mine + lead
-    replies = session.broadcast(mine)
-    common, leads = set(my_ids), {session.party_id: lead}
-    for peer, blob in replies.items():
-        if lead is not None:
-            end = 4 + 16 * int.from_bytes(blob[:4], "big")
-            if len(blob) < end:
+    def attempt():
+        ids = live_ids(count)
+        mine = _id_tag(ids)
+
+        def check(tags: dict[int, bytes]) -> None:
+            if any(len(tag) != len(mine) for tag in tags.values()):
                 session.abort("malformed tuple id payload")
-            blob, leads[peer] = blob[4:end], blob[end:]
-        if len(blob) % 16:
+            if len(ids) < count:
+                raise StockDepletedError(depleted_message)
+            if any(int.from_bytes(tag[:4], "big") < count for tag in tags.values()):
+                session.abort("short tuple id offer")
+            if any(tag != mine for tag in tags.values()):
+                raise _TagMismatch
+
+        return first_round(ids, mine, check)
+
+    try:
+        return attempt()
+    except _TagMismatch:
+        _realign(session, live_ids(count + _SPARE_OFFER), count + _SPARE_OFFER, burn)
+    try:
+        return attempt()
+    except _TagMismatch:
+        session.abort("tuple ids out of step")
+
+
+def _realign(session, mine: list[bytes], window: int, burn) -> None:
+    """Send `mine`, this party's lowest `window` live ids, and burn each one
+    a peer's list shows the peer lacks: missing from that list and below its
+    highest id, or missing from a list shorter than the window.  So a peer
+    can make this party burn no id beyond `mine`."""
+    lacking = set()
+    for blob in session.broadcast(b"".join(mine)).values():
+        if len(blob) % 16 or len(blob) > 16 * window:
             session.abort("malformed tuple id payload")
-        common &= {blob[i * 16:(i + 1) * 16] for i in range(len(blob) // 16)}
-    return sorted(common), leads
+        theirs = {blob[i:i + 16] for i in range(0, len(blob), 16)}
+        top = max(theirs) if len(blob) == 16 * window else None
+        lacking.update(t for t in mine if t not in theirs and (top is None or t < top))
+    for tid in sorted(lacking):
+        burn(tid)
 
 
 def _r_x(session, r_point: GroupPoint) -> FieldElement:
@@ -668,28 +664,17 @@ def _r_x(session, r_point: GroupPoint) -> FieldElement:
     return r_x
 
 
-def _take(session, offer: Sequence[bytes], common: list[bytes], count: int,
-          depleted_message: str) -> list[bytes]:
-    """The first `count` agreed ids.  Too few in this party's own `offer` is
-    a depleted stock; too few agreed when its own offer had enough means a
-    peer offered short, and aborts the session."""
-    if len(offer) < count:
-        raise StockDepletedError(depleted_message)
-    if len(common) < count:
-        session.abort("short tuple id offer")
-    return common[:count]
-
-
 # --- phase 4: online signing ------------------------------------------------------
 
 class SigningGate(Protocol):
     """A consent step that rides on the first two rounds of `sign_online`.
 
-    `count` sizes this party's first tuple offer, and `lead` goes out after
-    that offer in round 1.  `read(leads)` takes every party's round-1 lead and
-    returns the messages to sign and this party's vote, which goes out with
-    its R shares in round 2.  `tally(votes)` takes every party's vote before
-    any R is reconstructed, and raises to stop the signing there.
+    `count` is the number of tuples to agree on, and `lead` goes out after
+    this party's tag in round 1.  `read(leads)` takes every party's round-1
+    lead once the tags agree, and returns the `count` messages to sign and
+    this party's vote, which goes out with its R shares in round 2.
+    `tally(votes)` takes every party's vote before any R is reconstructed,
+    and raises to stop the signing there.
     """
 
     count: int
@@ -705,10 +690,11 @@ def sign_online(env: PhaseEnv, session, member_id: str,
                 gate: Optional[SigningGate] = None) -> list[SignResult]:
     """Sign every message of one request in one session; field operations only.
 
-    One round agrees on a final tuple per message, and every chosen tuple is
-    journaled before any message references it.  One round then opens every
-    R not opened during preprocessing, one opens every s, and the
-    authenticated scheme runs one MAC check over them all.  The share step
+    Round 1 agrees on a final tuple per message by tag (`_agree`), and each
+    party journals the agreed ids before any share computed from them is
+    sent.  One round then opens every R not opened during preprocessing,
+    one opens every s, and the authenticated scheme runs one MAC check over
+    them all.  The share step
     computes [s] = H(M) * [1/k] + r_x * [sk/k] locally.  Every party verifies
     each assembled signature against the member's public key and the R it
     holds before returning any; a failure aborts rather than emitting bad
@@ -725,14 +711,24 @@ def sign_online(env: PhaseEnv, session, member_id: str,
         raise TecdsaError(f"no key shares for member {member_id!r}")
     store = env.tuple_store
     count = len(messages) if gate is None else gate.count
-    offer = store.available_final_ids(member_id, env.epoch, limit=_SPARE_OFFER + count)
-    common, leads = _offer_round(session, offer, None if gate is None else gate.lead)
+    lead = b"" if gate is None else gate.lead
+
+    def exchange(ids: list[bytes], tag: bytes, check):
+        """Round 1: this party's tag, then its lead; returns `ids` and every lead."""
+        tags, leads = {session.party_id: tag}, {session.party_id: lead}
+        for peer, blob in session.broadcast(tag + lead).items():
+            tags[peer], leads[peer] = blob[:len(tag)], blob[len(tag):]
+        check(tags)
+        return ids, leads
+
+    ids, leads = _agree(
+        session, count, f"final tuples for member {member_id!r} depleted",
+        lambda limit: store.available_final_ids(member_id, env.epoch, limit=limit),
+        lambda tid: store.checkout_final_by_id(tid, member_id, env.epoch), exchange)
     vote = None
     if gate is not None:
         messages, vote = gate.read(leads)
-    tuples = [store.checkout_final_by_id(tid, member_id, env.epoch)
-              for tid in _take(session, offer, common, len(messages),
-                               f"final tuples for member {member_id!r} depleted")]
+    tuples = [store.checkout_final_by_id(tid, member_id, env.epoch) for tid in ids]
 
     unopened = [t.k_point_share for t in tuples if t.r_point is None]
     opened = iter(())

@@ -1,6 +1,6 @@
-"""Crash points, share faults, bare rounds and probes of rounds and curve work
-for tests, patched in at function boundaries the code already has, for one
-`with` block only."""
+"""Crash points, share faults, rewritten frames, bare rounds and probes of
+rounds and curve work for tests, patched in at function boundaries the code
+already has, for one `with` block only."""
 
 import threading
 from contextlib import contextmanager
@@ -80,6 +80,21 @@ def inject_fault(party, opens_until_fault, kind="value"):
             open_point_batch=lambda s, points, *rest: open_points(
                 s, faulted(s, points, lambda p: p + GENERATOR), *rest)):
         yield plan
+
+
+@contextmanager
+def rewrite_frames(cluster, sender, phase, round_, rewrite):
+    """Make `sender` send rewrite(payload) to every peer in one round of one
+    phase; `hub.send` is restored when the block ends."""
+    send = cluster.hub.send
+
+    def hostile(s, receiver, msg):
+        if s == sender and msg.phase == phase and msg.round == round_:
+            msg = replace(msg, payload=rewrite(msg.payload))
+        send(s, receiver, msg)
+
+    with mock.patch.object(cluster.hub, "send", hostile):
+        yield
 
 
 def echo_round(cluster, payload, mute=(), timeout=None, echo_back=False):

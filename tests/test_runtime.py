@@ -1,6 +1,5 @@
 """Transport, session, and node-workflow tests."""
 
-import dataclasses
 import json
 import os
 import random
@@ -45,8 +44,16 @@ from drpki.runtime.transport import (
     pair_key,
 )
 from drpki.sharing import SchemeId, open_shares
-from drpki.tecdsa import PhaseEnv, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore, keygen, preprocess_dependent, preprocess_independent, sign_online
-from faults import CrashError, count_curve_ops, count_rounds, crash_at, echo_round, inject_fault
+from drpki.tecdsa import PhaseEnv, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore, _id_tag, keygen, preprocess_dependent, preprocess_independent, sign_online
+from faults import (
+    CrashError,
+    count_curve_ops,
+    count_rounds,
+    crash_at,
+    echo_round,
+    inject_fault,
+    rewrite_frames,
+)
 
 rng = random.Random(0xD21_05)
 
@@ -557,31 +564,19 @@ def test_flipped_payload_bit_ends_in_timeout_abort():
     assert hub.dropped_frames == 1
 
 
-def _rewrite_frames(cluster, sender, phase, round_, rewrite):
-    """Make `sender` send rewrite(payload) in one round of one phase."""
-    send = cluster.hub.send
-
-    def hostile(s, receiver, msg):
-        if s == sender and msg.phase == phase and msg.round == round_:
-            msg = dataclasses.replace(msg, payload=rewrite(msg.payload))
-        send(s, receiver, msg)
-
-    cluster.hub.send = hostile
-
-
 @pytest.mark.parametrize("offset,byte", [(1, 3), (0, SchemeId.SHAMIR.value)],
                          ids=["owner", "scheme"])
 def test_field_open_share_naming_another_owner_or_scheme_aborts(offset, byte):
     # round 1 of preprocess_dependent opens c and the Beaver diffs after a
-    # 37-byte tag note; party 2's first share claims to be party 3's, or to
+    # 21-byte tag note; party 2's first share claims to be party 3's, or to
     # be an unchecked Shamir share
     cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
     cluster.keygen("m")
     cluster.preprocess_independent(2)
-    at = 37 + offset
-    _rewrite_frames(cluster, 2, PHASE_PREPROCESS_DEPENDENT, 1,
-                    lambda p: p[:at] + bytes([byte]) + p[at + 1:])
-    with pytest.raises(SessionAbort, match="malformed open payload"):
+    at = 21 + offset
+    with rewrite_frames(cluster, 2, PHASE_PREPROCESS_DEPENDENT, 1,
+                        lambda p: p[:at] + bytes([byte]) + p[at + 1:]), \
+            pytest.raises(SessionAbort, match="malformed open payload"):
         cluster.preprocess_dependent("m", 2)
     assert cluster.final_stock("m") == 0
     cluster.close()
@@ -590,8 +585,8 @@ def test_field_open_share_naming_another_owner_or_scheme_aborts(offset, byte):
 def test_point_open_payload_with_trailing_bytes_aborts():
     # round 2 of Shamir keygen opens pk
     cluster = make_cluster()
-    _rewrite_frames(cluster, 2, PHASE_KEYGEN, 2, lambda p: p + b"\x00")
-    with pytest.raises(SessionAbort, match="malformed open payload"):
+    with rewrite_frames(cluster, 2, PHASE_KEYGEN, 2, lambda p: p + b"\x00"), \
+            pytest.raises(SessionAbort, match="malformed open payload"):
         cluster.keygen("m")
     cluster.close()
 
@@ -601,9 +596,9 @@ def test_truncated_request_payload_aborts_promptly():
     cluster = make_cluster()
     _, member_keys, roa = _issue_fixture(cluster)
     request = _issue_request(cluster, member_keys, roa)
-    _rewrite_frames(cluster, 1, PHASE_ONLINE, 1, lambda p: p[:-7])
     started = time.perf_counter()
-    outcome = cluster.handle_sign_request(request)
+    with rewrite_frames(cluster, 1, PHASE_ONLINE, 1, lambda p: p[:-7]):
+        outcome = cluster.handle_sign_request(request)
     assert time.perf_counter() - started < 5.0
     assert outcome.status == "aborted"
     assert "malformed request payload" in outcome.reason
@@ -616,14 +611,14 @@ def test_truncated_request_payload_aborts_promptly():
     (2, lambda p: b"\xff" + p[1:], "malformed open payload"),
 ], ids=["offer-count", "vote-length"])
 def test_request_frame_with_a_bad_length_field_aborts_promptly(round_, rewrite, reason):
-    # party 2's round-1 frame loses the end of its 4-byte id count, or its
+    # party 2's round-1 frame loses the end of its 20-byte tuple tag, or its
     # round-2 vote claims 255 bytes
     cluster = make_cluster()
     _, member_keys, roa = _issue_fixture(cluster)
     request = _issue_request(cluster, member_keys, roa)
-    _rewrite_frames(cluster, 2, PHASE_ONLINE, round_, rewrite)
     started = time.perf_counter()
-    outcome = cluster.handle_sign_request(request)
+    with rewrite_frames(cluster, 2, PHASE_ONLINE, round_, rewrite):
+        outcome = cluster.handle_sign_request(request)
     assert time.perf_counter() - started < 5.0
     assert outcome.status == "aborted"
     assert reason in outcome.reason
@@ -743,6 +738,32 @@ def test_sign_request_round_count(monkeypatch, scheme, op, precompute_r, rounds)
     cluster.close()
 
 
+def test_request_at_full_stock_sends_a_twenty_byte_tag(monkeypatch):
+    # a transfer at 17 final tuples, where an id list would carry 2 + 15 ids:
+    # each round-1 frame is the 20-byte tag and, from the initiator, the
+    # length-prefixed payloads
+    cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
+    _, member_keys, roa = _issue_fixture(cluster, stock=17)
+    request = _transfer_request(cluster, member_keys, roa)
+    lead = b"".join(len(blob).to_bytes(4, "big") + blob
+                    for blob in map(encode_canonical, request.payloads))
+    sent = {}
+    run_round = PartySession.run_round
+
+    def recording(self, payloads):
+        if self.phase == PHASE_ONLINE and self.round == 0:
+            sent[self.party_id] = {len(p) for p in payloads.values()}
+        return run_round(self, payloads)
+
+    monkeypatch.setattr(PartySession, "run_round", recording)
+    outcome = cluster.handle_sign_request(request)
+    assert outcome.status == "published"
+    initiator = cluster.participants[0]
+    assert sent == {p: {20 + len(lead)} if p == initiator else {20}
+                    for p in cluster.participants}
+    cluster.close()
+
+
 def test_refused_transfer_burns_its_tuples_before_any_s_share(monkeypatch):
     # a token signed by a key the registry does not hold: the votes fail in
     # round 2, so no party sends an s share, and each has burned the two
@@ -801,7 +822,8 @@ def test_agreed_tuples_are_journaled_before_round_two(monkeypatch, scheme, op):
 
 def test_batch_signs_from_common_ids_when_one_store_is_ahead():
     # party 2 already journaled the lowest final id (a crash after its
-    # checkout): the batch must agree on ids every party still holds
+    # checkout): the batch must agree on ids every party still holds, and
+    # the realign burns the lowest id at the parties that still held it
     cluster = make_cluster(SchemeId.ADDITIVE_MAC)
     pk = cluster.keygen("m")
     cluster.preprocess_independent(4)
@@ -817,7 +839,8 @@ def test_batch_signs_from_common_ids_when_one_store_is_ahead():
     used = {(1, res.tuple_id) for res in results}
     assert len(used) == 2 and (1, lowest) not in used
     for p, node in cluster.nodes.items():
-        assert node.tuple_store.consumed_ids() - before[p] == used
+        burned = set() if p == 2 else {(1, lowest)}
+        assert node.tuple_store.consumed_ids() - before[p] == used | burned
     cluster.close()
 
 
@@ -941,19 +964,22 @@ def test_peer_abort_naming_a_failed_mac_check_retires_no_epoch(monkeypatch, sche
 
 
 def test_short_peer_offer_aborts_sign_promptly():
-    # party 2's round-1 tuple offer arrives empty while every store holds
-    # three tuples: a peer fault, not a depleted stock
+    # party 2's round-1 frame arrives empty, then as a well-formed tag of
+    # zero ids, while every store holds three tuples: a peer fault, not a
+    # depleted stock, and no other party journals a tuple
     cluster = make_cluster(timeout=30)
     cluster.keygen("m")
     cluster.preprocess_independent(3)
     cluster.preprocess_dependent("m", 3)
-    _rewrite_frames(cluster, 2, PHASE_ONLINE, 1, lambda p: b"")
-    started = time.perf_counter()
-    with pytest.raises(SessionAbort, match="short tuple id offer"):
-        cluster.run_signing("m", b"msg")
-    assert time.perf_counter() - started < 5.0
-    stocks = _final_stocks(cluster, "m")
-    assert all(stocks[p] == 3 for p in cluster.participants if p != 2)
+    for frame, reason in [(b"", "malformed tuple id payload"),
+                          (_id_tag([]), "short tuple id offer")]:
+        started = time.perf_counter()
+        with rewrite_frames(cluster, 2, PHASE_ONLINE, 1, lambda p: frame), \
+                pytest.raises(SessionAbort, match=reason):
+            cluster.run_signing("m", b"msg")
+        assert time.perf_counter() - started < 5.0
+        stocks = _final_stocks(cluster, "m")
+        assert all(stocks[p] == 3 for p in cluster.participants if p != 2)
     cluster.close()
 
 
@@ -963,12 +989,12 @@ def test_short_peer_offer_aborts_request():
     _, member_keys, roa = _issue_fixture(cluster)
     request = _issue_request(cluster, member_keys, roa)
     stocks = _final_stocks(cluster, "memberA")
-    _rewrite_frames(cluster, 2, PHASE_ONLINE, 1,
-                    lambda p: bytes(4) + p[4 + 16 * int.from_bytes(p[:4], "big"):])
     started = time.perf_counter()
-    outcome = cluster.handle_sign_request(request)
+    with rewrite_frames(cluster, 2, PHASE_ONLINE, 1, lambda p: _id_tag([]) + p[20:]):
+        outcome = cluster.handle_sign_request(request)
     assert time.perf_counter() - started < 5.0
     assert outcome.status == "aborted"
+    assert "short tuple id offer" in outcome.reason
     assert all(not node.objects for node in cluster.nodes.values())
     after = _final_stocks(cluster, "memberA")
     assert all(after[p] == stocks[p] for p in cluster.participants if p != 2)
@@ -1060,7 +1086,7 @@ def test_agreed_initial_tuples_are_journaled_before_round_one(monkeypatch):
 
 def test_asymmetric_initial_stores_bind_through_the_fallback():
     # party 2 already journaled the lowest initial id (a crash after its
-    # checkout): the tags differ, every party burns every speculative id,
+    # checkout): the tags differ, the realign burns the id party 2 lacks,
     # and the batch binds ids all stores still hold with fresh triples
     cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC, test_mode=True),
                            seed=55)
@@ -1071,10 +1097,10 @@ def test_asymmetric_initial_stores_bind_through_the_fallback():
     store2.checkout_initial_by_id(ids[0], cluster.epoch)
     with count_rounds(PHASE_PREPROCESS_DEPENDENT) as counts:
         results = cluster._run_op({"op": "preprocess-dependent", "member": "m", "count": 3})
-    # the failed round, the offer round, the fresh Beaver round and the MAC check
+    # the failed round, the realign, the fresh Beaver round and the MAC check
     assert counts == {p: 5 for p in cluster.participants}
     bound = [f.tuple_id for f in results[1]]
-    assert bound == ids[4:7]  # ids[0..3] were some party's speculative ids
+    assert bound == ids[4:7]  # ids[0..3] were speculated, or burned by the realign
     for node in cluster.nodes.values():
         assert node.tuple_store.available_initial_ids(cluster.epoch) == ids[7:]
         records = _journal_records(node)
@@ -1112,13 +1138,17 @@ def test_short_party_aborts_the_batch_promptly_and_keeps_the_dealer_in_step():
 
 
 def test_flipped_tag_bit_falls_back_and_retires_no_epoch(monkeypatch):
+    # party 2's first tag has one bit flipped: one realign round, and the
+    # Beaver round again, bind the batch
     cluster = make_cluster(SchemeId.ADDITIVE_MAC)
     pk = cluster.keygen("m")
     cluster.preprocess_independent(8)
     open_field = PartySession.open_field_batch
+    flipped = []
 
     def flipping(self, shares, note=None, read_notes=None):
-        if self.party_id == 2 and note is not None:
+        if self.party_id == 2 and note is not None and not flipped:
+            flipped.append(note)
             note = note[:-1] + bytes([note[-1] ^ 0x01])
         return open_field(self, shares, note, read_notes)
 
@@ -1129,6 +1159,138 @@ def test_flipped_tag_bit_falls_back_and_retires_no_epoch(monkeypatch):
     assert all(cluster.epoch not in node.retired_epochs for node in cluster.nodes.values())
     result = cluster.run_signing("m", b"after the fallback")
     assert ecdsa_verify(pk, b"after the fallback", result.signature)
+    cluster.close()
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.ADDITIVE_MAC, SchemeId.SHAMIR_CHECKED],
+                         ids=["mascot", "mal-shamir"])
+def test_batch_binds_when_one_store_fell_a_batch_behind(scheme):
+    # parties 1, 3, 4 and 5 journaled their lowest 20 initial ids (a crash
+    # after their checkout) and party 2 did not: the realign burns the ids
+    # party 2 speculated, and the same call binds all 20
+    cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=100)
+    pk = cluster.keygen("m")
+    cluster.preprocess_independent(60)
+    ids = cluster.nodes[1].tuple_store.available_initial_ids(cluster.epoch, limit=60)
+    for party in (1, 3, 4, 5):
+        for tid in ids[:20]:
+            cluster.nodes[party].tuple_store.checkout_initial_by_id(tid, cluster.epoch)
+    assert cluster.preprocess_dependent("m", 20) == 20
+    for node in cluster.nodes.values():
+        assert node.tuple_store.available_final_ids("m", cluster.epoch, limit=60) == ids[40:]
+        assert node.tuple_store.available_initial_ids(cluster.epoch) == []
+    result = cluster.run_signing("m", b"after the realign")
+    assert ecdsa_verify(pk, b"after the realign", result.signature)
+    cluster.close()
+
+
+def test_tag_wrong_again_after_the_realign_aborts(monkeypatch):
+    # party 2 flips a bit of its tag in both Beaver rounds, the one before
+    # the realign and the one after it: the batch aborts rather than realign
+    # again
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    cluster.keygen("m")
+    cluster.preprocess_independent(8)
+    open_field = PartySession.open_field_batch
+
+    def flipping(self, shares, note=None, read_notes=None):
+        if self.party_id == 2 and note is not None:
+            note = note[:-1] + bytes([note[-1] ^ 0x01])
+        return open_field(self, shares, note, read_notes)
+
+    monkeypatch.setattr(PartySession, "open_field_batch", flipping)
+    with count_rounds(PHASE_PREPROCESS_DEPENDENT) as counts, \
+            pytest.raises(SessionAbort, match="tuple ids out of step"):
+        cluster.preprocess_dependent("m", 2)
+    assert counts == {p: 3 for p in cluster.participants}
+    assert cluster.final_stock("m") == 0
+    assert all(cluster.epoch not in node.retired_epochs for node in cluster.nodes.values())
+    cluster.close()
+
+
+def _signing_cluster_with_one_store_ahead(ahead):
+    """mal-shamir with 60 final tuples, of which party 1 alone has journaled
+    its lowest `ahead`; returns the cluster, its member key and the ids."""
+    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.SHAMIR_CHECKED), seed=7,
+                           policy=ConsentPolicy(auto_replenish=False))
+    pk = cluster.keygen("m")
+    cluster.preprocess_independent(60)
+    cluster.preprocess_dependent("m", 60)
+    store1 = cluster.nodes[1].tuple_store
+    ids = store1.available_final_ids("m", cluster.epoch, limit=60)
+    for tid in ids[:ahead]:
+        store1.checkout_final_by_id(tid, "m", cluster.epoch)
+    return cluster, pk, ids
+
+
+def test_signing_realigns_a_store_sixteen_ids_ahead():
+    # party 1's store is 16 final ids ahead, the whole window of a one-tuple
+    # realign list: the others burn those 16 and the same call signs
+    cluster, pk, ids = _signing_cluster_with_one_store_ahead(16)
+    with count_rounds(PHASE_ONLINE) as counts:
+        result = cluster.run_signing("m", b"sixteen ahead")
+    assert ecdsa_verify(pk, b"sixteen ahead", result.signature)
+    assert result.tuple_id == ids[16]
+    # tags, the realign, tags again, R and s
+    assert counts == {p: 5 for p in cluster.participants}
+    for node in cluster.nodes.values():
+        assert node.tuple_store.available_final_ids("m", cluster.epoch, limit=60) == ids[17:]
+    cluster.close()
+
+
+def test_signing_heals_a_store_further_ahead_than_one_window():
+    # party 1 is 20 ids ahead: the first call burns the others' window of 16
+    # and aborts on the tags that still differ; the next calls sign
+    cluster, pk, ids = _signing_cluster_with_one_store_ahead(20)
+    with pytest.raises(SessionAbort, match="tuple ids out of step"):
+        cluster.run_signing("m", b"twenty ahead")
+    for i in range(4):
+        result = cluster.run_signing("m", b"healed %d" % i)
+        assert ecdsa_verify(pk, b"healed %d" % i, result.signature)
+        assert result.tuple_id == ids[20 + i]
+    cluster.close()
+
+
+@pytest.mark.parametrize("hostile_list", [b"", b"\xff" * 16 * 17],
+                         ids=["empty", "all-high"])
+def test_hostile_realign_list_burns_at_most_the_window(hostile_list):
+    # party 2's store is one final id ahead, so the tags differ, and its
+    # realign list claims it lacks every id: each honest party burns its own
+    # list of count + 15 ids and no more, and the stores heal on the next call
+    cluster = make_cluster(SchemeId.SHAMIR_CHECKED, timeout=30)
+    pk = cluster.keygen("m")
+    cluster.preprocess_independent(40)
+    cluster.preprocess_dependent("m", 40)
+    store2 = cluster.nodes[2].tuple_store
+    store2.checkout_final_by_id(store2.available_final_ids("m", cluster.epoch)[0], "m",
+                                cluster.epoch)
+    stocks = _final_stocks(cluster, "m")
+    with rewrite_frames(cluster, 2, PHASE_ONLINE, 2, lambda p: hostile_list), \
+            pytest.raises(SessionAbort, match="tuple ids out of step"):
+        cluster.run_signing("m", [b"one", b"two"])
+    after = _final_stocks(cluster, "m")
+    assert all(stocks[p] - after[p] == 2 + 15 for p in cluster.participants if p != 2)
+    assert after[2] == stocks[2]
+    results = cluster.run_signing("m", [b"one", b"two"])
+    for message, res in zip([b"one", b"two"], results, strict=True):
+        assert ecdsa_verify(pk, message, res.signature)
+    cluster.close()
+
+
+def test_refill_retries_a_batch_that_ran_short_after_a_realign():
+    # parties 1, 3, 4 and 5 journaled all 20 initial ids and party 2 none:
+    # after the realign the batch is short everywhere, and the refill's
+    # retry tops up initial stock and binds the batch
+    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC), seed=3)
+    cluster.keygen("m")
+    cluster.preprocess_independent(20)
+    ids = cluster.nodes[1].tuple_store.available_initial_ids(cluster.epoch)
+    for party in (1, 3, 4, 5):
+        for tid in ids:
+            cluster.nodes[party].tuple_store.checkout_initial_by_id(tid, cluster.epoch)
+    made = cluster.replenish("m", low_watermark=1, batch_size=20)
+    assert made["final"] == 20
+    assert cluster.final_stock("m") == 20
     cluster.close()
 
 
@@ -1167,6 +1329,15 @@ def test_concurrent_signing_and_replenishment_complete():
     assert not errors
     assert len(results) == 9
     cluster.close()
+
+
+def test_closed_cluster_without_a_data_dir_leaves_no_directory():
+    cluster = make_cluster()
+    cluster.keygen("m")
+    data_dir = cluster.data_dir
+    assert (data_dir / "cluster.json").exists()
+    cluster.close()
+    assert not data_dir.exists()
 
 
 def test_reopened_durable_cluster_never_reissues_session_ids(tmp_path):
