@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time the curve layer on its own and print the result as one JSON object.
+"""Time the curve and field layers on their own and print the result as one
+JSON object.
 
 Rows: fixed-base multiply (k * G), variable-base multiply (k * P for a point
 P other than G), `ecdsa_verify`, `ecdsa_verify` against the known R that
 online signing holds (`r_point=`), the checked 5-share point open that
 mal-shamir signing does for R (`open_point_shares`, SHAMIR_CHECKED, n=5, t=2),
-and a 3-term `lincomb` with the full-width Lagrange weights of the
-non-consecutive live set {1, 2, 4}.
+a 3-term `lincomb` with the full-width Lagrange weights of the
+non-consecutive live set {1, 2, 4}, and the field layer's MAC accounting:
+100 `open_shares` calls over five `mascot` shares, each recorded into a
+`MacCheckAccumulator`, then one `sigma` (one call of that row is all 101).
 Each row is the median over ROUNDS rounds of the per-call mean of CALLS
 calls, in milliseconds, after one warm-up call (which also builds any lazily
 built table).  Standard library only; it imports drpki from the
@@ -39,16 +42,20 @@ from drpki.algebra import (  # noqa: E402
     scalar_mul,
 )
 from drpki.sharing import (  # noqa: E402
+    MacCheckAccumulator,
     PointShare,
     SchemeId,
     deal,
+    generate_mac_keys,
     lagrange_coeffs_at,
     open_point_shares,
+    open_shares,
 )
 
 N, T = 5, 2
 ROUNDS = 7
 CALLS = 50
+MAC_OPENS = 100
 SEED = 1
 
 
@@ -98,6 +105,18 @@ def run() -> dict:
             PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares
         ])
 
+    mac_keys = generate_mac_keys(N, rng)
+    mac_opens = [
+        deal(SchemeId.ADDITIVE_MAC, FieldElement.random(rng), N, rng=rng, mac_keys=mac_keys)
+        for _ in range(MAC_OPENS)
+    ]
+
+    def open_and_account(sharings):
+        acc = MacCheckAccumulator(b"microbench")
+        for shares in sharings:
+            acc.record(open_shares(shares, N, T), shares[0].mac)
+        return acc.sigma(mac_keys[0])
+
     rows = {
         "g_mul": _time_row(lambda k: scalar_mul(k, GENERATOR), scalars),
         "var_mul": _time_row(lambda k: scalar_mul(k, base), scalars),
@@ -107,6 +126,7 @@ def run() -> dict:
         "checked_point_open_5": _time_row(
             lambda shares: open_point_shares(shares, N, T), point_opens),
         "lagrange_3_full_width": _time_row(lincomb, combinations),
+        "mascot_open_mac_100": _time_row(open_and_account, [mac_opens] * CALLS),
     }
     return {
         "rows": rows,

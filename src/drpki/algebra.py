@@ -1,9 +1,10 @@
 """Prime-field and elliptic-curve arithmetic plus a reference single-party ECDSA.
 
 Everything downstream (secret sharing, the joint signing protocol, the RPKI
-object layer) computes in the scalar field of one fixed prime-order curve.
-The default parameter set is NIST P-256; only the "prime-order group with
-generator G" property is relied upon elsewhere.
+object layer) computes in the scalar field of one fixed prime-order curve,
+and `FieldElement` is an element of that field and no other.  The parameter
+set is NIST P-256; only the "prime-order group with generator G" property is
+relied upon elsewhere.
 
 Arithmetic is plain Python big-int math and is NOT constant time.  This is a
 research artifact for protocol evaluation, not a hardened signer; see the
@@ -37,61 +38,43 @@ class AlgebraError(Exception):
 
 
 class FieldElement:
-    """An element of Z_p in canonical reduced form.
+    """An element of Z_n, n = CURVE_ORDER, in canonical reduced form."""
 
-    `modulus` defaults to the curve order; tiny moduli are accepted so the
-    sharing layer can be exercised over toy fields in tests.
-    """
+    __slots__ = ("value",)
 
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int = CURVE_ORDER) -> None:
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise AlgebraError("field mismatch")
+    def __init__(self, value: int) -> None:
+        self.value = value % CURVE_ORDER
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value + other.value, self.modulus)
+        return FieldElement(self.value + other.value)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value - other.value, self.modulus)
+        return FieldElement(self.value - other.value)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value, self.modulus)
+        return FieldElement(self.value * other.value)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.modulus)
+        return FieldElement(-self.value)
 
     def inv(self) -> "FieldElement":
         if self.value == 0:
             raise AlgebraError("non-invertible element")
-        return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
+        return FieldElement(pow(self.value, -1, CURVE_ORDER))
 
     def is_zero(self) -> bool:
         return self.value == 0
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.value == other.value
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FieldElement) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash((self.value, self.modulus))
+        return hash(self.value)
 
     def __repr__(self) -> str:
         return f"FieldElement(0x{self.value:x})"
 
     def to_bytes(self) -> bytes:
-        if self.modulus != CURVE_ORDER:
-            raise AlgebraError("fixed-width serialization is defined for the curve field only")
         return self.value.to_bytes(SCALAR_BYTES, "big")
 
     @classmethod
@@ -104,26 +87,26 @@ class FieldElement:
         return cls(value)
 
     @classmethod
-    def random(cls, rng=None, modulus: int = CURVE_ORDER) -> "FieldElement":
+    def random(cls, rng=None) -> "FieldElement":
         """Uniform element; `rng` is a seeded random.Random for tests, else os RNG."""
         if rng is not None:
-            return cls(rng.randrange(modulus), modulus)
-        return cls(secrets.randbelow(modulus), modulus)
+            return cls(rng.randrange(CURVE_ORDER))
+        return cls(secrets.randbelow(CURVE_ORDER))
 
     @classmethod
-    def random_nonzero(cls, rng=None, modulus: int = CURVE_ORDER) -> "FieldElement":
+    def random_nonzero(cls, rng=None) -> "FieldElement":
         while True:
-            x = cls.random(rng, modulus)
+            x = cls.random(rng)
             if not x.is_zero():
                 return x
 
     @classmethod
-    def zero(cls, modulus: int = CURVE_ORDER) -> "FieldElement":
-        return cls(0, modulus)
+    def zero(cls) -> "FieldElement":
+        return cls(0)
 
     @classmethod
-    def one(cls, modulus: int = CURVE_ORDER) -> "FieldElement":
-        return cls(1, modulus)
+    def one(cls) -> "FieldElement":
+        return cls(1)
 
 
 # --- Curve arithmetic ------------------------------------------------------
@@ -381,28 +364,7 @@ def _odd_multiples(x: int, y: int, count: int) -> list:
     return odd
 
 
-# Width-8 odd-multiple tables of G and of 2^128 * G.  A combination splits
-# its G scalar at bit 128 across the two, so G adds no doublings beyond those
-# of half-length scalars.  Built on first use: 2 x 64 affine points.
-_G_HALVES: list = []
-_G_HALVES_LOCK = threading.Lock()
-_HALF_BITS = 128
-_G_WIDTH = 8
 _VAR_WIDTH = 5  # per-call tables: P, 3P, ..., 15P
-
-
-def _g_halves():
-    global _G_HALVES
-    if not _G_HALVES:
-        with _G_HALVES_LOCK:
-            if not _G_HALVES:
-                count = 1 << (_G_WIDTH - 2)
-                upper = _batch_to_affine([_g_mul(1 << _HALF_BITS)])[0]
-                odd = _batch_to_affine(_odd_multiples(GEN_X, GEN_Y, count)
-                                       + _odd_multiples(*upper, count))
-                _G_HALVES = [_signed_table(odd[:count], _G_WIDTH),
-                             _signed_table(odd[count:], _G_WIDTH)]
-    return _G_HALVES
 
 
 def _combine(terms):
@@ -413,23 +375,24 @@ def _combine(terms):
     doublings into one accumulator, and only mixed additions of affine table
     points enter it.  A weight above n/2 is replaced by n - k with the digits
     negated, so a small negative weight such as a Lagrange coefficient of -3
-    stays short.  A weight below 2^16 adds the point itself; G uses the static
-    tables; any other point gets a width-5 table of odd multiples, and all of
-    a call's tables share one inversion.
+    stays short.  A weight below 2^16 adds the point itself; any other point
+    but G gets a width-5 table of odd multiples, and all of a call's tables
+    share one inversion.  The weights of G are summed and their product comes
+    from the k * G comb, added once after the interleaved loop.
     """
     plan = []  # (sign, digits, table)
     full = []  # (sign, digits, point) still waiting for a table
+    g = 0  # the summed weight of G
     for k, point in terms:
         if k == 0 or point.is_identity():
+            continue
+        if point.x == GEN_X and point.y == GEN_Y:
+            g += k
             continue
         sign = 1
         if k > CURVE_ORDER // 2:
             k, sign = CURVE_ORDER - k, -1
-        if point.x == GEN_X and point.y == GEN_Y:
-            low, high = _g_halves()
-            plan.append((sign, _wnaf(k & ((1 << _HALF_BITS) - 1), _G_WIDTH), low))
-            plan.append((sign, _wnaf(k >> _HALF_BITS, _G_WIDTH), high))
-        elif k < 1 << 16:
+        if k < 1 << 16:
             # a table of odd multiples costs more than it saves here
             plan.append((sign, _wnaf(k, 2), _signed_table([(point.x, point.y)], 2)))
         else:
@@ -448,19 +411,19 @@ def _combine(terms):
         acc = _jac_double(acc)
         for q in row:
             acc = _jac_madd(acc, q)
-    return acc
+    return _jac_add(acc, _g_mul(g % CURVE_ORDER))
 
 
 def lincomb(pairs) -> GroupPoint:
     """Sum of k * P over (FieldElement k, GroupPoint P) pairs, in one
     accumulator with one inversion at the end."""
-    return _to_affine(_combine([(k.value % CURVE_ORDER, p) for k, p in pairs]))
+    return _to_affine(_combine([(k.value, p) for k, p in pairs]))
 
 
 def scalar_mul(k: FieldElement, point: GroupPoint) -> GroupPoint:
     """k * P.  scalar_mul(0, P) is the identity."""
     if point.x == GEN_X and point.y == GEN_Y:
-        return _to_affine(_g_mul(k.value % CURVE_ORDER))
+        return _to_affine(_g_mul(k.value))
     return lincomb([(k, point)])
 
 
@@ -527,6 +490,9 @@ def ecdsa_sign(sk: FieldElement, message: bytes, k: Optional[FieldElement] = Non
                 raise AlgebraError("degenerate instance key")
             continue
         return Signature(r_x, s)
+
+
+_HALF_BITS = 128
 
 
 def _half_gcd(u: int) -> tuple[int, int]:

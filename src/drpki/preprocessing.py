@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import BinaryIO, Optional, Sequence
 
-from .algebra import CURVE_ORDER, FieldElement
+from .algebra import FieldElement
 from .sharing import (
     MacKeyShare,
     SchemeId,
@@ -89,7 +89,6 @@ def dealer_generate(
     rng=None,
     mac_keys: Optional[Sequence[MacKeyShare]] = None,
     epoch: bytes = b"\x00" * 16,
-    modulus: int = CURVE_ORDER,
     owners: Optional[Sequence[int]] = None,
 ) -> list[list[Triple]]:
     """Produce `count` triples; result[j][i] is the i-th owner's record of triple j."""
@@ -102,8 +101,8 @@ def dealer_generate(
         while tid in seen:
             tid = _fresh_id(rng)
         seen.add(tid)
-        a = FieldElement.random(rng, modulus)
-        b = FieldElement.random(rng, modulus)
+        a = FieldElement.random(rng)
+        b = FieldElement.random(rng)
         c = a * b
         a_shares = deal(scheme, a, n, t, rng, mac_keys, owners)
         b_shares = deal(scheme, b, n, t, rng, mac_keys, owners)
@@ -348,8 +347,8 @@ def beaver_diffs(x: Share, y: Share, triple: Triple) -> tuple[Share, Share]:
     if x.scheme is not triple.scheme or y.scheme is not triple.scheme:
         raise SharingError("scheme mismatch")
     triple.mark_consumed()
-    minus_one = FieldElement(-1, x.value.modulus)
-    zero = FieldElement.zero(x.value.modulus)
+    minus_one = FieldElement(-1)
+    zero = FieldElement.zero()
     neg_a = share_scale_add(triple.a, minus_one, zero)
     neg_b = share_scale_add(triple.b, minus_one, zero)
     return share_add(x, neg_a), share_add(y, neg_b)
@@ -362,9 +361,9 @@ def beaver_combine(
     mac_key: Optional[MacKeyShare] = None,
 ) -> Share:
     """Local step after d and e are public: share of x*y = c + d*b + e*a + d*e."""
-    zero = FieldElement.zero(d.modulus)
+    zero = FieldElement.zero()
     term_b = share_scale_add(triple.b, d, zero, mac_key)
     term_a = share_scale_add(triple.a, e, zero, mac_key)
     acc = share_add(share_add(triple.c, term_b), term_a)
-    return share_scale_add(acc, FieldElement.one(d.modulus), d * e, mac_key)
+    return share_scale_add(acc, FieldElement.one(), d * e, mac_key)
 

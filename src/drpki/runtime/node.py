@@ -779,13 +779,12 @@ class LocalCluster:
             )
         return len(next(iter(results.values())))
 
-    def run_signing(self, member_id: str, message: bytes | Sequence[bytes],
-                    return_all: bool = False):
+    def run_signing(self, member_id: str, message: bytes | Sequence[bytes]):
         """The pure cryptographic online phase (consent checks live upstream).
 
         `message` is one message, which returns its SignResult, or a list of
         messages, all signed in one session, which returns their SignResults
-        in order.  With return_all, every party's result, keyed by party.
+        in order.
         """
         single = isinstance(message, bytes)
         messages = [message] if single else list(message)
@@ -795,9 +794,8 @@ class LocalCluster:
         sigs = {tuple(r.signature.to_bytes() for r in batch) for batch in results.values()}
         if len(sigs) != 1:
             raise ProtocolAbort("signature disagreement")
-        if single:
-            results = {party: batch[0] for party, batch in results.items()}
-        return results if return_all else results[self.participants[0]]
+        first = results[self.participants[0]]
+        return first[0] if single else first
 
     # -- stock management --------------------------------------------------------
 

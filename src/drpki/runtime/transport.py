@@ -216,9 +216,6 @@ class HubEndpoint:
     def recv(self, session_id: bytes, timeout: float) -> Optional[SessionMessage]:
         return self.hub.recv(self.party, session_id, timeout)
 
-    def close(self) -> None:
-        pass
-
 
 class TcpNodeTransport:
     """Socket transport for one party: full mesh, one connection per pair.

@@ -11,7 +11,9 @@ epoch, which the node takes from its file, and serve refuses to start
 without that file or without the config's pair_secret or data_dir.  A
 dealer file is single-use: the first start leaves a `partyK.started`
 marker next to it, and serve refuses to start again until a new deal
-replaces the file.
+replaces the file.  A deal moves each new file into place whole and removes
+the markers only once every file is in place, so a deal cut short leaves no
+started file startable.
 
 One party runs with --script and initiates each operation by broadcasting a
 control frame; the others follow.  Script lines:
@@ -55,6 +57,14 @@ def _addresses(cfg) -> dict[int, tuple[str, int]]:
     return out
 
 
+def _replace(path: Path, write) -> None:
+    """Write `path` through write(temporary path), then move it into place, so
+    `path` holds either its old or its new contents, never a part."""
+    tmp = path.with_name(path.name + ".tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
 def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int:
     """Write per-party dealer output under a fresh epoch: triples, input masks,
     MAC key shares."""
@@ -76,13 +86,15 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
         for p in range(1, proto.n + 1):
             mask_records[p].append(dealer.next_mask_for(p, scheme, owner))
     for p in range(1, proto.n + 1):
-        (out / f"party{p}.started").unlink(missing_ok=True)
-        write_replay_file(
-            str(out / f"party{p}.triples"), p, scheme, proto.n, proto.t,
-            epoch, triples[p], mask_records[p],
-        )
+        _replace(out / f"party{p}.triples", lambda tmp: write_replay_file(
+            str(tmp), p, scheme, proto.n, proto.t, epoch, triples[p], mask_records[p]))
         if mac_keys is not None:
-            (out / f"party{p}.mac").write_text(f"{mac_keys[p - 1].alpha_i.value:064x}\n")
+            _replace(out / f"party{p}.mac", lambda tmp: tmp.write_text(
+                f"{mac_keys[p - 1].alpha_i.value:064x}\n"))
+    # only now, with every new file whole and in place: a deal cut short
+    # leaves an old file that was started still refused
+    for p in range(1, proto.n + 1):
+        (out / f"party{p}.started").unlink(missing_ok=True)
     print(f"wrote dealer output for {proto.n} parties under {out_dir} "
           f"({count} triples, {masks} masks each)")
     return 0

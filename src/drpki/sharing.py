@@ -130,19 +130,19 @@ class PointShare:
     value: GroupPoint
 
 
-def generate_mac_keys(n: int, rng=None, modulus: int = CURVE_ORDER) -> list[MacKeyShare]:
-    return [MacKeyShare(i, FieldElement.random(rng, modulus)) for i in range(1, n + 1)]
+def generate_mac_keys(n: int, rng=None) -> list[MacKeyShare]:
+    return [MacKeyShare(i, FieldElement.random(rng)) for i in range(1, n + 1)]
 
 
 def _poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-    acc = FieldElement.zero(x.modulus)
+    acc = FieldElement.zero()
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
 def _additive_split(secret: FieldElement, n: int, rng) -> list[FieldElement]:
-    parts = [FieldElement.random(rng, secret.modulus) for _ in range(n - 1)]
+    parts = [FieldElement.random(rng) for _ in range(n - 1)]
     last = secret
     for p in parts:
         last = last - p
@@ -178,14 +178,13 @@ def deal(
             raise SharingError("ADDITIVE_MAC dealing requires one MAC key share per party")
         if any(mk.owner != owner for mk, owner in zip(mac_keys, owners)):
             raise SharingError("MAC key shares misaligned with owners")
-        alpha = FieldElement.zero(secret.modulus)
+        alpha = FieldElement.zero()
         for mk in mac_keys:
             alpha = alpha + mk.alpha_i
 
     if scheme.is_shamir:
-        coeffs = [secret] + [FieldElement.random(rng, secret.modulus) for _ in range(t)]
-        return [Share(scheme, i, _poly_eval(coeffs, FieldElement(i, secret.modulus)))
-                for i in owners]
+        coeffs = [secret] + [FieldElement.random(rng) for _ in range(t)]
+        return [Share(scheme, i, _poly_eval(coeffs, FieldElement(i))) for i in owners]
 
     values = _additive_split(secret, n, rng)
     if scheme.has_mac:
@@ -234,7 +233,6 @@ def lagrange_coeffs_at(eval_points: Sequence[FieldElement],
 
     `x` is a field element or a plain integer such as 0 or a party index.
     """
-    modulus = eval_points[0].modulus
     x = x.value if isinstance(x, FieldElement) else x
     xs = [p.value for p in eval_points]
     coeffs = []
@@ -242,13 +240,13 @@ def lagrange_coeffs_at(eval_points: Sequence[FieldElement],
         num = den = 1
         for j, xj in enumerate(xs):
             if i != j:
-                num = num * (x - xj) % modulus
-                den = den * (xi - xj) % modulus
-        coeffs.append(FieldElement(num, modulus) * FieldElement(den, modulus).inv())
+                num = num * (x - xj) % CURVE_ORDER
+                den = den * (xi - xj) % CURVE_ORDER
+        coeffs.append(FieldElement(num) * FieldElement(den).inv())
     return coeffs
 
 
-def _reconstruct(shares, n: int, t: int, zero, modulus: int, combine):
+def _reconstruct(shares, n: int, t: int, zero, combine):
     """The one open rule, over a group with neutral element `zero` and a
     public-weight combination `combine([(c, v), ...])` = sum of c * v: field
     elements under multiplication, curve points under `lincomb`.
@@ -270,19 +268,19 @@ def _reconstruct(shares, n: int, t: int, zero, modulus: int, combine):
     if not scheme.is_shamir:
         if len(shares) != n:
             raise SharingError(f"additive open needs all {n} shares, got {len(shares)}")
-        one = FieldElement.one(modulus)
+        one = FieldElement.one()
         return combine([(one, s.value) for s in shares])
 
     if len(shares) < t + 1:
         raise SharingError(f"Shamir open needs at least {t + 1} shares, got {len(shares)}")
     ordered = sorted(shares, key=lambda s: s.owner)
     base, rest = ordered[: t + 1], ordered[t + 1:]
-    xs = [FieldElement(s.owner, modulus) for s in base]
+    xs = [FieldElement(s.owner) for s in base]
     values = [s.value for s in base]
 
     secret = combine(list(zip(lagrange_coeffs_at(xs, 0), values)))
     if scheme is SchemeId.SHAMIR_CHECKED:
-        minus_one = -FieldElement.one(modulus)
+        minus_one = -FieldElement.one()
         for extra in rest:
             weights = lagrange_coeffs_at(xs, extra.owner)
             if combine(list(zip(weights, values)) + [(minus_one, extra.value)]) != zero:
@@ -291,8 +289,7 @@ def _reconstruct(shares, n: int, t: int, zero, modulus: int, combine):
 
 
 def _field_combine(pairs) -> FieldElement:
-    modulus = pairs[0][1].modulus
-    return FieldElement(sum(c.value * v.value for c, v in pairs), modulus)
+    return FieldElement(sum(c.value * v.value for c, v in pairs))
 
 
 def open_shares(shares: Sequence[Share], n: int, t: int) -> FieldElement:
@@ -302,15 +299,14 @@ def open_shares(shares: Sequence[Share], n: int, t: int) -> FieldElement:
     reconstruction is plain summation here; authentication is deferred to the
     batched MAC check.
     """
-    modulus = shares[0].value.modulus if shares else CURVE_ORDER
-    return _reconstruct(shares, n, t, FieldElement.zero(modulus), modulus, _field_combine)
+    return _reconstruct(shares, n, t, FieldElement.zero(), _field_combine)
 
 
 def open_point_shares(shares: Sequence[PointShare], n: int, t: int) -> GroupPoint:
     """Reconstruct a shared point: open_shares with each weighted sum taken as
     one multi-scalar combination, so a check that comes out as the identity
     costs no inversion."""
-    return _reconstruct(shares, n, t, GroupPoint.identity(), CURVE_ORDER, lincomb)
+    return _reconstruct(shares, n, t, GroupPoint.identity(), lincomb)
 
 
 # --- Deferred SPDZ MAC check -------------------------------------------------
@@ -328,8 +324,7 @@ class MacCheckAccumulator:
     Mutated only by the session's single protocol-driver activity.
     """
 
-    def __init__(self, session_id: bytes, modulus: int = CURVE_ORDER) -> None:
-        self.modulus = modulus
+    def __init__(self, session_id: bytes) -> None:
         self._entries: list[tuple[FieldElement, FieldElement]] = []
         self._transcript = hashlib.sha256(session_id)
 
@@ -345,11 +340,11 @@ class MacCheckAccumulator:
         out = []
         for j in range(len(self._entries)):
             w = hashlib.sha256(digest + j.to_bytes(4, "big")).digest()
-            out.append(FieldElement(int.from_bytes(w, "big"), self.modulus))
+            out.append(FieldElement(int.from_bytes(w, "big")))
         return out
 
     def sigma(self, mac_key: MacKeyShare) -> FieldElement:
-        acc = FieldElement.zero(self.modulus)
+        acc = FieldElement.zero()
         for w, (value, mac_share) in zip(self.weights(), self._entries):
             acc = acc + w * (mac_share - mac_key.alpha_i * value)
         return acc

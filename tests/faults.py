@@ -68,7 +68,7 @@ def inject_fault(party, opens_until_fault, kind="value"):
         return items
 
     def corrupt_share(share):
-        one = FieldElement.one(share.value.modulus)
+        one = FieldElement.one()
         if kind == "mac" and share.mac is not None:
             return replace(share, mac=share.mac + one)
         return replace(share, value=share.value + one)

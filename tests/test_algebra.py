@@ -60,6 +60,11 @@ def _naive_scalar_mul(k, point):
 def test_field_small_cases():
     assert FieldElement(2) + FieldElement(3) == FieldElement(5)
     assert FieldElement(6) * FieldElement(7) == FieldElement(42)
+    # an element of Z_n for the curve order n, and of no other field
+    assert FieldElement.__slots__ == ("value",)
+    assert FieldElement(CURVE_ORDER + 5) == FieldElement(5)
+    assert FieldElement(-1).value == CURVE_ORDER - 1
+    assert hash(FieldElement(CURVE_ORDER)) == hash(FieldElement.zero())
 
 
 def test_field_inverse_random():
@@ -303,6 +308,11 @@ def test_lincomb_identity_and_repeated_terms():
     assert lincomb([(FieldElement(1), P1)] * 3) == scalar_mul(FieldElement(3), P1)
     assert lincomb([(k, P1), (FieldElement(5), GENERATOR), (k, P1)]) == _oracle_lincomb(
         [(k + k, P1), (FieldElement(5), GENERATOR)])
+    # the G part is added after the interleaved loop: equal to the rest, it
+    # must double
+    c = FieldElement(0xC0FFEE)  # P1 = c * G
+    assert lincomb([(FieldElement(1), P1), (c, GENERATOR)]) == scalar_mul(c + c, GENERATOR)
+    assert lincomb([(k, P1), (k * c, GENERATOR)]) == scalar_mul(k + k, P1)
 
 
 def test_lincomb_cancelling_terms_give_the_identity():
@@ -311,6 +321,11 @@ def test_lincomb_cancelling_terms_give_the_identity():
     assert lincomb([(k, P1), (-k, P1)]).is_identity()
     assert lincomb([(k, GENERATOR), (k, _neg(GENERATOR))]).is_identity()
     assert lincomb([(FieldElement(3), P2), (FieldElement(CURVE_ORDER - 3), P2)]).is_identity()
+    # a G part opposite to the rest, and G weights that cancel among themselves
+    c = FieldElement(0xC0FFEE)  # P1 = c * G
+    assert lincomb([(FieldElement(1), P1), (-c, GENERATOR)]).is_identity()
+    assert lincomb([(k, P1), (-(k * c), GENERATOR)]).is_identity()
+    assert lincomb([(k, GENERATOR), (-k, GENERATOR), (k, P1)]) == scalar_mul(k, P1)
     # a partial cancellation leaves the rest
     assert lincomb([(k, P1), (k, _neg(P1)), (FieldElement(7), P2)]) == scalar_mul(
         FieldElement(7), P2)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from drpki import serve as serve_mod
 from drpki.cli import cluster_from_config, load_config, main
 from drpki.preprocessing import FileReplay
 
@@ -324,3 +325,32 @@ def test_serve_refuses_second_start_from_one_dealer_file(workspace, monkeypatch)
         serve()
     assert deal() == 0  # a fresh epoch lifts the refusal
     assert serve() == 0
+
+
+def test_deal_cut_short_keeps_every_started_file_refused(workspace, monkeypatch):
+    monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoMesh)
+    config = str(workspace / "drpki.ini")
+    dealer = workspace / "data" / "dealer"
+    script = workspace / "script.txt"
+    script.write_text("shutdown\n")
+    assert run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer)) == 0
+    old = {p: (dealer / f"party{p}.triples").read_bytes() for p in range(1, 6)}
+    for p in range(1, 6):
+        (dealer / f"party{p}.started").touch()  # every party has started
+    real_write = serve_mod.write_replay_file
+
+    def failing_write(path, party, *args):
+        if party == 3:
+            raise OSError("disk full")
+        real_write(path, party, *args)
+
+    monkeypatch.setattr(serve_mod, "write_replay_file", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer))
+    for p in range(1, 6):
+        assert (dealer / f"party{p}.started").exists()
+        FileReplay(str(dealer / f"party{p}.triples"))  # parses whole: old or new
+    for p in range(3, 6):
+        assert (dealer / f"party{p}.triples").read_bytes() == old[p]
+    with pytest.raises(SystemExit, match="already started"):
+        run_cli("serve", "--config", config, "--party", "3", "--script", str(script))

@@ -356,40 +356,40 @@ def test_additive_point_open_sums_identity_and_cancelling_shares(scheme):
 
 def test_mac_sigma_hand_checkable_identity():
     # alpha = 3, a = 5, MAC shares summing to 15: the sigmas must cancel.
-    modulus = 101
-    alphas = [MacKeyShare(1, FieldElement(1, modulus)), MacKeyShare(2, FieldElement(2, modulus))]
-    a = FieldElement(5, modulus)
-    mac_shares = [FieldElement(6, modulus), FieldElement(9, modulus)]  # sum to 15
-    total = FieldElement.zero(modulus)
+    alphas = [MacKeyShare(1, FieldElement(1)), MacKeyShare(2, FieldElement(2))]
+    a = FieldElement(5)
+    mac_shares = [FieldElement(6), FieldElement(9)]  # sum to 15
+    total = FieldElement.zero()
     for mk, gamma in zip(alphas, mac_shares):
-        acc = MacCheckAccumulator(b"tiny", modulus)
+        acc = MacCheckAccumulator(b"tiny")
         acc.record(a, gamma)
         total = total + acc.sigma(mk)
     assert total.is_zero()
 
 
-def test_mac_check_tiny_field_enumeration():
-    # Two-party model over p=101: enumerate every nonzero broadcast error
-    # delta; the weighted sigma sum equals -w*alpha*delta and must be nonzero
-    # whenever alpha*delta != 0 mod p.
-    modulus = 101
+def test_mac_check_broadcast_error_enumeration():
+    # Two-party model: for every small broadcast error delta and a few
+    # full-width ones, the weighted sigma sum equals -w*alpha*delta and must be
+    # nonzero whenever alpha*delta != 0 mod n.
     tiny = random.Random(7)
-    alphas = [FieldElement(40, modulus), FieldElement(12, modulus)]  # alpha = 52
+    alphas = [FieldElement(40), FieldElement(12)]  # alpha = 52
     alpha = alphas[0] + alphas[1]
-    a = FieldElement(33, modulus)
+    a = FieldElement(33)
     gamma = alpha * a
-    gamma_shares = [FieldElement(17, modulus), gamma - FieldElement(17, modulus)]
-    for delta in range(1, modulus):
-        opened = a + FieldElement(delta, modulus)
-        total = FieldElement.zero(modulus)
+    gamma_shares = [FieldElement(17), gamma - FieldElement(17)]
+    deltas = list(range(1, 101)) + [CURVE_ORDER - 1, CURVE_ORDER // 2, CURVE_ORDER // 2 + 1]
+    deltas += [tiny.getrandbits(256) % CURVE_ORDER or 1 for _ in range(5)]
+    for delta in deltas:
+        opened = a + FieldElement(delta)
+        total = FieldElement.zero()
         weight = None
         for alpha_i, gamma_i in zip(alphas, gamma_shares):
-            acc = MacCheckAccumulator(b"tiny", modulus)
+            acc = MacCheckAccumulator(b"tiny")
             acc.record(opened, gamma_i)
             if weight is None:
                 weight = acc.weights()[0]
             total = total + acc.sigma(MacKeyShare(1, alpha_i))
-        expected = -(weight * alpha * FieldElement(delta, modulus))
+        expected = -(weight * alpha * FieldElement(delta))
         assert total == expected
         if not (weight * alpha).is_zero():
             assert not total.is_zero()
