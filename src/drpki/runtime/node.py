@@ -5,12 +5,14 @@ member consent registry, published-object store, CRL state, intervention
 tickets, and an append-only audit log.  It is also the one phase driver:
 `open_session` builds the party's session for a phase, and `run` executes
 one op (keygen, preprocess-independent, preprocess-dependent, sign,
-request) over it.  Both transports use it: the LocalCluster runs five nodes
-over the in-process hub, one thread per party per op, and `drpki serve`
-runs one node over TCP.  Session ids are sha256(epoch | phase | counter) on
-both.  An op whose MAC check fails at this node retires the node's own
-epoch; a peer's abort frame, whatever its text, never does, and a `request`
-op on a retired epoch returns an aborted outcome before it sends anything.
+request) over it; the phase functions of `tecdsa` run on the node itself.
+Both transports use it: the LocalCluster runs five nodes over the
+in-process hub, one thread per party per op, and `drpki serve` runs one
+node over TCP.  Session ids are sha256(epoch | phase | counter) on both.
+An op whose MAC check fails at this node retires the node's own epoch; a
+peer's abort frame, whatever its text, never does.  `run` refuses every op
+on a retired or tainted epoch before it sends anything: a `request` op
+returns an aborted outcome, and any other op raises.
 
 The `request` op is the one consent-gated signing path, in one session, and
 its consent step rides on the rounds of `sign_online`.  Round 1 carries
@@ -38,7 +40,7 @@ import struct
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -60,7 +62,6 @@ from ..rpki import (
 from ..sharing import MacKeyShare, ProtocolAbort, Share, generate_mac_keys
 from ..tecdsa import (
     KeyShareRecord,
-    PhaseEnv,
     ProtocolConfig,
     SignResult,
     StockDepletedError,
@@ -109,8 +110,11 @@ def _derive_seed(seed: int, label: str) -> int:
 class ConsentPolicy:
     """Per-action abort-vs-flag policy plus replenishment parameters.
 
-    The replenishment batch defaults to the 1000-tuple amortization unit the
-    benchmarks use; scale it down for interactive demos.
+    A request refills only when its member holds fewer final tuples than it
+    needs.  `low_watermark` is the final-tuple threshold of an explicit
+    `LocalCluster.replenish()` and the spare initial stock a refill leaves.
+    The batch defaults to the 1000-tuple amortization unit the benchmarks
+    use; scale it down for interactive demos.
     """
 
     flag_on_failed_consent: bool = False
@@ -164,10 +168,18 @@ def _write_file(path: Path, data: str | bytes) -> None:
 
 
 def _append_line(path: Path, record: dict | str) -> None:
-    """Append one line to a line-oriented file: a record as JSON, or text."""
+    """Append one line to a line-oriented file: a record as JSON, or text.
+    The line goes out in one write; if that fails, on a full disk say, the
+    file is cut back to its old size and the error re-raised."""
     line = record if isinstance(record, str) else json.dumps(record, sort_keys=True)
-    with open(path, "a") as out:
-        out.write(line + "\n")
+    size = path.stat().st_size if path.exists() else 0
+    try:
+        with open(path, "ab") as out:
+            out.write((line + "\n").encode())
+    except OSError:
+        if path.exists():
+            os.truncate(path, size)
+        raise
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -258,7 +270,8 @@ class PartyNode:
 
     All state lives under `data_dir`, written through `_write_file` and
     `_append_line`, and is read back on construction; the CRL state is
-    rebuilt from the published CRL objects.
+    rebuilt from the published CRL objects.  The node is the only writer
+    of its records: a phase returns a key record for `store_key_record`.
     """
 
     def __init__(self, party_id: int, config: ProtocolConfig,
@@ -348,49 +361,59 @@ class PartyNode:
         }
         _write_file(self.dir / "state.json", json.dumps(blob))
 
-    def _persist_ticket(self, ticket: InterventionTicket) -> None:
-        _append_line(self.dir / "tickets.jsonl", {
-            "ticket_id": ticket.ticket_id,
-            "member": ticket.member_id,
-            "action": ticket.action.name,
-            "reason": ticket.reason,
-            "created_at": ticket.created_at,
-            "payloads": [b.hex() for b in ticket.payload_blobs],
-            "approved": ticket.approved,
-            "completed": ticket.completed,
-        })
+    def _store_ticket(self, ticket: InterventionTicket) -> None:
+        """The one writer of `tickets`: a new ticket or a new state of one."""
+        with self._lock:
+            _append_line(self.dir / "tickets.jsonl", {
+                "ticket_id": ticket.ticket_id,
+                "member": ticket.member_id,
+                "action": ticket.action.name,
+                "reason": ticket.reason,
+                "created_at": ticket.created_at,
+                "payloads": [b.hex() for b in ticket.payload_blobs],
+                "approved": ticket.approved,
+                "completed": ticket.completed,
+            })
+            self.tickets[ticket.ticket_id] = ticket
 
     def audit(self, event: str, **fields) -> None:
         """Append one audit entry; logical sequence numbers keep logs replayable."""
         with self._lock:
-            self.audit_seq += 1
             _append_line(self.dir / "audit.jsonl",
-                         {"seq": self.audit_seq, "event": event, **fields})
+                         {"seq": self.audit_seq + 1, "event": event, **fields})
+            self.audit_seq += 1
 
     def audit_lines(self) -> list[str]:
         with self._lock:
             return _read_lines(self.dir / "audit.jsonl")
 
     # -- registries ----------------------------------------------------------
+    #
+    # Each record is appended to its file under the node lock first and
+    # enters memory after, so a failed append leaves the live node holding
+    # what its disk holds.
 
     def register_member(self, member_id: str, consent_pk: GroupPoint) -> None:
         if consent_pk.is_identity():
             raise ValidationError("a consent key must not be the identity point")
-        self.member_registry[member_id] = consent_pk
-        _append_line(self.dir / "members.jsonl",
-                     {"member": member_id, "pk": consent_pk.to_bytes().hex()})
+        with self._lock:
+            _append_line(self.dir / "members.jsonl",
+                         {"member": member_id, "pk": consent_pk.to_bytes().hex()})
+            self.member_registry[member_id] = consent_pk
 
     def submit_consent(self, token: ConsentToken) -> None:
         self.consent_inbox[token.member_id] = token
 
     def store_key_record(self, record: KeyShareRecord) -> None:
-        self.key_records[record.member_id] = record
-        _append_line(self.dir / "keys.jsonl", {
-            "member": record.member_id,
-            "share": record.sk_share.to_bytes().hex(),
-            "pk": record.pk.to_bytes().hex(),
-            "epoch": record.epoch.hex(),
-        })
+        """The one writer of `key_records`."""
+        with self._lock:
+            _append_line(self.dir / "keys.jsonl", {
+                "member": record.member_id,
+                "share": record.sk_share.to_bytes().hex(),
+                "pk": record.pk.to_bytes().hex(),
+                "epoch": record.epoch.hex(),
+            })
+            self.key_records[record.member_id] = record
 
     def refusal(self) -> Optional[str]:
         """Why this node refuses every phase op on its epoch, or None."""
@@ -399,21 +422,6 @@ class PartyNode:
         if self.epoch in self.tainted_epochs and not self.config.test_mode:
             return "epoch tainted by test-mode reconstruction"
         return None
-
-    def env(self) -> PhaseEnv:
-        reason = self.refusal()
-        if reason is not None:
-            raise TecdsaError(reason)
-        return PhaseEnv(
-            party_id=self.party_id,
-            config=self.config,
-            epoch=self.epoch,
-            tuple_store=self.tuple_store,
-            triple_source=self.triple_source,
-            key_records=self.key_records,
-            mac_key=self.mac_key,
-            rng=self.rng,
-        )
 
     # -- protocol phases -------------------------------------------------------
 
@@ -438,22 +446,28 @@ class PartyNode:
         `op` is the JSON dict of serve's control frames.  Returns the phase
         result: the key record, the new tuples, one SignResult per message
         of the `sign` op's "messages" list, in order, or the `request` op's
-        SignOutcome.  Only this node's own failed MAC check retires its
-        epoch, never a peer's abort; a `request` op that aborts, or that this
-        node refuses because its epoch is retired or tainted, returns an
-        aborted outcome.
+        SignOutcome.  A retired or tainted epoch is refused here, before
+        anything is sent: a `request` op returns an audited aborted outcome,
+        any other op raises TecdsaError.  Only this node's own failed MAC
+        check retires its epoch, never a peer's abort; a `request` op that
+        aborts returns an aborted outcome too.
         """
-        try:
-            return self._run(op, session)
-        except ProtocolAbort as exc:
-            if session.mac_failed:
-                self.retired_epochs.add(self.epoch)
-                self._save_state()
-                self.audit("epoch_retired", epoch=self.epoch.hex())
-            if op["op"] != "request":
-                raise
-            self.audit("sign_aborted", member=op["member"], reason=str(exc))
-            return SignOutcome("aborted", reason=str(exc))
+        reason = self.refusal()
+        if reason is None:
+            try:
+                return self._run(op, session)
+            except ProtocolAbort as exc:
+                if session.mac_failed:
+                    self.retired_epochs.add(self.epoch)
+                    self._save_state()
+                    self.audit("epoch_retired", epoch=self.epoch.hex())
+                if op["op"] != "request":
+                    raise
+                reason = str(exc)
+        elif op["op"] != "request":
+            raise TecdsaError(reason)
+        self.audit("sign_aborted", member=op["member"], reason=reason)
+        return SignOutcome("aborted", reason=reason)
 
     def _run(self, op: dict, session: PartySession):
         name = op["op"]
@@ -462,16 +476,16 @@ class PartyNode:
             if member_id in self.key_records:
                 raise TecdsaError(f"member {member_id!r} already has a live key")
             self.keygen_timings = {}
-            record = keygen(self.env(), session, member_id, timings=self.keygen_timings)
+            record = keygen(self, session, member_id, timings=self.keygen_timings)
             self.store_key_record(record)
             self.audit("keygen", member=member_id, pk=record.pk.to_bytes().hex())
             return record
         if name == "preprocess-independent":
-            return preprocess_independent(self.env(), session, op["count"])
+            return preprocess_independent(self, session, op["count"])
         if name == "preprocess-dependent":
-            return preprocess_dependent(self.env(), session, op["member"], op["count"])
+            return preprocess_dependent(self, session, op["member"], op["count"])
         if name == "sign":
-            return sign_online(self.env(), session, op["member"],
+            return sign_online(self, session, op["member"],
                                [bytes.fromhex(m) for m in op["messages"]])
         if name == "request":
             return self._request(op, session)
@@ -480,15 +494,9 @@ class PartyNode:
     def _request(self, op: dict, session: PartySession) -> SignOutcome:
         member_id, action = op["member"], Action[op["action"]]
         initiator, ticket_id = op["initiator"], op.get("ticket")
-        try:
-            env = self.env()
-        except TecdsaError as exc:
-            # refused before round 1: nothing is sent and no tuple is taken
-            self.audit("sign_aborted", member=member_id, reason=str(exc))
-            return SignOutcome("aborted", reason=str(exc))
         gate = _RequestGate(self, op, session)
         try:
-            sign_results = sign_online(env, session, member_id, gate=gate)
+            sign_results = sign_online(self, session, member_id, gate=gate)
         except _Refused:
             # the agreed tuples are journaled already: the refusal burns them
             reason = ("ticket-unapproved" if ticket_id is not None
@@ -499,10 +507,8 @@ class PartyNode:
                 ticket_id = hashlib.sha256(
                     gate.digest.encode() + member_id.encode()
                 ).hexdigest()[:16]
-                ticket = InterventionTicket(ticket_id, member_id, action, reason,
-                                            self.clock(), gate.blobs)
-                self.tickets[ticket_id] = ticket
-                self._persist_ticket(ticket)
+                self._store_ticket(InterventionTicket(ticket_id, member_id, action, reason,
+                                                      self.clock(), gate.blobs))
                 self.audit("ticket_created", ticket=ticket_id, reason=reason)
                 return SignOutcome("flagged", ticket_id=ticket_id, reason=reason)
             self.audit("sign_aborted", member=member_id, digest=gate.digest, reason=reason)
@@ -515,9 +521,7 @@ class PartyNode:
         if ticket_id is None:
             self.consent_inbox.pop(member_id, None)
         else:
-            ticket = self.tickets[ticket_id]
-            ticket.completed = True
-            self._persist_ticket(ticket)
+            self._store_ticket(replace(self.tickets[ticket_id], completed=True))
             self.audit("ticket_completed", ticket=ticket_id)
         return SignOutcome("published", objects=objects,
                            ticket_id=ticket_id, sign_results=sign_results)
@@ -528,8 +532,7 @@ class PartyNode:
         if ticket is None:
             raise TecdsaError(f"unknown ticket {ticket_id}")
         if not ticket.approved:
-            ticket.approved = True
-            self._persist_ticket(ticket)
+            self._store_ticket(replace(ticket, approved=True))
             self.audit("ticket_approved", ticket=ticket_id)
 
     # -- publication -----------------------------------------------------------

@@ -9,6 +9,9 @@ session:
                              with the Beaver diffs, then shares of k*G and sk/k
   4. sign_online             field-only assembly of a request's signatures
 
+Each phase runs on a PartyNode and reads its state; it writes only to the
+node's tuple store, and keygen returns its key record for the node to store.
+
 Instance-key material is strictly single-use: stores mark tuples consumed
 durably before any protocol message references them, so a crash and restart
 can never reuse a nonce.
@@ -22,10 +25,10 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
 from .algebra import (
     GENERATOR,
@@ -38,7 +41,6 @@ from .algebra import (
 )
 from .preprocessing import TupleReuseError, beaver_diffs, beaver_combine
 from .sharing import (
-    MacKeyShare,
     ProtocolAbort,
     SchemeId,
     Share,
@@ -46,6 +48,9 @@ from .sharing import (
     share_add,
     share_scale_add,
 )
+
+if TYPE_CHECKING:
+    from .runtime.node import PartyNode
 
 
 class TecdsaError(Exception):
@@ -215,6 +220,8 @@ class TupleStore:
     rule for every method.  After close() the store still answers reads, but
     adds and checkouts raise.
 
+    Each file opens with its kind's 4-byte magic and the party byte; a
+    file with another header, such as another party's, is refused on open.
     An initial file of the earlier record is moved aside on open, to
     tuples_initial.v1.dat, neither cut nor parsed: its tuples are never
     offered, and the next refill restocks.
@@ -240,13 +247,17 @@ class TupleStore:
 
     # -- persistence ------------------------------------------------------
 
-    def _read_records(self, path: Path, width: int) -> list[bytes]:
+    def _read_records(self, path: Path, name: str, width: int) -> list[bytes]:
         """The CRC-valid records of one file.  A torn tail is cut off the
-        file, so later appends start on a record boundary."""
+        file, so later appends start on a record boundary; a file with a
+        foreign header is refused and left as it is."""
         if not path.exists():
             return []
         data = path.read_bytes()
-        records, off = [], 5  # magic + party byte
+        header = _MAGICS[name] + bytes([self.party])
+        if len(data) >= len(header) and not data.startswith(header):
+            raise TecdsaError(f"{path} is not a {name} file of party {self.party}")
+        records, off = [], len(header)
         while off + width <= len(data):
             body, crc = data[off:off + width - 4], data[off + width - 4:off + width]
             if _crc(body) != crc:
@@ -266,7 +277,7 @@ class TupleStore:
             if earlier:
                 os.replace(initial, initial.with_name("tuples_initial.v1.dat"))
         init_width = 16 + 16 + _SHARE_PAD + 32 + _SHARE_PAD + 4
-        for body in self._read_records(initial, init_width):
+        for body in self._read_records(initial, "initial", init_width):
             tup = InitialTuple(
                 tuple_id=body[:16],
                 epoch=body[16:32],
@@ -276,7 +287,7 @@ class TupleStore:
             )
             self._initial[tup.tuple_id] = tup
         fin_width = 16 + 16 + _MEMBER_PAD + _POINT_PAD + 2 * _SHARE_PAD + 1 + _POINT_PAD + 4
-        for body in self._read_records(self._dir / "tuples_final.dat", fin_width):
+        for body in self._read_records(self._dir / "tuples_final.dat", "final", fin_width):
             off = 0
             tid, off = body[:16], 16
             epoch, off = body[off:off + 16], off + 16
@@ -292,7 +303,7 @@ class TupleStore:
             off += 1
             rpt = _unpad_point(body[off:off + _POINT_PAD]) if has_r else None
             self._final[tid] = FinalTuple(tid, epoch, member, kpoint, kinv, skk, rpt)
-        for body in self._read_records(self._dir / "tuples.journal", 21):
+        for body in self._read_records(self._dir / "tuples.journal", "journal", 21):
             pool = self._initial if body[0] == _KIND_INITIAL else self._final
             tup = pool.get(body[1:17])
             if tup is not None:
@@ -405,22 +416,6 @@ class TupleStore:
             handle.close()
 
 
-# --- per-party phase environment ----------------------------------------------
-
-@dataclass
-class PhaseEnv:
-    """Everything one party's protocol thread needs to run a phase."""
-
-    party_id: int
-    config: ProtocolConfig
-    epoch: bytes
-    tuple_store: TupleStore
-    triple_source: object  # TripleSource view for this party
-    key_records: dict = field(default_factory=dict)
-    mac_key: Optional[MacKeyShare] = None
-    rng: object = None
-
-
 @dataclass
 class SignResult:
     signature: Signature
@@ -429,7 +424,7 @@ class SignResult:
 
 # --- phase 1: key generation ----------------------------------------------------
 
-def keygen(env: PhaseEnv, session, member_id: str,
+def keygen(node: PartyNode, session, member_id: str,
            timings: Optional[dict] = None) -> KeyShareRecord:
     """Generate [sk] for a member and jointly open pk = sk * G.
 
@@ -437,22 +432,23 @@ def keygen(env: PhaseEnv, session, member_id: str,
     never exists in one place.  Under the authenticated scheme each local
     contribution is bound to MAC shares via a dealer input mask.  `timings`,
     when given, receives the secret-share and public-open millisecond splits.
+    Returns this party's record; storing it is the node's.
     """
     _pad_member(member_id)  # refuse an id no final-tuple record can hold, before any round
-    cfg = env.config
+    cfg = node.config
     scheme = cfg.scheme
     participants = session.participants
     t_start = time.perf_counter()
 
     if scheme.is_shamir:
         # each party deals a random polynomial; [sk] is the sum of the deals
-        contribution = FieldElement.random(env.rng)
+        contribution = FieldElement.random(node.rng)
         my_deal = deal(scheme, contribution, len(participants), cfg.t,
-                       env.rng, owners=participants)
+                       node.rng, owners=participants)
         by_owner = {s.owner: s for s in my_deal}
         payloads = {peer: by_owner[peer].to_bytes() for peer in session.peers}
         replies = session.run_round(payloads)
-        sk_share = by_owner[env.party_id]
+        sk_share = by_owner[node.party_id]
         try:
             for blob in replies.values():
                 sk_share = share_add(sk_share, Share.from_bytes(blob))
@@ -463,13 +459,13 @@ def keygen(env: PhaseEnv, session, member_id: str,
         # dealer mask (m_i revealed to party i), broadcast eps_i = x_i - m_i,
         # and set [x_i] = [m_i] + eps_i; [sk] = sum_i [x_i]
         masks = {
-            owner: env.triple_source.next_input_mask(scheme, owner)
+            owner: node.triple_source.next_input_mask(scheme, owner)
             for owner in participants
         }
-        my_sample = FieldElement.random(env.rng)
-        my_eps = my_sample - masks[env.party_id].cleartext
+        my_sample = FieldElement.random(node.rng)
+        my_eps = my_sample - masks[node.party_id].cleartext
         replies = session.broadcast(my_eps.to_bytes())
-        eps = {env.party_id: my_eps}
+        eps = {node.party_id: my_eps}
         try:
             for peer, blob in replies.items():
                 eps[peer] = FieldElement.from_bytes(blob)
@@ -478,12 +474,12 @@ def keygen(env: PhaseEnv, session, member_id: str,
         sk_share = None
         for owner in participants:
             masked = share_scale_add(
-                masks[owner].share, FieldElement.one(), eps[owner], env.mac_key
+                masks[owner].share, FieldElement.one(), eps[owner], node.mac_key
             )
             sk_share = masked if sk_share is None else share_add(sk_share, masked)
     else:
         # plain additive: local samples are already an additive sharing
-        sk_share = Share(scheme, env.party_id, FieldElement.random(env.rng))
+        sk_share = Share(scheme, node.party_id, FieldElement.random(node.rng))
 
     t_secret = time.perf_counter()
     pk = session.open_point(scalar_mul(sk_share.value, GENERATOR))
@@ -493,33 +489,31 @@ def keygen(env: PhaseEnv, session, member_id: str,
     if timings is not None:
         timings["secret_ms"] = (t_secret - t_start) * 1000.0
         timings["public_ms"] = (t_public - t_secret) * 1000.0
-    record = KeyShareRecord(member_id, sk_share, pk, env.epoch)
-    env.key_records[member_id] = record
-    return record
+    return KeyShareRecord(member_id, sk_share, pk, node.epoch)
 
 
 # --- phase 2: member-independent preprocessing -----------------------------------
 
-def preprocess_independent(env: PhaseEnv, session, count: int) -> list[InitialTuple]:
+def preprocess_independent(node: PartyNode, session, count: int) -> list[InitialTuple]:
     """Store `count` initial tuples from fresh triples; no frame is sent.
 
     Per triple (a, b, c): [1/k] := [a], so k = 1/a, beside the bare share
     b_i and [c].  Phase 3 opens c with its Beaver diffs, MAC-checks it and
     aborts on c = 0 before it computes any share (b_i / c) * G of k*G.
     """
-    triples = [env.triple_source.next_triple(env.config.scheme) for _ in range(count)]
+    triples = [node.triple_source.next_triple(node.config.scheme) for _ in range(count)]
     produced = []
     for tr in triples:
         tr.mark_consumed()
-        tup = InitialTuple(tr.triple_id, env.epoch, tr.a, tr.b.value, tr.c)
-        env.tuple_store.add_initial(tup)
+        tup = InitialTuple(tr.triple_id, node.epoch, tr.a, tr.b.value, tr.c)
+        node.tuple_store.add_initial(tup)
         produced.append(tup)
     return produced
 
 
 # --- phase 3: member-dependent preprocessing --------------------------------------
 
-def preprocess_dependent(env: PhaseEnv, session, member_id: str,
+def preprocess_dependent(node: PartyNode, session, member_id: str,
                          count: int) -> list[FinalTuple]:
     """Bind `count` initial tuples to a member: [sk/k] = beaver([sk], [1/k]).
 
@@ -538,19 +532,19 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
     point is opened here so the online phase stays free of curve work, and
     a degenerate R aborts the session before any final tuple is stored.
     """
-    cfg = env.config
-    record = env.key_records.get(member_id)
+    cfg = node.config
+    record = node.key_records.get(member_id)
     if record is None:
         raise TecdsaError(f"no key shares for member {member_id!r}")
-    store = env.tuple_store
+    store = node.tuple_store
 
     def bind(ids: list[bytes], tag: bytes, check):
         """Journal `ids` and open, behind the tag, each tuple's c share and
         Beaver diffs.  A short party journals and opens nothing, but draws
         its `count` triples too, so every dealer queue stays in step."""
-        initials = [store.checkout_initial_by_id(tid, env.epoch)
+        initials = [store.checkout_initial_by_id(tid, node.epoch)
                     for tid in ids] if len(ids) == count else []
-        triples = [env.triple_source.next_triple(cfg.scheme) for _ in range(count)]
+        triples = [node.triple_source.next_triple(cfg.scheme) for _ in range(count)]
         shares: list[Share] = []
         for init, tr in zip(initials, triples):
             shares.append(init.c_share)
@@ -559,8 +553,8 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
 
     initials, triples, opened = _agree(
         session, count, "initial preprocessing tuples depleted",
-        lambda limit: store.available_initial_ids(env.epoch, limit=limit),
-        lambda tid: store.checkout_initial_by_id(tid, env.epoch), bind)
+        lambda limit: store.available_initial_ids(node.epoch, limit=limit),
+        lambda tid: store.checkout_initial_by_id(tid, node.epoch), bind)
     session.run_mac_check()  # authenticate every c, d and e before using them
     if any(c.is_zero() for c in opened[0::3]):
         session.abort("degenerate preprocessing triple (c = 0)")
@@ -569,9 +563,9 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
     for init, tr, c, d, e in zip(initials, triples, opened[0::3], opened[1::3],
                                  opened[2::3]):
         finals.append(
-            FinalTuple(init.tuple_id, env.epoch, member_id,
+            FinalTuple(init.tuple_id, node.epoch, member_id,
                        scalar_mul(init.b_share * c.inv(), GENERATOR),
-                       init.k_inv_share, beaver_combine(tr, d, e, env.mac_key))
+                       init.k_inv_share, beaver_combine(tr, d, e, node.mac_key))
         )
 
     if cfg.precompute_r:
@@ -581,7 +575,7 @@ def preprocess_dependent(env: PhaseEnv, session, member_id: str,
             f.r_point = r
 
     for f in finals:
-        env.tuple_store.add_final(f)
+        node.tuple_store.add_final(f)
     return finals
 
 
@@ -685,7 +679,7 @@ class SigningGate(Protocol):
     def tally(self, votes: dict[int, bytes]) -> None: ...
 
 
-def sign_online(env: PhaseEnv, session, member_id: str,
+def sign_online(node: PartyNode, session, member_id: str,
                 messages: Sequence[bytes] = (),
                 gate: Optional[SigningGate] = None) -> list[SignResult]:
     """Sign every message of one request in one session; field operations only.
@@ -706,10 +700,10 @@ def sign_online(env: PhaseEnv, session, member_id: str,
     precomputed.  A consent step thus adds no round of its own, and a
     refused request has journaled its tuples and sent no s share.
     """
-    record = env.key_records.get(member_id)
+    record = node.key_records.get(member_id)
     if record is None:
         raise TecdsaError(f"no key shares for member {member_id!r}")
-    store = env.tuple_store
+    store = node.tuple_store
     count = len(messages) if gate is None else gate.count
     lead = b"" if gate is None else gate.lead
 
@@ -723,12 +717,12 @@ def sign_online(env: PhaseEnv, session, member_id: str,
 
     ids, leads = _agree(
         session, count, f"final tuples for member {member_id!r} depleted",
-        lambda limit: store.available_final_ids(member_id, env.epoch, limit=limit),
-        lambda tid: store.checkout_final_by_id(tid, member_id, env.epoch), exchange)
+        lambda limit: store.available_final_ids(member_id, node.epoch, limit=limit),
+        lambda tid: store.checkout_final_by_id(tid, member_id, node.epoch), exchange)
     vote = None
     if gate is not None:
         messages, vote = gate.read(leads)
-    tuples = [store.checkout_final_by_id(tid, member_id, env.epoch) for tid in ids]
+    tuples = [store.checkout_final_by_id(tid, member_id, node.epoch) for tid in ids]
 
     unopened = [t.k_point_share for t in tuples if t.r_point is None]
     opened = iter(())
@@ -742,8 +736,8 @@ def sign_online(env: PhaseEnv, session, member_id: str,
     zero = FieldElement.zero()
     s_shares = [
         share_add(
-            share_scale_add(tup.k_inv_share, hash_to_scalar(m), zero, env.mac_key),
-            share_scale_add(tup.sk_over_k_share, r_x, zero, env.mac_key),
+            share_scale_add(tup.k_inv_share, hash_to_scalar(m), zero, node.mac_key),
+            share_scale_add(tup.sk_over_k_share, r_x, zero, node.mac_key),
         )
         for tup, m, r_x in zip(tuples, messages, r_xs)
     ]

@@ -1,5 +1,6 @@
 """Transport, session, and node-workflow tests."""
 
+import errno
 import json
 import os
 import random
@@ -44,7 +45,7 @@ from drpki.runtime.transport import (
     pair_key,
 )
 from drpki.sharing import SchemeId, open_shares
-from drpki.tecdsa import PhaseEnv, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore, _id_tag, keygen, preprocess_dependent, preprocess_independent, sign_online
+from drpki.tecdsa import ProtocolConfig, StockDepletedError, TecdsaError, _id_tag
 from faults import (
     CrashError,
     count_curve_ops,
@@ -208,9 +209,10 @@ def _free_ports(n):
 
 
 def test_full_pipeline_over_tcp_sockets(tmp_path):
+    # five nodes, each on its own TCP transport, driven as `drpki serve`
+    # drives one: open_session and run, one session per op
     n, t = 5, 2
-    scheme = SchemeId.SHAMIR
-    config = ProtocolConfig.for_scheme(scheme)
+    config = ProtocolConfig.for_scheme(SchemeId.SHAMIR)
     ports = _free_ports(n)
     addresses = {i + 1: ("127.0.0.1", ports[i]) for i in range(n)}
     keys = derive_pair_keys(b"tcp-test", n)
@@ -228,30 +230,32 @@ def test_full_pipeline_over_tcp_sockets(tmp_path):
     for th in builders:
         th.join()
 
-    envs = {
-        p: PhaseEnv(
-            party_id=p, config=config, epoch=epoch,
-            tuple_store=TupleStore(str(tmp_path / f"party{p}"), p),
-            triple_source=dealer.view_for(p),
-            rng=random.Random(40 + p),
-        )
-        for p in addresses
-    }
+    nodes = {}
+    for p in addresses:
+        nodes[p] = PartyNode(p, config, str(tmp_path / f"party{p}"), epoch)
+        nodes[p].triple_source = dealer.view_for(p)
+        nodes[p].rng = random.Random(40 + p)
     results = {}
     messages = [b"tcp message", b"second tcp message"]
+    ops = [
+        {"op": "keygen", "member": "m"},
+        {"op": "preprocess-independent", "count": 2},
+        {"op": "preprocess-dependent", "member": "m", "count": 2},
+        {"op": "sign", "member": "m", "messages": [m.hex() for m in messages]},
+    ]
 
     def run_party(p):
-        def session(phase, sid):
-            return PartySession(p, list(addresses), sid, phase, transports[p],
-                                scheme, t, timeout=10.0, rng=envs[p].rng)
-
-        record = keygen(envs[p], session(PHASE_KEYGEN, b"kg" + bytes(14)), "m")
-        preprocess_independent(envs[p], session(2, b"pi" + bytes(14)), 2)
-        preprocess_dependent(envs[p], session(3, b"pd" + bytes(14)), "m", 2)
-        results[p] = (
-            record.pk,
-            sign_online(envs[p], session(4, b"on" + bytes(14)), "m", messages),
-        )
+        out = []
+        for counter, op in enumerate(ops, start=1):
+            phase = node_module.OP_PHASES[op["op"]]
+            session_id = node_module.session_id_for(epoch, phase, counter)
+            session = nodes[p].open_session(session_id, phase, list(addresses),
+                                            transports[p], timeout=10.0)
+            try:
+                out.append(nodes[p].run(op, session))
+            finally:
+                transports[p].drop(session_id)
+        results[p] = (out[0].pk, out[-1])
 
     workers = [threading.Thread(target=run_party, args=(p,)) for p in addresses]
     for th in workers:
@@ -260,6 +264,8 @@ def test_full_pipeline_over_tcp_sockets(tmp_path):
         th.join()
     for tr in transports.values():
         tr.close()
+    for node in nodes.values():
+        node.close()
 
     assert len(results) == n
     pk = results[1][0]
@@ -907,6 +913,64 @@ def test_request_on_a_tainted_epoch_with_no_stock_left_aborts(tmp_path):
     assert outcome.status == "aborted"
     assert outcome.reason == "epoch tainted by test-mode reconstruction"
     assert cluster.initial_stock() == 0
+    cluster.close()
+
+
+_DEAD_EPOCH_REASONS = {
+    "retired": "epoch retired after a failed authentication check",
+    "tainted": "epoch tainted by test-mode reconstruction",
+}
+
+
+@pytest.mark.parametrize("op_name", sorted(node_module.OP_PHASES))
+@pytest.mark.parametrize("dead", sorted(_DEAD_EPOCH_REASONS))
+def test_every_op_refuses_a_dead_epoch(tmp_path, dead, op_name):
+    # an epoch retired, or tainted by a test-mode reconstruction and reopened
+    # without test mode, refuses every op at every node before a frame is
+    # sent: `request` with an audited aborted outcome, every other op raises
+    config = ProtocolConfig.for_scheme(SchemeId.SHAMIR, test_mode=dead == "tainted")
+    cluster = LocalCluster(config, data_dir=str(tmp_path), seed=13)
+    _, _, roa = _issue_fixture(cluster, stock=2)
+    if dead == "tainted":
+        cluster.test_reconstruct_sk("memberA")
+    else:
+        for node in cluster.nodes.values():
+            node.retired_epochs.add(cluster.epoch)
+            node._save_state()
+    cluster.close()
+    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.SHAMIR),
+                           data_dir=str(tmp_path), seed=13)
+    reason = _DEAD_EPOCH_REASONS[dead]
+    ops = {
+        "keygen": {"op": "keygen", "member": "memberB"},
+        "preprocess-independent": {"op": "preprocess-independent", "count": 1},
+        "preprocess-dependent": {"op": "preprocess-dependent", "member": "memberA",
+                                 "count": 1},
+        "sign": {"op": "sign", "member": "memberA", "messages": [b"m".hex()]},
+        "request": {"op": "request", "member": "memberA", "action": Action.ISSUE.name,
+                    "payloads": [encode_canonical(roa).hex()], "initiator": 1,
+                    "ticket": None},
+    }
+    assert set(ops) == set(node_module.OP_PHASES)
+    sent = cluster.hub.counters.snapshot()
+    stocks = (cluster.initial_stock(), _final_stocks(cluster, "memberA"))
+    audits = {p: len(node.audit_lines()) for p, node in cluster.nodes.items()}
+    if op_name == "request":
+        outcomes = cluster._run_op(ops[op_name])
+        assert {(o.status, o.reason) for o in outcomes.values()} == {("aborted", reason)}
+        for p, node in cluster.nodes.items():
+            lines = node.audit_lines()
+            assert len(lines) == audits[p] + 1
+            entry = json.loads(lines[-1])
+            assert (entry["event"], entry["reason"]) == ("sign_aborted", reason)
+    else:
+        with pytest.raises(TecdsaError) as refused:
+            cluster._run_op(ops[op_name])
+        assert str(refused.value) == reason
+        assert {p: len(node.audit_lines()) for p, node in cluster.nodes.items()} == audits
+    assert cluster.hub.counters.snapshot() == sent
+    assert (cluster.initial_stock(), _final_stocks(cluster, "memberA")) == stocks
+    assert not any("memberB" in node.key_records for node in cluster.nodes.values())
     cluster.close()
 
 
@@ -1579,6 +1643,80 @@ def test_transfer_cut_before_its_manifest_leaves_old_roa_valid(tmp_path, monkeyp
     for node in reopened.nodes.values():
         assert set(node.objects) == {"roa-1.obj"}
         assert node.revoked_serials() == set()
+    reopened.close()
+
+
+def _fill_disk_at(monkeypatch, target):
+    """Writes to `target` through the node module stop halfway on a full disk."""
+    class Full:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.handle.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    real_open = open
+
+    def full_open(path, mode="r"):
+        handle = real_open(path, mode)
+        return Full(handle) if str(path) == str(target) else handle
+
+    monkeypatch.setattr(node_module, "open", full_open, raising=False)
+
+
+def test_failed_registry_append_is_cut_back_and_not_registered(tmp_path, monkeypatch):
+    # party 1's disk fills halfway through memberB's registry line: the
+    # append raises, the file is cut back to its previous size and memory
+    # keeps no memberB, so the next line and a reopen both stay whole
+    cluster = make_cluster(data_dir=str(tmp_path))
+    first = KeyPair.generate(rng).pk
+    cluster.register_member("memberA", first)
+    registry = tmp_path / "party1" / "members.jsonl"
+    before = registry.read_bytes()
+    _fill_disk_at(monkeypatch, registry)
+    with pytest.raises(OSError):
+        cluster.register_member("memberB", KeyPair.generate(rng).pk)
+    monkeypatch.undo()
+    assert registry.read_bytes() == before
+    assert cluster.nodes[1].member_registry == {"memberA": first}
+    third = KeyPair.generate(rng).pk
+    cluster.register_member("memberC", third)
+    live = {p: dict(node.member_registry) for p, node in cluster.nodes.items()}
+    cluster.close()
+    reopened = make_cluster(data_dir=str(tmp_path))
+    assert {p: node.member_registry for p, node in reopened.nodes.items()} == live
+    assert live[1] == {"memberA": first, "memberC": third}
+    reopened.close()
+
+
+def test_failed_ticket_approval_append_leaves_the_ticket_unapproved(tmp_path, monkeypatch):
+    # an approval whose line a full disk cuts short is not held in memory
+    # either, so approving again writes it, and a reopen keeps it
+    cluster = make_cluster(data_dir=str(tmp_path),
+                           policy=ConsentPolicy(flag_on_failed_consent=True))
+    _issue_fixture(cluster)
+    ticket = cluster.handle_sign_request(SignRequest(
+        "memberA", Action.REVOKE, [CrlRecord("memberA", 1500000001, (1,))], None)).ticket_id
+    tickets = tmp_path / "party1" / "tickets.jsonl"
+    before = tickets.read_bytes()
+    _fill_disk_at(monkeypatch, tickets)
+    with pytest.raises(OSError):
+        cluster.approve_ticket(ticket, 1)
+    monkeypatch.undo()
+    assert tickets.read_bytes() == before
+    assert cluster.ticket_approvals(ticket) == 0
+    assert cluster.approve_ticket(ticket, 1) == 1
+    cluster.close()
+    reopened = make_cluster(data_dir=str(tmp_path),
+                            policy=ConsentPolicy(flag_on_failed_consent=True))
+    assert reopened.ticket_approvals(ticket) == 1
     reopened.close()
 
 

@@ -512,6 +512,35 @@ def test_tuple_store_journal_appends_after_a_torn_tail_survive_reopen(tmp_path):
     third.close()
 
 
+@pytest.mark.parametrize("name", ["tuples_initial.dat", "tuples_final.dat", "tuples.journal"])
+def test_tuple_store_refuses_another_partys_file(tmp_path, name):
+    # party 2's file in party 1's directory: the store refuses to open and
+    # leaves the file as it found it, rather than load shares of owner 2
+    epoch = bytes(16)
+    for party in (1, 2):
+        store = TupleStore(str(tmp_path / f"party{party}"), party=party)
+        share = _sample_share(owner=party)
+        store.add_initial(InitialTuple(bytes([party]) * 16, epoch, share, FieldElement(5), share))
+        store.add_final(FinalTuple(bytes([party]) * 16, epoch, "alice", _sample_point(),
+                                   share, share))
+        store.checkout_initial(epoch)
+        store.close()
+    foreign = (tmp_path / "party2" / name).read_bytes()
+    target = tmp_path / "party1" / name
+    target.write_bytes(foreign)
+    with pytest.raises(TecdsaError, match=name):
+        TupleStore(str(tmp_path / "party1"), party=1)
+    assert target.read_bytes() == foreign
+
+
+def test_tuple_store_cuts_a_torn_header(tmp_path):
+    # a crash while the first header was written leaves fewer than its 5 bytes
+    (tmp_path / "tuples_final.dat").write_bytes(b"DTS")
+    store = TupleStore(str(tmp_path), party=1)
+    store.close()
+    assert (tmp_path / "tuples_final.dat").read_bytes() == b"DTS1\x01"
+
+
 def test_initial_file_of_the_earlier_record_is_moved_aside(tmp_path):
     # a store written before initial tuples held b_i and [c]: its initial file
     # carries the final file's magic and 16 + 16 + 65 + 66 + 4-byte records

@@ -2,16 +2,19 @@
 
 perfbench/spans.py wraps drpki functions and methods by name from outside
 the package, so deleting or renaming one of them, or a wrapped store method
-that calls another wrapped one, breaks the traced benchmark run.  These tests
-load that module as it is and catch both in the fast suite.
+that calls another wrapped one, breaks the traced benchmark run, and so does
+moving the member id of a phase function off argument 2, where the tracer
+reads it.  These tests load that module as it is and catch all three in the
+fast suite.
 """
 
 import importlib.util
 from pathlib import Path
 
 from drpki.algebra import GENERATOR, FieldElement, scalar_mul
+from drpki.runtime import LocalCluster
 from drpki.sharing import SchemeId, Share
-from drpki.tecdsa import FinalTuple, InitialTuple, TupleStore
+from drpki.tecdsa import FinalTuple, InitialTuple, ProtocolConfig, TupleStore
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -78,3 +81,27 @@ def test_each_wrapped_store_method_counts_one_call(tmp_path, monkeypatch):
     assert store.final_stock("m", epoch) == 1
     store.close()
     assert calls == dict.fromkeys(STORE_NAMES, 1)
+
+
+def test_phase_spans_bind_to_the_request_of_their_member():
+    # each party thread binds to the request through the member id at
+    # argument 2 of keygen, preprocess_dependent and sign_online; Span.rid
+    # would fall back to the sole request in flight, so check the context
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.SHAMIR), seed=7)
+    try:
+        spans.install_drpki(tracer)
+        with tracer.request("r1", "m"):
+            cluster.keygen("m")
+            cluster.preprocess_independent(1)
+            cluster.preprocess_dependent("m", 1)
+            cluster.run_signing("m", b"traced")
+    finally:
+        tracer.uninstall()
+        cluster.close()
+    names = {"tecdsa.keygen", "tecdsa.preprocess_dependent", "tecdsa.sign_online"}
+    phase_spans = [s for s in tracer.spans if s.name in names]
+    assert len(phase_spans) == len(names) * len(cluster.participants)
+    assert {s.name for s in phase_spans} == names
+    assert all(s.ctx.rid == "r1" for s in phase_spans)
