@@ -146,6 +146,23 @@ def _mean_bytes_per_party(cluster: LocalCluster, phase_label: str,
     return statistics.fmean(totals)
 
 
+def _phase_row(label: str, setting: str, phase: str, durations: Sequence[float],
+               units: int, total_bytes: float, **extra) -> BenchRow:
+    """A phase's row from its run durations in ms, the units those runs
+    covered and the bytes each party sent over them."""
+    total_ms = sum(durations)
+    return BenchRow(
+        scheme=label, setting=setting, phase=phase,
+        runs=len(durations), unit_count=units,
+        mean_ms=statistics.fmean(durations),
+        stddev_ms=statistics.stdev(durations) if len(durations) > 1 else 0.0,
+        per_unit_ms=total_ms / units,
+        throughput_per_s=units * 1000.0 / total_ms,
+        bytes_per_party=total_bytes / units,
+        **extra,
+    )
+
+
 def bench_phase(
     phase: str,
     scheme: SchemeId,
@@ -173,16 +190,9 @@ def bench_phase(
                 durations.append((time.perf_counter() - before) * 1000.0)
                 secrets_ms.append(timing["secret_ms"])
                 publics_ms.append(timing["public_ms"])
-            return BenchRow(
-                scheme=label, setting=setting, phase=phase,
-                runs=repetitions, unit_count=repetitions,
-                mean_ms=statistics.fmean(durations),
-                stddev_ms=statistics.stdev(durations) if len(durations) > 1 else 0.0,
-                per_unit_ms=statistics.fmean(durations),
-                throughput_per_s=1000.0 / statistics.fmean(durations),
-                bytes_per_party=_mean_bytes_per_party(
-                    cluster, "keygen", {}
-                ) / repetitions,
+            return _phase_row(
+                label, setting, phase, durations, repetitions,
+                _mean_bytes_per_party(cluster, "keygen", {}),
                 secret_ms=statistics.fmean(secrets_ms),
                 public_ms=statistics.fmean(publics_ms),
             )
@@ -194,19 +204,10 @@ def bench_phase(
             cluster.preprocess_independent(tuples)
             cluster.preprocess_dependent("bench-member", tuples)
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            bytes_ind = _mean_bytes_per_party(
-                cluster, "preprocess_independent", before_bytes
-            )
-            bytes_dep = _mean_bytes_per_party(
-                cluster, "preprocess_dependent", before_bytes
-            )
-            return BenchRow(
-                scheme=label, setting=setting, phase=phase,
-                runs=1, unit_count=tuples,
-                mean_ms=elapsed_ms, stddev_ms=0.0,
-                per_unit_ms=elapsed_ms / tuples,
-                throughput_per_s=tuples / (elapsed_ms / 1000.0),
-                bytes_per_party=(bytes_ind + bytes_dep) / tuples,
+            return _phase_row(
+                label, setting, phase, [elapsed_ms], tuples,
+                _mean_bytes_per_party(cluster, "preprocess_independent", before_bytes)
+                + _mean_bytes_per_party(cluster, "preprocess_dependent", before_bytes),
             )
 
         if phase == "online":
@@ -219,17 +220,9 @@ def bench_phase(
                 started = time.perf_counter()
                 cluster.run_signing("bench-member", b"bench message %d" % i)
                 durations.append((time.perf_counter() - started) * 1000.0)
-            total_s = sum(durations) / 1000.0
-            return BenchRow(
-                scheme=label, setting=setting, phase=phase,
-                runs=signatures, unit_count=signatures,
-                mean_ms=statistics.fmean(durations),
-                stddev_ms=statistics.stdev(durations) if len(durations) > 1 else 0.0,
-                per_unit_ms=statistics.fmean(durations),
-                throughput_per_s=signatures / total_s,
-                bytes_per_party=_mean_bytes_per_party(
-                    cluster, "online", before_bytes
-                ) / signatures,
+            return _phase_row(
+                label, setting, phase, durations, signatures,
+                _mean_bytes_per_party(cluster, "online", before_bytes),
             )
 
         if phase == "online-parallel":

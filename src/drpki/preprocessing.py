@@ -14,8 +14,8 @@ from __future__ import annotations
 import io
 import struct
 import threading
-from dataclasses import dataclass, field
-from typing import BinaryIO, Optional, Sequence
+from dataclasses import dataclass
+from typing import BinaryIO, Callable, Optional, Sequence
 
 from .algebra import FieldElement
 from .sharing import (
@@ -151,9 +151,11 @@ class TripleSource:
 class TrustedDealer(TripleSource):
     """In-process dealer shared by all parties' sessions.
 
-    Per-party queues stay aligned because every party consumes in protocol
-    lockstep; the lock makes concurrent sessions safe.  The dealer transiently
-    sees whole triples - that is the documented trust assumption.
+    Each party has a triple queue and a mask queue.  A party that finds its
+    queue empty draws one fresh sharing, which appends one record to every
+    owner's queue, so the queues stay aligned while every party consumes in
+    protocol lockstep; the lock makes concurrent sessions safe.  The dealer
+    transiently sees whole triples - that is the documented trust assumption.
     """
 
     def __init__(self, n: int, t: int, rng=None,
@@ -173,39 +175,30 @@ class TrustedDealer(TripleSource):
     def view_for(self, party: int) -> "DealerPartyView":
         return DealerPartyView(self, party)
 
-    def _refill_triples(self, scheme: SchemeId) -> None:
-        batch = dealer_generate(
-            scheme, 1, self.n, self.t, self._rng, self._mac_keys, self.epoch,
-            owners=self.owners,
-        )
-        for per_party in batch:
-            for i, rec in enumerate(per_party):
-                self._triple_queues[self.owners[i]].append(rec)
+    def _next(self, queues: dict[int, list], party: int, draw: Callable[[], Sequence]):
+        """Pop `party`'s next record; an empty queue first appends one fresh
+        draw, one record per owner, to every owner's queue."""
+        with self._lock:
+            if not queues[party]:
+                for owner, rec in zip(self.owners, draw()):
+                    queues[owner].append(rec)
+            return queues[party].pop(0)
 
     def next_triple_for(self, party: int, scheme: SchemeId) -> Triple:
-        with self._lock:
-            queue = self._triple_queues[party]
-            if not queue:
-                self._refill_triples(scheme)
-            triple = queue.pop(0)
-            if triple.scheme is not scheme:
-                raise PreprocessingError("dealer queue holds a different scheme")
-            return triple
+        triple = self._next(self._triple_queues, party, lambda: dealer_generate(
+            scheme, 1, self.n, self.t, self._rng, self._mac_keys, self.epoch,
+            owners=self.owners)[0])
+        if triple.scheme is not scheme:
+            raise PreprocessingError("dealer queue holds a different scheme")
+        return triple
 
     def next_mask_for(self, party: int, scheme: SchemeId, input_owner: int) -> InputMask:
-        with self._lock:
-            queue = self._mask_queues[party]
-            if not queue:
-                masks = dealer_generate_masks(
-                    scheme, input_owner, self.n, self.t, self._rng,
-                    self._mac_keys, self.epoch, owners=self.owners,
-                )
-                for i, rec in enumerate(masks):
-                    self._mask_queues[self.owners[i]].append(rec)
-            mask = queue.pop(0)
-            if mask.input_owner != input_owner:
-                raise PreprocessingError("dealer mask queue out of step")
-            return mask
+        mask = self._next(self._mask_queues, party, lambda: dealer_generate_masks(
+            scheme, input_owner, self.n, self.t, self._rng,
+            self._mac_keys, self.epoch, owners=self.owners))
+        if mask.input_owner != input_owner:
+            raise PreprocessingError("dealer mask queue out of step")
+        return mask
 
 
 class DealerPartyView(TripleSource):
@@ -226,15 +219,17 @@ class DealerPartyView(TripleSource):
 #
 # File layout: magic 'DRT1' | scheme u8 | n u8 | t u8 | party u8 | epoch 16B,
 # then records:  kind u8 (0 triple, 1 mask) followed by the fixed-width body.
+# `encode_replay` builds a whole file's bytes; `drpki deal` writes them with
+# the node's whole-file writer, so a file is either old or new, never part.
 
 _FILE_MAGIC = b"DRT1"
 _KIND_TRIPLE = 0
 _KIND_MASK = 1
 
 
-def _write_share_body(out: BinaryIO, share: Share) -> None:
-    out.write(share.value.to_bytes())
-    out.write(share.mac.to_bytes() if share.mac is not None else b"\x00" * 32)
+def _share_body(share: Share) -> bytes:
+    return share.value.to_bytes() + (share.mac.to_bytes() if share.mac is not None
+                                     else b"\x00" * 32)
 
 
 def _read_share_body(buf: BinaryIO, scheme: SchemeId, owner: int) -> Share:
@@ -244,8 +239,7 @@ def _read_share_body(buf: BinaryIO, scheme: SchemeId, owner: int) -> Share:
     return Share(scheme, owner, value, mac)
 
 
-def write_replay_file(
-    path: str,
+def encode_replay(
     party: int,
     scheme: SchemeId,
     n: int,
@@ -253,23 +247,17 @@ def write_replay_file(
     epoch: bytes,
     triples: Sequence[Triple],
     masks: Sequence[InputMask] = (),
-) -> None:
-    with open(path, "wb") as out:
-        out.write(_FILE_MAGIC)
-        out.write(struct.pack("BBBB", scheme.value, n, t, party))
-        out.write(epoch)
-        for tr in triples:
-            out.write(bytes([_KIND_TRIPLE]))
-            out.write(tr.triple_id)
-            for sh in (tr.a, tr.b, tr.c):
-                _write_share_body(out, sh)
-        for mk in masks:
-            out.write(bytes([_KIND_MASK]))
-            out.write(mk.mask_id)
-            out.write(bytes([mk.input_owner]))
-            _write_share_body(out, mk.share)
-            clear = mk.cleartext.to_bytes() if mk.cleartext is not None else b"\x00" * 32
-            out.write(clear)
+) -> bytes:
+    """One party's dealer file, whole, for `FileReplay` to read."""
+    out = [_FILE_MAGIC, struct.pack("BBBB", scheme.value, n, t, party), epoch]
+    for tr in triples:
+        out += [bytes([_KIND_TRIPLE]), tr.triple_id,
+                _share_body(tr.a), _share_body(tr.b), _share_body(tr.c)]
+    for mk in masks:
+        clear = mk.cleartext.to_bytes() if mk.cleartext is not None else b"\x00" * 32
+        out += [bytes([_KIND_MASK]), mk.mask_id, bytes([mk.input_owner]),
+                _share_body(mk.share), clear]
+    return b"".join(out)
 
 
 class FileReplay(TripleSource):

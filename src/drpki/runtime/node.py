@@ -1,11 +1,12 @@
 """Party nodes and the five-node signing service.
 
 A PartyNode owns one RIR's durable state: tuple store, key-share records,
-member consent registry, published-object store, CRL state, intervention
-tickets, and an append-only audit log.  It is also the one phase driver:
-`open_session` builds the party's session for a phase, and `run` executes
-one op (keygen, preprocess-independent, preprocess-dependent, sign,
-request) over it; the phase functions of `tecdsa` run on the node itself.
+member consent registry, published-object store (whose CRL objects are its
+revocations), intervention tickets, and an append-only audit log.  It is
+also the one phase driver: `open_session` builds the party's session for a
+phase, and `run` executes one op (keygen, preprocess-independent,
+preprocess-dependent, sign, request) over it; the phase functions of
+`tecdsa` run on the node itself.
 Both transports use it: the LocalCluster runs five nodes over the
 in-process hub, one thread per party per op, and `drpki serve` runs one
 node over TCP.  Session ids are sha256(epoch | phase | counter) on both.
@@ -269,9 +270,10 @@ class PartyNode:
     """One RIR node: stores, registries, audit log, and durable state.
 
     All state lives under `data_dir`, written through `_write_file` and
-    `_append_line`, and is read back on construction; the CRL state is
-    rebuilt from the published CRL objects.  The node is the only writer
-    of its records: a phase returns a key record for `store_key_record`.
+    `_append_line`, and is read back on construction.  Revocations have no
+    store of their own: `revoked_serials` reads them off the published CRL
+    objects.  The node is the only writer of its records: a phase returns a
+    key record for `store_key_record`.
     """
 
     def __init__(self, party_id: int, config: ProtocolConfig,
@@ -292,7 +294,6 @@ class PartyNode:
         self.member_registry: dict[str, GroupPoint] = {}
         self.consent_inbox: dict[str, ConsentToken] = {}
         self.objects: dict[str, SignedObject] = {}  # filename -> object
-        self.crl_state: dict[str, tuple[int, ...]] = {}
         self.tickets: dict[str, InterventionTicket] = {}
         self.retired_epochs: set[bytes] = set()
         self.tainted_epochs: set[bytes] = set()
@@ -346,11 +347,6 @@ class PartyNode:
             for name in line.split()[::2])
         for name in listed:
             self.objects[name] = SignedObject.from_bytes((self.dir / "objects" / name).read_bytes())
-            self._merge_crl(self.objects[name].record())
-        legacy = self.dir / "crl.json"  # revocations kept by older versions; never written
-        if legacy.exists():
-            for issuer, serials in json.loads(legacy.read_text()).items():
-                self._merge_crl(CrlRecord(issuer, 0, tuple(serials)))
         self.audit_seq = len(_read_lines(self.dir / "audit.jsonl"))
 
     def _save_state(self) -> None:
@@ -547,7 +543,7 @@ class PartyNode:
     def publish_batch(self, objects: Sequence[SignedObject],
                       ticket_id: Optional[str] = None) -> None:
         """Atomically publish a batch: all files, then the manifest line that
-        commits them, then the CRL merge and one audit entry.
+        commits them, then one audit entry.
 
         The batch's line lists its `name digest` pairs and is appended, so a
         publish costs the same however many objects the node holds; a torn
@@ -560,25 +556,18 @@ class PartyNode:
             _append_line(self.dir / "objects" / "manifest.txt", " ".join(
                 f"{name} {obj.digest.hex()}" for name, obj in batch.items()))
             self.objects.update(batch)
-            for obj in objects:
-                self._merge_crl(obj.record())
         self.audit(
             "published",
             digests=[obj.digest.hex() for obj in objects],
             ticket=ticket_id,
         )
 
-    def _merge_crl(self, record) -> None:
-        """Fold a CRL's serials into its issuer's revoked set; other records are ignored."""
-        if isinstance(record, CrlRecord):
-            merged = set(self.crl_state.get(record.issuer_id, ())) | set(record.revoked_serials)
-            self.crl_state[record.issuer_id] = tuple(sorted(merged))
-
     def revoked_serials(self) -> set[int]:
-        out: set[int] = set()
-        for serials in self.crl_state.values():
-            out.update(serials)
-        return out
+        """The union of the serials the published CRL objects revoke."""
+        with self._lock:
+            crls = [obj for obj in self.objects.values()
+                    if obj.payload_kind is PayloadKind.CRL]
+        return {serial for obj in crls for serial in obj.record().revoked_serials}
 
     def export_tal(self, trust_anchor_member: str = "#ta") -> TrustAnchorLocator:
         record = self.key_records.get(trust_anchor_member)
@@ -864,8 +853,16 @@ class LocalCluster:
             node.submit_consent(token)
 
     def register_member(self, member_id: str, consent_pk: GroupPoint) -> None:
+        """Register on every node, even past one whose append fails, then
+        raise the first failure; a later call converges, as a later line wins."""
+        errors: list[OSError] = []
         for node in self.nodes.values():
-            node.register_member(member_id, consent_pk)
+            try:
+                node.register_member(member_id, consent_pk)
+            except OSError as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
 
     def handle_sign_request(self, request: SignRequest) -> SignOutcome:
         if not request.payloads:

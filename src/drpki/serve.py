@@ -11,9 +11,10 @@ epoch, which the node takes from its file, and serve refuses to start
 without that file or without the config's pair_secret or data_dir.  A
 dealer file is single-use: the first start leaves a `partyK.started`
 marker next to it, and serve refuses to start again until a new deal
-replaces the file.  A deal moves each new file into place whole and removes
-the markers only once every file is in place, so a deal cut short leaves no
-started file startable.
+replaces the file.  A deal writes each new file through the node's
+whole-file writer, `_write_file`, so it lands whole, and removes the markers
+only once every file is in place, so a deal cut short leaves no started file
+startable.
 
 One party runs with --script and initiates each operation by broadcasting a
 control frame; the others follow.  Script lines:
@@ -35,9 +36,9 @@ from pathlib import Path
 
 from .algebra import FieldElement, ecdsa_verify
 from .cli import load_config, protocol_config
-from .preprocessing import FileReplay, TrustedDealer, write_replay_file
+from .preprocessing import FileReplay, TrustedDealer, encode_replay
 from .sharing import MacKeyShare, generate_mac_keys
-from .runtime.node import OP_PHASES, PartyNode, session_id_for
+from .runtime.node import OP_PHASES, PartyNode, _write_file, session_id_for
 from .runtime.transport import (
     PHASE_CONTROL,
     SessionMessage,
@@ -55,14 +56,6 @@ def _addresses(cfg) -> dict[int, tuple[str, int]]:
         host, port = value.rsplit(":", 1)
         out[party] = (host, int(port))
     return out
-
-
-def _replace(path: Path, write) -> None:
-    """Write `path` through write(temporary path), then move it into place, so
-    `path` holds either its old or its new contents, never a part."""
-    tmp = path.with_name(path.name + ".tmp")
-    write(tmp)
-    os.replace(tmp, path)
 
 
 def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int:
@@ -86,11 +79,10 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
         for p in range(1, proto.n + 1):
             mask_records[p].append(dealer.next_mask_for(p, scheme, owner))
     for p in range(1, proto.n + 1):
-        _replace(out / f"party{p}.triples", lambda tmp: write_replay_file(
-            str(tmp), p, scheme, proto.n, proto.t, epoch, triples[p], mask_records[p]))
+        _write_file(out / f"party{p}.triples", encode_replay(
+            p, scheme, proto.n, proto.t, epoch, triples[p], mask_records[p]))
         if mac_keys is not None:
-            _replace(out / f"party{p}.mac", lambda tmp: tmp.write_text(
-                f"{mac_keys[p - 1].alpha_i.value:064x}\n"))
+            _write_file(out / f"party{p}.mac", f"{mac_keys[p - 1].alpha_i.value:064x}\n")
     # only now, with every new file whole and in place: a deal cut short
     # leaves an old file that was started still refused
     for p in range(1, proto.n + 1):

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .algebra import (  # noqa: F401 - perfbench/spans.py wraps sharing.scalar_mul by name
+from .algebra import (
     CURVE_ORDER,
     FieldElement,
     GroupPoint,
     lincomb,
-    scalar_mul,
+    scalar_mul,  # noqa: F401 - perfbench/spans.py wraps sharing.scalar_mul by name
 )
 
 

@@ -26,7 +26,6 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
@@ -61,33 +60,14 @@ class StockDepletedError(TecdsaError):
     """A preprocessing resource ran out; the message names which one."""
 
 
-class Adversary(Enum):
-    HONEST_BUT_CURIOUS = "honest-but-curious"
-    MALICIOUS = "malicious"
-
-
-class Majority(Enum):
-    HONEST = "honest"
-    DISHONEST = "dishonest"
-
-
-# the (adversary, majority) model each scheme instantiates
-_SCHEME_MODELS = {
-    SchemeId.SHAMIR: (Adversary.HONEST_BUT_CURIOUS, Majority.HONEST),
-    SchemeId.SHAMIR_CHECKED: (Adversary.MALICIOUS, Majority.HONEST),
-    SchemeId.ADDITIVE: (Adversary.HONEST_BUT_CURIOUS, Majority.DISHONEST),
-    SchemeId.ADDITIVE_MAC: (Adversary.MALICIOUS, Majority.DISHONEST),
-}
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """The scheme, the number of parties and two switches.
 
-    The scheme alone fixes its (adversary, majority) model, the threshold t
-    and the quorum of live parties a phase needs: t = (n-1)/2 under an honest
-    majority and n-1 under a dishonest one, and quorum = t + 1, which is all
-    n parties for the additive schemes.
+    The scheme fixes the threshold t and the quorum of live parties a phase
+    needs: the Shamir schemes assume an honest majority, t = (n-1)/2, and
+    the additive ones a dishonest majority, t = n-1; quorum = t + 1, which
+    is all n parties for the additive schemes.
     """
 
     scheme: SchemeId
@@ -101,17 +81,9 @@ class ProtocolConfig:
         return cls(scheme, n, test_mode, precompute_r)
 
     @property
-    def security(self) -> Adversary:
-        return _SCHEME_MODELS[self.scheme][0]
-
-    @property
-    def majority(self) -> Majority:
-        return _SCHEME_MODELS[self.scheme][1]
-
-    @property
     def t(self) -> int:
         """The most parties that may collude without learning a secret."""
-        return (self.n - 1) // 2 if self.majority is Majority.HONEST else self.n - 1
+        return (self.n - 1) // 2 if self.scheme.is_shamir else self.n - 1
 
     @property
     def quorum(self) -> int:

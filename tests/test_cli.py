@@ -337,14 +337,14 @@ def test_deal_cut_short_keeps_every_started_file_refused(workspace, monkeypatch)
     old = {p: (dealer / f"party{p}.triples").read_bytes() for p in range(1, 6)}
     for p in range(1, 6):
         (dealer / f"party{p}.started").touch()  # every party has started
-    real_write = serve_mod.write_replay_file
+    real_write = serve_mod._write_file
 
-    def failing_write(path, party, *args):
-        if party == 3:
+    def failing_write(path, data):
+        if path.name == "party3.triples":
             raise OSError("disk full")
-        real_write(path, party, *args)
+        real_write(path, data)
 
-    monkeypatch.setattr(serve_mod, "write_replay_file", failing_write)
+    monkeypatch.setattr(serve_mod, "_write_file", failing_write)
     with pytest.raises(OSError, match="disk full"):
         run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer))
     for p in range(1, 6):

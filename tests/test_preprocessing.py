@@ -16,7 +16,7 @@ from drpki.preprocessing import (
     beaver_diffs,
     dealer_generate,
     dealer_generate_masks,
-    write_replay_file,
+    encode_replay,
 )
 from drpki.sharing import (
     MacCheckAccumulator,
@@ -187,11 +187,11 @@ def test_replay_file_roundtrip(tmp_path):
     masks = dealer_generate_masks(scheme, 2, N, T, rng, mac_keys, epoch)
     for party in range(1, N + 1):
         path = tmp_path / f"party{party}.triples"
-        write_replay_file(
-            str(path), party, scheme, N, T, epoch,
+        path.write_bytes(encode_replay(
+            party, scheme, N, T, epoch,
             [batch[party - 1] for batch in batches],
             [masks[party - 1]],
-        )
+        ))
     replays = [FileReplay(str(tmp_path / f"party{p}.triples")) for p in range(1, N + 1)]
     assert all(r.remaining() == 5 for r in replays)
     for j in range(5):

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from drpki import rpki as rpki_module
 from drpki.algebra import GroupPoint, KeyPair, ecdsa_sign, ecdsa_verify
 from drpki.bench import WAN_RTT_MS, critical_path_rtt, one_way_delays
 from drpki.preprocessing import TrustedDealer
@@ -493,7 +494,7 @@ def test_consent_cannot_cover_another_members_records():
     )
     assert outcome.status == "aborted"
     assert outcome.reason == "consent-invalid"
-    assert all(not node.crl_state and not node.objects for node in cluster.nodes.values())
+    assert all(not node.objects for node in cluster.nodes.values())
     cluster.close()
 
 
@@ -537,7 +538,7 @@ def test_ticket_request_op_needs_quorum_of_node_approvals():
     })
     assert {o.status for o in outcomes.values()} == {"aborted"}
     for node in cluster.nodes.values():
-        assert not node.objects and not node.crl_state
+        assert not node.objects
         assert not node.tickets[ticket].completed
     cluster.close()
 
@@ -1608,11 +1609,37 @@ def test_crls_sharing_this_update_both_survive_reopen(tmp_path):
     reopened.close()
 
 
-def test_revocations_in_an_older_crl_file_are_kept(tmp_path):
+def test_a_crl_file_in_a_node_directory_revokes_nothing(tmp_path):
+    # only published, quorum-signed CRL objects revoke; a plain file does not
     make_cluster(data_dir=str(tmp_path)).close()
     (tmp_path / "party2" / "crl.json").write_text(json.dumps({"memberA": [4, 9]}))
     reopened = make_cluster(data_dir=str(tmp_path))
-    assert reopened.nodes[2].revoked_serials() == {4, 9}
+    assert reopened.nodes[2].revoked_serials() == set()
+    reopened.close()
+
+
+def test_reopen_decodes_no_object_payload(tmp_path, monkeypatch):
+    # revocations are read off the CRL objects when asked, so loading the
+    # object store decodes no payload
+    cluster = make_cluster(data_dir=str(tmp_path))
+    _, member_keys, roa = _issue_fixture(cluster)
+    token = sign_consent(member_keys.sk, "memberA", Action.ISSUE, [roa],
+                         expiry=int(time.time()) + 600, rng=rng)
+    assert cluster.handle_sign_request(
+        SignRequest("memberA", Action.ISSUE, [roa], token)).status == "published"
+    cluster.close()
+    calls = []
+    real_decode = rpki_module.decode_canonical
+
+    def counting_decode(blob):
+        calls.append(blob)
+        return real_decode(blob)
+
+    monkeypatch.setattr(rpki_module, "decode_canonical", counting_decode)
+    monkeypatch.setattr(node_module, "decode_canonical", counting_decode)
+    reopened = make_cluster(data_dir=str(tmp_path))
+    assert all(set(node.objects) == {"roa-1.obj"} for node in reopened.nodes.values())
+    assert len(calls) == 0
     reopened.close()
 
 
@@ -1693,6 +1720,27 @@ def test_failed_registry_append_is_cut_back_and_not_registered(tmp_path, monkeyp
     reopened = make_cluster(data_dir=str(tmp_path))
     assert {p: node.member_registry for p, node in reopened.nodes.items()} == live
     assert live[1] == {"memberA": first, "memberC": third}
+    reopened.close()
+
+
+def test_full_registry_disk_at_one_node_still_registers_at_the_others(tmp_path, monkeypatch):
+    # party 3's disk is full: the other four still register memberB and the
+    # call raises; once the disk has room, a second call brings party 3 in
+    cluster = make_cluster(data_dir=str(tmp_path))
+    cluster.register_member("memberA", KeyPair.generate(rng).pk)
+    key = KeyPair.generate(rng).pk
+    _fill_disk_at(monkeypatch, tmp_path / "party3" / "members.jsonl")
+    with pytest.raises(OSError):
+        cluster.register_member("memberB", key)
+    monkeypatch.undo()
+    holders = {p for p, node in cluster.nodes.items() if "memberB" in node.member_registry}
+    assert holders == {1, 2, 4, 5}
+    cluster.register_member("memberB", key)
+    live = {p: dict(node.member_registry) for p, node in cluster.nodes.items()}
+    assert all(registry["memberB"] == key for registry in live.values())
+    cluster.close()
+    reopened = make_cluster(data_dir=str(tmp_path))
+    assert {p: node.member_registry for p, node in reopened.nodes.items()} == live
     reopened.close()
 
 

@@ -11,10 +11,8 @@ from drpki.preprocessing import Triple, TripleSource, TupleReuseError
 from drpki.runtime import LocalCluster, SessionAbort
 from drpki.sharing import PointShare, ProtocolAbort, SchemeId, Share, open_point_shares, open_shares
 from drpki.tecdsa import (
-    Adversary,
     FinalTuple,
     InitialTuple,
-    Majority,
     ProtocolConfig,
     StockDepletedError,
     TecdsaError,
@@ -37,11 +35,6 @@ def make_cluster(scheme, seed=100, **kwargs):
 # --- configuration ---------------------------------------------------------
 
 def test_config_table_mapping():
-    assert ProtocolConfig.for_scheme(SchemeId.SHAMIR).security is Adversary.HONEST_BUT_CURIOUS
-    assert ProtocolConfig.for_scheme(SchemeId.SHAMIR).majority is Majority.HONEST
-    assert ProtocolConfig.for_scheme(SchemeId.SHAMIR_CHECKED).security is Adversary.MALICIOUS
-    assert ProtocolConfig.for_scheme(SchemeId.ADDITIVE).majority is Majority.DISHONEST
-    assert ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC).security is Adversary.MALICIOUS
     assert ProtocolConfig.for_scheme(SchemeId.SHAMIR).t == 2
     assert ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC).t == 4
     assert ProtocolConfig.for_scheme(SchemeId.SHAMIR_CHECKED).quorum == 3
