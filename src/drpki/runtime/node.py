@@ -11,7 +11,8 @@ Both transports use it: the LocalCluster runs five nodes over the
 in-process hub, one thread per party per op, and `drpki serve` runs one
 node over TCP.  Session ids are sha256(epoch | phase | counter) on both.
 An op whose MAC check fails at this node retires the node's own epoch; a
-peer's abort frame, whatever its text, never does.  `run` refuses every op
+peer's abort frame, whatever its text, never does.  Only phase 3 runs a
+MAC check, so only a restock can retire an epoch.  `run` refuses every op
 on a retired or tainted epoch before it sends anything: a `request` op
 returns an aborted outcome, and any other op raises.
 
@@ -21,13 +22,14 @@ every node's 20-byte tag of its lowest live final-tuple ids and, behind it,
 the initiator's payloads; once the tags agree each node journals those ids,
 one per payload.  Every node checks content and consent itself, audits its
 verdict, and votes in round 2 beside its R shares.  Only on a quorum of ok
-votes does a node reconstruct R and send its s shares in round 3 (then
-`mascot` runs its two-round MAC check), and it publishes.  So a `mascot`
-transfer takes 5 rounds and a one-payload `mal-shamir` request 3.  A failed
-vote burns the tuples agreed in round 1 and aborts, or under the flag
-policy opens an intervention ticket.  Completing a ticket is the same op:
-each node votes ok only if its own copy is approved, not completed, and
-holds the same payloads.
+votes does a node reconstruct R and send its s shares in round 3, and it
+publishes once every signature verifies against the member key and the R
+it holds; that verify, not a MAC check, accepts s under `mascot` too.  So
+a request takes 3 rounds under every scheme.  A failed vote burns the
+tuples agreed in round 1 and aborts, or under the flag policy opens an
+intervention ticket.  Completing a ticket is the same op: each node votes
+ok only if its own copy is approved, not completed, and holds the same
+payloads.
 """
 
 from __future__ import annotations

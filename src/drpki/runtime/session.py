@@ -227,7 +227,7 @@ class PartySession:
     def run_mac_check(self) -> None:
         """Commit/reveal check over every value opened since the last check.
 
-        Must run before any opened value is released to callers of the phase.
+        Must run before any opened value is used by the phase.
         A failed check sets `mac_failed` before the session aborts.
         """
         if not self.scheme.has_mac:

@@ -659,13 +659,33 @@ def sign_online(node: PartyNode, session, member_id: str,
     Round 1 agrees on a final tuple per message by tag (`_agree`), and each
     party journals the agreed ids before any share computed from them is
     sent.  One round then opens every R not opened during preprocessing,
-    one opens every s, and the authenticated scheme runs one MAC check over
-    them all.  The share step
-    computes [s] = H(M) * [1/k] + r_x * [sk/k] locally.  Every party verifies
-    each assembled signature against the member's public key and the R it
-    holds before returning any; a failure aborts rather than emitting bad
-    bytes.  So does a degenerate instance key (R the identity, r_x = 0 or
-    s = 0): the request ends there, and its tuples stay consumed.
+    and one opens every s.  The share step computes
+    [s] = H(M) * [1/k] + r_x * [sk/k] locally.  Every party verifies each
+    assembled signature against the member's public key and the R it holds
+    before returning any; a failure aborts rather than emitting bad bytes.
+    So does a degenerate instance key (R the identity, r_x = 0 or s = 0):
+    the request ends there, and its tuples stay consumed.
+
+    That verify, not a MAC check, accepts the opened s under the
+    authenticated scheme; the values phase 3 opens are used, not output,
+    so phase 3 MAC-checks them.  A MAC check over s would add nothing:
+      - the adversary receives every honest s share in the open round,
+        before any MAC check could run, so such a check would not change
+        its view;
+      - it would not cover R, since point opens carry no MAC;
+      - the check against the held R tests s * R = H(M) * G + r_x * pk,
+        which one s passes for a fixed R and pk: a shifted s share fails
+        it, and so does a shifted R share, since the s shares still give
+        the s that belongs to k * G, not to the held R; both abort with
+        "signature invalid";
+      - a rushing party that sees every honest share can make the output
+        (r, n - s); the plain ECDSA check accepts that, but its point is
+        -R, so the check against the held R rejects it;
+      - no MAC reveal is sent, so nothing about the key alpha is revealed;
+      - an s share equivocated between honest parties makes some publish
+        and others abort, as an equivocated MAC reveal in a last round
+        could too: security with abort, without agreement.
+    So only phase 3 can fail a MAC check and retire an epoch.
 
     With a `gate`, the messages come from its round-1 leads instead, and its
     votes ride on the R round, which then runs even when every R was
@@ -714,7 +734,7 @@ def sign_online(node: PartyNode, session, member_id: str,
         for tup, m, r_x in zip(tuples, messages, r_xs)
     ]
     s_values = session.open_field_batch(s_shares)
-    session.run_mac_check()
+    session.mac_accumulator.clear()  # s is accepted by the verify against R below
 
     results = []
     for tup, m, r_point, r_x, s in zip(tuples, messages, r_points, r_xs, s_values):

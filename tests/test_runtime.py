@@ -8,11 +8,14 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from drpki import rpki as rpki_module
-from drpki.algebra import GroupPoint, KeyPair, ecdsa_sign, ecdsa_verify
+from drpki.algebra import (
+    GENERATOR, GroupPoint, KeyPair, Signature, ecdsa_sign, ecdsa_verify, scalar_mul,
+)
 from drpki.bench import WAN_RTT_MS, critical_path_rtt, one_way_delays
 from drpki.preprocessing import TrustedDealer
 from drpki.rpki import (
@@ -32,6 +35,7 @@ from drpki.runtime import (
     verify_audit_completeness,
 )
 from drpki.runtime import node as node_module
+from drpki.runtime import session as session_module
 from drpki.runtime.transport import (
     PHASE_CONTROL,
     PHASE_KEYGEN,
@@ -45,7 +49,7 @@ from drpki.runtime.transport import (
     encode_frame,
     pair_key,
 )
-from drpki.sharing import SchemeId, open_shares
+from drpki.sharing import ProtocolAbort, SchemeId, open_shares
 from drpki.tecdsa import ProtocolConfig, StockDepletedError, TecdsaError, _id_tag
 from faults import (
     CrashError,
@@ -705,18 +709,18 @@ def test_transfer_stock_check_covers_both_payloads(policy):
 
 
 @pytest.mark.parametrize("scheme, op, precompute_r, rounds", [
-    (SchemeId.ADDITIVE_MAC, "transfer", False, 5),
+    (SchemeId.ADDITIVE_MAC, "transfer", False, 3),
     (SchemeId.SHAMIR_CHECKED, "issue", False, 3),
-    (SchemeId.ADDITIVE_MAC, "transfer", True, 5),
-    (SchemeId.ADDITIVE_MAC, "sign", False, 5),
+    (SchemeId.ADDITIVE_MAC, "transfer", True, 3),
+    (SchemeId.ADDITIVE_MAC, "sign", False, 3),
     (SchemeId.SHAMIR_CHECKED, "sign", True, 2),
 ], ids=["mascot-transfer", "mal-shamir-issue", "mascot-transfer-precompute-r",
         "mascot-sign", "mal-shamir-sign-precompute-r"])
 def test_sign_request_round_count(monkeypatch, scheme, op, precompute_r, rounds):
     # a request is one session: payloads and tuple ids, votes and R shares
-    # (votes alone when R was precomputed), s shares, and two MAC-check
-    # rounds under mascot, once for the whole request; a plain sign op keeps
-    # its rounds: tuple ids, R (none when precomputed), s and the MAC check
+    # (votes alone when R was precomputed), then s shares, under every
+    # scheme; a plain sign op keeps its rounds: tuple ids, R (none when
+    # precomputed) and s; no MAC check runs online
     cluster = LocalCluster(ProtocolConfig.for_scheme(scheme, precompute_r=precompute_r),
                            seed=55)
     _, member_keys, roa = _issue_fixture(cluster)
@@ -853,8 +857,9 @@ def test_batch_signs_from_common_ids_when_one_store_is_ahead():
 
 def test_fault_on_second_s_share_aborts_whole_transfer():
     # opens in order: R of both payloads, then s of the CRL, then s of the
-    # ROA; a corrupted ROA s share fails the batch's one MAC check and retires
-    # the epoch, which refuses the next request before its first round
+    # ROA; a corrupted ROA s share fails the verify against R, so neither
+    # object is published and both tuples are burned, but no epoch retires:
+    # the next request publishes
     cluster = make_cluster(SchemeId.ADDITIVE_MAC)
     _, member_keys, roa = _issue_fixture(cluster)
     request = _transfer_request(cluster, member_keys, roa)
@@ -862,33 +867,39 @@ def test_fault_on_second_s_share_aborts_whole_transfer():
     with inject_fault(3, opens_until_fault=3) as plan:
         outcome = cluster.handle_sign_request(request)
     assert outcome.status == "aborted"
-    assert "MAC check failed" in outcome.reason
+    assert "signature invalid" in outcome.reason
     assert plan.triggered
     assert all(not node.objects for node in cluster.nodes.values())
     assert _final_stocks(cluster, "memberA") == {p: s - 2 for p, s in stocks.items()}
-    assert all(cluster.epoch in node.retired_epochs for node in cluster.nodes.values())
-    sent = cluster.hub.counters.snapshot()
-    refused = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
-    assert refused.status == "aborted"
-    assert refused.reason == "epoch retired after a failed authentication check"
-    assert _final_stocks(cluster, "memberA") == {p: s - 2 for p, s in stocks.items()}
-    assert cluster.hub.counters.snapshot() == sent
-    for node in cluster.nodes.values():
-        entry = json.loads(node.audit_lines()[-1])
-        assert (entry["event"], entry["reason"]) == ("sign_aborted", refused.reason)
+    assert all(not node.retired_epochs for node in cluster.nodes.values())
+    following = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+    assert following.status == "published"
+    assert following.objects[0].verify()
+    assert _final_stocks(cluster, "memberA") == {p: s - 3 for p, s in stocks.items()}
+    assert all("roa-1.obj" in node.objects for node in cluster.nodes.values())
+    assert verify_audit_completeness(cluster)
     cluster.close()
 
 
 def test_request_on_a_retired_epoch_with_no_stock_left_aborts():
-    # the first request spends the member's one final tuple and fails its MAC
-    # check; the second finds no stock, and must not try to refill on the
-    # retired epoch but return every node's refusal
+    # the first request spends the member's one final tuple and fails its
+    # signature check; a restock then fails its MAC check and retires the
+    # epoch, burning its initial tuple.  The second request finds no stock,
+    # and must not try to refill on the retired epoch but return every
+    # node's refusal
     cluster = make_cluster(SchemeId.ADDITIVE_MAC, seed=5)
     _, member_keys, roa = _issue_fixture(cluster, stock=1)
     with inject_fault(3, opens_until_fault=1) as plan:
         first = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
     assert plan.triggered
-    assert first.status == "aborted" and "MAC check failed" in first.reason
+    assert first.status == "aborted" and "signature invalid" in first.reason
+    assert cluster.final_stock("memberA") == 0
+    cluster.preprocess_independent(1)
+    with pytest.raises(ProtocolAbort, match="MAC check failed"), \
+            inject_fault(3, opens_until_fault=1) as plan:
+        cluster.preprocess_dependent("memberA", 1)
+    assert plan.triggered
+    assert all(cluster.epoch in node.retired_epochs for node in cluster.nodes.values())
     assert cluster.final_stock("memberA") == 0
     second = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
     assert second.status == "aborted"
@@ -897,6 +908,139 @@ def test_request_on_a_retired_epoch_with_no_stock_left_aborts():
     for node in cluster.nodes.values():
         entry = json.loads(node.audit_lines()[-1])
         assert (entry["event"], entry["reason"]) == ("sign_aborted", second.reason)
+    cluster.close()
+
+
+# --- mascot online signing: s is accepted by the verify against R --------------
+
+def test_value_fault_on_any_s_share_aborts_and_retires_nothing():
+    # a transfer opens R of both payloads, then s of both: a corrupted s
+    # share, at either position and from any party, fails the verify
+    # against R at every node; nothing is published and the epoch stays live
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    _, member_keys, roa = _issue_fixture(cluster, stock=20)
+    for party in cluster.participants:
+        for position in (2, 3):
+            request = _transfer_request(cluster, member_keys, roa)
+            with inject_fault(party, opens_until_fault=position) as plan:
+                outcome = cluster.handle_sign_request(request)
+            assert plan.triggered
+            assert outcome.status == "aborted", (party, position)
+            assert "signature invalid" in outcome.reason
+            assert all(not node.objects for node in cluster.nodes.values())
+            assert all(not node.retired_epochs for node in cluster.nodes.values())
+            assert verify_audit_completeness(cluster)
+    assert cluster.final_stock("memberA") == 0
+    cluster.close()
+
+
+def test_negated_s_aborts_and_publishes_nothing(monkeypatch):
+    # a rushing party that has seen every honest s share can shift its own
+    # by -2s, so that every party opens n - s.  (r, n - s) passes the plain
+    # ECDSA check, which relying parties run, but its point is -R, so the
+    # verify against the held R refuses it.  s is read off the fault-free
+    # run of the same seed and request.
+    def issue(cluster):
+        _, member_keys, roa = _issue_fixture(cluster)
+        return cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC, seed=62)
+    published = issue(cluster).objects[0]
+    cluster.close()
+    honest = published.signature
+    assert ecdsa_verify(published.signer_pk, published.payload,
+                        Signature(honest.r_x, -honest.s))
+
+    open_field = PartySession.open_field_batch
+    opened = []
+
+    def rushing(self, shares, note=None, read_notes=None):
+        if self.phase != PHASE_ONLINE:
+            return open_field(self, shares, note, read_notes)
+        if self.party_id == 5:
+            shares = [replace(shares[0], value=shares[0].value - honest.s - honest.s)]
+        values = open_field(self, shares, note, read_notes)
+        opened.extend(values)
+        return values
+
+    monkeypatch.setattr(PartySession, "open_field_batch", rushing)
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC, seed=62)
+    outcome = issue(cluster)
+    assert opened == [-honest.s] * len(cluster.participants)
+    assert outcome.status == "aborted"
+    assert "signature invalid" in outcome.reason
+    assert all(not node.objects for node in cluster.nodes.values())
+    assert all(not node.retired_epochs for node in cluster.nodes.values())
+    cluster.close()
+
+
+def test_mac_fault_on_an_s_share_changes_no_signature():
+    # the MAC of an s share is never checked, so corrupting it alone gives
+    # the bytes of the fault-free run with the same seed
+    signatures = []
+    for faulted in (False, True):
+        cluster = make_cluster(SchemeId.ADDITIVE_MAC, seed=61)
+        pk = cluster.keygen("m")
+        cluster.preprocess_independent(1)
+        cluster.preprocess_dependent("m", 1)
+        if faulted:
+            with inject_fault(4, opens_until_fault=1, kind="mac") as plan:
+                result = cluster.run_signing("m", b"same bytes")
+            assert plan.triggered
+        else:
+            result = cluster.run_signing("m", b"same bytes")
+        assert ecdsa_verify(pk, b"same bytes", result.signature)
+        signatures.append(result.signature.to_bytes())
+        cluster.close()
+    assert signatures[0] == signatures[1]
+
+
+def test_online_mascot_session_runs_no_mac_check(monkeypatch):
+    # a phase-3 batch runs one MAC check per party; a request, and a plain
+    # sign op, run none
+    calls = []
+    evaluate = session_module.mac_check_evaluate
+
+    def counting(commitments, reveals):
+        calls.append(len(commitments))
+        return evaluate(commitments, reveals)
+
+    monkeypatch.setattr(session_module, "mac_check_evaluate", counting)
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    _, member_keys, roa = _issue_fixture(cluster)
+    assert len(calls) == len(cluster.participants)
+    del calls[:]
+    outcome = cluster.handle_sign_request(_transfer_request(cluster, member_keys, roa))
+    assert outcome.status == "published"
+    assert len(cluster.run_signing("memberA", [b"one", b"two"])) == 2
+    assert calls == []
+    cluster.close()
+
+
+def test_wrong_public_key_from_a_faulted_mascot_keygen_never_publishes():
+    # a corrupted public-key share in mascot keygen stores a wrong key (a
+    # known defect: point opens carry no MAC); signing for that member must
+    # still end in "signature invalid", with nothing published
+    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC, test_mode=True),
+                           seed=21)
+    with inject_fault(3, 0) as plan:
+        pk = cluster.keygen("memberA")
+    assert plan.triggered
+    assert pk != scalar_mul(cluster.test_reconstruct_sk("memberA"), GENERATOR)
+    cluster.preprocess_independent(2)
+    cluster.preprocess_dependent("memberA", 2)
+    member_keys = KeyPair.generate(rng)
+    cluster.register_member("memberA", member_keys.pk)
+    roa = RoaRecord(serial=1, member_id="memberA", asn=64512,
+                    prefixes=(IpPrefix.parse("192.0.2.0/24", 24),),
+                    not_before=1500000000, not_after=1600000000, ee_pk=pk)
+    outcome = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+    assert outcome.status == "aborted"
+    assert "signature invalid" in outcome.reason
+    with pytest.raises(ProtocolAbort, match="signature invalid"):
+        cluster.run_signing("memberA", b"direct")
+    assert all(not node.objects for node in cluster.nodes.values())
+    assert all(not node.retired_epochs for node in cluster.nodes.values())
     cluster.close()
 
 
