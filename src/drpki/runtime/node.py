@@ -16,20 +16,23 @@ MAC check, so only a restock can retire an epoch.  `run` refuses every op
 on a retired or tainted epoch before it sends anything: a `request` op
 returns an aborted outcome, and any other op raises.
 
-The `request` op is the one consent-gated signing path, in one session, and
-its consent step rides on the rounds of `sign_online`.  Round 1 carries
-every node's 20-byte tag of its lowest live final-tuple ids and, behind it,
-the initiator's payloads; once the tags agree each node journals those ids,
-one per payload.  Every node checks content and consent itself, audits its
-verdict, and votes in round 2 beside its R shares.  Only on a quorum of ok
-votes does a node reconstruct R and send its s shares in round 3, and it
+The `request` op is the one consent-gated signing path, in one session of
+two rounds, and its consent step rides on the rounds of `sign_online`.
+Round 1 carries every node's 20-byte tag of its lowest live final-tuple
+ids, its 16-byte consent target, the initiator's payloads and the node's R
+shares; once the tags agree each node journals those ids, one per payload,
+and reconstructs R.  Every node checks content and consent itself, audits
+its verdict, and votes in round 2; it sends its s shares beside the vote
+only if its verdict is ok and no peer's non-zero target differs from its
+own, so a dissenter withholds them.  Each node tallies every vote before
+it decodes any s share, makes s from the ok voters' shares alone, and
 publishes once every signature verifies against the member key and the R
-it holds; that verify, not a MAC check, accepts s under `mascot` too.  So
-a request takes 3 rounds under every scheme.  A failed vote burns the
-tuples agreed in round 1 and aborts, or under the flag policy opens an
-intervention ticket.  Completing a ticket is the same op: each node votes
-ok only if its own copy is approved, not completed, and holds the same
-payloads.
+it holds; that verify, not a MAC check, accepts s under `mascot` too.  A
+vote without a quorum of ok burns the tuples agreed in round 1 and aborts,
+or under the flag policy opens an intervention ticket; differing targets
+abort with "consent targets differ".  Completing a ticket is the same op:
+each node votes ok only if its own copy is approved, not completed, and
+holds the same payloads.
 """
 
 from __future__ import annotations
@@ -198,8 +201,13 @@ def _read_lines(path: Path) -> list[str]:
     return data[:whole].decode().splitlines()
 
 
+def _frame_payloads(blobs: Sequence[bytes]) -> bytes:
+    """The initiator's framing of a request's payloads: each behind its 4-byte length."""
+    return b"".join(len(b).to_bytes(4, "big") + b for b in blobs)
+
+
 def _split_payloads(raw: bytes) -> list[bytes]:
-    """Undo the initiator's length-prefixed framing of a request's payloads."""
+    """Undo `_frame_payloads`."""
     blobs, off = [], 0
     while off < len(raw):
         end = off + 4 + int.from_bytes(raw[off:off + 4], "big")
@@ -217,25 +225,45 @@ class _Refused(Exception):
 class _RequestGate:
     """The consent step of one node's `request` op, riding on signing.
 
-    In round 1 the initiator's payloads go out behind the tuple tags; this
+    In round 1 this node's consent target and the initiator's payloads go
+    out behind the tuple tags.  The target is the first 16 bytes of the
+    object digest of this node's inbox token, or on the ticket path of the
+    digest of its ticket copy's payloads; zeros if it holds neither.  This
     node checks content and consent itself (or its own ticket copy), audits
-    its verdict, and votes in round 2 beside its R shares.  Without a quorum
-    of ok votes `tally` raises `_Refused` before any R is reconstructed.
+    its verdict, and votes in round 2.  It sends its s shares beside the
+    vote only if its verdict is ok and no peer's non-zero target differs
+    from its own, so two honest nodes never send s shares for different
+    payloads on one tuple, even when the initiator equivocates and the
+    inboxes differ.  `tally` raises `_Refused` without a quorum of ok votes,
+    aborts with "consent targets differ" when two non-zero targets differ,
+    and otherwise names the ok voters, whose s shares alone make s.  The
+    price of the target echo is liveness: differing targets abort a request
+    that a quorum of ok votes could have published.
     """
 
     def __init__(self, node: "PartyNode", op: dict, session: PartySession) -> None:
         self.node, self.op, self.session = node, op, session
         self.ticket_id = op.get("ticket")
         self.count = len(op["payloads"])
-        self.lead = b"".join(
-            len(b).to_bytes(4, "big") + b for b in map(bytes.fromhex, op["payloads"])
-        ) if node.party_id == op["initiator"] else b""
+        self.lead = (_frame_payloads([bytes.fromhex(p) for p in op["payloads"]])
+                     if node.party_id == op["initiator"] else b"")
+        if self.ticket_id is None:
+            token = node.consent_inbox.get(op["member"])
+            digest = token.object_digest if token is not None else None
+        else:
+            ticket = node.tickets.get(self.ticket_id)
+            digest = (hashlib.sha256(_frame_payloads(ticket.payload_blobs)).digest()
+                      if ticket is not None else None)
+        self.target = digest[:16] if digest else bytes(16)
         self.blobs: list[bytes] = []
         self.digest = ""
+        self.targets: dict[int, bytes] = {}
         self.votes: dict[int, bytes] = {}
 
-    def read(self, leads: dict[int, bytes]) -> tuple[list[bytes], bytes]:
+    def read(self, leads: dict[int, bytes],
+             targets: dict[int, bytes]) -> tuple[list[bytes], bytes, bool]:
         node, member_id = self.node, self.op["member"]
+        self.targets = targets
         try:
             self.blobs = _split_payloads(leads.get(self.op["initiator"], b""))
             if len(self.blobs) != self.count:
@@ -260,12 +288,21 @@ class _RequestGate:
                         and ticket.payload_blobs == self.blobs)
             verdict = "ok" if approved else "unapproved"
             node.audit("ticket_verdict", ticket=self.ticket_id, verdict=verdict)
-        return self.blobs, verdict.encode()
+        release = verdict == "ok" and self._nonzero_targets() == {self.target}
+        return self.blobs, verdict.encode(), release
 
-    def tally(self, votes: dict[int, bytes]) -> None:
+    def _nonzero_targets(self) -> set[bytes]:
+        """The distinct non-zero consent targets of round 1."""
+        return {t for t in self.targets.values() if any(t)}
+
+    def tally(self, votes: dict[int, bytes]) -> list[int]:
         self.votes = votes
-        if sum(v == b"ok" for v in votes.values()) < self.node.config.quorum:
+        ok = [p for p, vote in votes.items() if vote == b"ok"]
+        if len(ok) < self.node.config.quorum:
             raise _Refused()
+        if len(self._nonzero_targets()) > 1:
+            self.session.abort("consent targets differ")
+        return ok
 
 
 class PartyNode:

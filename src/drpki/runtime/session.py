@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from ..algebra import AlgebraError, FieldElement, GroupPoint
 from ..sharing import (
+    BareShare,
     MacCheckAccumulator,
     MacKeyShare,
     PointShare,
@@ -138,43 +139,59 @@ class PartySession:
                     note: Optional[bytes] = None, read_notes=None) -> list:
         """One broadcast round opening a batch of shared values.
 
-        Every peer's payload must decode, through `decode(peer, blob, count)`,
+        A `note` rides ahead of the shares behind its 4-byte length, and
+        every party's note, this party's included, goes to `read_notes`
+        before any share is decoded.  `read_notes` may return the senders:
+        the parties whose shares the values are reconstructed from (by
+        default every participant), which this party is among only if it
+        sent shares; the payloads of the others are not read.  Every
+        sender's payload must decode, through `decode(peer, blob, count)`,
         to exactly one share per value, or the session aborts; so does a
-        failed reconstruction check.  A `note` of at most 255 bytes rides
-        ahead of the shares, and every party's note, this party's included,
-        goes to `read_notes` before any share is decoded.
+        failed reconstruction check.  A party that is not a sender decodes
+        the first sender's payload with `count` None, and that payload sets
+        the count; so only a field open, whose shares have one width, may
+        leave this party out.
         """
         payload = b"".join(encode(s) for s in mine)
         if note is not None:
-            payload = bytes([len(note)]) + note + payload
+            payload = len(note).to_bytes(4, "big") + note + payload
         replies = self.broadcast(payload)
+        senders = self.participants
         if note is not None:
             notes = {self.party_id: note}
             for peer, blob in replies.items():
-                if not blob or len(blob) < 1 + blob[0]:
+                end = 4 + int.from_bytes(blob[:4], "big")
+                if len(blob) < end:
                     self.abort("malformed open payload")
-                notes[peer], replies[peer] = blob[1:1 + blob[0]], blob[1 + blob[0]:]
-            read_notes(notes)
-        per_party = {self.party_id: mine}
-        for peer, blob in replies.items():
+                notes[peer], replies[peer] = blob[4:end], blob[end:]
+            chosen = read_notes(notes)
+            if chosen is not None:
+                senders = sorted(chosen)
+        per_party, count = {}, None
+        if self.party_id in senders:
+            per_party[self.party_id], count = mine, len(mine)
+        for peer in senders:
+            if peer == self.party_id:
+                continue
             try:
-                per_party[peer] = decode(peer, blob, len(mine))
+                per_party[peer] = decode(peer, replies[peer], count)
             except (SharingError, AlgebraError, ValueError, IndexError):
                 self.abort("malformed open payload")
+            count = len(per_party[peer])
         opened = []
-        for i in range(len(mine)):
-            column = [per_party[p][i] for p in self.participants]
+        for i in range(count or 0):
+            column = [per_party[p][i] for p in senders]
             try:
                 opened.append(reconstruct(column, self.n_live, self.t))
             except ProtocolAbort as exc:
                 self.abort(str(exc))
         return opened
 
-    def _decode_field(self, peer: int, blob: bytes, count: int) -> list[Share]:
-        width = self.scheme.share_bytes
-        if len(blob) != width * count:
+    def _decode_field(self, peer: int, blob: bytes, count: Optional[int]) -> list[BareShare]:
+        width = BareShare.WIDTH
+        if len(blob) % width or (count is not None and len(blob) != width * count):
             raise SharingError("open payload length")
-        shares = [Share.from_bytes(blob[i * width:(i + 1) * width]) for i in range(count)]
+        shares = [BareShare.from_bytes(blob[i:i + width]) for i in range(0, len(blob), width)]
         if any(s.owner != peer or s.scheme is not self.scheme for s in shares):
             raise SharingError("share names another owner or scheme")
         return shares
@@ -194,13 +211,16 @@ class PartySession:
                          read_notes=None) -> list[FieldElement]:
         """One broadcast round opening many values; MAC checks are deferred.
 
+        Each share goes out bare, as scheme, owner and value: its MAC share
+        stays here and enters the MAC accumulator beside the opened value.
         For the checked Shamir scheme each reconstruction verifies polynomial
         consistency and aborts the session on a corrupted share.  A `note`
         and its reader ride on the round as in `_open_round`; an exception
         `read_notes` raises ends the open before any share is decoded, and
         nothing of it enters the MAC accumulator.
         """
-        values = self._open_round(shares, Share.to_bytes, self._decode_field, open_shares,
+        bare = [BareShare(s.scheme, s.owner, s.value) for s in shares]
+        values = self._open_round(bare, BareShare.to_bytes, self._decode_field, open_shares,
                                   note, read_notes)
         if self.scheme.has_mac:
             for value, share in zip(values, shares):

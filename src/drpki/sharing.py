@@ -122,6 +122,27 @@ class Share:
 
 
 @dataclass(frozen=True)
+class BareShare:
+    """A share without its MAC share: what an open sends.  A MAC share never
+    leaves its party; the deferred MAC check reads it where it is held."""
+
+    scheme: SchemeId
+    owner: int
+    value: FieldElement
+
+    WIDTH = 34
+
+    def to_bytes(self) -> bytes:
+        return bytes([self.scheme.value, self.owner]) + self.value.to_bytes()
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "BareShare":
+        if len(data) != cls.WIDTH:
+            raise SharingError(f"an opened share must be {cls.WIDTH} bytes")
+        return cls(SchemeId(data[0]), data[1], FieldElement.from_bytes(data[2:]))
+
+
+@dataclass(frozen=True)
 class PointShare:
     """A party's share of a curve point, combined under the scheme's rule."""
 

@@ -12,9 +12,10 @@ session:
 Each phase runs on a PartyNode and reads its state; it writes only to the
 node's tuple store, and keygen returns its key record for the node to store.
 
-Instance-key material is strictly single-use: stores mark tuples consumed
-durably before any protocol message references them, so a crash and restart
-can never reuse a nonce.
+Instance-key material is strictly single-use: stores mark a tuple consumed
+durably before any share computed from its [1/k] or [sk/k] is sent, so a
+crash and restart can never reuse a nonce.  Only a share of its R = k*G,
+which is the same on every send, may leave first.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class FinalTuple:
 #
 # Append-only record files plus a consumed-id journal, all CRC-protected.
 # A checkout appends to the journal and flushes to disk *before* returning,
-# so no protocol message can reference a tuple that a restart would resurrect.
+# so no s share can come from a tuple that a restart would resurrect.
 #
 # An initial record is id, epoch, [1/k], b_i (32 bytes) and [c]; a final
 # record is id, epoch, member, k*G share, [1/k], [sk/k], an R flag and R.
@@ -383,6 +384,10 @@ class TupleStore:
         with self._lock:
             return self._initial.get(tuple_id)
 
+    def final_record(self, tuple_id: bytes) -> Optional[FinalTuple]:
+        with self._lock:
+            return self._final.get(tuple_id)
+
     def close(self) -> None:
         for handle in self._files.values():
             handle.close()
@@ -632,39 +637,52 @@ def _r_x(session, r_point: GroupPoint) -> FieldElement:
 
 # --- phase 4: online signing ------------------------------------------------------
 
-class SigningGate(Protocol):
-    """A consent step that rides on the first two rounds of `sign_online`.
+# a round-1 note opens with the 20-byte tag and a 16-byte consent target
+_NOTE_HEAD = 20 + 16
 
-    `count` is the number of tuples to agree on, and `lead` goes out after
-    this party's tag in round 1.  `read(leads)` takes every party's round-1
-    lead once the tags agree, and returns the `count` messages to sign and
-    this party's vote, which goes out with its R shares in round 2.
-    `tally(votes)` takes every party's vote before any R is reconstructed,
-    and raises to stop the signing there.
+
+class SigningGate(Protocol):
+    """A consent step that rides on the two rounds of `sign_online`.
+
+    `count` is the number of tuples to agree on; `target` (16 bytes) and
+    `lead` go out after this party's tag in round 1.  `read(leads, targets)`
+    takes every party's round-1 lead and target once the tags agree, and
+    returns the `count` messages to sign, this party's vote, which goes out
+    in round 2, and whether this party's s shares go out beside it.
+    `tally(votes)` takes every party's vote before any s share is decoded;
+    it returns the parties whose s shares make s, or raises to stop the
+    signing there.
     """
 
     count: int
+    target: bytes
     lead: bytes
 
-    def read(self, leads: dict[int, bytes]) -> tuple[list[bytes], bytes]: ...
+    def read(self, leads: dict[int, bytes],
+             targets: dict[int, bytes]) -> tuple[list[bytes], bytes, bool]: ...
 
-    def tally(self, votes: dict[int, bytes]) -> None: ...
+    def tally(self, votes: dict[int, bytes]) -> Sequence[int]: ...
 
 
 def sign_online(node: PartyNode, session, member_id: str,
                 messages: Sequence[bytes] = (),
                 gate: Optional[SigningGate] = None) -> list[SignResult]:
-    """Sign every message of one request in one session; field operations only.
+    """Sign every message of one request in one session of two rounds.
 
-    Round 1 agrees on a final tuple per message by tag (`_agree`), and each
-    party journals the agreed ids before any share computed from them is
-    sent.  One round then opens every R not opened during preprocessing,
-    and one opens every s.  The share step computes
-    [s] = H(M) * [1/k] + r_x * [sk/k] locally.  Every party verifies each
-    assembled signature against the member's public key and the R it holds
-    before returning any; a failure aborts rather than emitting bad bytes.
-    So does a degenerate instance key (R the identity, r_x = 0 or s = 0):
-    the request ends there, and its tuples stay consumed.
+    Round 1 agrees on a final tuple per message by tag (`_agree`) and
+    carries, behind the tag, this party's R shares of its lowest live ids,
+    read without journaling.  An R share may leave first: a tuple's R share
+    is the same on every send, and under precompute_r R was opened in
+    preprocessing anyway.  No peer's R share is decoded until the tags
+    agree and this party has journaled the agreed ids; then every R not
+    opened during preprocessing is reconstructed.  Round 2 opens every s:
+    the share step computes [s] = H(M) * [1/k] + r_x * [sk/k] locally,
+    field operations only, so a tuple is journaled before any s share
+    leaves.  Every party verifies each assembled signature against the
+    member's public key and the R it holds before returning any; a failure
+    aborts rather than emitting bad bytes.  So does a degenerate instance
+    key (R the identity, r_x = 0 or s = 0): the request ends there, and
+    its tuples stay consumed.
 
     That verify, not a MAC check, accepts the opened s under the
     authenticated scheme; the values phase 3 opens are used, not output,
@@ -681,48 +699,57 @@ def sign_online(node: PartyNode, session, member_id: str,
       - a rushing party that sees every honest share can make the output
         (r, n - s); the plain ECDSA check accepts that, but its point is
         -R, so the check against the held R rejects it;
-      - no MAC reveal is sent, so nothing about the key alpha is revealed;
+      - no MAC share or MAC reveal is sent, so nothing about the key
+        alpha is revealed;
       - an s share equivocated between honest parties makes some publish
         and others abort, as an equivocated MAC reveal in a last round
         could too: security with abort, without agreement.
     So only phase 3 can fail a MAC check and retire an epoch.
 
-    With a `gate`, the messages come from its round-1 leads instead, and its
-    votes ride on the R round, which then runs even when every R was
-    precomputed.  A consent step thus adds no round of its own, and a
-    refused request has journaled its tuples and sent no s share.
+    With a `gate`, the messages come from its round-1 leads instead, and
+    its votes ride on the s round: a party whose gate withholds sends its
+    vote alone, and s is reconstructed from the shares of the parties the
+    tally names.  A consent step thus adds no round of its own, and a
+    refused request has journaled its tuples and decoded no s share.
+    precompute_r saves no round: it only moves the R open's curve work out
+    of the online phase.
     """
     record = node.key_records.get(member_id)
     if record is None:
         raise TecdsaError(f"no key shares for member {member_id!r}")
     store = node.tuple_store
     count = len(messages) if gate is None else gate.count
-    lead = b"" if gate is None else gate.lead
+    head = bytes(16) if gate is None else gate.target + gate.lead
+    targets: dict[int, bytes] = {}
+    leads: dict[int, bytes] = {}
 
     def exchange(ids: list[bytes], tag: bytes, check):
-        """Round 1: this party's tag, then its lead; returns `ids` and every lead."""
-        tags, leads = {session.party_id: tag}, {session.party_id: lead}
-        for peer, blob in session.broadcast(tag + lead).items():
-            tags[peer], leads[peer] = blob[:len(tag)], blob[len(tag):]
-        check(tags)
-        return ids, leads
+        """Round 1: the tag, target and lead as the note, then this party's R
+        shares of `ids`; returns the journaled tuples and their R points."""
+        held = [store.final_record(tid) for tid in ids]
+        tuples: list[FinalTuple] = []
 
-    ids, leads = _agree(
+        def read(notes: dict[int, bytes]) -> None:
+            if any(len(note) < _NOTE_HEAD for note in notes.values()):
+                session.abort("malformed tuple id payload")
+            check({p: note[:20] for p, note in notes.items()})
+            tuples.extend(store.checkout_final_by_id(tid, member_id, node.epoch)
+                          for tid in ids)
+            for p, note in notes.items():
+                targets[p], leads[p] = note[20:_NOTE_HEAD], note[_NOTE_HEAD:]
+
+        opened = iter(session.open_point_batch(
+            [t.k_point_share for t in held if t.r_point is None], tag + head, read))
+        return tuples, [t.r_point if t.r_point is not None else next(opened)
+                        for t in tuples]
+
+    tuples, r_points = _agree(
         session, count, f"final tuples for member {member_id!r} depleted",
         lambda limit: store.available_final_ids(member_id, node.epoch, limit=limit),
         lambda tid: store.checkout_final_by_id(tid, member_id, node.epoch), exchange)
-    vote = None
+    vote, release = None, True
     if gate is not None:
-        messages, vote = gate.read(leads)
-    tuples = [store.checkout_final_by_id(tid, member_id, node.epoch) for tid in ids]
-
-    unopened = [t.k_point_share for t in tuples if t.r_point is None]
-    opened = iter(())
-    if gate is not None:
-        opened = iter(session.open_point_batch(unopened, vote, gate.tally))
-    elif unopened:
-        opened = iter(session.open_point_batch(unopened))
-    r_points = [t.r_point if t.r_point is not None else next(opened) for t in tuples]
+        messages, vote, release = gate.read(leads, targets)
     r_xs = [_r_x(session, r) for r in r_points]
 
     zero = FieldElement.zero()
@@ -732,9 +759,14 @@ def sign_online(node: PartyNode, session, member_id: str,
             share_scale_add(tup.sk_over_k_share, r_x, zero, node.mac_key),
         )
         for tup, m, r_x in zip(tuples, messages, r_xs)
-    ]
-    s_values = session.open_field_batch(s_shares)
+    ] if release else []
+    if gate is None:
+        s_values = session.open_field_batch(s_shares)
+    else:
+        s_values = session.open_field_batch(s_shares, vote, gate.tally)
     session.mac_accumulator.clear()  # s is accepted by the verify against R below
+    if len(s_values) != len(tuples):
+        session.abort("malformed open payload")
 
     results = []
     for tup, m, r_point, r_x, s in zip(tuples, messages, r_points, r_xs, s_values):

@@ -97,6 +97,14 @@ def rewrite_frames(cluster, sender, phase, round_, rewrite):
         yield
 
 
+def rewrite_note(payload, rewrite):
+    """An open payload with its note, behind the note's 4-byte length,
+    replaced by rewrite(note); the shares behind the note are kept."""
+    end = 4 + int.from_bytes(payload[:4], "big")
+    note = rewrite(payload[4:end])
+    return len(note).to_bytes(4, "big") + note + payload[end:]
+
+
 def echo_round(cluster, payload, mute=(), timeout=None, echo_back=False):
     """One broadcast round on every live party, optionally followed by an
     echo of what each received; a muted party sends nothing."""

@@ -59,6 +59,7 @@ from faults import (
     echo_round,
     inject_fault,
     rewrite_frames,
+    rewrite_note,
 )
 
 rng = random.Random(0xD21_05)
@@ -579,12 +580,12 @@ def test_flipped_payload_bit_ends_in_timeout_abort():
                          ids=["owner", "scheme"])
 def test_field_open_share_naming_another_owner_or_scheme_aborts(offset, byte):
     # round 1 of preprocess_dependent opens c and the Beaver diffs after a
-    # 21-byte tag note; party 2's first share claims to be party 3's, or to
-    # be an unchecked Shamir share
+    # 20-byte tag note behind its 4-byte length; party 2's first share
+    # claims to be party 3's, or to be an unchecked Shamir share
     cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
     cluster.keygen("m")
     cluster.preprocess_independent(2)
-    at = 21 + offset
+    at = 24 + offset
     with rewrite_frames(cluster, 2, PHASE_PREPROCESS_DEPENDENT, 1,
                         lambda p: p[:at] + bytes([byte]) + p[at + 1:]), \
             pytest.raises(SessionAbort, match="malformed open payload"):
@@ -603,12 +604,14 @@ def test_point_open_payload_with_trailing_bytes_aborts():
 
 
 def test_truncated_request_payload_aborts_promptly():
-    # the initiator's round-1 payload loses its last 7 bytes
+    # the initiator's round-1 payloads, at the end of its note, lose their
+    # last 7 bytes
     cluster = make_cluster()
     _, member_keys, roa = _issue_fixture(cluster)
     request = _issue_request(cluster, member_keys, roa)
     started = time.perf_counter()
-    with rewrite_frames(cluster, 1, PHASE_ONLINE, 1, lambda p: p[:-7]):
+    with rewrite_frames(cluster, 1, PHASE_ONLINE, 1,
+                        lambda p: rewrite_note(p, lambda note: note[:-7])):
         outcome = cluster.handle_sign_request(request)
     assert time.perf_counter() - started < 5.0
     assert outcome.status == "aborted"
@@ -618,12 +621,13 @@ def test_truncated_request_payload_aborts_promptly():
 
 
 @pytest.mark.parametrize("round_, rewrite, reason", [
-    (1, lambda p: p[:3], "malformed tuple id payload"),
-    (2, lambda p: b"\xff" + p[1:], "malformed open payload"),
-], ids=["offer-count", "vote-length"])
+    (1, lambda p: rewrite_note(p, lambda note: note[:3]), "malformed tuple id payload"),
+    (1, lambda p: b"\xff" + p[1:], "malformed open payload"),
+], ids=["offer-count", "note-length"])
 def test_request_frame_with_a_bad_length_field_aborts_promptly(round_, rewrite, reason):
-    # party 2's round-1 frame loses the end of its 20-byte tuple tag, or its
-    # round-2 vote claims 255 bytes
+    # party 2's round-1 note loses the end of its 20-byte tuple tag, or the
+    # note's length claims more than 4 GB.  (A bad length in round 2, the
+    # last round, stops every peer but not party 2 itself.)
     cluster = make_cluster()
     _, member_keys, roa = _issue_fixture(cluster)
     request = _issue_request(cluster, member_keys, roa)
@@ -709,18 +713,18 @@ def test_transfer_stock_check_covers_both_payloads(policy):
 
 
 @pytest.mark.parametrize("scheme, op, precompute_r, rounds", [
-    (SchemeId.ADDITIVE_MAC, "transfer", False, 3),
-    (SchemeId.SHAMIR_CHECKED, "issue", False, 3),
-    (SchemeId.ADDITIVE_MAC, "transfer", True, 3),
-    (SchemeId.ADDITIVE_MAC, "sign", False, 3),
+    (SchemeId.ADDITIVE_MAC, "transfer", False, 2),
+    (SchemeId.SHAMIR_CHECKED, "issue", False, 2),
+    (SchemeId.ADDITIVE_MAC, "transfer", True, 2),
+    (SchemeId.ADDITIVE_MAC, "sign", False, 2),
     (SchemeId.SHAMIR_CHECKED, "sign", True, 2),
 ], ids=["mascot-transfer", "mal-shamir-issue", "mascot-transfer-precompute-r",
         "mascot-sign", "mal-shamir-sign-precompute-r"])
 def test_sign_request_round_count(monkeypatch, scheme, op, precompute_r, rounds):
-    # a request is one session: payloads and tuple ids, votes and R shares
-    # (votes alone when R was precomputed), then s shares, under every
-    # scheme; a plain sign op keeps its rounds: tuple ids, R (none when
-    # precomputed) and s; no MAC check runs online
+    # a request is one session of two rounds under every scheme: tuple tags,
+    # targets, payloads and R shares (none when R was precomputed), then
+    # votes and s shares; a plain sign op runs the same two rounds without
+    # the consent step; no MAC check runs online
     cluster = LocalCluster(ProtocolConfig.for_scheme(scheme, precompute_r=precompute_r),
                            seed=55)
     _, member_keys, roa = _issue_fixture(cluster)
@@ -751,8 +755,10 @@ def test_sign_request_round_count(monkeypatch, scheme, op, precompute_r, rounds)
 
 def test_request_at_full_stock_sends_a_twenty_byte_tag(monkeypatch):
     # a transfer at 17 final tuples, where an id list would carry 2 + 15 ids:
-    # each round-1 frame is the 20-byte tag and, from the initiator, the
-    # length-prefixed payloads
+    # each round-1 frame is a note, behind its 4-byte length, of the 20-byte
+    # tag, the 16-byte consent target and, from the initiator, the
+    # length-prefixed payloads, then an R share per payload (a 1-byte length
+    # and a 65-byte point)
     cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
     _, member_keys, roa = _issue_fixture(cluster, stock=17)
     request = _transfer_request(cluster, member_keys, roa)
@@ -770,7 +776,8 @@ def test_request_at_full_stock_sends_a_twenty_byte_tag(monkeypatch):
     outcome = cluster.handle_sign_request(request)
     assert outcome.status == "published"
     initiator = cluster.participants[0]
-    assert sent == {p: {20 + len(lead)} if p == initiator else {20}
+    shares = 2 * (1 + 65)
+    assert sent == {p: {4 + 20 + 16 + (len(lead) if p == initiator else 0) + shares}
                     for p in cluster.participants}
     cluster.close()
 
@@ -798,6 +805,136 @@ def test_refused_transfer_burns_its_tuples_before_any_s_share(monkeypatch):
     assert _final_stocks(cluster, "memberA") == {p: s - 2 for p, s in stocks.items()}
     assert all(not node.objects for node in cluster.nodes.values())
     assert verify_audit_completeness(cluster)
+    cluster.close()
+
+
+def _round_two_payloads(cluster, monkeypatch):
+    """Record each sender's online round-2 payloads: sender -> set of payloads."""
+    sent = {}
+    send = cluster.hub.send
+
+    def recording(sender, receiver, msg):
+        if msg.phase == PHASE_ONLINE and msg.round == 2:
+            sent.setdefault(sender, set()).add(msg.payload)
+        send(sender, receiver, msg)
+
+    monkeypatch.setattr(cluster.hub, "send", recording)
+    return sent
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.SHAMIR_CHECKED, SchemeId.ADDITIVE_MAC],
+                         ids=["mal-shamir", "mascot"])
+def test_dissenting_node_withholds_its_s_shares(monkeypatch, scheme):
+    # party 5 holds another consent key for the member, so its verdict is
+    # invalid and the other four are ok: party 5 sends its vote alone in
+    # round 2.  Under mal-shamir four ok votes are a quorum and every node
+    # makes s from the four ok voters' shares; under mascot they are not,
+    # and no node reconstructs s
+    cluster = make_cluster(scheme)
+    _, member_keys, roa = _issue_fixture(cluster)
+    cluster.nodes[5].register_member("memberA", KeyPair.generate(rng).pk)
+    request = _issue_request(cluster, member_keys, roa)
+    sent = _round_two_payloads(cluster, monkeypatch)
+    columns = []
+    open_shares_ = session_module.open_shares
+
+    def counting(shares, n, t):
+        columns.append(len(shares))
+        return open_shares_(shares, n, t)
+
+    monkeypatch.setattr(session_module, "open_shares", counting)
+    outcome = cluster.handle_sign_request(request)
+    assert sent[5] == {(7).to_bytes(4, "big") + b"invalid"}
+    assert all(sent[p] == {(2).to_bytes(4, "big") + b"ok" + payload[6:]}
+               and len(payload) == 4 + 2 + 34
+               for p in range(1, 5) for payload in sent[p])
+    if scheme is SchemeId.SHAMIR_CHECKED:
+        assert outcome.status == "published" and outcome.objects[0].verify()
+        assert columns == [4] * len(cluster.participants)
+    else:
+        assert outcome.status == "aborted" and outcome.reason == "consent-invalid"
+        assert columns == []
+        assert all(not node.objects for node in cluster.nodes.values())
+    assert verify_audit_completeness(cluster)
+    cluster.close()
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.SHAMIR_CHECKED, SchemeId.ADDITIVE_MAC],
+                         ids=["mal-shamir", "mascot"])
+def test_divergent_consent_targets_send_no_s_share(monkeypatch, scheme):
+    # parties 3-5 hold a token for another ROA than parties 1 and 2 do, and
+    # the initiator, party 1, shows each group the payloads its token
+    # covers (the leads are substituted where parties 3-5 read them).  Every
+    # verdict is ok, but the consent targets differ, so no node sends an s
+    # share: two s for one tuple and two messages would give away the key
+    cluster = make_cluster(scheme)
+    _, member_keys, roa = _issue_fixture(cluster)
+    request = replace(_issue_request(cluster, member_keys, roa), consent=None)
+    other = replace(roa, asn=64999)
+    token = sign_consent(member_keys.sk, "memberA", Action.ISSUE, [other],
+                         expiry=int(time.time()) + 600, rng=rng)
+    for party in (3, 4, 5):
+        cluster.nodes[party].submit_consent(token)
+    other_blob = encode_canonical(other)
+    other_lead = len(other_blob).to_bytes(4, "big") + other_blob
+    read = node_module._RequestGate.read
+
+    def equivocated(self, leads, *rest):
+        if self.node.party_id in (3, 4, 5):
+            leads = {**leads, self.op["initiator"]: other_lead}
+        return read(self, leads, *rest)
+
+    sent = []
+    open_field = PartySession.open_field_batch
+
+    def recording(self, shares, *rest):
+        if self.phase == PHASE_ONLINE:
+            sent.extend(shares)
+        return open_field(self, shares, *rest)
+
+    monkeypatch.setattr(node_module._RequestGate, "read", equivocated)
+    monkeypatch.setattr(PartySession, "open_field_batch", recording)
+    outcome = cluster.handle_sign_request(request)
+    assert sent == []
+    assert outcome.status == "aborted"
+    assert outcome.reason == "consent targets differ"
+    assert all(not node.objects for node in cluster.nodes.values())
+    cluster.close()
+
+
+def test_request_with_a_round_one_note_over_255_bytes_publishes():
+    # a revocation of 40 serials: the round-1 note, of tag, target and the
+    # initiator's framed CRL, is far longer than a 1-byte length can say
+    cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
+    _, member_keys, _ = _issue_fixture(cluster)
+    crl = CrlRecord("memberA", 1_500_000_001, tuple(range(1, 41)))
+    assert 20 + 16 + 4 + len(encode_canonical(crl)) > 255
+    token = sign_consent(member_keys.sk, "memberA", Action.REVOKE, [crl],
+                         expiry=int(time.time()) + 600, rng=rng)
+    cluster.submit_consent(token)
+    outcome = cluster.handle_sign_request(SignRequest("memberA", Action.REVOKE, [crl], token))
+    assert outcome.status == "published" and outcome.objects[0].verify()
+    assert all(node.revoked_serials() == set(range(1, 41)) for node in cluster.nodes.values())
+    cluster.close()
+
+
+@pytest.mark.parametrize("scheme, reason", [
+    (SchemeId.SHAMIR_CHECKED, "corrupted share detected"),
+    (SchemeId.ADDITIVE_MAC, "signature invalid"),
+], ids=["mal-shamir", "mascot"])
+@pytest.mark.parametrize("position", [0, 1], ids=["r-share", "s-share"])
+def test_faulted_r_or_s_share_aborts_the_request(scheme, reason, position):
+    # an issue opens its R in round 1 and its s in round 2; party 3 sends
+    # one of them off by one (R + G for the point)
+    cluster = make_cluster(scheme)
+    _, member_keys, roa = _issue_fixture(cluster)
+    request = _issue_request(cluster, member_keys, roa)
+    with inject_fault(3, opens_until_fault=position) as plan:
+        outcome = cluster.handle_sign_request(request)
+    assert plan.triggered
+    assert outcome.status == "aborted" and reason in outcome.reason
+    assert all(not node.objects for node in cluster.nodes.values())
+    assert all(not node.retired_epochs for node in cluster.nodes.values())
     cluster.close()
 
 
@@ -971,6 +1108,34 @@ def test_negated_s_aborts_and_publishes_nothing(monkeypatch):
     assert "signature invalid" in outcome.reason
     assert all(not node.objects for node in cluster.nodes.values())
     assert all(not node.retired_epochs for node in cluster.nodes.values())
+    cluster.close()
+
+
+def test_mascot_opens_send_no_mac_share(monkeypatch):
+    # the phase-3 round-1 frames party 1 receives: behind the tag note, each
+    # c, d and e goes out as a 34-byte bare share, and the MAC share of no
+    # sender's c is in its frame.  With MAC shares on the wire, one open
+    # gave alpha = sum(mac) / sum(value) to every party
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC, seed=3)
+    cluster.keygen("m")
+    cluster.preprocess_independent(2)
+    ids = cluster.nodes[1].tuple_store.available_initial_ids(cluster.epoch)
+    frames = {}
+    send = cluster.hub.send
+
+    def spying(sender, receiver, msg):
+        if receiver == 1 and msg.phase == PHASE_PREPROCESS_DEPENDENT and msg.round == 1:
+            frames[sender] = msg.payload
+        send(sender, receiver, msg)
+
+    monkeypatch.setattr(cluster.hub, "send", spying)
+    assert cluster.preprocess_dependent("m", 2) == 2
+    assert sorted(frames) == [2, 3, 4, 5]
+    for sender, payload in frames.items():
+        assert len(payload) == 4 + 20 + 3 * 2 * 34
+        store = cluster.nodes[sender].tuple_store
+        for tid in ids:
+            assert store.initial_record(tid).c_share.mac.to_bytes() not in payload
     cluster.close()
 
 
@@ -1173,17 +1338,18 @@ def test_peer_abort_naming_a_failed_mac_check_retires_no_epoch(monkeypatch, sche
 
 
 def test_short_peer_offer_aborts_sign_promptly():
-    # party 2's round-1 frame arrives empty, then as a well-formed tag of
+    # party 2's round-1 note arrives empty, then with a well-formed tag of
     # zero ids, while every store holds three tuples: a peer fault, not a
     # depleted stock, and no other party journals a tuple
     cluster = make_cluster(timeout=30)
     cluster.keygen("m")
     cluster.preprocess_independent(3)
     cluster.preprocess_dependent("m", 3)
-    for frame, reason in [(b"", "malformed tuple id payload"),
-                          (_id_tag([]), "short tuple id offer")]:
+    for note, reason in [(lambda n: b"", "malformed tuple id payload"),
+                         (lambda n: _id_tag([]) + n[20:], "short tuple id offer")]:
         started = time.perf_counter()
-        with rewrite_frames(cluster, 2, PHASE_ONLINE, 1, lambda p: frame), \
+        with rewrite_frames(cluster, 2, PHASE_ONLINE, 1,
+                            lambda p: rewrite_note(p, note)), \
                 pytest.raises(SessionAbort, match=reason):
             cluster.run_signing("m", b"msg")
         assert time.perf_counter() - started < 5.0
@@ -1193,13 +1359,14 @@ def test_short_peer_offer_aborts_sign_promptly():
 
 
 def test_short_peer_offer_aborts_request():
-    # party 2, not the initiator, sends a well-formed round-1 frame of zero ids
+    # party 2, not the initiator, sends a well-formed round-1 tag of zero ids
     cluster = make_cluster(SchemeId.SHAMIR_CHECKED, timeout=30)
     _, member_keys, roa = _issue_fixture(cluster)
     request = _issue_request(cluster, member_keys, roa)
     stocks = _final_stocks(cluster, "memberA")
     started = time.perf_counter()
-    with rewrite_frames(cluster, 2, PHASE_ONLINE, 1, lambda p: _id_tag([]) + p[20:]):
+    with rewrite_frames(cluster, 2, PHASE_ONLINE, 1,
+                        lambda p: rewrite_note(p, lambda n: _id_tag([]) + n[20:])):
         outcome = cluster.handle_sign_request(request)
     assert time.perf_counter() - started < 5.0
     assert outcome.status == "aborted"
@@ -1440,10 +1607,33 @@ def test_signing_realigns_a_store_sixteen_ids_ahead():
         result = cluster.run_signing("m", b"sixteen ahead")
     assert ecdsa_verify(pk, b"sixteen ahead", result.signature)
     assert result.tuple_id == ids[16]
-    # tags, the realign, tags again, R and s
-    assert counts == {p: 5 for p in cluster.participants}
+    # tags with R shares, the realign, tags with R shares again, and s
+    assert counts == {p: 4 for p in cluster.participants}
     for node in cluster.nodes.values():
         assert node.tuple_store.available_final_ids("m", cluster.epoch, limit=60) == ids[17:]
+    cluster.close()
+
+
+def test_tag_mismatch_decodes_no_r_share(monkeypatch):
+    # party 1's store is one final id ahead, so the round-1 tags differ: no
+    # party decodes a peer's R share of that round, only those sent after
+    # the realign, and the realign burns the id party 1 lacks
+    cluster, pk, ids = _signing_cluster_with_one_store_ahead(1)
+    decoded = []
+    decode = PartySession._decode_points
+
+    def recording(self, peer, blob, count):
+        decoded.append(self.round)
+        return decode(self, peer, blob, count)
+
+    monkeypatch.setattr(PartySession, "_decode_points", recording)
+    result = cluster.run_signing("m", b"one ahead")
+    assert ecdsa_verify(pk, b"one ahead", result.signature)
+    assert result.tuple_id == ids[1]
+    n = len(cluster.participants)
+    assert decoded == [3] * n * (n - 1)
+    for node in cluster.nodes.values():
+        assert node.tuple_store.available_final_ids("m", cluster.epoch, limit=60) == ids[2:]
     cluster.close()
 
 
