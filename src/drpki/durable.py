@@ -1,0 +1,50 @@
+"""The two ways a node's state reaches its disk: a whole file, or a line log.
+
+Every record a node keeps, its tuple store included, is written through
+these helpers and read back through `_read_lines`, so each piece of state
+is appended, cut back and read one way.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import threading
+from pathlib import Path
+
+
+def _write_file(path: Path, data: str | bytes) -> None:
+    """Replace a whole file through a temp file beside it, so a crash leaves
+    the old or the new content.  The temp name is unique per writing thread
+    and matches no name a load reads."""
+    tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
+    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+    os.replace(tmp, path)
+
+
+def _append_line(path: Path, record: dict | str) -> None:
+    """Append one line to a line-oriented file: a record as JSON, or text.
+    The line goes out in one write; if that fails, on a full disk say, the
+    file is cut back to its old size and the error re-raised."""
+    line = record if isinstance(record, str) else json.dumps(record, sort_keys=True)
+    size = path.stat().st_size if path.exists() else 0
+    try:
+        with open(path, "ab") as out:
+            out.write((line + "\n").encode())
+    except OSError:
+        if path.exists():
+            os.truncate(path, size)
+        raise
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The whole lines of a line-oriented file.  A final line without its
+    newline is an append torn by a crash: it is cut off the file, so the next
+    append starts a line of its own."""
+    if not path.exists():
+        return []
+    data = path.read_bytes()
+    whole = data.rfind(b"\n") + 1
+    if whole < len(data):
+        os.truncate(path, whole)
+    return data[:whole].decode().splitlines()

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import secrets
 import struct
@@ -49,8 +48,10 @@ import time
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
+from urllib.parse import quote
 
 from ..algebra import AlgebraError, FieldElement, GroupPoint
+from ..durable import _append_line, _read_lines, _write_file
 from ..preprocessing import TrustedDealer
 from ..rpki import (
     Action,
@@ -162,43 +163,6 @@ class SignOutcome:
     ticket_id: Optional[str] = None
     reason: Optional[str] = None
     sign_results: list[SignResult] = dc_field(default_factory=list)
-
-
-def _write_file(path: Path, data: str | bytes) -> None:
-    """Replace a whole file through a temp file beside it, so a crash leaves
-    the old or the new content.  The temp name is unique per writing thread
-    and matches no name a load reads."""
-    tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
-    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
-    os.replace(tmp, path)
-
-
-def _append_line(path: Path, record: dict | str) -> None:
-    """Append one line to a line-oriented file: a record as JSON, or text.
-    The line goes out in one write; if that fails, on a full disk say, the
-    file is cut back to its old size and the error re-raised."""
-    line = record if isinstance(record, str) else json.dumps(record, sort_keys=True)
-    size = path.stat().st_size if path.exists() else 0
-    try:
-        with open(path, "ab") as out:
-            out.write((line + "\n").encode())
-    except OSError:
-        if path.exists():
-            os.truncate(path, size)
-        raise
-
-
-def _read_lines(path: Path) -> list[str]:
-    """The whole lines of a line-oriented file.  A final line without its
-    newline is an append torn by a crash: it is cut off the file, so the next
-    append starts a line of its own."""
-    if not path.exists():
-        return []
-    data = path.read_bytes()
-    whole = data.rfind(b"\n") + 1
-    if whole < len(data):
-        os.truncate(path, whole)
-    return data[:whole].decode().splitlines()
 
 
 def _frame_payloads(blobs: Sequence[bytes]) -> bytes:
@@ -363,13 +327,9 @@ class PartyNode:
                 GroupPoint.from_bytes(bytes.fromhex(rec["pk"])),
                 bytes.fromhex(rec["epoch"]),
             )
-        # a whole-file registry left by an older version, then the appended one
-        whole = self.dir / "members.json"
-        members = json.loads(whole.read_text()) if whole.exists() else {}
         for rec in map(json.loads, _read_lines(self.dir / "members.jsonl")):
-            members[rec["member"]] = rec["pk"]  # a later line wins
-        for mid, pk_hex in members.items():
-            self.member_registry[mid] = GroupPoint.from_bytes(bytes.fromhex(pk_hex))
+            pk = GroupPoint.from_bytes(bytes.fromhex(rec["pk"]))
+            self.member_registry[rec["member"]] = pk  # a later line wins
         for rec in map(json.loads, _read_lines(self.dir / "tickets.jsonl")):
             ticket = InterventionTicket(
                 rec["ticket_id"], rec["member"], Action[rec["action"]],
@@ -575,8 +535,11 @@ class PartyNode:
     def object_filename(self, obj: SignedObject) -> str:
         record = obj.record()
         if isinstance(record, CrlRecord):
-            # two CRLs of one issuer may share this_update; the digest keeps both
-            return f"crl-{record.issuer_id}-{record.this_update}-{obj.digest.hex()[:16]}.obj"
+            # two CRLs of one issuer may share this_update; the digest keeps
+            # both.  The issuer id is free text: percent-encoded, it can hold
+            # no space, which splits manifest lines, and no path separator
+            issuer = quote(record.issuer_id, safe="")
+            return f"crl-{issuer}-{record.this_update}-{obj.digest.hex()[:16]}.obj"
         return f"{obj.payload_kind.name.lower()}-{record.serial}.obj"
 
     def publish_batch(self, objects: Sequence[SignedObject],

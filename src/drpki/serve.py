@@ -36,9 +36,10 @@ from pathlib import Path
 
 from .algebra import FieldElement, ecdsa_verify
 from .cli import load_config, protocol_config
+from .durable import _write_file
 from .preprocessing import FileReplay, TrustedDealer, encode_replay
 from .sharing import MacKeyShare, generate_mac_keys
-from .runtime.node import OP_PHASES, PartyNode, _write_file, session_id_for
+from .runtime.node import OP_PHASES, PartyNode, session_id_for
 from .runtime.transport import (
     PHASE_CONTROL,
     SessionMessage,

@@ -15,23 +15,26 @@ node's tuple store, and keygen returns its key record for the node to store.
 Instance-key material is strictly single-use: stores mark a tuple consumed
 durably before any share computed from its [1/k] or [sk/k] is sent, so a
 crash and restart can never reuse a nonce.  Only a share of its R = k*G,
-which is the same on every send, may leave first.
+which is the same on every send, may leave first.  A store is one
+JSON-lines log, tuples.jsonl, appended and read through the line-log
+helpers of `durable` like every other node record; a consumption that
+fails to reach it is cut back off the file and leaves the tuple unconsumed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import struct
+import json
 import threading
 import time
-import zlib
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
 from .algebra import (
     GENERATOR,
+    AlgebraError,
     FieldElement,
     GroupPoint,
     Signature,
@@ -39,11 +42,13 @@ from .algebra import (
     hash_to_scalar,
     scalar_mul,
 )
+from .durable import _append_line, _read_lines
 from .preprocessing import TupleReuseError, beaver_diffs, beaver_combine
 from .sharing import (
     ProtocolAbort,
     SchemeId,
     Share,
+    SharingError,
     deal,
     share_add,
     share_scale_add,
@@ -131,73 +136,69 @@ class FinalTuple:
 
 # --- durable tuple store -----------------------------------------------------
 #
-# Append-only record files plus a consumed-id journal, all CRC-protected.
-# A checkout appends to the journal and flushes to disk *before* returning,
-# so no s share can come from a tuple that a restart would resurrect.
-#
-# An initial record is id, epoch, [1/k], b_i (32 bytes) and [c]; a final
-# record is id, epoch, member, k*G share, [1/k], [sk/k], an R flag and R.
-# Each ends in its CRC.  Initial files of the earlier record, which held a
-# k*G share instead of b_i and [c], carry the final file's magic.
+# One JSON-lines log per party, tuples.jsonl, written through `_append_line`
+# and read through `_read_lines` as every other node record is: a header
+# line naming the party, then one line per added tuple and one per
+# consumption, with bytes, shares and points in hex.  A tuple enters memory,
+# and is marked consumed, only once its line is on disk; a failed append is
+# cut back off the file.  So a checkout has journaled its tuples before it
+# returns, and no s share can come from a tuple that a restart would
+# resurrect.
 
-_STORE_MAGIC = b"DTS1"
-_INITIAL_MAGIC = b"DTI2"
-_JOURNAL_MAGIC = b"DTJ1"
-_MAGICS = {"initial": _INITIAL_MAGIC, "final": _STORE_MAGIC, "journal": _JOURNAL_MAGIC}
 _KIND_INITIAL = 0
 _KIND_FINAL = 1
-
-_SHARE_PAD = max(scheme.share_bytes for scheme in SchemeId)
-_POINT_PAD = 65
-_MEMBER_PAD = 16
-
-
-def _pad_share(share: Share) -> bytes:
-    raw = share.to_bytes()
-    return raw + b"\x00" * (_SHARE_PAD - len(raw))
+# added tuples go out this many lines to an append: an append per line pays
+# an open and a close for each, and one append for a whole batch holds all
+# of its lines in memory three times over at once
+_LINES_PER_APPEND = 16
 
 
-def _unpad_share(blob: bytes) -> Share:
-    return Share.from_bytes(blob[:SchemeId(blob[0]).share_bytes])
+def _initial_line(tup: InitialTuple) -> dict:
+    return {"add": "initial", "id": tup.tuple_id.hex(), "epoch": tup.epoch.hex(),
+            "k_inv": tup.k_inv_share.to_bytes().hex(), "b": tup.b_share.to_bytes().hex(),
+            "c": tup.c_share.to_bytes().hex()}
 
 
-def _pad_point(point: GroupPoint) -> bytes:
-    raw = point.to_bytes()
-    return raw + b"\x00" * (_POINT_PAD - len(raw))
+def _final_line(tup: FinalTuple) -> dict:
+    return {"add": "final", "id": tup.tuple_id.hex(), "epoch": tup.epoch.hex(),
+            "member": tup.member_id, "k_point": tup.k_point_share.to_bytes().hex(),
+            "k_inv": tup.k_inv_share.to_bytes().hex(),
+            "sk_over_k": tup.sk_over_k_share.to_bytes().hex(),
+            "r": None if tup.r_point is None else tup.r_point.to_bytes().hex()}
 
 
-def _unpad_point(blob: bytes) -> GroupPoint:
-    if blob[0] == 0x00:
-        return GroupPoint.identity()
-    return GroupPoint.from_bytes(blob[:_POINT_PAD])
+def _tuple_of(rec: dict):
+    """The tuple an add line holds."""
+    def raw(key: str) -> bytes:
+        return bytes.fromhex(rec[key])
 
-
-def _pad_member(member_id: str) -> bytes:
-    raw = member_id.encode()
-    if len(raw) > _MEMBER_PAD:
-        raise TecdsaError(f"member id longer than {_MEMBER_PAD} bytes: {member_id!r}")
-    return raw + b"\x00" * (_MEMBER_PAD - len(raw))
-
-
-def _crc(body: bytes) -> bytes:
-    return struct.pack(">I", zlib.crc32(body))
+    if rec["add"] == "initial":
+        return InitialTuple(raw("id"), raw("epoch"), Share.from_bytes(raw("k_inv")),
+                            FieldElement.from_bytes(raw("b")), Share.from_bytes(raw("c")))
+    if rec["add"] == "final":
+        return FinalTuple(raw("id"), raw("epoch"), rec["member"],
+                          GroupPoint.from_bytes(raw("k_point")),
+                          Share.from_bytes(raw("k_inv")), Share.from_bytes(raw("sk_over_k")),
+                          None if rec["r"] is None else GroupPoint.from_bytes(raw("r")))
+    raise ValueError(f"unknown tuple kind {rec['add']!r}")
 
 
 class TupleStore:
-    """One party's tuple inventory, persisted under a directory.
+    """One party's tuple inventory, persisted as tuples.jsonl in a directory.
 
-    Every added tuple and every consumption is appended to its file before
-    the call returns; the per-tuple `consumed` flags mirror the journal.  A
-    tuple is offered, counted and checked out while it is unconsumed, of the
-    asked epoch and, if final, bound to the asked member: `_live` is that
-    rule for every method.  After close() the store still answers reads, but
-    adds and checkouts raise.
+    Every added tuple and every consumption is appended to the file before
+    the call returns and held in memory only after; the per-tuple
+    `consumed` flags mirror the consumption lines.  A tuple is offered,
+    counted and checked out while it is unconsumed, of the asked epoch and,
+    if final, bound to the asked member: `_live` is that rule for every
+    method.  After close() the store still answers reads, but adds and
+    checkouts raise, so a stale store cannot write beside a reopened one.
 
-    Each file opens with its kind's 4-byte magic and the party byte; a
-    file with another header, such as another party's, is refused on open.
-    An initial file of the earlier record is moved aside on open, to
-    tuples_initial.v1.dat, neither cut nor parsed: its tuples are never
-    offered, and the next refill restocks.
+    The open refuses a file whose header names another party, or that holds
+    a whole line that does not decode, and leaves it as it is; only a torn
+    last line is cut, as every line-log reader cuts it.  Tuple files of
+    earlier versions (tuples_*.dat, tuples.journal) are not read: their
+    tuples are never offered, and the next refill restocks.
     """
 
     def __init__(self, directory: str, party: int) -> None:
@@ -205,87 +206,42 @@ class TupleStore:
         self.party = party
         self._initial: dict[bytes, InitialTuple] = {}
         self._final: dict[bytes, FinalTuple] = {}
-        self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
+        self._closed = False
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        self._path = Path(directory) / "tuples.jsonl"
         self._load()
-        self._files = {
-            "initial": open(self._dir / "tuples_initial.dat", "ab"),
-            "final": open(self._dir / "tuples_final.dat", "ab"),
-            "journal": open(self._dir / "tuples.journal", "ab"),
-        }
-        for name, handle in self._files.items():
-            if handle.tell() == 0:
-                handle.write(_MAGICS[name] + bytes([self.party]))
-                handle.flush()
 
     # -- persistence ------------------------------------------------------
 
-    def _read_records(self, path: Path, name: str, width: int) -> list[bytes]:
-        """The CRC-valid records of one file.  A torn tail is cut off the
-        file, so later appends start on a record boundary; a file with a
-        foreign header is refused and left as it is."""
-        if not path.exists():
-            return []
-        data = path.read_bytes()
-        header = _MAGICS[name] + bytes([self.party])
-        if len(data) >= len(header) and not data.startswith(header):
-            raise TecdsaError(f"{path} is not a {name} file of party {self.party}")
-        records, off = [], len(header)
-        while off + width <= len(data):
-            body, crc = data[off:off + width - 4], data[off + width - 4:off + width]
-            if _crc(body) != crc:
-                break
-            records.append(body)
-            off += width
-        end = off if off <= len(data) else 0  # a torn header goes too
-        if end < len(data):
-            os.truncate(path, end)
-        return records
-
     def _load(self) -> None:
-        initial = self._dir / "tuples_initial.dat"
-        if initial.exists():
-            with open(initial, "rb") as handle:
-                earlier = handle.read(len(_STORE_MAGIC)) == _STORE_MAGIC
-            if earlier:
-                os.replace(initial, initial.with_name("tuples_initial.v1.dat"))
-        init_width = 16 + 16 + _SHARE_PAD + 32 + _SHARE_PAD + 4
-        for body in self._read_records(initial, "initial", init_width):
-            tup = InitialTuple(
-                tuple_id=body[:16],
-                epoch=body[16:32],
-                k_inv_share=_unpad_share(body[32:32 + _SHARE_PAD]),
-                b_share=FieldElement.from_bytes(body[32 + _SHARE_PAD:64 + _SHARE_PAD]),
-                c_share=_unpad_share(body[64 + _SHARE_PAD:]),
-            )
-            self._initial[tup.tuple_id] = tup
-        fin_width = 16 + 16 + _MEMBER_PAD + _POINT_PAD + 2 * _SHARE_PAD + 1 + _POINT_PAD + 4
-        for body in self._read_records(self._dir / "tuples_final.dat", "final", fin_width):
-            off = 0
-            tid, off = body[:16], 16
-            epoch, off = body[off:off + 16], off + 16
-            member = body[off:off + _MEMBER_PAD].rstrip(b"\x00").decode()
-            off += _MEMBER_PAD
-            kpoint = _unpad_point(body[off:off + _POINT_PAD])
-            off += _POINT_PAD
-            kinv = _unpad_share(body[off:off + _SHARE_PAD])
-            off += _SHARE_PAD
-            skk = _unpad_share(body[off:off + _SHARE_PAD])
-            off += _SHARE_PAD
-            has_r = body[off] == 1
-            off += 1
-            rpt = _unpad_point(body[off:off + _POINT_PAD]) if has_r else None
-            self._final[tid] = FinalTuple(tid, epoch, member, kpoint, kinv, skk, rpt)
-        for body in self._read_records(self._dir / "tuples.journal", "journal", 21):
-            pool = self._initial if body[0] == _KIND_INITIAL else self._final
-            tup = pool.get(body[1:17])
+        header = {"party": self.party, "store": "tuples"}
+        try:
+            lines = _read_lines(self._path)
+            if not lines:
+                _append_line(self._path, header)
+            elif json.loads(lines[0]) != header:
+                raise TecdsaError(f"{self._path} is not a tuple store of party {self.party}")
+            for line in lines[1:]:
+                self._replay(json.loads(line))
+        except (KeyError, TypeError, ValueError, AlgebraError, SharingError) as exc:
+            raise TecdsaError(f"{self._path} holds a line that does not decode") from exc
+
+    def _replay(self, rec: dict) -> None:
+        """Take in one line after the header: an added tuple or a consumption."""
+        if "consume" in rec:
+            tup = self._kind(rec["consume"]).get(bytes.fromhex(rec["id"]))
             if tup is not None:
                 tup.consumed = True
+        else:
+            tup = _tuple_of(rec)
+            self._kind(rec["add"])[tup.tuple_id] = tup
 
-    def _append(self, name: str, body: bytes) -> None:
-        handle = self._files[name]
-        handle.write(body + _crc(body))
-        handle.flush()
+    def _kind(self, name: str) -> dict:
+        return {"initial": self._initial, "final": self._final}[name]
+
+    def _writable(self) -> None:
+        if self._closed:
+            raise TecdsaError(f"tuple store {self._path} is closed")
 
     # -- inventory ---------------------------------------------------------
     #
@@ -305,27 +261,46 @@ class TupleStore:
         return (t for t in among if not t.consumed and t.epoch == epoch
                 and (member_id is None or t.member_id == member_id))
 
-    def _add(self, name: str, tup, body: bytes) -> None:
-        pool = self._initial if name == "initial" else self._final
+    def _append_records(self, records) -> None:
+        """Append one line per record, all in one write."""
+        _append_line(self._path, "\n".join(json.dumps(r, sort_keys=True) for r in records))
+
+    def _add(self, name: str, tuples: Sequence, line) -> None:
+        """Append one line per tuple, `_LINES_PER_APPEND` to a write, and hold
+        each tuple once its write is done."""
+        pool = self._kind(name)
+        ids = [t.tuple_id for t in tuples]
         with self._lock:
-            if tup.tuple_id in pool:
+            self._writable()
+            if len(set(ids)) < len(ids) or any(tid in pool for tid in ids):
                 raise TupleReuseError(f"duplicate {name} tuple id")
-            pool[tup.tuple_id] = tup
-            self._append(name, body)
+            for start in range(0, len(tuples), _LINES_PER_APPEND):
+                chunk = tuples[start:start + _LINES_PER_APPEND]
+                self._append_records(map(line, chunk))
+                pool.update((t.tuple_id, t) for t in chunk)
 
     def _checkout(self, member_id: Optional[str], epoch: bytes,
-                  tuple_id: Optional[bytes] = None):
-        """Journal and return the tuple `tuple_id`, or the first live one."""
+                  tuple_ids: Optional[Sequence[bytes]] = None) -> list:
+        """Journal and return the tuples `tuple_ids`, or else the first live
+        one: all in one write, and none unless every one is live."""
         pool = self._pool(member_id)
         with self._lock:
-            among = None if tuple_id is None else [pool[tuple_id]] if tuple_id in pool else []
-            for tup in self._live(member_id, epoch, among):
+            self._writable()
+            if tuple_ids is None:
+                taken, wanted = list(islice(self._live(member_id, epoch), 1)), 1
+            else:
+                among = [pool[tid] for tid in dict.fromkeys(tuple_ids) if tid in pool]
+                taken, wanted = list(self._live(member_id, epoch, among)), len(tuple_ids)
+            if len(taken) < wanted:
+                raise StockDepletedError(
+                    "initial preprocessing tuples depleted" if member_id is None
+                    else f"final tuples for member {member_id!r} depleted")
+            kind = "initial" if member_id is None else "final"
+            if taken:
+                self._append_records({"consume": kind, "id": t.tuple_id.hex()} for t in taken)
+            for tup in taken:
                 tup.consumed = True
-                kind = _KIND_INITIAL if member_id is None else _KIND_FINAL
-                self._append("journal", bytes([kind]) + tup.tuple_id)
-                return tup
-        raise StockDepletedError("initial preprocessing tuples depleted" if member_id is None
-                                 else f"final tuples for member {member_id!r} depleted")
+            return taken
 
     def _ids(self, member_id: Optional[str], epoch: bytes, limit: int) -> list[bytes]:
         with self._lock:
@@ -335,32 +310,25 @@ class TupleStore:
         with self._lock:
             return sum(1 for _ in self._live(member_id, epoch))
 
-    def add_initial(self, tup: InitialTuple) -> None:
-        self._add("initial", tup, tup.tuple_id + tup.epoch + _pad_share(tup.k_inv_share)
-                  + tup.b_share.to_bytes() + _pad_share(tup.c_share))
+    def add_initial(self, tuples: Sequence[InitialTuple]) -> None:
+        self._add("initial", tuples, _initial_line)
 
-    def add_final(self, tup: FinalTuple) -> None:
-        has_r = tup.r_point is not None
-        self._add(
-            "final", tup,
-            tup.tuple_id + tup.epoch + _pad_member(tup.member_id)
-            + _pad_point(tup.k_point_share) + _pad_share(tup.k_inv_share)
-            + _pad_share(tup.sk_over_k_share) + bytes([1 if has_r else 0])
-            + (_pad_point(tup.r_point) if has_r else b"\x00" * _POINT_PAD),
-        )
+    def add_final(self, tuples: Sequence[FinalTuple]) -> None:
+        self._add("final", tuples, _final_line)
 
     def checkout_initial(self, epoch: bytes) -> InitialTuple:
-        return self._checkout(None, epoch)
+        return self._checkout(None, epoch)[0]
 
     def checkout_final(self, member_id: str, epoch: bytes) -> FinalTuple:
-        return self._checkout(member_id, epoch)
+        return self._checkout(member_id, epoch)[0]
 
-    def checkout_initial_by_id(self, tuple_id: bytes, epoch: bytes) -> InitialTuple:
-        return self._checkout(None, epoch, tuple_id)
+    def checkout_initial_by_id(self, tuple_ids: Sequence[bytes],
+                               epoch: bytes) -> list[InitialTuple]:
+        return self._checkout(None, epoch, tuple_ids)
 
-    def checkout_final_by_id(self, tuple_id: bytes, member_id: str,
-                             epoch: bytes) -> FinalTuple:
-        return self._checkout(member_id, epoch, tuple_id)
+    def checkout_final_by_id(self, tuple_ids: Sequence[bytes], member_id: str,
+                             epoch: bytes) -> list[FinalTuple]:
+        return self._checkout(member_id, epoch, tuple_ids)
 
     def available_initial_ids(self, epoch: bytes, limit: int = 64) -> list[bytes]:
         return self._ids(None, epoch, limit)
@@ -389,8 +357,8 @@ class TupleStore:
             return self._final.get(tuple_id)
 
     def close(self) -> None:
-        for handle in self._files.values():
-            handle.close()
+        with self._lock:
+            self._closed = True
 
 
 @dataclass
@@ -400,6 +368,10 @@ class SignResult:
 
 
 # --- phase 1: key generation ----------------------------------------------------
+
+# a member id is a short handle; every final-tuple line repeats it
+_MEMBER_ID_BYTES = 16
+
 
 def keygen(node: PartyNode, session, member_id: str,
            timings: Optional[dict] = None) -> KeyShareRecord:
@@ -411,7 +383,8 @@ def keygen(node: PartyNode, session, member_id: str,
     when given, receives the secret-share and public-open millisecond splits.
     Returns this party's record; storing it is the node's.
     """
-    _pad_member(member_id)  # refuse an id no final-tuple record can hold, before any round
+    if len(member_id.encode()) > _MEMBER_ID_BYTES:  # refused before any round
+        raise TecdsaError(f"member id longer than {_MEMBER_ID_BYTES} bytes: {member_id!r}")
     cfg = node.config
     scheme = cfg.scheme
     participants = session.participants
@@ -479,12 +452,11 @@ def preprocess_independent(node: PartyNode, session, count: int) -> list[Initial
     aborts on c = 0 before it computes any share (b_i / c) * G of k*G.
     """
     triples = [node.triple_source.next_triple(node.config.scheme) for _ in range(count)]
-    produced = []
     for tr in triples:
         tr.mark_consumed()
-        tup = InitialTuple(tr.triple_id, node.epoch, tr.a, tr.b.value, tr.c)
-        node.tuple_store.add_initial(tup)
-        produced.append(tup)
+    produced = [InitialTuple(tr.triple_id, node.epoch, tr.a, tr.b.value, tr.c)
+                for tr in triples]
+    node.tuple_store.add_initial(produced)
     return produced
 
 
@@ -519,8 +491,7 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
         """Journal `ids` and open, behind the tag, each tuple's c share and
         Beaver diffs.  A short party journals and opens nothing, but draws
         its `count` triples too, so every dealer queue stays in step."""
-        initials = [store.checkout_initial_by_id(tid, node.epoch)
-                    for tid in ids] if len(ids) == count else []
+        initials = store.checkout_initial_by_id(ids, node.epoch) if len(ids) == count else []
         triples = [node.triple_source.next_triple(cfg.scheme) for _ in range(count)]
         shares: list[Share] = []
         for init, tr in zip(initials, triples):
@@ -531,7 +502,7 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
     initials, triples, opened = _agree(
         session, count, "initial preprocessing tuples depleted",
         lambda limit: store.available_initial_ids(node.epoch, limit=limit),
-        lambda tid: store.checkout_initial_by_id(tid, node.epoch), bind)
+        lambda tids: store.checkout_initial_by_id(tids, node.epoch), bind)
     session.run_mac_check()  # authenticate every c, d and e before using them
     if any(c.is_zero() for c in opened[0::3]):
         session.abort("degenerate preprocessing triple (c = 0)")
@@ -551,8 +522,7 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
             _r_x(session, r)
             f.r_point = r
 
-    for f in finals:
-        node.tuple_store.add_final(f)
+    node.tuple_store.add_final(finals)
     return finals
 
 
@@ -580,8 +550,8 @@ def _id_tag(ids: Sequence[bytes]) -> bytes:
 def _agree(session, count: int, depleted_message: str, live_ids, burn, first_round):
     """Agree on `count` tuples; returns the result of the agreeing first round.
 
-    `live_ids(limit)` lists this party's lowest live ids and `burn(tid)`
-    journals one.  `first_round(ids, tag, check)` sends `tag` and passes
+    `live_ids(limit)` lists this party's lowest live ids and `burn(tids)`
+    journals some of them.  `first_round(ids, tag, check)` sends `tag` and passes
     every party's tag, its own included, to `check` before it uses the rest
     of the round; a wrong length or a peer's short count aborts there.
     """
@@ -623,8 +593,7 @@ def _realign(session, mine: list[bytes], window: int, burn) -> None:
         theirs = {blob[i:i + 16] for i in range(0, len(blob), 16)}
         top = max(theirs) if len(blob) == 16 * window else None
         lacking.update(t for t in mine if t not in theirs and (top is None or t < top))
-    for tid in sorted(lacking):
-        burn(tid)
+    burn(sorted(lacking))
 
 
 def _r_x(session, r_point: GroupPoint) -> FieldElement:
@@ -733,8 +702,7 @@ def sign_online(node: PartyNode, session, member_id: str,
             if any(len(note) < _NOTE_HEAD for note in notes.values()):
                 session.abort("malformed tuple id payload")
             check({p: note[:20] for p, note in notes.items()})
-            tuples.extend(store.checkout_final_by_id(tid, member_id, node.epoch)
-                          for tid in ids)
+            tuples.extend(store.checkout_final_by_id(ids, member_id, node.epoch))
             for p, note in notes.items():
                 targets[p], leads[p] = note[20:_NOTE_HEAD], note[_NOTE_HEAD:]
 
@@ -746,7 +714,7 @@ def sign_online(node: PartyNode, session, member_id: str,
     tuples, r_points = _agree(
         session, count, f"final tuples for member {member_id!r} depleted",
         lambda limit: store.available_final_ids(member_id, node.epoch, limit=limit),
-        lambda tid: store.checkout_final_by_id(tid, member_id, node.epoch), exchange)
+        lambda tids: store.checkout_final_by_id(tids, member_id, node.epoch), exchange)
     vote, release = None, True
     if gate is not None:
         messages, vote, release = gate.read(leads, targets)

@@ -12,9 +12,11 @@ from dataclasses import replace
 
 import pytest
 
+from drpki import durable as durable_module
 from drpki import rpki as rpki_module
 from drpki.algebra import (
-    GENERATOR, GroupPoint, KeyPair, Signature, ecdsa_sign, ecdsa_verify, scalar_mul,
+    GENERATOR, FieldElement, GroupPoint, KeyPair, Signature, ecdsa_sign, ecdsa_verify,
+    scalar_mul,
 )
 from drpki.bench import WAN_RTT_MS, critical_path_rtt, one_way_delays
 from drpki.preprocessing import TrustedDealer
@@ -49,8 +51,10 @@ from drpki.runtime.transport import (
     encode_frame,
     pair_key,
 )
-from drpki.sharing import ProtocolAbort, SchemeId, open_shares
-from drpki.tecdsa import ProtocolConfig, StockDepletedError, TecdsaError, _id_tag
+from drpki.sharing import ProtocolAbort, SchemeId, Share, open_shares
+from drpki.tecdsa import (
+    InitialTuple, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore, _id_tag,
+)
 from faults import (
     CrashError,
     count_curve_ops,
@@ -978,7 +982,7 @@ def test_batch_signs_from_common_ids_when_one_store_is_ahead():
     cluster.preprocess_dependent("m", 4)
     store2 = cluster.nodes[2].tuple_store
     lowest = store2.available_final_ids("m", cluster.epoch)[0]
-    store2.checkout_final_by_id(lowest, "m", cluster.epoch)
+    store2.checkout_final_by_id([lowest], "m", cluster.epoch)
     before = {p: n.tuple_store.consumed_ids() for p, n in cluster.nodes.items()}
     messages = [b"first", b"second"]
     results = cluster.run_signing("m", messages)
@@ -1381,9 +1385,9 @@ def test_short_peer_offer_aborts_request():
 # --- phase 3: speculative tuple agreement ---------------------------------------------
 
 def _journal_records(node):
-    """Every record of a node's consumed-tuple journal, in file order."""
-    data = (node.dir / "tuples.journal").read_bytes()[5:]
-    return [data[i:i + 17] for i in range(0, len(data) - len(data) % 21, 21)]
+    """Every consumption line of a node's tuple store, in file order."""
+    lines = map(json.loads, (node.dir / "tuples.jsonl").read_text().splitlines())
+    return [(rec["consume"], rec["id"]) for rec in lines if "consume" in rec]
 
 
 @pytest.mark.parametrize("precompute_r", [False, True], ids=["plain", "precompute-r"])
@@ -1470,7 +1474,7 @@ def test_asymmetric_initial_stores_bind_through_the_fallback():
     cluster.preprocess_independent(8)
     store2 = cluster.nodes[2].tuple_store
     ids = store2.available_initial_ids(cluster.epoch)
-    store2.checkout_initial_by_id(ids[0], cluster.epoch)
+    store2.checkout_initial_by_id([ids[0]], cluster.epoch)
     with count_rounds(PHASE_PREPROCESS_DEPENDENT) as counts:
         results = cluster._run_op({"op": "preprocess-dependent", "member": "m", "count": 3})
     # the failed round, the realign, the fresh Beaver round and the MAC check
@@ -1499,7 +1503,7 @@ def test_short_party_aborts_the_batch_promptly_and_keeps_the_dealer_in_step():
     cluster.preprocess_independent(3)
     store2 = cluster.nodes[2].tuple_store
     for tid in store2.available_initial_ids(cluster.epoch)[:2]:
-        store2.checkout_initial_by_id(tid, cluster.epoch)
+        store2.checkout_initial_by_id([tid], cluster.epoch)
     started = time.perf_counter()
     with pytest.raises((StockDepletedError, SessionAbort)):
         cluster.preprocess_dependent("m", 2)
@@ -1550,7 +1554,7 @@ def test_batch_binds_when_one_store_fell_a_batch_behind(scheme):
     ids = cluster.nodes[1].tuple_store.available_initial_ids(cluster.epoch, limit=60)
     for party in (1, 3, 4, 5):
         for tid in ids[:20]:
-            cluster.nodes[party].tuple_store.checkout_initial_by_id(tid, cluster.epoch)
+            cluster.nodes[party].tuple_store.checkout_initial_by_id([tid], cluster.epoch)
     assert cluster.preprocess_dependent("m", 20) == 20
     for node in cluster.nodes.values():
         assert node.tuple_store.available_final_ids("m", cluster.epoch, limit=60) == ids[40:]
@@ -1595,7 +1599,7 @@ def _signing_cluster_with_one_store_ahead(ahead):
     store1 = cluster.nodes[1].tuple_store
     ids = store1.available_final_ids("m", cluster.epoch, limit=60)
     for tid in ids[:ahead]:
-        store1.checkout_final_by_id(tid, "m", cluster.epoch)
+        store1.checkout_final_by_id([tid], "m", cluster.epoch)
     return cluster, pk, ids
 
 
@@ -1661,7 +1665,7 @@ def test_hostile_realign_list_burns_at_most_the_window(hostile_list):
     cluster.preprocess_independent(40)
     cluster.preprocess_dependent("m", 40)
     store2 = cluster.nodes[2].tuple_store
-    store2.checkout_final_by_id(store2.available_final_ids("m", cluster.epoch)[0], "m",
+    store2.checkout_final_by_id(store2.available_final_ids("m", cluster.epoch)[:1], "m",
                                 cluster.epoch)
     stocks = _final_stocks(cluster, "m")
     with rewrite_frames(cluster, 2, PHASE_ONLINE, 2, lambda p: hostile_list), \
@@ -1686,7 +1690,7 @@ def test_refill_retries_a_batch_that_ran_short_after_a_realign():
     ids = cluster.nodes[1].tuple_store.available_initial_ids(cluster.epoch)
     for party in (1, 3, 4, 5):
         for tid in ids:
-            cluster.nodes[party].tuple_store.checkout_initial_by_id(tid, cluster.epoch)
+            cluster.nodes[party].tuple_store.checkout_initial_by_id([tid], cluster.epoch)
     made = cluster.replenish("m", low_watermark=1, batch_size=20)
     assert made["final"] == 20
     assert cluster.final_stock("m") == 20
@@ -2008,7 +2012,7 @@ def test_transfer_cut_before_its_manifest_leaves_old_roa_valid(tmp_path, monkeyp
 
 
 def _fill_disk_at(monkeypatch, target):
-    """Writes to `target` through the node module stop halfway on a full disk."""
+    """Appends to `target` through the line-log helpers stop halfway on a full disk."""
     class Full:
         def __init__(self, handle):
             self.handle = handle
@@ -2029,7 +2033,7 @@ def _fill_disk_at(monkeypatch, target):
         handle = real_open(path, mode)
         return Full(handle) if str(path) == str(target) else handle
 
-    monkeypatch.setattr(node_module, "open", full_open, raising=False)
+    monkeypatch.setattr(durable_module, "open", full_open, raising=False)
 
 
 def test_failed_registry_append_is_cut_back_and_not_registered(tmp_path, monkeypatch):
@@ -2102,6 +2106,88 @@ def test_failed_ticket_approval_append_leaves_the_ticket_unapproved(tmp_path, mo
     reopened.close()
 
 
+def _store_holding(directory, ids):
+    store = TupleStore(str(directory), party=1)
+    store.add_initial(_initial_tuples(ids))
+    return store
+
+
+def _initial_tuples(ids):
+    share = Share(SchemeId.SHAMIR, 1, FieldElement(5))
+    return [InitialTuple(tid, bytes(16), share, FieldElement(6), share) for tid in ids]
+
+
+def test_failed_journal_append_is_cut_back_and_the_tuple_stays_live(tmp_path, monkeypatch):
+    # a full disk lands half of tuple 0's consumption line: the checkout
+    # raises, the file is cut back and memory keeps tuple 0 unconsumed; a
+    # later checkout writes a whole line of its own, which a reopen reads as
+    # consumed, so no tuple comes back to sign a second message
+    epoch = bytes(16)
+    ids = [bytes([i]) * 16 for i in range(3)]
+    store = _store_holding(tmp_path, ids)
+    path = tmp_path / "tuples.jsonl"
+    before = path.read_bytes()
+    _fill_disk_at(monkeypatch, path)
+    with pytest.raises(OSError):
+        store.checkout_initial_by_id([ids[0]], epoch)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert not store.initial_record(ids[0]).consumed
+    assert store.available_initial_ids(epoch) == ids
+    assert store.checkout_initial_by_id([ids[1]], epoch) == [store.initial_record(ids[1])]
+    store.close()
+    reopened = TupleStore(str(tmp_path), party=1)
+    assert reopened.consumed_ids() == {(0, ids[1])}
+    assert reopened.available_initial_ids(epoch) == [ids[0], ids[2]]
+    reopened.close()
+
+
+def test_failed_tuple_add_holds_no_tuple(tmp_path, monkeypatch):
+    # a batch whose lines a full disk cuts short is cut back and not held,
+    # so adding it again is no duplicate, and a reopen reads it whole
+    epoch = bytes(16)
+    store = _store_holding(tmp_path, [bytes(16)])
+    batch = _initial_tuples([b"\x01" * 16, b"\x02" * 16])
+    path = tmp_path / "tuples.jsonl"
+    before = path.read_bytes()
+    _fill_disk_at(monkeypatch, path)
+    with pytest.raises(OSError):
+        store.add_initial(batch)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert store.initial_stock(epoch) == 1
+    assert store.initial_record(batch[0].tuple_id) is None
+    store.add_initial(batch)
+    store.close()
+    reopened = TupleStore(str(tmp_path), party=1)
+    assert reopened.initial_stock(epoch) == 3
+    reopened.close()
+
+
+@pytest.mark.parametrize("member", ["ACME Corp", "rir/acme"], ids=["space", "slash"])
+def test_crl_of_a_free_text_issuer_publishes_and_reopens(tmp_path, member):
+    # the issuer id is percent-encoded into the CRL's file name, so a space
+    # splits no manifest line and a slash names no directory
+    cluster = make_cluster(data_dir=str(tmp_path))
+    _, member_keys, _ = _issue_fixture(cluster, member=member)
+    crl = CrlRecord(member, 1600000000, (1,))
+    token = sign_consent(member_keys.sk, member, Action.REVOKE, [crl],
+                         expiry=int(time.time()) + 600, rng=rng)
+    outcome = cluster.handle_sign_request(SignRequest(member, Action.REVOKE, [crl], token))
+    assert outcome.status == "published", outcome.reason
+    held = {p: dict(node.objects) for p, node in cluster.nodes.items()}
+    cluster.close()
+    crl_files = [f for f in tmp_path.rglob("*") if f.is_file() and "crl" in f.name]
+    assert len(crl_files) == len(held)
+    assert all(f.parent.name == "objects" and f.parent.parent.parent == tmp_path
+               for f in crl_files)
+    reopened = make_cluster(data_dir=str(tmp_path))
+    for p, node in reopened.nodes.items():
+        assert node.objects.keys() == held[p].keys() and len(held[p]) == 1
+        assert node.revoked_serials() == {1}
+    reopened.close()
+
+
 def test_failed_registry_write_keeps_previous_registry(tmp_path, monkeypatch):
     cluster = make_cluster(data_dir=str(tmp_path))
     first = KeyPair.generate(rng).pk
@@ -2122,7 +2208,7 @@ def test_failed_registry_write_keeps_previous_registry(tmp_path, monkeypatch):
             self.handle.write(data[:len(data) // 2])
             raise CrashError("killed mid-append")
 
-    monkeypatch.setattr(node_module, "open",
+    monkeypatch.setattr(durable_module, "open",
                         lambda path, mode="r": Torn(open(path, mode)), raising=False)
     with pytest.raises(CrashError):
         cluster.register_member("memberB", KeyPair.generate(rng).pk)
@@ -2135,21 +2221,6 @@ def test_failed_registry_write_keeps_previous_registry(tmp_path, monkeypatch):
     for node in reopened.nodes.values():
         assert node.member_registry == {"memberA": first}
     assert registry.read_text().count("\n") == 1 and registry.read_text().endswith("\n")
-    reopened.close()
-
-
-def test_registry_written_whole_by_an_older_version_is_read(tmp_path):
-    cluster = make_cluster(data_dir=str(tmp_path))
-    old, new = KeyPair.generate(rng).pk, KeyPair.generate(rng).pk
-    cluster.close()
-    (tmp_path / "party1" / "members.json").write_text(json.dumps(
-        {"memberA": old.to_bytes().hex(), "memberB": old.to_bytes().hex()}))
-    cluster = make_cluster(data_dir=str(tmp_path))
-    cluster.register_member("memberB", new)
-    cluster.close()
-    reopened = make_cluster(data_dir=str(tmp_path))
-    # an appended line wins over the older whole file
-    assert reopened.nodes[1].member_registry == {"memberA": old, "memberB": new}
     reopened.close()
 
 

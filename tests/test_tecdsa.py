@@ -1,8 +1,6 @@
 """Protocol-phase and tuple-store tests."""
 
 import random
-import struct
-import zlib
 
 import pytest
 
@@ -414,24 +412,25 @@ def test_corrupt_c_share_aborts_before_any_k_point_share():
 # --- tuple store -------------------------------------------------------------------
 
 def _sample_share(scheme=SchemeId.SHAMIR, owner=1):
-    return __import__("drpki.sharing", fromlist=["Share"]).Share(
-        scheme, owner, FieldElement(12345)
-    )
+    return Share(scheme, owner, FieldElement(12345))
 
 
 def _sample_point():
     return scalar_mul(FieldElement(7), GENERATOR)
 
 
+def _initials(ids, epoch=bytes(16), owner=1):
+    return [InitialTuple(bytes([i]) * 16, epoch, _sample_share(owner=owner), FieldElement(5),
+                         _sample_share(owner=owner)) for i in ids]
+
+
 def test_tuple_store_roundtrip_and_journal(tmp_path):
     epoch = bytes(16)
     store = TupleStore(str(tmp_path), party=1)
-    for i in range(3):
-        store.add_initial(InitialTuple(bytes([i]) * 16, epoch, _sample_share(),
-                                       FieldElement(5), _sample_share()))
-    store.add_final(FinalTuple(b"\xaa" * 16, epoch, "alice", _sample_point(),
-                               _sample_share(), _sample_share(),
-                               r_point=_sample_point()))
+    store.add_initial(_initials(range(3)))
+    store.add_final([FinalTuple(b"\xaa" * 16, epoch, "alice", _sample_point(),
+                                _sample_share(), _sample_share(),
+                                r_point=_sample_point())])
     taken = store.checkout_initial(epoch)
     store.close()
 
@@ -440,7 +439,7 @@ def test_tuple_store_roundtrip_and_journal(tmp_path):
     assert revived.final_stock("alice", epoch) == 1
     record = revived.initial_record(taken.tuple_id)
     assert record is not None and record.consumed
-    final = revived.checkout_final_by_id(b"\xaa" * 16, "alice", epoch)
+    [final] = revived.checkout_final_by_id([b"\xaa" * 16], "alice", epoch)
     assert final.r_point == _sample_point()
     assert final.k_inv_share == _sample_share()
     revived.close()
@@ -448,18 +447,20 @@ def test_tuple_store_roundtrip_and_journal(tmp_path):
     # consumption is durable across another restart
     third = TupleStore(str(tmp_path), party=1)
     with pytest.raises(StockDepletedError):
-        third.checkout_final_by_id(b"\xaa" * 16, "alice", epoch)
+        third.checkout_final_by_id([b"\xaa" * 16], "alice", epoch)
     third.close()
 
 
 def test_tuple_store_rejects_duplicates_and_reports_depletion(tmp_path):
     epoch = bytes(16)
     store = TupleStore(str(tmp_path), party=2)
-    tup = InitialTuple(b"\x01" * 16, epoch, _sample_share(owner=2), FieldElement(5),
-                       _sample_share(owner=2))
-    store.add_initial(tup)
+    [tup] = _initials([1], owner=2)
+    store.add_initial([tup])
     with pytest.raises(TupleReuseError):
-        store.add_initial(tup)
+        store.add_initial([tup])
+    with pytest.raises(TupleReuseError):
+        store.add_initial(_initials([2, 2], owner=2))  # twice within one batch
+    assert store.initial_record(b"\x02" * 16) is None
     store.checkout_initial(epoch)
     with pytest.raises(StockDepletedError, match="initial preprocessing tuples depleted"):
         store.checkout_initial(epoch)
@@ -467,36 +468,68 @@ def test_tuple_store_rejects_duplicates_and_reports_depletion(tmp_path):
         store.checkout_final("zed", epoch)
 
 
+def test_checkout_by_id_journals_all_the_ids_in_one_line_each_or_none(tmp_path):
+    epoch = bytes(16)
+    ids = [bytes([i]) * 16 for i in range(4)]
+    store = TupleStore(str(tmp_path), party=1)
+    store.add_initial(_initials(range(4)))
+    store.checkout_initial_by_id([ids[0]], epoch)
+    path = tmp_path / "tuples.jsonl"
+    before = path.read_bytes()
+    for refused in ([ids[1], ids[0]], [ids[1], b"\x09" * 16], [ids[1], ids[1]]):
+        with pytest.raises(StockDepletedError):
+            store.checkout_initial_by_id(refused, epoch)
+        assert path.read_bytes() == before
+        assert store.available_initial_ids(epoch) == ids[1:]
+    assert store.checkout_initial_by_id([], epoch) == []
+    taken = store.checkout_initial_by_id([ids[3], ids[1]], epoch)
+    assert [t.tuple_id for t in taken] == [ids[3], ids[1]]
+    assert path.read_bytes().count(b"\n") == before.count(b"\n") + 2
+    store.close()
+    assert TupleStore(str(tmp_path), party=1).available_initial_ids(epoch) == [ids[2]]
+
+
+def test_closed_tuple_store_answers_reads_but_refuses_writes(tmp_path):
+    epoch = bytes(16)
+    store = TupleStore(str(tmp_path), party=1)
+    store.add_initial(_initials([1]))
+    store.close()
+    size = (tmp_path / "tuples.jsonl").stat().st_size
+    with pytest.raises(TecdsaError, match="closed"):
+        store.add_initial(_initials([2]))
+    with pytest.raises(TecdsaError, match="closed"):
+        store.checkout_initial(epoch)
+    assert store.initial_stock(epoch) == 1
+    assert (tmp_path / "tuples.jsonl").stat().st_size == size
+
+
 def test_tuple_store_tolerates_torn_tail_write(tmp_path):
     epoch = bytes(16)
     store = TupleStore(str(tmp_path), party=1)
-    store.add_initial(InitialTuple(b"\x01" * 16, epoch, _sample_share(), FieldElement(5),
-                                       _sample_share()))
-    store.add_initial(InitialTuple(b"\x02" * 16, epoch, _sample_share(), FieldElement(5),
-                                       _sample_share()))
+    store.add_initial(_initials([1]))
+    store.add_initial(_initials([2]))
     store.close()
-    path = tmp_path / "tuples_initial.dat"
+    path = tmp_path / "tuples.jsonl"
     data = path.read_bytes()
-    path.write_bytes(data[:-7])  # torn tail: second record loses its CRC
+    path.write_bytes(data[:-7])  # torn tail: the second line loses its end
     revived = TupleStore(str(tmp_path), party=1)
     assert revived.initial_stock(epoch) == 1
     assert revived.initial_record(b"\x01" * 16) is not None
     revived.close()
+    assert path.read_bytes() == data[:data.rstrip(b"\n").rfind(b"\n") + 1]
 
 
 def test_tuple_store_journal_appends_after_a_torn_tail_survive_reopen(tmp_path):
     epoch = bytes(16)
     store = TupleStore(str(tmp_path), party=1)
-    for i in range(3):
-        store.add_initial(InitialTuple(bytes([i]) * 16, epoch, _sample_share(),
-                                       FieldElement(5), _sample_share()))
-    store.checkout_initial_by_id(b"\x00" * 16, epoch)
+    store.add_initial(_initials(range(3)))
+    store.checkout_initial_by_id([b"\x00" * 16], epoch)
     store.close()
-    journal = tmp_path / "tuples.journal"
-    journal.write_bytes(journal.read_bytes() + b"\x00\x01\x01")  # torn append
+    path = tmp_path / "tuples.jsonl"
+    path.write_bytes(path.read_bytes() + b'{"consume": "ini')  # torn append
     revived = TupleStore(str(tmp_path), party=1)
     assert revived.initial_stock(epoch) == 2
-    revived.checkout_initial_by_id(b"\x01" * 16, epoch)
+    revived.checkout_initial_by_id([b"\x01" * 16], epoch)
     revived.close()
     # the consumption journaled after the torn tail survives another restart
     third = TupleStore(str(tmp_path), party=1)
@@ -505,68 +538,68 @@ def test_tuple_store_journal_appends_after_a_torn_tail_survive_reopen(tmp_path):
     third.close()
 
 
-@pytest.mark.parametrize("name", ["tuples_initial.dat", "tuples_final.dat", "tuples.journal"])
-def test_tuple_store_refuses_another_partys_file(tmp_path, name):
+def test_tuple_store_refuses_another_partys_file(tmp_path):
     # party 2's file in party 1's directory: the store refuses to open and
     # leaves the file as it found it, rather than load shares of owner 2
     epoch = bytes(16)
     for party in (1, 2):
         store = TupleStore(str(tmp_path / f"party{party}"), party=party)
         share = _sample_share(owner=party)
-        store.add_initial(InitialTuple(bytes([party]) * 16, epoch, share, FieldElement(5), share))
-        store.add_final(FinalTuple(bytes([party]) * 16, epoch, "alice", _sample_point(),
-                                   share, share))
+        store.add_initial(_initials([party], owner=party))
+        store.add_final([FinalTuple(bytes([party]) * 16, epoch, "alice", _sample_point(),
+                                    share, share)])
         store.checkout_initial(epoch)
         store.close()
-    foreign = (tmp_path / "party2" / name).read_bytes()
-    target = tmp_path / "party1" / name
+    foreign = (tmp_path / "party2" / "tuples.jsonl").read_bytes()
+    target = tmp_path / "party1" / "tuples.jsonl"
     target.write_bytes(foreign)
-    with pytest.raises(TecdsaError, match=name):
+    with pytest.raises(TecdsaError, match="tuples.jsonl is not a tuple store of party 1"):
         TupleStore(str(tmp_path / "party1"), party=1)
     assert target.read_bytes() == foreign
 
 
 def test_tuple_store_cuts_a_torn_header(tmp_path):
-    # a crash while the first header was written leaves fewer than its 5 bytes
-    (tmp_path / "tuples_final.dat").write_bytes(b"DTS")
+    # a crash while the header line was written leaves it without its newline
+    (tmp_path / "tuples.jsonl").write_bytes(b'{"party": 1, "sto')
     store = TupleStore(str(tmp_path), party=1)
     store.close()
-    assert (tmp_path / "tuples_final.dat").read_bytes() == b"DTS1\x01"
+    assert (tmp_path / "tuples.jsonl").read_bytes() == b'{"party": 1, "store": "tuples"}\n'
 
 
-def test_initial_file_of_the_earlier_record_is_moved_aside(tmp_path):
-    # a store written before initial tuples held b_i and [c]: its initial file
-    # carries the final file's magic and 16 + 16 + 65 + 66 + 4-byte records
-    cfg = ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC)
-    cluster = LocalCluster(cfg, data_dir=str(tmp_path), seed=61)
-    pk = cluster.keygen("m")
-    cluster.preprocess_independent(3)
-    cluster.preprocess_dependent("m", 2)
-    cluster.run_signing("m", b"before")
-    journals = {p: node.tuple_store.consumed_ids() for p, node in cluster.nodes.items()}
-    epoch = cluster.epoch
-    cluster.close()
+@pytest.mark.parametrize("line", [
+    b"not json",
+    b'{"add": "initial", "id": "zz"}',
+    b'{"add": "bogus", "id": "00"}',
+    b'{"consume": "initial"}',
+    b'{"add": "initial", "b": "00", "c": "00", "epoch": "00", "id": "03", "k_inv": "02"}',
+    b"[1, 2]",
+    b"\xff\xfe",
+], ids=["not-json", "bad-hex", "unknown-kind", "no-id", "short-share", "not-an-object",
+        "not-utf8"])
+def test_tuple_store_refuses_a_whole_line_that_does_not_decode(tmp_path, line):
+    # a whole line cut nothing after it before: now the open fails, and the
+    # consumption lines behind the bad one stay on disk
+    store = TupleStore(str(tmp_path), party=1)
+    store.add_initial(_initials(range(2)))
+    store.close()
+    path = tmp_path / "tuples.jsonl"
+    data = path.read_bytes() + line + b'\n{"consume": "initial", "id": "' \
+        + (b"00" * 16) + b'"}\n'
+    path.write_bytes(data)
+    with pytest.raises(TecdsaError, match="does not decode"):
+        TupleStore(str(tmp_path), party=1)
+    assert path.read_bytes() == data
 
-    old_files = {}
-    for party in cluster.participants:
-        share = Share(SchemeId.ADDITIVE_MAC, party, FieldElement(9), FieldElement(10))
-        body = (b"\x77" * 16 + epoch + _sample_point().to_bytes()
-                + share.to_bytes() + bytes(66 - len(share.to_bytes())))
-        record = body + struct.pack(">I", zlib.crc32(body))
-        old_files[party] = b"DTS1" + bytes([party]) + record + record[:9]  # and a torn tail
-        (tmp_path / f"party{party}" / "tuples_initial.dat").write_bytes(old_files[party])
 
-    cluster = LocalCluster(cfg, data_dir=str(tmp_path), seed=61)
-    assert cluster.initial_stock() == 0
-    assert cluster.final_stock("m") == 1
-    for party, node in cluster.nodes.items():
-        moved = tmp_path / f"party{party}" / "tuples_initial.v1.dat"
-        assert moved.read_bytes() == old_files[party]
-        assert (tmp_path / f"party{party}" / "tuples_initial.dat").read_bytes()[:4] == b"DTI2"
-        final_ids = {(kind, tid) for kind, tid in journals[party] if kind == 1}
-        assert node.tuple_store.consumed_ids() == final_ids
-    assert ecdsa_verify(pk, b"after", cluster.run_signing("m", b"after").signature)
-    cluster.preprocess_independent(2)
-    assert cluster.preprocess_dependent("m", 2) == 2
-    assert ecdsa_verify(pk, b"next", cluster.run_signing("m", b"next").signature)
-    cluster.close()
+def test_tuple_files_of_earlier_versions_are_left_unread(tmp_path):
+    # the binary record files of earlier versions are neither read, moved
+    # nor cut: their tuples are never offered, and the next refill restocks
+    old = {"tuples_initial.dat": b"DTI2\x01" + bytes(40),
+           "tuples_final.dat": b"DTS1\x01" + bytes(40),
+           "tuples.journal": b"DTJ1\x01" + bytes(21)}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+    store = TupleStore(str(tmp_path), party=1)
+    assert store.initial_stock(bytes(16)) == 0 and store.consumed_ids() == set()
+    store.close()
+    assert {name: (tmp_path / name).read_bytes() for name in old} == old

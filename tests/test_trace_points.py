@@ -57,9 +57,8 @@ def test_each_wrapped_store_method_counts_one_call(tmp_path, monkeypatch):
         return FinalTuple(bytes([i]) * 16, epoch, "m", point, share, share)
 
     store = TupleStore(str(tmp_path), party=1)
-    for i in (1, 2):
-        store.add_initial(initial(i))
-        store.add_final(final(i))
+    store.add_initial([initial(1), initial(2)])
+    store.add_final([final(1), final(2)])
 
     calls = dict.fromkeys(STORE_NAMES, 0)
     for name in STORE_NAMES:
@@ -69,12 +68,14 @@ def test_each_wrapped_store_method_counts_one_call(tmp_path, monkeypatch):
 
         monkeypatch.setattr(TupleStore, name, counted)
 
-    store.add_initial(initial(3))
-    store.add_final(final(3))
+    store.add_initial([initial(3)])
+    store.add_final([final(3)])
     assert store.checkout_initial(epoch).tuple_id == bytes([1]) * 16
     assert store.checkout_final("m", epoch).tuple_id == bytes([1]) * 16
-    assert store.checkout_initial_by_id(bytes([3]) * 16, epoch).tuple_id == bytes([3]) * 16
-    assert store.checkout_final_by_id(bytes([3]) * 16, "m", epoch).tuple_id == bytes([3]) * 16
+    assert [t.tuple_id for t in store.checkout_initial_by_id([bytes([3]) * 16], epoch)] \
+        == [bytes([3]) * 16]
+    assert [t.tuple_id for t in store.checkout_final_by_id([bytes([3]) * 16], "m", epoch)] \
+        == [bytes([3]) * 16]
     assert store.available_initial_ids(epoch) == [bytes([2]) * 16]
     assert store.available_final_ids("m", epoch) == [bytes([2]) * 16]
     assert store.initial_stock(epoch) == 1
