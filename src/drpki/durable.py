@@ -11,6 +11,12 @@ import json
 import os
 import threading
 from pathlib import Path
+from typing import Callable, TypeVar
+
+from .algebra import AlgebraError
+from .sharing import SharingError
+
+T = TypeVar("T")
 
 
 def _write_file(path: Path, data: str | bytes) -> None:
@@ -27,7 +33,10 @@ def _append_line(path: Path, record: dict | str) -> None:
     The line goes out in one write; if that fails, on a full disk say, the
     file is cut back to its old size and the error re-raised."""
     line = record if isinstance(record, str) else json.dumps(record, sort_keys=True)
-    size = path.stat().st_size if path.exists() else 0
+    try:
+        size = os.stat(path).st_size
+    except FileNotFoundError:
+        size = 0
     try:
         with open(path, "ab") as out:
             out.write((line + "\n").encode())
@@ -48,3 +57,21 @@ def _read_lines(path: Path) -> list[str]:
     if whole < len(data):
         os.truncate(path, whole)
     return data[:whole].decode().splitlines()
+
+
+class RecordError(Exception):
+    """A whole line of a node's line log that does not decode."""
+
+
+def _read_records(path: Path, decode: Callable[[dict], T]) -> list[T]:
+    """`decode` of each whole line of a JSON-lines log, in file order.  A
+    line that is not JSON, or that `decode` cannot take, raises
+    `RecordError` naming the file and the line, and leaves the file as it
+    is."""
+    records = []
+    for number, line in enumerate(_read_lines(path), 1):
+        try:
+            records.append(decode(json.loads(line)))
+        except (KeyError, TypeError, ValueError, AlgebraError, SharingError) as exc:
+            raise RecordError(f"{path} line {number} does not decode: {exc!r}") from exc
+    return records

@@ -51,7 +51,7 @@ from typing import Callable, Optional, Sequence
 from urllib.parse import quote
 
 from ..algebra import AlgebraError, FieldElement, GroupPoint
-from ..durable import _append_line, _read_lines, _write_file
+from ..durable import _append_line, _read_lines, _read_records, _write_file
 from ..preprocessing import TrustedDealer
 from ..rpki import (
     Action,
@@ -269,6 +269,26 @@ class _RequestGate:
         return ok
 
 
+def _key_record(rec: dict) -> KeyShareRecord:
+    """A line of keys.jsonl, as `PartyNode.store_key_record` writes it."""
+    return KeyShareRecord(rec["member"], Share.from_bytes(bytes.fromhex(rec["share"])),
+                          GroupPoint.from_bytes(bytes.fromhex(rec["pk"])),
+                          bytes.fromhex(rec["epoch"]))
+
+
+def _member_entry(rec: dict) -> tuple[str, GroupPoint]:
+    """A line of members.jsonl, as `PartyNode.register_member` writes it."""
+    return rec["member"], GroupPoint.from_bytes(bytes.fromhex(rec["pk"]))
+
+
+def _ticket(rec: dict) -> InterventionTicket:
+    """A line of tickets.jsonl, as `PartyNode._store_ticket` writes it."""
+    return InterventionTicket(rec["ticket_id"], rec["member"], Action[rec["action"]],
+                              rec["reason"], rec["created_at"],
+                              [bytes.fromhex(b) for b in rec["payloads"]],
+                              rec["approved"], rec["completed"])
+
+
 class PartyNode:
     """One RIR node: stores, registries, audit log, and durable state.
 
@@ -320,24 +340,13 @@ class PartyNode:
                 self.mac_key = MacKeyShare(
                     self.party_id, FieldElement(int(blob["mac_alpha"], 16))
                 )
-        for rec in map(json.loads, _read_lines(self.dir / "keys.jsonl")):
-            self.key_records[rec["member"]] = KeyShareRecord(
-                rec["member"],
-                Share.from_bytes(bytes.fromhex(rec["share"])),
-                GroupPoint.from_bytes(bytes.fromhex(rec["pk"])),
-                bytes.fromhex(rec["epoch"]),
-            )
-        for rec in map(json.loads, _read_lines(self.dir / "members.jsonl")):
-            pk = GroupPoint.from_bytes(bytes.fromhex(rec["pk"]))
-            self.member_registry[rec["member"]] = pk  # a later line wins
-        for rec in map(json.loads, _read_lines(self.dir / "tickets.jsonl")):
-            ticket = InterventionTicket(
-                rec["ticket_id"], rec["member"], Action[rec["action"]],
-                rec["reason"], rec["created_at"],
-                [bytes.fromhex(b) for b in rec["payloads"]],
-                rec["approved"], rec["completed"],
-            )
-            self.tickets[ticket.ticket_id] = ticket
+        # a line that does not decode stops the load, naming its file and line
+        self.key_records = {rec.member_id: rec for rec in
+                            _read_records(self.dir / "keys.jsonl", _key_record)}
+        # a later line of a member wins
+        self.member_registry = dict(_read_records(self.dir / "members.jsonl", _member_entry))
+        self.tickets = {ticket.ticket_id: ticket for ticket in
+                        _read_records(self.dir / "tickets.jsonl", _ticket)}
         # a manifest line, "name digest" pairs, is a batch's commit point: an
         # object file no whole line lists belongs to a batch cut off before
         # its line was appended

@@ -13,7 +13,7 @@ authenticated scheme.
 from __future__ import annotations
 
 import secrets
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..algebra import AlgebraError, FieldElement, GroupPoint
 from ..sharing import (
@@ -95,14 +95,22 @@ class PartySession:
                 pass
         raise SessionAbort(reason)
 
-    def run_round(self, payloads: dict[int, bytes]) -> dict[int, bytes]:
-        """Send this round's per-peer payloads; collect every peer's payload."""
+    def run_round(self, payloads: dict[int, bytes], *,
+                  work: Optional[Callable[[], None]] = None) -> dict[int, bytes]:
+        """Send this round's per-peer payloads; collect every peer's payload.
+
+        `work`, local computation that needs nothing of this round, runs
+        once after every frame of the round has been sent and before any
+        frame is read, so it overlaps the peers' frames in flight.
+        """
         self.round += 1
         r = self.round
         for peer in self.peers:
             msg = SessionMessage(self.session_id, self.phase, r,
                                  self.party_id, payloads.get(peer, b""))
             self.endpoint.send(peer, msg)
+        if work is not None:
+            self._run_work(work)
 
         received: dict[int, bytes] = {}
         for peer in list(self.peers):
@@ -130,8 +138,16 @@ class PartySession:
                 self._buffered[(msg.sender, msg.round)] = msg.payload
         return received
 
-    def broadcast(self, data: bytes) -> dict[int, bytes]:
-        return self.run_round({peer: data for peer in self.peers})
+    def broadcast(self, data: bytes, *,
+                  work: Optional[Callable[[], None]] = None) -> dict[int, bytes]:
+        return self.run_round({peer: data for peer in self.peers}, work=work)
+
+    def _run_work(self, work: Callable[[], None]) -> None:
+        """Run local work; if it raises, the session aborts for every peer."""
+        try:
+            work()
+        except Exception as exc:
+            self.abort(f"local work failed: {exc}")
 
     # --- opens ----------------------------------------------------------
 
@@ -244,15 +260,20 @@ class PartySession:
 
     # --- deferred MAC check ----------------------------------------------
 
-    def run_mac_check(self) -> None:
+    def run_mac_check(self, work: Optional[Callable[[], None]] = None) -> None:
         """Commit/reveal check over every value opened since the last check.
 
-        Must run before any opened value is used by the phase.
-        A failed check sets `mac_failed` before the session aborts.
+        Must run before any opened value is stored or sent.  Values derived
+        from unchecked opens may be computed while the check is in flight:
+        `work` runs in the commit round, after this party's commit frames
+        are sent, or at once when there is no check to run (a scheme
+        without MACs, or nothing opened since the last check).  Whatever it
+        computes is kept only once this returns.  A failed check sets
+        `mac_failed` before the session aborts.
         """
-        if not self.scheme.has_mac:
-            return
-        if len(self.mac_accumulator) == 0:
+        if not self.scheme.has_mac or len(self.mac_accumulator) == 0:
+            if work is not None:
+                self._run_work(work)
             return
         sigma = self.mac_accumulator.sigma(self.mac_key)
         if self.rng is not None:
@@ -260,7 +281,7 @@ class PartySession:
         else:
             opening = secrets.token_bytes(32)
         my_commit = mac_commit(sigma, opening)
-        commit_replies = self.broadcast(my_commit)
+        commit_replies = self.broadcast(my_commit, work=work)
         commitments = {self.party_id: my_commit}
         for peer, blob in commit_replies.items():
             commitments[peer] = blob

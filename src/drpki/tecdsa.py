@@ -15,10 +15,14 @@ node's tuple store, and keygen returns its key record for the node to store.
 Instance-key material is strictly single-use: stores mark a tuple consumed
 durably before any share computed from its [1/k] or [sk/k] is sent, so a
 crash and restart can never reuse a nonce.  Only a share of its R = k*G,
-which is the same on every send, may leave first.  A store is one
-JSON-lines log, tuples.jsonl, appended and read through the line-log
-helpers of `durable` like every other node record; a consumption that
-fails to reach it is cut back off the file and leaves the tuple unconsumed.
+which is the same on every send, may leave first.  Values derived from
+opens a MAC check has not yet passed may be computed while the check is in
+flight, but they are neither stored nor sent before it passes.
+
+A store is one JSON-lines log, tuples.jsonl, appended and read through the
+line-log helpers of `durable` like every other node record; a consumption
+that fails to reach it is cut back off the file and leaves the tuple
+unconsumed.
 """
 
 from __future__ import annotations
@@ -476,10 +480,13 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
     Every initial tuple is journaled before its Beaver messages are sent,
     and one triple is spent per final tuple and round.  The MAC check
     covers every opened c, and an opened c = 0, a ~2/p event and so the
-    sign of a rigged or broken dealer, aborts the session; only then is
-    each share (b_i / c) * G of k*G computed.  With precompute_r the R
-    point is opened here so the online phase stays free of curve work, and
-    a degenerate R aborts the session before any final tuple is stored.
+    sign of a rigged or broken dealer, aborts the session.  Each share
+    (b_i / c) * G of k*G and each [sk/k] is computed while the check's
+    commit frames are in flight, from the still unchecked opens, but none
+    is stored or sent before the check passes; with any c = 0 none is
+    computed.  With precompute_r the R point is opened after the check so
+    the online phase stays free of curve work, and a degenerate R aborts
+    the session before any final tuple is stored.
     """
     cfg = node.config
     record = node.key_records.get(member_id)
@@ -503,18 +510,25 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
         session, count, "initial preprocessing tuples depleted",
         lambda limit: store.available_initial_ids(node.epoch, limit=limit),
         lambda tids: store.checkout_initial_by_id(tids, node.epoch), bind)
-    session.run_mac_check()  # authenticate every c, d and e before using them
-    if any(c.is_zero() for c in opened[0::3]):
-        session.abort("degenerate preprocessing triple (c = 0)")
+    degenerate = any(c.is_zero() for c in opened[0::3])
+    finals: list[FinalTuple] = []
 
-    finals = []
-    for init, tr, c, d, e in zip(initials, triples, opened[0::3], opened[1::3],
-                                 opened[2::3]):
-        finals.append(
-            FinalTuple(init.tuple_id, node.epoch, member_id,
-                       scalar_mul(init.b_share * c.inv(), GENERATOR),
-                       init.k_inv_share, beaver_combine(tr, d, e, node.mac_key))
-        )
+    def build() -> None:
+        if degenerate:
+            return
+        for init, tr, c, d, e in zip(initials, triples, opened[0::3], opened[1::3],
+                                     opened[2::3]):
+            finals.append(
+                FinalTuple(init.tuple_id, node.epoch, member_id,
+                           scalar_mul(init.b_share * c.inv(), GENERATOR),
+                           init.k_inv_share, beaver_combine(tr, d, e, node.mac_key))
+            )
+
+    # the final tuples are built while the check's commit frames are in
+    # flight, and kept only once it has authenticated every c, d and e
+    session.run_mac_check(build)
+    if degenerate:
+        session.abort("degenerate preprocessing triple (c = 0)")
 
     if cfg.precompute_r:
         r_points = session.open_point_batch([f.k_point_share for f in finals])

@@ -126,10 +126,10 @@ def count_rounds(phase):
     counts = {}
     run_round = PartySession.run_round
 
-    def counting(session, payloads):
+    def counting(session, payloads, *, work=None):
         if session.phase == phase:
             counts[session.party_id] = counts.get(session.party_id, 0) + 1
-        return run_round(session, payloads)
+        return run_round(session, payloads, work=work)
 
     with mock.patch.object(PartySession, "run_round", counting):
         yield counts

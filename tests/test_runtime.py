@@ -12,7 +12,9 @@ from dataclasses import replace
 
 import pytest
 
+from drpki import algebra as algebra_module
 from drpki import durable as durable_module
+from drpki.durable import RecordError
 from drpki import rpki as rpki_module
 from drpki.algebra import (
     GENERATOR, FieldElement, GroupPoint, KeyPair, Signature, ecdsa_sign, ecdsa_verify,
@@ -28,6 +30,7 @@ from drpki.runtime import (
     FRAME_OVERHEAD,
     ConsentPolicy,
     InProcessHub,
+    InterventionTicket,
     LocalCluster,
     PartyNode,
     PartySession,
@@ -39,6 +42,7 @@ from drpki.runtime import (
 from drpki.runtime import node as node_module
 from drpki.runtime import session as session_module
 from drpki.runtime.transport import (
+    PHASE_ABORT,
     PHASE_CONTROL,
     PHASE_KEYGEN,
     PHASE_ONLINE,
@@ -53,7 +57,8 @@ from drpki.runtime.transport import (
 )
 from drpki.sharing import ProtocolAbort, SchemeId, Share, open_shares
 from drpki.tecdsa import (
-    InitialTuple, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore, _id_tag,
+    InitialTuple, KeyShareRecord, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore,
+    _id_tag,
 )
 from faults import (
     CrashError,
@@ -202,6 +207,68 @@ def test_replayed_round_message_dropped():
     with pytest.raises(SessionAbort):
         session.run_round({2: b"", 3: b""})
     assert session.dropped >= 1
+
+
+class _RecordingEndpoint:
+    """Logs each send and receive in order; every peer answers a frame of
+    this party's with one of the same round, as soon as it is sent."""
+
+    def __init__(self, party):
+        self.party = party
+        self.log = []
+        self._inbox = []
+
+    def send(self, peer, msg):
+        self.log.append(("send", peer, msg.phase, msg.round))
+        if msg.phase != PHASE_ABORT:
+            self._inbox.append(replace(msg, sender=peer, payload=b"reply"))
+
+    def recv(self, session_id, timeout):
+        self.log.append(("recv",))
+        return self._inbox.pop(0) if self._inbox else None
+
+
+def _recording_session(scheme=SchemeId.SHAMIR):
+    endpoint = _RecordingEndpoint(1)
+    session = PartySession(1, [1, 2, 3], b"W" * 16, PHASE_CONTROL, endpoint, scheme,
+                           t=1, timeout=0.2)
+    return session, endpoint.log
+
+
+@pytest.mark.parametrize("how", ["run_round", "broadcast"])
+def test_round_work_runs_after_every_send_and_before_any_receive(how):
+    session, log = _recording_session()
+    work = lambda: log.append(("work",))  # noqa: E731
+    if how == "run_round":
+        got = session.run_round({2: b"a", 3: b"b"}, work=work)
+    else:
+        got = session.broadcast(b"a", work=work)
+    assert got == {2: b"reply", 3: b"reply"}
+    assert log == [("send", 2, PHASE_CONTROL, 1), ("send", 3, PHASE_CONTROL, 1), ("work",),
+                   ("recv",), ("recv",)]
+
+
+def test_round_work_that_raises_aborts_the_session_for_every_peer():
+    session, log = _recording_session()
+
+    def work():
+        raise ValueError("no inverse")
+
+    with pytest.raises(SessionAbort, match="local work failed: no inverse"):
+        session.broadcast(b"a", work=work)
+    assert log == [("send", 2, PHASE_CONTROL, 1), ("send", 3, PHASE_CONTROL, 1),
+                   ("send", 2, PHASE_ABORT, 1), ("send", 3, PHASE_ABORT, 1)]
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.SHAMIR_CHECKED, SchemeId.ADDITIVE_MAC],
+                         ids=["no-mac", "nothing-opened"])
+def test_mac_check_with_nothing_to_check_runs_its_work_at_once(scheme):
+    session, log = _recording_session(scheme)
+    session.run_mac_check(lambda: log.append(("work",)))
+    assert log == [("work",)] and session.round == 0
+    with pytest.raises(SessionAbort, match="local work failed"):
+        session.run_mac_check(lambda: 1 / 0)
+    assert log[1:] == [("send", 2, PHASE_ABORT, 0), ("send", 3, PHASE_ABORT, 0)]
 
 
 # --- TCP transport -----------------------------------------------------------------
@@ -740,10 +807,10 @@ def test_sign_request_round_count(monkeypatch, scheme, op, precompute_r, rounds)
     sessions = {}
     run_round = PartySession.run_round
 
-    def counting(self, payloads):
+    def counting(self, payloads, *, work=None):
         counts[self.party_id] = counts.get(self.party_id, 0) + 1
         sessions.setdefault(self.party_id, set()).add(self.session_id)
-        return run_round(self, payloads)
+        return run_round(self, payloads, work=work)
 
     monkeypatch.setattr(PartySession, "run_round", counting)
     if op == "sign":
@@ -771,10 +838,10 @@ def test_request_at_full_stock_sends_a_twenty_byte_tag(monkeypatch):
     sent = {}
     run_round = PartySession.run_round
 
-    def recording(self, payloads):
+    def recording(self, payloads, *, work=None):
         if self.phase == PHASE_ONLINE and self.round == 0:
             sent[self.party_id] = {len(p) for p in payloads.values()}
-        return run_round(self, payloads)
+        return run_round(self, payloads, work=work)
 
     monkeypatch.setattr(PartySession, "run_round", recording)
     outcome = cluster.handle_sign_request(request)
@@ -797,9 +864,9 @@ def test_refused_transfer_burns_its_tuples_before_any_s_share(monkeypatch):
     counts = {}
     run_round = PartySession.run_round
 
-    def counting(self, payloads):
+    def counting(self, payloads, *, work=None):
         counts[self.party_id] = counts.get(self.party_id, 0) + 1
-        return run_round(self, payloads)
+        return run_round(self, payloads, work=work)
 
     monkeypatch.setattr(PartySession, "run_round", counting)
     outcome = cluster.handle_sign_request(request)
@@ -953,10 +1020,10 @@ def test_agreed_tuples_are_journaled_before_round_two(monkeypatch, scheme, op):
     journaled = {}
     run_round = PartySession.run_round
 
-    def checking(self, payloads):
+    def checking(self, payloads, *, work=None):
         if self.phase == PHASE_ONLINE and self.round == 1:
             journaled[self.party_id] = cluster.nodes[self.party_id].tuple_store.consumed_ids()
-        return run_round(self, payloads)
+        return run_round(self, payloads, work=work)
 
     monkeypatch.setattr(PartySession, "run_round", checking)
     if op == "request":
@@ -1326,11 +1393,11 @@ def test_peer_abort_naming_a_failed_mac_check_retires_no_epoch(monkeypatch, sche
     run_round = PartySession.run_round
     fired = []
 
-    def hostile(self, payloads):
+    def hostile(self, payloads, *, work=None):
         if self.party_id == 2 and self.phase == PHASE_ONLINE and not fired:
             fired.append(self.session_id)
             self.abort("MAC check failed")
-        return run_round(self, payloads)
+        return run_round(self, payloads, work=work)
 
     monkeypatch.setattr(PartySession, "run_round", hostile)
     outcome = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
@@ -1430,6 +1497,56 @@ def test_restock_round_count(scheme, rounds):
     cluster.close()
 
 
+@pytest.mark.parametrize("scheme, per_party", [
+    # round 1: a 4-byte note length, the 20-byte tag and 9 bare 34-byte
+    # shares (c and two Beaver diffs per tuple); then a 32-byte MAC commit
+    # and a 64-byte reveal
+    (SchemeId.ADDITIVE_MAC, 2448),
+    (SchemeId.SHAMIR_CHECKED, 1568),
+], ids=["mascot", "mal-shamir"])
+def test_restock_wire_bytes(scheme, per_party):
+    cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=58)
+    cluster.keygen("m")
+    before = cluster.hub.counters.snapshot()
+    assert cluster.replenish("m", low_watermark=1, batch_size=3) == {"initial": 4, "final": 3}
+    after = cluster.hub.counters.snapshot()
+    sent = {key: n - before.get(key, 0) for key, n in after.items() if n != before.get(key, 0)}
+    round_one = FRAME_OVERHEAD + 4 + 20 + 9 * 34
+    mac_check = 2 * FRAME_OVERHEAD + 32 + 64 if scheme.has_mac else 0
+    assert per_party == 4 * (round_one + mac_check)
+    assert sent == {(p, "preprocess_dependent"): per_party for p in cluster.participants}
+    cluster.close()
+
+
+def test_mascot_restock_computes_k_points_while_the_mac_check_is_in_flight(monkeypatch):
+    # each party's every k * G of the batch falls between its commit frames
+    # (round 2) leaving and its reveal frames (round 3) leaving
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    cluster.keygen("m")
+    events = []
+    g_mul, send = algebra_module._g_mul, cluster.hub.send
+
+    def recording_g_mul(*args):
+        events.append((threading.get_ident(), "g_mul"))
+        return g_mul(*args)
+
+    def recording_send(sender, receiver, msg):
+        if msg.phase == PHASE_PREPROCESS_DEPENDENT:
+            events.append((threading.get_ident(), msg.round))
+        send(sender, receiver, msg)
+
+    monkeypatch.setattr(algebra_module, "_g_mul", recording_g_mul)
+    monkeypatch.setattr(cluster.hub, "send", recording_send)
+    assert cluster.replenish("m", low_watermark=1, batch_size=3) == {"initial": 4, "final": 3}
+    threads = {thread for thread, _ in events}
+    assert len(threads) == len(cluster.participants)
+    for thread in threads:
+        mine = [what for t, what in events if t == thread]
+        assert mine.count("g_mul") == 3
+        assert mine == [1] * 4 + [2] * 4 + ["g_mul"] * 3 + [3] * 4
+    cluster.close()
+
+
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.name)
 def test_independent_preprocessing_is_local(scheme):
     cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=59)
@@ -1449,10 +1566,10 @@ def test_agreed_initial_tuples_are_journaled_before_round_one(monkeypatch):
     journaled = {}
     run_round = PartySession.run_round
 
-    def checking(self, payloads):
+    def checking(self, payloads, *, work=None):
         if self.phase == PHASE_PREPROCESS_DEPENDENT and self.round == 0:
             journaled[self.party_id] = cluster.nodes[self.party_id].tuple_store.consumed_ids()
-        return run_round(self, payloads)
+        return run_round(self, payloads, work=work)
 
     monkeypatch.setattr(PartySession, "run_round", checking)
     cluster.preprocess_dependent("m", 3)
@@ -1881,6 +1998,29 @@ def test_torn_key_record_tail_is_cut_on_reopen(tmp_path):
     assert keys.read_text().endswith("}\n")
     assert ecdsa_verify(pk, b"after", cluster.run_signing("m", b"after").signature)
     cluster.close()
+
+
+@pytest.mark.parametrize("bad", ["not json", '{"member": "a"}'],
+                         ids=["not-json", "missing-key"])
+@pytest.mark.parametrize("log", ["keys.jsonl", "members.jsonl", "tickets.jsonl"])
+def test_node_log_line_that_does_not_decode_names_its_file_and_line(tmp_path, log, bad):
+    # a whole second line that does not decode stops the load with one
+    # error naming the file and the line, and the file is left as it is
+    config = ProtocolConfig.for_scheme(SchemeId.SHAMIR)
+    node = PartyNode(1, config, str(tmp_path), bytes(16))
+    pk = scalar_mul(FieldElement(7), GENERATOR)
+    node.register_member("a", pk)
+    node.store_key_record(KeyShareRecord("a", Share(SchemeId.SHAMIR, 1, FieldElement(3)), pk,
+                                         bytes(16)))
+    node._store_ticket(InterventionTicket("t", "a", Action.ISSUE, "consent-missing", 0.0,
+                                          [b"x"]))
+    node.close()
+    path = tmp_path / log
+    data = path.read_bytes() + bad.encode() + b"\n"
+    path.write_bytes(data)
+    with pytest.raises(RecordError, match=rf"{log} line 2 does not decode"):
+        PartyNode(1, config, str(tmp_path), bytes(16))
+    assert path.read_bytes() == data
 
 
 def test_torn_audit_tail_is_cut_on_reopen(tmp_path):

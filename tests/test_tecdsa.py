@@ -1,12 +1,15 @@
 """Protocol-phase and tuple-store tests."""
 
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from drpki.algebra import FieldElement, GENERATOR, ecdsa_sign, ecdsa_verify, scalar_mul
 from drpki.preprocessing import Triple, TripleSource, TupleReuseError
 from drpki.runtime import LocalCluster, SessionAbort
+from drpki.runtime.transport import PHASE_PREPROCESS_DEPENDENT
 from drpki.sharing import PointShare, ProtocolAbort, SchemeId, Share, open_point_shares, open_shares
 from drpki.tecdsa import (
     FinalTuple,
@@ -16,7 +19,7 @@ from drpki.tecdsa import (
     TecdsaError,
     TupleStore,
 )
-from faults import count_curve_ops, inject_fault
+from faults import inject_fault
 
 
 ALL_SCHEMES = list(SchemeId)
@@ -394,15 +397,34 @@ def test_mac_check_failure_retires_epoch():
 
 
 def test_corrupt_c_share_aborts_before_any_k_point_share():
-    # party 3's c share of the first tuple is off by one in phase-3 round 1
+    # party 3's c share of the first tuple is off by one in phase-3 round 1;
+    # the shares (b_i / c) * G are computed while the MAC check runs, but
+    # none leaves a party or reaches its store
     cluster = make_cluster(SchemeId.ADDITIVE_MAC)
     cluster.keygen("m")
     cluster.preprocess_independent(2)
+    frames = []
+    send = cluster.hub.send
+
+    def recording(sender, receiver, msg):
+        if msg.phase == PHASE_PREPROCESS_DEPENDENT:
+            frames.append((msg.round, len(msg.payload)))
+        send(sender, receiver, msg)
+
     with pytest.raises(ProtocolAbort, match="MAC check failed"), \
-            inject_fault(3, opens_until_fault=0) as plan, count_curve_ops() as ops:
+            inject_fault(3, opens_until_fault=0) as plan, \
+            mock.patch.object(cluster.hub, "send", recording):
         cluster.preprocess_dependent("m", 2)
     assert plan.triggered
-    assert ops == []  # no (b_i / c) * G from an unchecked c
+    # after the open, only a 32-byte commit (round 2) or a 64-byte reveal
+    # (round 3) goes out
+    later = [(r, size) for r, size in frames if r > 1]
+    assert later and all(size <= {2: 32, 3: 64}[r] for r, size in later)
+    for node in cluster.nodes.values():
+        agreed = [tid for kind, tid in node.tuple_store.consumed_ids() if kind == 0]
+        assert len(agreed) == 2
+        assert all(node.tuple_store.final_record(tid) is None for tid in agreed)
+        assert '"final"' not in Path(node.dir, "tuples.jsonl").read_text()
     assert all(cluster.epoch in node.retired_epochs for node in cluster.nodes.values())
     assert all(node.tuple_store.final_stock("m", cluster.epoch) == 0
                for node in cluster.nodes.values())
