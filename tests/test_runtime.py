@@ -213,8 +213,7 @@ class _RecordingEndpoint:
     """Logs each send and receive in order; every peer answers a frame of
     this party's with one of the same round, as soon as it is sent."""
 
-    def __init__(self, party):
-        self.party = party
+    def __init__(self):
         self.log = []
         self._inbox = []
 
@@ -229,7 +228,7 @@ class _RecordingEndpoint:
 
 
 def _recording_session(scheme=SchemeId.SHAMIR):
-    endpoint = _RecordingEndpoint(1)
+    endpoint = _RecordingEndpoint()
     session = PartySession(1, [1, 2, 3], b"W" * 16, PHASE_CONTROL, endpoint, scheme,
                            t=1, timeout=0.2)
     return session, endpoint.log
