@@ -73,10 +73,6 @@ def one_way_delays(rtt_ms: dict[tuple[int, int], float]) -> dict[tuple[int, int]
     return out
 
 
-def critical_path_rtt(rtt_ms: dict[tuple[int, int], float]) -> float:
-    return max(rtt_ms.values())
-
-
 def load_latency_matrix(path: str) -> dict[tuple[int, int], float]:
     """Parse a 5x5 table of RTT milliseconds (CSV; row i column j = RTT i->j)."""
     rows = [line for line in Path(path).read_text().splitlines() if line.strip()]

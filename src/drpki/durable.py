@@ -1,8 +1,9 @@
 """The two ways a node's state reaches its disk: a whole file, or a line log.
 
-Every record a node keeps, its tuple store included, is written through
-these helpers and read back through `_read_lines`, so each piece of state
-is appended, cut back and read one way.
+Every record a node keeps, its tuple store and the dealer file it starts
+from included, is written through these helpers and read back through
+`_read_lines`, so each piece of state is appended, cut back and read one
+way.
 """
 
 from __future__ import annotations
@@ -46,32 +47,36 @@ def _append_line(path: Path, record: dict | str) -> None:
         raise
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The whole lines of a line-oriented file.  A final line without its
-    newline is an append torn by a crash: it is cut off the file, so the next
-    append starts a line of its own."""
+def _read_lines(path: Path) -> list[bytes]:
+    """The whole lines of a line-oriented file, undecoded.  A final line
+    without its newline is an append torn by a crash: it is cut off the
+    file, so the next append starts a line of its own."""
     if not path.exists():
         return []
     data = path.read_bytes()
     whole = data.rfind(b"\n") + 1
     if whole < len(data):
         os.truncate(path, whole)
-    return data[:whole].decode().splitlines()
+    return data[:whole].splitlines()
 
 
 class RecordError(Exception):
     """A whole line of a node's line log that does not decode."""
 
 
-def _read_records(path: Path, decode: Callable[[dict], T]) -> list[T]:
-    """`decode` of each whole line of a JSON-lines log, in file order.  A
-    line that is not JSON, or that `decode` cannot take, raises
-    `RecordError` naming the file and the line, and leaves the file as it
-    is."""
+def _read_records(path: Path, decode: Callable[[dict], T],
+                  header: Callable[[dict], object] | None = None) -> list[T]:
+    """`decode` of each whole line of a JSON-lines log, in file order.  A log
+    that opens with a header line passes `header`, which takes the first
+    line in `decode`'s place, and whose result leads the list; an empty log
+    has no header line.  A line that is not UTF-8 JSON, or that `decode` or
+    `header` cannot take, raises `RecordError` naming the file and the line,
+    and leaves the file as it is."""
     records = []
     for number, line in enumerate(_read_lines(path), 1):
+        take = header if number == 1 and header is not None else decode
         try:
-            records.append(decode(json.loads(line)))
+            records.append(take(json.loads(line.decode())))
         except (KeyError, TypeError, ValueError, AlgebraError, SharingError) as exc:
             raise RecordError(f"{path} line {number} does not decode: {exc!r}") from exc
     return records

@@ -1,9 +1,12 @@
 """Multiplication-triple sources and Beaver multiplication.
 
-Triples here come from a trusted dealer (or a file of dealer output), an
-explicit trust assumption standing in for OT-based offline generation.  The
-TripleSource interface is shaped so an interactive generator could be slotted
-in without touching consumers.
+Triples here come from a trusted dealer, an explicit trust assumption
+standing in for OT-based offline generation: `TrustedDealer` in process, or
+`FileReplay`, one party's dealer output as `drpki deal` wrote it.  A dealer
+file is a JSON-lines log read through `durable.py`: a header line naming
+the party, scheme, n, t, epoch and record counts, plus the party's MAC key
+share under a MAC scheme; then one line per triple and one per input mask,
+each share in hex as the tuple store keeps it.
 
 Triples are strictly single-use: a consumed flag is set before any protocol
 message references the triple, so a crash cannot lead to reuse.
@@ -11,13 +14,14 @@ message references the triple, so a crash cannot lead to reuse.
 
 from __future__ import annotations
 
-import io
-import struct
+import json
 import threading
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Optional, Sequence
 
 from .algebra import FieldElement
+from .durable import _read_records
 from .sharing import (
     MacKeyShare,
     SchemeId,
@@ -138,17 +142,7 @@ def dealer_generate_masks(
     ]
 
 
-class TripleSource:
-    """Abstract per-party provider of preprocessing material."""
-
-    def next_triple(self, scheme: SchemeId) -> Triple:
-        raise NotImplementedError
-
-    def next_input_mask(self, scheme: SchemeId, input_owner: int) -> InputMask:
-        raise NotImplementedError
-
-
-class TrustedDealer(TripleSource):
+class TrustedDealer:
     """In-process dealer shared by all parties' sessions.
 
     Each party has a triple queue and a mask queue.  A party that finds its
@@ -201,7 +195,7 @@ class TrustedDealer(TripleSource):
         return mask
 
 
-class DealerPartyView(TripleSource):
+class DealerPartyView:
     """A single party's handle onto a shared TrustedDealer."""
 
     def __init__(self, dealer: TrustedDealer, party: int) -> None:
@@ -216,28 +210,6 @@ class DealerPartyView(TripleSource):
 
 
 # --- FileReplay: dealer output persisted per party ----------------------------
-#
-# File layout: magic 'DRT1' | scheme u8 | n u8 | t u8 | party u8 | epoch 16B,
-# then records:  kind u8 (0 triple, 1 mask) followed by the fixed-width body.
-# `encode_replay` builds a whole file's bytes; `drpki deal` writes them with
-# the node's whole-file writer, so a file is either old or new, never part.
-
-_FILE_MAGIC = b"DRT1"
-_KIND_TRIPLE = 0
-_KIND_MASK = 1
-
-
-def _share_body(share: Share) -> bytes:
-    return share.value.to_bytes() + (share.mac.to_bytes() if share.mac is not None
-                                     else b"\x00" * 32)
-
-
-def _read_share_body(buf: BinaryIO, scheme: SchemeId, owner: int) -> Share:
-    value = FieldElement.from_bytes(buf.read(32))
-    mac_raw = buf.read(32)
-    mac = FieldElement.from_bytes(mac_raw) if scheme.has_mac else None
-    return Share(scheme, owner, value, mac)
-
 
 def encode_replay(
     party: int,
@@ -247,58 +219,74 @@ def encode_replay(
     epoch: bytes,
     triples: Sequence[Triple],
     masks: Sequence[InputMask] = (),
-) -> bytes:
+    mac_key: Optional[MacKeyShare] = None,
+) -> str:
     """One party's dealer file, whole, for `FileReplay` to read."""
-    out = [_FILE_MAGIC, struct.pack("BBBB", scheme.value, n, t, party), epoch]
-    for tr in triples:
-        out += [bytes([_KIND_TRIPLE]), tr.triple_id,
-                _share_body(tr.a), _share_body(tr.b), _share_body(tr.c)]
-    for mk in masks:
-        clear = mk.cleartext.to_bytes() if mk.cleartext is not None else b"\x00" * 32
-        out += [bytes([_KIND_MASK]), mk.mask_id, bytes([mk.input_owner]),
-                _share_body(mk.share), clear]
-    return b"".join(out)
+    header = {"dealer": "triples", "party": party, "scheme": scheme.name, "n": n, "t": t,
+              "epoch": epoch.hex(), "triples": len(triples), "masks": len(masks)}
+    if mac_key is not None:
+        header["mac_key"] = mac_key.alpha_i.to_bytes().hex()
+    lines = [header]
+    lines += [{"triple": tr.triple_id.hex(), "a": tr.a.to_bytes().hex(),
+               "b": tr.b.to_bytes().hex(), "c": tr.c.to_bytes().hex()} for tr in triples]
+    lines += [{"mask": mk.mask_id.hex(), "owner": mk.input_owner,
+               "share": mk.share.to_bytes().hex(),
+               "clear": None if mk.cleartext is None else mk.cleartext.to_bytes().hex()}
+              for mk in masks]
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 
-class FileReplay(TripleSource):
-    """Reads one party's pre-generated dealer output from disk."""
+class FileReplay:
+    """Reads one party's dealer file.  The open refuses a file dealt for
+    another party, scheme, n or t, one with fewer records than its header
+    counts, one under a MAC scheme without the MAC key share, and a binary
+    file of an earlier version."""
 
-    def __init__(self, path: str) -> None:
-        self.path = path
+    def __init__(self, path: str, party: int, scheme: SchemeId, n: int, t: int) -> None:
+        self.scheme = scheme
+        # the line reader cuts a file back to its last newline: an earlier
+        # version's binary file is refused before it is read as lines
         with open(path, "rb") as handle:
-            data = handle.read()
-        buf = io.BytesIO(data)
-        if buf.read(4) != _FILE_MAGIC:
-            raise PreprocessingError(f"{path}: not a triple replay file")
-        scheme_v, self.n, self.t, self.party = struct.unpack("BBBB", buf.read(4))
-        self.scheme = SchemeId(scheme_v)
-        self.epoch = buf.read(16)
-        self._triples: list[Triple] = []
-        self._masks: list[InputMask] = []
-        while True:
-            kind = buf.read(1)
-            if not kind:
-                break
-            if kind[0] == _KIND_TRIPLE:
-                tid = buf.read(16)
-                a = _read_share_body(buf, self.scheme, self.party)
-                b = _read_share_body(buf, self.scheme, self.party)
-                c = _read_share_body(buf, self.scheme, self.party)
-                self._triples.append(Triple(tid, self.epoch, a, b, c))
-            elif kind[0] == _KIND_MASK:
-                mid = buf.read(16)
-                owner = buf.read(1)[0]
-                share = _read_share_body(buf, self.scheme, self.party)
-                clear_raw = buf.read(32)
-                clear = (
-                    FieldElement.from_bytes(clear_raw)
-                    if owner == self.party
-                    else None
-                )
-                self._masks.append(InputMask(mid, self.epoch, owner, share, clear))
-            else:
-                raise PreprocessingError(f"{path}: unknown record kind {kind[0]}")
+            if handle.read(1) != b"{":
+                raise PreprocessingError(f"{path} is not a dealer file of this version; "
+                                         "run `drpki deal` for a fresh one")
+        expected = {"dealer": "triples", "party": party, "scheme": scheme.name,
+                    "n": n, "t": t}
+
+        def check(head: dict) -> tuple[int, int]:
+            """Take the header line; return the record counts it names."""
+            if {key: head.get(key) for key in expected} != expected:
+                raise PreprocessingError(f"{path} is not a dealer file of party {party} "
+                                         f"under {scheme.name} with n={n}, t={t}")
+            if scheme.has_mac and "mac_key" not in head:
+                raise PreprocessingError(f"{path} holds no MAC key share")
+            self.epoch = bytes.fromhex(head["epoch"])
+            self.mac_key = (MacKeyShare(party, FieldElement.from_bytes(
+                bytes.fromhex(head["mac_key"]))) if scheme.has_mac else None)
+            return head["triples"], head["masks"]
+
+        records = _read_records(Path(path), self._record, header=check)
+        if not records:
+            raise PreprocessingError(f"{path} has no header line")
+        counts = records.pop(0)
+        self._triples = [rec for rec in records if isinstance(rec, Triple)]
+        self._masks = [rec for rec in records if isinstance(rec, InputMask)]
+        if (len(self._triples), len(self._masks)) != counts:
+            raise PreprocessingError(f"{path} does not hold the records its header counts")
         self._lock = threading.Lock()
+
+    def _record(self, rec: dict) -> Triple | InputMask:
+        """The triple or the input mask of a line after the header."""
+        def share(key: str) -> Share:
+            return Share.from_bytes(bytes.fromhex(rec[key]))
+
+        if "triple" in rec:
+            return Triple(bytes.fromhex(rec["triple"]), self.epoch,
+                          share("a"), share("b"), share("c"))
+        clear = None if rec["clear"] is None else FieldElement.from_bytes(
+            bytes.fromhex(rec["clear"]))
+        return InputMask(bytes.fromhex(rec["mask"]), self.epoch, rec["owner"], share("share"),
+                         clear)
 
     def remaining(self) -> int:
         with self._lock:

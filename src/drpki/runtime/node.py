@@ -352,7 +352,7 @@ class PartyNode:
         # its line was appended
         listed = dict.fromkeys(
             name for line in _read_lines(self.dir / "objects" / "manifest.txt")
-            for name in line.split()[::2])
+            for name in line.decode().split()[::2])
         for name in listed:
             self.objects[name] = SignedObject.from_bytes((self.dir / "objects" / name).read_bytes())
         self.audit_seq = len(_read_lines(self.dir / "audit.jsonl"))
@@ -389,7 +389,7 @@ class PartyNode:
 
     def audit_lines(self) -> list[str]:
         with self._lock:
-            return _read_lines(self.dir / "audit.jsonl")
+            return [line.decode() for line in _read_lines(self.dir / "audit.jsonl")]
 
     # -- registries ----------------------------------------------------------
     #

@@ -6,15 +6,17 @@ between real processes over sockets instead.  Each process is one PartyNode
 on one TcpNodeTransport, driven by the same `open_session` and `run` calls
 as the in-process cluster, so keygen is checked and audited the same way.
 Preprocessing material comes from dealer files written ahead of time by
-`drpki deal`, matching the trusted-dealer model; every deal draws a fresh
-epoch, which the node takes from its file, and serve refuses to start
-without that file or without the config's pair_secret or data_dir.  A
-dealer file is single-use: the first start leaves a `partyK.started`
-marker next to it, and serve refuses to start again until a new deal
-replaces the file.  A deal writes each new file through the node's
-whole-file writer, `_write_file`, so it lands whole, and removes the markers
-only once every file is in place, so a deal cut short leaves no started file
-startable.
+`drpki deal`, matching the trusted-dealer model: one JSON-lines file per
+party, `partyK.triples`, holding its triples, input masks and, under a MAC
+scheme, MAC key share, all under one fresh epoch per deal.  Before it binds
+a socket, serve refuses to start without the config's pair_secret or
+data_dir, without its dealer file, or on one dealt for another party,
+scheme, n or t, or lacking its MAC key share.  A dealer file is
+single-use: the first start leaves a `partyK.started` marker next to it,
+and serve refuses to start again until a new deal replaces the file.  A
+deal writes each file whole, in one `_write_file` call, and removes the
+markers only once every file is in place, so a deal cut short leaves no
+started file startable.
 
 One party runs with --script and initiates each operation by broadcasting a
 control frame; the others follow.  Script lines:
@@ -34,11 +36,11 @@ import secrets
 import sys
 from pathlib import Path
 
-from .algebra import FieldElement, ecdsa_verify
+from .algebra import ecdsa_verify
 from .cli import load_config, protocol_config
-from .durable import _write_file
-from .preprocessing import FileReplay, TrustedDealer, encode_replay
-from .sharing import MacKeyShare, generate_mac_keys
+from .durable import RecordError, _write_file
+from .preprocessing import FileReplay, PreprocessingError, TrustedDealer, encode_replay
+from .sharing import generate_mac_keys
 from .runtime.node import OP_PHASES, PartyNode, session_id_for
 from .runtime.transport import (
     PHASE_CONTROL,
@@ -60,8 +62,8 @@ def _addresses(cfg) -> dict[int, tuple[str, int]]:
 
 
 def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int:
-    """Write per-party dealer output under a fresh epoch: triples, input masks,
-    MAC key shares."""
+    """Write each party's dealer file under a fresh epoch: triples, input
+    masks and MAC key share."""
     proto = protocol_config(load_config(config_path))
     scheme = proto.scheme
     out = Path(out_dir)
@@ -81,9 +83,8 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
             mask_records[p].append(dealer.next_mask_for(p, scheme, owner))
     for p in range(1, proto.n + 1):
         _write_file(out / f"party{p}.triples", encode_replay(
-            p, scheme, proto.n, proto.t, epoch, triples[p], mask_records[p]))
-        if mac_keys is not None:
-            _write_file(out / f"party{p}.mac", f"{mac_keys[p - 1].alpha_i.value:064x}\n")
+            p, scheme, proto.n, proto.t, epoch, triples[p], mask_records[p],
+            mac_keys[p - 1] if mac_keys is not None else None))
     # only now, with every new file whole and in place: a deal cut short
     # leaves an old file that was started still refused
     for p in range(1, proto.n + 1):
@@ -102,7 +103,10 @@ def _open_node(cfg, party: int) -> PartyNode:
     replay = dealer_dir / f"party{party}.triples"
     if not replay.exists():
         raise SystemExit(f"error: no dealer file {replay}; run `drpki deal` first")
-    source = FileReplay(str(replay))
+    try:
+        source = FileReplay(str(replay), party, proto.scheme, proto.n, proto.t)
+    except (PreprocessingError, RecordError) as exc:
+        raise SystemExit(f"error: {exc}") from None
     # FileReplay reads from the top of the file on every start, and session
     # ids restart with the process: a second start would reuse both
     marker = dealer_dir / f"party{party}.started"
@@ -113,11 +117,7 @@ def _open_node(cfg, party: int) -> PartyNode:
                          "run `drpki deal` for a fresh dealer file") from None
     node = PartyNode(party, proto, str(Path(data_dir) / f"party{party}"), source.epoch)
     node.triple_source = source
-    mac_file = dealer_dir / f"party{party}.mac"
-    if mac_file.exists():
-        node.mac_key = MacKeyShare(
-            party, FieldElement(int(mac_file.read_text().strip(), 16))
-        )
+    node.mac_key = source.mac_key
     return node
 
 

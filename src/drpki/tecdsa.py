@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
 from .algebra import (
     GENERATOR,
-    AlgebraError,
     FieldElement,
     GroupPoint,
     Signature,
@@ -46,13 +45,12 @@ from .algebra import (
     hash_to_scalar,
     scalar_mul,
 )
-from .durable import _append_line, _read_lines
+from .durable import _append_line, _read_records
 from .preprocessing import TupleReuseError, beaver_diffs, beaver_combine
 from .sharing import (
     ProtocolAbort,
     SchemeId,
     Share,
-    SharingError,
     deal,
     share_add,
     share_scale_add,
@@ -141,7 +139,7 @@ class FinalTuple:
 # --- durable tuple store -----------------------------------------------------
 #
 # One JSON-lines log per party, tuples.jsonl, written through `_append_line`
-# and read through `_read_lines` as every other node record is: a header
+# and read through `_read_records` as every other node record is: a header
 # line naming the party, then one line per added tuple and one per
 # consumption, with bytes, shares and points in hex.  A tuple enters memory,
 # and is marked consumed, only once its line is on disk; a failed append is
@@ -219,16 +217,14 @@ class TupleStore:
 
     def _load(self) -> None:
         header = {"party": self.party, "store": "tuples"}
-        try:
-            lines = _read_lines(self._path)
-            if not lines:
-                _append_line(self._path, header)
-            elif json.loads(lines[0]) != header:
+
+        def check(rec: dict) -> dict:
+            if rec != header:
                 raise TecdsaError(f"{self._path} is not a tuple store of party {self.party}")
-            for line in lines[1:]:
-                self._replay(json.loads(line))
-        except (KeyError, TypeError, ValueError, AlgebraError, SharingError) as exc:
-            raise TecdsaError(f"{self._path} holds a line that does not decode") from exc
+            return rec
+
+        if not _read_records(self._path, self._replay, header=check):
+            _append_line(self._path, header)
 
     def _replay(self, rec: dict) -> None:
         """Take in one line after the header: an added tuple or a consumption."""

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from drpki import serve as serve_mod
-from drpki.cli import cluster_from_config, load_config, main
+from drpki.cli import cluster_from_config, load_config, main, protocol_config
 from drpki.preprocessing import FileReplay
 
 FIXTURE = Path(__file__).parent / "data" / "churn_90d"
@@ -238,6 +238,12 @@ def test_serve_multiprocess_pipeline(tmp_path):
         assert [e["member"] for e in keygens] == ["tcp-member"]
 
 
+def _replay(config, dealer_dir, party):
+    proto = protocol_config(load_config(config))
+    return FileReplay(str(dealer_dir / f"party{party}.triples"), party, proto.scheme,
+                      proto.n, proto.t)
+
+
 def test_deal_draws_a_fresh_epoch_each_run(workspace):
     config = str(workspace / "drpki.ini")
     epochs = set()
@@ -245,8 +251,8 @@ def test_deal_draws_a_fresh_epoch_each_run(workspace):
         out = workspace / f"dealer-{run}"
         assert run_cli("deal", "--config", config, "--count", "1", "--masks", "0",
                        "--out", str(out)) == 0
-        epochs.add(FileReplay(str(out / "party1.triples")).epoch)
-        assert FileReplay(str(out / "party5.triples")).epoch in epochs
+        epochs.add(_replay(config, out, 1).epoch)
+        assert _replay(config, out, 5).epoch in epochs
     assert len(epochs) == 2
 
 
@@ -305,6 +311,54 @@ class _NoMesh:
         pass
 
 
+class _NoSocket:
+    """Stands in for the socket mesh of a serve that must refuse to start."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("serve went on to bind a socket")
+
+
+@pytest.mark.parametrize("edit", ["other-party", "other-scheme"])
+def test_serve_refuses_a_dealer_file_of_another_node(workspace, monkeypatch, edit):
+    # party 2's file renamed for party 1, or a file dealt under another
+    # scheme, is refused before the node binds a socket or marks the file
+    monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoSocket)
+    config = str(workspace / "drpki.ini")
+    dealer = workspace / "data" / "dealer"
+    if edit == "other-scheme":
+        cfg = load_config(config)
+        cfg["cluster"]["scheme"] = "semi"
+        other = workspace / "semi.ini"
+        with open(other, "w") as out:
+            cfg.write(out)
+        assert run_cli("deal", "--config", str(other), "--count", "1",
+                       "--out", str(dealer)) == 0
+    else:
+        assert run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer)) == 0
+        (dealer / "party2.triples").replace(dealer / "party1.triples")
+    with pytest.raises(SystemExit, match="is not a dealer file of party 1 under SHAMIR"):
+        run_cli("serve", "--config", config, "--party", "1")
+    assert not (dealer / "party1.started").exists()
+
+
+def test_serve_refuses_a_mascot_dealer_file_without_its_mac_key(tmp_path, monkeypatch):
+    # such a node would start with no MAC key and fail its first keygen
+    # mid-session, its peers waiting out the timeout
+    monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoSocket)
+    assert run_cli("init", "--dir", str(tmp_path), "--scheme", "mascot", "--seed", "5") == 0
+    config = str(tmp_path / "drpki.ini")
+    dealer = tmp_path / "data" / "dealer"
+    assert run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer)) == 0
+    path = dealer / "party1.triples"
+    head, rest = path.read_text().split("\n", 1)
+    header = json.loads(head)
+    del header["mac_key"]
+    path.write_text(json.dumps(header) + "\n" + rest)
+    with pytest.raises(SystemExit, match="holds no MAC key share"):
+        run_cli("serve", "--config", config, "--party", "1")
+    assert not (dealer / "party1.started").exists()
+
+
 def test_serve_refuses_second_start_from_one_dealer_file(workspace, monkeypatch):
     monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoMesh)
     config = str(workspace / "drpki.ini")
@@ -349,7 +403,7 @@ def test_deal_cut_short_keeps_every_started_file_refused(workspace, monkeypatch)
         run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer))
     for p in range(1, 6):
         assert (dealer / f"party{p}.started").exists()
-        FileReplay(str(dealer / f"party{p}.triples"))  # parses whole: old or new
+        _replay(config, dealer, p)  # parses whole: old or new
     for p in range(3, 6):
         assert (dealer / f"party{p}.triples").read_bytes() == old[p]
     with pytest.raises(SystemExit, match="already started"):

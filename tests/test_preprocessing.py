@@ -6,6 +6,7 @@ import random
 import pytest
 
 from drpki.algebra import FieldElement
+from drpki.durable import RecordError
 from drpki.preprocessing import (
     FileReplay,
     PreprocessingError,
@@ -179,21 +180,28 @@ def test_trusted_dealer_masks_disclose_to_owner_only():
             assert m.cleartext is None
 
 
-def test_replay_file_roundtrip(tmp_path):
-    mac_keys = generate_mac_keys(N, rng)
-    scheme = SchemeId.ADDITIVE_MAC
-    epoch = bytes(range(16))
-    batches = dealer_generate(scheme, 5, N, T, rng, mac_keys, epoch)
-    masks = dealer_generate_masks(scheme, 2, N, T, rng, mac_keys, epoch)
+def _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch):
     for party in range(1, N + 1):
-        path = tmp_path / f"party{party}.triples"
-        path.write_bytes(encode_replay(
+        (tmp_path / f"party{party}.triples").write_text(encode_replay(
             party, scheme, N, T, epoch,
             [batch[party - 1] for batch in batches],
             [masks[party - 1]],
+            mac_keys[party - 1] if mac_keys else None,
         ))
-    replays = [FileReplay(str(tmp_path / f"party{p}.triples")) for p in range(1, N + 1)]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_replay_file_roundtrip(tmp_path, scheme):
+    mac_keys = _mac_keys_for(scheme)
+    epoch = bytes(range(16))
+    batches = dealer_generate(scheme, 5, N, T, rng, mac_keys, epoch)
+    masks = dealer_generate_masks(scheme, 2, N, T, rng, mac_keys, epoch)
+    _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch)
+    replays = [FileReplay(str(tmp_path / f"party{p}.triples"), p, scheme, N, T)
+               for p in range(1, N + 1)]
     assert all(r.remaining() == 5 for r in replays)
+    assert all(r.epoch == epoch for r in replays)
+    assert [r.mac_key for r in replays] == (mac_keys or [None] * N)
     for j in range(5):
         records = [r.next_triple(scheme) for r in replays]
         for rec, orig in zip(records, batches[j]):
@@ -202,15 +210,65 @@ def test_replay_file_roundtrip(tmp_path):
     mask_records = [r.next_input_mask(scheme, 2) for r in replays]
     assert mask_records[1].cleartext == masks[1].cleartext
     assert mask_records[0].cleartext is None
+    assert [m.share for m in mask_records] == [m.share for m in masks]
     with pytest.raises(PreprocessingError, match="depleted"):
         replays[0].next_triple(scheme)
 
 
-def test_replay_file_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.triples"
-    path.write_bytes(b"NOPE" + bytes(20))
-    with pytest.raises(PreprocessingError, match="not a triple replay file"):
-        FileReplay(str(path))
+def _one_replay(tmp_path):
+    """Party 2's mascot dealer file: a header, two triples and a mask."""
+    scheme = SchemeId.ADDITIVE_MAC
+    mac_keys = _mac_keys_for(scheme)
+    epoch = bytes(16)
+    batches = dealer_generate(scheme, 2, N, T, rng, mac_keys, epoch)
+    masks = dealer_generate_masks(scheme, 1, N, T, rng, mac_keys, epoch)
+    _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch)
+    return tmp_path / "party2.triples"
+
+
+@pytest.mark.parametrize("party, scheme, n, t", [
+    (1, SchemeId.ADDITIVE_MAC, N, T),
+    (2, SchemeId.ADDITIVE, N, T),
+    (2, SchemeId.ADDITIVE_MAC, 7, T),
+    (2, SchemeId.ADDITIVE_MAC, N, 4),
+], ids=["other-party", "other-scheme", "other-n", "other-t"])
+def test_replay_file_refuses_a_header_of_another_node(tmp_path, party, scheme, n, t):
+    # party 2's file, renamed for party 1 say, would hand party 1 shares
+    # owned by party 2: the open refuses it and leaves the file as it is
+    path = _one_replay(tmp_path)
+    data = path.read_bytes()
+    with pytest.raises(PreprocessingError, match="is not a dealer file of party"):
+        FileReplay(str(path), party, scheme, n, t)
+    assert path.read_bytes() == data
+
+
+def test_replay_file_refuses_a_file_cut_short(tmp_path):
+    path = _one_replay(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2]))  # the header and one of two triples
+    with pytest.raises(PreprocessingError, match="does not hold the records"):
+        FileReplay(str(path), 2, SchemeId.ADDITIVE_MAC, N, T)
+
+
+def test_replay_file_names_the_line_that_does_not_decode(tmp_path):
+    path = _one_replay(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace('"a": "01', '"a": "01ff', 1)  # a share too long
+    path.write_text("".join(lines))
+    with pytest.raises(RecordError, match=rf"{path} line 3 does not decode"):
+        FileReplay(str(path), 2, SchemeId.ADDITIVE_MAC, N, T)
+
+
+@pytest.mark.parametrize("data", [b"DRT1" + bytes(20) + b"\n" + bytes(40), b"NOPE" + bytes(20),
+                                  b""], ids=["earlier-version", "junk", "empty"])
+def test_replay_file_refuses_a_file_of_another_format_untouched(tmp_path, data):
+    # the binary files of earlier versions are refused before the line
+    # reader would cut them back to their last newline byte
+    path = tmp_path / "party1.triples"
+    path.write_bytes(data)
+    with pytest.raises(PreprocessingError, match="run `drpki deal`"):
+        FileReplay(str(path), 1, SchemeId.ADDITIVE_MAC, N, T)
+    assert path.read_bytes() == data
 
 
 def test_dealer_generate_validates_count():

@@ -20,7 +20,7 @@ from drpki.algebra import (
     GENERATOR, FieldElement, GroupPoint, KeyPair, Signature, ecdsa_sign, ecdsa_verify,
     scalar_mul,
 )
-from drpki.bench import WAN_RTT_MS, critical_path_rtt, one_way_delays
+from drpki.bench import WAN_RTT_MS, one_way_delays
 from drpki.preprocessing import TrustedDealer
 from drpki.rpki import (
     Action, CrlRecord, IpPrefix, PayloadKind, RoaRecord, SignedObject, ValidationError,
@@ -153,7 +153,7 @@ def test_wan_round_trip_meets_critical_path():
     started = time.perf_counter()
     echo_round(cluster, b"y", echo_back=True)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    assert elapsed_ms >= critical_path_rtt(WAN_RTT_MS)  # 308.7 on Sao Paolo-Sydney
+    assert elapsed_ms >= max(WAN_RTT_MS.values())  # 308.7 on Sao Paolo-Sydney
     cluster.close()
 
 
@@ -1999,8 +1999,8 @@ def test_torn_key_record_tail_is_cut_on_reopen(tmp_path):
     cluster.close()
 
 
-@pytest.mark.parametrize("bad", ["not json", '{"member": "a"}'],
-                         ids=["not-json", "missing-key"])
+@pytest.mark.parametrize("bad", [b"not json", b'{"member": "a"}', b'{"member": "\xff"}'],
+                         ids=["not-json", "missing-key", "not-utf8"])
 @pytest.mark.parametrize("log", ["keys.jsonl", "members.jsonl", "tickets.jsonl"])
 def test_node_log_line_that_does_not_decode_names_its_file_and_line(tmp_path, log, bad):
     # a whole second line that does not decode stops the load with one
@@ -2015,7 +2015,7 @@ def test_node_log_line_that_does_not_decode_names_its_file_and_line(tmp_path, lo
                                           [b"x"]))
     node.close()
     path = tmp_path / log
-    data = path.read_bytes() + bad.encode() + b"\n"
+    data = path.read_bytes() + bad + b"\n"
     path.write_bytes(data)
     with pytest.raises(RecordError, match=rf"{log} line 2 does not decode"):
         PartyNode(1, config, str(tmp_path), bytes(16))

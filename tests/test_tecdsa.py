@@ -7,7 +7,8 @@ from unittest import mock
 import pytest
 
 from drpki.algebra import FieldElement, GENERATOR, ecdsa_sign, ecdsa_verify, scalar_mul
-from drpki.preprocessing import Triple, TripleSource, TupleReuseError
+from drpki.durable import RecordError
+from drpki.preprocessing import Triple, TupleReuseError
 from drpki.runtime import LocalCluster, SessionAbort
 from drpki.runtime.transport import PHASE_PREPROCESS_DEPENDENT
 from drpki.sharing import PointShare, ProtocolAbort, SchemeId, Share, open_point_shares, open_shares
@@ -135,10 +136,10 @@ def _rig_zero_triple(cluster, index=0):
     ]
 
 
-class _RiggedSource(TripleSource):
+class _RiggedSource:
     """Hands out queued triples before falling back to the dealer's."""
 
-    def __init__(self, inner: TripleSource, queued: list[Triple]) -> None:
+    def __init__(self, inner, queued: list[Triple]) -> None:
         self.inner = inner
         self.queued = queued
 
@@ -608,7 +609,7 @@ def test_tuple_store_refuses_a_whole_line_that_does_not_decode(tmp_path, line):
     data = path.read_bytes() + line + b'\n{"consume": "initial", "id": "' \
         + (b"00" * 16) + b'"}\n'
     path.write_bytes(data)
-    with pytest.raises(TecdsaError, match="does not decode"):
+    with pytest.raises(RecordError, match=rf"{path} line 4 does not decode"):
         TupleStore(str(tmp_path), party=1)
     assert path.read_bytes() == data
 
