@@ -132,14 +132,11 @@ def _make_cluster(scheme: SchemeId, setting: str, seed: Optional[int],
     return LocalCluster(cfg, seed=seed, latency_ms=latency, timeout=timeout)
 
 
-def _mean_bytes_per_party(cluster: LocalCluster, phase_label: str,
-                          before: dict) -> float:
+def _mean_bytes_per_party(cluster: LocalCluster, before: dict) -> float:
+    """The mean bytes a party has sent since the `before` snapshot."""
     after = cluster.hub.counters.snapshot()
-    totals = []
-    for party in cluster.participants:
-        key = (party, phase_label)
-        totals.append(after.get(key, 0) - before.get(key, 0))
-    return statistics.fmean(totals)
+    return statistics.fmean(after.get(party, 0) - before.get(party, 0)
+                            for party in cluster.participants)
 
 
 def _phase_row(label: str, setting: str, phase: str, durations: Sequence[float],
@@ -188,7 +185,7 @@ def bench_phase(
                 publics_ms.append(timing["public_ms"])
             return _phase_row(
                 label, setting, phase, durations, repetitions,
-                _mean_bytes_per_party(cluster, "keygen", {}),
+                _mean_bytes_per_party(cluster, {}),
                 secret_ms=statistics.fmean(secrets_ms),
                 public_ms=statistics.fmean(publics_ms),
             )
@@ -202,8 +199,7 @@ def bench_phase(
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             return _phase_row(
                 label, setting, phase, [elapsed_ms], tuples,
-                _mean_bytes_per_party(cluster, "preprocess_independent", before_bytes)
-                + _mean_bytes_per_party(cluster, "preprocess_dependent", before_bytes),
+                _mean_bytes_per_party(cluster, before_bytes),
             )
 
         if phase == "online":
@@ -218,7 +214,7 @@ def bench_phase(
                 durations.append((time.perf_counter() - started) * 1000.0)
             return _phase_row(
                 label, setting, phase, durations, signatures,
-                _mean_bytes_per_party(cluster, "online", before_bytes),
+                _mean_bytes_per_party(cluster, before_bytes),
             )
 
         if phase == "online-parallel":

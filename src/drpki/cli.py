@@ -29,6 +29,7 @@ from .bench import (
     save_latency_matrix,
     read_csv as read_bench_csv,
 )
+from .durable import RecordError
 from .rpki import (
     Action,
     ConsentToken,
@@ -525,7 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecordError as exc:
+        _fail(str(exc))
 
 
 if __name__ == "__main__":

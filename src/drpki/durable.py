@@ -2,8 +2,9 @@
 
 Every record a node keeps, its tuple store and the dealer file it starts
 from included, is written through these helpers and read back through
-`_read_lines`, so each piece of state is appended, cut back and read one
-way.
+`_read_file` or `_read_lines`, so each piece of state is appended, cut back
+and read one way, and a file or line that does not decode raises one
+`RecordError` naming it.
 """
 
 from __future__ import annotations
@@ -61,7 +62,37 @@ def _read_lines(path: Path) -> list[bytes]:
 
 
 class RecordError(Exception):
-    """A whole line of a node's line log that does not decode."""
+    """A node file, or a whole line of a node's line log, that does not
+    decode."""
+
+
+# what a decoder raises on a record it cannot take
+_UNDECODABLE = (AttributeError, KeyError, TypeError, ValueError, AlgebraError, SharingError)
+
+
+def _read_file(path: Path, decode: Callable[[dict], T]) -> T | None:
+    """`decode` of a whole JSON file, or None when there is none.  A file
+    that is not UTF-8 JSON, or that `decode` cannot take, raises
+    `RecordError` naming the file, and is left as it is."""
+    if not path.exists():
+        return None
+    try:
+        return decode(json.loads(path.read_bytes().decode()))
+    except _UNDECODABLE as exc:
+        raise RecordError(f"{path} does not decode: {exc!r}") from exc
+
+
+def _read_text(path: Path) -> list[str]:
+    """The whole lines of a line log as text, in file order.  A line that is
+    not UTF-8 raises `RecordError` naming the file and the line, and leaves
+    the file as it is."""
+    lines = []
+    for number, line in enumerate(_read_lines(path), 1):
+        try:
+            lines.append(line.decode())
+        except UnicodeDecodeError as exc:
+            raise RecordError(f"{path} line {number} does not decode: {exc!r}") from exc
+    return lines
 
 
 def _read_records(path: Path, decode: Callable[[dict], T],
@@ -73,10 +104,10 @@ def _read_records(path: Path, decode: Callable[[dict], T],
     `header` cannot take, raises `RecordError` naming the file and the line,
     and leaves the file as it is."""
     records = []
-    for number, line in enumerate(_read_lines(path), 1):
+    for number, line in enumerate(_read_text(path), 1):
         take = header if number == 1 and header is not None else decode
         try:
-            records.append(take(json.loads(line.decode())))
-        except (KeyError, TypeError, ValueError, AlgebraError, SharingError) as exc:
+            records.append(take(json.loads(line)))
+        except _UNDECODABLE as exc:
             raise RecordError(f"{path} line {number} does not decode: {exc!r}") from exc
     return records

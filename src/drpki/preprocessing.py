@@ -46,7 +46,6 @@ class Triple:
     """One party's record of a multiplication triple (a, b, c with c = ab)."""
 
     triple_id: bytes
-    epoch: bytes
     a: Share
     b: Share
     c: Share
@@ -71,7 +70,6 @@ class InputMask:
     """
 
     mask_id: bytes
-    epoch: bytes
     input_owner: int
     share: Share
     cleartext: Optional[FieldElement]  # present only in the owner's record
@@ -92,7 +90,6 @@ def dealer_generate(
     t: int = 0,
     rng=None,
     mac_keys: Optional[Sequence[MacKeyShare]] = None,
-    epoch: bytes = b"\x00" * 16,
     owners: Optional[Sequence[int]] = None,
 ) -> list[list[Triple]]:
     """Produce `count` triples; result[j][i] is the i-th owner's record of triple j."""
@@ -113,7 +110,7 @@ def dealer_generate(
         c_shares = deal(scheme, c, n, t, rng, mac_keys, owners)
         out.append(
             [
-                Triple(tid, epoch, a_shares[i], b_shares[i], c_shares[i])
+                Triple(tid, a_shares[i], b_shares[i], c_shares[i])
                 for i in range(n)
             ]
         )
@@ -127,7 +124,6 @@ def dealer_generate_masks(
     t: int = 0,
     rng=None,
     mac_keys: Optional[Sequence[MacKeyShare]] = None,
-    epoch: bytes = b"\x00" * 16,
     owners: Optional[Sequence[int]] = None,
 ) -> list[InputMask]:
     """One random authenticated sharing whose value is disclosed to `input_owner`."""
@@ -136,7 +132,7 @@ def dealer_generate_masks(
     m = FieldElement.random(rng)
     shares = deal(scheme, m, n, t, rng, mac_keys, owner_list)
     return [
-        InputMask(mid, epoch, input_owner, shares[i],
+        InputMask(mid, input_owner, shares[i],
                   m if owner_list[i] == input_owner else None)
         for i in range(n)
     ]
@@ -154,11 +150,9 @@ class TrustedDealer:
 
     def __init__(self, n: int, t: int, rng=None,
                  mac_keys: Optional[Sequence[MacKeyShare]] = None,
-                 epoch: bytes = b"\x00" * 16,
                  owners: Optional[Sequence[int]] = None) -> None:
         self.n = n
         self.t = t
-        self.epoch = epoch
         self.owners = list(owners) if owners is not None else list(range(1, n + 1))
         self._rng = rng
         self._mac_keys = mac_keys
@@ -180,7 +174,7 @@ class TrustedDealer:
 
     def next_triple_for(self, party: int, scheme: SchemeId) -> Triple:
         triple = self._next(self._triple_queues, party, lambda: dealer_generate(
-            scheme, 1, self.n, self.t, self._rng, self._mac_keys, self.epoch,
+            scheme, 1, self.n, self.t, self._rng, self._mac_keys,
             owners=self.owners)[0])
         if triple.scheme is not scheme:
             raise PreprocessingError("dealer queue holds a different scheme")
@@ -189,7 +183,7 @@ class TrustedDealer:
     def next_mask_for(self, party: int, scheme: SchemeId, input_owner: int) -> InputMask:
         mask = self._next(self._mask_queues, party, lambda: dealer_generate_masks(
             scheme, input_owner, self.n, self.t, self._rng,
-            self._mac_keys, self.epoch, owners=self.owners))
+            self._mac_keys, owners=self.owners))
         if mask.input_owner != input_owner:
             raise PreprocessingError("dealer mask queue out of step")
         return mask
@@ -281,12 +275,10 @@ class FileReplay:
             return Share.from_bytes(bytes.fromhex(rec[key]))
 
         if "triple" in rec:
-            return Triple(bytes.fromhex(rec["triple"]), self.epoch,
-                          share("a"), share("b"), share("c"))
+            return Triple(bytes.fromhex(rec["triple"]), share("a"), share("b"), share("c"))
         clear = None if rec["clear"] is None else FieldElement.from_bytes(
             bytes.fromhex(rec["clear"]))
-        return InputMask(bytes.fromhex(rec["mask"]), self.epoch, rec["owner"], share("share"),
-                         clear)
+        return InputMask(bytes.fromhex(rec["mask"]), rec["owner"], share("share"), clear)
 
     def remaining(self) -> int:
         with self._lock:

@@ -2,7 +2,6 @@
 
 from .transport import (
     FRAME_OVERHEAD,
-    PHASE_TAGS,
     InProcessHub,
     SessionMessage,
     TcpNodeTransport,
@@ -23,7 +22,6 @@ from .node import (
 
 __all__ = [
     "FRAME_OVERHEAD",
-    "PHASE_TAGS",
     "InProcessHub",
     "SessionMessage",
     "TcpNodeTransport",

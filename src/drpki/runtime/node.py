@@ -51,7 +51,7 @@ from typing import Callable, Optional, Sequence
 from urllib.parse import quote
 
 from ..algebra import AlgebraError, FieldElement, GroupPoint
-from ..durable import _append_line, _read_lines, _read_records, _write_file
+from ..durable import _append_line, _read_file, _read_lines, _read_records, _read_text, _write_file
 from ..preprocessing import TrustedDealer
 from ..rpki import (
     Action,
@@ -331,16 +331,8 @@ class PartyNode:
     # -- persistence --------------------------------------------------------
 
     def _load(self) -> None:
-        state = self.dir / "state.json"
-        if state.exists():
-            blob = json.loads(state.read_text())
-            self.retired_epochs = {bytes.fromhex(e) for e in blob.get("retired", [])}
-            self.tainted_epochs = {bytes.fromhex(e) for e in blob.get("tainted", [])}
-            if blob.get("mac_alpha"):
-                self.mac_key = MacKeyShare(
-                    self.party_id, FieldElement(int(blob["mac_alpha"], 16))
-                )
-        # a line that does not decode stops the load, naming its file and line
+        # a file or a line that does not decode stops the load, naming it
+        _read_file(self.dir / "state.json", self._take_state)
         self.key_records = {rec.member_id: rec for rec in
                             _read_records(self.dir / "keys.jsonl", _key_record)}
         # a later line of a member wins
@@ -351,11 +343,18 @@ class PartyNode:
         # object file no whole line lists belongs to a batch cut off before
         # its line was appended
         listed = dict.fromkeys(
-            name for line in _read_lines(self.dir / "objects" / "manifest.txt")
-            for name in line.decode().split()[::2])
+            name for line in _read_text(self.dir / "objects" / "manifest.txt")
+            for name in line.split()[::2])
         for name in listed:
             self.objects[name] = SignedObject.from_bytes((self.dir / "objects" / name).read_bytes())
         self.audit_seq = len(_read_lines(self.dir / "audit.jsonl"))
+
+    def _take_state(self, blob: dict) -> None:
+        """Take in state.json, as `_save_state` writes it."""
+        self.retired_epochs = {bytes.fromhex(e) for e in blob.get("retired", [])}
+        self.tainted_epochs = {bytes.fromhex(e) for e in blob.get("tainted", [])}
+        if blob.get("mac_alpha"):
+            self.mac_key = MacKeyShare(self.party_id, FieldElement(int(blob["mac_alpha"], 16)))
 
     def _save_state(self) -> None:
         blob = {
@@ -389,7 +388,7 @@ class PartyNode:
 
     def audit_lines(self) -> list[str]:
         with self._lock:
-            return [line.decode() for line in _read_lines(self.dir / "audit.jsonl")]
+            return _read_text(self.dir / "audit.jsonl")
 
     # -- registries ----------------------------------------------------------
     #
@@ -659,8 +658,7 @@ class LocalCluster:
                 mac_keys.append(node.mac_key)
 
         self.dealer = TrustedDealer(
-            self.n_live, config.t, self._dealer_rng, mac_keys, self.epoch,
-            owners=self.participants,
+            self.n_live, config.t, self._dealer_rng, mac_keys, owners=self.participants,
         )
         for party in self.participants:
             self.nodes[party].triple_source = self.dealer.view_for(party)
@@ -679,9 +677,8 @@ class LocalCluster:
     def _load_or_create_cluster_state(self, seed) -> tuple[bytes, bytes, int]:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         state = self.data_dir / "cluster.json"
-        if state.exists():
-            blob = json.loads(state.read_text())
-        else:
+        blob = _read_file(state, dict)
+        if blob is None:
             if seed is not None:
                 setup_rng = random.Random(_derive_seed(seed, "setup"))
                 pair_secret = setup_rng.getrandbits(256).to_bytes(32, "big")

@@ -2,16 +2,18 @@
 
 Every message between a pair of parties is authenticated with HMAC-SHA-256
 under a static pairwise key (the stand-in for TLS with authenticated
-endpoints).  Frames with bad tags are dropped and counted, never surfaced.
+endpoints).  A frame is a 4-byte length prefix, a fixed header (session id,
+phase, round, sender, payload length), the payload and the tag.
 
-Two providers:
+Both providers receive through one `_Inbox` per party, which checks each
+frame against its link's key, drops and counts a frame whose tag fails or
+that names another sender, and queues the rest per session in arrival order.
 
-  InProcessHub      deterministic in-memory delivery for a 5-node simulation,
-                    with optional per-pair one-way latency injection.
-  TcpNodeTransport  length-prefixed frames over real sockets, one node per
-                    process (or per thread in tests).
-
-Both deliver per-pair in order and demultiplex inbound messages by session id.
+  InProcessHub      in-memory delivery between the parties of one cluster,
+                    with optional per-pair one-way latency injection; its
+                    `ByteCounters` counts the whole frames each party sends.
+  TcpNodeTransport  frames over real sockets, one node per process (or per
+                    thread in tests), a reader thread per connection.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-SESSION_ID_BYTES = 16
 MAC_BYTES = 32
-LENGTH_PREFIX_BYTES = 4
-# length prefix | session id | phase | round | sender | payload length | hmac
-FRAME_OVERHEAD = LENGTH_PREFIX_BYTES + SESSION_ID_BYTES + 1 + 4 + 1 + 4 + MAC_BYTES
+_LENGTH = struct.Struct(">I")
+# session id | phase | round | sender | payload length
+_HEADER = struct.Struct(">16sBIBI")
+LENGTH_PREFIX_BYTES = _LENGTH.size
+FRAME_OVERHEAD = LENGTH_PREFIX_BYTES + _HEADER.size + MAC_BYTES
 
 PHASE_CONTROL = 0
 PHASE_KEYGEN = 1
@@ -38,15 +41,6 @@ PHASE_PREPROCESS_INDEPENDENT = 2
 PHASE_PREPROCESS_DEPENDENT = 3
 PHASE_ONLINE = 4
 PHASE_ABORT = 255
-
-PHASE_TAGS = {
-    PHASE_CONTROL: "control",
-    PHASE_KEYGEN: "keygen",
-    PHASE_PREPROCESS_INDEPENDENT: "preprocess_independent",
-    PHASE_PREPROCESS_DEPENDENT: "preprocess_dependent",
-    PHASE_ONLINE: "online",
-    PHASE_ABORT: "control",
-}
 
 
 class TransportError(Exception):
@@ -60,16 +54,6 @@ class SessionMessage:
     round: int
     sender: int
     payload: bytes
-
-    def signed_body(self) -> bytes:
-        return (
-            self.session_id
-            + bytes([self.phase])
-            + struct.pack(">I", self.round)
-            + bytes([self.sender])
-            + struct.pack(">I", len(self.payload))
-            + self.payload
-        )
 
 
 def pair_key(keys: dict, a: int, b: int) -> bytes:
@@ -86,10 +70,10 @@ def derive_pair_keys(secret: bytes, n: int) -> dict:
 
 
 def encode_frame(msg: SessionMessage, key: bytes) -> bytes:
-    body = msg.signed_body()
+    body = _HEADER.pack(msg.session_id, msg.phase, msg.round, msg.sender,
+                        len(msg.payload)) + msg.payload
     tag = hmac_mod.new(key, body, hashlib.sha256).digest()
-    frame = body + tag
-    return struct.pack(">I", len(frame)) + frame
+    return _LENGTH.pack(len(body) + MAC_BYTES) + body + tag
 
 
 def decode_frame(frame_body: bytes, key: bytes) -> Optional[SessionMessage]:
@@ -98,39 +82,79 @@ def decode_frame(frame_body: bytes, key: bytes) -> Optional[SessionMessage]:
     Returns None when the tag (or structure) is invalid; callers drop and
     count.
     """
-    if len(frame_body) < FRAME_OVERHEAD - LENGTH_PREFIX_BYTES:
+    if len(frame_body) < _HEADER.size + MAC_BYTES:
         return None
     body, tag = frame_body[:-MAC_BYTES], frame_body[-MAC_BYTES:]
     expect = hmac_mod.new(key, body, hashlib.sha256).digest()
     if not hmac_mod.compare_digest(tag, expect):
         return None
-    session_id = body[:16]
-    phase = body[16]
-    round_ = struct.unpack(">I", body[17:21])[0]
-    sender = body[21]
-    paylen = struct.unpack(">I", body[22:26])[0]
-    payload = body[26:]
+    session_id, phase, round_, sender, paylen = _HEADER.unpack_from(body)
+    payload = body[_HEADER.size:]
     if len(payload) != paylen:
         return None
     return SessionMessage(session_id, phase, round_, sender, payload)
 
 
 class ByteCounters:
-    """Per-party, per-phase sent-byte totals (whole frames, prefix included)."""
+    """Per-party sent-byte totals (whole frames, prefix included)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._sent: dict[tuple[int, str], int] = {}
+        self._sent: dict[int, int] = {}
 
-    def add(self, party: int, phase: int, nbytes: int) -> None:
-        label = PHASE_TAGS.get(phase, "other")
+    def add(self, party: int, nbytes: int) -> None:
         with self._lock:
-            key = (party, label)
-            self._sent[key] = self._sent.get(key, 0) + nbytes
+            self._sent[party] = self._sent.get(party, 0) + nbytes
 
-    def snapshot(self) -> dict[tuple[int, str], int]:
+    def snapshot(self) -> dict[int, int]:
         with self._lock:
             return dict(self._sent)
+
+
+class _Inbox:
+    """One party's receive side, shared by both transports: per-session
+    queues of (deliver_at, message), and the count of frames dropped."""
+
+    def __init__(self, party: int, pair_keys: dict) -> None:
+        self.party = party
+        self._pair_keys = pair_keys
+        self._lock = threading.Lock()
+        self._sessions: dict[bytes, queue.Queue] = {}
+        self.dropped = 0
+
+    def _queue(self, session_id: bytes) -> queue.Queue:
+        with self._lock:
+            box = self._sessions.get(session_id)
+            if box is None:
+                box = self._sessions[session_id] = queue.Queue()
+            return box
+
+    def put(self, sender: int, frame_body: bytes, delay_s: float = 0.0) -> None:
+        """Take in one frame body from the sender's link, readable `delay_s`
+        from now; a frame that fails authentication or names another sender
+        is dropped and counted."""
+        msg = decode_frame(frame_body, pair_key(self._pair_keys, sender, self.party))
+        if msg is None or msg.sender != sender:
+            with self._lock:
+                self.dropped += 1
+            return
+        deliver_at = time.monotonic() + delay_s if delay_s else 0.0
+        self._queue(msg.session_id).put((deliver_at, msg))
+
+    def recv(self, session_id: bytes, timeout: float) -> Optional[SessionMessage]:
+        try:
+            deliver_at, msg = self._queue(session_id).get(timeout=timeout)
+        except queue.Empty:
+            return None
+        wait = deliver_at - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        return msg
+
+    def drop(self, session_id: bytes) -> None:
+        """Forget the queue of a session that has ended."""
+        with self._lock:
+            self._sessions.pop(session_id, None)
 
 
 class InProcessHub:
@@ -144,60 +168,32 @@ class InProcessHub:
     def __init__(self, pair_keys: dict, latency_ms: Optional[dict] = None) -> None:
         self._pair_keys = pair_keys
         self.latency_ms = latency_ms or {}
-        # per (receiver, session): (deliver_at, message) in delivery order
-        self._boxes: dict[tuple[int, bytes], queue.Queue] = {}
-        self._lock = threading.Lock()
+        parties = {party for pair in pair_keys for party in pair}
+        self._inboxes = {party: _Inbox(party, pair_keys) for party in parties}
         self.counters = ByteCounters()
-        self.dropped_frames = 0
 
-    def _box(self, receiver: int, session_id: bytes) -> queue.Queue:
-        with self._lock:
-            key = (receiver, session_id)
-            if key not in self._boxes:
-                self._boxes[key] = queue.Queue()
-            return self._boxes[key]
+    @property
+    def dropped_frames(self) -> int:
+        return sum(inbox.dropped for inbox in self._inboxes.values())
 
     def send(self, sender: int, receiver: int, msg: SessionMessage) -> None:
-        key = pair_key(self._pair_keys, sender, receiver)
-        frame = encode_frame(msg, key)
-        self.counters.add(sender, msg.phase, len(frame))
+        frame = encode_frame(msg, pair_key(self._pair_keys, sender, receiver))
+        self.counters.add(sender, len(frame))
         self.deliver(sender, receiver, frame)
 
     def deliver(self, sender: int, receiver: int, frame: bytes) -> None:
-        """Receive one encoded frame on the sender->receiver link.
-
-        As in TcpNodeTransport's reader, a frame that fails authentication
-        or names another sender is dropped and counted.
-        """
-        key = pair_key(self._pair_keys, sender, receiver)
-        msg = decode_frame(frame[LENGTH_PREFIX_BYTES:], key)
-        if msg is None or msg.sender != sender:
-            with self._lock:
-                self.dropped_frames += 1
-            return
-        delay = self.latency_ms.get((sender, receiver), 0.0) / 1000.0
-        deliver_at = time.monotonic() + delay
-        self._box(receiver, msg.session_id).put((deliver_at, msg))
+        """Receive one encoded frame on the sender->receiver link."""
+        delay_s = self.latency_ms.get((sender, receiver), 0.0) / 1000.0
+        self._inboxes[receiver].put(sender, frame[LENGTH_PREFIX_BYTES:], delay_s)
 
     def recv(self, receiver: int, session_id: bytes,
              timeout: float) -> Optional[SessionMessage]:
-        box = self._box(receiver, session_id)
-        deadline = time.monotonic() + timeout
-        try:
-            remaining = max(0.0, deadline - time.monotonic())
-            deliver_at, msg = box.get(timeout=remaining)
-        except queue.Empty:
-            return None
-        now = time.monotonic()
-        if deliver_at > now:
-            time.sleep(deliver_at - now)
-        return msg
+        return self._inboxes[receiver].recv(session_id, timeout)
 
     def drop(self, session_id: bytes) -> None:
-        """Forget every mailbox of a session that has ended."""
-        with self._lock:
-            for key in [key for key in self._boxes if key[1] == session_id]:
-                del self._boxes[key]
+        """Forget every party's queue of a session that has ended."""
+        for inbox in self._inboxes.values():
+            inbox.drop(session_id)
 
     def endpoint(self, party: int) -> "HubEndpoint":
         return HubEndpoint(self, party)
@@ -217,79 +213,61 @@ class HubEndpoint:
         return self.hub.recv(self.party, session_id, timeout)
 
 
+def _dial(address: tuple[str, int], deadline: float) -> socket.socket:
+    """Connect to `address`, retrying until it listens or the deadline."""
+    while True:
+        try:
+            return socket.create_connection(address, timeout=1.0)
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+
+
 class TcpNodeTransport:
     """Socket transport for one party: full mesh, one connection per pair.
 
-    Party i dials every peer with a larger index and accepts from smaller
-    ones; a 1-byte hello names the dialing party.  A reader thread per
-    connection demultiplexes authenticated frames into per-session queues.
-    Frames failing authentication are dropped and counted.
+    Set-up runs in the constructor: party i dials every peer with a larger
+    index, naming itself in a 1-byte hello, then accepts one connection from
+    each smaller one; its listen backlog holds those that dial before it
+    accepts.  A reader thread per connection feeds the party's inbox.
     """
 
     def __init__(self, party: int, addresses: dict[int, tuple[str, int]],
                  pair_keys: dict, connect_timeout: float = 10.0) -> None:
         self.party = party
-        self.addresses = addresses
         self._pair_keys = pair_keys
+        self._inbox = _Inbox(party, pair_keys)
         self._conns: dict[int, socket.socket] = {}
         self._send_locks: dict[int, threading.Lock] = {}
-        self._boxes: dict[bytes, "queue.Queue[SessionMessage]"] = {}
-        self._boxes_lock = threading.Lock()
-        self.counters = ByteCounters()
-        self.dropped_frames = 0
-        self._closing = False
+        self._readers: list[threading.Thread] = []
 
-        host, port = addresses[party]
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(8)
-
-        accept_from = [p for p in addresses if p < party]
-        dial_to = [p for p in addresses if p > party]
+        self._listener.bind(addresses[party])
+        self._listener.listen(len(addresses))
         deadline = time.monotonic() + connect_timeout
-        errors: list[Exception] = []
-
-        def do_accept() -> None:
-            try:
-                for _ in accept_from:
-                    self._listener.settimeout(max(0.0, deadline - time.monotonic()))
-                    conn, _addr = self._listener.accept()
-                    conn.settimeout(max(0.0, deadline - time.monotonic()))
-                    self._register(conn.recv(1)[0], conn)
-            except Exception as exc:  # surfaced after join
-                errors.append(exc)
-
-        def do_dial() -> None:
-            try:
-                for peer in dial_to:
-                    while True:
-                        try:
-                            s = socket.create_connection(self.addresses[peer], timeout=1.0)
-                            break
-                        except OSError:
-                            if time.monotonic() > deadline:
-                                raise
-                            time.sleep(0.05)
-                    s.sendall(bytes([party]))
-                    self._register(peer, s)
-            except Exception as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=f, daemon=True) for f in (do_accept, do_dial)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(connect_timeout + 5)
-        missing = sorted(set(addresses) - {party} - set(self._conns))
-        if errors or missing:
+        try:
+            for peer in sorted(p for p in addresses if p > party):
+                conn = _dial(addresses[peer], deadline)
+                conn.sendall(bytes([party]))
+                self._register(peer, conn)
+            for _ in range(sum(p < party for p in addresses)):
+                self._listener.settimeout(max(0.0, deadline - time.monotonic()))
+                conn, _addr = self._listener.accept()
+                conn.settimeout(max(0.0, deadline - time.monotonic()))
+                self._register(conn.recv(1)[0], conn)
+            missing = sorted(set(addresses) - {party} - set(self._conns))
+            if missing:
+                raise TransportError(f"no connection to {missing}")
+        except (OSError, IndexError, TransportError) as exc:
             self.close()
-            cause = errors[0] if errors else f"no connection to {missing}"
-            raise TransportError(f"party {party} mesh setup failed: {cause}")
+            raise TransportError(f"party {party} mesh setup failed: {exc}") from exc
 
         for peer, conn in self._conns.items():
             reader = threading.Thread(target=self._read_loop, args=(peer, conn), daemon=True)
             reader.start()
+            self._readers.append(reader)
 
     def _register(self, peer: int, conn: socket.socket) -> None:
         conn.settimeout(None)  # the reader blocks until a frame or close
@@ -297,64 +275,51 @@ class TcpNodeTransport:
         self._conns[peer] = conn
         self._send_locks[peer] = threading.Lock()
 
-    def _box(self, session_id: bytes) -> "queue.Queue[SessionMessage]":
-        with self._boxes_lock:
-            if session_id not in self._boxes:
-                self._boxes[session_id] = queue.Queue()
-            return self._boxes[session_id]
-
     def _read_loop(self, peer: int, conn: socket.socket) -> None:
-        key = pair_key(self._pair_keys, self.party, peer)
-        buf = b""
-        while not self._closing:
-            try:
-                chunk = conn.recv(65536)
-            except OSError:
-                return
-            if not chunk:
-                return
-            buf += chunk
-            while len(buf) >= LENGTH_PREFIX_BYTES:
-                frame_len = struct.unpack(">I", buf[:LENGTH_PREFIX_BYTES])[0]
-                if len(buf) < LENGTH_PREFIX_BYTES + frame_len:
-                    break
-                body = buf[LENGTH_PREFIX_BYTES:LENGTH_PREFIX_BYTES + frame_len]
-                buf = buf[LENGTH_PREFIX_BYTES + frame_len:]
-                msg = decode_frame(body, key)
-                if msg is None or msg.sender != peer:
-                    self.dropped_frames += 1
-                    continue
-                self._box(msg.session_id).put(msg)
+        """Feed the inbox one length-prefixed frame at a time until the link
+        ends; a frame cut short by the end is not counted."""
+        try:
+            with conn.makefile("rb") as stream:
+                while True:
+                    prefix = stream.read(LENGTH_PREFIX_BYTES)
+                    if len(prefix) < LENGTH_PREFIX_BYTES:
+                        return
+                    (length,) = _LENGTH.unpack(prefix)
+                    body = stream.read(length)
+                    if len(body) < length:
+                        return
+                    self._inbox.put(peer, body)
+        except OSError:
+            return
+
+    @property
+    def dropped_frames(self) -> int:
+        return self._inbox.dropped
 
     def send(self, receiver: int, msg: SessionMessage) -> None:
-        key = pair_key(self._pair_keys, self.party, receiver)
-        frame = encode_frame(msg, key)
-        self.counters.add(self.party, msg.phase, len(frame))
         conn = self._conns.get(receiver)
         if conn is None:
             raise TransportError(f"no connection to party {receiver}")
+        frame = encode_frame(msg, pair_key(self._pair_keys, self.party, receiver))
         with self._send_locks[receiver]:
             conn.sendall(frame)
 
     def recv(self, session_id: bytes, timeout: float) -> Optional[SessionMessage]:
-        try:
-            return self._box(session_id).get(timeout=timeout)
-        except queue.Empty:
-            return None
+        return self._inbox.recv(session_id, timeout)
 
     def drop(self, session_id: bytes) -> None:
-        """Forget the mailbox of a session that has ended."""
-        with self._boxes_lock:
-            self._boxes.pop(session_id, None)
+        """Forget the queue of a session that has ended."""
+        self._inbox.drop(session_id)
 
     def close(self) -> None:
-        self._closing = True
+        """Shut every connection down, which ends its reader, and wait for
+        the readers; the reader's file keeps the socket open until then."""
         for conn in self._conns.values():
             try:
-                conn.close()
+                conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+            conn.close()
+        self._listener.close()
+        for reader in self._readers:
+            reader.join()

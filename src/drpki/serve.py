@@ -41,6 +41,7 @@ from .cli import load_config, protocol_config
 from .durable import RecordError, _write_file
 from .preprocessing import FileReplay, PreprocessingError, TrustedDealer, encode_replay
 from .sharing import generate_mac_keys
+from .tecdsa import TecdsaError
 from .runtime.node import OP_PHASES, PartyNode, session_id_for
 from .runtime.transport import (
     PHASE_CONTROL,
@@ -71,7 +72,7 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
 
     epoch = secrets.token_bytes(16)
     mac_keys = generate_mac_keys(proto.n) if scheme.has_mac else None
-    dealer = TrustedDealer(proto.n, proto.t, None, mac_keys, epoch)
+    dealer = TrustedDealer(proto.n, proto.t, None, mac_keys)
     triples = {p: [] for p in range(1, proto.n + 1)}
     for _ in range(count):
         for p in range(1, proto.n + 1):
@@ -107,15 +108,20 @@ def _open_node(cfg, party: int) -> PartyNode:
         source = FileReplay(str(replay), party, proto.scheme, proto.n, proto.t)
     except (PreprocessingError, RecordError) as exc:
         raise SystemExit(f"error: {exc}") from None
+    # a node state that does not load leaves the dealer file unstarted
+    try:
+        node = PartyNode(party, proto, str(Path(data_dir) / f"party{party}"), source.epoch)
+    except (RecordError, TecdsaError) as exc:
+        raise SystemExit(f"error: {exc}") from None
     # FileReplay reads from the top of the file on every start, and session
     # ids restart with the process: a second start would reuse both
     marker = dealer_dir / f"party{party}.started"
     try:
         os.close(os.open(marker, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
     except FileExistsError:
+        node.close()
         raise SystemExit(f"error: party {party} already started from {replay}; "
                          "run `drpki deal` for a fresh dealer file") from None
-    node = PartyNode(party, proto, str(Path(data_dir) / f"party{party}"), source.epoch)
     node.triple_source = source
     node.mac_key = source.mac_key
     return node

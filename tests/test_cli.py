@@ -359,6 +359,39 @@ def test_serve_refuses_a_mascot_dealer_file_without_its_mac_key(tmp_path, monkey
     assert not (dealer / "party1.started").exists()
 
 
+@pytest.mark.parametrize("name, line, message", [
+    ("keys.jsonl", b"not json", "keys.jsonl line 1 does not decode"),
+    ("tuples.jsonl", b'{"party": 2, "store": "tuples"}', "is not a tuple store of party 1"),
+], ids=["bad-line", "foreign-tuple-store"])
+def test_serve_refuses_a_node_state_that_does_not_load(workspace, monkeypatch, name, line,
+                                                        message):
+    # the node's state is read before the dealer file is marked started, so
+    # once the state is mended the same dealer file still starts
+    monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoSocket)
+    config = str(workspace / "drpki.ini")
+    dealer = workspace / "data" / "dealer"
+    assert run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer)) == 0
+    state = workspace / "data" / "party1" / name
+    state.parent.mkdir(parents=True)
+    state.write_bytes(line + b"\n")
+    with pytest.raises(SystemExit, match=f"^error: .*{message}"):
+        run_cli("serve", "--config", config, "--party", "1")
+    assert not (dealer / "party1.started").exists()
+    assert state.read_bytes() == line + b"\n"
+
+
+def test_command_on_a_node_log_that_does_not_decode_exits_with_one_line(workspace, capsys):
+    config = str(workspace / "drpki.ini")
+    keys = workspace / "data" / "party1" / "keys.jsonl"
+    keys.parent.mkdir(parents=True)
+    keys.write_bytes(b"not json\n")
+    with pytest.raises(SystemExit) as exited:
+        run_cli("keygen", "--config", config, "--member", "memberX")
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "keys.jsonl line 1 does not decode" in err
+
+
 def test_serve_refuses_second_start_from_one_dealer_file(workspace, monkeypatch):
     monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoMesh)
     config = str(workspace / "drpki.ini")

@@ -194,8 +194,8 @@ def _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch):
 def test_replay_file_roundtrip(tmp_path, scheme):
     mac_keys = _mac_keys_for(scheme)
     epoch = bytes(range(16))
-    batches = dealer_generate(scheme, 5, N, T, rng, mac_keys, epoch)
-    masks = dealer_generate_masks(scheme, 2, N, T, rng, mac_keys, epoch)
+    batches = dealer_generate(scheme, 5, N, T, rng, mac_keys)
+    masks = dealer_generate_masks(scheme, 2, N, T, rng, mac_keys)
     _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch)
     replays = [FileReplay(str(tmp_path / f"party{p}.triples"), p, scheme, N, T)
                for p in range(1, N + 1)]
@@ -220,8 +220,8 @@ def _one_replay(tmp_path):
     scheme = SchemeId.ADDITIVE_MAC
     mac_keys = _mac_keys_for(scheme)
     epoch = bytes(16)
-    batches = dealer_generate(scheme, 2, N, T, rng, mac_keys, epoch)
-    masks = dealer_generate_masks(scheme, 1, N, T, rng, mac_keys, epoch)
+    batches = dealer_generate(scheme, 2, N, T, rng, mac_keys)
+    masks = dealer_generate_masks(scheme, 1, N, T, rng, mac_keys)
     _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch)
     return tmp_path / "party2.triples"
 

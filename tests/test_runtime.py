@@ -138,13 +138,18 @@ def test_echo_round_all_parties_hold_all_payloads():
     cluster.close()
 
 
+def _session_queues(hub):
+    """The (party, session id) of every session queue the hub still holds."""
+    return [(party, sid) for party, inbox in hub._inboxes.items() for sid in inbox._sessions]
+
+
 def test_silent_party_aborts_all_live_parties():
     cluster = make_cluster()
     started = time.perf_counter()
     with pytest.raises(SessionAbort, match="party unavailable"):
         echo_round(cluster, b"x", mute=[3], timeout=0.3)
     assert time.perf_counter() - started < 3.0
-    assert cluster.hub._boxes == {}  # the aborted session left no mailbox
+    assert _session_queues(cluster.hub) == []  # the aborted session left no mailbox
     cluster.close()
 
 
@@ -165,7 +170,7 @@ def test_finished_sessions_leave_no_mailbox():
     cluster.preprocess_dependent("m", 20)
     for i in range(20):
         cluster.run_signing("m", b"message %d" % i)
-    assert cluster.hub._boxes == {}
+    assert _session_queues(cluster.hub) == []
     cluster.close()
 
 
@@ -174,7 +179,7 @@ def test_echo_round_byte_accounting_matches_frame_format():
     echo_round(cluster, b"z" * 32)
     sent = cluster.hub.counters.snapshot()
     for p in cluster.participants:
-        assert sent[(p, "control")] == 4 * (FRAME_OVERHEAD + 32)
+        assert sent[p] == 4 * (FRAME_OVERHEAD + 32)
     cluster.close()
 
 
@@ -388,6 +393,99 @@ def test_tcp_dialed_connection_delivers_after_idle_time():
     msg = SessionMessage(b"I" * 16, PHASE_CONTROL, 1, 2, b"late")
     transports[2].send(1, msg)
     assert transports[1].recv(b"I" * 16, timeout=2.0) == msg
+    for tr in transports.values():
+        tr.close()
+
+
+def _tcp_mesh(keys, n, order=None, stagger_s=0.0):
+    """n TcpNodeTransports on free local ports, each built in its own thread;
+    the parties start in `order`, `stagger_s` apart."""
+    ports = _free_ports(n)
+    addresses = {i + 1: ("127.0.0.1", ports[i]) for i in range(n)}
+    transports = {}
+
+    def build(party):
+        transports[party] = TcpNodeTransport(party, addresses, keys, connect_timeout=10.0)
+
+    builders = []
+    for party in order or list(addresses):
+        builders.append(threading.Thread(target=build, args=(party,)))
+        builders[-1].start()
+        time.sleep(stagger_s)
+    for th in builders:
+        th.join(15.0)
+    assert set(transports) == set(addresses)
+    return transports
+
+
+def test_tcp_readers_drop_and_count_forged_frames_and_deliver_the_next():
+    # four peers' readers count forged frames into party 1's inbox at once,
+    # switching threads often: a lost update would show as a short count
+    n, forged = 5, 200
+    keys = derive_pair_keys(b"forged", n)
+    transports = _tcp_mesh(keys, n)
+    sid = b"F" * 16
+
+    def flood(sender):
+        good = SessionMessage(sid, PHASE_CONTROL, 1, sender, b"hello")
+        bad = _flipped_frame(keys, sender, 1, good)
+        # written straight into the sender's link to party 1, past its send()
+        transports[sender]._conns[1].sendall(bad * forged)
+        transports[sender].send(1, good)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        senders = [threading.Thread(target=flood, args=(p,)) for p in range(2, n + 1)]
+        for th in senders:
+            th.start()
+        for th in senders:
+            th.join(10.0)
+        got = [transports[1].recv(sid, timeout=5.0) for _ in range(n - 1)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in senders)
+    assert sorted(msg.sender for msg in got) == list(range(2, n + 1))
+    assert all(msg.payload == b"hello" for msg in got)
+    assert transports[1].dropped_frames == (n - 1) * forged
+    for tr in transports.values():
+        tr.close()
+
+
+def test_tcp_mesh_forms_from_a_reverse_staggered_start_and_closes_its_readers():
+    # party 5 starts first and waits to accept; party 1, last, dials everyone
+    # while each listener's backlog holds it until that party accepts
+    n = 5
+    transports = _tcp_mesh(derive_pair_keys(b"reverse", n), n,
+                           order=list(range(n, 0, -1)), stagger_s=0.15)
+    sid = b"M" * 16
+    for sender, tr in transports.items():
+        for receiver in transports:
+            if receiver != sender:
+                tr.send(receiver, SessionMessage(sid, PHASE_CONTROL, 1, sender, b"hi"))
+    for receiver, tr in transports.items():
+        got = {tr.recv(sid, timeout=2.0).sender for _ in range(n - 1)}
+        assert got == set(transports) - {receiver}
+    readers = [r for tr in transports.values() for r in tr._readers]
+    assert len(readers) == n * (n - 1)
+    for tr in transports.values():
+        tr.close()
+    assert not any(r.is_alive() for r in readers)
+    assert all(tr.dropped_frames == 0 for tr in transports.values())
+
+
+def test_tcp_frame_cut_short_ends_the_reader_without_a_drop():
+    keys = derive_pair_keys(b"cut", 2)
+    transports = _tcp_mesh(keys, 2)
+    frame = encode_frame(SessionMessage(b"C" * 16, PHASE_CONTROL, 1, 2, b"cut"),
+                         pair_key(keys, 2, 1))
+    link = transports[2]._conns[1]
+    link.sendall(frame[:-5])
+    link.shutdown(socket.SHUT_WR)
+    reader = transports[1]._readers[0]
+    reader.join(2.0)
+    assert not reader.is_alive()
+    assert transports[1].dropped_frames == 0
     for tr in transports.values():
         tr.close()
 
@@ -1513,7 +1611,7 @@ def test_restock_wire_bytes(scheme, per_party):
     round_one = FRAME_OVERHEAD + 4 + 20 + 9 * 34
     mac_check = 2 * FRAME_OVERHEAD + 32 + 64 if scheme.has_mac else 0
     assert per_party == 4 * (round_one + mac_check)
-    assert sent == {(p, "preprocess_dependent"): per_party for p in cluster.participants}
+    assert sent == {p: per_party for p in cluster.participants}
     cluster.close()
 
 
@@ -1999,27 +2097,65 @@ def test_torn_key_record_tail_is_cut_on_reopen(tmp_path):
     cluster.close()
 
 
-@pytest.mark.parametrize("bad", [b"not json", b'{"member": "a"}', b'{"member": "\xff"}'],
-                         ids=["not-json", "missing-key", "not-utf8"])
-@pytest.mark.parametrize("log", ["keys.jsonl", "members.jsonl", "tickets.jsonl"])
-def test_node_log_line_that_does_not_decode_names_its_file_and_line(tmp_path, log, bad):
-    # a whole second line that does not decode stops the load with one
-    # error naming the file and the line, and the file is left as it is
+_BAD_LOG_LINES = {
+    f"{log}-{kind}": (log, bad)
+    for log in ("keys.jsonl", "members.jsonl", "tickets.jsonl")
+    for kind, bad in [("not-json", b"not json"), ("missing-key", b'{"member": "a"}'),
+                      ("not-utf8", b'{"member": "\xff"}')]
+}
+# the manifest is text, "name digest" pairs: only a line that is not UTF-8
+# fails to decode
+_BAD_LOG_LINES["manifest.txt-not-utf8"] = ("objects/manifest.txt", b"roa-\xff.obj 00")
+
+
+def _node_with_every_log(data_dir):
+    """A closed node whose every line log holds one whole line."""
     config = ProtocolConfig.for_scheme(SchemeId.SHAMIR)
-    node = PartyNode(1, config, str(tmp_path), bytes(16))
+    node = PartyNode(1, config, str(data_dir), bytes(16))
     pk = scalar_mul(FieldElement(7), GENERATOR)
     node.register_member("a", pk)
     node.store_key_record(KeyShareRecord("a", Share(SchemeId.SHAMIR, 1, FieldElement(3)), pk,
                                          bytes(16)))
     node._store_ticket(InterventionTicket("t", "a", Action.ISSUE, "consent-missing", 0.0,
                                           [b"x"]))
+    node.publish_batch([])  # one manifest line, one audit line
     node.close()
+    return config
+
+
+@pytest.mark.parametrize("log, bad", list(_BAD_LOG_LINES.values()), ids=list(_BAD_LOG_LINES))
+def test_node_log_line_that_does_not_decode_names_its_file_and_line(tmp_path, log, bad):
+    # a whole second line that does not decode stops the load with one
+    # error naming the file and the line, and the file is left as it is
+    config = _node_with_every_log(tmp_path)
     path = tmp_path / log
     data = path.read_bytes() + bad + b"\n"
     path.write_bytes(data)
     with pytest.raises(RecordError, match=rf"{log} line 2 does not decode"):
         PartyNode(1, config, str(tmp_path), bytes(16))
     assert path.read_bytes() == data
+
+
+def test_audit_line_that_does_not_decode_names_its_file_and_line(tmp_path):
+    # the load only counts audit lines; reading them back names the bad one
+    config = _node_with_every_log(tmp_path)
+    path = tmp_path / "audit.jsonl"
+    data = path.read_bytes() + b'{"event": "\xff"}\n'
+    path.write_bytes(data)
+    node = PartyNode(1, config, str(tmp_path), bytes(16))
+    with pytest.raises(RecordError, match=r"audit.jsonl line 2 does not decode"):
+        node.audit_lines()
+    node.close()
+    assert path.read_bytes() == data
+
+
+def test_node_state_file_that_does_not_decode_names_itself(tmp_path):
+    config = _node_with_every_log(tmp_path)
+    path = tmp_path / "state.json"
+    path.write_bytes(b"not json")
+    with pytest.raises(RecordError, match=r"state.json does not decode"):
+        PartyNode(1, config, str(tmp_path), bytes(16))
+    assert path.read_bytes() == b"not json"
 
 
 def test_torn_audit_tail_is_cut_on_reopen(tmp_path):

@@ -28,3 +28,18 @@ def test_curve_microbench_prints_every_row(monkeypatch, capsys):
         assert row["median_ms"] > 0
         assert row["calls_per_round"] == 2 and row["rounds"] == 2
     assert report["python"]
+
+
+def test_transport_microbench_prints_every_row(monkeypatch, capsys):
+    bench = _load("transport_microbench")
+    monkeypatch.setattr(bench, "CALLS", 2)
+    monkeypatch.setattr(bench, "ROUNDS", 2)
+    bench.main()
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["rows"]) == {
+        "encode_frame", "decode_frame", "hub_send_recv", "broadcast_round_5",
+    }
+    for row in report["rows"].values():
+        assert row["median_ms"] > 0
+        assert row["calls_per_round"] == 2 and row["rounds"] == 2
+    assert report["python"]

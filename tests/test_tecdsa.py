@@ -131,7 +131,7 @@ def _rig_zero_triple(cluster, index=0):
                     owners=cluster.participants)
     tid = bytes(15) + bytes([index])
     return [
-        Triple(tid, cluster.epoch, a_shares[i], b_shares[i], c_shares[i])
+        Triple(tid, a_shares[i], b_shares[i], c_shares[i])
         for i in range(cluster.n_live)
     ]
 
