@@ -16,9 +16,9 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 from .runtime import LocalCluster
 from .sharing import SCHEME_NAMES, ProtocolAbort, SchemeId
@@ -43,23 +43,6 @@ WAN_RTT_MS: dict[tuple[int, int], float] = {
 
 PHASES = ("keygen", "preprocessing", "online")
 SETTINGS = ("lan", "wan")
-
-CSV_FIELDS = [
-    "scheme",
-    "setting",
-    "phase",
-    "runs",
-    "unit_count",
-    "mean_ms",
-    "stddev_ms",
-    "per_unit_ms",
-    "throughput_per_s",
-    "bytes_per_party",
-    "secret_ms",
-    "public_ms",
-    "offline_source",
-    "status",
-]
 
 SCHEME_LABELS = {scheme: name for name, scheme in SCHEME_NAMES.items()}
 
@@ -120,6 +103,12 @@ class BenchRow:
     public_ms: float = 0.0
     offline_source: str = "dealer"
     status: str = "ok"
+
+
+# a report's columns are BenchRow's fields, in order; a column an older
+# report lacks reads as its field's default
+CSV_FIELDS = [f.name for f in fields(BenchRow)]
+_CSV_TYPES = get_type_hints(BenchRow)
 
 
 def _make_cluster(scheme: SchemeId, setting: str, seed: Optional[int],
@@ -302,21 +291,11 @@ def write_csv(rows: Sequence[BenchRow], path: str) -> None:
 
 
 def read_csv(path: str) -> list[BenchRow]:
-    rows = []
+    def value(rec: dict, field) -> object:
+        if not rec.get(field.name) and field.default is not MISSING:
+            return field.default
+        return _CSV_TYPES[field.name](rec[field.name])
+
     with open(path, newline="") as handle:
-        for rec in csv.DictReader(handle):
-            rows.append(
-                BenchRow(
-                    scheme=rec["scheme"], setting=rec["setting"], phase=rec["phase"],
-                    runs=int(rec["runs"]), unit_count=int(rec["unit_count"]),
-                    mean_ms=float(rec["mean_ms"]), stddev_ms=float(rec["stddev_ms"]),
-                    per_unit_ms=float(rec["per_unit_ms"]),
-                    throughput_per_s=float(rec["throughput_per_s"]),
-                    bytes_per_party=float(rec["bytes_per_party"]),
-                    secret_ms=float(rec.get("secret_ms") or 0.0),
-                    public_ms=float(rec.get("public_ms") or 0.0),
-                    offline_source=rec.get("offline_source", "dealer"),
-                    status=rec.get("status", "ok"),
-                )
-            )
-    return rows
+        return [BenchRow(**{f.name: value(rec, f) for f in fields(BenchRow)})
+                for rec in csv.DictReader(handle)]

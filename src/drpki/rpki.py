@@ -3,7 +3,12 @@
 Objects use one canonical, injective binary encoding (type tag, version, then
 length-prefixed fields in declaration order) instead of DER templates; the
 revocation semantics of the real formats are preserved by embedding each
-object's end-entity serial and revoking serials through CRLs.
+object's end-entity serial and revoking serials through CRLs.  One layout
+table per record type drives both `encode_canonical` and `decode_canonical`,
+and decoding accepts only what encoding writes: any other input, cut short,
+padded or with a field that does not decode, raises `ValidationError`.  The
+length-prefixed field framing (`frame_fields` / `split_fields`) is also the
+framing of consent bodies and of a request's payload list.
 
 Consent tokens are the member-authorization artifact gating every signing
 run: a member signs (member id, action, digest of the exact payloads,
@@ -16,15 +21,16 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import io
 import ipaddress
 import secrets
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
+    SCALAR_BYTES,
+    AlgebraError,
     FieldElement,
     GroupPoint,
     Signature,
@@ -202,18 +208,23 @@ class SignedObject:
         return decode_canonical(self.payload)
 
     def to_bytes(self) -> bytes:
-        return (
-            struct.pack(">I", len(self.payload)) + self.payload
-            + self.signature.to_bytes() + self.signer_pk.to_bytes()
-        )
+        return (frame_fields((self.payload,)) + self.signature.to_bytes()
+                + self.signer_pk.to_bytes())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SignedObject":
-        (plen,) = struct.unpack(">I", blob[:4])
-        payload = blob[4:4 + plen]
-        sig = Signature.from_bytes(blob[4 + plen:4 + plen + 64])
-        pk = GroupPoint.from_bytes(blob[4 + plen + 64:])
-        return cls(PayloadKind(payload[0]), payload, sig, pk)
+        """Undo `to_bytes`, leaving the payload undecoded; a blob that
+        `to_bytes` could not have written raises ValidationError."""
+        plen = _U32.unpack_from(blob)[0] if len(blob) >= _U32.size else 0
+        end = _U32.size + plen
+        if not plen or end + 2 * SCALAR_BYTES > len(blob):
+            raise ValidationError("truncated signed object")
+        try:
+            return cls(PayloadKind(blob[_U32.size]), blob[_U32.size:end],
+                       Signature.from_bytes(blob[end:end + 2 * SCALAR_BYTES]),
+                       GroupPoint.from_bytes(blob[end + 2 * SCALAR_BYTES:]))
+        except (ValueError, AlgebraError) as exc:
+            raise ValidationError(f"malformed signed object: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -230,115 +241,121 @@ class TrustAnchorLocator:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != 2:
             raise ValidationError("TAL must be a URI line and a base64 key line")
-        return cls(lines[0].strip(), GroupPoint.from_bytes(base64.b64decode(lines[1])))
+        try:
+            key = GroupPoint.from_bytes(base64.b64decode(lines[1]))
+        except (ValueError, AlgebraError) as exc:
+            raise ValidationError(f"TAL key line: {exc}") from exc
+        return cls(lines[0].strip(), key)
 
 
 # --- canonical encoding -------------------------------------------------------
 
-def _w_field(out: io.BytesIO, data: bytes) -> None:
-    out.write(struct.pack(">I", len(data)))
-    out.write(data)
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
 
 
-def _r_field(buf: io.BytesIO) -> bytes:
-    raw = buf.read(4)
-    if len(raw) != 4:
-        raise ValidationError("truncated encoding")
-    (length,) = struct.unpack(">I", raw)
-    data = buf.read(length)
-    if len(data) != length:
-        raise ValidationError("truncated encoding")
-    return data
+def frame_fields(parts: Iterable[bytes]) -> bytes:
+    """Each part behind its 4-byte big-endian length, in order: the one field
+    framing of records, consent bodies and a request's payload list."""
+    return b"".join(_U32.pack(len(part)) + part for part in parts)
 
 
-def _encode_prefixes(prefixes: Sequence[IpPrefix]) -> bytes:
-    out = struct.pack(">H", len(prefixes))
-    for p in prefixes:
-        out += struct.pack("B", p.family) + p.address + struct.pack("BB", p.length, p.max_length)
-    return out
+def split_fields(data: bytes) -> list[bytes]:
+    """Undo `frame_fields`; a length that runs past the end raises
+    ValidationError."""
+    parts, off, end = [], 0, len(data)
+    while off < end:
+        if end - off < _U32.size:
+            raise ValidationError("truncated field length")
+        start = off + _U32.size
+        off = start + _U32.unpack_from(data, off)[0]
+        if off > end:
+            raise ValidationError("truncated field")
+        parts.append(data[start:off])
+    return parts
 
 
-def _decode_prefixes(blob: bytes) -> tuple[IpPrefix, ...]:
-    (count,) = struct.unpack(">H", blob[:2])
-    out, off = [], 2
-    for _ in range(count):
-        family = blob[off]
-        address = blob[off + 1:off + 17]
-        length, max_length = blob[off + 17], blob[off + 18]
-        out.append(IpPrefix(family, address, length, max_length))
-        off += 19
-    if off != len(blob):
-        raise ValidationError("trailing bytes in prefix list")
-    return tuple(out)
+def _fixed(codec: struct.Struct):
+    """An unsigned integer field, read at exactly its width."""
+    def decode(data: bytes) -> int:
+        if len(data) != codec.size:
+            raise ValidationError(f"field must be {codec.size} bytes, got {len(data)}")
+        return codec.unpack(data)[0]
+    return codec.pack, decode
+
+
+def _counted(count: struct.Struct, item: struct.Struct, to_fields, from_fields):
+    """A list behind its count, each item at the fixed width of `item`; the
+    field holds exactly the counted items."""
+    def encode(values) -> bytes:
+        return count.pack(len(values)) + b"".join(item.pack(*to_fields(v)) for v in values)
+
+    def decode(data: bytes) -> tuple:
+        if (len(data) < count.size
+                or len(data) != count.size + item.size * count.unpack_from(data)[0]):
+            raise ValidationError("list field does not hold its counted items")
+        return tuple(from_fields(*fields) for fields in item.iter_unpack(data[count.size:]))
+    return encode, decode
+
+
+_UINT32, _UINT64 = _fixed(_U32), _fixed(_U64)
+_TEXT = (str.encode, bytes.decode)
+_POINT = (GroupPoint.to_bytes, GroupPoint.from_bytes)
+_PREFIXES = _counted(struct.Struct(">H"), struct.Struct(">B16sBB"),
+                     lambda p: (p.family, p.address, p.length, p.max_length), IpPrefix)
+_SERIALS = _counted(_U32, _U64, lambda serial: (serial,), lambda serial: serial)
+
+# One wire layout per record type: its tag, then (attribute, (encode,
+# decode)) for each field, in encoding order.  An encoding is the tag, the
+# version, then each field behind its length (`frame_fields`).  Both
+# directions read this table and nothing else, so they cannot drift, and
+# every decode takes exactly what its encode writes: fixed widths at their
+# width, lists at their counted length, text as strict UTF-8, points on the
+# curve.  A text or point decode raises its own error, which
+# `decode_canonical` turns into ValidationError.
+_LAYOUTS = {
+    RoaRecord: (TAG_ROA, (
+        ("serial", _UINT64), ("member_id", _TEXT), ("asn", _UINT32),
+        ("prefixes", _PREFIXES), ("not_before", _UINT64), ("not_after", _UINT64),
+        ("ee_pk", _POINT))),
+    CrlRecord: (TAG_CRL, (
+        ("issuer_id", _TEXT), ("this_update", _UINT64), ("revoked_serials", _SERIALS))),
+    EeCertRecord: (TAG_CERT, (
+        ("serial", _UINT64), ("member_id", _TEXT), ("subject_pk", _POINT),
+        ("not_before", _UINT64), ("not_after", _UINT64))),
+}
+_BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in _LAYOUTS.items()}
 
 
 def encode_canonical(obj: PayloadRecord) -> bytes:
     """Deterministic, injective byte encoding; validates invariants first."""
-    obj.check()
-    out = io.BytesIO()
-    if isinstance(obj, RoaRecord):
-        out.write(bytes([TAG_ROA, ENCODING_VERSION]))
-        _w_field(out, struct.pack(">Q", obj.serial))
-        _w_field(out, obj.member_id.encode())
-        _w_field(out, struct.pack(">I", obj.asn))
-        _w_field(out, _encode_prefixes(obj.prefixes))
-        _w_field(out, struct.pack(">Q", obj.not_before))
-        _w_field(out, struct.pack(">Q", obj.not_after))
-        _w_field(out, obj.ee_pk.to_bytes())
-    elif isinstance(obj, CrlRecord):
-        out.write(bytes([TAG_CRL, ENCODING_VERSION]))
-        _w_field(out, obj.issuer_id.encode())
-        _w_field(out, struct.pack(">Q", obj.this_update))
-        _w_field(out, struct.pack(">I", len(obj.revoked_serials))
-                 + b"".join(struct.pack(">Q", s) for s in obj.revoked_serials))
-    elif isinstance(obj, EeCertRecord):
-        out.write(bytes([TAG_CERT, ENCODING_VERSION]))
-        _w_field(out, struct.pack(">Q", obj.serial))
-        _w_field(out, obj.member_id.encode())
-        _w_field(out, obj.subject_pk.to_bytes())
-        _w_field(out, struct.pack(">Q", obj.not_before))
-        _w_field(out, struct.pack(">Q", obj.not_after))
-    else:
+    layout = _LAYOUTS.get(type(obj))
+    if layout is None:
         raise ValidationError(f"unencodable object type {type(obj).__name__}")
-    return out.getvalue()
+    obj.check()
+    tag, fields = layout
+    return bytes((tag, ENCODING_VERSION)) + frame_fields(
+        encode(getattr(obj, name)) for name, (encode, _) in fields)
 
 
 def decode_canonical(blob: bytes) -> PayloadRecord:
+    """The record whose encoding is exactly `blob`; any other input raises
+    ValidationError."""
     if len(blob) < 2:
         raise ValidationError("truncated encoding")
     tag, version = blob[0], blob[1]
     if version != ENCODING_VERSION:
         raise ValidationError(f"unsupported encoding version {version}")
-    buf = io.BytesIO(blob[2:])
-    if tag == TAG_ROA:
-        serial = struct.unpack(">Q", _r_field(buf))[0]
-        member = _r_field(buf).decode()
-        asn = struct.unpack(">I", _r_field(buf))[0]
-        prefixes = _decode_prefixes(_r_field(buf))
-        not_before = struct.unpack(">Q", _r_field(buf))[0]
-        not_after = struct.unpack(">Q", _r_field(buf))[0]
-        ee_pk = GroupPoint.from_bytes(_r_field(buf))
-        obj = RoaRecord(serial, member, asn, prefixes, not_before, not_after, ee_pk)
-    elif tag == TAG_CRL:
-        issuer = _r_field(buf).decode()
-        this_update = struct.unpack(">Q", _r_field(buf))[0]
-        body = _r_field(buf)
-        (count,) = struct.unpack(">I", body[:4])
-        serials = tuple(
-            struct.unpack(">Q", body[4 + 8 * i:12 + 8 * i])[0] for i in range(count)
-        )
-        obj = CrlRecord(issuer, this_update, serials)
-    elif tag == TAG_CERT:
-        serial = struct.unpack(">Q", _r_field(buf))[0]
-        member = _r_field(buf).decode()
-        subject_pk = GroupPoint.from_bytes(_r_field(buf))
-        not_before = struct.unpack(">Q", _r_field(buf))[0]
-        not_after = struct.unpack(">Q", _r_field(buf))[0]
-        obj = EeCertRecord(serial, member, subject_pk, not_before, not_after)
-    else:
+    if tag not in _BY_TAG:
         raise ValidationError(f"unknown object tag {tag}")
-    if buf.read(1):
-        raise ValidationError("trailing bytes after object")
+    cls, fields = _BY_TAG[tag]
+    parts = split_fields(blob[2:])
+    if len(parts) != len(fields):
+        raise ValidationError(f"{cls.__name__} takes {len(fields)} fields, got {len(parts)}")
+    try:
+        obj = cls(**{name: decode(part) for (name, (_, decode)), part in zip(fields, parts)})
+    except (UnicodeDecodeError, AlgebraError) as exc:  # text not UTF-8, point off the curve
+        raise ValidationError(f"{cls.__name__} field does not decode: {exc}") from exc
     obj.check()
     return obj
 
@@ -359,13 +376,8 @@ def consent_digest(payloads: Sequence[PayloadRecord]) -> bytes:
 
 def _consent_body(member_id: str, action: Action, object_digest_: bytes,
                   expiry: int) -> bytes:
-    out = io.BytesIO()
-    out.write(bytes([TAG_CONSENT, ENCODING_VERSION]))
-    _w_field(out, member_id.encode())
-    _w_field(out, bytes([action.value]))
-    _w_field(out, object_digest_)
-    _w_field(out, struct.pack(">Q", expiry))
-    return out.getvalue()
+    return bytes((TAG_CONSENT, ENCODING_VERSION)) + frame_fields(
+        (member_id.encode(), bytes((action.value,)), object_digest_, _U64.pack(expiry)))
 
 
 def sign_consent(member_sk: FieldElement, member_id: str, action: Action,
@@ -473,42 +485,32 @@ def validate_object(
 ) -> ObjectVerdict:
     """Relying-party check of one signed object against a TAL and CRL state.
 
-    Flat mode verifies directly under the TAL key and rejects CA/EE
-    certificates as forbidden.  Hierarchical mode walks the two-layer chain:
-    TAL key signs the member's certificate, whose subject key signs the
-    object.
+    One rule for every object: a payload that does not decode is a bad
+    signature; flat mode forbids certificates, known by the decoded payload.  The expected signer is the
+    TAL key, except for a non-certificate in hierarchical mode, whose signer
+    is the subject key of `issuer_cert` once that certificate validates (a
+    certificate that does not validate passes its verdict on).  The object
+    must carry and verify under that key, and a record with an EE serial
+    that the CRL state lists is revoked.
     """
-    revoked = set(crl_state)
     try:
         record = obj.record()
     except ValidationError:
         return ObjectVerdict.BAD_SIGNATURE
-
-    if mode is DeploymentMode.FLAT:
-        if obj.payload_kind is PayloadKind.CERT:
-            return ObjectVerdict.FORBIDDEN_KIND
-        if obj.signer_pk != tal.subject_public_key or not obj.verify():
-            return ObjectVerdict.BAD_SIGNATURE
-        if isinstance(record, RoaRecord) and record.serial in revoked:
-            return ObjectVerdict.REVOKED
-        return ObjectVerdict.VALID
-
-    # hierarchical: certificates verify under the trust anchor directly
-    if obj.payload_kind is PayloadKind.CERT:
-        if obj.signer_pk != tal.subject_public_key or not obj.verify():
-            return ObjectVerdict.BAD_SIGNATURE
-        if record.serial in revoked:
-            return ObjectVerdict.REVOKED
-        return ObjectVerdict.VALID
-
-    if issuer_cert is None:
+    is_cert = isinstance(record, EeCertRecord)  # the payload's kind, whatever the label
+    if mode is DeploymentMode.FLAT and is_cert:
+        return ObjectVerdict.FORBIDDEN_KIND
+    if mode is DeploymentMode.FLAT or is_cert:
+        signer = tal.subject_public_key
+    elif issuer_cert is None:
         return ObjectVerdict.BAD_SIGNATURE
-    cert_verdict = validate_object(issuer_cert, tal, crl_state, mode)
-    if cert_verdict is not ObjectVerdict.VALID:
-        return cert_verdict
-    cert_record = issuer_cert.record()
-    if obj.signer_pk != cert_record.subject_pk or not obj.verify():
+    else:
+        cert_verdict = validate_object(issuer_cert, tal, crl_state, mode)
+        if cert_verdict is not ObjectVerdict.VALID:
+            return cert_verdict
+        signer = issuer_cert.record().subject_pk
+    if obj.signer_pk != signer or not obj.verify():
         return ObjectVerdict.BAD_SIGNATURE
-    if isinstance(record, RoaRecord) and record.serial in revoked:
+    if getattr(record, "serial", None) in set(crl_state):
         return ObjectVerdict.REVOKED
     return ObjectVerdict.VALID

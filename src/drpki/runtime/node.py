@@ -41,7 +41,6 @@ import hashlib
 import json
 import random
 import secrets
-import struct
 import tempfile
 import threading
 import time
@@ -50,8 +49,10 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 from urllib.parse import quote
 
-from ..algebra import AlgebraError, FieldElement, GroupPoint
-from ..durable import _append_line, _read_file, _read_lines, _read_records, _read_text, _write_file
+from ..algebra import FieldElement, GroupPoint
+from ..durable import (
+    RecordError, _append_line, _read_file, _read_lines, _read_records, _read_text, _write_file,
+)
 from ..preprocessing import TrustedDealer
 from ..rpki import (
     Action,
@@ -64,6 +65,8 @@ from ..rpki import (
     ValidationError,
     decode_canonical,
     encode_canonical,
+    frame_fields,
+    split_fields,
     verify_consent,
 )
 from ..sharing import MacKeyShare, ProtocolAbort, Share, generate_mac_keys
@@ -165,23 +168,6 @@ class SignOutcome:
     sign_results: list[SignResult] = dc_field(default_factory=list)
 
 
-def _frame_payloads(blobs: Sequence[bytes]) -> bytes:
-    """The initiator's framing of a request's payloads: each behind its 4-byte length."""
-    return b"".join(len(b).to_bytes(4, "big") + b for b in blobs)
-
-
-def _split_payloads(raw: bytes) -> list[bytes]:
-    """Undo `_frame_payloads`."""
-    blobs, off = [], 0
-    while off < len(raw):
-        end = off + 4 + int.from_bytes(raw[off:off + 4], "big")
-        if end > len(raw):
-            raise ValidationError("truncated request payload")
-        blobs.append(raw[off + 4:end])
-        off = end
-    return blobs
-
-
 class _Refused(Exception):
     """A request's votes hold no quorum of ok."""
 
@@ -209,14 +195,14 @@ class _RequestGate:
         self.node, self.op, self.session = node, op, session
         self.ticket_id = op.get("ticket")
         self.count = len(op["payloads"])
-        self.lead = (_frame_payloads([bytes.fromhex(p) for p in op["payloads"]])
+        self.lead = (frame_fields(bytes.fromhex(p) for p in op["payloads"])
                      if node.party_id == op["initiator"] else b"")
         if self.ticket_id is None:
             token = node.consent_inbox.get(op["member"])
             digest = token.object_digest if token is not None else None
         else:
             ticket = node.tickets.get(self.ticket_id)
-            digest = (hashlib.sha256(_frame_payloads(ticket.payload_blobs)).digest()
+            digest = (hashlib.sha256(frame_fields(ticket.payload_blobs)).digest()
                       if ticket is not None else None)
         self.target = digest[:16] if digest else bytes(16)
         self.blobs: list[bytes] = []
@@ -229,11 +215,11 @@ class _RequestGate:
         node, member_id = self.node, self.op["member"]
         self.targets = targets
         try:
-            self.blobs = _split_payloads(leads.get(self.op["initiator"], b""))
+            self.blobs = split_fields(leads.get(self.op["initiator"], b""))
             if len(self.blobs) != self.count:
                 raise ValidationError("request payload count")
             records = [decode_canonical(b) for b in self.blobs]
-        except (ValidationError, AlgebraError, ValueError, IndexError, struct.error):
+        except ValidationError:
             self.session.abort("malformed request payload")
         self.digest = hashlib.sha256(b"".join(self.blobs)).hexdigest()
         if self.ticket_id is None:
@@ -346,7 +332,11 @@ class PartyNode:
             name for line in _read_text(self.dir / "objects" / "manifest.txt")
             for name in line.split()[::2])
         for name in listed:
-            self.objects[name] = SignedObject.from_bytes((self.dir / "objects" / name).read_bytes())
+            path = self.dir / "objects" / name
+            try:
+                self.objects[name] = SignedObject.from_bytes(path.read_bytes())
+            except ValidationError as exc:
+                raise RecordError(f"{path} does not decode: {exc!r}") from exc
         self.audit_seq = len(_read_lines(self.dir / "audit.jsonl"))
 
     def _take_state(self, blob: dict) -> None:
@@ -669,7 +659,9 @@ class LocalCluster:
         self._session_lock = threading.Lock()
         self._member_locks: dict[str, threading.Lock] = {}
         self._member_locks_guard = threading.Lock()
-        self._preprocess_lock = threading.Lock()
+        # each party pops its own dealer queues, so two ops that draw from
+        # the dealer at once could pair different items at different parties
+        self._dealer_lock = threading.Lock()
         self._initiator_counter = 0
 
     # -- setup helpers ----------------------------------------------------------
@@ -753,7 +745,8 @@ class LocalCluster:
     # -- protocol phases ------------------------------------------------------------
 
     def keygen(self, member_id: str) -> GroupPoint:
-        results = self._run_op({"op": "keygen", "member": member_id})
+        with self._dealer_lock:  # a mascot keygen draws input masks
+            results = self._run_op({"op": "keygen", "member": member_id})
         pks = {r.pk.to_bytes() for r in results.values()}
         if len(pks) != 1:
             raise ProtocolAbort("public key disagreement")
@@ -768,12 +761,12 @@ class LocalCluster:
         }
 
     def preprocess_independent(self, count: int) -> int:
-        with self._preprocess_lock:
+        with self._dealer_lock:
             results = self._run_op({"op": "preprocess-independent", "count": count})
         return len(next(iter(results.values())))
 
     def preprocess_dependent(self, member_id: str, count: int) -> int:
-        with self._preprocess_lock:
+        with self._dealer_lock:
             results = self._run_op(
                 {"op": "preprocess-dependent", "member": member_id, "count": count}
             )

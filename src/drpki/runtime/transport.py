@@ -34,6 +34,9 @@ _LENGTH = struct.Struct(">I")
 _HEADER = struct.Struct(">16sBIBI")
 LENGTH_PREFIX_BYTES = _LENGTH.size
 FRAME_OVERHEAD = LENGTH_PREFIX_BYTES + _HEADER.size + MAC_BYTES
+# a TCP length prefix above this is dropped and ends its link's reader; the
+# largest frame any op sends, a phase-3 batch of N tuples, is about 102*N bytes
+MAX_FRAME_BYTES = 16 << 20
 
 PHASE_CONTROL = 0
 PHASE_KEYGEN = 1
@@ -135,11 +138,14 @@ class _Inbox:
         is dropped and counted."""
         msg = decode_frame(frame_body, pair_key(self._pair_keys, sender, self.party))
         if msg is None or msg.sender != sender:
-            with self._lock:
-                self.dropped += 1
+            self.count_dropped()
             return
         deliver_at = time.monotonic() + delay_s if delay_s else 0.0
         self._queue(msg.session_id).put((deliver_at, msg))
+
+    def count_dropped(self) -> None:
+        with self._lock:
+            self.dropped += 1
 
     def recv(self, session_id: bytes, timeout: float) -> Optional[SessionMessage]:
         try:
@@ -277,7 +283,9 @@ class TcpNodeTransport:
 
     def _read_loop(self, peer: int, conn: socket.socket) -> None:
         """Feed the inbox one length-prefixed frame at a time until the link
-        ends; a frame cut short by the end is not counted."""
+        ends; a frame cut short by the end is not counted.  A length above
+        `MAX_FRAME_BYTES` counts one dropped frame and ends the link, whose
+        framing can no longer be trusted."""
         try:
             with conn.makefile("rb") as stream:
                 while True:
@@ -285,6 +293,9 @@ class TcpNodeTransport:
                     if len(prefix) < LENGTH_PREFIX_BYTES:
                         return
                     (length,) = _LENGTH.unpack(prefix)
+                    if length > MAX_FRAME_BYTES:
+                        self._inbox.count_dropped()
+                        return
                     body = stream.read(length)
                     if len(body) < length:
                         return

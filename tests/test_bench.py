@@ -127,3 +127,18 @@ def test_csv_roundtrip_preserves_rows(tmp_path):
     write_csv([row], str(tmp_path / "r.csv"))
     parsed = read_csv(str(tmp_path / "r.csv"))
     assert parsed == [row]
+
+
+def test_csv_header_and_a_report_without_the_later_columns(tmp_path):
+    # the header is BenchRow's fields; a report written before the timing
+    # split, offline_source and status columns reads them as their defaults
+    row = BenchRow("shamir", "lan", "online", 2, 2, 1.5, 0.1, 1.5, 1333.3, 640.0)
+    write_csv([row], str(tmp_path / "r.csv"))
+    header = (tmp_path / "r.csv").read_text().splitlines()[0]
+    assert header == ("scheme,setting,phase,runs,unit_count,mean_ms,stddev_ms,per_unit_ms,"
+                      "throughput_per_s,bytes_per_party,secret_ms,public_ms,offline_source,"
+                      "status")
+    old = tmp_path / "old.csv"
+    old.write_text(",".join(header.split(",")[:10]) + "\n"
+                   "shamir,lan,online,2,2,1.5,0.1,1.5,1333.3,640.0\n")
+    assert read_csv(str(old)) == [row]

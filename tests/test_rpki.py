@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -22,9 +23,11 @@ from drpki.rpki import (
     consent_digest,
     decode_canonical,
     encode_canonical,
+    frame_fields,
     object_digest,
     plan_transfer,
     sign_consent,
+    split_fields,
     validate_object,
     verify_consent,
 )
@@ -137,14 +140,54 @@ def test_invariant_violations_name_the_rule(build, rule):
         encode_canonical(build())
 
 
+def _with_field(blob: bytes, index: int, field: bytes) -> bytes:
+    """`blob` with its index-th field replaced by `field`."""
+    parts = split_fields(blob[2:])
+    parts[index] = field
+    return blob[:2] + frame_fields(parts)
+
+
 def test_decode_rejects_garbage():
-    with pytest.raises(ValidationError):
-        decode_canonical(b"")
-    with pytest.raises(ValidationError):
-        decode_canonical(b"\x09\x01\x00")
-    good = encode_canonical(random_roa())
-    with pytest.raises(ValidationError):
-        decode_canonical(good + b"\x00")
+    roa = encode_canonical(random_roa())
+    crl = encode_canonical(CrlRecord("i", 1, (4, 9)))
+    garbage = [
+        b"", b"\x09\x01\x00", roa + b"\x00",
+        _with_field(roa, 0, bytes(7)),                        # a short serial
+        _with_field(roa, 1, b"\xff"),                         # text that is not UTF-8
+        _with_field(roa, 6, b"\x04" + bytes(64)),             # a point off the curve
+        _with_field(roa, 3, split_fields(roa[2:])[3] + bytes(19)),  # one prefix too many
+        _with_field(crl, 2, split_fields(crl[2:])[2] + bytes(8)),   # junk after the serials
+        _with_field(crl, 2, split_fields(crl[2:])[2][:-1]),         # a serial cut short
+        crl[:2] + frame_fields(split_fields(crl[2:])[:2]),          # a missing field
+    ]
+    for blob in garbage:
+        with pytest.raises(ValidationError):
+            decode_canonical(blob)
+
+
+@pytest.mark.parametrize("record", [
+    RoaRecord(7, "member-\u00e4", 64512,
+              (IpPrefix.parse("10.0.0.0/8", 16), IpPrefix.parse("2001:db8::/32", 48)),
+              100, 200, EE_PK),
+    CrlRecord("issuer", 5, (1, 9, 2**40)),
+    EeCertRecord(3, "m", EE_PK, 1, 10),
+], ids=["roa", "crl", "cert"])
+def test_decode_takes_exactly_the_canonical_encoding(record):
+    # every truncation and every single-bit flip of an encoding decodes to
+    # the record whose encoding it is, or raises ValidationError
+    good = encode_canonical(record)
+    variants = [good[:cut] for cut in range(len(good))]
+    for i in range(len(good)):
+        for bit in range(8):
+            flipped = bytearray(good)
+            flipped[i] ^= 1 << bit
+            variants.append(bytes(flipped))
+    for blob in variants:
+        try:
+            decoded = decode_canonical(blob)
+        except ValidationError:
+            continue
+        assert encode_canonical(decoded) == blob
 
 
 # --- consent ---------------------------------------------------------------------
@@ -336,18 +379,56 @@ def test_transfer_pipeline_validates_new_and_rejects_old():
     assert validate_object(crl_obj, tal, crl_state, DeploymentMode.FLAT) is ObjectVerdict.VALID
 
 
+def test_object_whose_payload_has_a_short_field_is_a_bad_signature():
+    # a signature over a payload that does not decode validates nothing
+    anchor = KeyPair.generate(rng)
+    tal = TrustAnchorLocator("rsync://example/repo", anchor.pk)
+    payload = _with_field(encode_canonical(random_roa()), 0, bytes(7))
+    obj = SignedObject(PayloadKind.ROA, payload, ecdsa_sign(anchor.sk, payload, rng=rng),
+                       anchor.pk)
+    cert = _signed(EeCertRecord(5, "memberA", anchor.pk, 1, 10**10), anchor)
+    assert validate_object(obj, tal, [], DeploymentMode.FLAT) is ObjectVerdict.BAD_SIGNATURE
+    assert (validate_object(obj, tal, [], DeploymentMode.HIERARCHICAL, issuer_cert=cert)
+            is ObjectVerdict.BAD_SIGNATURE)
+
+
+def test_issuer_labelled_a_certificate_that_holds_a_roa_validates_nothing():
+    # the TAL key signed a ROA, and the issuer slot carries it under the
+    # certificate label: the chain has no certificate, so no signer
+    anchor = KeyPair.generate(rng)
+    member = KeyPair.generate(rng)
+    tal = TrustAnchorLocator("rsync://example/repo", anchor.pk)
+    fake = replace(_signed(random_roa(), anchor), payload_kind=PayloadKind.CERT)
+    obj = _signed(random_roa(), member)
+    assert (validate_object(obj, tal, [], DeploymentMode.HIERARCHICAL, issuer_cert=fake)
+            is ObjectVerdict.BAD_SIGNATURE)
+
+
 def test_signed_object_serialization_roundtrip():
     anchor = KeyPair.generate(rng)
     obj = _signed(random_roa(), anchor)
     assert SignedObject.from_bytes(obj.to_bytes()) == obj
 
 
+def test_signed_object_blob_that_does_not_decode_raises_validation_error():
+    good = _signed(random_roa(), KeyPair.generate(rng)).to_bytes()
+    bad = [good[:cut] for cut in range(len(good))] + [
+        good + b"\x00",
+        bytes(4) + good[4:],              # an empty payload
+        good[:4] + b"\x09" + good[5:],    # no such payload kind
+    ]
+    for blob in bad:
+        with pytest.raises(ValidationError):
+            SignedObject.from_bytes(blob)
+
+
 def test_tal_text_roundtrip():
     anchor = KeyPair.generate(rng)
     tal = TrustAnchorLocator("rsync://rir1.example/repository/", anchor.pk)
     assert TrustAnchorLocator.from_text(tal.to_text()) == tal
-    with pytest.raises(ValidationError):
-        TrustAnchorLocator.from_text("only-a-uri\n")
+    for bad in ("only-a-uri\n", "rsync://x/\nnot base64!\n", "rsync://x/\nAAAA\n"):
+        with pytest.raises(ValidationError):
+            TrustAnchorLocator.from_text(bad)
 
 
 def test_tal_identical_from_every_party():

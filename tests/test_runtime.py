@@ -21,10 +21,10 @@ from drpki.algebra import (
     scalar_mul,
 )
 from drpki.bench import WAN_RTT_MS, one_way_delays
-from drpki.preprocessing import TrustedDealer
+from drpki.preprocessing import DealerPartyView, TrustedDealer
 from drpki.rpki import (
     Action, CrlRecord, IpPrefix, PayloadKind, RoaRecord, SignedObject, ValidationError,
-    encode_canonical, plan_transfer, sign_consent,
+    encode_canonical, frame_fields, plan_transfer, sign_consent, split_fields,
 )
 from drpki.runtime import (
     FRAME_OVERHEAD,
@@ -42,6 +42,7 @@ from drpki.runtime import (
 from drpki.runtime import node as node_module
 from drpki.runtime import session as session_module
 from drpki.runtime.transport import (
+    MAX_FRAME_BYTES,
     PHASE_ABORT,
     PHASE_CONTROL,
     PHASE_KEYGEN,
@@ -490,6 +491,21 @@ def test_tcp_frame_cut_short_ends_the_reader_without_a_drop():
         tr.close()
 
 
+def test_tcp_length_prefix_above_any_frame_drops_it_and_ends_the_reader():
+    # a prefix claiming more than any frame is not waited for: the reader
+    # counts one drop and stops, rather than stall its link on bytes that
+    # may never come
+    keys = derive_pair_keys(b"huge", 2)
+    transports = _tcp_mesh(keys, 2)
+    transports[2]._conns[1].sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+    reader = transports[1]._readers[0]
+    reader.join(2.0)
+    assert not reader.is_alive()
+    assert transports[1].dropped_frames == 1
+    for tr in transports.values():
+        tr.close()
+
+
 # --- consent-gated workflow ----------------------------------------------------------
 
 def _issue_fixture(cluster, member="memberA", serial=1, stock=4):
@@ -785,6 +801,28 @@ def test_truncated_request_payload_aborts_promptly():
     assert outcome.status == "aborted"
     assert "malformed request payload" in outcome.reason
     assert all(not node.objects for node in cluster.nodes.values())
+    cluster.close()
+
+
+def test_initiator_crl_with_junk_after_its_serials_aborts_and_publishes_nothing():
+    # the initiator sends the consented CRL non-canonically, 8 junk bytes
+    # after the serials in its serial-list field: read leniently, every node
+    # would publish bytes that no consent verdict covers
+    cluster = make_cluster(SchemeId.SHAMIR_CHECKED, seed=3)
+    _, member_keys, _ = _issue_fixture(cluster)
+    crl = CrlRecord("memberA", 1500000001, (1,))
+    cluster.submit_consent(sign_consent(member_keys.sk, "memberA", Action.REVOKE, [crl],
+                                        expiry=int(time.time()) + 600, rng=rng))
+    blob = encode_canonical(crl)
+    fields = split_fields(blob[2:])
+    junk = blob[:2] + frame_fields(fields[:2] + [fields[2] + bytes(8)])
+    outcome = cluster._request("memberA", Action.REVOKE, [junk])
+    assert (outcome.status, outcome.reason) == ("aborted", "malformed request payload")
+    for node in cluster.nodes.values():
+        assert not node.objects
+        last = json.loads(node.audit_lines()[-1])
+        assert (last["event"], last["reason"]) == ("sign_aborted", "malformed request payload")
+    assert verify_audit_completeness(cluster)
     cluster.close()
 
 
@@ -1347,6 +1385,53 @@ def test_online_mascot_session_runs_no_mac_check(monkeypatch):
     assert outcome.status == "published"
     assert len(cluster.run_signing("memberA", [b"one", b"two"])) == 2
     assert calls == []
+    cluster.close()
+
+
+def test_concurrent_mascot_keygens_draw_dealer_masks_in_one_order(monkeypatch):
+    # party 1 is steered to draw member a's input masks before b's, every
+    # other party b's before a's.  Run at once, the parties would pair the
+    # dealer's masks differently and the first restock would fail its MAC
+    # check and retire the epoch; serialized, the steering waits run out
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    first = {p: "a" if p == 1 else "b" for p in cluster.participants}
+    drawn = {(p, m): threading.Event() for p in cluster.participants for m in "ab"}
+    current = threading.local()
+    real_keygen, real_mask = node_module.keygen, DealerPartyView.next_input_mask
+
+    def keygen(node, session, member_id, **kwargs):
+        current.member = member_id
+        return real_keygen(node, session, member_id, **kwargs)
+
+    def next_input_mask(view, scheme, owner):
+        if current.member != first[view.party] and owner == cluster.participants[0]:
+            drawn[view.party, first[view.party]].wait(1.0)
+        mask = real_mask(view, scheme, owner)
+        if owner == cluster.participants[-1]:
+            drawn[view.party, current.member].set()
+        return mask
+
+    monkeypatch.setattr(node_module, "keygen", keygen)
+    monkeypatch.setattr(DealerPartyView, "next_input_mask", next_input_mask)
+    errors = []
+
+    def run(member):
+        try:
+            cluster.keygen(member)
+        except Exception as exc:  # collected for the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(m,)) for m in "ab"]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(30.0)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    cluster.preprocess_independent(4)
+    for member in "ab":
+        assert cluster.preprocess_dependent(member, 2) == 2
+    assert all(node.refusal() is None for node in cluster.nodes.values())
     cluster.close()
 
 
@@ -2156,6 +2241,29 @@ def test_node_state_file_that_does_not_decode_names_itself(tmp_path):
     with pytest.raises(RecordError, match=r"state.json does not decode"):
         PartyNode(1, config, str(tmp_path), bytes(16))
     assert path.read_bytes() == b"not json"
+
+
+@pytest.mark.parametrize("cut", [lambda b: b[:2], lambda b: b[:10], lambda b: b + b"\x00"],
+                         ids=["2-bytes", "10-bytes", "trailing-byte"])
+def test_object_file_that_does_not_decode_names_itself(tmp_path, monkeypatch, cut):
+    config = _node_with_every_log(tmp_path)
+    node = PartyNode(1, config, str(tmp_path), bytes(16))
+    signer = KeyPair.generate(rng)
+    payload = encode_canonical(RoaRecord(1, "a", 64512, (IpPrefix.parse("192.0.2.0/24", 24),),
+                                         1, 2, signer.pk))
+    node.publish_batch([SignedObject(PayloadKind.ROA, payload,
+                                     ecdsa_sign(signer.sk, payload, rng=rng), signer.pk)])
+    node.close()
+    path = tmp_path / "objects" / "roa-1.obj"
+    data = cut(path.read_bytes())
+    path.write_bytes(data)
+    calls = []
+    monkeypatch.setattr(rpki_module, "decode_canonical", calls.append)
+    monkeypatch.setattr(node_module, "decode_canonical", calls.append)
+    with pytest.raises(RecordError, match=r"roa-1.obj does not decode"):
+        PartyNode(1, config, str(tmp_path), bytes(16))
+    assert path.read_bytes() == data
+    assert calls == []
 
 
 def test_torn_audit_tail_is_cut_on_reopen(tmp_path):
