@@ -42,8 +42,8 @@ from drpki.algebra import (  # noqa: E402
     scalar_mul,
 )
 from drpki.sharing import (  # noqa: E402
+    BareShare,
     MacCheckAccumulator,
-    PointShare,
     SchemeId,
     deal,
     generate_mac_keys,
@@ -102,7 +102,7 @@ def run() -> dict:
     for _ in range(CALLS):
         shares = deal(SchemeId.SHAMIR_CHECKED, FieldElement.random(rng), N, T, rng=rng)
         point_opens.append([
-            PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares
+            BareShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares
         ])
 
     mac_keys = generate_mac_keys(N, rng)

@@ -48,17 +48,21 @@ def _append_line(path: Path, record: dict | str) -> None:
         raise
 
 
-def _read_lines(path: Path) -> list[bytes]:
-    """The whole lines of a line-oriented file, undecoded.  A final line
-    without its newline is an append torn by a crash: it is cut off the
-    file, so the next append starts a line of its own."""
+def _read_lines(path: Path,
+                decode: Callable[[int, bytes], T] = lambda number, line: line) -> list[T]:
+    """`decode(number, line)` of each whole line of a line-oriented file, in
+    file order.  A final line without its newline is an append torn by a
+    crash: once every whole line has decoded, it is cut off the file, so the
+    next append starts a line of its own.  A file with a line `decode`
+    raises on is left as it is."""
     if not path.exists():
         return []
     data = path.read_bytes()
     whole = data.rfind(b"\n") + 1
+    lines = [decode(number, line) for number, line in enumerate(data[:whole].splitlines(), 1)]
     if whole < len(data):
         os.truncate(path, whole)
-    return data[:whole].splitlines()
+    return lines
 
 
 class RecordError(Exception):
@@ -86,13 +90,13 @@ def _read_text(path: Path) -> list[str]:
     """The whole lines of a line log as text, in file order.  A line that is
     not UTF-8 raises `RecordError` naming the file and the line, and leaves
     the file as it is."""
-    lines = []
-    for number, line in enumerate(_read_lines(path), 1):
+    def text(number: int, line: bytes) -> str:
         try:
-            lines.append(line.decode())
+            return line.decode()
         except UnicodeDecodeError as exc:
             raise RecordError(f"{path} line {number} does not decode: {exc!r}") from exc
-    return lines
+
+    return _read_lines(path, text)
 
 
 def _read_records(path: Path, decode: Callable[[dict], T],
@@ -101,13 +105,13 @@ def _read_records(path: Path, decode: Callable[[dict], T],
     that opens with a header line passes `header`, which takes the first
     line in `decode`'s place, and whose result leads the list; an empty log
     has no header line.  A line that is not UTF-8 JSON, or that `decode` or
-    `header` cannot take, raises `RecordError` naming the file and the line,
-    and leaves the file as it is."""
-    records = []
-    for number, line in enumerate(_read_text(path), 1):
+    `header` cannot take, raises `RecordError` naming the file and the line;
+    that, or anything else `header` raises, leaves the file as it is."""
+    def record(number: int, line: bytes):
         take = header if number == 1 and header is not None else decode
         try:
-            records.append(take(json.loads(line)))
+            return take(json.loads(line.decode()))
         except _UNDECODABLE as exc:
             raise RecordError(f"{path} line {number} does not decode: {exc!r}") from exc
-    return records
+
+    return _read_lines(path, record)

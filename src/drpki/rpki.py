@@ -117,6 +117,13 @@ class IpPrefix:
             )
 
 
+def _check_u64(record, *names: str) -> None:
+    """Each named field of `record` must fit its 64-bit wire field."""
+    for name in names:
+        if not 0 <= getattr(record, name) < 2**64:
+            raise ValidationError(f"{name} must fit in 64 bits")
+
+
 @dataclass(frozen=True)
 class RoaRecord:
     """Authorization for exactly one AS to originate the listed prefixes."""
@@ -138,10 +145,9 @@ class RoaRecord:
             p.check()
         if list(self.prefixes) != sorted(set(self.prefixes)):
             raise ValidationError("prefixes must be strictly sorted without duplicates")
+        _check_u64(self, "serial", "not_before", "not_after")
         if not self.not_before < self.not_after:
             raise ValidationError("not_before must precede not_after")
-        if self.serial < 0 or self.serial >= 2**64:
-            raise ValidationError("serial must fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -156,6 +162,7 @@ class CrlRecord:
         serials = list(self.revoked_serials)
         if serials != sorted(set(serials)):
             raise ValidationError("revoked serials must be strictly increasing")
+        _check_u64(self, "this_update")
         for s in serials:
             if s < 0 or s >= 2**64:
                 raise ValidationError("serial must fit in 64 bits")
@@ -172,10 +179,9 @@ class EeCertRecord:
     not_after: int
 
     def check(self) -> None:
+        _check_u64(self, "serial", "not_before", "not_after")
         if not self.not_before < self.not_after:
             raise ValidationError("not_before must precede not_after")
-        if self.serial < 0 or self.serial >= 2**64:
-            raise ValidationError("serial must fit in 64 bits")
 
 
 PayloadRecord = Union[RoaRecord, CrlRecord, EeCertRecord]

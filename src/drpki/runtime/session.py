@@ -7,7 +7,10 @@ party aborts the session for everyone).
 
 The session layer also implements the shared-value open primitives used by
 every protocol phase, including the deferred MAC accounting for the
-authenticated scheme.
+authenticated scheme.  An open sends each share as its bare value at a fixed
+width, 32 bytes for a field value and 65 for a point (the identity as 65
+zero bytes): the authenticated frame names the sender and the session fixes
+the scheme, so neither goes on the wire.
 """
 
 from __future__ import annotations
@@ -15,16 +18,14 @@ from __future__ import annotations
 import secrets
 from typing import Callable, Optional, Sequence
 
-from ..algebra import AlgebraError, FieldElement, GroupPoint
+from ..algebra import POINT_BYTES, SCALAR_BYTES, AlgebraError, FieldElement, GroupPoint
 from ..sharing import (
     BareShare,
     MacCheckAccumulator,
     MacKeyShare,
-    PointShare,
     ProtocolAbort,
     SchemeId,
     Share,
-    SharingError,
     mac_check_evaluate,
     mac_commit,
     open_point_shares,
@@ -37,9 +38,14 @@ class SessionAbort(ProtocolAbort):
     """The session terminated without output (timeout, abort frame, failed check)."""
 
 
-def _encode_point_share(share: PointShare) -> bytes:
-    enc = share.value.to_bytes()
-    return bytes([len(enc)]) + enc
+def _encode_point(point: GroupPoint) -> bytes:
+    return point.to_bytes().ljust(POINT_BYTES, b"\0")
+
+
+def _decode_point(data: bytes) -> GroupPoint:
+    if data == bytes(POINT_BYTES):
+        return GroupPoint.identity()
+    return GroupPoint.from_bytes(data)
 
 
 class PartySession:
@@ -151,9 +157,11 @@ class PartySession:
 
     # --- opens ----------------------------------------------------------
 
-    def _open_round(self, mine: list, encode, decode, reconstruct,
+    def _open_round(self, mine: Sequence, width: int, encode, decode, reconstruct,
                     note: Optional[bytes] = None, read_notes=None) -> list:
-        """One broadcast round opening a batch of shared values.
+        """One broadcast round opening a batch of shared values, each of
+        this party's share values `mine` going out as `encode(value)`, at
+        `width` bytes.
 
         A `note` rides ahead of the shares behind its 4-byte length, and
         every party's note, this party's included, goes to `read_notes`
@@ -161,14 +169,12 @@ class PartySession:
         the parties whose shares the values are reconstructed from (by
         default every participant), which this party is among only if it
         sent shares; the payloads of the others are not read.  Every
-        sender's payload must decode, through `decode(peer, blob, count)`,
-        to exactly one share per value, or the session aborts; so does a
-        failed reconstruction check.  A party that is not a sender decodes
-        the first sender's payload with `count` None, and that payload sets
-        the count; so only a field open, whose shares have one width, may
-        leave this party out.
+        sender's payload must be exactly `width` bytes per value, each
+        of which `decode` takes, or the session aborts; so does a failed
+        reconstruction check.  A party that is not a sender takes the count
+        of values from the first sender's payload.
         """
-        payload = b"".join(encode(s) for s in mine)
+        payload = b"".join(encode(v) for v in mine)
         if note is not None:
             payload = len(note).to_bytes(4, "big") + note + payload
         replies = self.broadcast(payload)
@@ -189,55 +195,39 @@ class PartySession:
         for peer in senders:
             if peer == self.party_id:
                 continue
-            try:
-                per_party[peer] = decode(peer, replies[peer], count)
-            except (SharingError, AlgebraError, ValueError, IndexError):
+            blob = replies[peer]
+            if count is None:
+                count = len(blob) // width
+            if len(blob) != width * count:
                 self.abort("malformed open payload")
-            count = len(per_party[peer])
+            try:
+                per_party[peer] = [decode(blob[i:i + width]) for i in range(0, len(blob), width)]
+            except AlgebraError:
+                self.abort("malformed open payload")
         opened = []
         for i in range(count or 0):
-            column = [per_party[p][i] for p in senders]
+            column = [BareShare(self.scheme, p, per_party[p][i]) for p in senders]
             try:
                 opened.append(reconstruct(column, self.n_live, self.t))
             except ProtocolAbort as exc:
                 self.abort(str(exc))
         return opened
 
-    def _decode_field(self, peer: int, blob: bytes, count: Optional[int]) -> list[BareShare]:
-        width = BareShare.WIDTH
-        if len(blob) % width or (count is not None and len(blob) != width * count):
-            raise SharingError("open payload length")
-        shares = [BareShare.from_bytes(blob[i:i + width]) for i in range(0, len(blob), width)]
-        if any(s.owner != peer or s.scheme is not self.scheme for s in shares):
-            raise SharingError("share names another owner or scheme")
-        return shares
-
-    def _decode_points(self, peer: int, blob: bytes, count: int) -> list[PointShare]:
-        out, off = [], 0
-        for _ in range(count):
-            ln = blob[off]
-            point = GroupPoint.from_bytes(blob[off + 1:off + 1 + ln])
-            out.append(PointShare(self.scheme, peer, point))
-            off += 1 + ln
-        if off != len(blob):
-            raise SharingError("open payload length")
-        return out
-
     def open_field_batch(self, shares: Sequence[Share], note: Optional[bytes] = None,
                          read_notes=None) -> list[FieldElement]:
         """One broadcast round opening many values; MAC checks are deferred.
 
-        Each share goes out bare, as scheme, owner and value: its MAC share
-        stays here and enters the MAC accumulator beside the opened value.
-        For the checked Shamir scheme each reconstruction verifies polynomial
+        Each share goes out as its bare 32-byte value: its MAC share stays
+        here and enters the MAC accumulator beside the opened value.  For
+        the checked Shamir scheme each reconstruction verifies polynomial
         consistency and aborts the session on a corrupted share.  A `note`
         and its reader ride on the round as in `_open_round`; an exception
         `read_notes` raises ends the open before any share is decoded, and
         nothing of it enters the MAC accumulator.
         """
-        bare = [BareShare(s.scheme, s.owner, s.value) for s in shares]
-        values = self._open_round(bare, BareShare.to_bytes, self._decode_field, open_shares,
-                                  note, read_notes)
+        values = self._open_round([s.value for s in shares], SCALAR_BYTES,
+                                  FieldElement.to_bytes, FieldElement.from_bytes,
+                                  open_shares, note, read_notes)
         if self.scheme.has_mac:
             for value, share in zip(values, shares):
                 self.mac_accumulator.record(value, share.mac)
@@ -245,14 +235,14 @@ class PartySession:
 
     def open_point_batch(self, points: Sequence[GroupPoint], note: Optional[bytes] = None,
                          read_notes=None) -> list[GroupPoint]:
-        """Open shares of curve points (one broadcast round, batched).
+        """Open shares of curve points (one broadcast round, batched), each
+        going out as its 65-byte encoding.
 
         A `note` and its reader ride on the round as in `_open_round`; an
         exception `read_notes` raises ends the open before any point is
         decoded or reconstructed.
         """
-        mine = [PointShare(self.scheme, self.party_id, p) for p in points]
-        return self._open_round(mine, _encode_point_share, self._decode_points,
+        return self._open_round(points, POINT_BYTES, _encode_point, _decode_point,
                                 open_point_shares, note, read_notes)
 
     def open_point(self, point: GroupPoint) -> GroupPoint:

@@ -2,8 +2,11 @@
 
 Every message between a pair of parties is authenticated with HMAC-SHA-256
 under a static pairwise key (the stand-in for TLS with authenticated
-endpoints).  A frame is a 4-byte length prefix, a fixed header (session id,
-phase, round, sender, payload length), the payload and the tag.
+endpoints).  A frame is a 4-byte length prefix, a fixed 22-byte header
+(session id, phase, round, sender), the payload and the tag; the payload
+runs from the header to the tag, so the prefix alone gives its length.  The
+tag covers the header and the payload.  Pair keys are symmetric, so the
+sender byte is what keeps a frame from being reflected back to its sender.
 
 Both providers receive through one `_Inbox` per party, which checks each
 frame against its link's key, drops and counts a frame whose tag fails or
@@ -30,8 +33,8 @@ from typing import Optional
 
 MAC_BYTES = 32
 _LENGTH = struct.Struct(">I")
-# session id | phase | round | sender | payload length
-_HEADER = struct.Struct(">16sBIBI")
+# session id | phase | round | sender
+_HEADER = struct.Struct(">16sBIB")
 LENGTH_PREFIX_BYTES = _LENGTH.size
 FRAME_OVERHEAD = LENGTH_PREFIX_BYTES + _HEADER.size + MAC_BYTES
 # a TCP length prefix above this is dropped and ends its link's reader; the
@@ -73,8 +76,7 @@ def derive_pair_keys(secret: bytes, n: int) -> dict:
 
 
 def encode_frame(msg: SessionMessage, key: bytes) -> bytes:
-    body = _HEADER.pack(msg.session_id, msg.phase, msg.round, msg.sender,
-                        len(msg.payload)) + msg.payload
+    body = _HEADER.pack(msg.session_id, msg.phase, msg.round, msg.sender) + msg.payload
     tag = hmac_mod.new(key, body, hashlib.sha256).digest()
     return _LENGTH.pack(len(body) + MAC_BYTES) + body + tag
 
@@ -91,11 +93,8 @@ def decode_frame(frame_body: bytes, key: bytes) -> Optional[SessionMessage]:
     expect = hmac_mod.new(key, body, hashlib.sha256).digest()
     if not hmac_mod.compare_digest(tag, expect):
         return None
-    session_id, phase, round_, sender, paylen = _HEADER.unpack_from(body)
-    payload = body[_HEADER.size:]
-    if len(payload) != paylen:
-        return None
-    return SessionMessage(session_id, phase, round_, sender, payload)
+    session_id, phase, round_, sender = _HEADER.unpack_from(body)
+    return SessionMessage(session_id, phase, round_, sender, body[_HEADER.size:])
 
 
 class ByteCounters:

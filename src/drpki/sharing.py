@@ -16,6 +16,10 @@ Shamir evaluation points are fixed as the party indices 1..n, so Lagrange
 coefficients are deterministic and transcripts reproducible.  Constant
 addition under additive sharing is assigned to party 1 by convention; Shamir
 adds constants at every party.
+
+A `Share` is what a party holds and stores, its MAC share included.  A
+`BareShare` is what an open reconstructs from: a field value without its MAC
+share, or a share of a curve point, under one rule for both.
 """
 
 from __future__ import annotations
@@ -123,32 +127,14 @@ class Share:
 
 @dataclass(frozen=True)
 class BareShare:
-    """A share without its MAC share: what an open sends.  A MAC share never
-    leaves its party; the deferred MAC check reads it where it is held."""
+    """A party's share of a field element without its MAC share, or its
+    share of a curve point: what an open reconstructs from.  A MAC share
+    never leaves its party; the deferred MAC check reads it where it is
+    held."""
 
     scheme: SchemeId
     owner: int
-    value: FieldElement
-
-    WIDTH = 34
-
-    def to_bytes(self) -> bytes:
-        return bytes([self.scheme.value, self.owner]) + self.value.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BareShare":
-        if len(data) != cls.WIDTH:
-            raise SharingError(f"an opened share must be {cls.WIDTH} bytes")
-        return cls(SchemeId(data[0]), data[1], FieldElement.from_bytes(data[2:]))
-
-
-@dataclass(frozen=True)
-class PointShare:
-    """A party's share of a curve point, combined under the scheme's rule."""
-
-    scheme: SchemeId
-    owner: int
-    value: GroupPoint
+    value: FieldElement | GroupPoint
 
 
 def generate_mac_keys(n: int, rng=None) -> list[MacKeyShare]:
@@ -313,7 +299,7 @@ def _field_combine(pairs) -> FieldElement:
     return FieldElement(sum(c.value * v.value for c, v in pairs))
 
 
-def open_shares(shares: Sequence[Share], n: int, t: int) -> FieldElement:
+def open_shares(shares: Sequence[Share | BareShare], n: int, t: int) -> FieldElement:
     """Reconstruct the secret from a qualified set of shares.
 
     SHAMIR_CHECKED aborts on an inconsistent share.  ADDITIVE_MAC
@@ -323,7 +309,7 @@ def open_shares(shares: Sequence[Share], n: int, t: int) -> FieldElement:
     return _reconstruct(shares, n, t, FieldElement.zero(), _field_combine)
 
 
-def open_point_shares(shares: Sequence[PointShare], n: int, t: int) -> GroupPoint:
+def open_point_shares(shares: Sequence[BareShare], n: int, t: int) -> GroupPoint:
     """Reconstruct a shared point: open_shares with each weighted sum taken as
     one multi-scalar combination, so a check that comes out as the identity
     costs no inversion."""

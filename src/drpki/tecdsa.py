@@ -391,17 +391,19 @@ def keygen(node: PartyNode, session, member_id: str,
     t_start = time.perf_counter()
 
     if scheme.is_shamir:
-        # each party deals a random polynomial; [sk] is the sum of the deals
+        # each party deals a random polynomial; [sk] is the sum of the deals,
+        # each dealt share sent as its bare value
         contribution = FieldElement.random(node.rng)
         my_deal = deal(scheme, contribution, len(participants), cfg.t,
                        node.rng, owners=participants)
         by_owner = {s.owner: s for s in my_deal}
-        payloads = {peer: by_owner[peer].to_bytes() for peer in session.peers}
+        payloads = {peer: by_owner[peer].value.to_bytes() for peer in session.peers}
         replies = session.run_round(payloads)
         sk_share = by_owner[node.party_id]
         try:
             for blob in replies.values():
-                sk_share = share_add(sk_share, Share.from_bytes(blob))
+                sk_share = share_add(sk_share,
+                                     Share(scheme, node.party_id, FieldElement.from_bytes(blob)))
         except Exception:
             session.abort("malformed key share payload")
     elif scheme.has_mac:

@@ -133,6 +133,10 @@ def test_golden_encoding_vector():
                            EE_PK), "32 bits"),
         (lambda: CrlRecord("i", 1, (5, 5)), "strictly increasing"),
         (lambda: CrlRecord("i", 1, (9, 5)), "strictly increasing"),
+        (lambda: RoaRecord(1, "m", 1, (IpPrefix.parse("10.0.0.0/8", 8),), -5, 2, EE_PK),
+         "not_before must fit in 64 bits"),
+        (lambda: CrlRecord("i", 2**64, ()), "this_update must fit in 64 bits"),
+        (lambda: EeCertRecord(3, "m", EE_PK, 1, 2**64), "not_after must fit in 64 bits"),
     ],
 )
 def test_invariant_violations_name_the_rule(build, rule):

@@ -90,6 +90,20 @@ def test_frame_roundtrip_and_auth():
     assert decode_frame(frame[4:], key) == msg
 
 
+# length | session id | phase | round | sender | payload | tag
+GOLDEN_FRAME = ("0000003d" "53535353535353535353535353535353" "01" "00000003" "01"
+                "7061796c6f6164"
+                "78c053c8f747e06df9d92e444666d698cd7ae21d649969feba38ebdea467d657")
+
+
+def test_frame_encoding_is_pinned():
+    # a 4-byte length, session id, phase, round and sender, the payload and
+    # the HMAC-SHA-256 tag over header and payload
+    msg = SessionMessage(b"S" * 16, PHASE_KEYGEN, 3, 1, b"payload")
+    frame = encode_frame(msg, bytes(range(32)))
+    assert frame.hex() == GOLDEN_FRAME
+
+
 def test_frame_rejects_flipped_bit_and_wrong_key():
     keys = derive_pair_keys(b"secret", 5)
     key = pair_key(keys, 1, 2)
@@ -760,22 +774,53 @@ def test_flipped_payload_bit_ends_in_timeout_abort():
     assert hub.dropped_frames == 1
 
 
-@pytest.mark.parametrize("offset,byte", [(1, 3), (0, SchemeId.SHAMIR.value)],
-                         ids=["owner", "scheme"])
-def test_field_open_share_naming_another_owner_or_scheme_aborts(offset, byte):
-    # round 1 of preprocess_dependent opens c and the Beaver diffs after a
-    # 20-byte tag note behind its 4-byte length; party 2's first share
-    # claims to be party 3's, or to be an unchecked Shamir share
+@pytest.mark.parametrize("phase, rewrite", [
+    (PHASE_PREPROCESS_DEPENDENT, lambda p: p[:-1]),
+    (PHASE_PREPROCESS_DEPENDENT, lambda p: p[:24] + b"\xff" * 32 + p[56:]),
+    (PHASE_ONLINE, lambda p: p[:-65] + b"\x05" + p[-64:]),
+    (PHASE_ONLINE, lambda p: p[:-1] + bytes([p[-1] ^ 1])),
+    (PHASE_ONLINE, lambda p: p[:-65] + b"\x00" + p[-64:]),
+], ids=["one-byte-short", "value-not-below-n", "bad-point-tag", "off-curve",
+        "bytes-behind-identity-tag"])
+def test_open_payload_that_does_not_decode_aborts(phase, rewrite):
+    # round 1 of phase 3 opens c and the Beaver diffs, 32 bytes each, after
+    # a 20-byte tag note behind its 4-byte length; round 1 of signing ends
+    # with the 65-byte R share.  Party 2's payload loses its last byte, or
+    # its first field value is at least n, or its R share has a bad tag,
+    # lies off the curve, or has bytes behind the identity's 0x00 tag
     cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
     cluster.keygen("m")
     cluster.preprocess_independent(2)
-    at = 24 + offset
-    with rewrite_frames(cluster, 2, PHASE_PREPROCESS_DEPENDENT, 1,
-                        lambda p: p[:at] + bytes([byte]) + p[at + 1:]), \
+    with rewrite_frames(cluster, 2, phase, 1, rewrite), \
             pytest.raises(SessionAbort, match="malformed open payload"):
         cluster.preprocess_dependent("m", 2)
-    assert cluster.final_stock("m") == 0
+        cluster.run_signing("m", b"never signed")
+    # the notes are read, and so the signing tuple journaled, before any share
+    assert cluster.final_stock("m") == (1 if phase == PHASE_ONLINE else 0)
     cluster.close()
+
+
+def test_point_open_with_an_identity_share_reconstructs():
+    # party 2's share is the identity, which goes out as 65 zero bytes
+    keys = derive_pair_keys(b"identity", 3)
+    hub = InProcessHub(keys)
+    shares = {1: scalar_mul(FieldElement(5), GENERATOR), 2: GroupPoint.identity(),
+              3: scalar_mul(FieldElement(7), GENERATOR)}
+    opened = {}
+
+    def party(pid):
+        session = PartySession(pid, [1, 2, 3], b"I" * 16, PHASE_KEYGEN, hub.endpoint(pid),
+                               SchemeId.ADDITIVE, t=0, timeout=2.0)
+        opened[pid] = session.open_point(shares[pid])
+
+    threads = [threading.Thread(target=party, args=(p,)) for p in shares]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(5.0)
+        assert not t.is_alive()
+    assert opened == {p: scalar_mul(FieldElement(12), GENERATOR) for p in shares}
+    assert hub.counters.snapshot() == {p: 2 * (FRAME_OVERHEAD + 65) for p in shares}
 
 
 def test_point_open_payload_with_trailing_bytes_aborts():
@@ -963,8 +1008,7 @@ def test_request_at_full_stock_sends_a_twenty_byte_tag(monkeypatch):
     # a transfer at 17 final tuples, where an id list would carry 2 + 15 ids:
     # each round-1 frame is a note, behind its 4-byte length, of the 20-byte
     # tag, the 16-byte consent target and, from the initiator, the
-    # length-prefixed payloads, then an R share per payload (a 1-byte length
-    # and a 65-byte point)
+    # length-prefixed payloads, then a 65-byte R share per payload
     cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
     _, member_keys, roa = _issue_fixture(cluster, stock=17)
     request = _transfer_request(cluster, member_keys, roa)
@@ -982,7 +1026,7 @@ def test_request_at_full_stock_sends_a_twenty_byte_tag(monkeypatch):
     outcome = cluster.handle_sign_request(request)
     assert outcome.status == "published"
     initiator = cluster.participants[0]
-    shares = 2 * (1 + 65)
+    shares = 2 * 65
     assert sent == {p: {4 + 20 + 16 + (len(lead) if p == initiator else 0) + shares}
                     for p in cluster.participants}
     cluster.close()
@@ -1052,7 +1096,7 @@ def test_dissenting_node_withholds_its_s_shares(monkeypatch, scheme):
     outcome = cluster.handle_sign_request(request)
     assert sent[5] == {(7).to_bytes(4, "big") + b"invalid"}
     assert all(sent[p] == {(2).to_bytes(4, "big") + b"ok" + payload[6:]}
-               and len(payload) == 4 + 2 + 34
+               and len(payload) == 4 + 2 + 32
                for p in range(1, 5) for payload in sent[p])
     if scheme is SchemeId.SHAMIR_CHECKED:
         assert outcome.status == "published" and outcome.objects[0].verify()
@@ -1319,7 +1363,7 @@ def test_negated_s_aborts_and_publishes_nothing(monkeypatch):
 
 def test_mascot_opens_send_no_mac_share(monkeypatch):
     # the phase-3 round-1 frames party 1 receives: behind the tag note, each
-    # c, d and e goes out as a 34-byte bare share, and the MAC share of no
+    # c, d and e goes out as its bare 32-byte value, and the MAC share of no
     # sender's c is in its frame.  With MAC shares on the wire, one open
     # gave alpha = sum(mac) / sum(value) to every party
     cluster = make_cluster(SchemeId.ADDITIVE_MAC, seed=3)
@@ -1338,7 +1382,7 @@ def test_mascot_opens_send_no_mac_share(monkeypatch):
     assert cluster.preprocess_dependent("m", 2) == 2
     assert sorted(frames) == [2, 3, 4, 5]
     for sender, payload in frames.items():
-        assert len(payload) == 4 + 20 + 3 * 2 * 34
+        assert len(payload) == 4 + 20 + 3 * 2 * 32
         store = cluster.nodes[sender].tuple_store
         for tid in ids:
             assert store.initial_record(tid).c_share.mac.to_bytes() not in payload
@@ -1680,11 +1724,11 @@ def test_restock_round_count(scheme, rounds):
 
 
 @pytest.mark.parametrize("scheme, per_party", [
-    # round 1: a 4-byte note length, the 20-byte tag and 9 bare 34-byte
-    # shares (c and two Beaver diffs per tuple); then a 32-byte MAC commit
+    # round 1: a 4-byte note length, the 20-byte tag and 9 bare 32-byte
+    # values (c and two Beaver diffs per tuple); then a 32-byte MAC commit
     # and a 64-byte reveal
-    (SchemeId.ADDITIVE_MAC, 2448),
-    (SchemeId.SHAMIR_CHECKED, 1568),
+    (SchemeId.ADDITIVE_MAC, 2328),
+    (SchemeId.SHAMIR_CHECKED, 1480),
 ], ids=["mascot", "mal-shamir"])
 def test_restock_wire_bytes(scheme, per_party):
     cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=58)
@@ -1693,7 +1737,7 @@ def test_restock_wire_bytes(scheme, per_party):
     assert cluster.replenish("m", low_watermark=1, batch_size=3) == {"initial": 4, "final": 3}
     after = cluster.hub.counters.snapshot()
     sent = {key: n - before.get(key, 0) for key, n in after.items() if n != before.get(key, 0)}
-    round_one = FRAME_OVERHEAD + 4 + 20 + 9 * 34
+    round_one = FRAME_OVERHEAD + 4 + 20 + 9 * 32
     mac_check = 2 * FRAME_OVERHEAD + 32 + 64 if scheme.has_mac else 0
     assert per_party == 4 * (round_one + mac_check)
     assert sent == {p: per_party for p in cluster.participants}
@@ -1922,14 +1966,20 @@ def test_tag_mismatch_decodes_no_r_share(monkeypatch):
     # party decodes a peer's R share of that round, only those sent after
     # the realign, and the realign burns the id party 1 lacks
     cluster, pk, ids = _signing_cluster_with_one_store_ahead(1)
-    decoded = []
-    decode = PartySession._decode_points
+    decoded, rounds = [], {}  # each party runs on a thread of its own
+    decode, run_round = session_module._decode_point, PartySession.run_round
 
-    def recording(self, peer, blob, count):
-        decoded.append(self.round)
-        return decode(self, peer, blob, count)
+    def tracking(self, *args, **kwargs):
+        replies = run_round(self, *args, **kwargs)
+        rounds[threading.get_ident()] = self.round
+        return replies
 
-    monkeypatch.setattr(PartySession, "_decode_points", recording)
+    def recording(data):
+        decoded.append(rounds[threading.get_ident()])
+        return decode(data)
+
+    monkeypatch.setattr(PartySession, "run_round", tracking)
+    monkeypatch.setattr(session_module, "_decode_point", recording)
     result = cluster.run_signing("m", b"one ahead")
     assert ecdsa_verify(pk, b"one ahead", result.signature)
     assert result.tuple_id == ids[1]

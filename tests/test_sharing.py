@@ -14,9 +14,9 @@ from drpki.algebra import (
     scalar_mul,
 )
 from drpki.sharing import (
+    BareShare,
     MacCheckAccumulator,
     MacKeyShare,
-    PointShare,
     ProtocolAbort,
     SchemeId,
     Share,
@@ -156,7 +156,7 @@ def _open(kind, shares):
     """Open field shares as they are, or their images under x -> x*G."""
     if kind == "field":
         return open_shares(shares, N, T)
-    points = [PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares]
+    points = [BareShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares]
     return open_point_shares(points, N, T)
 
 
@@ -267,7 +267,7 @@ def test_point_share_reconstruction_commutes_with_embedding(scheme):
     secret = FieldElement.random(rng)
     shares, _ = _deal(scheme, secret, mac_keys=mac_keys)
     point_shares = [
-        PointShare(scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares
+        BareShare(scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares
     ]
     assert open_point_shares(point_shares, N, T) == scalar_mul(secret, GENERATOR)
 
@@ -275,11 +275,11 @@ def test_point_share_reconstruction_commutes_with_embedding(scheme):
 def test_point_share_checked_detects_perturbation():
     shares, _ = _deal(SchemeId.SHAMIR_CHECKED, FieldElement.random(rng))
     point_shares = [
-        PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares
+        BareShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares
     ]
     # Positions 1-3 feed the interpolation, 4-5 are the redundant checks.
     for victim in range(N):
-        bad = PointShare(
+        bad = BareShare(
             point_shares[victim].scheme,
             point_shares[victim].owner,
             point_shares[victim].value + GENERATOR,
@@ -296,14 +296,14 @@ def test_point_share_checked_opens_from_non_consecutive_parties(live):
     secret = FieldElement.random(rng)
     shares, _ = _deal(SchemeId.SHAMIR_CHECKED, secret)
     point_shares = [
-        PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR))
+        BareShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR))
         for s in shares if s.owner in live
     ]
     assert open_point_shares(point_shares, N, T) == scalar_mul(secret, GENERATOR)
 
 
 def _points(shares):
-    return [PointShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares]
+    return [BareShare(s.scheme, s.owner, scalar_mul(s.value, GENERATOR)) for s in shares]
 
 
 @pytest.mark.parametrize("zero_at", [1, 3, 4, 5])
@@ -325,7 +325,7 @@ def test_point_share_checked_opens_with_an_identity_share(zero_at):
     # and a share replaced by the identity is caught like any other change
     victim = zero_at % N  # a party whose share is not the identity
     tampered = list(point_shares)
-    tampered[victim] = PointShare(scheme, victim + 1, GroupPoint.identity())
+    tampered[victim] = BareShare(scheme, victim + 1, GroupPoint.identity())
     with pytest.raises(ProtocolAbort, match="corrupted share detected"):
         open_point_shares(tampered, N, T)
 
@@ -338,7 +338,7 @@ def test_point_share_checked_detects_negated_or_doubled_share_at_each_position(l
         pt = share.value
         for bad in (GroupPoint(pt.x, FIELD_PRIME - pt.y), pt + pt):
             tampered = list(point_shares)
-            tampered[victim] = PointShare(share.scheme, share.owner, bad)
+            tampered[victim] = BareShare(share.scheme, share.owner, bad)
             with pytest.raises(ProtocolAbort, match="corrupted share detected"):
                 open_point_shares(tampered, N, T)
 
@@ -348,7 +348,7 @@ def test_additive_point_open_sums_identity_and_cancelling_shares(scheme):
     p = scalar_mul(FieldElement.random_nonzero(rng), GENERATOR)
     minus_p = GroupPoint(p.x, FIELD_PRIME - p.y)
     values = [p, GroupPoint.identity(), minus_p, GENERATOR, GENERATOR]
-    shares = [PointShare(scheme, i + 1, v) for i, v in enumerate(values)]
+    shares = [BareShare(scheme, i + 1, v) for i, v in enumerate(values)]
     assert open_point_shares(shares, N, T) == scalar_mul(FieldElement(2), GENERATOR)
 
 

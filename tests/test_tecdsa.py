@@ -11,7 +11,7 @@ from drpki.durable import RecordError
 from drpki.preprocessing import Triple, TupleReuseError
 from drpki.runtime import LocalCluster, SessionAbort
 from drpki.runtime.transport import PHASE_PREPROCESS_DEPENDENT
-from drpki.sharing import PointShare, ProtocolAbort, SchemeId, Share, open_point_shares, open_shares
+from drpki.sharing import BareShare, ProtocolAbort, SchemeId, Share, open_point_shares, open_shares
 from drpki.tecdsa import (
     FinalTuple,
     InitialTuple,
@@ -97,7 +97,7 @@ def test_initial_tuples_satisfy_instance_key_relation(scheme):
     node_ids = cluster.participants
     for i, final in enumerate(results[node_ids[0]]):
         k = cluster.test_reconstruct_k(final.tuple_id)
-        point_shares = [PointShare(scheme, p, results[p][i].k_point_share) for p in node_ids]
+        point_shares = [BareShare(scheme, p, results[p][i].k_point_share) for p in node_ids]
         k_point = open_point_shares(point_shares, cluster.n_live, cluster.config.t)
         assert k_point == scalar_mul(k, GENERATOR)
     cluster.close()
@@ -579,6 +579,25 @@ def test_tuple_store_refuses_another_partys_file(tmp_path):
     with pytest.raises(TecdsaError, match="tuples.jsonl is not a tuple store of party 1"):
         TupleStore(str(tmp_path / "party1"), party=1)
     assert target.read_bytes() == foreign
+
+
+@pytest.mark.parametrize("opener, bad_line, refusal", [
+    (1, b"", (TecdsaError, "is not a tuple store of party 1")),
+    (2, b"not json\n", (RecordError, "line 3 does not decode")),
+], ids=["another-partys-file", "a-bad-whole-line"])
+def test_a_refused_tuple_file_keeps_its_torn_tail(tmp_path, opener, bad_line, refusal):
+    # the torn last line is cut only once the header and every whole line
+    # have decoded, so a file the open refuses is left byte for byte
+    store = TupleStore(str(tmp_path), party=2)
+    store.add_initial(_initials([2], owner=2))
+    store.close()
+    path = tmp_path / "tuples.jsonl"
+    data = path.read_bytes() + bad_line + b'{"consume": "ini'
+    path.write_bytes(data)
+    error, match = refusal
+    with pytest.raises(error, match=match):
+        TupleStore(str(tmp_path), party=opener)
+    assert path.read_bytes() == data
 
 
 def test_tuple_store_cuts_a_torn_header(tmp_path):
