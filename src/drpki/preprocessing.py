@@ -1,21 +1,27 @@
 """Multiplication-triple sources and Beaver multiplication.
 
 Triples here come from a trusted dealer, an explicit trust assumption
-standing in for OT-based offline generation: `TrustedDealer` in process, or
-`FileReplay`, one party's dealer output as `drpki deal` wrote it.  A dealer
-file is a JSON-lines log read through `durable.py`: a header line naming
-the party, scheme, n, t, epoch and record counts, plus the party's MAC key
-share under a MAC scheme; then one line per triple and one per input mask,
-each share in hex as the tuple store keeps it.
+standing in for OT-based offline generation.  A node draws from one
+`DealerQueue`: `TrustedDealer` fills one per party in process, and a
+`FileReplay` is one read from a party's dealer file, as `drpki deal` wrote
+it.  A dealer file is a JSON-lines log read through `durable.py`: a header
+line naming the party, scheme, n, t, epoch and record counts, plus the
+party's MAC key share under a MAC scheme; then one line per triple and one
+per input mask, each share in hex as the tuple store keeps it.
 
-Triples are strictly single-use: a consumed flag is set before any protocol
-message references the triple, so a crash cannot lead to reuse.
+Triples are strictly single-use: `beaver_diffs` marks a triple consumed
+before any protocol message references it.  A crash loses that flag; what
+prevents reuse across one is the `partyK.started` marker beside a dealer
+file, the seeded in-process dealer stream, salted with the boot count, and
+the tuple store's refusal of a duplicate tuple id.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -138,69 +144,76 @@ def dealer_generate_masks(
     ]
 
 
-class TrustedDealer:
-    """In-process dealer shared by all parties' sessions.
+class DealerQueue:
+    """One party's triples and input masks, in the order the dealer dealt them.
 
-    Each party has a triple queue and a mask queue.  A party that finds its
-    queue empty draws one fresh sharing, which appends one record to every
-    owner's queue, so the queues stay aligned while every party consumes in
-    protocol lockstep; the lock makes concurrent sessions safe.  The dealer
-    transiently sees whole triples - that is the documented trust assumption.
+    A triple asked for under another scheme is refused, and so is a mask
+    for another input owner than the next one in line.  A dry queue calls
+    `fill(queue, input_owner)`, with None for a triple, which appends to
+    the queue or raises.
     """
 
-    def __init__(self, n: int, t: int, rng=None,
+    def __init__(self, scheme: SchemeId,
+                 fill: Callable[["DealerQueue", Optional[int]], None]) -> None:
+        self.scheme = scheme
+        self.triples: deque[Triple] = deque()
+        self.masks: deque[InputMask] = deque()
+        self._fill = fill
+
+    def next_triple(self, scheme: SchemeId) -> Triple:
+        if scheme is not self.scheme:
+            raise PreprocessingError("dealer queue holds a different scheme")
+        if not self.triples:
+            self._fill(self, None)
+        return self.triples.popleft()
+
+    def next_input_mask(self, scheme: SchemeId, input_owner: int) -> InputMask:
+        if not self.masks:
+            self._fill(self, input_owner)
+        mask = self.masks.popleft()
+        if mask.input_owner != input_owner:
+            raise PreprocessingError("dealer mask queue out of step")
+        return mask
+
+
+class TrustedDealer:
+    """In-process dealer shared by all parties' sessions: one `DealerQueue`
+    per party in `queues`.
+
+    A party that finds its queue dry draws one fresh sharing, which appends
+    one record to every owner's queue, so the queues stay aligned while
+    every party consumes in protocol lockstep; the lock makes concurrent
+    sessions safe.  The dealer transiently sees whole triples - that is the
+    documented trust assumption.
+    """
+
+    def __init__(self, scheme: SchemeId, n: int, t: int, rng=None,
                  mac_keys: Optional[Sequence[MacKeyShare]] = None,
                  owners: Optional[Sequence[int]] = None) -> None:
+        self.scheme = scheme
         self.n = n
         self.t = t
         self.owners = list(owners) if owners is not None else list(range(1, n + 1))
         self._rng = rng
         self._mac_keys = mac_keys
         self._lock = threading.Lock()
-        self._triple_queues: dict[int, list[Triple]] = {i: [] for i in self.owners}
-        self._mask_queues: dict[int, list[InputMask]] = {i: [] for i in self.owners}
+        self.queues = {owner: DealerQueue(scheme, self._fill) for owner in self.owners}
 
-    def view_for(self, party: int) -> "DealerPartyView":
-        return DealerPartyView(self, party)
-
-    def _next(self, queues: dict[int, list], party: int, draw: Callable[[], Sequence]):
-        """Pop `party`'s next record; an empty queue first appends one fresh
-        draw, one record per owner, to every owner's queue."""
+    def _fill(self, queue: DealerQueue, input_owner: Optional[int]) -> None:
+        """Append one fresh draw, one record per owner, to every owner's
+        queue, unless another party's draw has filled `queue` meanwhile."""
         with self._lock:
-            if not queues[party]:
-                for owner, rec in zip(self.owners, draw()):
-                    queues[owner].append(rec)
-            return queues[party].pop(0)
-
-    def next_triple_for(self, party: int, scheme: SchemeId) -> Triple:
-        triple = self._next(self._triple_queues, party, lambda: dealer_generate(
-            scheme, 1, self.n, self.t, self._rng, self._mac_keys,
-            owners=self.owners)[0])
-        if triple.scheme is not scheme:
-            raise PreprocessingError("dealer queue holds a different scheme")
-        return triple
-
-    def next_mask_for(self, party: int, scheme: SchemeId, input_owner: int) -> InputMask:
-        mask = self._next(self._mask_queues, party, lambda: dealer_generate_masks(
-            scheme, input_owner, self.n, self.t, self._rng,
-            self._mac_keys, owners=self.owners))
-        if mask.input_owner != input_owner:
-            raise PreprocessingError("dealer mask queue out of step")
-        return mask
-
-
-class DealerPartyView:
-    """A single party's handle onto a shared TrustedDealer."""
-
-    def __init__(self, dealer: TrustedDealer, party: int) -> None:
-        self._dealer = dealer
-        self.party = party
-
-    def next_triple(self, scheme: SchemeId) -> Triple:
-        return self._dealer.next_triple_for(self.party, scheme)
-
-    def next_input_mask(self, scheme: SchemeId, input_owner: int) -> InputMask:
-        return self._dealer.next_mask_for(self.party, scheme, input_owner)
+            if input_owner is None:
+                if not queue.triples:
+                    draw = dealer_generate(self.scheme, 1, self.n, self.t, self._rng,
+                                           self._mac_keys, owners=self.owners)[0]
+                    for owner, triple in zip(self.owners, draw):
+                        self.queues[owner].triples.append(triple)
+            elif not queue.masks:
+                draw = dealer_generate_masks(self.scheme, input_owner, self.n, self.t,
+                                             self._rng, self._mac_keys, owners=self.owners)
+                for owner, mask in zip(self.owners, draw):
+                    self.queues[owner].masks.append(mask)
 
 
 # --- FileReplay: dealer output persisted per party ----------------------------
@@ -230,19 +243,31 @@ def encode_replay(
     return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 
-class FileReplay:
-    """Reads one party's dealer file.  The open refuses a file dealt for
-    another party, scheme, n or t, one with fewer records than its header
-    counts, one under a MAC scheme without the MAC key share, and a binary
-    file of an earlier version."""
+def _depleted(queue: DealerQueue, input_owner: Optional[int]) -> None:
+    raise PreprocessingError("triple stock depleted" if input_owner is None
+                             else "input mask stock depleted")
+
+
+class FileReplay(DealerQueue):
+    """One party's dealer file, read whole into its queue.  The open refuses
+    a file dealt for another party, scheme, n or t, one with fewer records
+    than its header counts, one under a MAC scheme without the MAC key
+    share, a binary file of an earlier version and one whose last line is
+    torn, each left as it is.  The queue's filler refuses a draw past the
+    end of the file."""
 
     def __init__(self, path: str, party: int, scheme: SchemeId, n: int, t: int) -> None:
-        self.scheme = scheme
-        # the line reader cuts a file back to its last newline: an earlier
-        # version's binary file is refused before it is read as lines
+        super().__init__(scheme, _depleted)
+        # the line reader cuts a file back to its last newline: a file the
+        # deal did not write whole, an earlier version's binary file among
+        # them, is refused before it is read as lines
         with open(path, "rb") as handle:
             if handle.read(1) != b"{":
                 raise PreprocessingError(f"{path} is not a dealer file of this version; "
+                                         "run `drpki deal` for a fresh one")
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                raise PreprocessingError(f"{path} ends in a torn line; "
                                          "run `drpki deal` for a fresh one")
         expected = {"dealer": "triples", "party": party, "scheme": scheme.name,
                     "n": n, "t": t}
@@ -263,11 +288,10 @@ class FileReplay:
         if not records:
             raise PreprocessingError(f"{path} has no header line")
         counts = records.pop(0)
-        self._triples = [rec for rec in records if isinstance(rec, Triple)]
-        self._masks = [rec for rec in records if isinstance(rec, InputMask)]
-        if (len(self._triples), len(self._masks)) != counts:
+        for rec in records:
+            (self.triples if isinstance(rec, Triple) else self.masks).append(rec)
+        if (len(self.triples), len(self.masks)) != counts:
             raise PreprocessingError(f"{path} does not hold the records its header counts")
-        self._lock = threading.Lock()
 
     def _record(self, rec: dict) -> Triple | InputMask:
         """The triple or the input mask of a line after the header."""
@@ -280,27 +304,6 @@ class FileReplay:
             bytes.fromhex(rec["clear"]))
         return InputMask(bytes.fromhex(rec["mask"]), rec["owner"], share("share"), clear)
 
-    def remaining(self) -> int:
-        with self._lock:
-            return len(self._triples)
-
-    def next_triple(self, scheme: SchemeId) -> Triple:
-        with self._lock:
-            if scheme is not self.scheme:
-                raise PreprocessingError("replay file holds a different scheme")
-            if not self._triples:
-                raise PreprocessingError("triple stock depleted")
-            return self._triples.pop(0)
-
-    def next_input_mask(self, scheme: SchemeId, input_owner: int) -> InputMask:
-        with self._lock:
-            if not self._masks:
-                raise PreprocessingError("input mask stock depleted")
-            mask = self._masks.pop(0)
-            if mask.input_owner != input_owner:
-                raise PreprocessingError("replay mask order does not match protocol")
-            return mask
-
 
 # --- Beaver multiplication ------------------------------------------------------
 
@@ -310,8 +313,6 @@ def beaver_diffs(x: Share, y: Share, triple: Triple) -> tuple[Share, Share]:
     Marks the triple consumed first, so no message can ever reference a
     reusable triple.
     """
-    if triple.consumed:
-        raise TupleReuseError("tuple reuse")
     if x.scheme is not triple.scheme or y.scheme is not triple.scheme:
         raise SharingError("scheme mismatch")
     triple.mark_consumed()

@@ -647,11 +647,10 @@ class LocalCluster:
                     node._save_state()
                 mac_keys.append(node.mac_key)
 
-        self.dealer = TrustedDealer(
-            self.n_live, config.t, self._dealer_rng, mac_keys, owners=self.participants,
-        )
+        self.dealer = TrustedDealer(config.scheme, self.n_live, config.t, self._dealer_rng,
+                                    mac_keys, owners=self.participants)
         for party in self.participants:
-            self.nodes[party].triple_source = self.dealer.view_for(party)
+            self.nodes[party].triple_source = self.dealer.queues[party]
 
         # each boot counts sessions in its own 2^32 block, so a reopened
         # data_dir never reissues an earlier boot's session ids

@@ -8,10 +8,12 @@ as the in-process cluster, so keygen is checked and audited the same way.
 Preprocessing material comes from dealer files written ahead of time by
 `drpki deal`, matching the trusted-dealer model: one JSON-lines file per
 party, `partyK.triples`, holding its triples, input masks and, under a MAC
-scheme, MAC key share, all under one fresh epoch per deal.  Before it binds
-a socket, serve refuses to start without the config's pair_secret or
+scheme, MAC key share, all under one fresh epoch per deal.  The deal draws
+them through `dealer_generate` and `dealer_generate_masks`, and a node reads
+its file whole into the `FileReplay` dealer queue it draws from.  Before it
+binds a socket, serve refuses to start without the config's pair_secret or
 data_dir, without its dealer file, or on one dealt for another party,
-scheme, n or t, or lacking its MAC key share.  A dealer file is
+scheme, n or t, lacking its MAC key share or torn.  A dealer file is
 single-use: the first start leaves a `partyK.started` marker next to it,
 and serve refuses to start again until a new deal replaces the file.  A
 deal writes each file whole, in one `_write_file` call, and removes the
@@ -39,7 +41,13 @@ from pathlib import Path
 from .algebra import ecdsa_verify
 from .cli import load_config, protocol_config
 from .durable import RecordError, _write_file
-from .preprocessing import FileReplay, PreprocessingError, TrustedDealer, encode_replay
+from .preprocessing import (
+    FileReplay,
+    PreprocessingError,
+    dealer_generate,
+    dealer_generate_masks,
+    encode_replay,
+)
 from .sharing import generate_mac_keys
 from .tecdsa import TecdsaError
 from .runtime.node import OP_PHASES, PartyNode, session_id_for
@@ -72,19 +80,13 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
 
     epoch = secrets.token_bytes(16)
     mac_keys = generate_mac_keys(proto.n) if scheme.has_mac else None
-    dealer = TrustedDealer(proto.n, proto.t, None, mac_keys)
-    triples = {p: [] for p in range(1, proto.n + 1)}
-    for _ in range(count):
-        for p in range(1, proto.n + 1):
-            triples[p].append(dealer.next_triple_for(p, scheme))
-    mask_records = {p: [] for p in range(1, proto.n + 1)}
-    for i in range(masks):
-        owner = (i % proto.n) + 1
-        for p in range(1, proto.n + 1):
-            mask_records[p].append(dealer.next_mask_for(p, scheme, owner))
+    triples = dealer_generate(scheme, count, proto.n, proto.t, None, mac_keys) if count > 0 else []
+    mask_records = [dealer_generate_masks(scheme, i % proto.n + 1, proto.n, proto.t, None,
+                                          mac_keys) for i in range(masks)]
     for p in range(1, proto.n + 1):
         _write_file(out / f"party{p}.triples", encode_replay(
-            p, scheme, proto.n, proto.t, epoch, triples[p], mask_records[p],
+            p, scheme, proto.n, proto.t, epoch, [batch[p - 1] for batch in triples],
+            [draw[p - 1] for draw in mask_records],
             mac_keys[p - 1] if mac_keys is not None else None))
     # only now, with every new file whole and in place: a deal cut short
     # leaves an old file that was started still refused

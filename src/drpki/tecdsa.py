@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import (
     GENERATOR,
@@ -57,7 +57,7 @@ from .sharing import (
 )
 
 if TYPE_CHECKING:
-    from .runtime.node import PartyNode
+    from .runtime.node import PartyNode, _RequestGate
 
 
 class TecdsaError(Exception):
@@ -622,32 +622,9 @@ def _r_x(session, r_point: GroupPoint) -> FieldElement:
 _NOTE_HEAD = 20 + 16
 
 
-class SigningGate(Protocol):
-    """A consent step that rides on the two rounds of `sign_online`.
-
-    `count` is the number of tuples to agree on; `target` (16 bytes) and
-    `lead` go out after this party's tag in round 1.  `read(leads, targets)`
-    takes every party's round-1 lead and target once the tags agree, and
-    returns the `count` messages to sign, this party's vote, which goes out
-    in round 2, and whether this party's s shares go out beside it.
-    `tally(votes)` takes every party's vote before any s share is decoded;
-    it returns the parties whose s shares make s, or raises to stop the
-    signing there.
-    """
-
-    count: int
-    target: bytes
-    lead: bytes
-
-    def read(self, leads: dict[int, bytes],
-             targets: dict[int, bytes]) -> tuple[list[bytes], bytes, bool]: ...
-
-    def tally(self, votes: dict[int, bytes]) -> Sequence[int]: ...
-
-
 def sign_online(node: PartyNode, session, member_id: str,
                 messages: Sequence[bytes] = (),
-                gate: Optional[SigningGate] = None) -> list[SignResult]:
+                gate: Optional[_RequestGate] = None) -> list[SignResult]:
     """Sign every message of one request in one session of two rounds.
 
     Round 1 agrees on a final tuple per message by tag (`_agree`) and
@@ -687,10 +664,16 @@ def sign_online(node: PartyNode, session, member_id: str,
         could too: security with abort, without agreement.
     So only phase 3 can fail a MAC check and retire an epoch.
 
-    With a `gate`, the messages come from its round-1 leads instead, and
-    its votes ride on the s round: a party whose gate withholds sends its
-    vote alone, and s is reconstructed from the shares of the parties the
-    tally names.  A consent step thus adds no round of its own, and a
+    With a `gate`, the consent step of a `request` op, the messages come
+    from its round-1 leads instead, and its votes ride on the s round.  The
+    gate's `count` tuples are agreed on, and its 16-byte `target` and its
+    `lead` go out after the tag.  `gate.read(leads, targets)` takes every
+    party's round-1 lead and target once the tags agree, and returns the
+    messages to sign, this party's vote and whether this party's s shares
+    go out beside it: a party whose gate withholds sends its vote alone.
+    `gate.tally(votes)` takes every party's vote before any s share is
+    decoded, and returns the parties whose shares make s or raises to stop
+    the signing there.  A consent step thus adds no round of its own, and a
     refused request has journaled its tuples and decoded no s share.
     precompute_r saves no round: it only moves the R open's curve work out
     of the online phase.

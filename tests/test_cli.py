@@ -12,7 +12,7 @@ import pytest
 
 from drpki import serve as serve_mod
 from drpki.cli import cluster_from_config, load_config, main, protocol_config
-from drpki.preprocessing import FileReplay
+from drpki.preprocessing import FileReplay, PreprocessingError
 
 FIXTURE = Path(__file__).parent / "data" / "churn_90d"
 
@@ -254,6 +254,21 @@ def test_deal_draws_a_fresh_epoch_each_run(workspace):
         epochs.add(_replay(config, out, 1).epoch)
         assert _replay(config, out, 5).epoch in epochs
     assert len(epochs) == 2
+
+
+def test_deal_with_count_0_writes_a_masks_only_file_per_party(workspace):
+    config = str(workspace / "drpki.ini")
+    out = workspace / "dealer"
+    assert run_cli("deal", "--config", config, "--count", "0", "--masks", "5",
+                   "--out", str(out)) == 0
+    for party in range(1, 6):
+        replay = _replay(config, out, party)
+        assert (len(replay.triples), len(replay.masks)) == (0, 5)
+        assert [m.input_owner for m in replay.masks] == [1, 2, 3, 4, 5]
+        assert [m.cleartext is not None for m in replay.masks] == [
+            owner == party for owner in range(1, 6)]
+        with pytest.raises(PreprocessingError, match="triple stock depleted"):
+            replay.next_triple(replay.scheme)
 
 
 def test_serve_refuses_config_without_pair_secret(workspace):

@@ -1,5 +1,7 @@
-"""Every name a drpki module imports is used in that module, and every
-private definition is referenced somewhere in the package.
+"""Every name a drpki module imports is used in that module, every
+private definition is referenced somewhere in the package, and every
+public function, class and method is named in the package, the benchmark
+or the scripts, unless it is on the one list of names kept for tests.
 
 A name kept on purpose, say one that a tracer patches by name, carries
 `# noqa: F401` on its own line.  A private definition is a `_`-prefixed
@@ -10,7 +12,8 @@ dunder name is not one.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "drpki"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "drpki"
 
 
 def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -82,24 +85,31 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Private module-level functions, classes and constants, and private
-    methods of any class -> their line."""
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions and classes, and methods of any class -> their line."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out[node.name] = node.lineno
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
-                        out[name.id] = node.lineno
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef):
             for item in cls.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     out[item.name] = item.lineno
+    return out
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private module-level functions, classes and constants, and private
+    methods of any class -> their line."""
+    out = _definitions(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out[name.id] = node.lineno
     return {name: line for name, line in out.items() if _is_private(name)}
 
 
@@ -145,3 +155,60 @@ def test_the_check_sees_an_unreferenced_private_definition():
     )
     assert _unreferenced({"m": ast.parse(source)}) == [
         "m:2: _UNUSED", "m:3: _helper", "m:12: _orphan"]
+
+
+# public definitions no module, benchmark or script names: kept for tests
+TEST_FACING = {"to_text", "from_text", "export_tal", "test_reconstruct_sk",
+               "test_reconstruct_k", "consumed_ids"}
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Names a file reads, imports, or spells out as a string, as a tracer
+    that patches by name does."""
+    names = _references(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _unnamed(trees: dict[str, ast.Module], readers: list[ast.Module]) -> dict[str, str]:
+    """Public definition of `trees` that no tree of `readers` names -> where."""
+    named = set().union(*map(_named, readers))
+    return {name: f"{module}:{line}: {name}" for module, tree in sorted(trees.items())
+            for name, line in sorted(_definitions(tree).items())
+            if not name.startswith("_") and name not in named}
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    readers = list(trees.values()) + [ast.parse(path.read_text())
+                                      for folder in ("perfbench", "scripts")
+                                      for path in sorted((ROOT / folder).rglob("*.py"))]
+    unnamed = _unnamed(trees, readers)
+    assert [where for name, where in unnamed.items() if name not in TEST_FACING] == []
+    assert set(unnamed) == TEST_FACING  # a name the code now uses leaves the list
+
+
+def test_the_check_sees_an_unnamed_public_definition():
+    source = (
+        "def used():\n"
+        "    return C().method()\n"
+        "def imported():\n"
+        "    pass\n"
+        "def patched():\n"
+        "    pass\n"
+        "def orphan():\n"
+        "    pass\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        return getattr(self, 'patched')\n"
+        "    def unused(self):\n"
+        "        pass\n"
+    )
+    tree = ast.parse(source)
+    reader = ast.parse("from m import imported\nused()\n")
+    assert list(_unnamed({"m": tree}, [tree, reader])) == ["orphan", "unused"]

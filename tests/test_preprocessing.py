@@ -2,9 +2,12 @@
 
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
+from drpki import preprocessing
 from drpki.algebra import FieldElement
 from drpki.durable import RecordError
 from drpki.preprocessing import (
@@ -156,8 +159,8 @@ def test_corrupted_beaver_broadcast_caught_by_mac_check():
 
 
 def test_trusted_dealer_views_stay_aligned():
-    dealer = TrustedDealer(N, T, random.Random(9))
-    views = [dealer.view_for(i) for i in range(1, N + 1)]
+    dealer = TrustedDealer(SchemeId.SHAMIR, N, T, random.Random(9))
+    views = [dealer.queues[i] for i in range(1, N + 1)]
     for _ in range(10):
         records = [v.next_triple(SchemeId.SHAMIR) for v in views]
         assert len({r.triple_id for r in records}) == 1
@@ -167,10 +170,46 @@ def test_trusted_dealer_views_stay_aligned():
         assert c == a * b
 
 
+def test_trusted_dealer_queues_stay_aligned_under_concurrent_draws(monkeypatch):
+    # five party threads draw at once with the interpreter switching as
+    # often as it can: the first party to find its queue dry draws for all,
+    # and a party whose queue a draw filled meanwhile draws nothing more
+    draws, real = [], preprocessing.dealer_generate
+
+    def counted(*args, **kwargs):
+        draws.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(preprocessing, "dealer_generate", counted)
+    dealer = TrustedDealer(SchemeId.SHAMIR, N, T, random.Random(11))
+    drawn = {}
+
+    def draw(party):
+        queue = dealer.queues[party]
+        drawn[party] = [queue.next_triple(SchemeId.SHAMIR) for _ in range(200)]
+
+    threads = [threading.Thread(target=draw, args=(p,)) for p in range(1, N + 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert draws == [1] * 200
+    for records in zip(*(drawn[p] for p in range(1, N + 1))):
+        assert len({r.triple_id for r in records}) == 1
+        a, b, c = (open_shares([getattr(r, x) for r in records], N, T) for x in "abc")
+        assert c == a * b
+
+
 def test_trusted_dealer_masks_disclose_to_owner_only():
     mac_keys = generate_mac_keys(N, rng)
-    dealer = TrustedDealer(N, T, random.Random(10), mac_keys)
-    views = [dealer.view_for(i) for i in range(1, N + 1)]
+    dealer = TrustedDealer(SchemeId.ADDITIVE_MAC, N, T, random.Random(10), mac_keys)
+    views = [dealer.queues[i] for i in range(1, N + 1)]
     masks = [v.next_input_mask(SchemeId.ADDITIVE_MAC, input_owner=3) for v in views]
     opened = open_shares([m.share for m in masks], N, T)
     for m in masks:
@@ -199,7 +238,7 @@ def test_replay_file_roundtrip(tmp_path, scheme):
     _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch)
     replays = [FileReplay(str(tmp_path / f"party{p}.triples"), p, scheme, N, T)
                for p in range(1, N + 1)]
-    assert all(r.remaining() == 5 for r in replays)
+    assert all(len(r.triples) == 5 for r in replays)
     assert all(r.epoch == epoch for r in replays)
     assert [r.mac_key for r in replays] == (mac_keys or [None] * N)
     for j in range(5):
@@ -248,6 +287,18 @@ def test_replay_file_refuses_a_file_cut_short(tmp_path):
     path.write_text("".join(lines[:2]))  # the header and one of two triples
     with pytest.raises(PreprocessingError, match="does not hold the records"):
         FileReplay(str(path), 2, SchemeId.ADDITIVE_MAC, N, T)
+
+
+def test_replay_file_refuses_a_torn_last_line_untouched(tmp_path):
+    # a deal writes each file whole, so a last line without its newline is
+    # damage: the line reader would cut it off and open the rest
+    path = _one_replay(tmp_path)
+    with open(path, "a") as out:
+        out.write('{"triple": "ab')
+    data = path.read_bytes()
+    with pytest.raises(PreprocessingError, match="torn"):
+        FileReplay(str(path), 2, SchemeId.ADDITIVE_MAC, N, T)
+    assert path.read_bytes() == data
 
 
 def test_replay_file_names_the_line_that_does_not_decode(tmp_path):

@@ -21,7 +21,7 @@ from drpki.algebra import (
     scalar_mul,
 )
 from drpki.bench import WAN_RTT_MS, one_way_delays
-from drpki.preprocessing import DealerPartyView, TrustedDealer
+from drpki.preprocessing import DealerQueue, TrustedDealer
 from drpki.rpki import (
     Action, CrlRecord, IpPrefix, PayloadKind, RoaRecord, SignedObject, ValidationError,
     encode_canonical, frame_fields, plan_transfer, sign_consent, split_fields,
@@ -312,7 +312,7 @@ def test_full_pipeline_over_tcp_sockets(tmp_path):
     ports = _free_ports(n)
     addresses = {i + 1: ("127.0.0.1", ports[i]) for i in range(n)}
     keys = derive_pair_keys(b"tcp-test", n)
-    dealer = TrustedDealer(n, t, random.Random(3))
+    dealer = TrustedDealer(config.scheme, n, t, random.Random(3))
     epoch = bytes(16)
 
     transports = {}
@@ -329,7 +329,7 @@ def test_full_pipeline_over_tcp_sockets(tmp_path):
     nodes = {}
     for p in addresses:
         nodes[p] = PartyNode(p, config, str(tmp_path / f"party{p}"), epoch)
-        nodes[p].triple_source = dealer.view_for(p)
+        nodes[p].triple_source = dealer.queues[p]
         nodes[p].rng = random.Random(40 + p)
     results = {}
     messages = [b"tcp message", b"second tcp message"]
@@ -1441,22 +1441,25 @@ def test_concurrent_mascot_keygens_draw_dealer_masks_in_one_order(monkeypatch):
     first = {p: "a" if p == 1 else "b" for p in cluster.participants}
     drawn = {(p, m): threading.Event() for p in cluster.participants for m in "ab"}
     current = threading.local()
-    real_keygen, real_mask = node_module.keygen, DealerPartyView.next_input_mask
+    real_keygen, real_mask = node_module.keygen, DealerQueue.next_input_mask
 
     def keygen(node, session, member_id, **kwargs):
         current.member = member_id
         return real_keygen(node, session, member_id, **kwargs)
 
-    def next_input_mask(view, scheme, owner):
-        if current.member != first[view.party] and owner == cluster.participants[0]:
-            drawn[view.party, first[view.party]].wait(1.0)
-        mask = real_mask(view, scheme, owner)
+    party_of = {queue: p for p, queue in cluster.dealer.queues.items()}
+
+    def next_input_mask(queue, scheme, owner):
+        party = party_of[queue]
+        if current.member != first[party] and owner == cluster.participants[0]:
+            drawn[party, first[party]].wait(1.0)
+        mask = real_mask(queue, scheme, owner)
         if owner == cluster.participants[-1]:
-            drawn[view.party, current.member].set()
+            drawn[party, current.member].set()
         return mask
 
     monkeypatch.setattr(node_module, "keygen", keygen)
-    monkeypatch.setattr(DealerPartyView, "next_input_mask", next_input_mask)
+    monkeypatch.setattr(DealerQueue, "next_input_mask", next_input_mask)
     errors = []
 
     def run(member):
