@@ -495,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deal", help="write dealer preprocessing files for TCP mode")
     p.add_argument("--config", required=True)
-    p.add_argument("--count", type=int, default=64)
+    p.add_argument("--count", type=int, default=64,
+                   help="dealer records per party; each serves one final tuple")
     p.add_argument("--masks", type=int, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_deal)

@@ -1,13 +1,20 @@
 """Multiplication-triple sources and Beaver multiplication.
 
 Triples here come from a trusted dealer, an explicit trust assumption
-standing in for OT-based offline generation.  A node draws from one
-`DealerQueue`: `TrustedDealer` fills one per party in process, and a
-`FileReplay` is one read from a party's dealer file, as `drpki deal` wrote
-it.  A dealer file is a JSON-lines log read through `durable.py`: a header
-line naming the party, scheme, n, t, epoch and record counts, plus the
-party's MAC key share under a MAC scheme; then one line per triple and one
-per input mask, each share in hex as the tuple store keeps it.
+standing in for OT-based offline generation.  Each dealer record is five
+sharings: a triple (a, b, c = a*b) and a mask x with x*a, where x is fresh,
+uniform and belongs to this record alone.  One record makes one initial
+tuple, with [1/k] = [a], and so one final tuple: phase 3 multiplies [sk]
+by [a] through the Beaver triple (x, a, x*a), whose second operand is [a]
+itself, so it opens d = sk - x and no e.
+
+A node draws from one `DealerQueue`: `TrustedDealer` fills one per party in
+process, and a `FileReplay` is one read from a party's dealer file, as
+`drpki deal` wrote it.  A dealer file is a JSON-lines log read through
+`durable.py`: a header line naming its kind, the party, scheme, n, t, epoch
+and record counts, plus the party's MAC key share under a MAC scheme; then
+one line per record and one per input mask, each share in hex as the tuple
+store keeps it.
 
 Triples are strictly single-use: `beaver_diffs` marks a triple consumed
 before any protocol message references it.  A crash loses that flag; what
@@ -47,14 +54,20 @@ class TupleReuseError(PreprocessingError):
     """A consumed triple or tuple was presented for use again."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Triple:
-    """One party's record of a multiplication triple (a, b, c with c = ab)."""
+    """One party's record of a multiplication triple (a, b, c with c = ab).
+
+    A dealer record also holds the mask pair [x] and [x*a]; a triple that
+    phase 3 forms from an initial tuple holds none.
+    """
 
     triple_id: bytes
     a: Share
     b: Share
     c: Share
+    x: Optional[Share] = None
+    xa: Optional[Share] = None
     consumed: bool = False
 
     @property
@@ -98,7 +111,10 @@ def dealer_generate(
     mac_keys: Optional[Sequence[MacKeyShare]] = None,
     owners: Optional[Sequence[int]] = None,
 ) -> list[list[Triple]]:
-    """Produce `count` triples; result[j][i] is the i-th owner's record of triple j."""
+    """Produce `count` dealer records; result[j][i] is the i-th owner's record
+    j: a triple (a, b, c = a*b), then a fresh mask x with x*a.  Each record
+    draws its own x: an x shared by two records would open sk1 - sk2 when
+    phase 3 binds them to two members."""
     if count < 1:
         raise PreprocessingError("count must be >= 1")
     out = []
@@ -114,9 +130,12 @@ def dealer_generate(
         a_shares = deal(scheme, a, n, t, rng, mac_keys, owners)
         b_shares = deal(scheme, b, n, t, rng, mac_keys, owners)
         c_shares = deal(scheme, c, n, t, rng, mac_keys, owners)
+        x = FieldElement.random(rng)
+        x_shares = deal(scheme, x, n, t, rng, mac_keys, owners)
+        xa_shares = deal(scheme, x * a, n, t, rng, mac_keys, owners)
         out.append(
             [
-                Triple(tid, a_shares[i], b_shares[i], c_shares[i])
+                Triple(tid, a_shares[i], b_shares[i], c_shares[i], x_shares[i], xa_shares[i])
                 for i in range(n)
             ]
         )
@@ -183,7 +202,7 @@ class TrustedDealer:
     A party that finds its queue dry draws one fresh sharing, which appends
     one record to every owner's queue, so the queues stay aligned while
     every party consumes in protocol lockstep; the lock makes concurrent
-    sessions safe.  The dealer transiently sees whole triples - that is the
+    sessions safe.  The dealer transiently sees whole records - that is the
     documented trust assumption.
     """
 
@@ -218,6 +237,11 @@ class TrustedDealer:
 
 # --- FileReplay: dealer output persisted per party ----------------------------
 
+# the header kind of a dealer file whose records carry the mask pair; an
+# earlier version's "triples" file holds none and is refused
+_DEALER_KIND = "masked-triples"
+
+
 def encode_replay(
     party: int,
     scheme: SchemeId,
@@ -229,13 +253,14 @@ def encode_replay(
     mac_key: Optional[MacKeyShare] = None,
 ) -> str:
     """One party's dealer file, whole, for `FileReplay` to read."""
-    header = {"dealer": "triples", "party": party, "scheme": scheme.name, "n": n, "t": t,
+    header = {"dealer": _DEALER_KIND, "party": party, "scheme": scheme.name, "n": n, "t": t,
               "epoch": epoch.hex(), "triples": len(triples), "masks": len(masks)}
     if mac_key is not None:
         header["mac_key"] = mac_key.alpha_i.to_bytes().hex()
     lines = [header]
     lines += [{"triple": tr.triple_id.hex(), "a": tr.a.to_bytes().hex(),
-               "b": tr.b.to_bytes().hex(), "c": tr.c.to_bytes().hex()} for tr in triples]
+               "b": tr.b.to_bytes().hex(), "c": tr.c.to_bytes().hex(),
+               "x": tr.x.to_bytes().hex(), "xa": tr.xa.to_bytes().hex()} for tr in triples]
     lines += [{"mask": mk.mask_id.hex(), "owner": mk.input_owner,
                "share": mk.share.to_bytes().hex(),
                "clear": None if mk.cleartext is None else mk.cleartext.to_bytes().hex()}
@@ -252,9 +277,9 @@ class FileReplay(DealerQueue):
     """One party's dealer file, read whole into its queue.  The open refuses
     a file dealt for another party, scheme, n or t, one with fewer records
     than its header counts, one under a MAC scheme without the MAC key
-    share, a binary file of an earlier version and one whose last line is
-    torn, each left as it is.  The queue's filler refuses a draw past the
-    end of the file."""
+    share, a file of an earlier version, binary or without the mask pair,
+    and one whose last line is torn, each left as it is.  The queue's
+    filler refuses a draw past the end of the file."""
 
     def __init__(self, path: str, party: int, scheme: SchemeId, n: int, t: int) -> None:
         super().__init__(scheme, _depleted)
@@ -269,11 +294,13 @@ class FileReplay(DealerQueue):
             if handle.read(1) != b"\n":
                 raise PreprocessingError(f"{path} ends in a torn line; "
                                          "run `drpki deal` for a fresh one")
-        expected = {"dealer": "triples", "party": party, "scheme": scheme.name,
-                    "n": n, "t": t}
+        expected = {"party": party, "scheme": scheme.name, "n": n, "t": t}
 
         def check(head: dict) -> tuple[int, int]:
             """Take the header line; return the record counts it names."""
+            if head.get("dealer") != _DEALER_KIND:
+                raise PreprocessingError(f"{path} is not a dealer file of this version; "
+                                         "run `drpki deal` for a fresh one")
             if {key: head.get(key) for key in expected} != expected:
                 raise PreprocessingError(f"{path} is not a dealer file of party {party} "
                                          f"under {scheme.name} with n={n}, t={t}")
@@ -299,7 +326,8 @@ class FileReplay(DealerQueue):
             return Share.from_bytes(bytes.fromhex(rec[key]))
 
         if "triple" in rec:
-            return Triple(bytes.fromhex(rec["triple"]), share("a"), share("b"), share("c"))
+            return Triple(bytes.fromhex(rec["triple"]), share("a"), share("b"), share("c"),
+                          share("x"), share("xa"))
         clear = None if rec["clear"] is None else FieldElement.from_bytes(
             bytes.fromhex(rec["clear"]))
         return InputMask(bytes.fromhex(rec["mask"]), rec["owner"], share("share"), clear)

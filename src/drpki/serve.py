@@ -7,7 +7,8 @@ on one TcpNodeTransport, driven by the same `open_session` and `run` calls
 as the in-process cluster, so keygen is checked and audited the same way.
 Preprocessing material comes from dealer files written ahead of time by
 `drpki deal`, matching the trusted-dealer model: one JSON-lines file per
-party, `partyK.triples`, holding its triples, input masks and, under a MAC
+party, `partyK.triples`, holding its dealer records (a triple and its
+mask pair, one record per final tuple), input masks and, under a MAC
 scheme, MAC key share, all under one fresh epoch per deal.  The deal draws
 them through `dealer_generate` and `dealer_generate_masks`, and a node reads
 its file whole into the `FileReplay` dealer queue it draws from.  Before it
@@ -71,8 +72,9 @@ def _addresses(cfg) -> dict[int, tuple[str, int]]:
 
 
 def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int:
-    """Write each party's dealer file under a fresh epoch: triples, input
-    masks and MAC key share."""
+    """Write each party's dealer file under a fresh epoch: `count` dealer
+    records, each of which serves one final tuple, `masks` input masks and
+    the MAC key share."""
     proto = protocol_config(load_config(config_path))
     scheme = proto.scheme
     out = Path(out_dir)
@@ -93,7 +95,7 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
     for p in range(1, proto.n + 1):
         (out / f"party{p}.started").unlink(missing_ok=True)
     print(f"wrote dealer output for {proto.n} parties under {out_dir} "
-          f"({count} triples, {masks} masks each)")
+          f"({count} records, each one final tuple, and {masks} masks each)")
     return 0
 
 

@@ -24,6 +24,7 @@ share, or a share of a curve point, under one rule for both.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -90,7 +91,7 @@ class MacKeyShare:
     alpha_i: FieldElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Share:
     """One party's piece of a shared field element.
 
@@ -235,13 +236,19 @@ def share_scale_add(
 
 
 def lagrange_coeffs_at(eval_points: Sequence[FieldElement],
-                      x: FieldElement | int) -> list[FieldElement]:
+                      x: FieldElement | int) -> tuple[FieldElement, ...]:
     """Weights w_i with sum_i w_i * f(x_i) = f(x) for degree < len(points).
 
     `x` is a field element or a plain integer such as 0 or a party index.
+    Every open interpolates at the same few party indices, so the weights
+    are computed once per set of points and target.
     """
     x = x.value if isinstance(x, FieldElement) else x
-    xs = [p.value for p in eval_points]
+    return _lagrange_weights(tuple(p.value for p in eval_points), x % CURVE_ORDER)
+
+
+@functools.lru_cache(maxsize=1024)
+def _lagrange_weights(xs: tuple[int, ...], x: int) -> tuple[FieldElement, ...]:
     coeffs = []
     for i, xi in enumerate(xs):
         num = den = 1
@@ -250,7 +257,7 @@ def lagrange_coeffs_at(eval_points: Sequence[FieldElement],
                 num = num * (x - xj) % CURVE_ORDER
                 den = den * (xi - xj) % CURVE_ORDER
         coeffs.append(FieldElement(num) * FieldElement(den).inv())
-    return coeffs
+    return tuple(coeffs)
 
 
 def _reconstruct(shares, n: int, t: int, zero, combine):

@@ -4,9 +4,11 @@ Phases, each executed by every participating party over a synchronous
 session:
 
   1. keygen                  per-member signing key shares and the public key
-  2. preprocess_independent  initial tuples from local triples: [1/k], b_i, [c]
+  2. preprocess_independent  initial tuples from local dealer records: [1/k],
+                             b_i, [c] and the mask pair [x], [x/k]
   3. preprocess_dependent    final tuples binding a member: opens and checks c
-                             with the Beaver diffs, then shares of k*G and sk/k
+                             with the Beaver diff d = sk - x, then shares of
+                             k*G and sk/k
   4. sign_online             field-only assembly of a request's signatures
 
 Each phase runs on a PartyNode and reads its state; it writes only to the
@@ -46,7 +48,7 @@ from .algebra import (
     scalar_mul,
 )
 from .durable import _append_line, _read_records
-from .preprocessing import TupleReuseError, beaver_diffs, beaver_combine
+from .preprocessing import Triple, TupleReuseError, beaver_diffs, beaver_combine
 from .sharing import (
     ProtocolAbort,
     SchemeId,
@@ -107,22 +109,26 @@ class KeyShareRecord:
     epoch: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class InitialTuple:
-    """Member-independent material for one instance key, from a triple
-    (a, b, c = a*b): [1/k] = [a] with its MAC, this party's bare share b_i
-    and [c] with its MAC, so k = 1/a.  Phase 3 opens c and checks it before
-    it computes this party's share of k*G, (b_i / c) * G."""
+    """Member-independent material for one instance key, from a dealer
+    record (a, b, c = a*b, x, x*a): [1/k] = [a] with its MAC, this party's
+    bare share b_i, [c] with its MAC, so k = 1/a, and the record's mask
+    pair [x] and [x*a] = [x/k] with their MACs.  Phase 3 opens c and checks
+    it before it computes this party's share of k*G, (b_i / c) * G, and
+    multiplies [sk] by [1/k] through the Beaver triple (x, 1/k, x/k)."""
 
     tuple_id: bytes
     epoch: bytes
     k_inv_share: Share
     b_share: FieldElement
     c_share: Share
+    x_share: Share
+    xa_share: Share
     consumed: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class FinalTuple:
     """Member-bound material; carries the initial tuple's id (same instance key)."""
 
@@ -158,7 +164,8 @@ _LINES_PER_APPEND = 16
 def _initial_line(tup: InitialTuple) -> dict:
     return {"add": "initial", "id": tup.tuple_id.hex(), "epoch": tup.epoch.hex(),
             "k_inv": tup.k_inv_share.to_bytes().hex(), "b": tup.b_share.to_bytes().hex(),
-            "c": tup.c_share.to_bytes().hex()}
+            "c": tup.c_share.to_bytes().hex(), "x": tup.x_share.to_bytes().hex(),
+            "xa": tup.xa_share.to_bytes().hex()}
 
 
 def _final_line(tup: FinalTuple) -> dict:
@@ -176,7 +183,8 @@ def _tuple_of(rec: dict):
 
     if rec["add"] == "initial":
         return InitialTuple(raw("id"), raw("epoch"), Share.from_bytes(raw("k_inv")),
-                            FieldElement.from_bytes(raw("b")), Share.from_bytes(raw("c")))
+                            FieldElement.from_bytes(raw("b")), Share.from_bytes(raw("c")),
+                            Share.from_bytes(raw("x")), Share.from_bytes(raw("xa")))
     if rec["add"] == "final":
         return FinalTuple(raw("id"), raw("epoch"), rec["member"],
                           GroupPoint.from_bytes(raw("k_point")),
@@ -198,7 +206,8 @@ class TupleStore:
 
     The open refuses a file whose header names another party, or that holds
     a whole line that does not decode, and leaves it as it is; only a torn
-    last line is cut, as every line-log reader cuts it.  Tuple files of
+    last line is cut, as every line-log reader cuts it.  So is a file of an
+    earlier version whose initial lines hold no mask pair.  Tuple files of
     earlier versions (tuples_*.dat, tuples.journal) are not read: their
     tuples are never offered, and the next refill restocks.
     """
@@ -447,16 +456,17 @@ def keygen(node: PartyNode, session, member_id: str,
 # --- phase 2: member-independent preprocessing -----------------------------------
 
 def preprocess_independent(node: PartyNode, session, count: int) -> list[InitialTuple]:
-    """Store `count` initial tuples from fresh triples; no frame is sent.
+    """Store `count` initial tuples from fresh dealer records; no frame is sent.
 
-    Per triple (a, b, c): [1/k] := [a], so k = 1/a, beside the bare share
-    b_i and [c].  Phase 3 opens c with its Beaver diffs, MAC-checks it and
-    aborts on c = 0 before it computes any share (b_i / c) * G of k*G.
+    Per record (a, b, c, x, x*a): [1/k] := [a], so k = 1/a, beside the bare
+    share b_i, [c] and the mask pair [x], [x*a].  Phase 3 opens c with its
+    Beaver diff, MAC-checks it and aborts on c = 0 before it computes any
+    share (b_i / c) * G of k*G.
     """
     triples = [node.triple_source.next_triple(node.config.scheme) for _ in range(count)]
     for tr in triples:
         tr.mark_consumed()
-    produced = [InitialTuple(tr.triple_id, node.epoch, tr.a, tr.b.value, tr.c)
+    produced = [InitialTuple(tr.triple_id, node.epoch, tr.a, tr.b.value, tr.c, tr.x, tr.xa)
                 for tr in triples]
     node.tuple_store.add_initial(produced)
     return produced
@@ -468,23 +478,39 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
                          count: int) -> list[FinalTuple]:
     """Bind `count` initial tuples to a member: [sk/k] = beaver([sk], [1/k]).
 
+    The Beaver triple of a tuple is its own (x, 1/k, x/k): its second
+    operand is the multiplied [1/k] itself, so e = 1/k - 1/k is 0 and only
+    d = sk - x is opened, and [sk/k] = [x/k] + d * [1/k].  No dealer
+    record is drawn here.  This is safe because:
+      - d is uniform and says nothing of sk, because x is fresh, uniform
+        and dies with its single-use tuple;
+      - e is identically 0 and is not sent, so nothing about 1/k leaves
+        the party;
+      - the dealer sees only what it dealt: no message reaches it;
+      - a shifted d share fails the MAC check under the authenticated
+        scheme and the checked open under the checked Shamir scheme, as a
+        shifted c share does.
+    An x must therefore never serve two tuples: a per-batch or per-file x
+    used for two members would open d1 - d2 = sk1 - sk2.  Each dealer
+    record deals its own x, and the tuple's journaled consumption keeps
+    it to one d.
+
     Tuple agreement (`_agree`) rides on the Beaver round: every party
     journals its lowest `count` live initial ids and sends each tuple's c
-    share and Beaver diffs behind their tag, so an honest batch agrees
-    without a round of its own.  Differing tags end that open before any
-    share is decoded or MAC-accounted; after the realign the Beaver round
-    runs once more, with fresh ids and fresh triples.
+    and d shares behind their tag, so an honest batch agrees without a
+    round of its own.  Differing tags end that open before any share is
+    decoded or MAC-accounted; after the realign the Beaver round runs once
+    more, with fresh ids.
 
-    Every initial tuple is journaled before its Beaver messages are sent,
-    and one triple is spent per final tuple and round.  The MAC check
-    covers every opened c, and an opened c = 0, a ~2/p event and so the
-    sign of a rigged or broken dealer, aborts the session.  Each share
-    (b_i / c) * G of k*G and each [sk/k] is computed while the check's
-    commit frames are in flight, from the still unchecked opens, but none
-    is stored or sent before the check passes; with any c = 0 none is
-    computed.  With precompute_r the R point is opened after the check so
-    the online phase stays free of curve work, and a degenerate R aborts
-    the session before any final tuple is stored.
+    Every initial tuple is journaled before its Beaver messages are sent.
+    The MAC check covers every opened c and d, and an opened c = 0, a ~2/p
+    event and so the sign of a rigged or broken dealer, aborts the
+    session.  Each share (b_i / c) * G of k*G and each [sk/k] is computed
+    while the check's commit frames are in flight, from the still unchecked
+    opens, but none is stored or sent before the check passes; with any
+    c = 0 none is computed.  With precompute_r the R point is opened after
+    the check so the online phase stays free of curve work, and a
+    degenerate R aborts the session before any final tuple is stored.
     """
     cfg = node.config
     record = node.key_records.get(member_id)
@@ -494,36 +520,36 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
 
     def bind(ids: list[bytes], tag: bytes, check):
         """Journal `ids` and open, behind the tag, each tuple's c share and
-        Beaver diffs.  A short party journals and opens nothing, but draws
-        its `count` triples too, so every dealer queue stays in step."""
+        Beaver diff d.  A short party journals and opens nothing."""
         initials = store.checkout_initial_by_id(ids, node.epoch) if len(ids) == count else []
-        triples = [node.triple_source.next_triple(cfg.scheme) for _ in range(count)]
+        triples = [Triple(init.tuple_id, init.x_share, init.k_inv_share, init.xa_share)
+                   for init in initials]
         shares: list[Share] = []
         for init, tr in zip(initials, triples):
-            shares.append(init.c_share)
-            shares.extend(beaver_diffs(record.sk_share, init.k_inv_share, tr))
+            d, _ = beaver_diffs(record.sk_share, init.k_inv_share, tr)
+            shares += (init.c_share, d)
         return initials, triples, session.open_field_batch(shares, tag, check)
 
     initials, triples, opened = _agree(
         session, count, "initial preprocessing tuples depleted",
         lambda limit: store.available_initial_ids(node.epoch, limit=limit),
         lambda tids: store.checkout_initial_by_id(tids, node.epoch), bind)
-    degenerate = any(c.is_zero() for c in opened[0::3])
+    degenerate = any(c.is_zero() for c in opened[0::2])
     finals: list[FinalTuple] = []
 
     def build() -> None:
         if degenerate:
             return
-        for init, tr, c, d, e in zip(initials, triples, opened[0::3], opened[1::3],
-                                     opened[2::3]):
+        zero = FieldElement.zero()
+        for init, tr, c, d in zip(initials, triples, opened[0::2], opened[1::2]):
             finals.append(
                 FinalTuple(init.tuple_id, node.epoch, member_id,
                            scalar_mul(init.b_share * c.inv(), GENERATOR),
-                           init.k_inv_share, beaver_combine(tr, d, e, node.mac_key))
+                           init.k_inv_share, beaver_combine(tr, d, zero, node.mac_key))
             )
 
     # the final tuples are built while the check's commit frames are in
-    # flight, and kept only once it has authenticated every c, d and e
+    # flight, and kept only once it has authenticated every c and d
     session.run_mac_check(build)
     if degenerate:
         session.abort("degenerate preprocessing triple (c = 0)")

@@ -87,8 +87,8 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_abort_soundness():
     """1000 randomized single-party fault injections per malicious scheme all abort.
 
-    A trial's opens are c, d and e in preprocessing, then R and s.  A `mac`
-    fault corrupts one of the three MAC-checked preprocessing opens: the MAC
+    A trial's opens are c and d in preprocessing, then R and s.  A `mac`
+    fault corrupts one of the two MAC-checked preprocessing opens: the MAC
     of s is never checked, since the verify against R accepts s, so a
     MAC-only change there changes no output and is no forgery.
     """
@@ -105,7 +105,7 @@ def test_criterion_03_abort_soundness():
             victim = rng.choice(cluster.participants)
             kind = rng.choice(["value", "mac"]) if scheme.has_mac else "value"
             try:
-                opens = 3 if kind == "mac" else 5
+                opens = 2 if kind == "mac" else 4
                 with inject_fault(victim, rng.randrange(opens), kind) as plan:
                     cluster.preprocess_independent(1)
                     cluster.preprocess_dependent("m", 1)

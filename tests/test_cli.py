@@ -190,21 +190,18 @@ def _free_port_base():
     return min(base, 64000)
 
 
-def test_serve_multiprocess_pipeline(tmp_path):
+def _serve_pipeline(tmp_path, count, script_lines):
+    """Deal `count` records per party, run `script_lines` with party 1 as the
+    initiator of five serve processes; returns the config and each party's
+    output, once every process exited 0."""
     base = _free_port_base()
     assert run_cli("init", "--dir", str(tmp_path), "--scheme", "shamir",
                    "--seed", "3", "--port-base", str(base)) == 0
     config = str(tmp_path / "drpki.ini")
-    assert run_cli("deal", "--config", config, "--count", "4", "--masks", "6",
+    assert run_cli("deal", "--config", config, "--count", str(count), "--masks", "6",
                    "--out", str(tmp_path / "data" / "dealer")) == 0
     script = tmp_path / "script.txt"
-    script.write_text(
-        "keygen tcp-member\n"
-        "preprocess-independent 2\n"
-        "preprocess-dependent tcp-member 2\n"
-        "sign tcp-member " + b"over tcp".hex() + " " + b"again".hex() + "\n"
-        "shutdown\n"
-    )
+    script.write_text("".join(line + "\n" for line in script_lines))
     responders = [
         subprocess.Popen(
             [sys.executable, "-m", "drpki.cli", "serve", "--config", config,
@@ -225,17 +222,48 @@ def test_serve_multiprocess_pipeline(tmp_path):
         outputs.append(out)
         assert proc.returncode == 0, err
     assert initiator.returncode == 0, initiator.stderr
+    return config, outputs
+
+
+def _signature_lines(outputs, count):
+    """Each party's `count` verified signature lines; all five the same bytes."""
     signatures = set()
     for out in outputs:
         lines = [l for l in out.splitlines() if "signature" in l]
-        assert len(lines) == 2 and all("verifies: True" in l for l in lines)
+        assert len(lines) == count and all("verifies: True" in l for l in lines)
         signatures.add(tuple(l.split("signature ")[1].split()[0] for l in lines))
     assert len(signatures) == 1  # all five processes assembled the same bytes
+
+
+def test_serve_multiprocess_pipeline(tmp_path):
+    config, outputs = _serve_pipeline(tmp_path, 4, [
+        "keygen tcp-member",
+        "preprocess-independent 2",
+        "preprocess-dependent tcp-member 2",
+        "sign tcp-member " + b"over tcp".hex() + " " + b"again".hex(),
+        "shutdown",
+    ])
+    _signature_lines(outputs, 2)
     data_dir = Path(load_config(config)["cluster"]["data_dir"])
     for p in range(1, 6):
         audit = (data_dir / f"party{p}" / "audit.jsonl").read_text().splitlines()
         keygens = [e for e in map(json.loads, audit) if e["event"] == "keygen"]
         assert [e["member"] for e in keygens] == ["tcp-member"]
+
+
+def test_deal_of_n_records_serves_n_final_tuples(tmp_path, capsys):
+    # phase 3 draws no dealer record, so a deal of 3 records per party
+    # restocks 3 final tuples and signs with each
+    _, outputs = _serve_pipeline(tmp_path, 3, [
+        "keygen tcp-member",
+        "preprocess-independent 3",
+        "preprocess-dependent tcp-member 3",
+        "sign tcp-member " + " ".join((b"message %d" % i).hex() for i in range(3)),
+        "shutdown",
+    ])
+    assert "(3 records, each one final tuple, and 6 masks each)" in capsys.readouterr().out
+    assert all("+3 final tuples for tcp-member" in out for out in outputs)
+    _signature_lines(outputs, 3)
 
 
 def _replay(config, dealer_dir, party):

@@ -1,6 +1,7 @@
 """Triple dealer, replay files, and Beaver multiplication tests."""
 
 import hashlib
+import json
 import random
 import sys
 import threading
@@ -63,11 +64,14 @@ def _local_beaver(scheme, x_val, y_val, mac_keys):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_generated_triples_open_to_products(scheme):
     mac_keys = _mac_keys_for(scheme)
+    masks = set()
     for batch in dealer_generate(scheme, 25, N, T, rng, mac_keys):
-        a = open_shares([t.a for t in batch], N, T)
-        b = open_shares([t.b for t in batch], N, T)
-        c = open_shares([t.c for t in batch], N, T)
+        a, b, c, x, xa = (open_shares([getattr(t, f) for t in batch], N, T)
+                          for f in ("a", "b", "c", "x", "xa"))
         assert c == a * b
+        assert xa == x * a
+        masks.add(x)
+    assert len(masks) == 25  # a fresh mask per record
 
 
 def test_triple_ids_never_repeat():
@@ -80,15 +84,19 @@ def test_triple_ids_never_repeat():
 def test_seeded_dealer_golden_transcript():
     # A seeded dealer must reproduce this frozen transcript digest, bit for bit.
     batches = dealer_generate(SchemeId.SHAMIR, 4, n=3, t=1, rng=random.Random(42))
-    lines = []
-    for batch in batches:
-        for rec in batch:
-            lines.append(
-                f"{rec.triple_id.hex()}:{rec.a.owner}:"
-                f"{rec.a.value.value},{rec.b.value.value},{rec.c.value.value}"
-            )
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "7934d041f314cb818b2308ab9387b9aa72d943941d9ff954d8371c7f681cad0a"
+
+    def digest(records, fields):
+        return hashlib.sha256("\n".join(
+            f"{rec.triple_id.hex()}:{rec.a.owner}:"
+            + ",".join(str(getattr(rec, f).value.value) for f in fields)
+            for rec in records).encode()).hexdigest()
+
+    assert digest([rec for batch in batches for rec in batch], ("a", "b", "c", "x", "xa")) == (
+        "82a357e47cb0323b52574c2ff621f994e3617dc134bc87c6e1ee0e06b6fe0c11")
+    # each record draws its mask after its triple: the first record's
+    # triple is the one a dealer without masks drew from this seed
+    assert digest(batches[0], ("a", "b", "c")) == (
+        "e5af204b4c0a8c567527a938a6ce5c8a6bbb09c687c9742806ea6905583f7e3c")
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -111,6 +119,24 @@ def test_beaver_random_instances(scheme):
         x = FieldElement.random(rng)
         y = FieldElement.random(rng)
         assert _local_beaver(scheme, x, y, mac_keys) == x * y
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_beaver_on_a_records_own_operand_opens_no_e(scheme):
+    # phase 3's step: the triple (x, a, x*a) multiplies [sk] by the record's
+    # own [a], so every e share is 0 and [x*a] + d*[a] opens to sk*a
+    mac_keys = _mac_keys_for(scheme)
+    sk = FieldElement.random(rng)
+    sks = deal(scheme, sk, N, T, rng, mac_keys)
+    records = dealer_generate(scheme, 1, N, T, rng, mac_keys)[0]
+    triples = [Triple(r.triple_id, r.x, r.a, r.xa) for r in records]
+    diffs = [beaver_diffs(s, r.a, tr) for s, r, tr in zip(sks, records, triples)]
+    assert all(e.value.is_zero() and (e.mac is None or e.mac.is_zero()) for _, e in diffs)
+    d = open_shares([d for d, _ in diffs], N, T)
+    assert d == sk - open_shares([r.x for r in records], N, T)
+    mk = mac_keys or [None] * N
+    products = [beaver_combine(tr, d, FieldElement.zero(), k) for tr, k in zip(triples, mk)]
+    assert open_shares(products, N, T) == sk * open_shares([r.a for r in records], N, T)
 
 
 def test_triple_reuse_rejected():
@@ -246,6 +272,7 @@ def test_replay_file_roundtrip(tmp_path, scheme):
         for rec, orig in zip(records, batches[j]):
             assert rec.triple_id == orig.triple_id
             assert rec.a == orig.a and rec.b == orig.b and rec.c == orig.c
+            assert rec.x == orig.x and rec.xa == orig.xa
     mask_records = [r.next_input_mask(scheme, 2) for r in replays]
     assert mask_records[1].cleartext == masks[1].cleartext
     assert mask_records[0].cleartext is None
@@ -319,6 +346,22 @@ def test_replay_file_refuses_a_file_of_another_format_untouched(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(PreprocessingError, match="run `drpki deal`"):
         FileReplay(str(path), 1, SchemeId.ADDITIVE_MAC, N, T)
+    assert path.read_bytes() == data
+
+
+def test_replay_file_refuses_an_earlier_versions_file_untouched(tmp_path):
+    # an earlier version's dealer file is a "triples" file whose records
+    # hold no mask pair: its header is refused before any record is read
+    path = _one_replay(tmp_path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    lines[0]["dealer"] = "triples"
+    for rec in lines[1:]:
+        rec.pop("x", None), rec.pop("xa", None)
+    path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in lines))
+    data = path.read_bytes()
+    with pytest.raises(PreprocessingError, match="not a dealer file of this version; "
+                                                 "run `drpki deal` for a fresh one"):
+        FileReplay(str(path), 2, SchemeId.ADDITIVE_MAC, N, T)
     assert path.read_bytes() == data
 
 

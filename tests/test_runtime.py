@@ -1363,9 +1363,9 @@ def test_negated_s_aborts_and_publishes_nothing(monkeypatch):
 
 def test_mascot_opens_send_no_mac_share(monkeypatch):
     # the phase-3 round-1 frames party 1 receives: behind the tag note, each
-    # c, d and e goes out as its bare 32-byte value, and the MAC share of no
-    # sender's c is in its frame.  With MAC shares on the wire, one open
-    # gave alpha = sum(mac) / sum(value) to every party
+    # c and d goes out as its bare 32-byte value, and the MAC share of no
+    # sender's c, x or x/k is in its frame.  With MAC shares on the wire,
+    # one open gave alpha = sum(mac) / sum(value) to every party
     cluster = make_cluster(SchemeId.ADDITIVE_MAC, seed=3)
     cluster.keygen("m")
     cluster.preprocess_independent(2)
@@ -1382,10 +1382,12 @@ def test_mascot_opens_send_no_mac_share(monkeypatch):
     assert cluster.preprocess_dependent("m", 2) == 2
     assert sorted(frames) == [2, 3, 4, 5]
     for sender, payload in frames.items():
-        assert len(payload) == 4 + 20 + 3 * 2 * 32
+        assert len(payload) == 4 + 20 + 2 * 2 * 32
         store = cluster.nodes[sender].tuple_store
         for tid in ids:
-            assert store.initial_record(tid).c_share.mac.to_bytes() not in payload
+            init = store.initial_record(tid)
+            for share in (init.c_share, init.x_share, init.xa_share):
+                assert share.mac.to_bytes() not in payload
     cluster.close()
 
 
@@ -1727,11 +1729,11 @@ def test_restock_round_count(scheme, rounds):
 
 
 @pytest.mark.parametrize("scheme, per_party", [
-    # round 1: a 4-byte note length, the 20-byte tag and 9 bare 32-byte
-    # values (c and two Beaver diffs per tuple); then a 32-byte MAC commit
+    # round 1: a 4-byte note length, the 20-byte tag and 6 bare 32-byte
+    # values (c and the Beaver diff d per tuple); then a 32-byte MAC commit
     # and a 64-byte reveal
-    (SchemeId.ADDITIVE_MAC, 2328),
-    (SchemeId.SHAMIR_CHECKED, 1480),
+    (SchemeId.ADDITIVE_MAC, 1944),
+    (SchemeId.SHAMIR_CHECKED, 1096),
 ], ids=["mascot", "mal-shamir"])
 def test_restock_wire_bytes(scheme, per_party):
     cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=58)
@@ -1740,7 +1742,7 @@ def test_restock_wire_bytes(scheme, per_party):
     assert cluster.replenish("m", low_watermark=1, batch_size=3) == {"initial": 4, "final": 3}
     after = cluster.hub.counters.snapshot()
     sent = {key: n - before.get(key, 0) for key, n in after.items() if n != before.get(key, 0)}
-    round_one = FRAME_OVERHEAD + 4 + 20 + 9 * 32
+    round_one = FRAME_OVERHEAD + 4 + 20 + 6 * 32
     mac_check = 2 * FRAME_OVERHEAD + 32 + 64 if scheme.has_mac else 0
     assert per_party == 4 * (round_one + mac_check)
     assert sent == {p: per_party for p in cluster.participants}
@@ -2550,7 +2552,8 @@ def _store_holding(directory, ids):
 
 def _initial_tuples(ids):
     share = Share(SchemeId.SHAMIR, 1, FieldElement(5))
-    return [InitialTuple(tid, bytes(16), share, FieldElement(6), share) for tid in ids]
+    return [InitialTuple(tid, bytes(16), share, FieldElement(6), share, share, share)
+            for tid in ids]
 
 
 def test_failed_journal_append_is_cut_back_and_the_tuple_stays_live(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Protocol-phase and tuple-store tests."""
 
+import json
 import random
 from pathlib import Path
 from unittest import mock
@@ -129,9 +130,14 @@ def _rig_zero_triple(cluster, index=0):
                     owners=cluster.participants)
     c_shares = deal(scheme, zero, cluster.n_live, cluster.config.t, rng,
                     owners=cluster.participants)
+    # the mask pair: a fresh x, and x * a = 0
+    x_shares = deal(scheme, FieldElement.random(rng), cluster.n_live, cluster.config.t, rng,
+                    owners=cluster.participants)
+    xa_shares = deal(scheme, zero, cluster.n_live, cluster.config.t, rng,
+                     owners=cluster.participants)
     tid = bytes(15) + bytes([index])
     return [
-        Triple(tid, a_shares[i], b_shares[i], c_shares[i])
+        Triple(tid, a_shares[i], b_shares[i], c_shares[i], x_shares[i], xa_shares[i])
         for i in range(cluster.n_live)
     ]
 
@@ -389,11 +395,81 @@ def test_mac_check_failure_retires_epoch():
     cluster = make_cluster(SchemeId.ADDITIVE_MAC)
     cluster.keygen("m")
     cluster.preprocess_independent(1)
-    with pytest.raises(ProtocolAbort), inject_fault(3, opens_until_fault=1):
+    with pytest.raises(ProtocolAbort, match="MAC check failed"), \
+            inject_fault(3, opens_until_fault=1):
         cluster.preprocess_dependent("m", 1)
     assert cluster.epoch in cluster.nodes[1].retired_epochs
     with pytest.raises(TecdsaError, match="epoch retired"):
         cluster.preprocess_independent(1)
+    cluster.close()
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_phase_three_round_one_sends_c_and_d_per_tuple(scheme):
+    # behind a 4-byte note length and the 20-byte tag, each tuple's c and
+    # its Beaver diff d go out as bare 32-byte values: e = 1/k - 1/k is 0
+    # and is not sent
+    cluster = make_cluster(scheme)
+    cluster.keygen("m")
+    cluster.preprocess_independent(3)
+    sizes = []
+    send = cluster.hub.send
+
+    def recording(sender, receiver, msg):
+        if msg.phase == PHASE_PREPROCESS_DEPENDENT and msg.round == 1:
+            sizes.append(len(msg.payload))
+        send(sender, receiver, msg)
+
+    with mock.patch.object(cluster.hub, "send", recording):
+        assert cluster.preprocess_dependent("m", 3) == 3
+    peers = len(cluster.participants)
+    assert sizes == [4 + 20 + 64 * 3] * (peers * (peers - 1))
+    cluster.close()
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_phase_three_draws_no_dealer_record(scheme, monkeypatch):
+    # a restock of 3 tuples takes 3 dealer records, all in phase 2; phase 3
+    # forms each Beaver triple from its own initial tuple
+    from drpki import preprocessing
+
+    draws, real = [], preprocessing.dealer_generate
+
+    def counted(*args, **kwargs):
+        draws.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(preprocessing, "dealer_generate", counted)
+    cluster = make_cluster(scheme)
+    pk = cluster.keygen("m")
+    cluster.preprocess_independent(3)
+    assert draws == [1] * 3
+
+    def refused(self, scheme):
+        raise AssertionError("phase 3 drew a dealer record")
+
+    with mock.patch.object(preprocessing.DealerQueue, "next_triple", refused):
+        assert cluster.preprocess_dependent("m", 3) == 3
+    assert draws == [1] * 3
+    result = cluster.run_signing("m", b"one record per final tuple")
+    assert ecdsa_verify(pk, b"one record per final tuple", result.signature)
+    cluster.close()
+
+
+def test_corrupt_d_share_fails_the_checked_open():
+    # party 3's share of the first tuple's d = sk - x, the open after its c,
+    # is off by one: the checked Shamir open refuses it, and no final tuple
+    # is stored
+    cluster = make_cluster(SchemeId.SHAMIR_CHECKED)
+    cluster.keygen("m")
+    cluster.preprocess_independent(2)
+    with pytest.raises(ProtocolAbort, match="corrupted share detected"), \
+            inject_fault(3, opens_until_fault=1) as plan:
+        cluster.preprocess_dependent("m", 2)
+    assert plan.triggered
+    for node in cluster.nodes.values():
+        assert node.tuple_store.final_stock("m", cluster.epoch) == 0
+        assert '"final"' not in Path(node.dir, "tuples.jsonl").read_text()
     cluster.close()
 
 
@@ -443,8 +519,9 @@ def _sample_point():
 
 
 def _initials(ids, epoch=bytes(16), owner=1):
-    return [InitialTuple(bytes([i]) * 16, epoch, _sample_share(owner=owner), FieldElement(5),
-                         _sample_share(owner=owner)) for i in ids]
+    share = _sample_share(owner=owner)
+    return [InitialTuple(bytes([i]) * 16, epoch, share, FieldElement(5), share, share, share)
+            for i in ids]
 
 
 def test_tuple_store_roundtrip_and_journal(tmp_path):
@@ -579,6 +656,24 @@ def test_tuple_store_refuses_another_partys_file(tmp_path):
     with pytest.raises(TecdsaError, match="tuples.jsonl is not a tuple store of party 1"):
         TupleStore(str(tmp_path / "party1"), party=1)
     assert target.read_bytes() == foreign
+
+
+def test_tuple_store_refuses_an_initial_line_without_the_mask_pair(tmp_path):
+    # an earlier version's initial line holds no [x] and [x/k]: phase 3
+    # could not bind it, so the open names the line and leaves the file
+    store = TupleStore(str(tmp_path), party=1)
+    store.add_initial(_initials([1, 2]))
+    store.close()
+    path = tmp_path / "tuples.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    old = json.loads(lines[2])
+    del old["x"], old["xa"]
+    lines[2] = json.dumps(old, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    data = path.read_bytes()
+    with pytest.raises(RecordError, match=rf"{path} line 3 does not decode: KeyError"):
+        TupleStore(str(tmp_path), party=1)
+    assert path.read_bytes() == data
 
 
 @pytest.mark.parametrize("opener, bad_line, refusal", [

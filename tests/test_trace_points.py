@@ -51,7 +51,7 @@ def test_each_wrapped_store_method_counts_one_call(tmp_path, monkeypatch):
     point = scalar_mul(FieldElement(7), GENERATOR)
 
     def initial(i):
-        return InitialTuple(bytes([i]) * 16, epoch, share, FieldElement(6), share)
+        return InitialTuple(bytes([i]) * 16, epoch, share, FieldElement(6), share, share, share)
 
     def final(i):
         return FinalTuple(bytes([i]) * 16, epoch, "m", point, share, share)
