@@ -11,7 +11,8 @@ per-call mean of CALLS calls, in milliseconds, after one warm-up call; a
 round of the broadcast row runs CALLS session rounds back to back on the
 five threads.  Standard library only; it imports drpki from the `src/`
 directory next to this script, so a copy of the script placed in another
-checkout times that checkout.
+checkout times that checkout.  Beside the rows it prints
+`frame_overhead_bytes`, the bytes a frame adds around its payload.
 
     python3 scripts/transport_microbench.py
 """
@@ -31,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from drpki.runtime.session import PartySession  # noqa: E402
 from drpki.runtime.transport import (  # noqa: E402
+    FRAME_OVERHEAD,
     LENGTH_PREFIX_BYTES,
     PHASE_CONTROL,
     InProcessHub,
@@ -71,7 +73,7 @@ def _time_row(fn) -> dict:
     return _row(per_call, CALLS)
 
 
-def _broadcast_rounds(keys: dict, session_id: bytes, rounds: int) -> float:
+def _broadcast_rounds(keys: dict, session_id: int, rounds: int) -> float:
     """Wall time in ms of `rounds` broadcast rounds of one fresh session."""
     hub = InProcessHub(keys)
     parties = list(range(1, N + 1))
@@ -96,9 +98,9 @@ def _broadcast_rounds(keys: dict, session_id: bytes, rounds: int) -> float:
 
 
 def run() -> dict:
-    keys = derive_pair_keys(SEED.to_bytes(4, "big"), N)
+    keys = derive_pair_keys(SEED.to_bytes(4, "big"), N, bytes(16))
     key = pair_key(keys, 1, 2)
-    msg = SessionMessage(bytes(16), PHASE_CONTROL, 1, 1, bytes(PAYLOAD))
+    msg = SessionMessage(0, PHASE_CONTROL, 1, 1, bytes(PAYLOAD))
     body = encode_frame(msg, key)[LENGTH_PREFIX_BYTES:]
     hub = InProcessHub(keys)
 
@@ -106,17 +108,18 @@ def run() -> dict:
         hub.send(1, 2, msg)
         hub.recv(2, msg.session_id, 1.0)
 
-    _broadcast_rounds(keys, b"w" * 16, 1)  # warm-up
-    broadcast = [_broadcast_rounds(keys, b"%016d" % i, CALLS) / CALLS for i in range(ROUNDS)]
+    _broadcast_rounds(keys, 0, 1)  # warm-up
+    broadcast = [_broadcast_rounds(keys, i + 1, CALLS) / CALLS for i in range(ROUNDS)]
     rows = {
         "encode_frame": _time_row(lambda: encode_frame(msg, key)),
-        "decode_frame": _time_row(lambda: decode_frame(body, key)),
+        "decode_frame": _time_row(lambda: decode_frame(body, key, 1)),
         "hub_send_recv": _time_row(hub_send_recv),
         "broadcast_round_5": _row(broadcast, CALLS),
     }
     return {
         "rows": rows,
         "payload_bytes": PAYLOAD,
+        "frame_overhead_bytes": FRAME_OVERHEAD,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "host": {

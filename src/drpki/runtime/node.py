@@ -9,7 +9,9 @@ preprocess-dependent, sign, request) over it; the phase functions of
 `tecdsa` run on the node itself.
 Both transports use it: the LocalCluster runs five nodes over the
 in-process hub, one thread per party per op, and `drpki serve` runs one
-node over TCP.  Session ids are sha256(epoch | phase | counter) on both.
+node over TCP.  A session id is a counter, unique within the epoch, which
+the pair keys bind: the cluster counts from boots << 32, and serve from 1,
+after its control session 0.
 An op whose MAC check fails at this node retires the node's own epoch; a
 peer's abort frame, whatever its text, never does.  Only phase 3 runs a
 MAC check, so only a restock can retire an epoch.  `run` refuses every op
@@ -101,13 +103,6 @@ OP_PHASES = {
     "sign": PHASE_ONLINE,
     "request": PHASE_ONLINE,
 }
-
-
-def session_id_for(epoch: bytes, phase: int, counter: int) -> bytes:
-    """The id every party derives for the counter-th session of an epoch."""
-    return hashlib.sha256(
-        epoch + bytes([phase]) + counter.to_bytes(8, "big")
-    ).digest()[:16]
 
 
 def _derive_seed(seed: int, label: str) -> int:
@@ -418,7 +413,7 @@ class PartyNode:
 
     # -- protocol phases -------------------------------------------------------
 
-    def open_session(self, session_id: bytes, phase: int, participants: Sequence[int],
+    def open_session(self, session_id: int, phase: int, participants: Sequence[int],
                      endpoint, timeout: float) -> PartySession:
         return PartySession(
             party_id=self.party_id,
@@ -431,6 +426,7 @@ class PartyNode:
             timeout=timeout,
             mac_key=self.mac_key,
             rng=self.rng,
+            epoch=self.epoch,
         )
 
     def run(self, op: dict, session: PartySession):
@@ -616,8 +612,12 @@ class LocalCluster:
 
         pair_secret, epoch, boots = self._load_or_create_cluster_state(seed)
         self.epoch = epoch
-        self.pair_keys = derive_pair_keys(pair_secret, config.n)
-        self.hub = InProcessHub(self.pair_keys, latency_ms)
+        self.pair_keys = derive_pair_keys(pair_secret, config.n, epoch)
+        # each boot counts sessions in its own 2^32 block, so a reopened
+        # data_dir never reissues an earlier boot's session ids
+        self._session_counter = boots << 32
+        self.hub = InProcessHub(self.pair_keys, latency_ms,
+                                first_session=self._session_counter + 1)
 
         seeded = seed is not None
         # the dealer stream is salted with the boot count so a restart can
@@ -652,9 +652,6 @@ class LocalCluster:
         for party in self.participants:
             self.nodes[party].triple_source = self.dealer.queues[party]
 
-        # each boot counts sessions in its own 2^32 block, so a reopened
-        # data_dir never reissues an earlier boot's session ids
-        self._session_counter = boots << 32
         self._session_lock = threading.Lock()
         self._member_locks: dict[str, threading.Lock] = {}
         self._member_locks_guard = threading.Lock()
@@ -685,11 +682,10 @@ class LocalCluster:
         with self._member_locks_guard:
             return self._member_locks.setdefault(member_id, threading.Lock())
 
-    def _next_session_id(self, phase: int) -> bytes:
+    def _next_session_id(self) -> int:
         with self._session_lock:
             self._session_counter += 1
-            counter = self._session_counter
-        return session_id_for(self.epoch, phase, counter)
+            return self._session_counter
 
     def _require_liveness(self) -> None:
         if self.n_live < self.config.quorum:
@@ -701,7 +697,7 @@ class LocalCluster:
         """Execute fn(node, session) on every live party, one thread per party,
         then drop the session's mailboxes: no frame of it is sent after that."""
         self._require_liveness()
-        session_id = self._next_session_id(phase)
+        session_id = self._next_session_id()
         timeout = timeout if timeout is not None else self.timeout
         results: dict[int, object] = {}
         errors: dict[int, BaseException] = {}
@@ -719,11 +715,14 @@ class LocalCluster:
             threading.Thread(target=runner, args=(p,), daemon=True)
             for p in self.participants
         ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        self.hub.drop(session_id)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        finally:
+            # every issued id is dropped, or the inboxes' watermark stalls
+            self.hub.drop(session_id)
 
         if errors:
             raise self._root_error(errors)

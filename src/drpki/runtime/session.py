@@ -9,8 +9,8 @@ The session layer also implements the shared-value open primitives used by
 every protocol phase, including the deferred MAC accounting for the
 authenticated scheme.  An open sends each share as its bare value at a fixed
 width, 32 bytes for a field value and 65 for a point (the identity as 65
-zero bytes): the authenticated frame names the sender and the session fixes
-the scheme, so neither goes on the wire.
+zero bytes): the link an authenticated frame arrives on names the sender and
+the session fixes the scheme, so neither goes on the wire.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class PartySession:
         self,
         party_id: int,
         participants: Sequence[int],
-        session_id: bytes,
+        session_id: int,
         phase: int,
         endpoint,
         scheme: SchemeId,
@@ -61,6 +61,7 @@ class PartySession:
         timeout: float = 10.0,
         mac_key: Optional[MacKeyShare] = None,
         rng=None,
+        epoch: bytes = b"",
     ) -> None:
         self.party_id = party_id
         self.participants = sorted(participants)
@@ -76,7 +77,8 @@ class PartySession:
         self.dropped = 0
         # set when this party's own MAC check fails; a peer's abort never sets it
         self.mac_failed = False
-        self.mac_accumulator = MacCheckAccumulator(session_id)
+        # the session counter is unique only within its epoch
+        self.mac_accumulator = MacCheckAccumulator(epoch + session_id.to_bytes(8, "big"))
         self._buffered: dict[tuple[int, int], bytes] = {}
         self._high_water: dict[int, int] = {}
 

@@ -1,16 +1,21 @@
 """Point-to-point authenticated message transport.
 
-Every message between a pair of parties is authenticated with HMAC-SHA-256
-under a static pairwise key (the stand-in for TLS with authenticated
-endpoints).  A frame is a 4-byte length prefix, a fixed 22-byte header
-(session id, phase, round, sender), the payload and the tag; the payload
-runs from the header to the tag, so the prefix alone gives its length.  The
-tag covers the header and the payload.  Pair keys are symmetric, so the
-sender byte is what keeps a frame from being reflected back to its sender.
+Every message between a pair of parties is authenticated with HMAC-SHA-256,
+truncated to 16 bytes, under a per-epoch pairwise key (the stand-in for TLS
+with authenticated endpoints).  A frame is a 4-byte length prefix, a fixed
+11-byte header (8-byte session counter, phase, 2-byte round), the payload
+and the tag, 31 bytes in all around the payload; the payload runs from the
+header to the tag, so the prefix alone gives its length.  The sender is not
+sent: the receiver knows it from the link, and the tag covers its byte
+ahead of the header and the payload.  Pair keys are symmetric, so the
+sender under the tag is what keeps a frame from being reflected back to
+its sender; each pair key is a hash of the static pair key and the epoch,
+so a frame of one epoch fails in every other.
 
 Both providers receive through one `_Inbox` per party, which checks each
-frame against its link's key, drops and counts a frame whose tag fails or
-that names another sender, and queues the rest per session in arrival order.
+frame against its link's key and sender, drops and counts a frame whose tag
+fails or whose session was already dropped, and queues the rest per session
+in arrival order.
 
   InProcessHub      in-memory delivery between the parties of one cluster,
                     with optional per-pair one-way latency injection; its
@@ -31,14 +36,16 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-MAC_BYTES = 32
+TAG_BYTES = 16
 _LENGTH = struct.Struct(">I")
-# session id | phase | round | sender
-_HEADER = struct.Struct(">16sBIB")
+# session counter | phase | round
+_HEADER = struct.Struct(">QBH")
 LENGTH_PREFIX_BYTES = _LENGTH.size
-FRAME_OVERHEAD = LENGTH_PREFIX_BYTES + _HEADER.size + MAC_BYTES
+FRAME_OVERHEAD = LENGTH_PREFIX_BYTES + _HEADER.size + TAG_BYTES
+MAX_ROUND = 0xFFFF
 # a TCP length prefix above this is dropped and ends its link's reader; the
-# largest frame any op sends, a phase-3 batch of N tuples, is about 102*N bytes
+# largest payloads any op sends grow with its batch of N: a phase-3 batch
+# sends 4 + 20 + 64*N bytes per peer, and a `precompute_r` R open 65*N
 MAX_FRAME_BYTES = 16 << 20
 
 PHASE_CONTROL = 0
@@ -55,7 +62,7 @@ class TransportError(Exception):
 
 @dataclass(frozen=True)
 class SessionMessage:
-    session_id: bytes
+    session_id: int
     phase: int
     round: int
     sender: int
@@ -66,34 +73,43 @@ def pair_key(keys: dict, a: int, b: int) -> bytes:
     return keys[(min(a, b), max(a, b))]
 
 
-def derive_pair_keys(secret: bytes, n: int) -> dict:
-    """Static per-pair keys from one shared setup secret (config plumbing)."""
+def derive_pair_keys(secret: bytes, n: int, epoch: bytes) -> dict:
+    """Per-pair keys of one epoch from one shared setup secret (config
+    plumbing): each is a hash of the static pair key and the epoch."""
     out = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            out[(i, j)] = hashlib.sha256(secret + bytes([i, j])).digest()
+            static = hashlib.sha256(secret + bytes([i, j])).digest()
+            out[(i, j)] = hashlib.sha256(static + epoch).digest()
     return out
 
 
+def _tag(key: bytes, sender: int, body: bytes) -> bytes:
+    """The first 16 bytes of HMAC-SHA-256 over the sender byte, then the
+    header and the payload."""
+    mac = hmac_mod.new(key, bytes([sender]), hashlib.sha256)
+    mac.update(body)
+    return mac.digest()[:TAG_BYTES]
+
+
 def encode_frame(msg: SessionMessage, key: bytes) -> bytes:
-    body = _HEADER.pack(msg.session_id, msg.phase, msg.round, msg.sender) + msg.payload
-    tag = hmac_mod.new(key, body, hashlib.sha256).digest()
-    return _LENGTH.pack(len(body) + MAC_BYTES) + body + tag
+    body = _HEADER.pack(msg.session_id, msg.phase, msg.round) + msg.payload
+    return _LENGTH.pack(len(body) + TAG_BYTES) + body + _tag(key, msg.sender, body)
 
 
-def decode_frame(frame_body: bytes, key: bytes) -> Optional[SessionMessage]:
-    """Parse and authenticate one frame body (without the length prefix).
+def decode_frame(frame_body: bytes, key: bytes, sender: int) -> Optional[SessionMessage]:
+    """Parse and authenticate one frame body (without the length prefix)
+    that arrived on `sender`'s link.
 
     Returns None when the tag (or structure) is invalid; callers drop and
     count.
     """
-    if len(frame_body) < _HEADER.size + MAC_BYTES:
+    if len(frame_body) < _HEADER.size + TAG_BYTES:
         return None
-    body, tag = frame_body[:-MAC_BYTES], frame_body[-MAC_BYTES:]
-    expect = hmac_mod.new(key, body, hashlib.sha256).digest()
-    if not hmac_mod.compare_digest(tag, expect):
+    body, tag = frame_body[:-TAG_BYTES], frame_body[-TAG_BYTES:]
+    if not hmac_mod.compare_digest(tag, _tag(key, sender, body)):
         return None
-    session_id, phase, round_, sender = _HEADER.unpack_from(body)
+    session_id, phase, round_ = _HEADER.unpack_from(body)
     return SessionMessage(session_id, phase, round_, sender, body[_HEADER.size:])
 
 
@@ -115,40 +131,56 @@ class ByteCounters:
 
 class _Inbox:
     """One party's receive side, shared by both transports: per-session
-    queues of (deliver_at, message), and the count of frames dropped."""
+    queues of (deliver_at, message), and the count of frames dropped.
 
-    def __init__(self, party: int, pair_keys: dict) -> None:
+    Session ids are counters, issued from `first_session` up.  Every id
+    below `_low` that holds no queue is dropped, and `_dropped` holds the
+    dropped ids above it; `_low` moves up past each id that is dropped or
+    open, so the two stay as small as the sessions open at once.  A frame
+    for a dropped session is dropped and counted, and builds no queue.
+    """
+
+    def __init__(self, party: int, pair_keys: dict, first_session: int = 0) -> None:
         self.party = party
         self._pair_keys = pair_keys
         self._lock = threading.Lock()
-        self._sessions: dict[bytes, queue.Queue] = {}
+        self._sessions: dict[int, queue.Queue] = {}
+        self._low = first_session
+        self._dropped: set[int] = set()
         self.dropped = 0
 
-    def _queue(self, session_id: bytes) -> queue.Queue:
+    def _queue(self, session_id: int) -> Optional[queue.Queue]:
+        """The session's queue, built if need be; None once it is dropped."""
         with self._lock:
             box = self._sessions.get(session_id)
             if box is None:
+                if session_id < self._low or session_id in self._dropped:
+                    return None
                 box = self._sessions[session_id] = queue.Queue()
             return box
 
     def put(self, sender: int, frame_body: bytes, delay_s: float = 0.0) -> None:
         """Take in one frame body from the sender's link, readable `delay_s`
-        from now; a frame that fails authentication or names another sender
-        is dropped and counted."""
-        msg = decode_frame(frame_body, pair_key(self._pair_keys, sender, self.party))
-        if msg is None or msg.sender != sender:
+        from now; a frame that fails authentication, or whose session is
+        dropped, is dropped and counted."""
+        msg = decode_frame(frame_body, pair_key(self._pair_keys, sender, self.party), sender)
+        box = self._queue(msg.session_id) if msg is not None else None
+        if box is None:
             self.count_dropped()
             return
         deliver_at = time.monotonic() + delay_s if delay_s else 0.0
-        self._queue(msg.session_id).put((deliver_at, msg))
+        box.put((deliver_at, msg))
 
     def count_dropped(self) -> None:
         with self._lock:
             self.dropped += 1
 
-    def recv(self, session_id: bytes, timeout: float) -> Optional[SessionMessage]:
+    def recv(self, session_id: int, timeout: float) -> Optional[SessionMessage]:
+        box = self._queue(session_id)
+        if box is None:
+            return None
         try:
-            deliver_at, msg = self._queue(session_id).get(timeout=timeout)
+            deliver_at, msg = box.get(timeout=timeout)
         except queue.Empty:
             return None
         wait = deliver_at - time.monotonic()
@@ -156,10 +188,16 @@ class _Inbox:
             time.sleep(wait)
         return msg
 
-    def drop(self, session_id: bytes) -> None:
-        """Forget the queue of a session that has ended."""
+    def drop(self, session_id: int) -> None:
+        """Forget the queue of a session that has ended, and refuse every
+        later frame for it."""
         with self._lock:
             self._sessions.pop(session_id, None)
+            if session_id >= self._low:
+                self._dropped.add(session_id)
+            while self._low in self._dropped or self._low in self._sessions:
+                self._dropped.discard(self._low)
+                self._low += 1
 
 
 class InProcessHub:
@@ -167,14 +205,16 @@ class InProcessHub:
 
     `latency_ms[(i, j)]` injects a one-way delay on the i->j direction;
     absent pairs deliver immediately.  Delivery per pair is ordered and
-    reliable.
+    reliable.  `first_session` is the lowest session id the cluster will
+    issue; a frame for any lower id is dropped.
     """
 
-    def __init__(self, pair_keys: dict, latency_ms: Optional[dict] = None) -> None:
+    def __init__(self, pair_keys: dict, latency_ms: Optional[dict] = None,
+                 first_session: int = 0) -> None:
         self._pair_keys = pair_keys
         self.latency_ms = latency_ms or {}
         parties = {party for pair in pair_keys for party in pair}
-        self._inboxes = {party: _Inbox(party, pair_keys) for party in parties}
+        self._inboxes = {party: _Inbox(party, pair_keys, first_session) for party in parties}
         self.counters = ByteCounters()
 
     @property
@@ -191,11 +231,11 @@ class InProcessHub:
         delay_s = self.latency_ms.get((sender, receiver), 0.0) / 1000.0
         self._inboxes[receiver].put(sender, frame[LENGTH_PREFIX_BYTES:], delay_s)
 
-    def recv(self, receiver: int, session_id: bytes,
+    def recv(self, receiver: int, session_id: int,
              timeout: float) -> Optional[SessionMessage]:
         return self._inboxes[receiver].recv(session_id, timeout)
 
-    def drop(self, session_id: bytes) -> None:
+    def drop(self, session_id: int) -> None:
         """Forget every party's queue of a session that has ended."""
         for inbox in self._inboxes.values():
             inbox.drop(session_id)
@@ -214,7 +254,7 @@ class HubEndpoint:
     def send(self, receiver: int, msg: SessionMessage) -> None:
         self.hub.send(self.party, receiver, msg)
 
-    def recv(self, session_id: bytes, timeout: float) -> Optional[SessionMessage]:
+    def recv(self, session_id: int, timeout: float) -> Optional[SessionMessage]:
         return self.hub.recv(self.party, session_id, timeout)
 
 
@@ -314,10 +354,10 @@ class TcpNodeTransport:
         with self._send_locks[receiver]:
             conn.sendall(frame)
 
-    def recv(self, session_id: bytes, timeout: float) -> Optional[SessionMessage]:
+    def recv(self, session_id: int, timeout: float) -> Optional[SessionMessage]:
         return self._inbox.recv(session_id, timeout)
 
-    def drop(self, session_id: bytes) -> None:
+    def drop(self, session_id: int) -> None:
         """Forget the queue of a session that has ended."""
         self._inbox.drop(session_id)
 

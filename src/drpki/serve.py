@@ -29,6 +29,10 @@ control frame; the others follow.  Script lines:
     preprocess-dependent MEMBER N
     sign MEMBER HEX-MESSAGE [HEX-MESSAGE ...]   (one session signs them all)
     shutdown
+
+Each op is one round of the control session 0, whose 2-byte round field
+caps a script at 65 535 ops; serve refuses a longer one before it opens
+the node.  The op itself runs in session 1, 2, ... in script order.
 """
 
 from __future__ import annotations
@@ -51,15 +55,18 @@ from .preprocessing import (
 )
 from .sharing import generate_mac_keys
 from .tecdsa import TecdsaError
-from .runtime.node import OP_PHASES, PartyNode, session_id_for
+from .runtime.node import OP_PHASES, PartyNode
 from .runtime.transport import (
+    MAX_ROUND,
     PHASE_CONTROL,
     SessionMessage,
     TcpNodeTransport,
     derive_pair_keys,
 )
 
-CONTROL_SID = bytes(16)
+# the control session numbers its rounds by op; the ops' own sessions count
+# from 1
+CONTROL_SESSION = 0
 
 
 def _addresses(cfg) -> dict[int, tuple[str, int]]:
@@ -166,6 +173,19 @@ def _parse_script_line(line: str) -> dict | None:
     raise SystemExit(f"error: bad script line: {line!r}")
 
 
+def _read_script(path: str) -> list[dict]:
+    """The script's ops; refused past the control session's last round."""
+    ops = [
+        parsed
+        for line in Path(path).read_text().splitlines()
+        if (parsed := _parse_script_line(line)) is not None
+    ]
+    if len(ops) > MAX_ROUND:
+        raise SystemExit(f"error: the script has {len(ops)} ops; serve runs "
+                         f"at most {MAX_ROUND}, one per control round")
+    return ops
+
+
 def serve_node(config_path: str, party: int, script: str | None) -> int:
     cfg = load_config(config_path)
     pair_secret = cfg["cluster"].get("pair_secret")
@@ -175,6 +195,7 @@ def serve_node(config_path: str, party: int, script: str | None) -> int:
     if not cfg["cluster"].get("data_dir"):
         raise SystemExit("error: the config has no data_dir; serve keeps the "
                          "node's state on disk and refuses to run without one")
+    ops = _read_script(script) if script else None
     node = _open_node(cfg, party)
     addresses = _addresses(cfg)
     participants = sorted(addresses)
@@ -186,24 +207,20 @@ def serve_node(config_path: str, party: int, script: str | None) -> int:
         nonlocal sessions
         sessions += 1
         phase = OP_PHASES[op["op"]]
-        session_id = session_id_for(node.epoch, phase, sessions)
-        session = node.open_session(session_id, phase, participants, transport, timeout)
+        session = node.open_session(sessions, phase, participants, transport, timeout)
         try:
             _report(node, op, node.run(op, session))
         finally:
-            transport.drop(session_id)
+            transport.drop(sessions)
 
     try:
-        keys = derive_pair_keys(bytes.fromhex(pair_secret), node.config.n)
+        keys = derive_pair_keys(bytes.fromhex(pair_secret), node.config.n, node.epoch)
         transport = TcpNodeTransport(party, addresses, keys, connect_timeout=30.0)
-        if script:
-            ops = [
-                parsed
-                for line in Path(script).read_text().splitlines()
-                if (parsed := _parse_script_line(line)) is not None
-            ]
+        if ops is not None:
+            # the initiator reads no control frames
+            transport.drop(CONTROL_SESSION)
             for round_no, op in enumerate(ops, start=1):
-                frame = SessionMessage(CONTROL_SID, PHASE_CONTROL, round_no,
+                frame = SessionMessage(CONTROL_SESSION, PHASE_CONTROL, round_no,
                                        party, json.dumps(op, sort_keys=True).encode())
                 for peer in participants:
                     if peer != party:
@@ -214,7 +231,7 @@ def serve_node(config_path: str, party: int, script: str | None) -> int:
             return 0
         # responder loop: follow the initiator's control frames
         while True:
-            msg = transport.recv(CONTROL_SID, timeout=timeout * 10)
+            msg = transport.recv(CONTROL_SESSION, timeout=timeout * 10)
             if msg is None:
                 print(f"[party {party}] idle timeout, exiting", file=sys.stderr)
                 return 1

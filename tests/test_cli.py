@@ -350,6 +350,9 @@ class _NoMesh:
     def send(self, receiver, msg):
         pass
 
+    def drop(self, session_id):
+        pass
+
     def close(self):
         pass
 
@@ -455,6 +458,21 @@ def test_serve_refuses_second_start_from_one_dealer_file(workspace, monkeypatch)
         serve()
     assert deal() == 0  # a fresh epoch lifts the refusal
     assert serve() == 0
+
+
+def test_serve_refuses_a_script_of_more_ops_than_control_rounds(workspace, monkeypatch):
+    # the control session numbers its 2-byte rounds by op
+    monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoSocket)
+    config = str(workspace / "drpki.ini")
+    dealer = workspace / "data" / "dealer"
+    assert run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer)) == 0
+    script = workspace / "script.txt"
+    script.write_text("keygen m\n" * 65534 + "shutdown\n")
+    assert len(serve_mod._read_script(str(script))) == 65535
+    script.write_text("keygen m\n" * 65535 + "shutdown\n")
+    with pytest.raises(SystemExit, match="65536 ops"):
+        run_cli("serve", "--config", config, "--party", "1", "--script", str(script))
+    assert not (dealer / "party1.started").exists()
 
 
 def test_deal_cut_short_keeps_every_started_file_refused(workspace, monkeypatch):

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from drpki.runtime import FRAME_OVERHEAD
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -42,4 +44,5 @@ def test_transport_microbench_prints_every_row(monkeypatch, capsys):
     for row in report["rows"].values():
         assert row["median_ms"] > 0
         assert row["calls_per_round"] == 2 and row["rounds"] == 2
+    assert report["frame_overhead_bytes"] == FRAME_OVERHEAD
     assert report["python"]
