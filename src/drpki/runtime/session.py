@@ -247,9 +247,6 @@ class PartySession:
         return self._open_round(points, POINT_BYTES, _encode_point, _decode_point,
                                 open_point_shares, note, read_notes)
 
-    def open_point(self, point: GroupPoint) -> GroupPoint:
-        return self.open_point_batch([point])[0]
-
     # --- deferred MAC check ----------------------------------------------
 
     def run_mac_check(self, work: Optional[Callable[[], None]] = None) -> None:

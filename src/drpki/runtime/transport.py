@@ -1,8 +1,11 @@
 """Point-to-point authenticated message transport.
 
 Every message between a pair of parties is authenticated with HMAC-SHA-256,
-truncated to 16 bytes, under a per-epoch pairwise key (the stand-in for TLS
-with authenticated endpoints).  A frame is a 4-byte length prefix, a fixed
+truncated to 16 bytes, under a per-epoch pairwise key.  Frames are
+authenticated but sent in clear: unlike TLS, nothing is encrypted.  So
+under `shamir` and `mal-shamir` the shares keygen deals cross TCP links
+readable, and an observer of the links learns every member key (ROADMAP
+item 21).  A frame is a 4-byte length prefix, a fixed
 11-byte header (8-byte session counter, phase, 2-byte round), the payload
 and the tag, 31 bytes in all around the payload; the payload runs from the
 header to the tag, so the prefix alone gives its length.  The sender is not

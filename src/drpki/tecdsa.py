@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import (
     GENERATOR,
+    AlgebraError,
     FieldElement,
     GroupPoint,
     Signature,
@@ -387,10 +388,38 @@ def keygen(node: PartyNode, session, member_id: str,
     """Generate [sk] for a member and jointly open pk = sk * G.
 
     Every party contributes locally sampled randomness; the full secret key
-    never exists in one place.  Under the authenticated scheme each local
-    contribution is bound to MAC shares via a dealer input mask.  `timings`,
-    when given, receives the secret-share and public-open millisecond splits.
+    never exists in one place.  Every scheme ends in one point open of pk:
+      - `semi`: the local samples are already an additive sharing of sk,
+        so keygen is that one open;
+      - `shamir`, `mal-shamir`: a deal round sums every party's dealt
+        polynomial into [sk], then the open, checked under `mal-shamir`;
+      - `mascot`: one round.  Each party draws one dealer input mask [m_o]
+        per owner o, its own m_i in the clear, and sends eps_i = x_i - m_i
+        for its sample x_i as the open's note, ahead of its share of
+        (sum_o m_o) * G.  Then [sk] = sum_o [m_o] + sum(eps) and
+        pk = (opened point) + sum(eps) * G, the values a round of eps and
+        a later round opening sk * G would give.
+    A note that is not one field element aborts with "malformed key input
+    payload" before any point is decoded.  `timings`, when given, receives
+    the millisecond split: `secret_ms` up to the open (the deal round under
+    the Shamir schemes, local draws otherwise), `public_ms` the open.
     Returns this party's record; storing it is the node's.
+
+    The one `mascot` round reveals nothing new.  Party i's point share
+    differs from its share of sk * G only by the public sum(eps) * G, and
+    only for party 1.  A rushing party now sees the eps values and the
+    point shares at once, where a round of eps alone showed it the eps
+    values first; either way it knows the honest point shares before its
+    own must leave.  That is a real gap: point opens carry no MAC and the
+    additive open has no redundancy, so a rushing party can send
+    Y - (sum of honest point shares) - sum(eps) * G and every honest node
+    stores a key Y whose secret it chose, and it can then sign for the
+    member alone (a plainly corrupted share stores a key no one can sign
+    for).  The fix is a MAC check of the opened point against the MACs of
+    [sk] (ROADMAP item 11); its commit and reveal rounds would make a
+    `mascot` keygen 3 rounds.  As in every last round, a peer that sends a
+    bad payload to some parties only makes those abort while the others
+    store the key: security with abort, without agreement.
     """
     if len(member_id.encode()) > _MEMBER_ID_BYTES:  # refused before any round
         raise TecdsaError(f"member id longer than {_MEMBER_ID_BYTES} bytes: {member_id!r}")
@@ -398,6 +427,9 @@ def keygen(node: PartyNode, session, member_id: str,
     scheme = cfg.scheme
     participants = session.participants
     t_start = time.perf_counter()
+    # under mascot the open carries eps_i as its note, and `offset`, the sum
+    # of every eps, is added to the opened point and to [sk]
+    note, read_notes, offset = None, None, None
 
     if scheme.is_shamir:
         # each party deals a random polynomial; [sk] is the sum of the deals,
@@ -416,34 +448,32 @@ def keygen(node: PartyNode, session, member_id: str,
         except Exception:
             session.abort("malformed key share payload")
     elif scheme.has_mac:
-        # authenticated input: for each party's local sample x_i, consume a
-        # dealer mask (m_i revealed to party i), broadcast eps_i = x_i - m_i,
-        # and set [x_i] = [m_i] + eps_i; [sk] = sum_i [x_i]
-        masks = {
-            owner: node.triple_source.next_input_mask(scheme, owner)
-            for owner in participants
-        }
-        my_sample = FieldElement.random(node.rng)
-        my_eps = my_sample - masks[node.party_id].cleartext
-        replies = session.broadcast(my_eps.to_bytes())
-        eps = {node.party_id: my_eps}
-        try:
-            for peer, blob in replies.items():
-                eps[peer] = FieldElement.from_bytes(blob)
-        except Exception:
-            session.abort("malformed key input payload")
+        # authenticated input: one dealer mask per owner (m_i revealed to
+        # party i); [sk] is the masks' sum until the eps are added
+        masks = {owner: node.triple_source.next_input_mask(scheme, owner)
+                 for owner in participants}
+        note = (FieldElement.random(node.rng) - masks[node.party_id].cleartext).to_bytes()
         sk_share = None
-        for owner in participants:
-            masked = share_scale_add(
-                masks[owner].share, FieldElement.one(), eps[owner], node.mac_key
-            )
-            sk_share = masked if sk_share is None else share_add(sk_share, masked)
+        for mask in masks.values():
+            sk_share = mask.share if sk_share is None else share_add(sk_share, mask.share)
+
+        def read_notes(notes: dict[int, bytes]) -> None:
+            nonlocal offset
+            offset = FieldElement.zero()
+            try:
+                for blob in notes.values():
+                    offset = offset + FieldElement.from_bytes(blob)
+            except AlgebraError:
+                session.abort("malformed key input payload")
     else:
         # plain additive: local samples are already an additive sharing
         sk_share = Share(scheme, node.party_id, FieldElement.random(node.rng))
 
     t_secret = time.perf_counter()
-    pk = session.open_point(scalar_mul(sk_share.value, GENERATOR))
+    [pk] = session.open_point_batch([scalar_mul(sk_share.value, GENERATOR)], note, read_notes)
+    if offset is not None:
+        pk = pk + scalar_mul(offset, GENERATOR)
+        sk_share = share_scale_add(sk_share, FieldElement.one(), offset, node.mac_key)
     if pk.is_identity():
         raise ProtocolAbort("degenerate public key")
     t_public = time.perf_counter()

@@ -1,6 +1,6 @@
-"""Crash points, share faults, rewritten frames, bare rounds and probes of
-rounds and curve work for tests, patched in at function boundaries the code
-already has, for one `with` block only."""
+"""Crash points, share faults, rewritten frames, a rushing party, bare rounds
+and probes of rounds and curve work for tests, patched in at function
+boundaries the code already has, for one `with` block only."""
 
 import threading
 from contextlib import contextmanager
@@ -9,11 +9,11 @@ from types import SimpleNamespace
 from unittest import mock
 
 from drpki import algebra, tecdsa
-from drpki.algebra import GENERATOR, FieldElement, GroupPoint
+from drpki.algebra import GENERATOR, POINT_BYTES, FieldElement, GroupPoint, scalar_mul
 from drpki.runtime import node as node_module
 from drpki.runtime.node import LocalCluster, PartyNode, _RequestGate
 from drpki.runtime.session import PartySession
-from drpki.runtime.transport import PHASE_CONTROL
+from drpki.runtime.transport import PHASE_CONTROL, PHASE_KEYGEN, SessionMessage
 
 
 class CrashError(Exception):
@@ -103,6 +103,42 @@ def rewrite_note(payload, rewrite):
     end = 4 + int.from_bytes(payload[:4], "big")
     note = rewrite(payload[4:end])
     return len(note).to_bytes(4, "big") + note + payload[end:]
+
+
+@contextmanager
+def rushing_point_share(party, pk):
+    """Make `party` read every peer's frame of a `mascot` keygen, whose one
+    round opens the public key, before it sends its own; it then sends its
+    eps note as it was and, behind it, the point share that makes the key
+    every peer opens `pk`: pk - (the peers' point shares) - sum(eps) * G."""
+    run_round = PartySession.run_round
+
+    def rushing(session, payloads, *, work=None):
+        if session.party_id != party or session.phase != PHASE_KEYGEN:
+            return run_round(session, payloads, work=work)
+        session.round += 1
+        received = {}
+        while len(received) < len(session.peers):
+            msg = session.endpoint.recv(session.session_id, session.timeout)
+            if msg is None:
+                session.abort("party unavailable")
+            received[msg.sender] = msg.payload
+        mine = payloads[session.peers[0]]
+        eps = FieldElement.zero()
+        shown = GroupPoint.identity()
+        for blob in [mine, *received.values()]:
+            eps = eps + FieldElement.from_bytes(blob[4:-POINT_BYTES])
+        for blob in received.values():
+            shown = shown + GroupPoint.from_bytes(blob[-POINT_BYTES:])
+        share = pk + scalar_mul(-FieldElement.one(), shown + scalar_mul(eps, GENERATOR))
+        payload = mine[:-POINT_BYTES] + share.to_bytes()
+        for peer in session.peers:
+            session.endpoint.send(peer, SessionMessage(session.session_id, session.phase,
+                                                       session.round, party, payload))
+        return received
+
+    with mock.patch.object(PartySession, "run_round", rushing):
+        yield
 
 
 def echo_round(cluster, payload, mute=(), timeout=None, echo_back=False):

@@ -73,6 +73,7 @@ from faults import (
     inject_fault,
     rewrite_frames,
     rewrite_note,
+    rushing_point_share,
 )
 
 rng = random.Random(0xD21_05)
@@ -956,7 +957,7 @@ def test_point_open_with_an_identity_share_reconstructs():
     def party(pid):
         session = PartySession(pid, [1, 2, 3], 5, PHASE_KEYGEN, hub.endpoint(pid),
                                SchemeId.ADDITIVE, t=0, timeout=2.0)
-        opened[pid] = session.open_point(shares[pid])
+        [opened[pid]] = session.open_point_batch([shares[pid]])
 
     threads = [threading.Thread(target=party, args=(p,)) for p in shares]
     for t in threads:
@@ -1653,6 +1654,65 @@ def test_wrong_public_key_from_a_faulted_mascot_keygen_never_publishes():
         cluster.run_signing("memberA", b"direct")
     assert all(not node.objects for node in cluster.nodes.values())
     assert all(not node.retired_epochs for node in cluster.nodes.values())
+    cluster.close()
+
+
+def test_rushing_party_picks_the_public_key_of_a_mascot_keygen():
+    # a known defect: point opens carry no MAC, so a party that reads the
+    # honest point shares before it sends its own picks the key that every
+    # honest node stores, and can then sign for the member alone.  Only the
+    # in-process cluster's cross-node comparison notices, because the
+    # rushing party's own node kept its honest share; `drpki serve` has no
+    # such comparison.  ROADMAP item 11's MAC-checked point open flips this
+    # assertion: keygen must then abort, and no honest node store the key
+    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC), seed=3)
+    chosen = FieldElement.random(rng)
+    target = scalar_mul(chosen, GENERATOR)
+    with rushing_point_share(3, target), \
+            pytest.raises(ProtocolAbort, match="public key disagreement"):
+        cluster.keygen("memberA")
+    honest = [p for p in cluster.participants if p != 3]
+    assert {cluster.nodes[p].key_records["memberA"].pk for p in honest} == {target}
+    assert cluster.nodes[3].key_records["memberA"].pk != target
+    signature = ecdsa_sign(chosen, b"signed alone", rng=rng)
+    assert ecdsa_verify(target, b"signed alone", signature)
+    cluster.close()
+
+
+@pytest.mark.parametrize("scheme,rounds,payloads", [
+    (SchemeId.ADDITIVE, 1, [65]),
+    (SchemeId.ADDITIVE_MAC, 1, [4 + 32 + 65]),
+    (SchemeId.SHAMIR, 2, [32, 65]),
+    (SchemeId.SHAMIR_CHECKED, 2, [32, 65]),
+])
+def test_keygen_rounds_and_bytes_per_scheme(scheme, rounds, payloads):
+    # mascot's eps note rides on the public-key open, ahead of the point
+    # share; the Shamir schemes deal in a round before the open
+    cluster = make_cluster(scheme)
+    with count_rounds(PHASE_KEYGEN) as counts:
+        cluster.keygen("m")
+    assert counts == {p: rounds for p in cluster.participants}
+    peers = len(cluster.participants) - 1
+    assert cluster.hub.counters.snapshot() == {
+        p: peers * sum(FRAME_OVERHEAD + size for size in payloads)
+        for p in cluster.participants}
+    cluster.close()
+
+
+def test_mascot_keygen_with_a_malformed_eps_note_aborts():
+    # party 2's eps note loses a byte; every other party aborts before it
+    # decodes a point share and stores no key.  Party 2, whose own frames
+    # were rewritten, read only well-formed notes in the one round: it
+    # stands for the hostile party here
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    with rewrite_frames(cluster, 2, PHASE_KEYGEN, 1,
+                        lambda p: rewrite_note(p, lambda note: note[:-1])), \
+            pytest.raises(SessionAbort, match="malformed key input payload"):
+        cluster.keygen("m")
+    for p, node in cluster.nodes.items():
+        if p != 2:
+            assert "m" not in node.key_records
+            assert not (node.dir / "keys.jsonl").exists()
     cluster.close()
 
 

@@ -1,5 +1,6 @@
 """Protocol-phase and tuple-store tests."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -52,6 +53,37 @@ def test_keygen_shares_reconstruct_to_published_pk(scheme):
     pk = cluster.keygen("member-x")
     sk = cluster.test_reconstruct_sk("member-x")
     assert scalar_mul(sk, GENERATOR) == pk
+    cluster.close()
+
+
+# x-coordinates of members m1 and m2's keys, and the SHA-256 of the five
+# parties' keys.jsonl files in party order, of a cluster seeded with 31
+_M1_X = "0f21b12a5261f795a7b161b6bf2d387af84abd05546fd0cf3c04809d4e7796b6"
+_KEYGEN_KNOWN_ANSWERS = {
+    SchemeId.ADDITIVE: (
+        _M1_X, "17b2ebe631253db75b92f83f47a8e3b80b3b8ed33386ae3f3b9a29261d79161c",
+        "559a6ab845242313c405c4ab4f9efd6c493086389abbcc3652203510befddc9e"),
+    SchemeId.ADDITIVE_MAC: (
+        _M1_X, "17b2ebe631253db75b92f83f47a8e3b80b3b8ed33386ae3f3b9a29261d79161c",
+        "05e9f09f53bc140dfe886258d1dae318528a589aa4be336e7181a8397d9b4089"),
+    SchemeId.SHAMIR: (
+        _M1_X, "02e30fd6c21c947c0c835e8028427cb37a67ab96d62155f260e9a097081e7c09",
+        "d896ebb9b57473e684c3d35934fc07a26fef550736390a0d89d5ef06d646c50f"),
+    SchemeId.SHAMIR_CHECKED: (
+        _M1_X, "02e30fd6c21c947c0c835e8028427cb37a67ab96d62155f260e9a097081e7c09",
+        "c6623238bf1cf74d6638c35b1952cd49d6bd470422c98e4dda3b6eb4f6f4018e"),
+}
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_seeded_keygen_writes_known_keys(scheme):
+    # a change to keygen's rounds must leave the keys it makes, and every
+    # byte of the key records, as they were
+    cluster = make_cluster(scheme, seed=31)
+    xs = [f"{cluster.keygen(member).x:064x}" for member in ("m1", "m2")]
+    files = b"".join((cluster.data_dir / f"party{p}" / "keys.jsonl").read_bytes()
+                     for p in cluster.participants)
+    assert (*xs, hashlib.sha256(files).hexdigest()) == _KEYGEN_KNOWN_ANSWERS[scheme]
     cluster.close()
 
 
