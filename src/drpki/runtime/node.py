@@ -35,17 +35,24 @@ or under the flag policy opens an intervention ticket; differing targets
 abort with "consent targets differ".  Completing a ticket is the same op:
 each node votes ok only if its own copy is approved, not completed, and
 holds the same payloads.
+
+The node that drives a request or a refill decides from its own state
+alone, and reaches the other parties only through `dispatch(op)`, which
+runs one op at every live party and returns this node's result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import random
 import secrets
 import tempfile
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -71,7 +78,7 @@ from ..rpki import (
     split_fields,
     verify_consent,
 )
-from ..sharing import MacKeyShare, ProtocolAbort, Share, generate_mac_keys
+from ..sharing import MacKeyShare, ProtocolAbort, Share, generate_mac_keys, open_shares
 from ..tecdsa import (
     KeyShareRecord,
     ProtocolConfig,
@@ -115,11 +122,11 @@ def _derive_seed(seed: int, label: str) -> int:
 class ConsentPolicy:
     """Per-action abort-vs-flag policy plus replenishment parameters.
 
-    A request refills only when its member holds fewer final tuples than it
-    needs.  `low_watermark` is the final-tuple threshold of an explicit
-    `LocalCluster.replenish()` and the spare initial stock a refill leaves.
-    The batch defaults to the 1000-tuple amortization unit the benchmarks
-    use; scale it down for interactive demos.
+    A request refills only when its driving node holds fewer final tuples
+    for the member than it needs.  `low_watermark` is the final-tuple
+    threshold of an explicit `replenish()` and the spare initial stock a
+    refill leaves.  The batch defaults to the 1000-tuple amortization unit
+    the benchmarks use; scale it down for interactive demos.
     """
 
     flag_on_failed_consent: bool = False
@@ -515,6 +522,75 @@ class PartyNode:
         return SignOutcome("published", objects=objects,
                            ticket_id=ticket_id, sign_results=sign_results)
 
+    # -- driving a request ------------------------------------------------------
+
+    def request(self, dispatch: Callable[[dict], object], member_id: str, action: Action,
+                blobs: Sequence[bytes], ticket_id: Optional[str] = None) -> SignOutcome:
+        """Drive one `request` op, refilling first if this node's own final
+        stock for the member cannot cover it; a peer short of stock shows
+        only in its round-1 tag, which ends the op."""
+        if not blobs:
+            return SignOutcome("aborted", reason="empty request")
+        if member_id not in self.key_records:
+            return SignOutcome("aborted", reason="no signing key for member")
+        need = len(blobs)
+        # a node that refuses its epoch refuses the op itself, and cannot refill
+        if self.refusal() is None and self.tuple_store.final_stock(member_id, self.epoch) < need:
+            if not self.policy.auto_replenish:
+                raise StockDepletedError(f"final tuples for member {member_id!r} depleted")
+            # the refill must cover the whole batch, however small the policy's sizes
+            self.replenish(dispatch, member_id, max(self.policy.low_watermark, need),
+                           max(self.policy.batch_size, need))
+        return dispatch({"op": "request", "member": member_id, "action": action.name,
+                         "payloads": [b.hex() for b in blobs], "initiator": self.party_id,
+                         "ticket": ticket_id})
+
+    def replenish(self, dispatch: Callable[[dict], object], member_id: Optional[str] = None,
+                  low_watermark: Optional[int] = None,
+                  batch_size: Optional[int] = None) -> dict:
+        """Refill preprocessing stock below the low watermark, with backoff.
+
+        The watermark is held against this node's own counts, for `member_id`
+        or else every member it holds a key for.  Phase 2 sends no frame, so
+        only phase 3 is retried, up to 3 attempts, when it aborts or runs
+        short of initial tuples.  An aborted phase-3 batch has burned its
+        initial tuples, and so may a realign round, so initial stock is
+        topped up to a batch before every attempt.
+        """
+        watermark = low_watermark if low_watermark is not None else self.policy.low_watermark
+        batch = batch_size if batch_size is not None else self.policy.batch_size
+        made = {"initial": 0, "final": 0}
+        short = [m for m in ([member_id] if member_id else sorted(self.key_records))
+                 if self.tuple_store.final_stock(m, self.epoch) < watermark]
+
+        def top_up(need: int) -> None:
+            if self.tuple_store.initial_stock(self.epoch) < need:
+                made["initial"] += len(dispatch({"op": "preprocess-independent", "count": need}))
+
+        top_up(watermark + batch * len(short))
+        for m in short:
+            for attempt in range(3):
+                try:
+                    top_up(batch)
+                    made["final"] += len(dispatch(
+                        {"op": "preprocess-dependent", "member": m, "count": batch}))
+                    break
+                except (ProtocolAbort, StockDepletedError) as exc:
+                    failure = exc
+                    time.sleep(0.01 * 2 ** attempt)
+            else:
+                raise TecdsaError(f"replenishment failed after 3 attempts: {failure}")
+        return made
+
+    def pending_ticket(self, ticket_id: str) -> InterventionTicket:
+        """This node's copy of a ticket that is still to complete."""
+        ticket = self.tickets.get(ticket_id)
+        if ticket is None:
+            raise TecdsaError(f"unknown ticket {ticket_id}")
+        if ticket.completed:
+            raise TecdsaError(f"ticket {ticket_id} already completed")
+        return ticket
+
     def approve_ticket(self, ticket_id: str) -> None:
         """Record this party's manual approval of a flagged request."""
         ticket = self.tickets.get(ticket_id)
@@ -552,11 +628,7 @@ class PartyNode:
             _append_line(self.dir / "objects" / "manifest.txt", " ".join(
                 f"{name} {obj.digest.hex()}" for name, obj in batch.items()))
             self.objects.update(batch)
-        self.audit(
-            "published",
-            digests=[obj.digest.hex() for obj in objects],
-            ticket=ticket_id,
-        )
+        self.audit("published", digests=[obj.digest.hex() for obj in objects], ticket=ticket_id)
 
     def revoked_serials(self) -> set[int]:
         """The union of the serials the published CRL objects revoke."""
@@ -569,16 +641,28 @@ class PartyNode:
         record = self.key_records.get(trust_anchor_member)
         if record is None:
             raise TecdsaError(f"no trust anchor key at party {self.party_id}")
-        return TrustAnchorLocator(
-            f"rsync://rir{self.party_id}.example/repository/", record.pk
-        )
+        return TrustAnchorLocator(f"rsync://rir{self.party_id}.example/repository/", record.pk)
 
     def close(self) -> None:
         self.tuple_store.close()
 
 
+# the ops that draw from the dealer, or offer initial ids: see `_dealer_lock`
+_DEALER_OPS = ("keygen", "preprocess-independent", "preprocess-dependent")
+
+# what the parties' results of an op must agree on, and the abort if not
+_AGREEMENT = {
+    "keygen": (lambda r: r.pk.to_bytes(), "public key disagreement"),
+    "sign": (lambda rs: tuple(r.signature.to_bytes() for r in rs), "signature disagreement"),
+    "request": (lambda o: (o.status, o.ticket_id, tuple(obj.to_bytes() for obj in o.objects)),
+                "outcome disagreement"),
+}
+
+
 class LocalCluster:
-    """Five RIR nodes over the in-process transport, driven phase by phase.
+    """Five RIR nodes over the in-process transport, as a harness: it builds
+    the nodes, runs each op on a thread per node, checks that the nodes'
+    results agree, and picks the node that drives each request.
 
     Node K keeps its state under `data_dir/partyK`, and cluster.json holds the
     pair secret, epoch and boot count.  Without a data_dir the cluster uses a
@@ -655,10 +739,16 @@ class LocalCluster:
         self._session_lock = threading.Lock()
         self._member_locks: dict[str, threading.Lock] = {}
         self._member_locks_guard = threading.Lock()
-        # each party pops its own dealer queues, so two ops that draw from
-        # the dealer at once could pair different items at different parties
+        # Keygen (its `mascot` input masks) and phase 2 pop each party's own
+        # dealer queue, so two at once could pair different items at
+        # different parties.  Phase 3 draws none, but two unserialised
+        # batches (for two members) each offer the lowest live initial ids,
+        # which can overlap at different parties and burn in a realign; that
+        # is argued from the code, as six seeded LAN-latency trials of two
+        # concurrent unlocked `mal-shamir` batches burned nothing.
         self._dealer_lock = threading.Lock()
-        self._initiator_counter = 0
+        # the initiator rotates over the live parties, request by request
+        self._rotation = itertools.count()
 
     # -- setup helpers ----------------------------------------------------------
 
@@ -687,16 +777,13 @@ class LocalCluster:
             self._session_counter += 1
             return self._session_counter
 
-    def _require_liveness(self) -> None:
-        if self.n_live < self.config.quorum:
-            raise SessionAbort("party unavailable")
-
     # -- phase runner -------------------------------------------------------------
 
     def _run_phase(self, phase: int, fn, timeout: Optional[float] = None):
         """Execute fn(node, session) on every live party, one thread per party,
         then drop the session's mailboxes: no frame of it is sent after that."""
-        self._require_liveness()
+        if self.n_live < self.config.quorum:
+            raise SessionAbort("party unavailable")
         session_id = self._next_session_id()
         timeout = timeout if timeout is not None else self.timeout
         results: dict[int, object] = {}
@@ -711,10 +798,8 @@ class LocalCluster:
             except BaseException as exc:  # collected and re-raised below
                 errors[party] = exc
 
-        threads = [
-            threading.Thread(target=runner, args=(p,), daemon=True)
-            for p in self.participants
-        ]
+        threads = [threading.Thread(target=runner, args=(p,), daemon=True)
+                   for p in self.participants]
         try:
             for th in threads:
                 th.start()
@@ -734,21 +819,34 @@ class LocalCluster:
 
     @staticmethod
     def _root_error(errors: dict[int, BaseException]) -> BaseException:
-        ranked = sorted(
-            errors.values(),
-            key=lambda e: (isinstance(e, SessionAbort) and str(e).startswith("peer "),),
-        )
-        return ranked[0]
+        """A party's own error, before one that only reports a peer's abort."""
+        return min(errors.values(),
+                   key=lambda e: isinstance(e, SessionAbort) and str(e).startswith("peer "))
+
+    def _dispatch(self, driver: Optional[PartyNode] = None) -> Callable[[dict], object]:
+        """The `dispatch` of `driver`, by default the first live party: run
+        the op at every live party, check that their results agree, and
+        return the driver's."""
+        driver = driver or self.nodes[self.participants[0]]
+
+        def dispatch(op: dict):
+            with self._dealer_lock if op["op"] in _DEALER_OPS else contextlib.nullcontext():
+                results = self._run_op(op)
+            if op["op"] in _AGREEMENT:
+                fingerprint, disagreement = _AGREEMENT[op["op"]]
+                if len({fingerprint(r) for r in results.values()}) != 1:
+                    raise ProtocolAbort(disagreement)
+            return results[driver.party_id]
+
+        return dispatch
+
+    def _next_driver(self) -> PartyNode:
+        return self.nodes[self.participants[next(self._rotation) % self.n_live]]
 
     # -- protocol phases ------------------------------------------------------------
 
     def keygen(self, member_id: str) -> GroupPoint:
-        with self._dealer_lock:  # a mascot keygen draws input masks
-            results = self._run_op({"op": "keygen", "member": member_id})
-        pks = {r.pk.to_bytes() for r in results.values()}
-        if len(pks) != 1:
-            raise ProtocolAbort("public key disagreement")
-        return next(iter(results.values())).pk
+        return self._dispatch()({"op": "keygen", "member": member_id}).pk
 
     def keygen_timed(self, member_id: str) -> dict:
         """Key generation reporting the slowest party's phase-split timings."""
@@ -759,16 +857,11 @@ class LocalCluster:
         }
 
     def preprocess_independent(self, count: int) -> int:
-        with self._dealer_lock:
-            results = self._run_op({"op": "preprocess-independent", "count": count})
-        return len(next(iter(results.values())))
+        return len(self._dispatch()({"op": "preprocess-independent", "count": count}))
 
     def preprocess_dependent(self, member_id: str, count: int) -> int:
-        with self._dealer_lock:
-            results = self._run_op(
-                {"op": "preprocess-dependent", "member": member_id, "count": count}
-            )
-        return len(next(iter(results.values())))
+        return len(self._dispatch()(
+            {"op": "preprocess-dependent", "member": member_id, "count": count}))
 
     def run_signing(self, member_id: str, message: bytes | Sequence[bytes]):
         """The pure cryptographic online phase (consent checks live upstream).
@@ -779,71 +872,24 @@ class LocalCluster:
         """
         single = isinstance(message, bytes)
         messages = [message] if single else list(message)
-        results = self._run_op(
-            {"op": "sign", "member": member_id, "messages": [m.hex() for m in messages]}
-        )
-        sigs = {tuple(r.signature.to_bytes() for r in batch) for batch in results.values()}
-        if len(sigs) != 1:
-            raise ProtocolAbort("signature disagreement")
-        first = results[self.participants[0]]
-        return first[0] if single else first
+        results = self._dispatch()(
+            {"op": "sign", "member": member_id, "messages": [m.hex() for m in messages]})
+        return results[0] if single else results
 
-    # -- stock management --------------------------------------------------------
+    # -- stock views: the least any node holds, read by no decision -------------
 
     def initial_stock(self) -> int:
-        return min(
-            n.tuple_store.initial_stock(self.epoch) for n in self.nodes.values()
-        )
+        return min(n.tuple_store.initial_stock(self.epoch) for n in self.nodes.values())
 
     def final_stock(self, member_id: str) -> int:
-        return min(
-            n.tuple_store.final_stock(member_id, self.epoch)
-            for n in self.nodes.values()
-        )
+        return min(n.tuple_store.final_stock(member_id, self.epoch) for n in self.nodes.values())
 
     def replenish(self, member_id: Optional[str] = None,
                   low_watermark: Optional[int] = None,
                   batch_size: Optional[int] = None) -> dict:
-        """Refill preprocessing stock below the low watermark, with backoff.
-
-        Phase 2 sends no frame, so only phase 3 is retried, when it aborts
-        or runs short of initial tuples.  An aborted phase-3 batch has burned
-        its initial tuples, and so may a realign round, so initial stock is
-        topped up to a batch before every attempt.
-        """
-        watermark = low_watermark if low_watermark is not None else self.policy.low_watermark
-        batch = batch_size if batch_size is not None else self.policy.batch_size
-        made = {"initial": 0, "final": 0}
-        members = [member_id] if member_id else sorted(
-            next(iter(self.nodes.values())).key_records
-        )
-        need_final = sum(
-            batch for m in members if self.final_stock(m) < watermark
-        )
-
-        def top_up(need: int) -> None:
-            if self.initial_stock() < need:
-                made["initial"] += self.preprocess_independent(need)
-
-        def bind(m: str) -> int:
-            top_up(batch)
-            return self.preprocess_dependent(m, batch)
-
-        top_up(watermark + need_final)
-        for m in members:
-            if self.final_stock(m) < watermark:
-                made["final"] += self._retry_phase(lambda m=m: bind(m))
-        return made
-
-    def _retry_phase(self, fn, attempts: int = 3):
-        last: Optional[BaseException] = None
-        for i in range(attempts):
-            try:
-                return fn()
-            except (ProtocolAbort, StockDepletedError) as exc:
-                last = exc
-                time.sleep(0.01 * (2 ** i))
-        raise TecdsaError(f"replenishment failed after {attempts} attempts: {last}")
+        """`PartyNode.replenish`, driven by the first live party."""
+        driver = self.nodes[self.participants[0]]
+        return driver.replenish(self._dispatch(driver), member_id, low_watermark, batch_size)
 
     # -- consent-gated signing workflow --------------------------------------------
 
@@ -864,39 +910,17 @@ class LocalCluster:
             raise errors[0]
 
     def handle_sign_request(self, request: SignRequest) -> SignOutcome:
-        if not request.payloads:
-            return SignOutcome("aborted", reason="empty request")
-        if request.member_id not in self.nodes[self.participants[0]].key_records:
-            return SignOutcome("aborted", reason="no signing key for member")
         with self._member_lock(request.member_id):
             if request.consent is not None:
                 self.submit_consent(request.consent)
-            blobs = [encode_canonical(rec) for rec in request.payloads]
-            return self._request(request.member_id, request.action, blobs)
+            return self._request(request.member_id, request.action,
+                                 [encode_canonical(rec) for rec in request.payloads])
 
     def _request(self, member_id: str, action: Action, blobs: list[bytes],
                  ticket_id: Optional[str] = None) -> SignOutcome:
-        """Run the `request` op; every party's outcome must agree."""
-        need = len(blobs)
-        # a node that refuses its epoch refuses the op itself, and cannot refill
-        refused = any(n.refusal() for n in self.nodes.values())
-        if self.final_stock(member_id) < need and not refused:
-            if not self.policy.auto_replenish:
-                raise StockDepletedError(f"final tuples for member {member_id!r} depleted")
-            # the refill must cover the whole batch, however small the policy's sizes
-            self.replenish(member_id, max(self.policy.low_watermark, need),
-                           max(self.policy.batch_size, need))
-        initiator = self.participants[self._initiator_counter % self.n_live]
-        self._initiator_counter += 1
-        outcomes = self._run_op({
-            "op": "request", "member": member_id, "action": action.name,
-            "payloads": [b.hex() for b in blobs], "initiator": initiator,
-            "ticket": ticket_id,
-        })
-        if len({(o.status, o.ticket_id, tuple(obj.to_bytes() for obj in o.objects))
-                for o in outcomes.values()}) != 1:
-            raise ProtocolAbort("outcome disagreement")
-        return outcomes[initiator]
+        """`PartyNode.request`, driven by the next node in the rotation."""
+        driver = self._next_driver()
+        return driver.request(self._dispatch(driver), member_id, action, blobs, ticket_id)
 
     # -- intervention tickets ----------------------------------------------------
 
@@ -905,29 +929,23 @@ class LocalCluster:
         return self.ticket_approvals(ticket_id)
 
     def ticket_approvals(self, ticket_id: str) -> int:
-        return sum(
-            1
-            for node in self.nodes.values()
-            if ticket_id in node.tickets and node.tickets[ticket_id].approved
-        )
+        return sum(1 for node in self.nodes.values()
+                   if ticket_id in node.tickets and node.tickets[ticket_id].approved)
 
     def complete_ticket(self, ticket_id: str) -> SignOutcome:
-        """Finish a flagged request once a quorum of approvals is recorded."""
+        """Finish a flagged request once a quorum of approvals is recorded.
+
+        The approval count is the operator's check; the nodes' votes, each
+        on its own ticket copy, decide."""
         approvals = self.ticket_approvals(ticket_id)
         if approvals < self.config.quorum:
-            raise TecdsaError(
-                f"ticket {ticket_id} has {approvals} approvals, needs {self.config.quorum}"
-            )
-        sample = next(
-            node.tickets[ticket_id]
-            for node in self.nodes.values()
-            if ticket_id in node.tickets
-        )
-        if sample.completed:
-            raise TecdsaError(f"ticket {ticket_id} already completed")
-        with self._member_lock(sample.member_id):
-            return self._request(sample.member_id, sample.action,
-                                 sample.payload_blobs, ticket_id)
+            raise TecdsaError(f"ticket {ticket_id} has {approvals} approvals, "
+                              f"needs {self.config.quorum}")
+        driver = self._next_driver()
+        ticket = driver.pending_ticket(ticket_id)
+        with self._member_lock(ticket.member_id):
+            return driver.request(self._dispatch(driver), ticket.member_id, ticket.action,
+                                  ticket.payload_blobs, ticket_id)
 
     # -- test-mode reconstruction ---------------------------------------------------
 
@@ -939,17 +957,11 @@ class LocalCluster:
             node._save_state()
 
     def test_reconstruct_sk(self, member_id: str):
-        from ..sharing import open_shares
-
         self._require_test_mode()
-        shares = [
-            node.key_records[member_id].sk_share for node in self.nodes.values()
-        ]
+        shares = [node.key_records[member_id].sk_share for node in self.nodes.values()]
         return open_shares(shares, self.n_live, self.config.t)
 
     def test_reconstruct_k(self, tuple_id: bytes):
-        from ..sharing import open_shares
-
         self._require_test_mode()
         shares = []
         for node in self.nodes.values():
@@ -972,30 +984,16 @@ def verify_audit_completeness(cluster: LocalCluster) -> bool:
     """Replay audit logs: every published object digest must be covered, at a
     quorum of parties, by an ok consent verdict over that exact object or by
     a completed intervention ticket.  Each node's log is parsed once."""
-    quorum = cluster.config.quorum
     published: set[str] = set()
-    coverage: dict[str, int] = {}
+    coverage: Counter = Counter()
     for node in cluster.nodes.values():
-        for obj in node.objects.values():
-            published.add(obj.digest.hex())
+        published.update(obj.digest.hex() for obj in node.objects.values())
         events = [json.loads(line) for line in node.audit_lines()]
-        consented: set[str] = set()
-        completed: set[str] = set()
-        for e in events:
-            if e["event"] == "consent_verdict" and e["verdict"] == "ok":
-                consented.update(e.get("objects", ()))
-            elif e["event"] == "ticket_completed":
-                completed.add(e["ticket"])
-        covered_here: set[str] = set()
-        for e in events:
-            if e["event"] != "published":
-                continue
-            ticket = e.get("ticket")
-            if ticket:
-                if ticket in completed:
-                    covered_here.update(e["digests"])
-            else:
-                covered_here.update(d for d in e["digests"] if d in consented)
-        for digest in covered_here:
-            coverage[digest] = coverage.get(digest, 0) + 1
-    return all(coverage.get(digest, 0) >= quorum for digest in published)
+        consented = {d for e in events if e["event"] == "consent_verdict" and e["verdict"] == "ok"
+                     for d in e.get("objects", ())}
+        completed = {e["ticket"] for e in events if e["event"] == "ticket_completed"}
+        # a ticket's batch is covered if the ticket completed, any other
+        # object if an ok verdict named it
+        coverage.update({d for e in events if e["event"] == "published" for d in e["digests"]
+                         if (e["ticket"] in completed if e.get("ticket") else d in consented)})
+    return all(coverage[digest] >= cluster.config.quorum for digest in published)

@@ -1885,6 +1885,68 @@ def test_short_peer_offer_aborts_request():
     cluster.close()
 
 
+def test_a_short_peer_fails_requests_until_it_drives_and_refills():
+    # party 3 alone journaled its final ids (a crash after its checkout).
+    # A driver whose own stock covers the request does not refill: party 3
+    # raises from its own tag check, the others abort on its short offer,
+    # and nothing is journaled, added or published.  The first request
+    # party 3 drives refills every party and publishes
+    cluster = make_cluster(SchemeId.SHAMIR_CHECKED, timeout=30,
+                           policy=ConsentPolicy(low_watermark=2, batch_size=4))
+    _, member_keys, roa = _issue_fixture(cluster, stock=2)
+    store3 = cluster.nodes[3].tuple_store
+    store3.checkout_final_by_id(store3.available_final_ids("memberA", cluster.epoch),
+                                "memberA", cluster.epoch)
+    request = _issue_request(cluster, member_keys, roa)
+    for _driver in (1, 2):
+        stores = {p: (n.dir / "tuples.jsonl").read_bytes() for p, n in cluster.nodes.items()}
+        with pytest.raises(StockDepletedError, match="final tuples for member 'memberA'"):
+            cluster.handle_sign_request(request)
+        for p, node in cluster.nodes.items():
+            assert (node.dir / "tuples.jsonl").read_bytes() == stores[p]
+            assert not node.objects
+            if p != 3:
+                entry = json.loads(node.audit_lines()[-1])
+                assert (entry["event"], entry["reason"]) == ("sign_aborted",
+                                                             "short tuple id offer")
+    outcome = cluster.handle_sign_request(request)
+    assert outcome.status == "published", outcome.reason
+    assert all("roa-1.obj" in node.objects for node in cluster.nodes.values())
+    assert verify_audit_completeness(cluster)
+    cluster.close()
+
+
+def test_request_path_counts_only_the_driving_nodes_stock(monkeypatch):
+    # a deployed node cannot read another node's store: with every other
+    # store's stock counts raising, a request that fits the stock, one that
+    # refills, and an explicit refill all complete
+    cluster = make_cluster(policy=ConsentPolicy(low_watermark=2, batch_size=4))
+    _, member_keys, roa = _issue_fixture(cluster, stock=1)
+
+    def only_counts_at(patch, driver):
+        def elsewhere(*args, **kwargs):
+            raise AssertionError(f"a stock count read away from party {driver}")
+        for party, node in cluster.nodes.items():
+            if party != driver:
+                patch.setattr(node.tuple_store, "final_stock", elsewhere)
+                patch.setattr(node.tuple_store, "initial_stock", elsewhere)
+
+    # the rotation has party 1 drive the first request and party 2 the
+    # second, which finds the stock drained; party 1 drives a refill
+    for driver, serial in [(1, 1), (2, 2)]:
+        with monkeypatch.context() as patch:
+            only_counts_at(patch, driver)
+            outcome = cluster.handle_sign_request(
+                _issue_request(cluster, member_keys, replace(roa, serial=serial)))
+        assert outcome.status == "published", outcome.reason
+    with monkeypatch.context() as patch:
+        only_counts_at(patch, 1)
+        made = cluster.replenish("memberA", low_watermark=5)
+    assert made["final"] == 4
+    assert set(_final_stocks(cluster, "memberA").values()) == {7}
+    cluster.close()
+
+
 # --- phase 3: speculative tuple agreement ---------------------------------------------
 
 def _journal_records(node):
@@ -2870,19 +2932,81 @@ def test_failed_registry_write_keeps_previous_registry(tmp_path, monkeypatch):
 
 # --- determinism ------------------------------------------------------------------------
 
-def test_fixed_seed_runs_are_byte_identical():
-    def run():
-        cluster = LocalCluster(
-            ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC), seed=77,
-            clock=lambda: 1_600_000_000.0,
-        )
-        pk, member_keys, roa = _issue_fixture(cluster, member="det")
-        sig = cluster.run_signing("det", b"determinism").signature.to_bytes()
-        audits = {p: tuple(n.audit_lines()) for p, n in cluster.nodes.items()}
-        cluster.close()
-        return sig, audits
+_FIXED_CLOCK = 1_600_000_000.0
 
-    assert run() == run()
+# SHA-256 of the `_tree_listing` a `_fixed_seed_scenario` leaves, per scheme
+_GOLDEN_TREES = {
+    SchemeId.ADDITIVE: "81ae223afcd4f2bafec2df91bfe3714b85ce974e64f4714db308e202beb5f241",
+    SchemeId.ADDITIVE_MAC: "5435924c56c64cc9dfc4293a24c7ff9df051e14406023426b9293a9435bf8bdb",
+    SchemeId.SHAMIR: "811f813703f8141e3a5ecf0eba7c2fa7231aa69733533669bb4c3a944573fd44",
+    SchemeId.SHAMIR_CHECKED: "09552ee0509e69a1b25dd10a2390942bbd02f035d18514a4845d552caeb0a042",
+}
+
+
+def _fixed_seed_scenario(scheme, data_dir):
+    """Keygen, a consented issue, an issue that refills a drained stock, a
+    transfer, and a flagged revoke approved at a quorum of parties and completed,
+    on a seeded cluster under a fixed clock.  Returns the outcome statuses."""
+    keys_rng = random.Random(0x601D)
+    cluster = LocalCluster(
+        ProtocolConfig.for_scheme(scheme), data_dir=str(data_dir), seed=77,
+        clock=lambda: _FIXED_CLOCK,
+        policy=ConsentPolicy(flag_on_failed_consent=True, low_watermark=2, batch_size=4),
+    )
+    pk = cluster.keygen("det")
+    cluster.preprocess_independent(2)
+    cluster.preprocess_dependent("det", 2)
+    member_keys = KeyPair.generate(keys_rng)
+    cluster.register_member("det", member_keys.pk)
+
+    def consented(action, payloads, transfer_id=None):
+        token = sign_consent(member_keys.sk, "det", action, payloads,
+                             expiry=int(_FIXED_CLOCK) + 600, rng=keys_rng)
+        return cluster.handle_sign_request(
+            SignRequest("det", action, payloads, token, transfer_id)).status
+
+    roa = RoaRecord(serial=1, member_id="det", asn=64512,
+                    prefixes=(IpPrefix.parse("192.0.2.0/24", 24),),
+                    not_before=1500000000, not_after=1600000000, ee_pk=pk)
+    statuses = [consented(Action.ISSUE, [roa])]
+    while cluster.final_stock("det") > 0:
+        cluster.run_signing("det", b"drain")
+    statuses.append(consented(Action.ISSUE, [replace(roa, serial=2)]))
+    plan = plan_transfer(roa, "memberB", 64513, new_serial=3, new_ee_pk=pk, rng=keys_rng)
+    statuses.append(consented(Action.TRANSFER, [plan.crl_delta, plan.new_roa],
+                              plan.transfer_id))
+    flagged = cluster.handle_sign_request(
+        SignRequest("det", Action.REVOKE, [CrlRecord("det", 1500000001, (2,))]))
+    for party in cluster.participants[:cluster.config.quorum]:
+        cluster.approve_ticket(flagged.ticket_id, party)
+    statuses += [flagged.status, cluster.complete_ticket(flagged.ticket_id).status]
+    cluster.close()
+    return statuses
+
+
+def _tree_listing(root):
+    """One "path sha256" line per file under root, in path order."""
+    return "".join(f"{p.relative_to(root).as_posix()} "
+                   f"{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+                   for p in sorted(root.rglob("*")) if p.is_file())
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId),
+                         ids=["semi", "mascot", "shamir", "mal-shamir"])
+def test_fixed_seed_runs_are_byte_identical(tmp_path, scheme):
+    # every file of every party and cluster.json: the same on a second run,
+    # and the same as the recorded digest, so a refactor that claims to
+    # change no byte on disk can be held to it
+    runs = []
+    for name in ("first", "second"):
+        statuses = _fixed_seed_scenario(scheme, tmp_path / name)
+        assert statuses == ["published"] * 3 + ["flagged", "published"]
+        runs.append(_tree_listing(tmp_path / name))
+    assert runs[0] == runs[1]
+    assert {line.split()[0].split("/")[0] for line in runs[0].splitlines()} == {
+        "cluster.json", "party1", "party2", "party3", "party4", "party5"}
+    digest = hashlib.sha256(runs[0].encode()).hexdigest()
+    assert digest == _GOLDEN_TREES[scheme], runs[0]
 
 
 def test_keygen_timed_reports_phase_split():
