@@ -1,12 +1,13 @@
-"""Multiplication-triple sources and Beaver multiplication.
+"""Dealer records, their sources, and phase 3's masked product.
 
-Triples here come from a trusted dealer, an explicit trust assumption
+Records here come from a trusted dealer, an explicit trust assumption
 standing in for OT-based offline generation.  Each dealer record is five
 sharings: a triple (a, b, c = a*b) and a mask x with x*a, where x is fresh,
 uniform and belongs to this record alone.  One record makes one initial
 tuple, with [1/k] = [a], and so one final tuple: phase 3 multiplies [sk]
-by [a] through the Beaver triple (x, a, x*a), whose second operand is [a]
-itself, so it opens d = sk - x and no e.
+by [a] in two local steps around one open, d = sk - x and then
+[sk*a] = [x*a] + d*[a].  That is Beaver's step with the second operand [a]
+itself, so e = a - a is 0 and is neither computed nor opened.
 
 A node draws from one `DealerQueue`: `TrustedDealer` fills one per party in
 process, and a `FileReplay` is one read from a party's dealer file, as
@@ -16,11 +17,12 @@ and record counts, plus the party's MAC key share under a MAC scheme; then
 one line per record and one per input mask, each share in hex as the tuple
 store keeps it.
 
-Triples are strictly single-use: `beaver_diffs` marks a triple consumed
-before any protocol message references it.  A crash loses that flag; what
-prevents reuse across one is the `partyK.started` marker beside a dealer
-file, the seeded in-process dealer stream, salted with the boot count, and
-the tuple store's refusal of a duplicate tuple id.
+Dealer records are strictly single-use, with one guard at each level:
+  - a `DealerQueue` hands each record out once;
+  - the tuple store refuses a duplicate tuple id, within a batch or against
+    its pool, before it writes anything (`TupleReuseError`);
+  - across restarts, the `partyK.started` marker beside a dealer file and
+    the seeded in-process dealer stream, salted with the boot count.
 """
 
 from __future__ import annotations
@@ -51,33 +53,20 @@ class PreprocessingError(Exception):
 
 
 class TupleReuseError(PreprocessingError):
-    """A consumed triple or tuple was presented for use again."""
+    """A tuple id was presented for storage again."""
 
 
 @dataclass(slots=True)
 class Triple:
-    """One party's record of a multiplication triple (a, b, c with c = ab).
-
-    A dealer record also holds the mask pair [x] and [x*a]; a triple that
-    phase 3 forms from an initial tuple holds none.
-    """
+    """One party's dealer record: a multiplication triple (a, b, c = ab) and
+    the mask pair [x], [x*a]."""
 
     triple_id: bytes
     a: Share
     b: Share
     c: Share
-    x: Optional[Share] = None
-    xa: Optional[Share] = None
-    consumed: bool = False
-
-    @property
-    def scheme(self) -> SchemeId:
-        return self.a.scheme
-
-    def mark_consumed(self) -> None:
-        if self.consumed:
-            raise TupleReuseError("tuple reuse")
-        self.consumed = True
+    x: Share
+    xa: Share
 
 
 @dataclass
@@ -118,12 +107,8 @@ def dealer_generate(
     if count < 1:
         raise PreprocessingError("count must be >= 1")
     out = []
-    seen: set[bytes] = set()
     for _ in range(count):
         tid = _fresh_id(rng)
-        while tid in seen:
-            tid = _fresh_id(rng)
-        seen.add(tid)
         a = FieldElement.random(rng)
         b = FieldElement.random(rng)
         c = a * b
@@ -164,29 +149,25 @@ def dealer_generate_masks(
 
 
 class DealerQueue:
-    """One party's triples and input masks, in the order the dealer dealt them.
+    """One party's triples and input masks, in the order the dealer dealt them,
+    each handed out once.
 
-    A triple asked for under another scheme is refused, and so is a mask
-    for another input owner than the next one in line.  A dry queue calls
-    `fill(queue, input_owner)`, with None for a triple, which appends to
-    the queue or raises.
+    A mask for another input owner than the next one in line is refused.
+    A dry queue calls `fill(queue, input_owner)`, with None for a triple,
+    which appends to the queue or raises.
     """
 
-    def __init__(self, scheme: SchemeId,
-                 fill: Callable[["DealerQueue", Optional[int]], None]) -> None:
-        self.scheme = scheme
+    def __init__(self, fill: Callable[["DealerQueue", Optional[int]], None]) -> None:
         self.triples: deque[Triple] = deque()
         self.masks: deque[InputMask] = deque()
         self._fill = fill
 
-    def next_triple(self, scheme: SchemeId) -> Triple:
-        if scheme is not self.scheme:
-            raise PreprocessingError("dealer queue holds a different scheme")
+    def next_triple(self) -> Triple:
         if not self.triples:
             self._fill(self, None)
         return self.triples.popleft()
 
-    def next_input_mask(self, scheme: SchemeId, input_owner: int) -> InputMask:
+    def next_input_mask(self, input_owner: int) -> InputMask:
         if not self.masks:
             self._fill(self, input_owner)
         mask = self.masks.popleft()
@@ -216,7 +197,7 @@ class TrustedDealer:
         self._rng = rng
         self._mac_keys = mac_keys
         self._lock = threading.Lock()
-        self.queues = {owner: DealerQueue(scheme, self._fill) for owner in self.owners}
+        self.queues = {owner: DealerQueue(self._fill) for owner in self.owners}
 
     def _fill(self, queue: DealerQueue, input_owner: Optional[int]) -> None:
         """Append one fresh draw, one record per owner, to every owner's
@@ -278,11 +259,13 @@ class FileReplay(DealerQueue):
     a file dealt for another party, scheme, n or t, one with fewer records
     than its header counts, one under a MAC scheme without the MAC key
     share, a file of an earlier version, binary or without the mask pair,
-    and one whose last line is torn, each left as it is.  The queue's
-    filler refuses a draw past the end of the file."""
+    and one whose last line is torn, each left as it is.  So does a record
+    line holding a share of another party or scheme than its header names,
+    as a line that does not decode.  The queue's filler refuses a draw past
+    the end of the file."""
 
     def __init__(self, path: str, party: int, scheme: SchemeId, n: int, t: int) -> None:
-        super().__init__(scheme, _depleted)
+        super().__init__(_depleted)
         # the line reader cuts a file back to its last newline: a file the
         # deal did not write whole, an earlier version's binary file among
         # them, is refused before it is read as lines
@@ -311,7 +294,23 @@ class FileReplay(DealerQueue):
                 bytes.fromhex(head["mac_key"]))) if scheme.has_mac else None)
             return head["triples"], head["masks"]
 
-        records = _read_records(Path(path), self._record, header=check)
+        def record(rec: dict) -> Triple | InputMask:
+            """The triple or the input mask of a line after the header."""
+            def share(key: str) -> Share:
+                got = Share.from_bytes(bytes.fromhex(rec[key]))
+                if got.scheme is not scheme or got.owner != party:
+                    raise SharingError(f"{key} is not a share of party {party} "
+                                       f"under {scheme.name}")
+                return got
+
+            if "triple" in rec:
+                return Triple(bytes.fromhex(rec["triple"]), share("a"), share("b"),
+                              share("c"), share("x"), share("xa"))
+            clear = None if rec["clear"] is None else FieldElement.from_bytes(
+                bytes.fromhex(rec["clear"]))
+            return InputMask(bytes.fromhex(rec["mask"]), rec["owner"], share("share"), clear)
+
+        records = _read_records(Path(path), record, header=check)
         if not records:
             raise PreprocessingError(f"{path} has no header line")
         counts = records.pop(0)
@@ -320,47 +319,14 @@ class FileReplay(DealerQueue):
         if (len(self.triples), len(self.masks)) != counts:
             raise PreprocessingError(f"{path} does not hold the records its header counts")
 
-    def _record(self, rec: dict) -> Triple | InputMask:
-        """The triple or the input mask of a line after the header."""
-        def share(key: str) -> Share:
-            return Share.from_bytes(bytes.fromhex(rec[key]))
 
-        if "triple" in rec:
-            return Triple(bytes.fromhex(rec["triple"]), share("a"), share("b"), share("c"),
-                          share("x"), share("xa"))
-        clear = None if rec["clear"] is None else FieldElement.from_bytes(
-            bytes.fromhex(rec["clear"]))
-        return InputMask(bytes.fromhex(rec["mask"]), rec["owner"], share("share"), clear)
+# --- phase 3's masked product --------------------------------------------------
+
+def beaver_diffs(sk: Share, x: Share) -> Share:
+    """This party's share of d = sk - x, the one value the product opens."""
+    return share_add(sk, share_scale_add(x, FieldElement(-1), FieldElement.zero()))
 
 
-# --- Beaver multiplication ------------------------------------------------------
-
-def beaver_diffs(x: Share, y: Share, triple: Triple) -> tuple[Share, Share]:
-    """Local step: shares of d = x - a and e = y - b.
-
-    Marks the triple consumed first, so no message can ever reference a
-    reusable triple.
-    """
-    if x.scheme is not triple.scheme or y.scheme is not triple.scheme:
-        raise SharingError("scheme mismatch")
-    triple.mark_consumed()
-    minus_one = FieldElement(-1)
-    zero = FieldElement.zero()
-    neg_a = share_scale_add(triple.a, minus_one, zero)
-    neg_b = share_scale_add(triple.b, minus_one, zero)
-    return share_add(x, neg_a), share_add(y, neg_b)
-
-
-def beaver_combine(
-    triple: Triple,
-    d: FieldElement,
-    e: FieldElement,
-    mac_key: Optional[MacKeyShare] = None,
-) -> Share:
-    """Local step after d and e are public: share of x*y = c + d*b + e*a + d*e."""
-    zero = FieldElement.zero()
-    term_b = share_scale_add(triple.b, d, zero, mac_key)
-    term_a = share_scale_add(triple.a, e, zero, mac_key)
-    acc = share_add(share_add(triple.c, term_b), term_a)
-    return share_scale_add(acc, FieldElement.one(), d * e, mac_key)
-
+def beaver_combine(a: Share, xa: Share, d: FieldElement) -> Share:
+    """This party's share of sk*a = [x*a] + d*[a], once d is public."""
+    return share_add(xa, share_scale_add(a, d, FieldElement.zero()))

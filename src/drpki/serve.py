@@ -14,12 +14,13 @@ them through `dealer_generate` and `dealer_generate_masks`, and a node reads
 its file whole into the `FileReplay` dealer queue it draws from.  Before it
 binds a socket, serve refuses to start without the config's pair_secret or
 data_dir, without its dealer file, or on one dealt for another party,
-scheme, n or t, lacking its MAC key share or torn.  A dealer file is
-single-use: the first start leaves a `partyK.started` marker next to it,
-and serve refuses to start again until a new deal replaces the file.  A
-deal writes each file whole, in one `_write_file` call, and removes the
-markers only once every file is in place, so a deal cut short leaves no
-started file startable.
+scheme, n or t, holding shares of another party or scheme than its header
+names, lacking its MAC key share or torn.  A dealer file is single-use:
+the first start leaves a `partyK.started` marker next to it, and serve
+refuses to start again until a new deal replaces the file.  A deal writes
+each file whole, in one `_write_file` call, and removes the markers only
+once every file is in place, so a deal cut short leaves no started file
+startable.
 
 One party runs with --script and initiates each operation by broadcasting a
 control frame; the others follow.  Script lines:
@@ -31,8 +32,9 @@ control frame; the others follow.  Script lines:
     shutdown
 
 Each op is one round of the control session 0, whose 2-byte round field
-caps a script at 65 535 ops; serve refuses a longer one before it opens
-the node.  The op itself runs in session 1, 2, ... in script order.
+caps a script at 65 535 ops; serve refuses a longer one, and one with a
+line it cannot parse, before it opens the node.  The op itself runs in
+session 1, 2, ... in script order.
 """
 
 from __future__ import annotations
@@ -156,20 +158,28 @@ def _report(node: PartyNode, op: dict, result) -> None:
 
 
 def _parse_script_line(line: str) -> dict | None:
+    """A script line's op, or None for a blank or comment line.  An unknown
+    op, a missing argument, a count that is not an integer and a message
+    that is not hex are refused."""
     parts = line.split()
     if not parts or parts[0].startswith("#"):
         return None
-    name = parts[0]
-    if name == "shutdown":
-        return {"op": "shutdown"}
-    if name == "keygen":
-        return {"op": "keygen", "member": parts[1]}
-    if name == "preprocess-independent":
-        return {"op": "preprocess-independent", "count": int(parts[1])}
-    if name == "preprocess-dependent":
-        return {"op": "preprocess-dependent", "member": parts[1], "count": int(parts[2])}
-    if name == "sign" and len(parts) > 2:
-        return {"op": "sign", "member": parts[1], "messages": parts[2:]}
+    name, args = parts[0], parts[1:]
+    try:
+        if name == "shutdown":
+            return {"op": "shutdown"}
+        if name == "keygen":
+            return {"op": "keygen", "member": args[0]}
+        if name == "preprocess-independent":
+            return {"op": "preprocess-independent", "count": int(args[0])}
+        if name == "preprocess-dependent":
+            return {"op": "preprocess-dependent", "member": args[0], "count": int(args[1])}
+        if name == "sign" and len(args) > 1:
+            for message in args[1:]:
+                bytes.fromhex(message)
+            return {"op": "sign", "member": args[0], "messages": args[1:]}
+    except (IndexError, ValueError):
+        pass
     raise SystemExit(f"error: bad script line: {line!r}")
 
 

@@ -7,8 +7,8 @@ session:
   2. preprocess_independent  initial tuples from local dealer records: [1/k],
                              b_i, [c] and the mask pair [x], [x/k]
   3. preprocess_dependent    final tuples binding a member: opens and checks c
-                             with the Beaver diff d = sk - x, then shares of
-                             k*G and sk/k
+                             with d = sk - x, then shares of k*G and
+                             sk/k = x/k + d/k
   4. sign_online             field-only assembly of a request's signatures
 
 Each phase runs on a PartyNode and reads its state; it writes only to the
@@ -49,7 +49,7 @@ from .algebra import (
     scalar_mul,
 )
 from .durable import _append_line, _read_records
-from .preprocessing import Triple, TupleReuseError, beaver_diffs, beaver_combine
+from .preprocessing import TupleReuseError, beaver_diffs, beaver_combine
 from .sharing import (
     ProtocolAbort,
     SchemeId,
@@ -117,7 +117,8 @@ class InitialTuple:
     bare share b_i, [c] with its MAC, so k = 1/a, and the record's mask
     pair [x] and [x*a] = [x/k] with their MACs.  Phase 3 opens c and checks
     it before it computes this party's share of k*G, (b_i / c) * G, and
-    multiplies [sk] by [1/k] through the Beaver triple (x, 1/k, x/k)."""
+    multiplies [sk] by [1/k] through the mask pair: it opens d = sk - x and
+    takes [sk/k] = [x/k] + d * [1/k]."""
 
     tuple_id: bytes
     epoch: bytes
@@ -450,7 +451,7 @@ def keygen(node: PartyNode, session, member_id: str,
     elif scheme.has_mac:
         # authenticated input: one dealer mask per owner (m_i revealed to
         # party i); [sk] is the masks' sum until the eps are added
-        masks = {owner: node.triple_source.next_input_mask(scheme, owner)
+        masks = {owner: node.triple_source.next_input_mask(owner)
                  for owner in participants}
         note = (FieldElement.random(node.rng) - masks[node.party_id].cleartext).to_bytes()
         sk_share = None
@@ -489,13 +490,12 @@ def preprocess_independent(node: PartyNode, session, count: int) -> list[Initial
     """Store `count` initial tuples from fresh dealer records; no frame is sent.
 
     Per record (a, b, c, x, x*a): [1/k] := [a], so k = 1/a, beside the bare
-    share b_i, [c] and the mask pair [x], [x*a].  Phase 3 opens c with its
-    Beaver diff, MAC-checks it and aborts on c = 0 before it computes any
-    share (b_i / c) * G of k*G.
+    share b_i, [c] and the mask pair [x], [x*a].  Phase 3 opens c beside
+    its d = sk - x, MAC-checks it and aborts on c = 0 before it computes
+    any share (b_i / c) * G of k*G.  A record the queue hands out twice is
+    refused by the store's duplicate-id check before any tuple is written.
     """
-    triples = [node.triple_source.next_triple(node.config.scheme) for _ in range(count)]
-    for tr in triples:
-        tr.mark_consumed()
+    triples = [node.triple_source.next_triple() for _ in range(count)]
     produced = [InitialTuple(tr.triple_id, node.epoch, tr.a, tr.b.value, tr.c, tr.x, tr.xa)
                 for tr in triples]
     node.tuple_store.add_initial(produced)
@@ -506,16 +506,17 @@ def preprocess_independent(node: PartyNode, session, count: int) -> list[Initial
 
 def preprocess_dependent(node: PartyNode, session, member_id: str,
                          count: int) -> list[FinalTuple]:
-    """Bind `count` initial tuples to a member: [sk/k] = beaver([sk], [1/k]).
+    """Bind `count` initial tuples to a member: [sk/k] = [sk] * [1/k].
 
-    The Beaver triple of a tuple is its own (x, 1/k, x/k): its second
-    operand is the multiplied [1/k] itself, so e = 1/k - 1/k is 0 and only
-    d = sk - x is opened, and [sk/k] = [x/k] + d * [1/k].  No dealer
-    record is drawn here.  This is safe because:
+    The product takes two local steps around one open, from the tuple's own
+    mask pair [x], [x/k]: `beaver_diffs` gives this party's share of
+    d = sk - x, and once d is open `beaver_combine` gives
+    [sk/k] = [x/k] + d * [1/k].  That is Beaver's step with the second
+    operand [1/k] itself, so its e = 1/k - 1/k is 0 and is never formed.
+    No dealer record is drawn here.  This is safe because:
       - d is uniform and says nothing of sk, because x is fresh, uniform
         and dies with its single-use tuple;
-      - e is identically 0 and is not sent, so nothing about 1/k leaves
-        the party;
+      - no share of 1/k is sent, so nothing about it leaves the party;
       - the dealer sees only what it dealt: no message reaches it;
       - a shifted d share fails the MAC check under the authenticated
         scheme and the checked open under the checked Shamir scheme, as a
@@ -525,14 +526,14 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
     record deals its own x, and the tuple's journaled consumption keeps
     it to one d.
 
-    Tuple agreement (`_agree`) rides on the Beaver round: every party
+    Tuple agreement (`_agree`) rides on the open of c and d: every party
     journals its lowest `count` live initial ids and sends each tuple's c
     and d shares behind their tag, so an honest batch agrees without a
     round of its own.  Differing tags end that open before any share is
-    decoded or MAC-accounted; after the realign the Beaver round runs once
-    more, with fresh ids.
+    decoded or MAC-accounted; after the realign the open runs once more,
+    with fresh ids.
 
-    Every initial tuple is journaled before its Beaver messages are sent.
+    Every initial tuple is journaled before its c and d shares are sent.
     The MAC check covers every opened c and d, and an opened c = 0, a ~2/p
     event and so the sign of a rigged or broken dealer, aborts the
     session.  Each share (b_i / c) * G of k*G and each [sk/k] is computed
@@ -550,17 +551,14 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
 
     def bind(ids: list[bytes], tag: bytes, check):
         """Journal `ids` and open, behind the tag, each tuple's c share and
-        Beaver diff d.  A short party journals and opens nothing."""
+        its d = sk - x.  A short party journals and opens nothing."""
         initials = store.checkout_initial_by_id(ids, node.epoch) if len(ids) == count else []
-        triples = [Triple(init.tuple_id, init.x_share, init.k_inv_share, init.xa_share)
-                   for init in initials]
         shares: list[Share] = []
-        for init, tr in zip(initials, triples):
-            d, _ = beaver_diffs(record.sk_share, init.k_inv_share, tr)
-            shares += (init.c_share, d)
-        return initials, triples, session.open_field_batch(shares, tag, check)
+        for init in initials:
+            shares += (init.c_share, beaver_diffs(record.sk_share, init.x_share))
+        return initials, session.open_field_batch(shares, tag, check)
 
-    initials, triples, opened = _agree(
+    initials, opened = _agree(
         session, count, "initial preprocessing tuples depleted",
         lambda limit: store.available_initial_ids(node.epoch, limit=limit),
         lambda tids: store.checkout_initial_by_id(tids, node.epoch), bind)
@@ -570,12 +568,11 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
     def build() -> None:
         if degenerate:
             return
-        zero = FieldElement.zero()
-        for init, tr, c, d in zip(initials, triples, opened[0::2], opened[1::2]):
+        for init, c, d in zip(initials, opened[0::2], opened[1::2]):
             finals.append(
                 FinalTuple(init.tuple_id, node.epoch, member_id,
-                           scalar_mul(init.b_share * c.inv(), GENERATOR),
-                           init.k_inv_share, beaver_combine(tr, d, zero, node.mac_key))
+                           scalar_mul(init.b_share * c.inv(), GENERATOR), init.k_inv_share,
+                           beaver_combine(init.k_inv_share, init.xa_share, d))
             )
 
     # the final tuples are built while the check's commit frames are in

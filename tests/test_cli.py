@@ -296,7 +296,7 @@ def test_deal_with_count_0_writes_a_masks_only_file_per_party(workspace):
         assert [m.cleartext is not None for m in replay.masks] == [
             owner == party for owner in range(1, 6)]
         with pytest.raises(PreprocessingError, match="triple stock depleted"):
-            replay.next_triple(replay.scheme)
+            replay.next_triple()
 
 
 def test_serve_refuses_config_without_pair_secret(workspace):
@@ -364,10 +364,16 @@ class _NoSocket:
         raise AssertionError("serve went on to bind a socket")
 
 
-@pytest.mark.parametrize("edit", ["other-party", "other-scheme"])
-def test_serve_refuses_a_dealer_file_of_another_node(workspace, monkeypatch, edit):
-    # party 2's file renamed for party 1, or a file dealt under another
-    # scheme, is refused before the node binds a socket or marks the file
+@pytest.mark.parametrize("edit, message", [
+    ("other-party", "is not a dealer file of party 1 under SHAMIR"),
+    ("other-scheme", "is not a dealer file of party 1 under SHAMIR"),
+    ("foreign-records", "party1.triples line 2 does not decode: "
+                        r"SharingError\('a is not a share of party 1 under SHAMIR'\)"),
+], ids=["other-party", "other-scheme", "foreign-records"])
+def test_serve_refuses_a_dealer_file_of_another_node(workspace, monkeypatch, edit, message):
+    # party 2's file renamed for party 1, a file dealt under another scheme,
+    # or party 1's header over party 2's records, is refused with one error
+    # line before the node binds a socket or marks the file
     monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoSocket)
     config = str(workspace / "drpki.ini")
     dealer = workspace / "data" / "dealer"
@@ -379,10 +385,15 @@ def test_serve_refuses_a_dealer_file_of_another_node(workspace, monkeypatch, edi
             cfg.write(out)
         assert run_cli("deal", "--config", str(other), "--count", "1",
                        "--out", str(dealer)) == 0
-    else:
+    elif edit == "other-party":
         assert run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer)) == 0
         (dealer / "party2.triples").replace(dealer / "party1.triples")
-    with pytest.raises(SystemExit, match="is not a dealer file of party 1 under SHAMIR"):
+    else:
+        assert run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer)) == 0
+        head = (dealer / "party1.triples").read_text().split("\n", 1)[0]
+        records = (dealer / "party2.triples").read_text().split("\n", 1)[1]
+        (dealer / "party1.triples").write_text(head + "\n" + records)
+    with pytest.raises(SystemExit, match=rf"\Aerror: [^\n]*{message}[^\n]*\Z"):
         run_cli("serve", "--config", config, "--party", "1")
     assert not (dealer / "party1.started").exists()
 
@@ -471,6 +482,22 @@ def test_serve_refuses_a_script_of_more_ops_than_control_rounds(workspace, monke
     assert len(serve_mod._read_script(str(script))) == 65535
     script.write_text("keygen m\n" * 65535 + "shutdown\n")
     with pytest.raises(SystemExit, match="65536 ops"):
+        run_cli("serve", "--config", config, "--party", "1", "--script", str(script))
+    assert not (dealer / "party1.started").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "keygen", "preprocess-independent ten", "preprocess-dependent m", "sign m zz",
+], ids=["keygen-no-member", "count-not-an-integer", "dependent-no-count", "message-not-hex"])
+def test_serve_refuses_a_malformed_script_line(workspace, monkeypatch, line):
+    # refused at parse, before the node opens, with one error line
+    monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoSocket)
+    config = str(workspace / "drpki.ini")
+    dealer = workspace / "data" / "dealer"
+    assert run_cli("deal", "--config", config, "--count", "1", "--out", str(dealer)) == 0
+    script = workspace / "script.txt"
+    script.write_text(f"keygen m\n{line}\nshutdown\n")
+    with pytest.raises(SystemExit, match=rf"\Aerror: bad script line: '{line}'\Z"):
         run_cli("serve", "--config", config, "--party", "1", "--script", str(script))
     assert not (dealer / "party1.started").exists()
 

@@ -1,4 +1,4 @@
-"""Triple dealer, replay files, and Beaver multiplication tests."""
+"""Triple dealer, replay files, and phase 3's masked product tests."""
 
 import hashlib
 import json
@@ -15,8 +15,6 @@ from drpki.preprocessing import (
     FileReplay,
     PreprocessingError,
     TrustedDealer,
-    Triple,
-    TupleReuseError,
     beaver_combine,
     beaver_diffs,
     dealer_generate,
@@ -42,23 +40,6 @@ ALL_SCHEMES = list(SchemeId)
 
 def _mac_keys_for(scheme):
     return generate_mac_keys(N, rng) if scheme.has_mac else None
-
-
-def _local_beaver(scheme, x_val, y_val, mac_keys):
-    """Run one Beaver multiplication with opens simulated locally."""
-    xs = deal(scheme, x_val, N, T, rng, mac_keys)
-    ys = deal(scheme, y_val, N, T, rng, mac_keys)
-    triples = dealer_generate(scheme, 1, N, T, rng, mac_keys)[0]
-    d_shares, e_shares = [], []
-    for x, y, tr in zip(xs, ys, triples):
-        d, e = beaver_diffs(x, y, tr)
-        d_shares.append(d)
-        e_shares.append(e)
-    d = open_shares(d_shares, N, T)
-    e = open_shares(e_shares, N, T)
-    mk = mac_keys or [None] * N
-    products = [beaver_combine(tr, d, e, k) for tr, k in zip(triples, mk)]
-    return open_shares(products, N, T)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -99,6 +80,19 @@ def test_seeded_dealer_golden_transcript():
         "e5af204b4c0a8c567527a938a6ce5c8a6bbb09c687c9742806ea6905583f7e3c")
 
 
+def _local_beaver(scheme, sk_val, a_val, mac_keys):
+    """Multiply [sk] by [a] through a fresh mask pair ([x], [x*a]), with the
+    open of d simulated locally."""
+    x = FieldElement.random(rng)
+    sks = deal(scheme, sk_val, N, T, rng, mac_keys)
+    xs = deal(scheme, x, N, T, rng, mac_keys)
+    a_shares = deal(scheme, a_val, N, T, rng, mac_keys)
+    xa_shares = deal(scheme, x * a_val, N, T, rng, mac_keys)
+    d = open_shares([beaver_diffs(s, m) for s, m in zip(sks, xs)], N, T)
+    products = [beaver_combine(a, xa, d) for a, xa in zip(a_shares, xa_shares)]
+    return open_shares(products, N, T)
+
+
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_beaver_three_times_four(scheme):
     mac_keys = _mac_keys_for(scheme)
@@ -108,72 +102,42 @@ def test_beaver_three_times_four(scheme):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_beaver_zero_annihilates(scheme):
     mac_keys = _mac_keys_for(scheme)
-    y = FieldElement.random(rng)
-    assert _local_beaver(scheme, FieldElement.zero(), y, mac_keys).is_zero()
+    a = FieldElement.random(rng)
+    assert _local_beaver(scheme, FieldElement.zero(), a, mac_keys).is_zero()
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_beaver_random_instances(scheme):
     mac_keys = _mac_keys_for(scheme)
     for _ in range(200):
-        x = FieldElement.random(rng)
-        y = FieldElement.random(rng)
-        assert _local_beaver(scheme, x, y, mac_keys) == x * y
+        sk = FieldElement.random(rng)
+        a = FieldElement.random(rng)
+        assert _local_beaver(scheme, sk, a, mac_keys) == sk * a
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_beaver_on_a_records_own_operand_opens_no_e(scheme):
-    # phase 3's step: the triple (x, a, x*a) multiplies [sk] by the record's
-    # own [a], so every e share is 0 and [x*a] + d*[a] opens to sk*a
+    # phase 3's two steps: d = sk - x opens, and [x*a] + d*[a] opens to sk*a
     mac_keys = _mac_keys_for(scheme)
     sk = FieldElement.random(rng)
     sks = deal(scheme, sk, N, T, rng, mac_keys)
     records = dealer_generate(scheme, 1, N, T, rng, mac_keys)[0]
-    triples = [Triple(r.triple_id, r.x, r.a, r.xa) for r in records]
-    diffs = [beaver_diffs(s, r.a, tr) for s, r, tr in zip(sks, records, triples)]
-    assert all(e.value.is_zero() and (e.mac is None or e.mac.is_zero()) for _, e in diffs)
-    d = open_shares([d for d, _ in diffs], N, T)
+    d = open_shares([beaver_diffs(s, r.x) for s, r in zip(sks, records)], N, T)
     assert d == sk - open_shares([r.x for r in records], N, T)
-    mk = mac_keys or [None] * N
-    products = [beaver_combine(tr, d, FieldElement.zero(), k) for tr, k in zip(triples, mk)]
+    products = [beaver_combine(r.a, r.xa, d) for r in records]
     assert open_shares(products, N, T) == sk * open_shares([r.a for r in records], N, T)
-
-
-def test_triple_reuse_rejected():
-    xs = deal(SchemeId.SHAMIR, FieldElement(2), N, T, rng)
-    ys = deal(SchemeId.SHAMIR, FieldElement(3), N, T, rng)
-    triples = dealer_generate(SchemeId.SHAMIR, 1, N, T, rng)[0]
-    beaver_diffs(xs[0], ys[0], triples[0])
-    with pytest.raises(TupleReuseError, match="tuple reuse"):
-        beaver_diffs(xs[0], ys[0], triples[0])
-
-
-def test_triple_consumed_before_any_message():
-    # The consumed flag is set by the local diff step itself, so an abort
-    # between diff and open cannot leave a reusable triple.
-    xs = deal(SchemeId.ADDITIVE, FieldElement(2), N, T, rng)
-    ys = deal(SchemeId.ADDITIVE, FieldElement(3), N, T, rng)
-    triple = dealer_generate(SchemeId.ADDITIVE, 1, N, T, rng)[0][0]
-    assert not triple.consumed
-    beaver_diffs(xs[0], ys[0], triple)
-    assert triple.consumed
 
 
 def test_corrupted_beaver_broadcast_caught_by_mac_check():
     mac_keys = generate_mac_keys(N, rng)
-    xs = deal(SchemeId.ADDITIVE_MAC, FieldElement(6), N, T, rng, mac_keys)
-    ys = deal(SchemeId.ADDITIVE_MAC, FieldElement(7), N, T, rng, mac_keys)
-    triples = dealer_generate(SchemeId.ADDITIVE_MAC, 1, N, T, rng, mac_keys)[0]
-    d_shares, e_shares = zip(*[
-        beaver_diffs(x, y, tr) for x, y, tr in zip(xs, ys, triples)
-    ])
+    sks = deal(SchemeId.ADDITIVE_MAC, FieldElement(6), N, T, rng, mac_keys)
+    records = dealer_generate(SchemeId.ADDITIVE_MAC, 1, N, T, rng, mac_keys)[0]
+    d_shares = [beaver_diffs(s, r.x) for s, r in zip(sks, records)]
     # party 2 perturbs its broadcast share of d
-    d = open_shares(list(d_shares), N, T) + FieldElement.one()
-    e = open_shares(list(e_shares), N, T)
+    d = open_shares(d_shares, N, T) + FieldElement.one()
     accs = [MacCheckAccumulator(b"beaver") for _ in range(N)]
-    for acc, dsh, esh in zip(accs, d_shares, e_shares):
+    for acc, dsh in zip(accs, d_shares):
         acc.record(d, dsh.mac)
-        acc.record(e, esh.mac)
     commitments, reveals = {}, {}
     for mk, acc in zip(mac_keys, accs):
         sigma = acc.sigma(mk)
@@ -188,7 +152,7 @@ def test_trusted_dealer_views_stay_aligned():
     dealer = TrustedDealer(SchemeId.SHAMIR, N, T, random.Random(9))
     views = [dealer.queues[i] for i in range(1, N + 1)]
     for _ in range(10):
-        records = [v.next_triple(SchemeId.SHAMIR) for v in views]
+        records = [v.next_triple() for v in views]
         assert len({r.triple_id for r in records}) == 1
         c = open_shares([r.c for r in records], N, T)
         a = open_shares([r.a for r in records], N, T)
@@ -212,7 +176,7 @@ def test_trusted_dealer_queues_stay_aligned_under_concurrent_draws(monkeypatch):
 
     def draw(party):
         queue = dealer.queues[party]
-        drawn[party] = [queue.next_triple(SchemeId.SHAMIR) for _ in range(200)]
+        drawn[party] = [queue.next_triple() for _ in range(200)]
 
     threads = [threading.Thread(target=draw, args=(p,)) for p in range(1, N + 1)]
     interval = sys.getswitchinterval()
@@ -236,7 +200,7 @@ def test_trusted_dealer_masks_disclose_to_owner_only():
     mac_keys = generate_mac_keys(N, rng)
     dealer = TrustedDealer(SchemeId.ADDITIVE_MAC, N, T, random.Random(10), mac_keys)
     views = [dealer.queues[i] for i in range(1, N + 1)]
-    masks = [v.next_input_mask(SchemeId.ADDITIVE_MAC, input_owner=3) for v in views]
+    masks = [v.next_input_mask(input_owner=3) for v in views]
     opened = open_shares([m.share for m in masks], N, T)
     for m in masks:
         if m.input_owner == m.share.owner:
@@ -268,22 +232,22 @@ def test_replay_file_roundtrip(tmp_path, scheme):
     assert all(r.epoch == epoch for r in replays)
     assert [r.mac_key for r in replays] == (mac_keys or [None] * N)
     for j in range(5):
-        records = [r.next_triple(scheme) for r in replays]
+        records = [r.next_triple() for r in replays]
         for rec, orig in zip(records, batches[j]):
             assert rec.triple_id == orig.triple_id
             assert rec.a == orig.a and rec.b == orig.b and rec.c == orig.c
             assert rec.x == orig.x and rec.xa == orig.xa
-    mask_records = [r.next_input_mask(scheme, 2) for r in replays]
+    mask_records = [r.next_input_mask(2) for r in replays]
     assert mask_records[1].cleartext == masks[1].cleartext
     assert mask_records[0].cleartext is None
     assert [m.share for m in mask_records] == [m.share for m in masks]
     with pytest.raises(PreprocessingError, match="depleted"):
-        replays[0].next_triple(scheme)
+        replays[0].next_triple()
 
 
-def _one_replay(tmp_path):
-    """Party 2's mascot dealer file: a header, two triples and a mask."""
-    scheme = SchemeId.ADDITIVE_MAC
+def _one_replay(tmp_path, scheme=SchemeId.ADDITIVE_MAC):
+    """Party 2's dealer file, mascot by default: a header, two triples and a
+    mask."""
     mac_keys = _mac_keys_for(scheme)
     epoch = bytes(16)
     batches = dealer_generate(scheme, 2, N, T, rng, mac_keys)
@@ -333,8 +297,27 @@ def test_replay_file_names_the_line_that_does_not_decode(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     lines[2] = lines[2].replace('"a": "01', '"a": "01ff', 1)  # a share too long
     path.write_text("".join(lines))
+    data = path.read_bytes()
     with pytest.raises(RecordError, match=rf"{path} line 3 does not decode"):
         FileReplay(str(path), 2, SchemeId.ADDITIVE_MAC, N, T)
+    assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("scheme, old, new", [
+    (SchemeId.ADDITIVE_MAC, '"a": "0102', '"a": "0101'),  # party 1's share
+    (SchemeId.SHAMIR, '"a": "0202', '"a": "0302'),  # a mal-shamir share
+], ids=["other-owner", "other-scheme"])
+def test_replay_file_refuses_a_share_of_another_party_or_scheme(tmp_path, scheme, old, new):
+    # a share of another party or scheme than the header names is refused
+    # like a line that does not decode, and the file is left as it is
+    path = _one_replay(tmp_path, scheme)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace(old, new, 1)
+    path.write_text("".join(lines))
+    data = path.read_bytes()
+    with pytest.raises(RecordError, match=rf"{path} line 3 does not decode"):
+        FileReplay(str(path), 2, scheme, N, T)
+    assert path.read_bytes() == data
 
 
 @pytest.mark.parametrize("data", [b"DRT1" + bytes(20) + b"\n" + bytes(40), b"NOPE" + bytes(20),

@@ -1597,11 +1597,11 @@ def test_concurrent_mascot_keygens_draw_dealer_masks_in_one_order(monkeypatch):
 
     party_of = {queue: p for p, queue in cluster.dealer.queues.items()}
 
-    def next_input_mask(queue, scheme, owner):
+    def next_input_mask(queue, owner):
         party = party_of[queue]
         if current.member != first[party] and owner == cluster.participants[0]:
             drawn[party, first[party]].wait(1.0)
-        mask = real_mask(queue, scheme, owner)
+        mask = real_mask(queue, owner)
         if owner == cluster.participants[-1]:
             drawn[party, current.member].set()
         return mask

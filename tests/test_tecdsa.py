@@ -21,6 +21,7 @@ from drpki.tecdsa import (
     StockDepletedError,
     TecdsaError,
     TupleStore,
+    preprocess_independent,
 )
 from faults import inject_fault
 
@@ -181,11 +182,11 @@ class _RiggedSource:
         self.inner = inner
         self.queued = queued
 
-    def next_triple(self, scheme):
-        return self.queued.pop(0) if self.queued else self.inner.next_triple(scheme)
+    def next_triple(self):
+        return self.queued.pop(0) if self.queued else self.inner.next_triple()
 
-    def next_input_mask(self, scheme, input_owner):
-        return self.inner.next_input_mask(scheme, input_owner)
+    def next_input_mask(self, input_owner):
+        return self.inner.next_input_mask(input_owner)
 
 
 def _rig_next_triples(cluster, triple_sets):
@@ -194,6 +195,26 @@ def _rig_next_triples(cluster, triple_sets):
         node = cluster.nodes[party]
         node.triple_source = _RiggedSource(node.triple_source,
                                            [records[i] for records in triple_sets])
+
+
+@pytest.mark.parametrize("batches", [[3], [1, 2]], ids=["within-a-batch", "across-batches"])
+def test_a_record_handed_out_twice_is_refused_by_the_store(batches):
+    # a dealer queue that hands one record out twice, within one batch or in
+    # two: phase 2 refuses the batch with the repeat, and the store keeps
+    # none of its tuples, the fresh one beside the repeat included
+    cluster = make_cluster(SchemeId.SHAMIR)
+    node = cluster.nodes[cluster.participants[0]]
+    record = node.triple_source.next_triple()
+    node.triple_source = _RiggedSource(node.triple_source, [record, record])
+    *first, last = batches
+    for count in first:
+        preprocess_independent(node, None, count)
+    stored = node.tuple_store.available_initial_ids(cluster.epoch)
+    with pytest.raises(TupleReuseError, match="duplicate initial tuple id"):
+        preprocess_independent(node, None, last)
+    assert node.tuple_store.available_initial_ids(cluster.epoch) == stored
+    assert stored == ([record.triple_id] if first else [])
+    cluster.close()
 
 
 def _final_ids(cluster, member_id):
@@ -477,7 +498,7 @@ def test_phase_three_draws_no_dealer_record(scheme, monkeypatch):
     cluster.preprocess_independent(3)
     assert draws == [1] * 3
 
-    def refused(self, scheme):
+    def refused(self):
         raise AssertionError("phase 3 drew a dealer record")
 
     with mock.patch.object(preprocessing.DealerQueue, "next_triple", refused):
