@@ -497,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--count", type=int, default=64,
                    help="dealer records per party; each serves one final tuple")
-    p.add_argument("--masks", type=int, default=16)
+    p.add_argument("--masks", type=int, default=16,
+                   help="random sharings per party; each serves one keygen")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_deal)
 

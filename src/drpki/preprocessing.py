@@ -1,4 +1,4 @@
-"""Dealer records, their sources, and phase 3's masked product.
+"""Dealer records and masks, their sources, and phase 3's masked product.
 
 Records here come from a trusted dealer, an explicit trust assumption
 standing in for OT-based offline generation.  Each dealer record is five
@@ -7,15 +7,18 @@ uniform and belongs to this record alone.  One record makes one initial
 tuple, with [1/k] = [a], and so one final tuple: phase 3 multiplies [sk]
 by [a] in two local steps around one open, d = sk - x and then
 [sk*a] = [x*a] + d*[a].  That is Beaver's step with the second operand [a]
-itself, so e = a - a is 0 and is neither computed nor opened.
+itself, so e = a - a is 0 and is neither computed nor opened.  A mask is
+one random sharing [r], one share per party; keygen takes it as a member's
+[sk].  The dealer draws r, so it knows every member key; OT-based
+preprocessing would give [r] with no party knowing it.
 
 A node draws from one `DealerQueue`: `TrustedDealer` fills one per party in
 process, and a `FileReplay` is one read from a party's dealer file, as
 `drpki deal` wrote it.  A dealer file is a JSON-lines log read through
 `durable.py`: a header line naming its kind, the party, scheme, n, t, epoch
 and record counts, plus the party's MAC key share under a MAC scheme; then
-one line per record and one per input mask, each share in hex as the tuple
-store keeps it.
+one line per record and one per mask, each share in hex as the tuple store
+keeps it.
 
 Dealer records are strictly single-use, with one guard at each level:
   - a `DealerQueue` hands each record out once;
@@ -69,20 +72,6 @@ class Triple:
     xa: Share
 
 
-@dataclass
-class InputMask:
-    """Dealer-issued random sharing; the cleartext goes to the input owner only.
-
-    Used to authenticate locally sampled inputs: the owner broadcasts
-    x - mask and everyone computes [x] = [mask] + (x - mask).
-    """
-
-    mask_id: bytes
-    input_owner: int
-    share: Share
-    cleartext: Optional[FieldElement]  # present only in the owner's record
-
-
 def _fresh_id(rng) -> bytes:
     if rng is not None:
         return rng.getrandbits(128).to_bytes(16, "big")
@@ -129,51 +118,37 @@ def dealer_generate(
 
 def dealer_generate_masks(
     scheme: SchemeId,
-    input_owner: int,
     n: int,
     t: int = 0,
     rng=None,
     mac_keys: Optional[Sequence[MacKeyShare]] = None,
     owners: Optional[Sequence[int]] = None,
-) -> list[InputMask]:
-    """One random authenticated sharing whose value is disclosed to `input_owner`."""
-    owner_list = list(owners) if owners is not None else list(range(1, n + 1))
-    mid = _fresh_id(rng)
-    m = FieldElement.random(rng)
-    shares = deal(scheme, m, n, t, rng, mac_keys, owner_list)
-    return [
-        InputMask(mid, input_owner, shares[i],
-                  m if owner_list[i] == input_owner else None)
-        for i in range(n)
-    ]
+) -> list[Share]:
+    """One mask: a random sharing, one share per owner, whose value goes to
+    no party."""
+    return deal(scheme, FieldElement.random(rng), n, t, rng, mac_keys, owners)
 
 
 class DealerQueue:
-    """One party's triples and input masks, in the order the dealer dealt them,
-    each handed out once.
+    """One party's dealer records and masks, in the order the dealer dealt
+    them, each handed out once.  A dry queue calls `fill(queue, mask)`, mask
+    True for a mask and False for a record, which appends to the queue or
+    raises."""
 
-    A mask for another input owner than the next one in line is refused.
-    A dry queue calls `fill(queue, input_owner)`, with None for a triple,
-    which appends to the queue or raises.
-    """
-
-    def __init__(self, fill: Callable[["DealerQueue", Optional[int]], None]) -> None:
+    def __init__(self, fill: Callable[["DealerQueue", bool], None]) -> None:
         self.triples: deque[Triple] = deque()
-        self.masks: deque[InputMask] = deque()
+        self.masks: deque[Share] = deque()
         self._fill = fill
 
     def next_triple(self) -> Triple:
         if not self.triples:
-            self._fill(self, None)
+            self._fill(self, False)
         return self.triples.popleft()
 
-    def next_input_mask(self, input_owner: int) -> InputMask:
+    def next_mask(self) -> Share:
         if not self.masks:
-            self._fill(self, input_owner)
-        mask = self.masks.popleft()
-        if mask.input_owner != input_owner:
-            raise PreprocessingError("dealer mask queue out of step")
-        return mask
+            self._fill(self, True)
+        return self.masks.popleft()
 
 
 class TrustedDealer:
@@ -199,28 +174,30 @@ class TrustedDealer:
         self._lock = threading.Lock()
         self.queues = {owner: DealerQueue(self._fill) for owner in self.owners}
 
-    def _fill(self, queue: DealerQueue, input_owner: Optional[int]) -> None:
-        """Append one fresh draw, one record per owner, to every owner's
-        queue, unless another party's draw has filled `queue` meanwhile."""
+    def _fill(self, queue: DealerQueue, mask: bool) -> None:
+        """Append one fresh draw, a mask or a record, one share or record per
+        owner, to every owner's queue, unless another party's draw has
+        filled `queue` meanwhile."""
         with self._lock:
-            if input_owner is None:
-                if not queue.triples:
-                    draw = dealer_generate(self.scheme, 1, self.n, self.t, self._rng,
-                                           self._mac_keys, owners=self.owners)[0]
-                    for owner, triple in zip(self.owners, draw):
-                        self.queues[owner].triples.append(triple)
-            elif not queue.masks:
-                draw = dealer_generate_masks(self.scheme, input_owner, self.n, self.t,
-                                             self._rng, self._mac_keys, owners=self.owners)
-                for owner, mask in zip(self.owners, draw):
-                    self.queues[owner].masks.append(mask)
+            if mask:
+                if not queue.masks:
+                    draw = dealer_generate_masks(self.scheme, self.n, self.t, self._rng,
+                                                 self._mac_keys, owners=self.owners)
+                    for owner, share in zip(self.owners, draw):
+                        self.queues[owner].masks.append(share)
+            elif not queue.triples:
+                draw = dealer_generate(self.scheme, 1, self.n, self.t, self._rng,
+                                       self._mac_keys, owners=self.owners)[0]
+                for owner, triple in zip(self.owners, draw):
+                    self.queues[owner].triples.append(triple)
 
 
 # --- FileReplay: dealer output persisted per party ----------------------------
 
-# the header kind of a dealer file whose records carry the mask pair; an
-# earlier version's "triples" file holds none and is refused
-_DEALER_KIND = "masked-triples"
+# the header kind of a dealer file whose records carry the mask pair and
+# whose masks name no owner; an earlier version's file, "triples" (no mask
+# pair) or "masked-triples" (each mask disclosed to an owner), is refused
+_DEALER_KIND = "masked-triples-v2"
 
 
 def encode_replay(
@@ -230,7 +207,7 @@ def encode_replay(
     t: int,
     epoch: bytes,
     triples: Sequence[Triple],
-    masks: Sequence[InputMask] = (),
+    masks: Sequence[Share] = (),
     mac_key: Optional[MacKeyShare] = None,
 ) -> str:
     """One party's dealer file, whole, for `FileReplay` to read."""
@@ -242,27 +219,23 @@ def encode_replay(
     lines += [{"triple": tr.triple_id.hex(), "a": tr.a.to_bytes().hex(),
                "b": tr.b.to_bytes().hex(), "c": tr.c.to_bytes().hex(),
                "x": tr.x.to_bytes().hex(), "xa": tr.xa.to_bytes().hex()} for tr in triples]
-    lines += [{"mask": mk.mask_id.hex(), "owner": mk.input_owner,
-               "share": mk.share.to_bytes().hex(),
-               "clear": None if mk.cleartext is None else mk.cleartext.to_bytes().hex()}
-              for mk in masks]
+    lines += [{"mask": mask.to_bytes().hex()} for mask in masks]
     return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 
-def _depleted(queue: DealerQueue, input_owner: Optional[int]) -> None:
-    raise PreprocessingError("triple stock depleted" if input_owner is None
-                             else "input mask stock depleted")
+def _depleted(queue: DealerQueue, mask: bool) -> None:
+    raise PreprocessingError("mask stock depleted" if mask else "triple stock depleted")
 
 
 class FileReplay(DealerQueue):
     """One party's dealer file, read whole into its queue.  The open refuses
     a file dealt for another party, scheme, n or t, one with fewer records
     than its header counts, one under a MAC scheme without the MAC key
-    share, a file of an earlier version, binary or without the mask pair,
-    and one whose last line is torn, each left as it is.  So does a record
-    line holding a share of another party or scheme than its header names,
-    as a line that does not decode.  The queue's filler refuses a draw past
-    the end of the file."""
+    share, a file of an earlier version, binary, without the mask pair or
+    with owned masks, and one whose last line is torn, each left as it is.
+    So does a record line holding a share of another party or scheme than
+    its header names, as a line that does not decode.  The queue's filler
+    refuses a draw past the end of the file."""
 
     def __init__(self, path: str, party: int, scheme: SchemeId, n: int, t: int) -> None:
         super().__init__(_depleted)
@@ -294,8 +267,8 @@ class FileReplay(DealerQueue):
                 bytes.fromhex(head["mac_key"]))) if scheme.has_mac else None)
             return head["triples"], head["masks"]
 
-        def record(rec: dict) -> Triple | InputMask:
-            """The triple or the input mask of a line after the header."""
+        def record(rec: dict) -> Triple | Share:
+            """The triple or the mask of a line after the header."""
             def share(key: str) -> Share:
                 got = Share.from_bytes(bytes.fromhex(rec[key]))
                 if got.scheme is not scheme or got.owner != party:
@@ -306,9 +279,7 @@ class FileReplay(DealerQueue):
             if "triple" in rec:
                 return Triple(bytes.fromhex(rec["triple"]), share("a"), share("b"),
                               share("c"), share("x"), share("xa"))
-            clear = None if rec["clear"] is None else FieldElement.from_bytes(
-                bytes.fromhex(rec["clear"]))
-            return InputMask(bytes.fromhex(rec["mask"]), rec["owner"], share("share"), clear)
+            return share("mask")
 
         records = _read_records(Path(path), record, header=check)
         if not records:

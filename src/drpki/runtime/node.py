@@ -311,7 +311,7 @@ class PartyNode:
         self.audit_seq = 0
         self.rng: Optional[random.Random] = None
         self.triple_source = None
-        # secret-share / public-open split of this node's latest keygen
+        # dealer-draw / public-open split of this node's latest keygen
         self.keygen_timings: dict[str, float] = {}
         self._lock = threading.Lock()
         self._load()
@@ -739,8 +739,8 @@ class LocalCluster:
         self._session_lock = threading.Lock()
         self._member_locks: dict[str, threading.Lock] = {}
         self._member_locks_guard = threading.Lock()
-        # Keygen (its `mascot` input masks) and phase 2 pop each party's own
-        # dealer queue, so two at once could pair different items at
+        # Keygen (its mask, under every scheme) and phase 2 pop each party's
+        # own dealer queue, so two at once could pair different items at
         # different parties.  Phase 3 draws none, but two unserialised
         # batches (for two members) each offer the lowest live initial ids,
         # which can overlap at different parties and burn in a realign; that

@@ -2,10 +2,9 @@
 
 Every message between a pair of parties is authenticated with HMAC-SHA-256,
 truncated to 16 bytes, under a per-epoch pairwise key.  Frames are
-authenticated but sent in clear: unlike TLS, nothing is encrypted.  So
-under `shamir` and `mal-shamir` the shares keygen deals cross TCP links
-readable, and an observer of the links learns every member key (ROADMAP
-item 21).  A frame is a 4-byte length prefix, a fixed
+authenticated but sent in clear: unlike TLS, nothing is encrypted, so no
+op may send a private value (ROADMAP item 21); keygen sends only its point
+share of the public key.  A frame is a 4-byte length prefix, a fixed
 11-byte header (8-byte session counter, phase, 2-byte round), the payload
 and the tag, 31 bytes in all around the payload; the payload runs from the
 header to the tag, so the prefix alone gives its length.  The sender is not

@@ -8,8 +8,9 @@ as the in-process cluster, so keygen is checked and audited the same way.
 Preprocessing material comes from dealer files written ahead of time by
 `drpki deal`, matching the trusted-dealer model: one JSON-lines file per
 party, `partyK.triples`, holding its dealer records (a triple and its
-mask pair, one record per final tuple), input masks and, under a MAC
-scheme, MAC key share, all under one fresh epoch per deal.  The deal draws
+mask pair, one record per final tuple), its masks (one random sharing per
+keygen, taken as the member's [sk]) and, under a MAC scheme, its MAC key
+share, all under one fresh epoch per deal.  The deal draws
 them through `dealer_generate` and `dealer_generate_masks`, and a node reads
 its file whole into the `FileReplay` dealer queue it draws from.  Before it
 binds a socket, serve refuses to start without the config's pair_secret or
@@ -82,8 +83,8 @@ def _addresses(cfg) -> dict[int, tuple[str, int]]:
 
 def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int:
     """Write each party's dealer file under a fresh epoch: `count` dealer
-    records, each of which serves one final tuple, `masks` input masks and
-    the MAC key share."""
+    records, each of which serves one final tuple, `masks` masks, each of
+    which serves one keygen, and the MAC key share."""
     proto = protocol_config(load_config(config_path))
     scheme = proto.scheme
     out = Path(out_dir)
@@ -92,8 +93,8 @@ def deal_to_files(config_path: str, count: int, out_dir: str, masks: int) -> int
     epoch = secrets.token_bytes(16)
     mac_keys = generate_mac_keys(proto.n) if scheme.has_mac else None
     triples = dealer_generate(scheme, count, proto.n, proto.t, None, mac_keys) if count > 0 else []
-    mask_records = [dealer_generate_masks(scheme, i % proto.n + 1, proto.n, proto.t, None,
-                                          mac_keys) for i in range(masks)]
+    mask_records = [dealer_generate_masks(scheme, proto.n, proto.t, None, mac_keys)
+                    for _ in range(masks)]
     for p in range(1, proto.n + 1):
         _write_file(out / f"party{p}.triples", encode_replay(
             p, scheme, proto.n, proto.t, epoch, [batch[p - 1] for batch in triples],

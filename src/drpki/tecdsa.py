@@ -3,7 +3,8 @@
 Phases, each executed by every participating party over a synchronous
 session:
 
-  1. keygen                  per-member signing key shares and the public key
+  1. keygen                  a member's [sk], one dealer mask, and one open of
+                             its public key
   2. preprocess_independent  initial tuples from local dealer records: [1/k],
                              b_i, [c] and the mask pair [x], [x/k]
   3. preprocess_dependent    final tuples binding a member: opens and checks c
@@ -40,7 +41,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import (
     GENERATOR,
-    AlgebraError,
     FieldElement,
     GroupPoint,
     Signature,
@@ -54,7 +54,6 @@ from .sharing import (
     ProtocolAbort,
     SchemeId,
     Share,
-    deal,
     share_add,
     share_scale_add,
 )
@@ -157,10 +156,6 @@ class FinalTuple:
 
 _KIND_INITIAL = 0
 _KIND_FINAL = 1
-# added tuples go out this many lines to an append: an append per line pays
-# an open and a close for each, and one append for a whole batch holds all
-# of its lines in memory three times over at once
-_LINES_PER_APPEND = 16
 
 
 def _initial_line(tup: InitialTuple) -> dict:
@@ -277,18 +272,17 @@ class TupleStore:
         _append_line(self._path, "\n".join(json.dumps(r, sort_keys=True) for r in records))
 
     def _add(self, name: str, tuples: Sequence, line) -> None:
-        """Append one line per tuple, `_LINES_PER_APPEND` to a write, and hold
-        each tuple once its write is done."""
+        """Append one line per tuple, all in one write, and hold the tuples
+        once it is done: a failed write holds none of them."""
         pool = self._kind(name)
         ids = [t.tuple_id for t in tuples]
         with self._lock:
             self._writable()
             if len(set(ids)) < len(ids) or any(tid in pool for tid in ids):
                 raise TupleReuseError(f"duplicate {name} tuple id")
-            for start in range(0, len(tuples), _LINES_PER_APPEND):
-                chunk = tuples[start:start + _LINES_PER_APPEND]
-                self._append_records(map(line, chunk))
-                pool.update((t.tuple_id, t) for t in chunk)
+            if tuples:
+                self._append_records(map(line, tuples))
+            pool.update(zip(ids, tuples))
 
     def _checkout(self, member_id: Optional[str], epoch: bytes,
                   tuple_ids: Optional[Sequence[bytes]] = None) -> list:
@@ -386,95 +380,35 @@ _MEMBER_ID_BYTES = 16
 
 def keygen(node: PartyNode, session, member_id: str,
            timings: Optional[dict] = None) -> KeyShareRecord:
-    """Generate [sk] for a member and jointly open pk = sk * G.
+    """Take [sk] for a member from the dealer and jointly open pk = sk * G.
 
-    Every party contributes locally sampled randomness; the full secret key
-    never exists in one place.  Every scheme ends in one point open of pk:
-      - `semi`: the local samples are already an additive sharing of sk,
-        so keygen is that one open;
-      - `shamir`, `mal-shamir`: a deal round sums every party's dealt
-        polynomial into [sk], then the open, checked under `mal-shamir`;
-      - `mascot`: one round.  Each party draws one dealer input mask [m_o]
-        per owner o, its own m_i in the clear, and sends eps_i = x_i - m_i
-        for its sample x_i as the open's note, ahead of its share of
-        (sum_o m_o) * G.  Then [sk] = sum_o [m_o] + sum(eps) and
-        pk = (opened point) + sum(eps) * G, the values a round of eps and
-        a later round opening sk * G would give.
-    A note that is not one field element aborts with "malformed key input
-    payload" before any point is decoded.  `timings`, when given, receives
-    the millisecond split: `secret_ms` up to the open (the deal round under
-    the Shamir schemes, local draws otherwise), `public_ms` the open.
-    Returns this party's record; storing it is the node's.
+    As SPDZ-family engines make any secret, [sk] is one random sharing from
+    preprocessing: each party pops one mask from its own dealer queue and
+    takes it as its key share.  Then one round opens pk under every scheme,
+    checked under `mal-shamir`, and no frame carries a private value.  The
+    dealer draws sk, so it knows every member key from keygen on; under
+    OT-based preprocessing no party would know it.  `timings`, when given,
+    receives the millisecond split: `secret_ms` the queue pop, `public_ms`
+    the open.  Returns this party's record; storing it is the node's.
 
-    The one `mascot` round reveals nothing new.  Party i's point share
-    differs from its share of sk * G only by the public sum(eps) * G, and
-    only for party 1.  A rushing party now sees the eps values and the
-    point shares at once, where a round of eps alone showed it the eps
-    values first; either way it knows the honest point shares before its
-    own must leave.  That is a real gap: point opens carry no MAC and the
-    additive open has no redundancy, so a rushing party can send
-    Y - (sum of honest point shares) - sum(eps) * G and every honest node
-    stores a key Y whose secret it chose, and it can then sign for the
-    member alone (a plainly corrupted share stores a key no one can sign
-    for).  The fix is a MAC check of the opened point against the MACs of
-    [sk] (ROADMAP item 11); its commit and reveal rounds would make a
-    `mascot` keygen 3 rounds.  As in every last round, a peer that sends a
-    bad payload to some parties only makes those abort while the others
-    store the key: security with abort, without agreement.
+    Under `mascot` the open has a real gap: point opens carry no MAC and the
+    additive open has no redundancy, so a rushing party, which reads the
+    honest point shares before its own must leave, can send
+    Y - (sum of honest point shares) and every honest node stores a key Y
+    whose secret it chose; it can then sign for the member alone (a plainly
+    corrupted share stores a key no one can sign for).  The fix is a MAC
+    check of the opened point against the MACs of [sk] (ROADMAP item 11);
+    its commit and reveal rounds would make a `mascot` keygen 3 rounds.  As
+    in every last round, a peer that sends a bad payload to some parties
+    only makes those abort while the others store the key: security with
+    abort, without agreement.
     """
     if len(member_id.encode()) > _MEMBER_ID_BYTES:  # refused before any round
         raise TecdsaError(f"member id longer than {_MEMBER_ID_BYTES} bytes: {member_id!r}")
-    cfg = node.config
-    scheme = cfg.scheme
-    participants = session.participants
     t_start = time.perf_counter()
-    # under mascot the open carries eps_i as its note, and `offset`, the sum
-    # of every eps, is added to the opened point and to [sk]
-    note, read_notes, offset = None, None, None
-
-    if scheme.is_shamir:
-        # each party deals a random polynomial; [sk] is the sum of the deals,
-        # each dealt share sent as its bare value
-        contribution = FieldElement.random(node.rng)
-        my_deal = deal(scheme, contribution, len(participants), cfg.t,
-                       node.rng, owners=participants)
-        by_owner = {s.owner: s for s in my_deal}
-        payloads = {peer: by_owner[peer].value.to_bytes() for peer in session.peers}
-        replies = session.run_round(payloads)
-        sk_share = by_owner[node.party_id]
-        try:
-            for blob in replies.values():
-                sk_share = share_add(sk_share,
-                                     Share(scheme, node.party_id, FieldElement.from_bytes(blob)))
-        except Exception:
-            session.abort("malformed key share payload")
-    elif scheme.has_mac:
-        # authenticated input: one dealer mask per owner (m_i revealed to
-        # party i); [sk] is the masks' sum until the eps are added
-        masks = {owner: node.triple_source.next_input_mask(owner)
-                 for owner in participants}
-        note = (FieldElement.random(node.rng) - masks[node.party_id].cleartext).to_bytes()
-        sk_share = None
-        for mask in masks.values():
-            sk_share = mask.share if sk_share is None else share_add(sk_share, mask.share)
-
-        def read_notes(notes: dict[int, bytes]) -> None:
-            nonlocal offset
-            offset = FieldElement.zero()
-            try:
-                for blob in notes.values():
-                    offset = offset + FieldElement.from_bytes(blob)
-            except AlgebraError:
-                session.abort("malformed key input payload")
-    else:
-        # plain additive: local samples are already an additive sharing
-        sk_share = Share(scheme, node.party_id, FieldElement.random(node.rng))
-
+    sk_share = node.triple_source.next_mask()
     t_secret = time.perf_counter()
-    [pk] = session.open_point_batch([scalar_mul(sk_share.value, GENERATOR)], note, read_notes)
-    if offset is not None:
-        pk = pk + scalar_mul(offset, GENERATOR)
-        sk_share = share_scale_add(sk_share, FieldElement.one(), offset, node.mac_key)
+    [pk] = session.open_point_batch([scalar_mul(sk_share.value, GENERATOR)])
     if pk.is_identity():
         raise ProtocolAbort("degenerate public key")
     t_public = time.perf_counter()

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 from drpki import algebra, tecdsa
-from drpki.algebra import GENERATOR, POINT_BYTES, FieldElement, GroupPoint, scalar_mul
+from drpki.algebra import GENERATOR, FieldElement, GroupPoint, scalar_mul
 from drpki.runtime import node as node_module
 from drpki.runtime.node import LocalCluster, PartyNode, _RequestGate
 from drpki.runtime.session import PartySession
@@ -108,9 +108,9 @@ def rewrite_note(payload, rewrite):
 @contextmanager
 def rushing_point_share(party, pk):
     """Make `party` read every peer's frame of a `mascot` keygen, whose one
-    round opens the public key, before it sends its own; it then sends its
-    eps note as it was and, behind it, the point share that makes the key
-    every peer opens `pk`: pk - (the peers' point shares) - sum(eps) * G."""
+    round opens the public key, before it sends its own; it then sends the
+    point share that makes the key every peer opens `pk`:
+    pk - (the peers' point shares)."""
     run_round = PartySession.run_round
 
     def rushing(session, payloads, *, work=None):
@@ -123,15 +123,10 @@ def rushing_point_share(party, pk):
             if msg is None:
                 session.abort("party unavailable")
             received[msg.sender] = msg.payload
-        mine = payloads[session.peers[0]]
-        eps = FieldElement.zero()
         shown = GroupPoint.identity()
-        for blob in [mine, *received.values()]:
-            eps = eps + FieldElement.from_bytes(blob[4:-POINT_BYTES])
         for blob in received.values():
-            shown = shown + GroupPoint.from_bytes(blob[-POINT_BYTES:])
-        share = pk + scalar_mul(-FieldElement.one(), shown + scalar_mul(eps, GENERATOR))
-        payload = mine[:-POINT_BYTES] + share.to_bytes()
+            shown = shown + GroupPoint.from_bytes(blob)
+        payload = (pk + scalar_mul(-FieldElement.one(), shown)).to_bytes()
         for peer in session.peers:
             session.endpoint.send(peer, SessionMessage(session.session_id, session.phase,
                                                        session.round, party, payload))

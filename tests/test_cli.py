@@ -289,12 +289,11 @@ def test_deal_with_count_0_writes_a_masks_only_file_per_party(workspace):
     out = workspace / "dealer"
     assert run_cli("deal", "--config", config, "--count", "0", "--masks", "5",
                    "--out", str(out)) == 0
+    scheme = protocol_config(load_config(config)).scheme
     for party in range(1, 6):
         replay = _replay(config, out, party)
         assert (len(replay.triples), len(replay.masks)) == (0, 5)
-        assert [m.input_owner for m in replay.masks] == [1, 2, 3, 4, 5]
-        assert [m.cleartext is not None for m in replay.masks] == [
-            owner == party for owner in range(1, 6)]
+        assert [(m.scheme, m.owner) for m in replay.masks] == [(scheme, party)] * 5
         with pytest.raises(PreprocessingError, match="triple stock depleted"):
             replay.next_triple()
 

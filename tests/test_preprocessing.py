@@ -128,6 +128,21 @@ def test_beaver_on_a_records_own_operand_opens_no_e(scheme):
     assert open_shares(products, N, T) == sk * open_shares([r.a for r in records], N, T)
 
 
+def _mac_check(mac_keys, opened, shares):
+    """Every party's commit and reveal over one opened value and its shares'
+    MACs; raises as the session's MAC check does."""
+    accs = [MacCheckAccumulator(b"beaver") for _ in range(N)]
+    for acc, share in zip(accs, shares):
+        acc.record(opened, share.mac)
+    commitments, reveals = {}, {}
+    for mk, acc in zip(mac_keys, accs):
+        sigma = acc.sigma(mk)
+        opening = rng.randbytes(32)
+        commitments[mk.owner] = mac_commit(sigma, opening)
+        reveals[mk.owner] = (sigma, opening)
+    mac_check_evaluate(commitments, reveals)
+
+
 def test_corrupted_beaver_broadcast_caught_by_mac_check():
     mac_keys = generate_mac_keys(N, rng)
     sks = deal(SchemeId.ADDITIVE_MAC, FieldElement(6), N, T, rng, mac_keys)
@@ -135,17 +150,8 @@ def test_corrupted_beaver_broadcast_caught_by_mac_check():
     d_shares = [beaver_diffs(s, r.x) for s, r in zip(sks, records)]
     # party 2 perturbs its broadcast share of d
     d = open_shares(d_shares, N, T) + FieldElement.one()
-    accs = [MacCheckAccumulator(b"beaver") for _ in range(N)]
-    for acc, dsh in zip(accs, d_shares):
-        acc.record(d, dsh.mac)
-    commitments, reveals = {}, {}
-    for mk, acc in zip(mac_keys, accs):
-        sigma = acc.sigma(mk)
-        opening = rng.randbytes(32)
-        commitments[mk.owner] = mac_commit(sigma, opening)
-        reveals[mk.owner] = (sigma, opening)
     with pytest.raises(ProtocolAbort, match="MAC check failed"):
-        mac_check_evaluate(commitments, reveals)
+        _mac_check(mac_keys, d, d_shares)
 
 
 def test_trusted_dealer_views_stay_aligned():
@@ -196,17 +202,26 @@ def test_trusted_dealer_queues_stay_aligned_under_concurrent_draws(monkeypatch):
         assert c == a * b
 
 
-def test_trusted_dealer_masks_disclose_to_owner_only():
-    mac_keys = generate_mac_keys(N, rng)
-    dealer = TrustedDealer(SchemeId.ADDITIVE_MAC, N, T, random.Random(10), mac_keys)
-    views = [dealer.queues[i] for i in range(1, N + 1)]
-    masks = [v.next_input_mask(input_owner=3) for v in views]
-    opened = open_shares([m.share for m in masks], N, T)
-    for m in masks:
-        if m.input_owner == m.share.owner:
-            assert m.cleartext == opened
-        else:
-            assert m.cleartext is None
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_trusted_dealer_mask_shares_open_to_one_value(scheme):
+    # a mask is one random sharing that no party knows: the shares the five
+    # parties pop from one draw open to one value, from any quorum under
+    # the Shamir schemes, and pass the MAC check under mascot
+    mac_keys = _mac_keys_for(scheme)
+    dealer = TrustedDealer(scheme, N, T, random.Random(10), mac_keys)
+    opened = []
+    for _ in range(3):
+        shares = [dealer.queues[p].next_mask() for p in range(1, N + 1)]
+        assert [(s.scheme, s.owner) for s in shares] == [(scheme, p) for p in range(1, N + 1)]
+        opened.append(open_shares(shares, N, T))
+        if scheme.is_shamir:
+            assert open_shares(shares[:T + 1], N, T) == opened[-1]
+            assert open_shares(shares[-T - 1:], N, T) == opened[-1]
+        if scheme.has_mac:
+            _mac_check(mac_keys, opened[-1], shares)
+            with pytest.raises(ProtocolAbort, match="MAC check failed"):
+                _mac_check(mac_keys, opened[-1] + FieldElement.one(), shares)
+    assert len(set(opened)) == 3
 
 
 def _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch):
@@ -214,7 +229,7 @@ def _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch):
         (tmp_path / f"party{party}.triples").write_text(encode_replay(
             party, scheme, N, T, epoch,
             [batch[party - 1] for batch in batches],
-            [masks[party - 1]],
+            [mask[party - 1] for mask in masks],
             mac_keys[party - 1] if mac_keys else None,
         ))
 
@@ -224,7 +239,7 @@ def test_replay_file_roundtrip(tmp_path, scheme):
     mac_keys = _mac_keys_for(scheme)
     epoch = bytes(range(16))
     batches = dealer_generate(scheme, 5, N, T, rng, mac_keys)
-    masks = dealer_generate_masks(scheme, 2, N, T, rng, mac_keys)
+    masks = [dealer_generate_masks(scheme, N, T, rng, mac_keys) for _ in range(2)]
     _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch)
     replays = [FileReplay(str(tmp_path / f"party{p}.triples"), p, scheme, N, T)
                for p in range(1, N + 1)]
@@ -237,12 +252,12 @@ def test_replay_file_roundtrip(tmp_path, scheme):
             assert rec.triple_id == orig.triple_id
             assert rec.a == orig.a and rec.b == orig.b and rec.c == orig.c
             assert rec.x == orig.x and rec.xa == orig.xa
-    mask_records = [r.next_input_mask(2) for r in replays]
-    assert mask_records[1].cleartext == masks[1].cleartext
-    assert mask_records[0].cleartext is None
-    assert [m.share for m in mask_records] == [m.share for m in masks]
+    for mask in masks:
+        assert [r.next_mask() for r in replays] == mask
     with pytest.raises(PreprocessingError, match="depleted"):
         replays[0].next_triple()
+    with pytest.raises(PreprocessingError, match="mask stock depleted"):
+        replays[0].next_mask()
 
 
 def _one_replay(tmp_path, scheme=SchemeId.ADDITIVE_MAC):
@@ -251,7 +266,7 @@ def _one_replay(tmp_path, scheme=SchemeId.ADDITIVE_MAC):
     mac_keys = _mac_keys_for(scheme)
     epoch = bytes(16)
     batches = dealer_generate(scheme, 2, N, T, rng, mac_keys)
-    masks = dealer_generate_masks(scheme, 1, N, T, rng, mac_keys)
+    masks = [dealer_generate_masks(scheme, N, T, rng, mac_keys)]
     _write_replays(tmp_path, scheme, mac_keys, batches, masks, epoch)
     return tmp_path / "party2.triples"
 
@@ -332,14 +347,31 @@ def test_replay_file_refuses_a_file_of_another_format_untouched(tmp_path, data):
     assert path.read_bytes() == data
 
 
-def test_replay_file_refuses_an_earlier_versions_file_untouched(tmp_path):
-    # an earlier version's dealer file is a "triples" file whose records
-    # hold no mask pair: its header is refused before any record is read
-    path = _one_replay(tmp_path)
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
+def _as_triples_file(lines):
+    # the first version: records hold no mask pair
     lines[0]["dealer"] = "triples"
     for rec in lines[1:]:
         rec.pop("x", None), rec.pop("xa", None)
+
+
+def _as_masked_triples_file(lines):
+    # the second version: a mask names its input owner, and the owner's
+    # line holds its cleartext
+    lines[0]["dealer"] = "masked-triples"
+    for rec in lines[1:]:
+        if "mask" in rec:
+            rec.update(mask=bytes(16).hex(), owner=2, share=rec["mask"], clear=bytes(32).hex())
+
+
+@pytest.mark.parametrize("rewrite", [_as_triples_file, _as_masked_triples_file],
+                         ids=["triples", "masked-triples"])
+def test_replay_file_refuses_an_earlier_versions_file_untouched(tmp_path, rewrite):
+    # an earlier version's dealer file, a "triples" file whose records hold
+    # no mask pair or a "masked-triples" file whose masks have owners: its
+    # header is refused before any record is read
+    path = _one_replay(tmp_path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    rewrite(lines)
     path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in lines))
     data = path.read_bytes()
     with pytest.raises(PreprocessingError, match="not a dealer file of this version; "

@@ -19,8 +19,8 @@ from drpki import durable as durable_module
 from drpki.durable import RecordError
 from drpki import rpki as rpki_module
 from drpki.algebra import (
-    GENERATOR, FieldElement, GroupPoint, KeyPair, Signature, ecdsa_sign, ecdsa_verify,
-    scalar_mul,
+    GENERATOR, POINT_BYTES, SCALAR_BYTES, FieldElement, GroupPoint, KeyPair, Signature,
+    ecdsa_sign, ecdsa_verify, scalar_mul,
 )
 from drpki.bench import WAN_RTT_MS, one_way_delays
 from drpki.preprocessing import DealerQueue, TrustedDealer
@@ -59,7 +59,7 @@ from drpki.runtime.transport import (
     encode_frame,
     pair_key,
 )
-from drpki.sharing import ProtocolAbort, SchemeId, Share, open_shares
+from drpki.sharing import BareShare, ProtocolAbort, SchemeId, Share, open_shares
 from drpki.tecdsa import (
     InitialTuple, KeyShareRecord, ProtocolConfig, StockDepletedError, TecdsaError, TupleStore,
     _id_tag,
@@ -970,9 +970,9 @@ def test_point_open_with_an_identity_share_reconstructs():
 
 
 def test_point_open_payload_with_trailing_bytes_aborts():
-    # round 2 of Shamir keygen opens pk
+    # keygen's one round opens pk
     cluster = make_cluster()
-    with rewrite_frames(cluster, 2, PHASE_KEYGEN, 2, lambda p: p + b"\x00"), \
+    with rewrite_frames(cluster, 2, PHASE_KEYGEN, 1, lambda p: p + b"\x00"), \
             pytest.raises(SessionAbort, match="malformed open payload"):
         cluster.keygen("m")
     cluster.close()
@@ -1581,15 +1581,15 @@ def test_online_mascot_session_runs_no_mac_check(monkeypatch):
 
 
 def test_concurrent_mascot_keygens_draw_dealer_masks_in_one_order(monkeypatch):
-    # party 1 is steered to draw member a's input masks before b's, every
-    # other party b's before a's.  Run at once, the parties would pair the
+    # party 1 is steered to draw member a's mask before b's, every other
+    # party b's before a's.  Run at once, the parties would pair the
     # dealer's masks differently and the first restock would fail its MAC
     # check and retire the epoch; serialized, the steering waits run out
     cluster = make_cluster(SchemeId.ADDITIVE_MAC)
     first = {p: "a" if p == 1 else "b" for p in cluster.participants}
     drawn = {(p, m): threading.Event() for p in cluster.participants for m in "ab"}
     current = threading.local()
-    real_keygen, real_mask = node_module.keygen, DealerQueue.next_input_mask
+    real_keygen, real_mask = node_module.keygen, DealerQueue.next_mask
 
     def keygen(node, session, member_id, **kwargs):
         current.member = member_id
@@ -1597,17 +1597,16 @@ def test_concurrent_mascot_keygens_draw_dealer_masks_in_one_order(monkeypatch):
 
     party_of = {queue: p for p, queue in cluster.dealer.queues.items()}
 
-    def next_input_mask(queue, owner):
+    def next_mask(queue):
         party = party_of[queue]
-        if current.member != first[party] and owner == cluster.participants[0]:
+        if current.member != first[party]:
             drawn[party, first[party]].wait(1.0)
-        mask = real_mask(queue, owner)
-        if owner == cluster.participants[-1]:
-            drawn[party, current.member].set()
+        mask = real_mask(queue)
+        drawn[party, current.member].set()
         return mask
 
     monkeypatch.setattr(node_module, "keygen", keygen)
-    monkeypatch.setattr(DealerQueue, "next_input_mask", next_input_mask)
+    monkeypatch.setattr(DealerQueue, "next_mask", next_mask)
     errors = []
 
     def run(member):
@@ -1681,13 +1680,13 @@ def test_rushing_party_picks_the_public_key_of_a_mascot_keygen():
 
 @pytest.mark.parametrize("scheme,rounds,payloads", [
     (SchemeId.ADDITIVE, 1, [65]),
-    (SchemeId.ADDITIVE_MAC, 1, [4 + 32 + 65]),
-    (SchemeId.SHAMIR, 2, [32, 65]),
-    (SchemeId.SHAMIR_CHECKED, 2, [32, 65]),
+    (SchemeId.ADDITIVE_MAC, 1, [65]),
+    (SchemeId.SHAMIR, 1, [65]),
+    (SchemeId.SHAMIR_CHECKED, 1, [65]),
 ])
 def test_keygen_rounds_and_bytes_per_scheme(scheme, rounds, payloads):
-    # mascot's eps note rides on the public-key open, ahead of the point
-    # share; the Shamir schemes deal in a round before the open
+    # [sk] is a dealer mask under every scheme, so keygen is the one open
+    # of pk: a 65-byte point share to each peer
     cluster = make_cluster(scheme)
     with count_rounds(PHASE_KEYGEN) as counts:
         cluster.keygen("m")
@@ -1699,21 +1698,57 @@ def test_keygen_rounds_and_bytes_per_scheme(scheme, rounds, payloads):
     cluster.close()
 
 
-def test_mascot_keygen_with_a_malformed_eps_note_aborts():
-    # party 2's eps note loses a byte; every other party aborts before it
-    # decodes a point share and stores no key.  Party 2, whose own frames
-    # were rewritten, read only well-formed notes in the one round: it
-    # stands for the hostile party here
-    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
-    with rewrite_frames(cluster, 2, PHASE_KEYGEN, 1,
-                        lambda p: rewrite_note(p, lambda note: note[:-1])), \
-            pytest.raises(SessionAbort, match="malformed key input payload"):
-        cluster.keygen("m")
-    for p, node in cluster.nodes.items():
-        if p != 2:
-            assert "m" not in node.key_records
-            assert not (node.dir / "keys.jsonl").exists()
-    cluster.close()
+def _keygen_on_the_wire(cluster, member, monkeypatch):
+    """Run one keygen and return its public key and the (sender, receiver,
+    payload) of every keygen frame the hub carries, read from the encoded
+    frames as an observer of a TCP link reads them: the payload sits in
+    clear between the 4-byte length, 11-byte header and the 16-byte tag."""
+    head = FRAME_OVERHEAD - TAG_BYTES  # the length prefix and the header
+    seen = []
+    deliver = cluster.hub.deliver
+
+    def recording(sender, receiver, frame):
+        if frame[head - 3] == PHASE_KEYGEN:  # header: counter, phase, round
+            seen.append((sender, receiver, frame[head:-TAG_BYTES]))
+        deliver(sender, receiver, frame)
+
+    monkeypatch.setattr(cluster.hub, "deliver", recording)
+    pk = cluster.keygen(member)
+    monkeypatch.undo()
+    return pk, seen
+
+
+def _key_read_off_dealt_shares(seen, n, t):
+    """The key a wire observer reads from Shamir deals: each sender's 32-byte
+    sends, interpolated at 0 and summed over the senders; None unless every
+    sender sent t + 1 of them."""
+    dealt = {sender: [] for sender, _, _ in seen}
+    for sender, receiver, payload in seen:
+        if len(payload) == SCALAR_BYTES:
+            dealt[sender].append(
+                BareShare(SchemeId.SHAMIR, receiver, FieldElement.from_bytes(payload)))
+    if not dealt or any(len(shares) < t + 1 for shares in dealt.values()):
+        return None
+    return sum((open_shares(shares, n, t) for shares in dealt.values()), FieldElement.zero())
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId),
+                         ids=["semi", "mascot", "shamir", "mal-shamir"])
+def test_a_link_observer_reads_no_member_key_off_keygen(scheme, monkeypatch):
+    # frames go in clear (ROADMAP item 21), so keygen must send no private
+    # value: a recorder of every keygen frame recovers no key from the
+    # senders' 32-byte shares, and each payload is one 65-byte point share
+    for seed in range(3):
+        cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=seed)
+        pk, seen = _keygen_on_the_wire(cluster, "m", monkeypatch)
+        sk = _key_read_off_dealt_shares(seen, cluster.n_live, cluster.config.t)
+        assert sk is None or scalar_mul(sk, GENERATOR) != pk, f"seed {seed}: key read"
+        peers = len(cluster.participants) - 1
+        assert len(seen) == len(cluster.participants) * peers
+        assert all(len(payload) == POINT_BYTES for _, _, payload in seen)
+        for _, _, payload in seen:
+            GroupPoint.from_bytes(payload)
+        cluster.close()
 
 
 def test_request_on_a_tainted_epoch_with_no_stock_left_aborts(tmp_path):
@@ -2716,8 +2751,9 @@ def test_transfer_cut_before_its_manifest_leaves_old_roa_valid(tmp_path, monkeyp
     reopened.close()
 
 
-def _fill_disk_at(monkeypatch, target):
-    """Appends to `target` through the line-log helpers stop halfway on a full disk."""
+def _fill_disk_at(monkeypatch, target, room=0):
+    """Appends to `target` through the line-log helpers take `room` more
+    bytes, then the write that finds the disk full stops halfway."""
     class Full:
         def __init__(self, handle):
             self.handle = handle
@@ -2729,6 +2765,10 @@ def _fill_disk_at(monkeypatch, target):
             self.handle.close()
 
         def write(self, data):
+            nonlocal room
+            if len(data) <= room:
+                room -= len(data)
+                return self.handle.write(data)
             self.handle.write(data[:len(data) // 2])
             raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -2848,15 +2888,19 @@ def test_failed_journal_append_is_cut_back_and_the_tuple_stays_live(tmp_path, mo
     reopened.close()
 
 
-def test_failed_tuple_add_holds_no_tuple(tmp_path, monkeypatch):
+@pytest.mark.parametrize("size, room", [(2, 0), (40, 20)],
+                         ids=["full-at-once", "full-after-20-lines"])
+def test_failed_tuple_add_holds_no_tuple(tmp_path, monkeypatch, size, room):
     # a batch whose lines a full disk cuts short is cut back and not held,
-    # so adding it again is no duplicate, and a reopen reads it whole
+    # so adding it again is no duplicate, and a reopen reads it whole; a
+    # disk with room for 20 of 40 lines holds none of them either
     epoch = bytes(16)
     store = _store_holding(tmp_path, [bytes(16)])
-    batch = _initial_tuples([b"\x01" * 16, b"\x02" * 16])
+    batch = _initial_tuples([i.to_bytes(16, "big") for i in range(1, size + 1)])
     path = tmp_path / "tuples.jsonl"
     before = path.read_bytes()
-    _fill_disk_at(monkeypatch, path)
+    line = len(before.splitlines(keepends=True)[-1])
+    _fill_disk_at(monkeypatch, path, room * line)
     with pytest.raises(OSError):
         store.add_initial(batch)
     monkeypatch.undo()
@@ -2866,7 +2910,7 @@ def test_failed_tuple_add_holds_no_tuple(tmp_path, monkeypatch):
     store.add_initial(batch)
     store.close()
     reopened = TupleStore(str(tmp_path), party=1)
-    assert reopened.initial_stock(epoch) == 3
+    assert reopened.initial_stock(epoch) == 1 + size
     reopened.close()
 
 
@@ -2936,10 +2980,10 @@ _FIXED_CLOCK = 1_600_000_000.0
 
 # SHA-256 of the `_tree_listing` a `_fixed_seed_scenario` leaves, per scheme
 _GOLDEN_TREES = {
-    SchemeId.ADDITIVE: "81ae223afcd4f2bafec2df91bfe3714b85ce974e64f4714db308e202beb5f241",
-    SchemeId.ADDITIVE_MAC: "5435924c56c64cc9dfc4293a24c7ff9df051e14406023426b9293a9435bf8bdb",
-    SchemeId.SHAMIR: "811f813703f8141e3a5ecf0eba7c2fa7231aa69733533669bb4c3a944573fd44",
-    SchemeId.SHAMIR_CHECKED: "09552ee0509e69a1b25dd10a2390942bbd02f035d18514a4845d552caeb0a042",
+    SchemeId.ADDITIVE: "60751fbacf22d6aa2fe24fd6c395692e4a4201a7ea5dcd67d4522082239268f5",
+    SchemeId.ADDITIVE_MAC: "b084cef348dd6cc79a16074fef5c229c2d73f6cb5a5e85be581c5e8b2b24d307",
+    SchemeId.SHAMIR: "df5b0bdbb6e53afa2b84037af852a364d45fd35a8273290c2b09dda8fbb29e56",
+    SchemeId.SHAMIR_CHECKED: "11d4d530b8182ae7ad39c0639862c0737419f1eb1a735ffa1d53c6736b436cf1",
 }
 
 

@@ -59,20 +59,20 @@ def test_keygen_shares_reconstruct_to_published_pk(scheme):
 
 # x-coordinates of members m1 and m2's keys, and the SHA-256 of the five
 # parties' keys.jsonl files in party order, of a cluster seeded with 31
-_M1_X = "0f21b12a5261f795a7b161b6bf2d387af84abd05546fd0cf3c04809d4e7796b6"
+_M1_X = "a148f5095e0d53054c8810d7afd662b5626bd0459af0b97979b33ba7ba3b0e3a"
 _KEYGEN_KNOWN_ANSWERS = {
     SchemeId.ADDITIVE: (
-        _M1_X, "17b2ebe631253db75b92f83f47a8e3b80b3b8ed33386ae3f3b9a29261d79161c",
-        "559a6ab845242313c405c4ab4f9efd6c493086389abbcc3652203510befddc9e"),
+        _M1_X, "fa05bfdbe65ff509af0cba46b03109513c27cc3e278ee1276af241affe140d55",
+        "3f8009214222ec688cc79ad67e73655a2e826218b77eb130adcf8896e238e200"),
     SchemeId.ADDITIVE_MAC: (
-        _M1_X, "17b2ebe631253db75b92f83f47a8e3b80b3b8ed33386ae3f3b9a29261d79161c",
-        "05e9f09f53bc140dfe886258d1dae318528a589aa4be336e7181a8397d9b4089"),
+        _M1_X, "29cce3187a955e6e6e14d16f69d13c517604a12f26b3f4177fb6d143884343b1",
+        "185103227edfa52135e5b29dbc33aec5ec7b3b768b1d7f245407b7d2e024ec7d"),
     SchemeId.SHAMIR: (
-        _M1_X, "02e30fd6c21c947c0c835e8028427cb37a67ab96d62155f260e9a097081e7c09",
-        "d896ebb9b57473e684c3d35934fc07a26fef550736390a0d89d5ef06d646c50f"),
+        _M1_X, "91c28dbd371ce62453f4080647945176224f7202aa9ee4489f46d8d40bba29e0",
+        "cab754b396c64af339b8812c945570d1fc6a8a7446e1b9bc78321e331b3c9978"),
     SchemeId.SHAMIR_CHECKED: (
-        _M1_X, "02e30fd6c21c947c0c835e8028427cb37a67ab96d62155f260e9a097081e7c09",
-        "c6623238bf1cf74d6638c35b1952cd49d6bd470422c98e4dda3b6eb4f6f4018e"),
+        _M1_X, "91c28dbd371ce62453f4080647945176224f7202aa9ee4489f46d8d40bba29e0",
+        "8f76ccadc1341c469d0341162f91066378eed14741f30d57a15575f6c87237bd"),
 }
 
 
@@ -185,8 +185,8 @@ class _RiggedSource:
     def next_triple(self):
         return self.queued.pop(0) if self.queued else self.inner.next_triple()
 
-    def next_input_mask(self, input_owner):
-        return self.inner.next_input_mask(input_owner)
+    def next_mask(self):
+        return self.inner.next_mask()
 
 
 def _rig_next_triples(cluster, triple_sets):
