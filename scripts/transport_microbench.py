@@ -85,7 +85,7 @@ def _broadcast_rounds(keys: dict, session_id: int, rounds: int) -> float:
     def run(session: PartySession) -> None:
         start.wait()
         for _ in range(rounds):
-            session.broadcast(payload)
+            session.run_round(payload)
 
     threads = [threading.Thread(target=run, args=(s,)) for s in sessions]
     for th in threads:

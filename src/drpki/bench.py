@@ -99,8 +99,6 @@ class BenchRow:
     per_unit_ms: float
     throughput_per_s: float
     bytes_per_party: float
-    secret_ms: float = 0.0
-    public_ms: float = 0.0
     offline_source: str = "dealer"
     status: str = "ok"
 
@@ -129,7 +127,7 @@ def _mean_bytes_per_party(cluster: LocalCluster, before: dict) -> float:
 
 
 def _phase_row(label: str, setting: str, phase: str, durations: Sequence[float],
-               units: int, total_bytes: float, **extra) -> BenchRow:
+               units: int, total_bytes: float) -> BenchRow:
     """A phase's row from its run durations in ms, the units those runs
     covered and the bytes each party sent over them."""
     total_ms = sum(durations)
@@ -141,7 +139,6 @@ def _phase_row(label: str, setting: str, phase: str, durations: Sequence[float],
         per_unit_ms=total_ms / units,
         throughput_per_s=units * 1000.0 / total_ms,
         bytes_per_party=total_bytes / units,
-        **extra,
     )
 
 
@@ -165,18 +162,14 @@ def bench_phase(
     cluster = _make_cluster(scheme, setting, seed, rtt_ms)
     try:
         if phase == "keygen":
-            durations, secrets_ms, publics_ms = [], [], []
+            durations = []
             for i in range(repetitions):
                 before = time.perf_counter()
-                timing = cluster.keygen_timed(f"bench-member-{i}")
+                cluster.keygen(f"bench-member-{i}")
                 durations.append((time.perf_counter() - before) * 1000.0)
-                secrets_ms.append(timing["secret_ms"])
-                publics_ms.append(timing["public_ms"])
             return _phase_row(
                 label, setting, phase, durations, repetitions,
                 _mean_bytes_per_party(cluster, {}),
-                secret_ms=statistics.fmean(secrets_ms),
-                public_ms=statistics.fmean(publics_ms),
             )
 
         if phase == "preprocessing":

@@ -41,8 +41,8 @@ from .rpki import (
     sign_consent,
 )
 from .runtime import ConsentPolicy, LocalCluster, SignRequest
-from .sharing import SCHEME_NAMES, SchemeId
-from .tecdsa import ProtocolConfig
+from .sharing import SCHEME_NAMES, ProtocolAbort, SchemeId
+from .tecdsa import ProtocolConfig, TecdsaError
 
 
 def _fail(message: str) -> NoReturn:
@@ -198,15 +198,19 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    text = str(args.independent) if args.independent is not None else args.member[1]
+    if not text.isdigit() or int(text) < 1:
+        _fail(f"the tuple count must be a positive integer, got {text}")
+    count = int(text)
     cluster = cluster_from_config(load_config(args.config))
     try:
         if args.independent is not None:
-            made = cluster.preprocess_independent(args.independent)
+            made = cluster.preprocess_independent(count)
             print(f"generated {made} initial tuples "
                   f"(stock {cluster.initial_stock()})")
         else:
-            member, count = args.member
-            made = cluster.preprocess_dependent(member, int(count))
+            member = args.member[0]
+            made = cluster.preprocess_dependent(member, count)
             print(f"generated {made} final tuples for {member} "
                   f"(stock {cluster.final_stock(member)})")
     finally:
@@ -278,8 +282,6 @@ def cmd_member(args) -> int:
             cluster.register_member(args.member,
                                     GroupPoint.from_bytes(bytes.fromhex(blob["pk"])))
             print(f"registered consent key for {args.member} at all parties")
-        except ValidationError as exc:
-            _fail(str(exc))
         finally:
             cluster.close()
         return 0
@@ -530,7 +532,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except RecordError as exc:
+    except (RecordError, TecdsaError, ProtocolAbort, ValidationError) as exc:
         _fail(str(exc))
 
 

@@ -47,7 +47,7 @@ from .sharing import (
     SharingError,
     deal,
     share_add,
-    share_scale_add,
+    share_scale,
 )
 
 
@@ -295,9 +295,9 @@ class FileReplay(DealerQueue):
 
 def beaver_diffs(sk: Share, x: Share) -> Share:
     """This party's share of d = sk - x, the one value the product opens."""
-    return share_add(sk, share_scale_add(x, FieldElement(-1), FieldElement.zero()))
+    return share_add(sk, share_scale(x, FieldElement(-1)))
 
 
 def beaver_combine(a: Share, xa: Share, d: FieldElement) -> Share:
     """This party's share of sk*a = [x*a] + d*[a], once d is public."""
-    return share_add(xa, share_scale_add(a, d, FieldElement.zero()))
+    return share_add(xa, share_scale(a, d))

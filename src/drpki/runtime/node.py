@@ -311,8 +311,6 @@ class PartyNode:
         self.audit_seq = 0
         self.rng: Optional[random.Random] = None
         self.triple_source = None
-        # dealer-draw / public-open split of this node's latest keygen
-        self.keygen_timings: dict[str, float] = {}
         self._lock = threading.Lock()
         self._load()
 
@@ -471,8 +469,7 @@ class PartyNode:
             member_id = op["member"]
             if member_id in self.key_records:
                 raise TecdsaError(f"member {member_id!r} already has a live key")
-            self.keygen_timings = {}
-            record = keygen(self, session, member_id, timings=self.keygen_timings)
+            record = keygen(self, session, member_id)
             self.store_key_record(record)
             self.audit("keygen", member=member_id, pk=record.pk.to_bytes().hex())
             return record
@@ -848,14 +845,6 @@ class LocalCluster:
     def keygen(self, member_id: str) -> GroupPoint:
         return self._dispatch()({"op": "keygen", "member": member_id}).pk
 
-    def keygen_timed(self, member_id: str) -> dict:
-        """Key generation reporting the slowest party's phase-split timings."""
-        self.keygen(member_id)
-        return {
-            split: max(n.keygen_timings[split] for n in self.nodes.values())
-            for split in ("secret_ms", "public_ms")
-        }
-
     def preprocess_independent(self, count: int) -> int:
         return len(self._dispatch()({"op": "preprocess-independent", "count": count}))
 
@@ -925,6 +914,8 @@ class LocalCluster:
     # -- intervention tickets ----------------------------------------------------
 
     def approve_ticket(self, ticket_id: str, party: int) -> int:
+        if party not in self.nodes:
+            raise TecdsaError(f"party {party} is not a live party")
         self.nodes[party].approve_ticket(ticket_id)
         return self.ticket_approvals(ticket_id)
 

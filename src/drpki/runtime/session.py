@@ -103,19 +103,20 @@ class PartySession:
                 pass
         raise SessionAbort(reason)
 
-    def run_round(self, payloads: dict[int, bytes], *,
+    def run_round(self, payload: bytes, *,
                   work: Optional[Callable[[], None]] = None) -> dict[int, bytes]:
-        """Send this round's per-peer payloads; collect every peer's payload.
+        """Send `payload` to every peer; collect every peer's payload.
 
-        `work`, local computation that needs nothing of this round, runs
-        once after every frame of the round has been sent and before any
-        frame is read, so it overlaps the peers' frames in flight.
+        A round sends the same bytes to every peer: every value a protocol
+        phase sends is public to all of them, so no path sends a private
+        one.  `work`, local computation that needs nothing of this round,
+        runs once after every frame of the round has been sent and before
+        any frame is read, so it overlaps the peers' frames in flight.
         """
         self.round += 1
         r = self.round
+        msg = SessionMessage(self.session_id, self.phase, r, self.party_id, payload)
         for peer in self.peers:
-            msg = SessionMessage(self.session_id, self.phase, r,
-                                 self.party_id, payloads.get(peer, b""))
             self.endpoint.send(peer, msg)
         if work is not None:
             self._run_work(work)
@@ -146,10 +147,6 @@ class PartySession:
                 self._buffered[(msg.sender, msg.round)] = msg.payload
         return received
 
-    def broadcast(self, data: bytes, *,
-                  work: Optional[Callable[[], None]] = None) -> dict[int, bytes]:
-        return self.run_round({peer: data for peer in self.peers}, work=work)
-
     def _run_work(self, work: Callable[[], None]) -> None:
         """Run local work; if it raises, the session aborts for every peer."""
         try:
@@ -179,7 +176,7 @@ class PartySession:
         payload = b"".join(encode(v) for v in mine)
         if note is not None:
             payload = len(note).to_bytes(4, "big") + note + payload
-        replies = self.broadcast(payload)
+        replies = self.run_round(payload)
         senders = self.participants
         if note is not None:
             notes = {self.party_id: note}
@@ -270,11 +267,11 @@ class PartySession:
         else:
             opening = secrets.token_bytes(32)
         my_commit = mac_commit(sigma, opening)
-        commit_replies = self.broadcast(my_commit, work=work)
+        commit_replies = self.run_round(my_commit, work=work)
         commitments = {self.party_id: my_commit}
         for peer, blob in commit_replies.items():
             commitments[peer] = blob
-        reveal_replies = self.broadcast(sigma.value.to_bytes(32, "big") + opening)
+        reveal_replies = self.run_round(sigma.value.to_bytes(32, "big") + opening)
         reveals = {self.party_id: (sigma, opening)}
         for peer, blob in reveal_replies.items():
             if len(blob) != 64:

@@ -158,10 +158,17 @@ def _report(node: PartyNode, op: dict, result) -> None:
                   f"{res.signature.to_bytes().hex()} (verifies: {ok})")
 
 
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"count below 1: {text}")
+    return count
+
+
 def _parse_script_line(line: str) -> dict | None:
     """A script line's op, or None for a blank or comment line.  An unknown
-    op, a missing argument, a count that is not an integer and a message
-    that is not hex are refused."""
+    op, a missing argument, a count that is not a positive integer and a
+    message that is not hex are refused."""
     parts = line.split()
     if not parts or parts[0].startswith("#"):
         return None
@@ -172,9 +179,9 @@ def _parse_script_line(line: str) -> dict | None:
         if name == "keygen":
             return {"op": "keygen", "member": args[0]}
         if name == "preprocess-independent":
-            return {"op": "preprocess-independent", "count": int(args[0])}
+            return {"op": "preprocess-independent", "count": _count(args[0])}
         if name == "preprocess-dependent":
-            return {"op": "preprocess-dependent", "member": args[0], "count": int(args[1])}
+            return {"op": "preprocess-dependent", "member": args[0], "count": _count(args[1])}
         if name == "sign" and len(args) > 1:
             for message in args[1:]:
                 bytes.fromhex(message)

@@ -13,9 +13,8 @@ corruption threshold:
   =============  ===================  ==================================
 
 Shamir evaluation points are fixed as the party indices 1..n, so Lagrange
-coefficients are deterministic and transcripts reproducible.  Constant
-addition under additive sharing is assigned to party 1 by convention; Shamir
-adds constants at every party.
+coefficients are deterministic and transcripts reproducible.  Share
+arithmetic is linear: sums of shares and products with a public constant.
 
 A `Share` is what a party holds and stores, its MAC share included.  A
 `BareShare` is what an open reconstructs from: a field value without its MAC
@@ -208,31 +207,11 @@ def share_add(x: Share, y: Share) -> Share:
     return Share(x.scheme, x.owner, x.value + y.value, mac)
 
 
-def share_scale_add(
-    x: Share,
-    public_c: FieldElement,
-    public_d: FieldElement,
-    mac_key: Optional[MacKeyShare] = None,
-) -> Share:
-    """Share of c*x + d for public constants c, d.
-
-    Additive schemes assign d to party 1 only; every party's MAC share shifts
-    by alpha_i * d.  Shamir schemes add d into every share (a constant
-    polynomial).
-    """
-    value = public_c * x.value
-    mac = None
-    if x.scheme.is_shamir:
-        value = value + public_d
-    elif x.owner == 1:
-        value = value + public_d
-    if x.scheme.has_mac:
-        mac = public_c * x.mac
-        if not public_d.is_zero():
-            if mac_key is None:
-                raise SharingError("MAC key share required for authenticated constant addition")
-            mac = mac + mac_key.alpha_i * public_d
-    return Share(x.scheme, x.owner, value, mac)
+def share_scale(x: Share, public_c: FieldElement) -> Share:
+    """Share of c*x for a public constant c: the value and, under a MAC
+    scheme, the MAC share both scale by c."""
+    mac = public_c * x.mac if x.scheme.has_mac else None
+    return Share(x.scheme, x.owner, public_c * x.value, mac)
 
 
 def lagrange_coeffs_at(eval_points: Sequence[FieldElement],

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -55,7 +54,7 @@ from .sharing import (
     SchemeId,
     Share,
     share_add,
-    share_scale_add,
+    share_scale,
 )
 
 if TYPE_CHECKING:
@@ -378,8 +377,7 @@ class SignResult:
 _MEMBER_ID_BYTES = 16
 
 
-def keygen(node: PartyNode, session, member_id: str,
-           timings: Optional[dict] = None) -> KeyShareRecord:
+def keygen(node: PartyNode, session, member_id: str) -> KeyShareRecord:
     """Take [sk] for a member from the dealer and jointly open pk = sk * G.
 
     As SPDZ-family engines make any secret, [sk] is one random sharing from
@@ -387,9 +385,8 @@ def keygen(node: PartyNode, session, member_id: str,
     takes it as its key share.  Then one round opens pk under every scheme,
     checked under `mal-shamir`, and no frame carries a private value.  The
     dealer draws sk, so it knows every member key from keygen on; under
-    OT-based preprocessing no party would know it.  `timings`, when given,
-    receives the millisecond split: `secret_ms` the queue pop, `public_ms`
-    the open.  Returns this party's record; storing it is the node's.
+    OT-based preprocessing no party would know it.  Returns this party's
+    record; storing it is the node's.
 
     Under `mascot` the open has a real gap: point opens carry no MAC and the
     additive open has no redundancy, so a rushing party, which reads the
@@ -405,16 +402,10 @@ def keygen(node: PartyNode, session, member_id: str,
     """
     if len(member_id.encode()) > _MEMBER_ID_BYTES:  # refused before any round
         raise TecdsaError(f"member id longer than {_MEMBER_ID_BYTES} bytes: {member_id!r}")
-    t_start = time.perf_counter()
     sk_share = node.triple_source.next_mask()
-    t_secret = time.perf_counter()
     [pk] = session.open_point_batch([scalar_mul(sk_share.value, GENERATOR)])
     if pk.is_identity():
         raise ProtocolAbort("degenerate public key")
-    t_public = time.perf_counter()
-    if timings is not None:
-        timings["secret_ms"] = (t_secret - t_start) * 1000.0
-        timings["public_ms"] = (t_public - t_secret) * 1000.0
     return KeyShareRecord(member_id, sk_share, pk, node.epoch)
 
 
@@ -586,7 +577,7 @@ def _realign(session, mine: list[bytes], window: int, burn) -> None:
     highest id, or missing from a list shorter than the window.  So a peer
     can make this party burn no id beyond `mine`."""
     lacking = set()
-    for blob in session.broadcast(b"".join(mine)).values():
+    for blob in session.run_round(b"".join(mine)).values():
         if len(blob) % 16 or len(blob) > 16 * window:
             session.abort("malformed tuple id payload")
         theirs = {blob[i:i + 16] for i in range(0, len(blob), 16)}
@@ -622,8 +613,9 @@ def sign_online(node: PartyNode, session, member_id: str,
     agree and this party has journaled the agreed ids; then every R not
     opened during preprocessing is reconstructed.  Round 2 opens every s:
     the share step computes [s] = H(M) * [1/k] + r_x * [sk/k] locally,
-    field operations only, so a tuple is journaled before any s share
-    leaves.  Every party verifies each assembled signature against the
+    field operations only (a share times a public constant scales its MAC
+    share with it, so no MAC key is needed), so a tuple is journaled before
+    any s share leaves.  Every party verifies each assembled signature against the
     member's public key and the R it holds before returning any; a failure
     aborts rather than emitting bad bytes.  So does a degenerate instance
     key (R the identity, r_x = 0 or s = 0): the request ends there, and
@@ -702,12 +694,9 @@ def sign_online(node: PartyNode, session, member_id: str,
         messages, vote, release = gate.read(leads, targets)
     r_xs = [_r_x(session, r) for r in r_points]
 
-    zero = FieldElement.zero()
     s_shares = [
-        share_add(
-            share_scale_add(tup.k_inv_share, hash_to_scalar(m), zero, node.mac_key),
-            share_scale_add(tup.sk_over_k_share, r_x, zero, node.mac_key),
-        )
+        share_add(share_scale(tup.k_inv_share, hash_to_scalar(m)),
+                  share_scale(tup.sk_over_k_share, r_x))
         for tup, m, r_x in zip(tuples, messages, r_xs)
     ] if release else []
     if gate is None:

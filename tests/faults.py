@@ -113,9 +113,9 @@ def rushing_point_share(party, pk):
     pk - (the peers' point shares)."""
     run_round = PartySession.run_round
 
-    def rushing(session, payloads, *, work=None):
+    def rushing(session, payload, *, work=None):
         if session.party_id != party or session.phase != PHASE_KEYGEN:
-            return run_round(session, payloads, work=work)
+            return run_round(session, payload, work=work)
         session.round += 1
         received = {}
         while len(received) < len(session.peers):
@@ -142,12 +142,26 @@ def echo_round(cluster, payload, mute=(), timeout=None, echo_back=False):
     def fn(node, session):
         if node.party_id in mute:
             return {}
-        got = session.broadcast(payload)
+        got = session.run_round(payload)
         if echo_back:
-            got = session.broadcast(b"".join(got[p] for p in sorted(got)))
+            got = session.run_round(b"".join(got[p] for p in sorted(got)))
         return got
 
     return cluster._run_phase(PHASE_CONTROL, fn, timeout=timeout)
+
+
+@contextmanager
+def before_each_round(hook):
+    """Call hook(session) before each round any party runs inside the block,
+    while the session's `round` is still that of the round before."""
+    run_round = PartySession.run_round
+
+    def hooked(session, payload, *, work=None):
+        hook(session)
+        return run_round(session, payload, work=work)
+
+    with mock.patch.object(PartySession, "run_round", hooked):
+        yield
 
 
 @contextmanager
@@ -155,14 +169,12 @@ def count_rounds(phase):
     """Count each party's rounds in sessions of `phase` inside the block.
     Yields the dict party -> rounds; a party that ran none is absent."""
     counts = {}
-    run_round = PartySession.run_round
 
-    def counting(session, payloads, *, work=None):
+    def count(session):
         if session.phase == phase:
             counts[session.party_id] = counts.get(session.party_id, 0) + 1
-        return run_round(session, payloads, work=work)
 
-    with mock.patch.object(PartySession, "run_round", counting):
+    with before_each_round(count):
         yield counts
 
 

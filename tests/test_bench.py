@@ -130,15 +130,19 @@ def test_csv_roundtrip_preserves_rows(tmp_path):
 
 
 def test_csv_header_and_a_report_without_the_later_columns(tmp_path):
-    # the header is BenchRow's fields; a report written before the timing
-    # split, offline_source and status columns reads them as their defaults
+    # the header is BenchRow's fields; a report written before the
+    # offline_source and status columns reads them as their defaults, and
+    # one with keygen's old secret_ms and public_ms columns skips those
     row = BenchRow("shamir", "lan", "online", 2, 2, 1.5, 0.1, 1.5, 1333.3, 640.0)
     write_csv([row], str(tmp_path / "r.csv"))
     header = (tmp_path / "r.csv").read_text().splitlines()[0]
     assert header == ("scheme,setting,phase,runs,unit_count,mean_ms,stddev_ms,per_unit_ms,"
-                      "throughput_per_s,bytes_per_party,secret_ms,public_ms,offline_source,"
-                      "status")
+                      "throughput_per_s,bytes_per_party,offline_source,status")
     old = tmp_path / "old.csv"
     old.write_text(",".join(header.split(",")[:10]) + "\n"
                    "shamir,lan,online,2,2,1.5,0.1,1.5,1333.3,640.0\n")
     assert read_csv(str(old)) == [row]
+    split = tmp_path / "split.csv"
+    split.write_text(header.replace("bytes_per_party,", "bytes_per_party,secret_ms,public_ms,")
+                     + "\nshamir,lan,online,2,2,1.5,0.1,1.5,1333.3,640.0,0.1,4.8,dealer,ok\n")
+    assert read_csv(str(split)) == [row]

@@ -448,6 +448,23 @@ def test_command_on_a_node_log_that_does_not_decode_exits_with_one_line(workspac
     assert err.startswith("error: ") and "keys.jsonl line 1 does not decode" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["keygen", "--member", "x" * 24], "longer than 16 bytes"),
+    (["preprocess", "--member", "nobody", "5"], "no key shares for member 'nobody'"),
+    (["preprocess", "--independent", "-3"], "positive integer, got -3"),
+    (["preprocess", "--member", "m", "-4"], "positive integer, got -4"),
+    (["intervene", "approve", "deadbeef", "--party", "2"], "unknown ticket deadbeef"),
+    (["intervene", "approve", "deadbeef", "--party", "9"], "party 9 is not a live party"),
+], ids=["long-member-id", "member-without-key", "negative-independent-count",
+        "negative-member-count", "unknown-ticket", "party-not-live"])
+def test_refused_command_exits_with_one_error_line(workspace, capsys, argv, message):
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*argv, "--config", str(workspace / "drpki.ini"))
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_serve_refuses_second_start_from_one_dealer_file(workspace, monkeypatch):
     monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoMesh)
     config = str(workspace / "drpki.ini")
@@ -487,7 +504,9 @@ def test_serve_refuses_a_script_of_more_ops_than_control_rounds(workspace, monke
 
 @pytest.mark.parametrize("line", [
     "keygen", "preprocess-independent ten", "preprocess-dependent m", "sign m zz",
-], ids=["keygen-no-member", "count-not-an-integer", "dependent-no-count", "message-not-hex"])
+    "preprocess-independent -3", "preprocess-dependent m 0",
+], ids=["keygen-no-member", "count-not-an-integer", "dependent-no-count", "message-not-hex",
+        "negative-count", "zero-count"])
 def test_serve_refuses_a_malformed_script_line(workspace, monkeypatch, line):
     # refused at parse, before the node opens, with one error line
     monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoSocket)

@@ -66,6 +66,7 @@ from drpki.tecdsa import (
 )
 from faults import (
     CrashError,
+    before_each_round,
     count_curve_ops,
     count_rounds,
     crash_at,
@@ -340,7 +341,7 @@ def test_replayed_round_message_dropped():
     def party(pid, peers):
         session = PartySession(pid, [1, 2, 3], sid, PHASE_CONTROL,
                                hub.endpoint(pid), SchemeId.SHAMIR, t=1, timeout=2.0)
-        done[pid] = session.broadcast(b"m%d" % pid)
+        done[pid] = session.run_round(b"m%d" % pid)
         return session
 
     threads = [threading.Thread(target=party, args=(p, None)) for p in (1, 2, 3)]
@@ -358,7 +359,7 @@ def test_replayed_round_message_dropped():
     replay = SessionMessage(sid, PHASE_CONTROL, 1, 2, b"stale")
     hub.send(2, 1, replay)
     with pytest.raises(SessionAbort):
-        session.run_round({2: b"", 3: b""})
+        session.run_round(b"")
     assert session.dropped >= 1
 
 
@@ -387,14 +388,9 @@ def _recording_session(scheme=SchemeId.SHAMIR):
     return session, endpoint.log
 
 
-@pytest.mark.parametrize("how", ["run_round", "broadcast"])
-def test_round_work_runs_after_every_send_and_before_any_receive(how):
+def test_round_work_runs_after_every_send_and_before_any_receive():
     session, log = _recording_session()
-    work = lambda: log.append(("work",))  # noqa: E731
-    if how == "run_round":
-        got = session.run_round({2: b"a", 3: b"b"}, work=work)
-    else:
-        got = session.broadcast(b"a", work=work)
+    got = session.run_round(b"a", work=lambda: log.append(("work",)))
     assert got == {2: b"reply", 3: b"reply"}
     assert log == [("send", 2, PHASE_CONTROL, 1), ("send", 3, PHASE_CONTROL, 1), ("work",),
                    ("recv",), ("recv",)]
@@ -407,7 +403,7 @@ def test_round_work_that_raises_aborts_the_session_for_every_peer():
         raise ValueError("no inverse")
 
     with pytest.raises(SessionAbort, match="local work failed: no inverse"):
-        session.broadcast(b"a", work=work)
+        session.run_round(b"a", work=work)
     assert log == [("send", 2, PHASE_CONTROL, 1), ("send", 3, PHASE_CONTROL, 1),
                    ("send", 2, PHASE_ABORT, 1), ("send", 3, PHASE_ABORT, 1)]
 
@@ -916,7 +912,7 @@ def test_flipped_payload_bit_ends_in_timeout_abort():
     hub.deliver(2, 1, _flipped_frame(keys, 2, 1, forged))
     hub.send(3, 1, SessionMessage(sid, PHASE_CONTROL, 1, 3, b"honest"))
     with pytest.raises(SessionAbort, match="party unavailable"):
-        session.run_round({2: b"", 3: b""})
+        session.run_round(b"")
     assert hub.dropped_frames == 1
 
 
@@ -1117,7 +1113,7 @@ def test_transfer_stock_check_covers_both_payloads(policy):
     (SchemeId.SHAMIR_CHECKED, "sign", True, 2),
 ], ids=["mascot-transfer", "mal-shamir-issue", "mascot-transfer-precompute-r",
         "mascot-sign", "mal-shamir-sign-precompute-r"])
-def test_sign_request_round_count(monkeypatch, scheme, op, precompute_r, rounds):
+def test_sign_request_round_count(scheme, op, precompute_r, rounds):
     # a request is one session of two rounds under every scheme: tuple tags,
     # targets, payloads and R shares (none when R was precomputed), then
     # votes and s shares; a plain sign op runs the same two rounds without
@@ -1131,20 +1127,18 @@ def test_sign_request_round_count(monkeypatch, scheme, op, precompute_r, rounds)
         request = _issue_request(cluster, member_keys, roa)
     counts = {}
     sessions = {}
-    run_round = PartySession.run_round
 
-    def counting(self, payloads, *, work=None):
-        counts[self.party_id] = counts.get(self.party_id, 0) + 1
-        sessions.setdefault(self.party_id, set()).add(self.session_id)
-        return run_round(self, payloads, work=work)
+    def counting(session):
+        counts[session.party_id] = counts.get(session.party_id, 0) + 1
+        sessions.setdefault(session.party_id, set()).add(session.session_id)
 
-    monkeypatch.setattr(PartySession, "run_round", counting)
-    if op == "sign":
-        assert len(cluster.run_signing("memberA", [b"one", b"two"])) == 2
-    else:
-        outcome = cluster.handle_sign_request(request)
-        assert outcome.status == "published"
-        assert len(outcome.objects) == len(request.payloads)
+    with before_each_round(counting):
+        if op == "sign":
+            assert len(cluster.run_signing("memberA", [b"one", b"two"])) == 2
+        else:
+            outcome = cluster.handle_sign_request(request)
+            assert outcome.status == "published"
+            assert len(outcome.objects) == len(request.payloads)
     assert counts == {p: rounds for p in cluster.participants}
     assert all(len(sessions[p]) == 1 for p in cluster.participants)
     cluster.close()
@@ -1160,17 +1154,10 @@ def test_request_at_full_stock_sends_a_twenty_byte_tag(monkeypatch):
     request = _transfer_request(cluster, member_keys, roa)
     lead = b"".join(len(blob).to_bytes(4, "big") + blob
                     for blob in map(encode_canonical, request.payloads))
-    sent = {}
-    run_round = PartySession.run_round
-
-    def recording(self, payloads, *, work=None):
-        if self.phase == PHASE_ONLINE and self.round == 0:
-            sent[self.party_id] = {len(p) for p in payloads.values()}
-        return run_round(self, payloads, work=work)
-
-    monkeypatch.setattr(PartySession, "run_round", recording)
+    payloads = _online_payloads(cluster, monkeypatch, 1)
     outcome = cluster.handle_sign_request(request)
     assert outcome.status == "published"
+    sent = {p: {len(blob) for blob in blobs} for p, blobs in payloads.items()}
     initiator = cluster.participants[0]
     shares = 2 * 65
     assert sent == {p: {4 + 20 + 16 + (len(lead) if p == initiator else 0) + shares}
@@ -1178,7 +1165,7 @@ def test_request_at_full_stock_sends_a_twenty_byte_tag(monkeypatch):
     cluster.close()
 
 
-def test_refused_transfer_burns_its_tuples_before_any_s_share(monkeypatch):
+def test_refused_transfer_burns_its_tuples_before_any_s_share():
     # a token signed by a key the registry does not hold: the votes fail in
     # round 2, so no party sends an s share, and each has burned the two
     # tuples agreed in round 1
@@ -1187,14 +1174,12 @@ def test_refused_transfer_burns_its_tuples_before_any_s_share(monkeypatch):
     request = _transfer_request(cluster, KeyPair.generate(rng), roa)
     stocks = _final_stocks(cluster, "memberA")
     counts = {}
-    run_round = PartySession.run_round
 
-    def counting(self, payloads, *, work=None):
-        counts[self.party_id] = counts.get(self.party_id, 0) + 1
-        return run_round(self, payloads, work=work)
+    def counting(session):
+        counts[session.party_id] = counts.get(session.party_id, 0) + 1
 
-    monkeypatch.setattr(PartySession, "run_round", counting)
-    outcome = cluster.handle_sign_request(request)
+    with before_each_round(counting):
+        outcome = cluster.handle_sign_request(request)
     assert outcome.status == "aborted"
     assert outcome.reason == "consent-invalid"
     assert counts == {p: 2 for p in cluster.participants}
@@ -1204,13 +1189,13 @@ def test_refused_transfer_burns_its_tuples_before_any_s_share(monkeypatch):
     cluster.close()
 
 
-def _round_two_payloads(cluster, monkeypatch):
-    """Record each sender's online round-2 payloads: sender -> set of payloads."""
+def _online_payloads(cluster, monkeypatch, round):
+    """Record each sender's payloads of an online round: sender -> set of payloads."""
     sent = {}
     send = cluster.hub.send
 
     def recording(sender, receiver, msg):
-        if msg.phase == PHASE_ONLINE and msg.round == 2:
+        if msg.phase == PHASE_ONLINE and msg.round == round:
             sent.setdefault(sender, set()).add(msg.payload)
         send(sender, receiver, msg)
 
@@ -1230,7 +1215,7 @@ def test_dissenting_node_withholds_its_s_shares(monkeypatch, scheme):
     _, member_keys, roa = _issue_fixture(cluster)
     cluster.nodes[5].register_member("memberA", KeyPair.generate(rng).pk)
     request = _issue_request(cluster, member_keys, roa)
-    sent = _round_two_payloads(cluster, monkeypatch)
+    sent = _online_payloads(cluster, monkeypatch, 2)
     columns = []
     open_shares_ = session_module.open_shares
 
@@ -1337,26 +1322,25 @@ def test_faulted_r_or_s_share_aborts_the_request(scheme, reason, position):
 @pytest.mark.parametrize("op", ["request", "sign"])
 @pytest.mark.parametrize("scheme", [SchemeId.ADDITIVE_MAC, SchemeId.SHAMIR_CHECKED],
                          ids=["mascot", "mal-shamir"])
-def test_agreed_tuples_are_journaled_before_round_two(monkeypatch, scheme, op):
+def test_agreed_tuples_are_journaled_before_round_two(scheme, op):
     # what each party had journaled when it sent round 2 of the signing session
     cluster = make_cluster(scheme)
     _, member_keys, roa = _issue_fixture(cluster)
     request = _transfer_request(cluster, member_keys, roa)
     journaled = {}
-    run_round = PartySession.run_round
 
-    def checking(self, payloads, *, work=None):
-        if self.phase == PHASE_ONLINE and self.round == 1:
-            journaled[self.party_id] = cluster.nodes[self.party_id].tuple_store.consumed_ids()
-        return run_round(self, payloads, work=work)
+    def checking(session):
+        if session.phase == PHASE_ONLINE and session.round == 1:
+            journaled[session.party_id] = (
+                cluster.nodes[session.party_id].tuple_store.consumed_ids())
 
-    monkeypatch.setattr(PartySession, "run_round", checking)
-    if op == "request":
-        outcome = cluster.handle_sign_request(request)
-        assert outcome.status == "published"
-        results = outcome.sign_results
-    else:
-        results = cluster.run_signing("memberA", [b"one", b"two"])
+    with before_each_round(checking):
+        if op == "request":
+            outcome = cluster.handle_sign_request(request)
+            assert outcome.status == "published"
+            results = outcome.sign_results
+        else:
+            results = cluster.run_signing("memberA", [b"one", b"two"])
     agreed = {(1, res.tuple_id) for res in results}
     assert len(agreed) == 2
     assert set(journaled) == set(cluster.participants)
@@ -1856,26 +1840,25 @@ def test_degenerate_r_aborts_the_request(monkeypatch, scheme):
 
 @pytest.mark.parametrize("scheme", [SchemeId.ADDITIVE_MAC, SchemeId.SHAMIR_CHECKED],
                          ids=["mascot", "mal-shamir"])
-def test_peer_abort_naming_a_failed_mac_check_retires_no_epoch(monkeypatch, scheme):
+def test_peer_abort_naming_a_failed_mac_check_retires_no_epoch(scheme):
     # party 2 aborts round 1 of a request with the text of a failed MAC
     # check; only a node's own failed check may retire its epoch
     cluster = make_cluster(scheme)
     _, member_keys, roa = _issue_fixture(cluster)
-    run_round = PartySession.run_round
     fired = []
 
-    def hostile(self, payloads, *, work=None):
-        if self.party_id == 2 and self.phase == PHASE_ONLINE and not fired:
-            fired.append(self.session_id)
-            self.abort("MAC check failed")
-        return run_round(self, payloads, work=work)
+    def hostile(session):
+        if session.party_id == 2 and session.phase == PHASE_ONLINE and not fired:
+            fired.append(session.session_id)
+            session.abort("MAC check failed")
 
-    monkeypatch.setattr(PartySession, "run_round", hostile)
-    outcome = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
-    assert outcome.status == "aborted" and "MAC check failed" in outcome.reason
-    assert all(cluster.epoch not in node.retired_epochs for node in cluster.nodes.values())
-    outcome = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
-    assert outcome.status == "published"
+    with before_each_round(hostile):
+        outcome = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+        assert outcome.status == "aborted" and "MAC check failed" in outcome.reason
+        assert all(cluster.epoch not in node.retired_epochs
+                   for node in cluster.nodes.values())
+        outcome = cluster.handle_sign_request(_issue_request(cluster, member_keys, roa))
+        assert outcome.status == "published"
     cluster.close()
 
 
@@ -2092,20 +2075,19 @@ def test_independent_preprocessing_is_local(scheme):
     cluster.close()
 
 
-def test_agreed_initial_tuples_are_journaled_before_round_one(monkeypatch):
+def test_agreed_initial_tuples_are_journaled_before_round_one():
     cluster = make_cluster(SchemeId.ADDITIVE_MAC)
     cluster.keygen("m")
     cluster.preprocess_independent(4)
     journaled = {}
-    run_round = PartySession.run_round
 
-    def checking(self, payloads, *, work=None):
-        if self.phase == PHASE_PREPROCESS_DEPENDENT and self.round == 0:
-            journaled[self.party_id] = cluster.nodes[self.party_id].tuple_store.consumed_ids()
-        return run_round(self, payloads, work=work)
+    def checking(session):
+        if session.phase == PHASE_PREPROCESS_DEPENDENT and session.round == 0:
+            journaled[session.party_id] = (
+                cluster.nodes[session.party_id].tuple_store.consumed_ids())
 
-    monkeypatch.setattr(PartySession, "run_round", checking)
-    cluster.preprocess_dependent("m", 3)
+    with before_each_round(checking):
+        cluster.preprocess_dependent("m", 3)
     agreed = {(0, tid) for tid in
               cluster.nodes[1].tuple_store.available_final_ids("m", cluster.epoch)}
     assert len(agreed) == 3
@@ -2274,20 +2256,18 @@ def test_tag_mismatch_decodes_no_r_share(monkeypatch):
     # the realign, and the realign burns the id party 1 lacks
     cluster, pk, ids = _signing_cluster_with_one_store_ahead(1)
     decoded, rounds = [], {}  # each party runs on a thread of its own
-    decode, run_round = session_module._decode_point, PartySession.run_round
+    decode = session_module._decode_point
 
-    def tracking(self, *args, **kwargs):
-        replies = run_round(self, *args, **kwargs)
-        rounds[threading.get_ident()] = self.round
-        return replies
+    def tracking(session):
+        rounds[threading.get_ident()] = session.round + 1
 
     def recording(data):
         decoded.append(rounds[threading.get_ident()])
         return decode(data)
 
-    monkeypatch.setattr(PartySession, "run_round", tracking)
     monkeypatch.setattr(session_module, "_decode_point", recording)
-    result = cluster.run_signing("m", b"one ahead")
+    with before_each_round(tracking):
+        result = cluster.run_signing("m", b"one ahead")
     assert ecdsa_verify(pk, b"one ahead", result.signature)
     assert result.tuple_id == ids[1]
     n = len(cluster.participants)
@@ -2987,10 +2967,12 @@ _GOLDEN_TREES = {
 }
 
 
-def _fixed_seed_scenario(scheme, data_dir):
+def _fixed_seed_scenario(scheme, data_dir, refused=False):
     """Keygen, a consented issue, an issue that refills a drained stock, a
     transfer, and a flagged revoke approved at a quorum of parties and completed,
-    on a seeded cluster under a fixed clock.  Returns the outcome statuses."""
+    on a seeded cluster under a fixed clock; with `refused`, then an issue whose
+    token a key the registry does not hold signed, which the votes refuse.
+    Returns the outcome statuses."""
     keys_rng = random.Random(0x601D)
     cluster = LocalCluster(
         ProtocolConfig.for_scheme(scheme), data_dir=str(data_dir), seed=77,
@@ -3024,6 +3006,9 @@ def _fixed_seed_scenario(scheme, data_dir):
     for party in cluster.participants[:cluster.config.quorum]:
         cluster.approve_ticket(flagged.ticket_id, party)
     statuses += [flagged.status, cluster.complete_ticket(flagged.ticket_id).status]
+    if refused:
+        member_keys = KeyPair.generate(keys_rng)
+        statuses.append(consented(Action.ISSUE, [replace(roa, serial=4)]))
     cluster.close()
     return statuses
 
@@ -3053,27 +3038,46 @@ def test_fixed_seed_runs_are_byte_identical(tmp_path, scheme):
     assert digest == _GOLDEN_TREES[scheme], runs[0]
 
 
-def test_keygen_timed_reports_phase_split():
-    cluster = make_cluster()
-    timing = cluster.keygen_timed("timed-member")
-    assert timing["secret_ms"] > 0
-    assert timing["public_ms"] > 0
-    cluster.close()
+@pytest.mark.parametrize("scheme", list(SchemeId),
+                         ids=["semi", "mascot", "shamir", "mal-shamir"])
+def test_every_round_of_every_op_is_one_broadcast_under_fresh_headers(
+        tmp_path, monkeypatch, scheme):
+    # every frame of keygen, a refill, a consented issue, a transfer, a
+    # flagged revoke approved and completed, and a request the votes refuse:
+    # a sender's frames of one round carry one payload to every receiver, and
+    # no link sees one (session, phase, round) header twice, so a per-frame
+    # nonce drawn from that header would never repeat
+    frames = []
+    send = InProcessHub.send
+
+    def recording(hub, sender, receiver, msg):
+        frames.append((sender, receiver, msg.session_id, msg.phase, msg.round, msg.payload))
+        send(hub, sender, receiver, msg)
+
+    monkeypatch.setattr(InProcessHub, "send", recording)
+    statuses = _fixed_seed_scenario(scheme, tmp_path, refused=True)
+    assert statuses == ["published"] * 3 + ["flagged", "published", "aborted"]
+    payloads = {}
+    for sender, _, session, phase, round_, payload in frames:
+        payloads.setdefault((sender, session, phase, round_), set()).add(payload)
+    assert frames and all(len(sent) == 1 for sent in payloads.values())
+    headers = [frame[:5] for frame in frames]
+    assert len(set(headers)) == len(headers)
 
 
-def test_keygen_timed_refuses_member_with_live_key():
+def test_keygen_refuses_member_with_live_key():
     cluster = make_cluster()
     pk = cluster.keygen("m")
     with pytest.raises(TecdsaError, match="already has a live key"):
-        cluster.keygen_timed("m")
+        cluster.keygen("m")
     assert all(node.key_records["m"].pk == pk for node in cluster.nodes.values())
     cluster.close()
 
 
-def test_keygen_timed_refuses_long_member_id():
+def test_keygen_refuses_long_member_id():
     cluster = make_cluster()
     with pytest.raises(TecdsaError, match="longer than 16 bytes"):
-        cluster.keygen_timed("x" * 20)
+        cluster.keygen("x" * 20)
     assert all(not node.key_records for node in cluster.nodes.values())
     cluster.close()
 

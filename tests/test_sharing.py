@@ -29,7 +29,7 @@ from drpki.sharing import (
     open_shares,
     open_point_shares,
     share_add,
-    share_scale_add,
+    share_scale,
 )
 
 rng = random.Random(0xD21_02)
@@ -96,22 +96,8 @@ def test_share_addition_opens_to_sum(scheme):
 def test_scale_by_two_opens_to_double(scheme):
     mac_keys = generate_mac_keys(N, rng)
     xs, _ = _deal(scheme, FieldElement(5), mac_keys=mac_keys)
-    scaled = [
-        share_scale_add(x, FieldElement(2), FieldElement.zero(), mk)
-        for x, mk in zip(xs, mac_keys)
-    ]
+    scaled = [share_scale(x, FieldElement(2)) for x in xs]
     assert open_shares(scaled, N, T) == FieldElement(10)
-
-
-@pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_constant_addition_opens_to_constant(scheme):
-    mac_keys = generate_mac_keys(N, rng)
-    xs, _ = _deal(scheme, FieldElement(123), mac_keys=mac_keys)
-    consts = [
-        share_scale_add(x, FieldElement.zero(), FieldElement(9), mk)
-        for x, mk in zip(xs, mac_keys)
-    ]
-    assert open_shares(consts, N, T) == FieldElement(9)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -123,10 +109,7 @@ def test_linearity_random_combinations(scheme):
         dealt = [_deal(scheme, s, mac_keys=mac_keys)[0] for s in secrets_]
         combined = None
         for c, shares in zip(coeffs, dealt):
-            scaled = [
-                share_scale_add(sh, c, FieldElement.zero(), mk)
-                for sh, mk in zip(shares, mac_keys)
-            ]
+            scaled = [share_scale(sh, c) for sh in shares]
             combined = scaled if combined is None else [
                 share_add(a, b) for a, b in zip(combined, scaled)
             ]
