@@ -9,7 +9,9 @@ mal-shamir signing does for R (`open_point_shares`, SHAMIR_CHECKED, n=5, t=2),
 a 3-term `lincomb` with the full-width Lagrange weights of the
 non-consecutive live set {1, 2, 4}, and the field layer's MAC accounting:
 100 `open_shares` calls over five `mascot` shares, each recorded into a
-`MacCheckAccumulator`, then one `sigma` (one call of that row is all 101).
+`MacCheckAccumulator`, then one `sigma` (one call of that row is all 101),
+and one whole `rpki.verify_consent` of a one-ROA ISSUE token, as each node
+runs it per request.
 Each row is the median over ROUNDS rounds of the per-call mean of CALLS
 calls, in milliseconds, after one warm-up call (which also builds any lazily
 built table).  Standard library only; it imports drpki from the
@@ -40,6 +42,13 @@ from drpki.algebra import (  # noqa: E402
     ecdsa_verify,
     lincomb,
     scalar_mul,
+)
+from drpki.rpki import (  # noqa: E402
+    Action,
+    IpPrefix,
+    RoaRecord,
+    sign_consent,
+    verify_consent,
 )
 from drpki.sharing import (  # noqa: E402
     BareShare,
@@ -111,6 +120,13 @@ def run() -> dict:
         for _ in range(MAC_OPENS)
     ]
 
+    prefixes = (IpPrefix.parse("192.0.2.0/24", 24),)
+    consents = []
+    for pair in pairs:
+        roa = RoaRecord(rng.randrange(1, 2**48), "member", 64512, prefixes, 1, 2, pair.pk)
+        token = sign_consent(pair.sk, "member", Action.ISSUE, [roa], expiry=1, rng=rng)
+        consents.append((token, [roa], {"member": pair.pk}))
+
     def open_and_account(sharings):
         acc = MacCheckAccumulator(b"microbench")
         for shares in sharings:
@@ -127,6 +143,9 @@ def run() -> dict:
             lambda shares: open_point_shares(shares, N, T), point_opens),
         "lagrange_3_full_width": _time_row(lincomb, combinations),
         "mascot_open_mac_100": _time_row(open_and_account, [mac_opens] * CALLS),
+        "verify_consent": _time_row(
+            lambda item: verify_consent(item[0], Action.ISSUE, item[1], item[2], now=0),
+            consents),
     }
     return {
         "rows": rows,

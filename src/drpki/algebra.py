@@ -471,6 +471,15 @@ def ecdsa_sign(sk: FieldElement, message: bytes, k: Optional[FieldElement] = Non
     on a degenerate instance key; without `k` a fresh nonce is sampled (and
     resampled on the ~2/p degenerate cases).
     """
+    return ecdsa_sign_with_r(sk, message, k, rng)[0]
+
+
+def ecdsa_sign_with_r(sk: FieldElement, message: bytes, k: Optional[FieldElement] = None,
+                      rng=None) -> tuple[Signature, GroupPoint]:
+    """`ecdsa_sign`, also returning the nonce point R = k * G the signature
+    was made with, for a verifier's `ecdsa_verify(..., r_point=R)`.  It draws
+    from `rng` exactly as `ecdsa_sign` does, so a seeded signature is the same
+    by either name."""
     h = hash_to_scalar(message)
     explicit = k is not None
     while True:
@@ -489,7 +498,7 @@ def ecdsa_sign(sk: FieldElement, message: bytes, k: Optional[FieldElement] = Non
             if explicit:
                 raise AlgebraError("degenerate instance key")
             continue
-        return Signature(r_x, s)
+        return Signature(r_x, s), r_point
 
 
 _HALF_BITS = 128

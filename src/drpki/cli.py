@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 from typing import NoReturn
 
-from .algebra import FieldElement, GroupPoint, KeyPair
+from .algebra import AlgebraError, FieldElement, GroupPoint, KeyPair
 from .analysis import capacity_report, compute_churn, ingest, write_capacity_json, write_plot_csv
 from .bench import (
     PHASES,
@@ -136,11 +136,42 @@ def cluster_from_config(cfg: configparser.ConfigParser) -> LocalCluster:
     )
 
 
-# --- object construction from JSON descriptions ------------------------------------
+# --- input files -----------------------------------------------------------------
+
+def _read_json(path: str) -> dict:
+    """The JSON object an input file holds; a file that cannot be read or
+    holds no JSON object raises ValidationError naming it."""
+    try:
+        blob = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(blob, dict):
+        raise ValidationError(f"{path} holds no JSON object")
+    return blob
+
+
+def _key_file_field(path: str, name: str, decode):
+    """Field `name` ("sk" or "pk") of a `member new-key` file, hex-decoded
+    and then passed to `decode`."""
+    blob = _read_json(path)
+    try:
+        return decode(bytes.fromhex(blob[name]))
+    except (KeyError, TypeError, ValueError, AlgebraError) as exc:
+        raise ValidationError(f"{path} is not a member key file: {exc!r}") from None
+
 
 def record_from_json(path: str, ee_pk: GroupPoint | None = None):
     """Build a ROA or CRL record from the documented JSON description."""
-    blob = json.loads(Path(path).read_text())
+    blob = _read_json(path)
+    try:
+        return _record_from_blob(blob, path, ee_pk)
+    except (KeyError, TypeError, ValueError, AlgebraError) as exc:
+        raise ValidationError(f"{path} is not an object description: {exc!r}") from None
+
+
+def _record_from_blob(blob: dict, path: str, ee_pk: GroupPoint | None):
     kind = blob.get("kind")
     if kind == "roa":
         prefixes = tuple(
@@ -251,18 +282,29 @@ def consent_token_to_file(token: ConsentToken, path: str) -> None:
         "object_digest": token.object_digest.hex(),
         "expiry": token.expiry,
         "signature": token.member_signature.to_bytes().hex(),
+        "r_point": token.r_point.to_bytes().hex(),
     }, indent=2))
 
 
 def consent_token_from_file(path: str) -> ConsentToken:
-    blob = json.loads(Path(path).read_text())
-    return ConsentToken(
-        blob["member"],
-        Action[blob["action"]],
-        bytes.fromhex(blob["object_digest"]),
-        int(blob["expiry"]),
-        Signature.from_bytes(bytes.fromhex(blob["signature"])),
-    )
+    """The token a `consent issue` file holds.  A file of the earlier format,
+    without "r_point", or with a field that does not decode (an R off the
+    curve among them) raises ValidationError naming the file."""
+    blob = _read_json(path)
+    if "r_point" not in blob:
+        raise ValidationError(f"{path} holds no r_point: a consent token file of the "
+                              "earlier format, so issue the token again")
+    try:
+        return ConsentToken(
+            blob["member"],
+            Action[blob["action"]],
+            bytes.fromhex(blob["object_digest"]),
+            int(blob["expiry"]),
+            Signature.from_bytes(bytes.fromhex(blob["signature"])),
+            GroupPoint.from_bytes(bytes.fromhex(blob["r_point"])),
+        )
+    except (KeyError, TypeError, ValueError, AlgebraError) as exc:
+        raise ValidationError(f"{path} is not a consent token file: {exc!r}") from None
 
 
 def cmd_member(args) -> int:
@@ -276,11 +318,10 @@ def cmd_member(args) -> int:
         print(f"public key: {pair.pk.to_bytes().hex()}")
         return 0
     if args.member_cmd == "register":
+        pk = _key_file_field(args.key, "pk", GroupPoint.from_bytes)
         cluster = cluster_from_config(load_config(args.config))
         try:
-            blob = json.loads(Path(args.key).read_text())
-            cluster.register_member(args.member,
-                                    GroupPoint.from_bytes(bytes.fromhex(blob["pk"])))
+            cluster.register_member(args.member, pk)
             print(f"registered consent key for {args.member} at all parties")
         finally:
             cluster.close()
@@ -290,8 +331,7 @@ def cmd_member(args) -> int:
 
 def cmd_consent(args) -> int:
     if args.consent_cmd == "issue":
-        blob = json.loads(Path(args.key).read_text())
-        sk = FieldElement(int(blob["sk"], 16))
+        sk = _key_file_field(args.key, "sk", FieldElement.from_bytes)
         cluster = cluster_from_config(load_config(args.config)) if args.config else None
         try:
             ee_pk = None

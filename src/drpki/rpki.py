@@ -12,9 +12,10 @@ framing of consent bodies and of a request's payload list.
 
 Consent tokens are the member-authorization artifact gating every signing
 run: a member signs (member id, action, digest of the exact payloads,
-expiry) with their registered single-party key.  An IP-space transfer needs
-consent over BOTH the revoking CRL delta and the replacement ROA, so its
-token digest covers the pair.
+expiry) with their registered single-party key, and the token carries that
+signature's nonce point R for the nodes' known-R check.  An IP-space
+transfer needs consent over BOTH the revoking CRL delta and the replacement
+ROA, so its token digest covers the pair.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .algebra import (
     FieldElement,
     GroupPoint,
     Signature,
-    ecdsa_sign,
+    ecdsa_sign_with_r,
     ecdsa_verify,
 )
 
@@ -189,11 +190,22 @@ PayloadRecord = Union[RoaRecord, CrlRecord, EeCertRecord]
 
 @dataclass(frozen=True)
 class ConsentToken:
+    """A member's signed approval of one action on the exact payloads.
+
+    `r_point` is the nonce point R that `member_signature` was made with.
+    Carrying it lets every node check the token with the known-R equation
+    (Antipa et al., SAC 2005), half the doublings of plain ECDSA.  That
+    check is no weaker: R must have x = r (mod n) and equal exactly
+    H/s * G + r/s * C, so plain ECDSA accepts every token it accepts, and R
+    is fixed by (r, s, body, key), so carrying it adds no malleability.
+    """
+
     member_id: str
     action: Action
     object_digest: bytes  # 32-byte digest over the exact payloads approved
     expiry: int
     member_signature: Signature
+    r_point: GroupPoint
 
 
 @dataclass(frozen=True)
@@ -391,8 +403,8 @@ def sign_consent(member_sk: FieldElement, member_id: str, action: Action,
                  rng=None) -> ConsentToken:
     digest = consent_digest(payloads)
     body = _consent_body(member_id, action, digest, expiry)
-    sig = ecdsa_sign(member_sk, body, rng=rng)
-    return ConsentToken(member_id, action, digest, expiry, sig)
+    sig, r_point = ecdsa_sign_with_r(member_sk, body, rng=rng)
+    return ConsentToken(member_id, action, digest, expiry, sig, r_point)
 
 
 def verify_consent(
@@ -402,7 +414,13 @@ def verify_consent(
     member_registry: dict[str, GroupPoint],
     now: float,
 ) -> ConsentVerdict:
-    """Three-valued verdict; 'missing' and 'invalid' drive different policies."""
+    """Three-valued verdict; 'missing' and 'invalid' drive different policies.
+
+    The signature is checked against the token's R as one known-R
+    combination, with no fallback to the full-length check: a token whose R
+    is the identity, has x != r (mod n) or is not exactly the signature's
+    point, the negated s with the original R among them, is invalid.
+    """
     if token is None:
         return ConsentVerdict.MISSING
     member_pk = member_registry.get(token.member_id)
@@ -426,7 +444,7 @@ def verify_consent(
     if now >= token.expiry:
         return ConsentVerdict.INVALID
     body = _consent_body(token.member_id, token.action, token.object_digest, token.expiry)
-    if not ecdsa_verify(member_pk, body, token.member_signature):
+    if not ecdsa_verify(member_pk, body, token.member_signature, r_point=token.r_point):
         return ConsentVerdict.INVALID
     return ConsentVerdict.OK
 

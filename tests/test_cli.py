@@ -465,6 +465,76 @@ def test_refused_command_exits_with_one_error_line(workspace, capsys, argv, mess
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+def _input_files(workspace):
+    """A member key, a ROA description and a token for it, plus input files
+    that cannot be read: missing, not JSON, a token file of the earlier
+    format (no r_point, or an R off the curve) and a ROA without its ASN."""
+    config = str(workspace / "drpki.ini")
+    files = {"key": workspace / "member.key", "roa": workspace / "roa.json",
+             "token": workspace / "token.json"}
+    assert run_cli("member", "new-key", "--out", str(files["key"])) == 0
+    _write_roa(files["roa"])
+    blob = json.loads(files["key"].read_text())
+    roa = json.loads(files["roa"].read_text())
+    roa["ee_pk"] = blob["pk"]
+    files["roa"].write_text(json.dumps(roa))
+    assert run_cli("consent", "issue", "--key", str(files["key"]), "--member", "memberX",
+                   "--action", "ISSUE", "--payload", str(files["roa"]),
+                   "--out", str(files["token"])) == 0
+    files["missing"] = workspace / "nope.json"
+    files["not-json"] = Path(config)
+    token = json.loads(files["token"].read_text())
+    earlier = dict(token)
+    del earlier["r_point"]
+    files["no-r"] = workspace / "earlier.json"
+    files["no-r"].write_text(json.dumps(earlier))
+    off_curve = dict(token, r_point="04" + "00" * 31 + "01" + "00" * 31 + "02")
+    files["r-off-curve"] = workspace / "off.json"
+    files["r-off-curve"].write_text(json.dumps(off_curve))
+    del roa["asn"]
+    files["no-asn"] = workspace / "no-asn.json"
+    files["no-asn"].write_text(json.dumps(roa))
+    return config, files
+
+
+_COMMANDS = {
+    "sign --in": lambda c, f, bad: ["sign", "--config", c, "--member", "memberX",
+                                    "--in", bad],
+    "sign --consent": lambda c, f, bad: ["sign", "--config", c, "--member", "memberX",
+                                         "--in", str(f["roa"]), "--consent", bad],
+    "consent show": lambda c, f, bad: ["consent", "show", bad],
+    "consent issue --key": lambda c, f, bad: [
+        "consent", "issue", "--key", bad, "--member", "memberX", "--action", "ISSUE",
+        "--payload", str(f["roa"]), "--out", str(f["token"])],
+    "consent issue --payload": lambda c, f, bad: [
+        "consent", "issue", "--key", str(f["key"]), "--member", "memberX",
+        "--action", "ISSUE", "--payload", bad, "--out", str(f["token"])],
+    "member register --key": lambda c, f, bad: ["member", "register", "--config", c,
+                                                "--member", "memberX", "--key", bad],
+}
+_TOKEN_READERS = ("sign --consent", "consent show")
+
+
+@pytest.mark.parametrize("command, case, message", [
+    *[(command, "missing", "cannot read") for command in _COMMANDS],
+    *[(command, "not-json", "is not JSON") for command in _COMMANDS],
+    *[(command, "no-r", "holds no r_point") for command in _TOKEN_READERS],
+    *[(command, "r-off-curve", "is not a consent token file") for command in _TOKEN_READERS],
+    ("sign --in", "no-asn", "is not an object description"),
+])
+def test_unreadable_input_file_exits_with_one_error_line(workspace, capsys, command, case,
+                                                         message):
+    config, files = _input_files(workspace)
+    capsys.readouterr()
+    bad = str(files[case])
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*_COMMANDS[command](config, files, bad))
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and bad in err
+    assert err.count("\n") == 1
+
+
 def test_serve_refuses_second_start_from_one_dealer_file(workspace, monkeypatch):
     monkeypatch.setattr("drpki.serve.TcpNodeTransport", _NoMesh)
     config = str(workspace / "drpki.ini")

@@ -6,7 +6,19 @@ from dataclasses import replace
 
 import pytest
 
-from drpki.algebra import GENERATOR, FieldElement, KeyPair, ecdsa_sign, scalar_mul
+from drpki.algebra import (
+    CURVE_ORDER,
+    FIELD_PRIME,
+    GENERATOR,
+    FieldElement,
+    GroupPoint,
+    KeyPair,
+    Signature,
+    ecdsa_sign,
+    ecdsa_verify,
+    scalar_mul,
+)
+from drpki.cli import consent_token_from_file, consent_token_to_file
 from drpki.rpki import (
     Action,
     ConsentVerdict,
@@ -20,6 +32,7 @@ from drpki.rpki import (
     SignedObject,
     TrustAnchorLocator,
     ValidationError,
+    _consent_body,
     consent_digest,
     decode_canonical,
     encode_canonical,
@@ -271,6 +284,51 @@ def test_consent_covers_only_the_consenting_members_records():
                          expiry=10**10, rng=rng)
     assert (verify_consent(token, Action.TRANSFER, [own_crl, foreign_roa], registry, now=0)
             is ConsentVerdict.OK)
+
+
+def _consent_signed_body(token):
+    return _consent_body(token.member_id, token.action, token.object_digest, token.expiry)
+
+
+def test_consent_is_checked_against_the_tokens_own_r():
+    member, registry, roa = _consent_setup()
+    token = sign_consent(member.sk, "memberA", Action.ISSUE, [roa], expiry=1000, rng=rng)
+    assert verify_consent(token, Action.ISSUE, [roa], registry, now=0) is ConsentVerdict.OK
+    body = _consent_signed_body(token)
+    r_point = token.r_point
+    # -R has R's x, so plain ECDSA accepts (r, s) with it; the exact equation does not
+    negated = replace(token, r_point=GroupPoint(r_point.x, FIELD_PRIME - r_point.y))
+    assert ecdsa_verify(member.pk, body, negated.member_signature)
+    assert verify_consent(negated, Action.ISSUE, [roa], registry, now=0) is ConsentVerdict.INVALID
+    # (r, n - s) passes plain ECDSA, but its point is -R, not the R it comes with
+    sig = token.member_signature
+    flipped = replace(token, member_signature=Signature(
+        sig.r_x, FieldElement(CURVE_ORDER - sig.s.value)))
+    assert ecdsa_verify(member.pk, body, flipped.member_signature)
+    assert verify_consent(flipped, Action.ISSUE, [roa], registry, now=0) is ConsentVerdict.INVALID
+    # an R whose x is not r
+    for other in (GENERATOR, r_point + GENERATOR):
+        off = replace(token, r_point=other)
+        assert verify_consent(off, Action.ISSUE, [roa], registry, now=0) is ConsentVerdict.INVALID
+
+
+def test_sign_consent_draws_as_plain_ecdsa():
+    # so seeded request streams sign the same tokens as before R was carried
+    member, _, roa = _consent_setup()
+    token = sign_consent(member.sk, "memberA", Action.ISSUE, [roa], expiry=1000,
+                         rng=random.Random(7))
+    body = _consent_signed_body(token)
+    assert token.member_signature == ecdsa_sign(member.sk, body, rng=random.Random(7))
+
+
+def test_consent_token_file_round_trip_keeps_r(tmp_path):
+    member, registry, roa = _consent_setup()
+    token = sign_consent(member.sk, "memberA", Action.ISSUE, [roa], expiry=1000, rng=rng)
+    path = str(tmp_path / "token.json")
+    consent_token_to_file(token, path)
+    read = consent_token_from_file(path)
+    assert read == token and read.r_point == token.r_point
+    assert verify_consent(read, Action.ISSUE, [roa], registry, now=0) is ConsentVerdict.OK
 
 
 def test_consent_digest_is_order_sensitive_pair_hash():

@@ -25,6 +25,7 @@ def test_curve_microbench_prints_every_row(monkeypatch, capsys):
     assert set(report["rows"]) == {
         "g_mul", "var_mul", "ecdsa_verify", "ecdsa_verify_known_r",
         "checked_point_open_5", "lagrange_3_full_width", "mascot_open_mac_100",
+        "verify_consent",
     }
     for row in report["rows"].values():
         assert row["median_ms"] > 0
