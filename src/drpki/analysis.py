@@ -191,8 +191,7 @@ def headroom(signatures_per_second: float, required_per_day: float) -> float:
     return signatures_per_second * SECONDS_PER_DAY / required_per_day
 
 
-def capacity_report(churn: ChurnSeries, bench_rows: Sequence,
-                    flag_threshold: float = 1.0) -> dict:
+def capacity_report(churn: ChurnSeries, bench_rows: Sequence) -> dict:
     """Compare required signatures/day (added + removed) against capacity.
 
     `bench_rows` are benchmark rows; only phase == "online" rows contribute a
@@ -225,7 +224,7 @@ def capacity_report(churn: ChurnSeries, bench_rows: Sequence,
         flagged = [
             d.day.isoformat()
             for d, req in zip(diffed, required)
-            if per_day_capacity > 0 and req / per_day_capacity > 1.0 / flag_threshold
+            if 0 < per_day_capacity < req
         ]
         mean_headroom = headroom(rate, report["mean_required_per_day"])
         worst = headroom(rate, max(required))

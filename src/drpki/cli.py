@@ -30,6 +30,7 @@ from .bench import (
     read_csv as read_bench_csv,
 )
 from .durable import RecordError
+from .preprocessing import PreprocessingError
 from .rpki import (
     Action,
     ConsentToken,
@@ -58,7 +59,6 @@ POLICY_KEYS = {
     "flag_on_failed_consent": configparser.ConfigParser.getboolean,
     "low_watermark": configparser.ConfigParser.getint,
     "batch_size": configparser.ConfigParser.getint,
-    "auto_replenish": configparser.ConfigParser.getboolean,
 }
 
 
@@ -572,7 +572,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (RecordError, TecdsaError, ProtocolAbort, ValidationError) as exc:
+    except (RecordError, TecdsaError, ProtocolAbort, ValidationError,
+            PreprocessingError) as exc:
         _fail(str(exc))
 
 

@@ -55,7 +55,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 from urllib.parse import quote
 
 from ..algebra import FieldElement, GroupPoint
@@ -120,20 +120,22 @@ def _derive_seed(seed: int, label: str) -> int:
 
 @dataclass
 class ConsentPolicy:
-    """Per-action abort-vs-flag policy plus replenishment parameters.
+    """A node's abort-vs-flag policy for `flag_eligible` actions, and its
+    refill sizes.
 
-    A request refills only when its driving node holds fewer final tuples
+    A request refills whenever its driving node holds fewer final tuples
     for the member than it needs.  `low_watermark` is the final-tuple
-    threshold of an explicit `replenish()` and the spare initial stock a
-    refill leaves.  The batch defaults to the 1000-tuple amortization unit
-    the benchmarks use; scale it down for interactive demos.
+    threshold of a refill and the spare initial stock it leaves, and
+    `batch_size` the final tuples it binds per member; a refill for a larger
+    request raises both to its size.  The batch defaults to the 1000-tuple
+    amortization unit the benchmarks use; scale it down for interactive demos.
     """
 
+    flag_eligible: ClassVar[tuple[Action, ...]] = (Action.REVOKE, Action.TRANSFER)
+
     flag_on_failed_consent: bool = False
-    flag_eligible: tuple[Action, ...] = (Action.REVOKE, Action.TRANSFER)
     low_watermark: int = 100
     batch_size: int = 1000
-    auto_replenish: bool = True
 
 
 @dataclass
@@ -299,7 +301,7 @@ class PartyNode:
         self.dir = Path(data_dir)
         (self.dir / "objects").mkdir(parents=True, exist_ok=True)
 
-        self.tuple_store = TupleStore(str(self.dir), party_id)
+        self.tuple_store = TupleStore(str(self.dir), party_id, epoch)
         self.key_records: dict[str, KeyShareRecord] = {}
         self.mac_key: Optional[MacKeyShare] = None
         self.member_registry: dict[str, GroupPoint] = {}
@@ -530,39 +532,35 @@ class PartyNode:
             return SignOutcome("aborted", reason="empty request")
         if member_id not in self.key_records:
             return SignOutcome("aborted", reason="no signing key for member")
-        need = len(blobs)
         # a node that refuses its epoch refuses the op itself, and cannot refill
-        if self.refusal() is None and self.tuple_store.final_stock(member_id, self.epoch) < need:
-            if not self.policy.auto_replenish:
-                raise StockDepletedError(f"final tuples for member {member_id!r} depleted")
-            # the refill must cover the whole batch, however small the policy's sizes
-            self.replenish(dispatch, member_id, max(self.policy.low_watermark, need),
-                           max(self.policy.batch_size, need))
+        if self.refusal() is None and self.tuple_store.final_stock(member_id) < len(blobs):
+            self.replenish(dispatch, member_id, len(blobs))
         return dispatch({"op": "request", "member": member_id, "action": action.name,
                          "payloads": [b.hex() for b in blobs], "initiator": self.party_id,
                          "ticket": ticket_id})
 
     def replenish(self, dispatch: Callable[[dict], object], member_id: Optional[str] = None,
-                  low_watermark: Optional[int] = None,
-                  batch_size: Optional[int] = None) -> dict:
+                  need: int = 0) -> dict:
         """Refill preprocessing stock below the low watermark, with backoff.
 
-        The watermark is held against this node's own counts, for `member_id`
-        or else every member it holds a key for.  Phase 2 sends no frame, so
+        The node's policy sets the watermark and the batch, each raised to
+        `need` so that a refill covers a request of that many payloads.  The
+        watermark is held against this node's own counts, for `member_id` or
+        else every member it holds a key for.  Phase 2 sends no frame, so
         only phase 3 is retried, up to 3 attempts, when it aborts or runs
         short of initial tuples.  An aborted phase-3 batch has burned its
         initial tuples, and so may a realign round, so initial stock is
         topped up to a batch before every attempt.
         """
-        watermark = low_watermark if low_watermark is not None else self.policy.low_watermark
-        batch = batch_size if batch_size is not None else self.policy.batch_size
+        watermark = max(self.policy.low_watermark, need)
+        batch = max(self.policy.batch_size, need)
         made = {"initial": 0, "final": 0}
         short = [m for m in ([member_id] if member_id else sorted(self.key_records))
-                 if self.tuple_store.final_stock(m, self.epoch) < watermark]
+                 if self.tuple_store.final_stock(m) < watermark]
 
-        def top_up(need: int) -> None:
-            if self.tuple_store.initial_stock(self.epoch) < need:
-                made["initial"] += len(dispatch({"op": "preprocess-independent", "count": need}))
+        def top_up(count: int) -> None:
+            if self.tuple_store.initial_stock() < count:
+                made["initial"] += len(dispatch({"op": "preprocess-independent", "count": count}))
 
         top_up(watermark + batch * len(short))
         for m in short:
@@ -695,10 +693,11 @@ class LocalCluster:
         self.epoch = epoch
         self.pair_keys = derive_pair_keys(pair_secret, config.n, epoch)
         # each boot counts sessions in its own 2^32 block, so a reopened
-        # data_dir never reissues an earlier boot's session ids
-        self._session_counter = boots << 32
-        self.hub = InProcessHub(self.pair_keys, latency_ms,
-                                first_session=self._session_counter + 1)
+        # data_dir never reissues an earlier boot's session ids; next() on a
+        # count is one C call, so two concurrent ops never share an id
+        first_session = (boots << 32) + 1
+        self._session_ids = itertools.count(first_session)
+        self.hub = InProcessHub(self.pair_keys, latency_ms, first_session=first_session)
 
         seeded = seed is not None
         # the dealer stream is salted with the boot count so a restart can
@@ -733,7 +732,6 @@ class LocalCluster:
         for party in self.participants:
             self.nodes[party].triple_source = self.dealer.queues[party]
 
-        self._session_lock = threading.Lock()
         self._member_locks: dict[str, threading.Lock] = {}
         self._member_locks_guard = threading.Lock()
         # Keygen (its mask, under every scheme) and phase 2 pop each party's
@@ -769,11 +767,6 @@ class LocalCluster:
         with self._member_locks_guard:
             return self._member_locks.setdefault(member_id, threading.Lock())
 
-    def _next_session_id(self) -> int:
-        with self._session_lock:
-            self._session_counter += 1
-            return self._session_counter
-
     # -- phase runner -------------------------------------------------------------
 
     def _run_phase(self, phase: int, fn, timeout: Optional[float] = None):
@@ -781,7 +774,7 @@ class LocalCluster:
         then drop the session's mailboxes: no frame of it is sent after that."""
         if self.n_live < self.config.quorum:
             raise SessionAbort("party unavailable")
-        session_id = self._next_session_id()
+        session_id = next(self._session_ids)
         timeout = timeout if timeout is not None else self.timeout
         results: dict[int, object] = {}
         errors: dict[int, BaseException] = {}
@@ -868,17 +861,15 @@ class LocalCluster:
     # -- stock views: the least any node holds, read by no decision -------------
 
     def initial_stock(self) -> int:
-        return min(n.tuple_store.initial_stock(self.epoch) for n in self.nodes.values())
+        return min(n.tuple_store.initial_stock() for n in self.nodes.values())
 
     def final_stock(self, member_id: str) -> int:
-        return min(n.tuple_store.final_stock(member_id, self.epoch) for n in self.nodes.values())
+        return min(n.tuple_store.final_stock(member_id) for n in self.nodes.values())
 
-    def replenish(self, member_id: Optional[str] = None,
-                  low_watermark: Optional[int] = None,
-                  batch_size: Optional[int] = None) -> dict:
+    def replenish(self, member_id: Optional[str] = None) -> dict:
         """`PartyNode.replenish`, driven by the first live party."""
         driver = self.nodes[self.participants[0]]
-        return driver.replenish(self._dispatch(driver), member_id, low_watermark, batch_size)
+        return driver.replenish(self._dispatch(driver), member_id)
 
     # -- consent-gated signing workflow --------------------------------------------
 

@@ -194,11 +194,13 @@ class TupleStore:
 
     Every added tuple and every consumption is appended to the file before
     the call returns and held in memory only after; the per-tuple
-    `consumed` flags mirror the consumption lines.  A tuple is offered,
-    counted and checked out while it is unconsumed, of the asked epoch and,
-    if final, bound to the asked member: `_live` is that rule for every
-    method.  After close() the store still answers reads, but adds and
-    checkouts raise, so a stale store cannot write beside a reopened one.
+    `consumed` flags mirror the consumption lines.  A store serves one
+    party and one epoch: a tuple is offered, counted and checked out while
+    it is unconsumed, of that epoch and, if final, bound to the asked
+    member: `_live` is that rule for every method.  An add refuses an id
+    that any line holds, of any epoch.  After close() the store still
+    answers reads, but adds and checkouts raise, so a stale store cannot
+    write beside a reopened one.
 
     The open refuses a file whose header names another party, or that holds
     a whole line that does not decode, and leaves it as it is; only a torn
@@ -208,9 +210,10 @@ class TupleStore:
     tuples are never offered, and the next refill restocks.
     """
 
-    def __init__(self, directory: str, party: int) -> None:
+    def __init__(self, directory: str, party: int, epoch: bytes) -> None:
         self._lock = threading.Lock()
         self.party = party
+        self.epoch = epoch
         self._initial: dict[bytes, InitialTuple] = {}
         self._final: dict[bytes, FinalTuple] = {}
         self._closed = False
@@ -258,12 +261,12 @@ class TupleStore:
     def _pool(self, member_id: Optional[str]) -> dict:
         return self._initial if member_id is None else self._final
 
-    def _live(self, member_id: Optional[str], epoch: bytes, among=None):
+    def _live(self, member_id: Optional[str], among=None):
         """The one availability rule: the tuples `among` (default: the whole
-        pool) that are unconsumed, of `epoch`, and bound to `member_id`."""
+        pool) that are unconsumed, of the store's epoch, and bound to `member_id`."""
         if among is None:
             among = self._pool(member_id).values()
-        return (t for t in among if not t.consumed and t.epoch == epoch
+        return (t for t in among if not t.consumed and t.epoch == self.epoch
                 and (member_id is None or t.member_id == member_id))
 
     def _append_records(self, records) -> None:
@@ -283,7 +286,7 @@ class TupleStore:
                 self._append_records(map(line, tuples))
             pool.update(zip(ids, tuples))
 
-    def _checkout(self, member_id: Optional[str], epoch: bytes,
+    def _checkout(self, member_id: Optional[str],
                   tuple_ids: Optional[Sequence[bytes]] = None) -> list:
         """Journal and return the tuples `tuple_ids`, or else the first live
         one: all in one write, and none unless every one is live."""
@@ -291,10 +294,10 @@ class TupleStore:
         with self._lock:
             self._writable()
             if tuple_ids is None:
-                taken, wanted = list(islice(self._live(member_id, epoch), 1)), 1
+                taken, wanted = list(islice(self._live(member_id), 1)), 1
             else:
                 among = [pool[tid] for tid in dict.fromkeys(tuple_ids) if tid in pool]
-                taken, wanted = list(self._live(member_id, epoch, among)), len(tuple_ids)
+                taken, wanted = list(self._live(member_id, among)), len(tuple_ids)
             if len(taken) < wanted:
                 raise StockDepletedError(
                     "initial preprocessing tuples depleted" if member_id is None
@@ -306,13 +309,13 @@ class TupleStore:
                 tup.consumed = True
             return taken
 
-    def _ids(self, member_id: Optional[str], epoch: bytes, limit: int) -> list[bytes]:
+    def _ids(self, member_id: Optional[str], limit: int) -> list[bytes]:
         with self._lock:
-            return sorted(t.tuple_id for t in self._live(member_id, epoch))[:limit]
+            return sorted(t.tuple_id for t in self._live(member_id))[:limit]
 
-    def _count(self, member_id: Optional[str], epoch: bytes) -> int:
+    def _count(self, member_id: Optional[str]) -> int:
         with self._lock:
-            return sum(1 for _ in self._live(member_id, epoch))
+            return sum(1 for _ in self._live(member_id))
 
     def add_initial(self, tuples: Sequence[InitialTuple]) -> None:
         self._add("initial", tuples, _initial_line)
@@ -320,32 +323,29 @@ class TupleStore:
     def add_final(self, tuples: Sequence[FinalTuple]) -> None:
         self._add("final", tuples, _final_line)
 
-    def checkout_initial(self, epoch: bytes) -> InitialTuple:
-        return self._checkout(None, epoch)[0]
+    def checkout_initial(self) -> InitialTuple:
+        return self._checkout(None)[0]
 
-    def checkout_final(self, member_id: str, epoch: bytes) -> FinalTuple:
-        return self._checkout(member_id, epoch)[0]
+    def checkout_final(self, member_id: str) -> FinalTuple:
+        return self._checkout(member_id)[0]
 
-    def checkout_initial_by_id(self, tuple_ids: Sequence[bytes],
-                               epoch: bytes) -> list[InitialTuple]:
-        return self._checkout(None, epoch, tuple_ids)
+    def checkout_initial_by_id(self, tuple_ids: Sequence[bytes]) -> list[InitialTuple]:
+        return self._checkout(None, tuple_ids)
 
-    def checkout_final_by_id(self, tuple_ids: Sequence[bytes], member_id: str,
-                             epoch: bytes) -> list[FinalTuple]:
-        return self._checkout(member_id, epoch, tuple_ids)
+    def checkout_final_by_id(self, tuple_ids: Sequence[bytes], member_id: str) -> list[FinalTuple]:
+        return self._checkout(member_id, tuple_ids)
 
-    def available_initial_ids(self, epoch: bytes, limit: int = 64) -> list[bytes]:
-        return self._ids(None, epoch, limit)
+    def available_initial_ids(self, limit: int = 64) -> list[bytes]:
+        return self._ids(None, limit)
 
-    def available_final_ids(self, member_id: str, epoch: bytes,
-                            limit: int = 16) -> list[bytes]:
-        return self._ids(member_id, epoch, limit)
+    def available_final_ids(self, member_id: str, limit: int = 16) -> list[bytes]:
+        return self._ids(member_id, limit)
 
-    def initial_stock(self, epoch: bytes) -> int:
-        return self._count(None, epoch)
+    def initial_stock(self) -> int:
+        return self._count(None)
 
-    def final_stock(self, member_id: str, epoch: bytes) -> int:
-        return self._count(member_id, epoch)
+    def final_stock(self, member_id: str) -> int:
+        return self._count(member_id)
 
     def consumed_ids(self) -> set[tuple[int, bytes]]:
         with self._lock:
@@ -477,7 +477,7 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
     def bind(ids: list[bytes], tag: bytes, check):
         """Journal `ids` and open, behind the tag, each tuple's c share and
         its d = sk - x.  A short party journals and opens nothing."""
-        initials = store.checkout_initial_by_id(ids, node.epoch) if len(ids) == count else []
+        initials = store.checkout_initial_by_id(ids) if len(ids) == count else []
         shares: list[Share] = []
         for init in initials:
             shares += (init.c_share, beaver_diffs(record.sk_share, init.x_share))
@@ -485,8 +485,7 @@ def preprocess_dependent(node: PartyNode, session, member_id: str,
 
     initials, opened = _agree(
         session, count, "initial preprocessing tuples depleted",
-        lambda limit: store.available_initial_ids(node.epoch, limit=limit),
-        lambda tids: store.checkout_initial_by_id(tids, node.epoch), bind)
+        store.available_initial_ids, store.checkout_initial_by_id, bind)
     degenerate = any(c.is_zero() for c in opened[0::2])
     finals: list[FinalTuple] = []
 
@@ -676,7 +675,7 @@ def sign_online(node: PartyNode, session, member_id: str,
             if any(len(note) < _NOTE_HEAD for note in notes.values()):
                 session.abort("malformed tuple id payload")
             check({p: note[:20] for p, note in notes.items()})
-            tuples.extend(store.checkout_final_by_id(ids, member_id, node.epoch))
+            tuples.extend(store.checkout_final_by_id(ids, member_id))
             for p, note in notes.items():
                 targets[p], leads[p] = note[20:_NOTE_HEAD], note[_NOTE_HEAD:]
 
@@ -687,8 +686,8 @@ def sign_online(node: PartyNode, session, member_id: str,
 
     tuples, r_points = _agree(
         session, count, f"final tuples for member {member_id!r} depleted",
-        lambda limit: store.available_final_ids(member_id, node.epoch, limit=limit),
-        lambda tids: store.checkout_final_by_id(tids, member_id, node.epoch), exchange)
+        lambda limit: store.available_final_ids(member_id, limit=limit),
+        lambda tids: store.checkout_final_by_id(tids, member_id), exchange)
     vote, release = None, True
     if gate is not None:
         messages, vote, release = gate.read(leads, targets)

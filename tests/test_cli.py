@@ -13,6 +13,7 @@ import pytest
 from drpki import serve as serve_mod
 from drpki.cli import cluster_from_config, load_config, main, protocol_config
 from drpki.preprocessing import FileReplay, PreprocessingError
+from drpki.runtime import ConsentPolicy
 
 FIXTURE = Path(__file__).parent / "data" / "churn_90d"
 
@@ -98,10 +99,22 @@ def test_test_mode_env_var_refuses_production_config(workspace, monkeypatch):
 def test_malformed_policy_boolean_is_rejected(workspace):
     config_path = workspace / "drpki.ini"
     config_path.write_text(
-        config_path.read_text().replace("auto_replenish = true", "auto_replenish = maybe")
+        config_path.read_text().replace("flag_on_failed_consent = false",
+                                        "flag_on_failed_consent = maybe")
     )
     with pytest.raises(ValueError, match="Not a boolean"):
         cluster_from_config(load_config(str(config_path)))
+
+
+def test_a_config_that_still_names_auto_replenish_loads(workspace):
+    # the key of earlier versions is not read: a short request always refills
+    config_path = workspace / "drpki.ini"
+    config_path.write_text(
+        config_path.read_text().replace("[policy]\n", "[policy]\nauto_replenish = false\n")
+    )
+    cluster = cluster_from_config(load_config(str(config_path)))
+    assert cluster.policy == ConsentPolicy()
+    cluster.close()
 
 
 def test_sign_without_consent_aborts(workspace, capsys):
@@ -190,10 +203,10 @@ def _free_port_base():
     return min(base, 64000)
 
 
-def _serve_pipeline(tmp_path, count, script_lines):
+def _serve_pipeline(tmp_path, count, script_lines, exit_code=0):
     """Deal `count` records per party, run `script_lines` with party 1 as the
     initiator of five serve processes; returns the config and each party's
-    output, once every process exited 0."""
+    output and error output, once every process exited `exit_code`."""
     base = _free_port_base()
     assert run_cli("init", "--dir", str(tmp_path), "--scheme", "shamir",
                    "--seed", "3", "--port-base", str(base)) == 0
@@ -216,13 +229,14 @@ def _serve_pipeline(tmp_path, count, script_lines):
          "--party", "1", "--script", str(script)],
         capture_output=True, text=True, timeout=90,
     )
-    outputs = [initiator.stdout]
+    outputs, errors = [initiator.stdout], [initiator.stderr]
     for proc in responders:
         out, err = proc.communicate(timeout=90)
         outputs.append(out)
-        assert proc.returncode == 0, err
-    assert initiator.returncode == 0, initiator.stderr
-    return config, outputs
+        errors.append(err)
+        assert proc.returncode == exit_code, err
+    assert initiator.returncode == exit_code, initiator.stderr
+    return config, outputs, errors
 
 
 def _signature_lines(outputs, count):
@@ -236,7 +250,7 @@ def _signature_lines(outputs, count):
 
 
 def test_serve_multiprocess_pipeline(tmp_path):
-    config, outputs = _serve_pipeline(tmp_path, 4, [
+    config, outputs, _ = _serve_pipeline(tmp_path, 4, [
         "keygen tcp-member",
         "preprocess-independent 2",
         "preprocess-dependent tcp-member 2",
@@ -254,7 +268,7 @@ def test_serve_multiprocess_pipeline(tmp_path):
 def test_deal_of_n_records_serves_n_final_tuples(tmp_path, capsys):
     # phase 3 draws no dealer record, so a deal of 3 records per party
     # restocks 3 final tuples and signs with each
-    _, outputs = _serve_pipeline(tmp_path, 3, [
+    _, outputs, _ = _serve_pipeline(tmp_path, 3, [
         "keygen tcp-member",
         "preprocess-independent 3",
         "preprocess-dependent tcp-member 3",
@@ -264,6 +278,14 @@ def test_deal_of_n_records_serves_n_final_tuples(tmp_path, capsys):
     assert "(3 records, each one final tuple, and 6 masks each)" in capsys.readouterr().out
     assert all("+3 final tuples for tcp-member" in out for out in outputs)
     _signature_lines(outputs, 3)
+
+
+def test_a_dealer_file_that_runs_dry_ends_serve_with_one_error_line(tmp_path):
+    # one dealer record per party and a batch of two: each process draws
+    # its second triple from an empty file and exits with one error line
+    _, _, errors = _serve_pipeline(tmp_path, 1, ["preprocess-independent 2", "shutdown"],
+                                   exit_code=1)
+    assert errors == ["error: triple stock depleted\n"] * 5
 
 
 def _replay(config, dealer_dir, party):

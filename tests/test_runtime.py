@@ -363,6 +363,37 @@ def test_replayed_round_message_dropped():
     assert session.dropped >= 1
 
 
+def test_a_frame_of_a_later_round_waits_for_that_round():
+    # party 2's round-2 frame arrives before party 3's round-1 frame: round 1
+    # holds it, and round 2 returns it beside party 3's round-2 frame
+    keys = derive_pair_keys(b"ahead", 3, EPOCH)
+    hub = InProcessHub(keys)
+    sid = 4
+    for sender, round_ in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+        hub.send(sender, 1, SessionMessage(sid, PHASE_CONTROL, round_, sender,
+                                           b"r%d from %d" % (round_, sender)))
+    session = PartySession(1, [1, 2, 3], sid, PHASE_CONTROL, hub.endpoint(1),
+                           SchemeId.SHAMIR, t=1, timeout=2.0)
+    assert session.run_round(b"") == {2: b"r1 from 2", 3: b"r1 from 3"}
+    assert session.run_round(b"") == {2: b"r2 from 2", 3: b"r2 from 3"}
+    assert session.dropped == 0
+
+
+def test_a_frame_from_outside_the_session_is_dropped_and_the_round_completes():
+    # party 4 holds a pair key, so its frame is authentic, but the session
+    # runs among parties 1, 2 and 3 only
+    keys = derive_pair_keys(b"stray", 4, EPOCH)
+    hub = InProcessHub(keys)
+    sid = 6
+    for sender in (4, 2, 3):
+        hub.send(sender, 1, SessionMessage(sid, PHASE_CONTROL, 1, sender, b"from %d" % sender))
+    session = PartySession(1, [1, 2, 3], sid, PHASE_CONTROL, hub.endpoint(1),
+                           SchemeId.SHAMIR, t=1, timeout=2.0)
+    assert session.run_round(b"") == {2: b"from 2", 3: b"from 3"}
+    assert session.dropped == 1
+    assert hub.dropped_frames == 0
+
+
 class _RecordingEndpoint:
     """Logs each send and receive in order; every peer answers a frame of
     this party's with one of the same round, as soon as it is sent."""
@@ -1076,14 +1107,12 @@ def _transfer_request(cluster, member_keys, roa):
 
 
 def _final_stocks(cluster, member):
-    return {p: n.tuple_store.final_stock(member, cluster.epoch)
+    return {p: n.tuple_store.final_stock(member)
             for p, n in cluster.nodes.items()}
 
 
-@pytest.mark.parametrize("policy", [
-    ConsentPolicy(auto_replenish=False),
-    ConsentPolicy(low_watermark=1, batch_size=1),
-], ids=["refused", "replenished"])
+@pytest.mark.parametrize("policy", [ConsentPolicy(low_watermark=1, batch_size=1)],
+                         ids=["replenished"])
 def test_transfer_stock_check_covers_both_payloads(policy):
     # one final tuple left: the transfer must not spend it on its CRL and
     # then stop short of the ROA; a refill must cover both payloads even
@@ -1092,16 +1121,9 @@ def test_transfer_stock_check_covers_both_payloads(policy):
     _, member_keys, roa = _issue_fixture(cluster)
     while cluster.final_stock("memberA") > 1:
         cluster.run_signing("memberA", b"drain")
-    request = _transfer_request(cluster, member_keys, roa)
-    if not policy.auto_replenish:
-        with pytest.raises(StockDepletedError, match="depleted"):
-            cluster.handle_sign_request(request)
-        assert set(_final_stocks(cluster, "memberA").values()) == {1}
-        assert all(not node.objects for node in cluster.nodes.values())
-    else:
-        outcome = cluster.handle_sign_request(request)
-        assert outcome.status == "published"
-        assert len(outcome.objects) == 2 and all(o.verify() for o in outcome.objects)
+    outcome = cluster.handle_sign_request(_transfer_request(cluster, member_keys, roa))
+    assert outcome.status == "published"
+    assert len(outcome.objects) == 2 and all(o.verify() for o in outcome.objects)
     cluster.close()
 
 
@@ -1357,8 +1379,8 @@ def test_batch_signs_from_common_ids_when_one_store_is_ahead():
     cluster.preprocess_independent(4)
     cluster.preprocess_dependent("m", 4)
     store2 = cluster.nodes[2].tuple_store
-    lowest = store2.available_final_ids("m", cluster.epoch)[0]
-    store2.checkout_final_by_id([lowest], "m", cluster.epoch)
+    lowest = store2.available_final_ids("m")[0]
+    store2.checkout_final_by_id([lowest], "m")
     before = {p: n.tuple_store.consumed_ids() for p, n in cluster.nodes.items()}
     messages = [b"first", b"second"]
     results = cluster.run_signing("m", messages)
@@ -1499,7 +1521,7 @@ def test_mascot_opens_send_no_mac_share(monkeypatch):
     cluster = make_cluster(SchemeId.ADDITIVE_MAC, seed=3)
     cluster.keygen("m")
     cluster.preprocess_independent(2)
-    ids = cluster.nodes[1].tuple_store.available_initial_ids(cluster.epoch)
+    ids = cluster.nodes[1].tuple_store.available_initial_ids()
     frames = {}
     send = cluster.hub.send
 
@@ -1883,6 +1905,64 @@ def test_short_peer_offer_aborts_sign_promptly():
     cluster.close()
 
 
+@pytest.mark.parametrize("phase", [PHASE_PREPROCESS_DEPENDENT, PHASE_ONLINE],
+                         ids=["phase-3", "signing"])
+def test_a_tuple_tag_that_is_not_20_bytes_aborts(phase):
+    # party 2's round-1 tag loses its last byte: phase 3 checks the length
+    # of every tag, and signing the length of every note, whose first 20
+    # bytes are the tag
+    cluster = make_cluster(timeout=30)
+    cluster.keygen("m")
+    cluster.preprocess_independent(4)
+    if phase == PHASE_ONLINE:
+        cluster.preprocess_dependent("m", 2)
+    with rewrite_frames(cluster, 2, phase, 1, lambda p: rewrite_note(p, lambda n: n[:19])), \
+            pytest.raises(SessionAbort, match="malformed tuple id payload"):
+        if phase == PHASE_ONLINE:
+            cluster.run_signing("m", b"msg")
+        else:
+            cluster.preprocess_dependent("m", 2)
+    cluster.close()
+
+
+@pytest.mark.parametrize("rewrite", [lambda p: p[:-1], lambda p: p + bytes(16)],
+                         ids=["not-a-multiple-of-16", "past-the-window"])
+@pytest.mark.parametrize("phase", [PHASE_PREPROCESS_DEPENDENT, PHASE_ONLINE],
+                         ids=["phase-3", "signing"])
+def test_a_malformed_realign_list_aborts(phase, rewrite):
+    # party 1's store is one id ahead, so the round-1 tags differ and round 2
+    # realigns; party 2's realign list loses a byte, or runs one id past the
+    # window of count + 15 ids
+    cluster = make_cluster(timeout=30)
+    cluster.keygen("m")
+    cluster.preprocess_independent(20)
+    store1 = cluster.nodes[1].tuple_store
+    if phase == PHASE_ONLINE:
+        cluster.preprocess_dependent("m", 18)
+        store1.checkout_final_by_id(store1.available_final_ids("m")[:1], "m")
+    else:
+        store1.checkout_initial_by_id(store1.available_initial_ids()[:1])
+    with rewrite_frames(cluster, 2, phase, 2, rewrite), \
+            pytest.raises(SessionAbort, match="malformed tuple id payload"):
+        if phase == PHASE_ONLINE:
+            cluster.run_signing("m", b"msg")
+        else:
+            cluster.preprocess_dependent("m", 2)
+    cluster.close()
+
+
+def test_request_refuses_an_empty_request_and_an_unknown_member_before_any_op():
+    cluster = make_cluster()
+    ops = []
+    node = cluster.nodes[1]
+    outcome = node.request(ops.append, "m", Action.ISSUE, [])
+    assert (outcome.status, outcome.reason) == ("aborted", "empty request")
+    outcome = node.request(ops.append, "m", Action.ISSUE, [b"payload"])
+    assert (outcome.status, outcome.reason) == ("aborted", "no signing key for member")
+    assert ops == []
+    cluster.close()
+
+
 def test_short_peer_offer_aborts_request():
     # party 2, not the initiator, sends a well-formed round-1 tag of zero ids
     cluster = make_cluster(SchemeId.SHAMIR_CHECKED, timeout=30)
@@ -1913,8 +1993,7 @@ def test_a_short_peer_fails_requests_until_it_drives_and_refills():
                            policy=ConsentPolicy(low_watermark=2, batch_size=4))
     _, member_keys, roa = _issue_fixture(cluster, stock=2)
     store3 = cluster.nodes[3].tuple_store
-    store3.checkout_final_by_id(store3.available_final_ids("memberA", cluster.epoch),
-                                "memberA", cluster.epoch)
+    store3.checkout_final_by_id(store3.available_final_ids("memberA"), "memberA")
     request = _issue_request(cluster, member_keys, roa)
     for _driver in (1, 2):
         stores = {p: (n.dir / "tuples.jsonl").read_bytes() for p, n in cluster.nodes.items()}
@@ -1938,7 +2017,7 @@ def test_request_path_counts_only_the_driving_nodes_stock(monkeypatch):
     # a deployed node cannot read another node's store: with every other
     # store's stock counts raising, a request that fits the stock, one that
     # refills, and an explicit refill all complete
-    cluster = make_cluster(policy=ConsentPolicy(low_watermark=2, batch_size=4))
+    cluster = make_cluster(policy=ConsentPolicy(low_watermark=5, batch_size=4))
     _, member_keys, roa = _issue_fixture(cluster, stock=1)
 
     def only_counts_at(patch, driver):
@@ -1959,7 +2038,7 @@ def test_request_path_counts_only_the_driving_nodes_stock(monkeypatch):
         assert outcome.status == "published", outcome.reason
     with monkeypatch.context() as patch:
         only_counts_at(patch, 1)
-        made = cluster.replenish("memberA", low_watermark=5)
+        made = cluster.replenish("memberA")
     assert made["final"] == 4
     assert set(_final_stocks(cluster, "memberA").values()) == {7}
     cluster.close()
@@ -2002,11 +2081,12 @@ def test_dependent_preprocessing_round_count(scheme, rounds, precompute_r):
 ], ids=["mascot", "mal-shamir", "shamir", "semi"])
 def test_restock_round_count(scheme, rounds):
     # phase 2 runs no round; phase 3 opens c with the Beaver diffs
-    cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=58)
+    cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=58,
+                           policy=ConsentPolicy(low_watermark=1, batch_size=3))
     cluster.keygen("m")
     with count_rounds(PHASE_PREPROCESS_INDEPENDENT) as independent, \
             count_rounds(PHASE_PREPROCESS_DEPENDENT) as dependent:
-        assert cluster.replenish("m", low_watermark=1, batch_size=3) == {
+        assert cluster.replenish("m") == {
             "initial": 4, "final": 3}
     assert independent == {}
     assert dependent == {p: rounds for p in cluster.participants}
@@ -2021,10 +2101,11 @@ def test_restock_round_count(scheme, rounds):
     (SchemeId.SHAMIR_CHECKED, 988),
 ], ids=["mascot", "mal-shamir"])
 def test_restock_wire_bytes(scheme, per_party):
-    cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=58)
+    cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=58,
+                           policy=ConsentPolicy(low_watermark=1, batch_size=3))
     cluster.keygen("m")
     before = cluster.hub.counters.snapshot()
-    assert cluster.replenish("m", low_watermark=1, batch_size=3) == {"initial": 4, "final": 3}
+    assert cluster.replenish("m") == {"initial": 4, "final": 3}
     after = cluster.hub.counters.snapshot()
     sent = {key: n - before.get(key, 0) for key, n in after.items() if n != before.get(key, 0)}
     round_one = FRAME_OVERHEAD + 4 + 20 + 6 * 32
@@ -2037,7 +2118,8 @@ def test_restock_wire_bytes(scheme, per_party):
 def test_mascot_restock_computes_k_points_while_the_mac_check_is_in_flight(monkeypatch):
     # each party's every k * G of the batch falls between its commit frames
     # (round 2) leaving and its reveal frames (round 3) leaving
-    cluster = make_cluster(SchemeId.ADDITIVE_MAC)
+    cluster = make_cluster(SchemeId.ADDITIVE_MAC,
+                           policy=ConsentPolicy(low_watermark=1, batch_size=3))
     cluster.keygen("m")
     events = []
     g_mul, send = algebra_module._g_mul, cluster.hub.send
@@ -2053,7 +2135,7 @@ def test_mascot_restock_computes_k_points_while_the_mac_check_is_in_flight(monke
 
     monkeypatch.setattr(algebra_module, "_g_mul", recording_g_mul)
     monkeypatch.setattr(cluster.hub, "send", recording_send)
-    assert cluster.replenish("m", low_watermark=1, batch_size=3) == {"initial": 4, "final": 3}
+    assert cluster.replenish("m") == {"initial": 4, "final": 3}
     threads = {thread for thread, _ in events}
     assert len(threads) == len(cluster.participants)
     for thread in threads:
@@ -2089,7 +2171,7 @@ def test_agreed_initial_tuples_are_journaled_before_round_one():
     with before_each_round(checking):
         cluster.preprocess_dependent("m", 3)
     agreed = {(0, tid) for tid in
-              cluster.nodes[1].tuple_store.available_final_ids("m", cluster.epoch)}
+              cluster.nodes[1].tuple_store.available_final_ids("m")}
     assert len(agreed) == 3
     assert set(journaled) == set(cluster.participants)
     assert all(ids == agreed for ids in journaled.values())
@@ -2105,8 +2187,8 @@ def test_asymmetric_initial_stores_bind_through_the_fallback():
     cluster.keygen("m")
     cluster.preprocess_independent(8)
     store2 = cluster.nodes[2].tuple_store
-    ids = store2.available_initial_ids(cluster.epoch)
-    store2.checkout_initial_by_id([ids[0]], cluster.epoch)
+    ids = store2.available_initial_ids()
+    store2.checkout_initial_by_id([ids[0]])
     with count_rounds(PHASE_PREPROCESS_DEPENDENT) as counts:
         results = cluster._run_op({"op": "preprocess-dependent", "member": "m", "count": 3})
     # the failed round, the realign, the fresh Beaver round and the MAC check
@@ -2114,7 +2196,7 @@ def test_asymmetric_initial_stores_bind_through_the_fallback():
     bound = [f.tuple_id for f in results[1]]
     assert bound == ids[4:7]  # ids[0..3] were speculated, or burned by the realign
     for node in cluster.nodes.values():
-        assert node.tuple_store.available_initial_ids(cluster.epoch) == ids[7:]
+        assert node.tuple_store.available_initial_ids() == ids[7:]
         records = _journal_records(node)
         assert len(records) == len(set(records)) == 7
     with count_rounds(PHASE_PREPROCESS_DEPENDENT) as counts:
@@ -2134,8 +2216,8 @@ def test_short_party_aborts_the_batch_promptly_and_keeps_the_dealer_in_step():
     pk = cluster.keygen("m")
     cluster.preprocess_independent(3)
     store2 = cluster.nodes[2].tuple_store
-    for tid in store2.available_initial_ids(cluster.epoch)[:2]:
-        store2.checkout_initial_by_id([tid], cluster.epoch)
+    for tid in store2.available_initial_ids()[:2]:
+        store2.checkout_initial_by_id([tid])
     started = time.perf_counter()
     with pytest.raises((StockDepletedError, SessionAbort)):
         cluster.preprocess_dependent("m", 2)
@@ -2183,14 +2265,14 @@ def test_batch_binds_when_one_store_fell_a_batch_behind(scheme):
     cluster = LocalCluster(ProtocolConfig.for_scheme(scheme), seed=100)
     pk = cluster.keygen("m")
     cluster.preprocess_independent(60)
-    ids = cluster.nodes[1].tuple_store.available_initial_ids(cluster.epoch, limit=60)
+    ids = cluster.nodes[1].tuple_store.available_initial_ids(limit=60)
     for party in (1, 3, 4, 5):
         for tid in ids[:20]:
-            cluster.nodes[party].tuple_store.checkout_initial_by_id([tid], cluster.epoch)
+            cluster.nodes[party].tuple_store.checkout_initial_by_id([tid])
     assert cluster.preprocess_dependent("m", 20) == 20
     for node in cluster.nodes.values():
-        assert node.tuple_store.available_final_ids("m", cluster.epoch, limit=60) == ids[40:]
-        assert node.tuple_store.available_initial_ids(cluster.epoch) == []
+        assert node.tuple_store.available_final_ids("m", limit=60) == ids[40:]
+        assert node.tuple_store.available_initial_ids() == []
     result = cluster.run_signing("m", b"after the realign")
     assert ecdsa_verify(pk, b"after the realign", result.signature)
     cluster.close()
@@ -2223,15 +2305,14 @@ def test_tag_wrong_again_after_the_realign_aborts(monkeypatch):
 def _signing_cluster_with_one_store_ahead(ahead):
     """mal-shamir with 60 final tuples, of which party 1 alone has journaled
     its lowest `ahead`; returns the cluster, its member key and the ids."""
-    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.SHAMIR_CHECKED), seed=7,
-                           policy=ConsentPolicy(auto_replenish=False))
+    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.SHAMIR_CHECKED), seed=7)
     pk = cluster.keygen("m")
     cluster.preprocess_independent(60)
     cluster.preprocess_dependent("m", 60)
     store1 = cluster.nodes[1].tuple_store
-    ids = store1.available_final_ids("m", cluster.epoch, limit=60)
+    ids = store1.available_final_ids("m", limit=60)
     for tid in ids[:ahead]:
-        store1.checkout_final_by_id([tid], "m", cluster.epoch)
+        store1.checkout_final_by_id([tid], "m")
     return cluster, pk, ids
 
 
@@ -2246,7 +2327,7 @@ def test_signing_realigns_a_store_sixteen_ids_ahead():
     # tags with R shares, the realign, tags with R shares again, and s
     assert counts == {p: 4 for p in cluster.participants}
     for node in cluster.nodes.values():
-        assert node.tuple_store.available_final_ids("m", cluster.epoch, limit=60) == ids[17:]
+        assert node.tuple_store.available_final_ids("m", limit=60) == ids[17:]
     cluster.close()
 
 
@@ -2273,7 +2354,7 @@ def test_tag_mismatch_decodes_no_r_share(monkeypatch):
     n = len(cluster.participants)
     assert decoded == [3] * n * (n - 1)
     for node in cluster.nodes.values():
-        assert node.tuple_store.available_final_ids("m", cluster.epoch, limit=60) == ids[2:]
+        assert node.tuple_store.available_final_ids("m", limit=60) == ids[2:]
     cluster.close()
 
 
@@ -2301,8 +2382,7 @@ def test_hostile_realign_list_burns_at_most_the_window(hostile_list):
     cluster.preprocess_independent(40)
     cluster.preprocess_dependent("m", 40)
     store2 = cluster.nodes[2].tuple_store
-    store2.checkout_final_by_id(store2.available_final_ids("m", cluster.epoch)[:1], "m",
-                                cluster.epoch)
+    store2.checkout_final_by_id(store2.available_final_ids("m")[:1], "m")
     stocks = _final_stocks(cluster, "m")
     with rewrite_frames(cluster, 2, PHASE_ONLINE, 2, lambda p: hostile_list), \
             pytest.raises(SessionAbort, match="tuple ids out of step"):
@@ -2320,16 +2400,44 @@ def test_refill_retries_a_batch_that_ran_short_after_a_realign():
     # parties 1, 3, 4 and 5 journaled all 20 initial ids and party 2 none:
     # after the realign the batch is short everywhere, and the refill's
     # retry tops up initial stock and binds the batch
-    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC), seed=3)
+    cluster = LocalCluster(ProtocolConfig.for_scheme(SchemeId.ADDITIVE_MAC), seed=3,
+                           policy=ConsentPolicy(low_watermark=1, batch_size=20))
     cluster.keygen("m")
     cluster.preprocess_independent(20)
-    ids = cluster.nodes[1].tuple_store.available_initial_ids(cluster.epoch)
+    ids = cluster.nodes[1].tuple_store.available_initial_ids()
     for party in (1, 3, 4, 5):
         for tid in ids:
-            cluster.nodes[party].tuple_store.checkout_initial_by_id([tid], cluster.epoch)
-    made = cluster.replenish("m", low_watermark=1, batch_size=20)
+            cluster.nodes[party].tuple_store.checkout_initial_by_id([tid])
+    made = cluster.replenish("m")
     assert made["final"] == 20
     assert cluster.final_stock("m") == 20
+    cluster.close()
+
+
+def test_concurrent_phases_never_share_a_session_id():
+    # eight threads start phases at once, switching often: each phase takes
+    # its own id from the boot's block, the block after the first boot's
+    cluster = make_cluster()
+    ids = []
+
+    def starter():
+        for _ in range(20):
+            ids.extend(cluster._run_phase(PHASE_CONTROL, lambda node, s: s.session_id)
+                       .values())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=starter) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(ids) == 8 * 20 * len(cluster.participants)
+    assert sorted(set(ids)) == list(range((1 << 32) + 1, (1 << 32) + 1 + 8 * 20))
     cluster.close()
 
 
@@ -2832,7 +2940,7 @@ def test_failed_ticket_approval_append_leaves_the_ticket_unapproved(tmp_path, mo
 
 
 def _store_holding(directory, ids):
-    store = TupleStore(str(directory), party=1)
+    store = TupleStore(str(directory), party=1, epoch=bytes(16))
     store.add_initial(_initial_tuples(ids))
     return store
 
@@ -2848,23 +2956,22 @@ def test_failed_journal_append_is_cut_back_and_the_tuple_stays_live(tmp_path, mo
     # raises, the file is cut back and memory keeps tuple 0 unconsumed; a
     # later checkout writes a whole line of its own, which a reopen reads as
     # consumed, so no tuple comes back to sign a second message
-    epoch = bytes(16)
     ids = [bytes([i]) * 16 for i in range(3)]
     store = _store_holding(tmp_path, ids)
     path = tmp_path / "tuples.jsonl"
     before = path.read_bytes()
     _fill_disk_at(monkeypatch, path)
     with pytest.raises(OSError):
-        store.checkout_initial_by_id([ids[0]], epoch)
+        store.checkout_initial_by_id([ids[0]])
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert not store.initial_record(ids[0]).consumed
-    assert store.available_initial_ids(epoch) == ids
-    assert store.checkout_initial_by_id([ids[1]], epoch) == [store.initial_record(ids[1])]
+    assert store.available_initial_ids() == ids
+    assert store.checkout_initial_by_id([ids[1]]) == [store.initial_record(ids[1])]
     store.close()
-    reopened = TupleStore(str(tmp_path), party=1)
+    reopened = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
     assert reopened.consumed_ids() == {(0, ids[1])}
-    assert reopened.available_initial_ids(epoch) == [ids[0], ids[2]]
+    assert reopened.available_initial_ids() == [ids[0], ids[2]]
     reopened.close()
 
 
@@ -2874,7 +2981,6 @@ def test_failed_tuple_add_holds_no_tuple(tmp_path, monkeypatch, size, room):
     # a batch whose lines a full disk cuts short is cut back and not held,
     # so adding it again is no duplicate, and a reopen reads it whole; a
     # disk with room for 20 of 40 lines holds none of them either
-    epoch = bytes(16)
     store = _store_holding(tmp_path, [bytes(16)])
     batch = _initial_tuples([i.to_bytes(16, "big") for i in range(1, size + 1)])
     path = tmp_path / "tuples.jsonl"
@@ -2885,12 +2991,12 @@ def test_failed_tuple_add_holds_no_tuple(tmp_path, monkeypatch, size, room):
         store.add_initial(batch)
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert store.initial_stock(epoch) == 1
+    assert store.initial_stock() == 1
     assert store.initial_record(batch[0].tuple_id) is None
     store.add_initial(batch)
     store.close()
-    reopened = TupleStore(str(tmp_path), party=1)
-    assert reopened.initial_stock(epoch) == 1 + size
+    reopened = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
+    assert reopened.initial_stock() == 1 + size
     reopened.close()
 
 

@@ -11,7 +11,7 @@ import pytest
 from drpki.algebra import FieldElement, GENERATOR, ecdsa_sign, ecdsa_verify, scalar_mul
 from drpki.durable import RecordError
 from drpki.preprocessing import Triple, TupleReuseError
-from drpki.runtime import LocalCluster, SessionAbort
+from drpki.runtime import ConsentPolicy, LocalCluster, SessionAbort
 from drpki.runtime.transport import PHASE_PREPROCESS_DEPENDENT
 from drpki.sharing import BareShare, ProtocolAbort, SchemeId, Share, open_point_shares, open_shares
 from drpki.tecdsa import (
@@ -141,7 +141,7 @@ def test_batch_produces_distinct_unconsumed_tuples():
     cluster = make_cluster(SchemeId.SHAMIR)
     cluster.preprocess_independent(1000)
     store = cluster.nodes[1].tuple_store
-    ids = store.available_initial_ids(cluster.epoch, limit=2000)
+    ids = store.available_initial_ids(limit=2000)
     assert len(ids) == 1000
     assert len(set(ids)) == 1000
     assert all(not store.initial_record(tid).consumed for tid in ids)
@@ -209,24 +209,23 @@ def test_a_record_handed_out_twice_is_refused_by_the_store(batches):
     *first, last = batches
     for count in first:
         preprocess_independent(node, None, count)
-    stored = node.tuple_store.available_initial_ids(cluster.epoch)
+    stored = node.tuple_store.available_initial_ids()
     with pytest.raises(TupleReuseError, match="duplicate initial tuple id"):
         preprocess_independent(node, None, last)
-    assert node.tuple_store.available_initial_ids(cluster.epoch) == stored
+    assert node.tuple_store.available_initial_ids() == stored
     assert stored == ([record.triple_id] if first else [])
     cluster.close()
 
 
 def _final_ids(cluster, member_id):
     return {tid for node in cluster.nodes.values()
-            for tid in node.tuple_store.available_final_ids(member_id, cluster.epoch,
-                                                            limit=1000)}
+            for tid in node.tuple_store.available_final_ids(member_id, limit=1000)}
 
 
 def test_zero_product_triple_discarded_and_replaced():
     # phase 2 stores a zero-product triple's tuple unopened; phase 3 opens
     # c = 0, aborts and stores nothing; a refill's retry restocks without it
-    cluster = make_cluster(SchemeId.SHAMIR)
+    cluster = make_cluster(SchemeId.SHAMIR, policy=ConsentPolicy(low_watermark=1, batch_size=1))
     cluster.keygen("m")
     rigged = _rig_zero_triple(cluster)
     _rig_next_triples(cluster, [rigged])
@@ -234,7 +233,7 @@ def test_zero_product_triple_discarded_and_replaced():
     with pytest.raises(SessionAbort, match=r"degenerate preprocessing triple \(c = 0\)"):
         cluster.preprocess_dependent("m", 1)
     assert cluster.final_stock("m") == 0 and cluster.initial_stock() == 0
-    made = cluster.replenish("m", low_watermark=1, batch_size=1)
+    made = cluster.replenish("m")
     assert made == {"initial": 2, "final": 1}
     assert cluster.final_stock("m") == 1
     assert rigged[0].triple_id not in _final_ids(cluster, "m")
@@ -246,11 +245,11 @@ def test_zero_product_triple_discarded_and_replaced():
 def test_refill_rebinds_after_a_degenerate_batch():
     # a watermark below the batch sizes the initial stock for one batch; the
     # rigged batch burns its ids, and the retry tops initial stock up first
-    cluster = make_cluster(SchemeId.SHAMIR)
+    cluster = make_cluster(SchemeId.SHAMIR, policy=ConsentPolicy(low_watermark=1, batch_size=3))
     cluster.keygen("m")
     rigged = _rig_zero_triple(cluster)
     _rig_next_triples(cluster, [rigged])
-    made = cluster.replenish("m", low_watermark=1, batch_size=3)
+    made = cluster.replenish("m")
     assert made == {"initial": 4 + 3, "final": 3}
     assert cluster.final_stock("m") == 3
     assert rigged[0].triple_id not in _final_ids(cluster, "m")
@@ -259,11 +258,11 @@ def test_refill_rebinds_after_a_degenerate_batch():
 
 def test_persistent_zero_products_exhaust_retry_budget():
     # every triple has c = 0, the Beaver triples too (a = 0 is still a triple)
-    cluster = make_cluster(SchemeId.SHAMIR)
+    cluster = make_cluster(SchemeId.SHAMIR, policy=ConsentPolicy(low_watermark=1, batch_size=1))
     cluster.keygen("m")
     _rig_next_triples(cluster, [_rig_zero_triple(cluster, i) for i in range(12)])
     with pytest.raises(TecdsaError, match="replenishment failed after 3 attempts"):
-        cluster.replenish("m", low_watermark=1, batch_size=1)
+        cluster.replenish("m")
     assert cluster.final_stock("m") == 0
     cluster.close()
 
@@ -279,7 +278,7 @@ def test_final_tuples_satisfy_key_over_nonce_relation(scheme):
     sk = cluster.test_reconstruct_sk("m")
     node_ids = cluster.participants
     store0 = cluster.nodes[node_ids[0]].tuple_store
-    for tid in store0.available_final_ids("m", cluster.epoch):
+    for tid in store0.available_final_ids("m"):
         k = cluster.test_reconstruct_k(tid)
         shares = [
             cluster.nodes[p].tuple_store._final[tid].sk_over_k_share for p in node_ids
@@ -376,7 +375,7 @@ def test_degenerate_r_aborts_and_journals_every_tuple(monkeypatch):
     cluster.keygen("m")
     cluster.preprocess_independent(3)
     cluster.preprocess_dependent("m", 3)
-    ids = cluster.nodes[1].tuple_store.available_final_ids("m", cluster.epoch)
+    ids = cluster.nodes[1].tuple_store.available_final_ids("m")
     open_points = PartySession.open_point_batch
     calls = {}
 
@@ -391,7 +390,7 @@ def test_degenerate_r_aborts_and_journals_every_tuple(monkeypatch):
         cluster.run_signing("m", [b"kept", b"degenerate"])
     assert calls == {p: 1 for p in cluster.participants}
     for node in cluster.nodes.values():
-        assert node.tuple_store.available_final_ids("m", cluster.epoch) == ids[2:]
+        assert node.tuple_store.available_final_ids("m") == ids[2:]
     assert cluster.final_stock("m") == 1
     cluster.close()
 
@@ -521,7 +520,7 @@ def test_corrupt_d_share_fails_the_checked_open():
         cluster.preprocess_dependent("m", 2)
     assert plan.triggered
     for node in cluster.nodes.values():
-        assert node.tuple_store.final_stock("m", cluster.epoch) == 0
+        assert node.tuple_store.final_stock("m") == 0
         assert '"final"' not in Path(node.dir, "tuples.jsonl").read_text()
     cluster.close()
 
@@ -556,7 +555,7 @@ def test_corrupt_c_share_aborts_before_any_k_point_share():
         assert all(node.tuple_store.final_record(tid) is None for tid in agreed)
         assert '"final"' not in Path(node.dir, "tuples.jsonl").read_text()
     assert all(cluster.epoch in node.retired_epochs for node in cluster.nodes.values())
-    assert all(node.tuple_store.final_stock("m", cluster.epoch) == 0
+    assert all(node.tuple_store.final_stock("m") == 0
                for node in cluster.nodes.values())
     cluster.close()
 
@@ -579,34 +578,71 @@ def _initials(ids, epoch=bytes(16), owner=1):
 
 def test_tuple_store_roundtrip_and_journal(tmp_path):
     epoch = bytes(16)
-    store = TupleStore(str(tmp_path), party=1)
+    store = TupleStore(str(tmp_path), party=1, epoch=epoch)
     store.add_initial(_initials(range(3)))
     store.add_final([FinalTuple(b"\xaa" * 16, epoch, "alice", _sample_point(),
                                 _sample_share(), _sample_share(),
                                 r_point=_sample_point())])
-    taken = store.checkout_initial(epoch)
+    taken = store.checkout_initial()
     store.close()
 
-    revived = TupleStore(str(tmp_path), party=1)
-    assert revived.initial_stock(epoch) == 2
-    assert revived.final_stock("alice", epoch) == 1
+    revived = TupleStore(str(tmp_path), party=1, epoch=epoch)
+    assert revived.initial_stock() == 2
+    assert revived.final_stock("alice") == 1
     record = revived.initial_record(taken.tuple_id)
     assert record is not None and record.consumed
-    [final] = revived.checkout_final_by_id([b"\xaa" * 16], "alice", epoch)
+    [final] = revived.checkout_final_by_id([b"\xaa" * 16], "alice")
     assert final.r_point == _sample_point()
     assert final.k_inv_share == _sample_share()
     revived.close()
 
     # consumption is durable across another restart
-    third = TupleStore(str(tmp_path), party=1)
+    third = TupleStore(str(tmp_path), party=1, epoch=epoch)
     with pytest.raises(StockDepletedError):
-        third.checkout_final_by_id([b"\xaa" * 16], "alice", epoch)
+        third.checkout_final_by_id([b"\xaa" * 16], "alice")
     third.close()
 
 
+def test_tuple_store_serves_only_its_epoch_of_a_two_epoch_file(tmp_path):
+    # a file that holds tuples of two epochs, opened on the second: only that
+    # epoch's tuples are offered, counted and checked out, and an id that a
+    # line of the first epoch holds is still refused
+    old, new = bytes(16), b"\x01" * 16
+
+    def final(tid, epoch):
+        return FinalTuple(tid, epoch, "alice", _sample_point(), _sample_share(), _sample_share())
+
+    first = TupleStore(str(tmp_path), party=1, epoch=old)
+    first.add_initial(_initials([1, 2], epoch=old))
+    first.add_final([final(b"\xaa" * 16, old)])
+    first.close()
+    store = TupleStore(str(tmp_path), party=1, epoch=new)
+    store.add_initial(_initials([3], epoch=new))
+    store.add_final([final(b"\xbb" * 16, new)])
+    assert store.available_initial_ids() == [b"\x03" * 16]
+    assert store.available_final_ids("alice") == [b"\xbb" * 16]
+    assert (store.initial_stock(), store.final_stock("alice")) == (1, 1)
+    with pytest.raises(StockDepletedError):
+        store.checkout_initial_by_id([b"\x01" * 16])
+    with pytest.raises(StockDepletedError):
+        store.checkout_final_by_id([b"\xaa" * 16], "alice")
+    assert store.checkout_initial().tuple_id == b"\x03" * 16
+    assert store.checkout_final("alice").tuple_id == b"\xbb" * 16
+    with pytest.raises(StockDepletedError):
+        store.checkout_initial()
+    with pytest.raises(TupleReuseError):
+        store.add_initial(_initials([1], epoch=new))
+    with pytest.raises(TupleReuseError):
+        store.add_final([final(b"\xaa" * 16, new)])
+    store.close()
+    # the first epoch's tuples stay unconsumed for a store on that epoch
+    reopened = TupleStore(str(tmp_path), party=1, epoch=old)
+    assert (reopened.initial_stock(), reopened.final_stock("alice")) == (2, 1)
+    reopened.close()
+
+
 def test_tuple_store_rejects_duplicates_and_reports_depletion(tmp_path):
-    epoch = bytes(16)
-    store = TupleStore(str(tmp_path), party=2)
+    store = TupleStore(str(tmp_path), party=2, epoch=bytes(16))
     [tup] = _initials([1], owner=2)
     store.add_initial([tup])
     with pytest.raises(TupleReuseError):
@@ -614,79 +650,75 @@ def test_tuple_store_rejects_duplicates_and_reports_depletion(tmp_path):
     with pytest.raises(TupleReuseError):
         store.add_initial(_initials([2, 2], owner=2))  # twice within one batch
     assert store.initial_record(b"\x02" * 16) is None
-    store.checkout_initial(epoch)
+    store.checkout_initial()
     with pytest.raises(StockDepletedError, match="initial preprocessing tuples depleted"):
-        store.checkout_initial(epoch)
+        store.checkout_initial()
     with pytest.raises(StockDepletedError, match="member 'zed'"):
-        store.checkout_final("zed", epoch)
+        store.checkout_final("zed")
 
 
 def test_checkout_by_id_journals_all_the_ids_in_one_line_each_or_none(tmp_path):
-    epoch = bytes(16)
     ids = [bytes([i]) * 16 for i in range(4)]
-    store = TupleStore(str(tmp_path), party=1)
+    store = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
     store.add_initial(_initials(range(4)))
-    store.checkout_initial_by_id([ids[0]], epoch)
+    store.checkout_initial_by_id([ids[0]])
     path = tmp_path / "tuples.jsonl"
     before = path.read_bytes()
     for refused in ([ids[1], ids[0]], [ids[1], b"\x09" * 16], [ids[1], ids[1]]):
         with pytest.raises(StockDepletedError):
-            store.checkout_initial_by_id(refused, epoch)
+            store.checkout_initial_by_id(refused)
         assert path.read_bytes() == before
-        assert store.available_initial_ids(epoch) == ids[1:]
-    assert store.checkout_initial_by_id([], epoch) == []
-    taken = store.checkout_initial_by_id([ids[3], ids[1]], epoch)
+        assert store.available_initial_ids() == ids[1:]
+    assert store.checkout_initial_by_id([]) == []
+    taken = store.checkout_initial_by_id([ids[3], ids[1]])
     assert [t.tuple_id for t in taken] == [ids[3], ids[1]]
     assert path.read_bytes().count(b"\n") == before.count(b"\n") + 2
     store.close()
-    assert TupleStore(str(tmp_path), party=1).available_initial_ids(epoch) == [ids[2]]
+    assert TupleStore(str(tmp_path), party=1, epoch=bytes(16)).available_initial_ids() == [ids[2]]
 
 
 def test_closed_tuple_store_answers_reads_but_refuses_writes(tmp_path):
-    epoch = bytes(16)
-    store = TupleStore(str(tmp_path), party=1)
+    store = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
     store.add_initial(_initials([1]))
     store.close()
     size = (tmp_path / "tuples.jsonl").stat().st_size
     with pytest.raises(TecdsaError, match="closed"):
         store.add_initial(_initials([2]))
     with pytest.raises(TecdsaError, match="closed"):
-        store.checkout_initial(epoch)
-    assert store.initial_stock(epoch) == 1
+        store.checkout_initial()
+    assert store.initial_stock() == 1
     assert (tmp_path / "tuples.jsonl").stat().st_size == size
 
 
 def test_tuple_store_tolerates_torn_tail_write(tmp_path):
-    epoch = bytes(16)
-    store = TupleStore(str(tmp_path), party=1)
+    store = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
     store.add_initial(_initials([1]))
     store.add_initial(_initials([2]))
     store.close()
     path = tmp_path / "tuples.jsonl"
     data = path.read_bytes()
     path.write_bytes(data[:-7])  # torn tail: the second line loses its end
-    revived = TupleStore(str(tmp_path), party=1)
-    assert revived.initial_stock(epoch) == 1
+    revived = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
+    assert revived.initial_stock() == 1
     assert revived.initial_record(b"\x01" * 16) is not None
     revived.close()
     assert path.read_bytes() == data[:data.rstrip(b"\n").rfind(b"\n") + 1]
 
 
 def test_tuple_store_journal_appends_after_a_torn_tail_survive_reopen(tmp_path):
-    epoch = bytes(16)
-    store = TupleStore(str(tmp_path), party=1)
+    store = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
     store.add_initial(_initials(range(3)))
-    store.checkout_initial_by_id([b"\x00" * 16], epoch)
+    store.checkout_initial_by_id([b"\x00" * 16])
     store.close()
     path = tmp_path / "tuples.jsonl"
     path.write_bytes(path.read_bytes() + b'{"consume": "ini')  # torn append
-    revived = TupleStore(str(tmp_path), party=1)
-    assert revived.initial_stock(epoch) == 2
-    revived.checkout_initial_by_id([b"\x01" * 16], epoch)
+    revived = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
+    assert revived.initial_stock() == 2
+    revived.checkout_initial_by_id([b"\x01" * 16])
     revived.close()
     # the consumption journaled after the torn tail survives another restart
-    third = TupleStore(str(tmp_path), party=1)
-    assert third.initial_stock(epoch) == 1
+    third = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
+    assert third.initial_stock() == 1
     assert third.consumed_ids() == {(0, b"\x00" * 16), (0, b"\x01" * 16)}
     third.close()
 
@@ -696,25 +728,25 @@ def test_tuple_store_refuses_another_partys_file(tmp_path):
     # leaves the file as it found it, rather than load shares of owner 2
     epoch = bytes(16)
     for party in (1, 2):
-        store = TupleStore(str(tmp_path / f"party{party}"), party=party)
+        store = TupleStore(str(tmp_path / f"party{party}"), party=party, epoch=epoch)
         share = _sample_share(owner=party)
         store.add_initial(_initials([party], owner=party))
         store.add_final([FinalTuple(bytes([party]) * 16, epoch, "alice", _sample_point(),
                                     share, share)])
-        store.checkout_initial(epoch)
+        store.checkout_initial()
         store.close()
     foreign = (tmp_path / "party2" / "tuples.jsonl").read_bytes()
     target = tmp_path / "party1" / "tuples.jsonl"
     target.write_bytes(foreign)
     with pytest.raises(TecdsaError, match="tuples.jsonl is not a tuple store of party 1"):
-        TupleStore(str(tmp_path / "party1"), party=1)
+        TupleStore(str(tmp_path / "party1"), party=1, epoch=epoch)
     assert target.read_bytes() == foreign
 
 
 def test_tuple_store_refuses_an_initial_line_without_the_mask_pair(tmp_path):
     # an earlier version's initial line holds no [x] and [x/k]: phase 3
     # could not bind it, so the open names the line and leaves the file
-    store = TupleStore(str(tmp_path), party=1)
+    store = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
     store.add_initial(_initials([1, 2]))
     store.close()
     path = tmp_path / "tuples.jsonl"
@@ -725,7 +757,7 @@ def test_tuple_store_refuses_an_initial_line_without_the_mask_pair(tmp_path):
     path.write_text("".join(lines))
     data = path.read_bytes()
     with pytest.raises(RecordError, match=rf"{path} line 3 does not decode: KeyError"):
-        TupleStore(str(tmp_path), party=1)
+        TupleStore(str(tmp_path), party=1, epoch=bytes(16))
     assert path.read_bytes() == data
 
 
@@ -736,7 +768,7 @@ def test_tuple_store_refuses_an_initial_line_without_the_mask_pair(tmp_path):
 def test_a_refused_tuple_file_keeps_its_torn_tail(tmp_path, opener, bad_line, refusal):
     # the torn last line is cut only once the header and every whole line
     # have decoded, so a file the open refuses is left byte for byte
-    store = TupleStore(str(tmp_path), party=2)
+    store = TupleStore(str(tmp_path), party=2, epoch=bytes(16))
     store.add_initial(_initials([2], owner=2))
     store.close()
     path = tmp_path / "tuples.jsonl"
@@ -744,14 +776,14 @@ def test_a_refused_tuple_file_keeps_its_torn_tail(tmp_path, opener, bad_line, re
     path.write_bytes(data)
     error, match = refusal
     with pytest.raises(error, match=match):
-        TupleStore(str(tmp_path), party=opener)
+        TupleStore(str(tmp_path), party=opener, epoch=bytes(16))
     assert path.read_bytes() == data
 
 
 def test_tuple_store_cuts_a_torn_header(tmp_path):
     # a crash while the header line was written leaves it without its newline
     (tmp_path / "tuples.jsonl").write_bytes(b'{"party": 1, "sto')
-    store = TupleStore(str(tmp_path), party=1)
+    store = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
     store.close()
     assert (tmp_path / "tuples.jsonl").read_bytes() == b'{"party": 1, "store": "tuples"}\n'
 
@@ -769,7 +801,7 @@ def test_tuple_store_cuts_a_torn_header(tmp_path):
 def test_tuple_store_refuses_a_whole_line_that_does_not_decode(tmp_path, line):
     # a whole line cut nothing after it before: now the open fails, and the
     # consumption lines behind the bad one stay on disk
-    store = TupleStore(str(tmp_path), party=1)
+    store = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
     store.add_initial(_initials(range(2)))
     store.close()
     path = tmp_path / "tuples.jsonl"
@@ -777,7 +809,7 @@ def test_tuple_store_refuses_a_whole_line_that_does_not_decode(tmp_path, line):
         + (b"00" * 16) + b'"}\n'
     path.write_bytes(data)
     with pytest.raises(RecordError, match=rf"{path} line 4 does not decode"):
-        TupleStore(str(tmp_path), party=1)
+        TupleStore(str(tmp_path), party=1, epoch=bytes(16))
     assert path.read_bytes() == data
 
 
@@ -789,7 +821,7 @@ def test_tuple_files_of_earlier_versions_are_left_unread(tmp_path):
            "tuples.journal": b"DTJ1\x01" + bytes(21)}
     for name, data in old.items():
         (tmp_path / name).write_bytes(data)
-    store = TupleStore(str(tmp_path), party=1)
-    assert store.initial_stock(bytes(16)) == 0 and store.consumed_ids() == set()
+    store = TupleStore(str(tmp_path), party=1, epoch=bytes(16))
+    assert store.initial_stock() == 0 and store.consumed_ids() == set()
     store.close()
     assert {name: (tmp_path / name).read_bytes() for name in old} == old

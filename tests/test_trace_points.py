@@ -56,7 +56,7 @@ def test_each_wrapped_store_method_counts_one_call(tmp_path, monkeypatch):
     def final(i):
         return FinalTuple(bytes([i]) * 16, epoch, "m", point, share, share)
 
-    store = TupleStore(str(tmp_path), party=1)
+    store = TupleStore(str(tmp_path), party=1, epoch=epoch)
     store.add_initial([initial(1), initial(2)])
     store.add_final([final(1), final(2)])
 
@@ -70,16 +70,16 @@ def test_each_wrapped_store_method_counts_one_call(tmp_path, monkeypatch):
 
     store.add_initial([initial(3)])
     store.add_final([final(3)])
-    assert store.checkout_initial(epoch).tuple_id == bytes([1]) * 16
-    assert store.checkout_final("m", epoch).tuple_id == bytes([1]) * 16
-    assert [t.tuple_id for t in store.checkout_initial_by_id([bytes([3]) * 16], epoch)] \
+    assert store.checkout_initial().tuple_id == bytes([1]) * 16
+    assert store.checkout_final("m").tuple_id == bytes([1]) * 16
+    assert [t.tuple_id for t in store.checkout_initial_by_id([bytes([3]) * 16])] \
         == [bytes([3]) * 16]
-    assert [t.tuple_id for t in store.checkout_final_by_id([bytes([3]) * 16], "m", epoch)] \
+    assert [t.tuple_id for t in store.checkout_final_by_id([bytes([3]) * 16], "m")] \
         == [bytes([3]) * 16]
-    assert store.available_initial_ids(epoch) == [bytes([2]) * 16]
-    assert store.available_final_ids("m", epoch) == [bytes([2]) * 16]
-    assert store.initial_stock(epoch) == 1
-    assert store.final_stock("m", epoch) == 1
+    assert store.available_initial_ids() == [bytes([2]) * 16]
+    assert store.available_final_ids("m") == [bytes([2]) * 16]
+    assert store.initial_stock() == 1
+    assert store.final_stock("m") == 1
     store.close()
     assert calls == dict.fromkeys(STORE_NAMES, 1)
 
